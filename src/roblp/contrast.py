@@ -106,6 +106,29 @@ class ContrastSpec:
             return np.ones_like(z)
         return np.zeros_like(z)
 
+    def increment(self, z, dz):
+        """rho(z + dz) - rho(z).  Where z and z + dz lie on the same piece
+        of rho it is computed from the piece's closed form, which keeps
+        its relative accuracy when dz is tiny; the plain difference of two
+        values loses every digit there."""
+        z = np.asarray(z, dtype=float)
+        dz = np.asarray(dz, dtype=float)
+        quadratic = dz * (z + 0.5 * dz)
+        if self.kind == "square":
+            return quadratic
+        z1 = z + dz
+        knot = self.gamma if self.kind == "huber" else 0.0
+        a, a1 = np.abs(z), np.abs(z1)
+        same_tail = (a > knot) & (a1 > knot) & (np.sign(z) == np.sign(z1))
+        inc = np.where(
+            same_tail,
+            self.derivative_bound * np.sign(z) * dz,
+            self.value(z1) - self.value(z),
+        )
+        if self.kind == "huber":
+            inc = np.where((a <= knot) & (a1 <= knot), quadratic, inc)
+        return inc
+
     @property
     def derivative_bound(self) -> float:
         if self.kind == "huber":

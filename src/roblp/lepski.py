@@ -17,14 +17,18 @@ selects some index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from .basis import multi_index_set
 from .contrast import ContrastSpec
 from .kernels import KernelSpec, lambda_min, moment_matrix
-from .local_fit import Dataset, FitResult, LocalFitConfig, fit_local, with_bandwidth
+from .local_fit import (
+    Dataset,
+    EmptyNeighborhoodError,
+    FitResult,
+    LocalFitConfig,
+    fit_local,
+)
 
 __all__ = [
     "holder_floor",
@@ -342,25 +346,16 @@ def select_bandwidth(
     """Run the estimator over the whole grid and apply the selection rule.
 
     Each bandwidth is fitted independently on the same data (no warm
-    starts, so results do not depend on evaluation order).  Raises the
-    fit's empty-window error annotated with the offending index.
+    starts, so results do not depend on evaluation order).  An empty
+    window raises ``EmptyNeighborhoodError`` carrying the offending grid
+    index.
     """
-    x0 = tuple(float(v) for v in np.atleast_1d(np.asarray(x0, dtype=float)))
-    base = LocalFitConfig(
-        x0=x0,
-        h=fit_template.h,
-        degree=fit_template.degree,
-        bound=fit_template.bound,
-        kernel=fit_template.kernel,
-        contrast=fit_template.contrast,
-        optimizer=fit_template.optimizer,
-    )
     fits: list[FitResult] = []
     for k, h_k in enumerate(grid.bandwidths):
         try:
-            fits.append(fit_local(data, with_bandwidth(base, h_k)))
-        except Exception as exc:
-            raise type(exc)(f"{exc} (grid index k={k})") from exc
+            fits.append(fit_local(data, replace(fit_template, x0=x0, h=h_k)))
+        except EmptyNeighborhoodError as exc:
+            raise EmptyNeighborhoodError(exc.x0, exc.h, grid_index=k) from exc
 
     c_thresh = selection.threshold(grid.d)
     thresholds = [c_thresh * threshold_scale(l, grid) for l in range(grid.k_n + 1)]

@@ -9,16 +9,23 @@ over the l1-ball {||t||_1 <= M} of coefficient vectors, where f_t is the
 local polynomial with coefficients t and the sum runs over the full
 sample (the kernel support restricts it to the window).  The fitted value
 at x0 is the first coordinate of the minimizer.  The criterion is convex
-whenever rho is, so the projected gradient method below finds a global
-minimizer; the l1-ball projection is the classic sort-based simplex
-projection.
+whenever rho is, so any stationary point is a global minimizer.
+
+The solver takes proximal Newton steps (Lee, Sun & Saunders 2014) on the
+Huber active set, the IRLS Hessian of Holland & Welsch (1977): the
+quadratic model over the ball lives in N_b dimensions and is solved by
+accelerated projected gradient without touching the samples.  Where that
+Hessian is singular or badly conditioned (absolute loss, tiny thresholds,
+too few samples in the quadratic band) it takes a Barzilai-Borwein
+projected gradient step instead.  The l1-ball projection is the classic
+sort-based simplex projection (Duchi et al. 2008).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,8 +124,13 @@ class Dataset:
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Projected gradient settings: spectral trial step with monotone
-    Armijo backtracking."""
+    """Solver settings.  ``max_iterations`` caps the outer (Newton or
+    gradient) steps and ``gradient_tolerance`` bounds the stationarity
+    gap at convergence.  ``initial_step`` is the first trial step of a
+    projected gradient step; ``backtracking`` and ``armijo`` drive the
+    monotone Armijo line search of both step kinds.  ``record_objective``
+    keeps the criterion after every step, as the line search tracks it, in
+    ``FitResult.objective_path``."""
 
     max_iterations: int = 20_000
     gradient_tolerance: float = 1e-8
@@ -189,12 +201,24 @@ class FitResult:
 
 
 class EmptyNeighborhoodError(RuntimeError):
-    """No sample falls in the fitting window; the estimator is undefined."""
+    """No sample falls in the fitting window; the estimator is undefined.
+    ``grid_index`` is the bandwidth-grid level when the fit ran inside a
+    bandwidth selection, else None."""
 
-    def __init__(self, x0, h):
-        super().__init__(f"no samples in the window of side {h} centered at {x0}")
+    def __init__(self, x0, h, grid_index: int | None = None):
+        where = "" if grid_index is None else f" (grid index k={grid_index})"
+        super().__init__(f"no samples in the window of side {h} centered at {x0}{where}")
         self.x0 = tuple(x0)
         self.h = h
+        self.grid_index = grid_index
+
+
+# A Newton model is used only when lambda_min(H) > _CONDITION_RATIO * lambda_max(H).
+_CONDITION_RATIO = 1e-8
+# Safeguard on the inner accelerated projected gradient loop.
+_MODEL_MAX_ITERATIONS = 10_000
+# Relative size of a criterion change that rounds away: under half an ulp.
+_ROUNDING = 0.2 * np.finfo(float).eps
 
 
 class _LocalProblem:
@@ -232,6 +256,23 @@ class _LocalProblem:
         resid = self.y - self.design @ t
         psi = self.weights * self.contrast.first_derivative(resid)
         return -self.scale * (self.design.T @ psi)
+
+    def increment(self, t: np.ndarray, step: np.ndarray) -> float:
+        """value(t + step) - value(t), accurate even when the step is too
+        small for the two values to differ in floating point."""
+        resid = self.y - self.design @ t
+        inc = self.contrast.increment(resid, -(self.design @ step))
+        return self.scale * float(self.weights @ inc)
+
+    def hessian(self, t: np.ndarray) -> np.ndarray | None:
+        """Generalized Hessian scale X'diag(w rho''(r))X, where rho'' is the
+        indicator of the Huber band; None when fewer samples than
+        coefficients are active, which makes it singular."""
+        resid = self.y - self.design @ t
+        w = self.weights * self.contrast.second_derivative(resid)
+        if np.count_nonzero(w) < self.index_set.size:
+            return None
+        return self.scale * ((self.design.T * w) @ self.design)
 
 
 def criterion(t, data: Dataset, cfg: LocalFitConfig) -> float:
@@ -276,15 +317,100 @@ def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     return float(v[min(idx, v.size - 1)])
 
 
+def _gradient_step(problem, t, fval, grad, prev_t, prev_grad, radius, opt):
+    """Spectral (Barzilai-Borwein) trial step, safeguarded, then monotone
+    Armijo backtracking on the projected step."""
+    step = opt.initial_step
+    if prev_t is not None:
+        dt = t - prev_t
+        dg = grad - prev_grad
+        curv = float(dt @ dg)
+        if curv > 0:
+            step = min(max(float(dt @ dt) / curv, 1e-12), 1e12)
+    while True:
+        candidate = project_l1_ball(t - step * grad, radius)
+        cand_val = problem.value(candidate)
+        decrease = float(grad @ (candidate - t))
+        if cand_val <= fval + opt.armijo * decrease:
+            break
+        step *= opt.backtracking
+        if step < 1e-18:
+            break
+    return candidate, cand_val
+
+
+def _minimize_model(hess, grad, t, radius, mu, lip, tol):
+    """Minimize g'(u - t) + (u - t)'H(u - t)/2 over the l1-ball by
+    accelerated projected gradient with the strongly convex momentum
+    (sqrt(L) - sqrt(mu)) / (sqrt(L) + sqrt(mu)), started at ``t``.  Stops
+    when the unit-step projected-gradient norm of the model is below
+    ``tol`` or after ``_MODEL_MAX_ITERATIONS`` steps."""
+    momentum = (math.sqrt(lip) - math.sqrt(mu)) / (math.sqrt(lip) + math.sqrt(mu))
+    u = prev = t
+    for _ in range(_MODEL_MAX_ITERATIONS):
+        v = u + momentum * (u - prev)
+        prev, u = u, project_l1_ball(v - (grad + hess @ (v - t)) / lip, radius)
+        model_grad = grad + hess @ (u - t)
+        if np.linalg.norm(u - project_l1_ball(u - model_grad, radius)) <= tol:
+            break
+    return u
+
+
+def _newton_step(problem, t, fval, grad, gap, radius, opt):
+    """Proximal Newton step on the Huber active set, or None where the
+    curvature is degenerate or the step fails its line search.
+
+    The model Hessian H = scale X'diag(w 1{|r| <= gamma})X is used when at
+    least N_b samples are active and its condition number is below
+    1/_CONDITION_RATIO.  The quadratic model is minimized over the ball:
+    exactly when the Newton point lies inside it, else inexactly to the
+    tolerance max(0.1 tol, min(0.1, gap) gap) (Lee, Sun & Saunders 2014).
+    Armijo backtracking along the segment keeps the iterate feasible.  It
+    compares criterion increments computed piece by piece, which stay
+    accurate where the criterion values no longer differ in floating point.
+    """
+    hess = problem.hessian(t)
+    if hess is None:
+        return None
+    eig = np.linalg.eigvalsh(hess)
+    if not eig[0] > _CONDITION_RATIO * eig[-1]:
+        return None
+    target = t - np.linalg.solve(hess, grad)
+    if np.abs(target).sum() > radius:
+        tol = max(0.1 * opt.gradient_tolerance, min(0.1, gap) * gap)
+        target = _minimize_model(hess, grad, t, radius, eig[0], eig[-1], tol)
+    direction = target - t
+    decrease = float(grad @ direction)
+    # Below this the criterion, and a direction along the ball's surface,
+    # cannot be resolved in floating point.  A change that small leaves
+    # fval + change == fval, so taking such a step keeps descent monotone.
+    resolution = _ROUNDING * abs(fval)
+    flat = abs(decrease) <= resolution
+    if not (decrease < 0 or flat):
+        return None
+    step = 1.0
+    while step >= 1e-18:
+        change = problem.increment(t, step * direction)
+        if change <= opt.armijo * step * decrease or (flat and change <= resolution):
+            return t + step * direction, fval + change
+        step *= opt.backtracking
+    return None
+
+
 def fit_local(data: Dataset, cfg: LocalFitConfig) -> FitResult:
-    """Minimize the local criterion over the l1-ball by projected gradient
-    descent with backtracking.
+    """Minimize the local criterion over the l1-ball by proximal Newton
+    steps, with projected gradient steps where the curvature degenerates.
 
     Starts from the kernel-weighted median of the in-window responses in
-    the constant coordinate (zeros elsewhere, projected).  Stops when the
-    unit-step projected-gradient norm falls below the tolerance or the
-    iteration cap is hit.  Convexity of the criterion plus compactness of
-    the ball make any stationary point a global minimizer.
+    the constant coordinate (zeros elsewhere, projected).  Each iteration
+    takes a proximal Newton step on the Huber active set when its Hessian
+    is well conditioned, and a Barzilai-Borwein projected gradient step
+    otherwise (absolute loss, tiny thresholds, windows with fewer active
+    samples than coefficients); both use monotone Armijo backtracking.
+    Stops when the unit-step projected-gradient norm falls below the
+    tolerance or the iteration cap is hit.  Convexity of the criterion
+    plus compactness of the ball make any stationary point a global
+    minimizer.
     """
     if data.n == 0:
         raise ValueError("dataset is empty")
@@ -310,26 +436,10 @@ def fit_local(data: Dataset, cfg: LocalFitConfig) -> FitResult:
     for _ in range(opt.max_iterations):
         if converged:
             break
-        # Spectral (Barzilai-Borwein) trial step, safeguarded, then
-        # monotone Armijo backtracking on the projected step.
-        step = opt.initial_step
-        if prev_t is not None:
-            dt = t - prev_t
-            dg = grad - prev_grad
-            curv = float(dt @ dg)
-            if curv > 0:
-                step = min(max(float(dt @ dt) / curv, 1e-12), 1e12)
-        candidate = t
-        cand_val = fval
-        while True:
-            candidate = project_l1_ball(t - step * grad, radius)
-            cand_val = problem.value(candidate)
-            decrease = float(grad @ (candidate - t))
-            if cand_val <= fval + opt.armijo * decrease:
-                break
-            step *= opt.backtracking
-            if step < 1e-18:
-                break
+        proposal = _newton_step(problem, t, fval, grad, gap, radius, opt)
+        if proposal is None:
+            proposal = _gradient_step(problem, t, fval, grad, prev_t, prev_grad, radius, opt)
+        candidate, cand_val = proposal
         if cand_val > fval:
             break  # line search stalled at numerical precision
         if np.array_equal(candidate, t):
@@ -363,8 +473,3 @@ def fit_local(data: Dataset, cfg: LocalFitConfig) -> FitResult:
 def estimate_at(data: Dataset, cfg: LocalFitConfig) -> float:
     """Fitted function value at the window center."""
     return fit_local(data, cfg).estimate
-
-
-def with_bandwidth(cfg: LocalFitConfig, h: float) -> LocalFitConfig:
-    """Copy of a fit config at a different bandwidth."""
-    return replace(cfg, h=h)

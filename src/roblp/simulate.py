@@ -210,7 +210,12 @@ class NoiseModel:
     def scales(self, n: int) -> np.ndarray:
         rule = self.heteroscedastic or HeteroscedasticRule()
         s = self.base_scale * rule.multipliers(n)
-        assert np.all(s >= self.sigma_min - 1e-15), "scale rule violated sigma_min"
+        low = s < self.sigma_min - 1e-15
+        if np.any(low):
+            raise ValueError(
+                f"scale rule emitted scale {float(s[low].min())!r} below"
+                f" sigma_min {self.sigma_min!r}"
+            )
         return s
 
     def to_config(self) -> dict:

@@ -155,3 +155,33 @@ def test_curvature_constant_monotone_and_bounded():
 def test_curvature_constant_rejects_nonpositive():
     with pytest.raises(ValueError):
         curvature_constant(NOISE_FAMILIES["gaussian"], -1.0, 1.0)
+
+
+@pytest.mark.parametrize("contrast", [huber(1.0), square(), absolute()])
+def test_increment_matches_value_difference(contrast):
+    rng = np.random.default_rng(8)
+    z = rng.normal(scale=2.0, size=500)
+    dz = rng.normal(scale=2.0, size=500)
+    np.testing.assert_allclose(
+        contrast.increment(z, dz),
+        contrast.value(z + dz) - contrast.value(z),
+        rtol=1e-12,
+        atol=1e-12,
+    )
+
+
+def test_increment_keeps_digits_for_tiny_steps():
+    from fractions import Fraction
+
+    c = huber(1.0)
+    # (quadratic piece, tail piece) with steps below one ulp of rho(z)
+    for z, dz in ((0.3, 1e-17), (-4.0, 3e-16)):
+        z1 = Fraction(z) + Fraction(dz)
+        if abs(z1) <= 1:
+            exact = float((z1 * z1 - Fraction(z) ** 2) / 2)
+        else:
+            exact = float(abs(z1) - abs(Fraction(z)))
+        got = float(c.increment(np.array([z]), np.array([dz]))[0])
+        assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+        plain = float(c.value(z + dz) - c.value(z))
+        assert abs(plain - exact) > 0.1 * abs(exact)

@@ -22,7 +22,7 @@ from roblp.lepski import (
     threshold_constant,
     threshold_scale,
 )
-from roblp.local_fit import Dataset, LocalFitConfig
+from roblp.local_fit import Dataset, EmptyNeighborhoodError, LocalFitConfig
 from roblp.simulate import NOISE_FAMILIES
 
 
@@ -247,3 +247,40 @@ def test_select_bandwidth_single_level_grid():
     trace = select_bandwidth(data, (0.5,), grid, template, selection)
     assert trace.chosen_k == 0
     assert trace.pairwise_checks == ()
+
+
+def _clustered_selection_inputs(gap_low, gap_high, n=4096, degree=3):
+    # design points avoid (gap_low, gap_high), so windows around 0.5 that
+    # fit inside the gap are empty
+    rng = np.random.default_rng(11)
+    u = rng.random(n)
+    width = gap_low + (1.0 - gap_high)
+    xs = np.where(u * width < gap_low, u * width, gap_high + (u * width - gap_low))
+    data = Dataset(x=xs[:, None], y=rng.normal(size=n))
+    grid = bandwidth_grid(n, 1, degree)
+    template = LocalFitConfig(
+        x0=(0.0,),
+        h=1.0,
+        degree=degree,
+        bound=8.0,
+        kernel=uniform_kernel(1),
+        contrast=huber(1.0),
+    )
+    selection = selection_config(huber(1.0), uniform_kernel(1), degree, c=0.4, r=2.0)
+    return data, grid, template, selection
+
+
+@pytest.mark.parametrize(
+    "gap_low, gap_high, empty_k",
+    [
+        (0.2, 0.8, 0),  # every window around 0.5 is empty
+        (0.45, 0.55, 2),  # h_0 and h_1 reach the data, h_2 = 0.076 does not
+    ],
+)
+def test_select_bandwidth_empty_window_names_grid_index(gap_low, gap_high, empty_k):
+    data, grid, template, selection = _clustered_selection_inputs(gap_low, gap_high)
+    with pytest.raises(EmptyNeighborhoodError, match=f"grid index k={empty_k}") as exc:
+        select_bandwidth(data, 0.5, grid, template, selection)
+    assert exc.value.grid_index == empty_k
+    assert exc.value.x0 == (0.5,)
+    assert exc.value.h == grid.bandwidths[empty_k]

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from roblp.basis import monomial_matrix, multi_index_set
 from roblp.contrast import absolute, huber
 from roblp.kernels import uniform_kernel, epanechnikov_kernel
+from roblp.lepski import bandwidth_grid
+from roblp.simulate import NoiseModel, gen_data, sinusoid
 from roblp.local_fit import (
     Dataset,
     EmptyNeighborhoodError,
@@ -20,6 +22,8 @@ from roblp.local_fit import (
     fit_local,
     project_l1_ball,
 )
+
+from projected_gradient_oracle import fit_local_projected_gradient
 
 
 def make_cfg(**kw):
@@ -325,3 +329,113 @@ def test_absolute_contrast_fit_runs():
     ys = rng.normal(size=21)
     res = fit_local(Dataset(x=xs, y=ys), make_cfg(h=0.4, degree=0, contrast=absolute()))
     assert abs(res.estimate - np.median(ys)) < 0.2
+
+
+def test_newton_converges_in_few_steps_on_criterion_3_windows():
+    # the criterion-3 design: sinusoid beta=2, Gaussian sigma=0.5,
+    # n=4096, degree 3, Huber(1), M=8, every grid bandwidth
+    f = sinusoid(2.0)
+    model = NoiseModel(family="gaussian", base_scale=0.5)
+    grid = bandwidth_grid(4096, 1, 3)
+    for rep in range(2):
+        data = gen_data(f, model, 4096, 1, (2024, rep))
+        for h in grid.bandwidths:
+            res = fit_local(data, make_cfg(x0=(0.25,), h=h, degree=3, bound=8.0))
+            assert res.converged
+            assert res.iterations <= 10
+
+
+def test_newton_point_outside_ball_ends_on_the_ball():
+    rng = np.random.default_rng(50)
+    s = multi_index_set(2, 1)
+    theta = np.array([2.0, -3.0, 1.5])
+    xs = rng.uniform(0.3, 0.7, size=(40, 1))
+    ys = monomial_matrix((xs - 0.5) / 0.4, s) @ theta + rng.normal(scale=0.1, size=40)
+    data = Dataset(x=xs, y=ys)
+    tol = 1e-10
+    tight = OptimizerSettings(gradient_tolerance=tol)
+    free = fit_local(data, make_cfg(h=0.4, degree=2, bound=100.0, optimizer=tight))
+    assert free.theta_hat.l1_norm > 6.0  # the unconstrained minimizer is far outside
+    cfg = make_cfg(h=0.4, degree=2, bound=2.0, optimizer=tight)
+    res = fit_local(data, cfg)
+    assert res.converged and res.iterations <= 10
+    assert res.theta_hat.l1_norm == pytest.approx(2.0, abs=1e-12)
+    assert res.stationarity_gap <= tol
+    t = res.theta_hat.values
+    grad = criterion_gradient(t, data, cfg)
+    assert np.linalg.norm(t - project_l1_ball(t - grad, cfg.bound)) <= tol
+
+
+def test_binding_ball_certifies_tight_tolerance():
+    # Cauchy windows whose minimizer sits on the ball: the last Newton
+    # steps change the criterion by less than its rounding, and a step
+    # along the ball's surface cannot be resolved from criterion values
+    rng = np.random.default_rng(51)
+    s = multi_index_set(3, 1)
+    cfg = make_cfg(h=0.4, degree=3, bound=2.0, optimizer=OptimizerSettings(gradient_tolerance=1e-12))
+    for _ in range(120):
+        xs = rng.uniform(0.3, 0.7, size=(20, 1))
+        ys = monomial_matrix((xs - 0.5) / 0.4, s) @ rng.uniform(-3, 3, s.size)
+        res = fit_local(Dataset(x=xs, y=ys + rng.standard_cauchy(20)), cfg)
+        assert res.converged and res.iterations <= 10
+
+
+def test_tiny_threshold_takes_gradient_steps_and_converges():
+    # with gamma = 1e-6 fewer than N_b residuals sit in the quadratic band,
+    # so every step is the projected gradient step: the result matches the
+    # projected gradient oracle bit for bit
+    rng = np.random.default_rng(7)
+    xs = rng.uniform(0.3, 0.7, size=(9, 1))
+    ys = rng.normal(size=9)
+    data = Dataset(x=xs, y=ys)
+    cfg = make_cfg(h=0.4, degree=1, bound=30.0, contrast=huber(1e-6))
+    res = fit_local(data, cfg)
+    oracle = fit_local_projected_gradient(data, cfg)
+    assert res.converged
+    assert res.iterations == oracle.iterations
+    np.testing.assert_array_equal(res.theta_hat.values, oracle.theta_hat.values)
+
+
+@st.composite
+def _local_problems(draw):
+    d = draw(st.sampled_from([1, 2]))
+    degree = draw(st.integers(0, 3))
+    n_b = multi_index_set(degree, d).size
+    # from underdetermined windows up to a few samples per coefficient
+    n = draw(st.integers(1, 3 * n_b + 8))
+    gamma = 10.0 ** draw(st.floats(-6.0, 6.0))
+    bound = draw(st.sampled_from([0.3, 2.0, 8.0, 100.0]))  # small radii bind
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    x0 = np.full(d, 0.5)
+    h = 0.4
+    xs = x0 + rng.uniform(-h / 2, h / 2, size=(n, d))
+    coef = rng.uniform(-3.0, 3.0, size=n_b)
+    noise = rng.standard_cauchy(n) if draw(st.booleans()) else rng.normal(size=n)
+    ys = monomial_matrix((xs - x0) / h, multi_index_set(degree, d)) @ coef + noise
+    cfg = LocalFitConfig(
+        x0=tuple(x0),
+        h=h,
+        degree=degree,
+        bound=bound,
+        kernel=uniform_kernel(d),
+        contrast=huber(gamma),
+        optimizer=OptimizerSettings(gradient_tolerance=1e-12),
+    )
+    return Dataset(x=xs, y=ys), cfg
+
+
+@given(_local_problems())
+@settings(max_examples=60, deadline=None)
+def test_newton_criterion_no_worse_than_projected_gradient_oracle(problem):
+    data, cfg = problem
+    res = fit_local(data, cfg)
+    oracle = fit_local_projected_gradient(data, cfg)
+    assert res.theta_hat.l1_norm <= cfg.bound * (1 + 1e-12)
+    # Two runs that both stop uncertified (small thresholds leave too few
+    # samples in the quadratic band, so both creep along by gradient
+    # steps) can end anywhere short of the minimum: nothing to compare.
+    assume(res.converged or oracle.converged)
+    new = criterion(res.theta_hat.values, data, cfg)
+    old = criterion(oracle.theta_hat.values, data, cfg)
+    assert new <= old + 1e-10 * abs(old)

@@ -118,6 +118,17 @@ def test_heteroscedastic_rules():
         NoiseModel(family="gaussian", base_scale=1.0, sigma_min=2.0)
 
 
+def test_noise_model_scales_rejects_rule_below_sigma_min(monkeypatch):
+    rule = HeteroscedasticRule(kind="sinusoidal", amplitude=0.5, period=8)
+    model = NoiseModel(family="gaussian", base_scale=2.0, heteroscedastic=rule)
+    # a rule whose multipliers undercut its own min_multiplier
+    monkeypatch.setattr(
+        HeteroscedasticRule, "multipliers", lambda self, n: np.full(n, 0.2)
+    )
+    with pytest.raises(ValueError, match=r"scale 0\.4 below sigma_min 1\.0"):
+        model.scales(5)
+
+
 def test_noise_model_serialization():
     rule = HeteroscedasticRule(kind="alternating", factor=2.0)
     model = NoiseModel(family="cauchy", base_scale=0.7, heteroscedastic=rule)
