@@ -15,6 +15,7 @@ the cubic window ``V_{x0}(h)`` of side ``h`` centered at ``x0``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -71,10 +72,12 @@ class MultiIndexSet:
         return self.indices.index(tuple(p))
 
 
+@functools.lru_cache(maxsize=None)
 def multi_index_set(b: int, d: int) -> MultiIndexSet:
     """Build the multi-index set for degree ``b`` in dimension ``d``.
 
-    The cardinality is binomial(b + d, d).
+    The cardinality is binomial(b + d, d).  Sets are immutable, so one
+    instance per (b, d) is shared, with its exponent matrix.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
@@ -137,11 +140,21 @@ def monomial_vector(z, s: MultiIndexSet) -> np.ndarray:
 
 
 def monomial_matrix(points: np.ndarray, s: MultiIndexSet) -> np.ndarray:
-    """Vectorized monomial_vector: rows of ``points`` (m, d) -> (m, size)."""
+    """Vectorized monomial_vector: rows of ``points`` (m, d) -> (m, size).
+
+    The powers z_j^e, e <= b, come from repeated multiplication rather
+    than float pow; they agree with ``monomial_vector`` to a few ulp."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != s.d:
         raise ValueError(f"expected (m, {s.d}) points, got shape {points.shape}")
-    return np.prod(points[:, None, :] ** s.exponents[None, :, :], axis=2)
+    powers = np.empty((s.b + 1,) + points.shape)
+    powers[0] = 1.0
+    for e in range(1, s.b + 1):
+        np.multiply(powers[e - 1], points, out=powers[e])
+    out = powers[s.exponents[:, 0], :, 0]
+    for j in range(1, s.d):
+        out *= powers[s.exponents[:, j], :, j]
+    return out.T
 
 
 def neighborhood_contains(x, x0, h: float) -> bool:

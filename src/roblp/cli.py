@@ -21,12 +21,12 @@ import os
 import sys
 from pathlib import Path
 
-from .contrast import ContrastSpec, curvature_constant
-from .experiments import ConfigError, load_config, run_experiment
+from .contrast import ContrastSpec
+from .experiments import ConfigError, _resolve_curvature, load_config, run_experiment
 from .kernels import KernelSpec
 from .lepski import bandwidth_grid, selection_config, select_bandwidth
 from .local_fit import Dataset, LocalFitConfig, OptimizerSettings, fit_local
-from .simulate import NOISE_FAMILIES, NoiseModel, gen_data, make_test_function
+from .simulate import NoiseModel, gen_data, make_test_function
 
 
 def _estimator_settings(path: str) -> dict:
@@ -80,19 +80,16 @@ def _cmd_adapt(args) -> int:
     grid = bandwidth_grid(data.n, d, settings["degree"])
     template = _fit_config(settings, x0, grid.h_max)
 
-    c = settings.get("curvature")
-    if c is None:
-        noise = settings.get("noise")
-        if noise is None:
-            raise SystemExit(
-                "adapt: provide estimator 'curvature' or a 'noise' section to derive it"
-            )
-        model = NoiseModel.from_config(noise)
-        c = curvature_constant(
-            NOISE_FAMILIES[model.family],
-            settings["contrast"]["gamma"],
-            model.sigma_min,
+    noise = settings.get("noise")
+    if settings.get("curvature") is None and noise is None:
+        raise SystemExit(
+            "adapt: provide estimator 'curvature' or a 'noise' section to derive it"
         )
+    model = None if noise is None else NoiseModel.from_config(noise)
+    try:
+        c = _resolve_curvature(settings, model)
+    except ConfigError as exc:
+        raise SystemExit(str(exc))
     selection = selection_config(
         template.contrast,
         template.kernel,

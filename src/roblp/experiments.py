@@ -502,6 +502,7 @@ def _run_compare(cfg, out_dir: Path, prefix: str) -> dict:
         gamma=estimator.contrast.gamma,
         kernel_kind=estimator.kernel_kind,
         r=cfg["risk"].get("power", 2.0),
+        workers=cfg["risk"].get("workers", 1),
     )
     csv_path = out_dir / f"{prefix}.csv"
     _write_csv(
@@ -514,7 +515,13 @@ def _run_compare(cfg, out_dir: Path, prefix: str) -> dict:
         "estimator": estimator.describe(),
         "h": h,
         "rows": [
-            {"contrast": row.name, "risk": row.risk, "stderr": row.stderr, "max_error": row.max_error}
+            {
+                "contrast": row.name,
+                "risk": row.risk,
+                "stderr": row.stderr,
+                "max_error": row.max_error,
+                "failures": row.failures,
+            }
             for row in rows
         ],
     }

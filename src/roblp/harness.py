@@ -79,6 +79,11 @@ class Estimator:
     curvature: float | None = None
     risk_power: float = 2.0
     optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
+    # Selection constants by dimension, filled on first use: they depend
+    # only on the fields above, so every replication shares them.
+    _selection: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.kind not in ("fixed", "minimax", "adaptive"):
@@ -131,9 +136,11 @@ class Estimator:
             contrast=self.contrast,
             optimizer=self.optimizer,
         )
-        selection = selection_config(
-            self.contrast, kernel, int(self.degree), self.curvature, self.risk_power
-        )
+        selection = self._selection.get(d)
+        if selection is None:
+            selection = self._selection[d] = selection_config(
+                self.contrast, kernel, int(self.degree), self.curvature, self.risk_power
+            )
         return select_bandwidth(data, x0, grid, template, selection)
 
     def estimate(self, data: Dataset, x0) -> float:
@@ -182,6 +189,17 @@ def _replication_errors(
     return np.asarray(errs, dtype=float)
 
 
+def _valid_errors(errs: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """The finite errors and the count of empty-window replications (NaN);
+    more than 1% of them aborts the run."""
+    failed = int(np.count_nonzero(np.isnan(errs)))
+    if failed > 0.01 * errs.size:
+        raise RuntimeError(
+            f"{failed}/{errs.size} replications had empty windows at n={n}"
+        )
+    return errs[~np.isnan(errs)], failed
+
+
 @dataclass(frozen=True)
 class RiskPoint:
     n: int
@@ -226,12 +244,8 @@ def mc_risk(
     if replications < 30:
         raise ValueError(f"need at least 30 replications, got {replications}")
     errs = _replication_errors(estimator, f, x0, model, n, replications, seed, workers)
-    failed = int(np.count_nonzero(np.isnan(errs)))
-    if failed > 0.01 * replications:
-        raise RuntimeError(
-            f"{failed}/{replications} replications had empty windows at n={n}"
-        )
-    ok = errs[~np.isnan(errs)] ** r
+    ok, failed = _valid_errors(errs, n)
+    ok = ok**r
     risk = float(np.mean(ok))
     stderr = float(np.std(ok, ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else 0.0
     return RiskPoint(
@@ -452,6 +466,7 @@ class ComparisonRow:
     risk: float
     stderr: float
     max_error: float
+    failures: int
 
 
 def compare_contrasts(
@@ -468,10 +483,12 @@ def compare_contrasts(
     kernel_kind: str = "uniform",
     r: float = 2.0,
     tiny_gamma: float = 1e-6,
+    workers: int = 1,
 ) -> tuple[ComparisonRow, ...]:
     """Risk table of squared loss, a tiny-threshold Huber proxy for the
     absolute loss, and the Huber loss at ``gamma``, on identical
-    replicated datasets.
+    replicated datasets.  Replications with empty windows are excluded and
+    counted per row; more than 1% of them aborts the run.
 
     The proxy approaches the flat absolute-loss minimum slowly, and the
     table is Monte Carlo limited anyway, so the iteration cap is reduced.
@@ -495,8 +512,10 @@ def compare_contrasts(
             degree=degree,
             optimizer=optimizer,
         )
-        errs = _replication_errors(estimator, f, x0, model, n, replications, seed)
-        ok = errs[~np.isnan(errs)]
+        errs = _replication_errors(
+            estimator, f, x0, model, n, replications, seed, workers
+        )
+        ok, failed = _valid_errors(errs, n)
         powered = ok**r
         rows.append(
             ComparisonRow(
@@ -504,6 +523,7 @@ def compare_contrasts(
                 risk=float(np.mean(powered)),
                 stderr=float(np.std(powered, ddof=1) / math.sqrt(powered.size)),
                 max_error=float(np.max(ok)),
+                failures=failed,
             )
         )
     return tuple(rows)

@@ -12,19 +12,20 @@ at x0 is the first coordinate of the minimizer.  The criterion is convex
 whenever rho is, so any stationary point is a global minimizer.
 
 The solver takes proximal Newton steps (Lee, Sun & Saunders 2014) on the
-Huber active set, the IRLS Hessian of Holland & Welsch (1977): the
-quadratic model over the ball lives in N_b dimensions and is solved by
-accelerated projected gradient without touching the samples.  Where that
+Huber active set, the IRLS Hessian of Holland & Welsch (1977).  The
+quadratic model over the ball lives in N_b dimensions and is solved
+exactly without touching the samples: by the Newton point when that lies
+in the ball, else by the lasso homotopy (Osborne, Presnell & Turlach
+2000), which ends after at most 4 N_b + 4 path events.  Where that
 Hessian is singular or badly conditioned (absolute loss, tiny thresholds,
-too few samples in the quadratic band) it takes a Barzilai-Borwein
-projected gradient step instead.  The l1-ball projection is the classic
-sort-based simplex projection (Duchi et al. 2008).
+too few samples in the quadratic band), or the homotopy fails, it takes a
+Barzilai-Borwein projected gradient step instead.  The l1-ball projection
+is the classic sort-based simplex projection (Duchi et al. 2008).
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,8 +216,6 @@ class EmptyNeighborhoodError(RuntimeError):
 
 # A Newton model is used only when lambda_min(H) > _CONDITION_RATIO * lambda_max(H).
 _CONDITION_RATIO = 1e-8
-# Safeguard on the inner accelerated projected gradient loop.
-_MODEL_MAX_ITERATIONS = 10_000
 # Relative size of a criterion change that rounds away: under half an ulp.
 _ROUNDING = 0.2 * np.finfo(float).eps
 
@@ -229,16 +228,16 @@ class _LocalProblem:
         x0 = np.asarray(cfg.x0, dtype=float)
         if data.d != cfg.d:
             raise ValueError(f"data dimension {data.d} != config dimension {cfg.d}")
-        inside = np.all(np.abs(data.x - x0) <= cfg.h / 2.0, axis=1)
-        self.n_local = int(np.count_nonzero(inside))
+        inside = np.flatnonzero((np.abs(data.x - x0) <= cfg.h / 2.0).all(axis=1))
+        self.n_local = inside.size
         self.scale = 1.0 / (data.n * cfg.h**cfg.d)
         self.index_set = cfg.index_set
         self.contrast = cfg.contrast
         if self.n_local:
-            z = (data.x[inside] - x0) / cfg.h
+            z = (data.x.take(inside, axis=0) - x0) / cfg.h
             self.design = monomial_matrix(z, self.index_set)
             self.weights = cfg.kernel.value(z)
-            self.y = data.y[inside]
+            self.y = data.y.take(inside)
         else:
             self.design = np.zeros((0, self.index_set.size))
             self.weights = np.zeros(0)
@@ -339,32 +338,91 @@ def _gradient_step(problem, t, fval, grad, prev_t, prev_grad, radius, opt):
     return candidate, cand_val
 
 
-def _minimize_model(hess, grad, t, radius, mu, lip, tol):
-    """Minimize g'(u - t) + (u - t)'H(u - t)/2 over the l1-ball by
-    accelerated projected gradient with the strongly convex momentum
-    (sqrt(L) - sqrt(mu)) / (sqrt(L) + sqrt(mu)), started at ``t``.  Stops
-    when the unit-step projected-gradient norm of the model is below
-    ``tol`` or after ``_MODEL_MAX_ITERATIONS`` steps."""
-    momentum = (math.sqrt(lip) - math.sqrt(mu)) / (math.sqrt(lip) + math.sqrt(mu))
-    u = prev = t
-    for _ in range(_MODEL_MAX_ITERATIONS):
-        v = u + momentum * (u - prev)
-        prev, u = u, project_l1_ball(v - (grad + hess @ (v - t)) / lip, radius)
-        model_grad = grad + hess @ (u - t)
-        if np.linalg.norm(u - project_l1_ball(u - model_grad, radius)) <= tol:
+def _minimize_model(hess, grad, t, radius):
+    """Minimize the model g'(u - t) + (u - t)'H(u - t)/2 over the l1-ball
+    exactly, for a Newton point t - H^-1 g outside the ball.
+
+    On the ball's surface this is the lasso u'Hu/2 - b'u + lam ||u||_1 with
+    b = Ht - g, at the multiplier lam that puts ||u||_1 at the radius.  The
+    homotopy (Osborne, Presnell & Turlach 2000; Efron et al. 2004) follows
+    its piecewise linear path down from lam = ||b||_inf, where u = 0.  On
+    each segment the active coordinates A with signs s solve
+    u_A = H_AA^-1 (b_A - lam s_A); a coordinate joins A when its
+    correlation (b - Hu)_j reaches +-lam and leaves when it crosses zero.
+    ||u||_1 grows as lam falls and exceeds the radius at lam = 0, so the
+    path meets the ball, and the KKT system of that segment gives the
+    point.  Returns None when the path takes more than 4 N_b + 4 events, a
+    solve fails, or the point misses the ball by more than rounding.
+    """
+    b = hess @ t - grad
+    n_b = b.size
+    signs = np.zeros(n_b)
+    j = int(np.argmax(np.abs(b)))
+    signs[j] = np.sign(b[j])
+    lam = abs(b[j])
+    # The event that just happened cannot recur on the next segment: the
+    # coordinate's correlation or value is linear there and crossed at lam.
+    undo = None
+    for _ in range(4 * n_b + 4):
+        act = np.flatnonzero(signs)
+        s = signs[act]
+        sub = hess[np.ix_(act, act)]
+        try:
+            v, w = np.linalg.solve(sub, np.column_stack((b[act], s))).T
+        except np.linalg.LinAlgError:
+            return None
+        # Along the segment u_A = v - l w, ||u||_1 = s'v - l s'w and the
+        # correlations are b - Hu = p + l q.
+        lam_ball = (s @ v - radius) / (s @ w)
+        p = b - hess[:, act] @ v
+        q = hess[:, act] @ w
+        events = np.full((3, n_b), -np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            events[0] = np.where(q < 1.0, p / (1.0 - q), -np.inf)  # reaches +l
+            events[1] = np.where(q > -1.0, -p / (1.0 + q), -np.inf)  # reaches -l
+            events[2, act] = np.where(s * w < 0, v / w, -np.inf)  # u_j reaches 0
+        events[:2, act] = -np.inf
+        if undo is not None:
+            events[undo] = -np.inf
+        events = np.minimum(events, lam)  # rounding past lam: happens at once
+        kind, j = divmod(int(np.argmax(events)), n_b)
+        lam_event = events[kind, j]
+        if lam_ball >= lam_event:
             break
-    return u
+        if not lam_event > 0:
+            return None
+        undo = (2, j) if kind < 2 else (int(signs[j] < 0), j)
+        signs[j] = (1.0, -1.0, 0.0)[kind]
+        lam = lam_event
+    else:
+        return None
+    if lam_ball < 0:
+        return None
+    k = act.size
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = sub
+    kkt[:k, k] = kkt[k, :k] = s
+    try:
+        solution = np.linalg.solve(kkt, np.append(b[act], radius))
+    except np.linalg.LinAlgError:
+        return None
+    u = np.zeros(n_b)
+    u[act] = solution[:k]
+    # ||u||_1 = s'v - lam s'w cancels terms up to s'v in size
+    if not np.abs(u).sum() - radius <= 4 * k * np.finfo(float).eps * (s @ v):
+        return None
+    return project_l1_ball(u, radius)
 
 
-def _newton_step(problem, t, fval, grad, gap, radius, opt):
+def _newton_step(problem, t, fval, grad, radius, opt):
     """Proximal Newton step on the Huber active set, or None where the
     curvature is degenerate or the step fails its line search.
 
     The model Hessian H = scale X'diag(w 1{|r| <= gamma})X is used when at
     least N_b samples are active and its condition number is below
-    1/_CONDITION_RATIO.  The quadratic model is minimized over the ball:
-    exactly when the Newton point lies inside it, else inexactly to the
-    tolerance max(0.1 tol, min(0.1, gap) gap) (Lee, Sun & Saunders 2014).
+    1/_CONDITION_RATIO.  The quadratic model is minimized over the ball
+    exactly: by the Newton point when that lies inside it, else by the
+    homotopy of ``_minimize_model``; None when the homotopy fails.
     Armijo backtracking along the segment keeps the iterate feasible.  It
     compares criterion increments computed piece by piece, which stay
     accurate where the criterion values no longer differ in floating point.
@@ -377,8 +435,9 @@ def _newton_step(problem, t, fval, grad, gap, radius, opt):
         return None
     target = t - np.linalg.solve(hess, grad)
     if np.abs(target).sum() > radius:
-        tol = max(0.1 * opt.gradient_tolerance, min(0.1, gap) * gap)
-        target = _minimize_model(hess, grad, t, radius, eig[0], eig[-1], tol)
+        target = _minimize_model(hess, grad, t, radius)
+        if target is None:
+            return None
     direction = target - t
     decrease = float(grad @ direction)
     # Below this the criterion, and a direction along the ball's surface,
@@ -436,7 +495,7 @@ def fit_local(data: Dataset, cfg: LocalFitConfig) -> FitResult:
     for _ in range(opt.max_iterations):
         if converged:
             break
-        proposal = _newton_step(problem, t, fval, grad, gap, radius, opt)
+        proposal = _newton_step(problem, t, fval, grad, radius, opt)
         if proposal is None:
             proposal = _gradient_step(problem, t, fval, grad, prev_t, prev_grad, radius, opt)
         candidate, cand_val = proposal

@@ -1,6 +1,14 @@
-"""Differential oracle: the projected gradient solver that ``fit_local``
-used before it took proximal Newton steps, kept verbatim apart from its
-name.  Tests compare the criterion values the two solvers reach."""
+"""Differential oracles, kept verbatim apart from their names:
+
+- the projected gradient solver that ``fit_local`` used before it took
+  proximal Newton steps; tests compare the criterion values the two
+  solvers reach;
+- the accelerated projected gradient solve of the proximal Newton model
+  over the l1-ball that the homotopy solve replaced; tests compare the
+  model values the two reach.
+"""
+
+import math
 
 import numpy as np
 
@@ -99,3 +107,24 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
         objective_path=tuple(path) if path is not None else None,
     )
 
+
+
+# Safeguard on the inner accelerated projected gradient loop.
+_MODEL_MAX_ITERATIONS = 10_000
+
+
+def minimize_model_projected_gradient(hess, grad, t, radius, mu, lip, tol):
+    """Minimize g'(u - t) + (u - t)'H(u - t)/2 over the l1-ball by
+    accelerated projected gradient with the strongly convex momentum
+    (sqrt(L) - sqrt(mu)) / (sqrt(L) + sqrt(mu)), started at ``t``.  Stops
+    when the unit-step projected-gradient norm of the model is below
+    ``tol`` or after ``_MODEL_MAX_ITERATIONS`` steps."""
+    momentum = (math.sqrt(lip) - math.sqrt(mu)) / (math.sqrt(lip) + math.sqrt(mu))
+    u = prev = t
+    for _ in range(_MODEL_MAX_ITERATIONS):
+        v = u + momentum * (u - prev)
+        prev, u = u, project_l1_ball(v - (grad + hess @ (v - t)) / lip, radius)
+        model_grad = grad + hess @ (u - t)
+        if np.linalg.norm(u - project_l1_ball(u - model_grad, radius)) <= tol:
+            break
+    return u

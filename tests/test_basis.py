@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from roblp.basis import (
     CoefficientVector,
     local_polynomial_eval,
+    monomial_matrix,
     monomial_vector,
     multi_index_set,
     neighborhood_contains,
@@ -176,3 +177,21 @@ def test_taylor_roundtrip_reproduces_polynomials(b, d):
         x = x0 + rng.uniform(-h / 2, h / 2, size=d)
         lp = local_polynomial_eval(theta, x, x0, h)
         assert lp == pytest.approx(float(f(x)), rel=1e-11, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("b", [0, 1, 2, 3, 4])
+def test_monomial_matrix_matches_monomial_vector(d, b):
+    # the matrix builds powers by repeated multiplication, the vector by pow
+    s = multi_index_set(b, d)
+    rng = np.random.default_rng(10 * d + b)
+    points = rng.uniform(-1.0, 1.0, size=(40, d))
+    points[0] = 0.0
+    points[1] = -1.0
+    points[2, 0] = 0.0
+    points[3] = -0.5
+    mat = monomial_matrix(points, s)
+    assert mat.shape == (40, s.size)
+    for z, row in zip(points, mat):
+        np.testing.assert_allclose(row, monomial_vector(z, s), rtol=8 * np.finfo(float).eps, atol=0)
+    np.testing.assert_array_equal(mat[0], np.eye(s.size)[0])

@@ -172,3 +172,21 @@ def test_cli_reports_schema_errors(tmp_path):
     path.write_text(json.dumps({"experiment": "rates", "seed": -3}))
     with pytest.raises(SystemExit, match=r"\$\."):
         main(["rates", "--config", str(path)])
+
+
+def test_cli_adapt_non_huber_noise_needs_curvature(dataset_csv, tmp_path):
+    # the curvature is derived from the Huber threshold only; other
+    # contrasts get the experiment path's config error, not a KeyError
+    cfg = tmp_path / "est.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "degree": 1,
+                "bound": 8.0,
+                "contrast": {"kind": "absolute"},
+                "noise": {"family": "gaussian", "scale": 0.3},
+            }
+        )
+    )
+    with pytest.raises(SystemExit, match=r"\$\.estimator\.curvature"):
+        main(["adapt", "--data", str(dataset_csv), "--x0", "0.25", "--config", str(cfg)])

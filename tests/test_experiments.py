@@ -143,8 +143,8 @@ def test_tails_experiment(tmp_path):
     assert lines[1].split(",")[1] == "0"  # below-threshold point flagged invalid
 
 
-def test_compare_experiment(tmp_path):
-    cfg = {
+def compare_config(tmp_path):
+    return {
         "experiment": "compare",
         "seed": 5,
         "function": {"name": "sinusoid", "beta": 2.0},
@@ -161,13 +161,28 @@ def test_compare_experiment(tmp_path):
         "risk": {"replications": 60},
         "output": {"directory": str(tmp_path), "prefix": "compare_demo"},
     }
-    result = run_experiment(cfg)
+
+
+def test_compare_experiment(tmp_path):
+    result = run_experiment(compare_config(tmp_path))
     lines = result["csv"].read_text().splitlines()
     assert lines[0] == "contrast,risk,stderr,max_error"
     assert len(lines) == 4
     summary = json.loads(result["json"].read_text())
     names = [row["contrast"] for row in summary["rows"]]
     assert names == ["square", "absolute_proxy", "huber(1)"]
+    assert [row["failures"] for row in summary["rows"]] == [0, 0, 0]
+
+
+def test_compare_experiment_csv_identical_across_workers(tmp_path):
+    outputs = []
+    for workers in (1, 2):
+        cfg = compare_config(tmp_path)
+        cfg["risk"]["replications"] = 30
+        cfg["risk"]["workers"] = workers
+        cfg["output"]["prefix"] = f"compare_w{workers}"
+        outputs.append(run_experiment(cfg)["csv"].read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_config_errors_carry_field_paths(tmp_path):

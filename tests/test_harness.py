@@ -243,3 +243,51 @@ def test_mc_risk_parallel_matches_sequential():
     seq = mc_risk(est, f, [0.25], model, 2.0, 128, 32, seed=12, workers=1)
     par = mc_risk(est, f, [0.25], model, 2.0, 128, 32, seed=12, workers=2)
     assert par == seq
+
+
+def test_selection_constants_built_once_per_estimator(monkeypatch):
+    import roblp.lepski as lepski
+
+    calls = []
+    original = lepski.moment_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lepski, "moment_matrix", counting)
+    est = Estimator(
+        kind="adaptive",
+        contrast=huber(1.0),
+        kernel_kind="uniform",
+        bound=8.0,
+        degree=1,
+        curvature=0.38,
+    )
+    data = gen_data(sinusoid(beta=2.0), NoiseModel(family="gaussian", base_scale=0.3), 600, 1, seed=77)
+    first = est.selection_trace(data, [0.25])
+    second = est.selection_trace(data, [0.25])
+    assert len(calls) == 1
+    assert first == second
+
+
+def test_compare_contrasts_aborts_above_one_percent_empty_windows(monkeypatch):
+    import roblp.harness as harness
+
+    pools = []
+
+    def two_empty(estimator, f, x0, model, n, replications, seed, workers=1):
+        pools.append(workers)
+        errs = np.full(replications, 0.1)
+        errs[:2] = np.nan
+        return errs
+
+    monkeypatch.setattr(harness, "_replication_errors", two_empty)
+    f = constant_function(0.4)
+    model = NoiseModel(family="gaussian", base_scale=1.0)
+    kwargs = dict(seed=8, h=0.4, degree=0, bound=2.0, gamma=1.0)
+    rows = compare_contrasts(f, [0.5], model, n=128, replications=200, workers=2, **kwargs)
+    assert [row.failures for row in rows] == [2, 2, 2]
+    assert pools == [2, 2, 2]
+    with pytest.raises(RuntimeError, match="2/100 replications had empty windows"):
+        compare_contrasts(f, [0.5], model, n=128, replications=100, **kwargs)

@@ -10,6 +10,7 @@ from roblp.contrast import absolute, huber
 from roblp.kernels import uniform_kernel, epanechnikov_kernel
 from roblp.lepski import bandwidth_grid
 from roblp.simulate import NoiseModel, gen_data, sinusoid
+import roblp.local_fit as local_fit
 from roblp.local_fit import (
     Dataset,
     EmptyNeighborhoodError,
@@ -23,7 +24,10 @@ from roblp.local_fit import (
     project_l1_ball,
 )
 
-from projected_gradient_oracle import fit_local_projected_gradient
+from projected_gradient_oracle import (
+    fit_local_projected_gradient,
+    minimize_model_projected_gradient,
+)
 
 
 def make_cfg(**kw):
@@ -439,3 +443,83 @@ def test_newton_criterion_no_worse_than_projected_gradient_oracle(problem):
     new = criterion(res.theta_hat.values, data, cfg)
     old = criterion(oracle.theta_hat.values, data, cfg)
     assert new <= old + 1e-10 * abs(old)
+
+
+@st.composite
+def _binding_models(draw):
+    # a quadratic model over the l1-ball whose Newton point lies outside it
+    n_b = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kappa = 10.0 ** rng.uniform(0.0, 7.0)
+    radius = 10.0 ** rng.uniform(-1.0, 1.0)
+    q, _ = np.linalg.qr(rng.normal(size=(n_b, n_b)))
+    eig = np.exp(rng.uniform(-math.log(kappa), 0.0, n_b))
+    eig[0], eig[-1] = 1.0 / kappa, 1.0
+    hess = (q * eig) @ q.T
+    hess = (hess + hess.T) / 2
+    t = project_l1_ball(rng.normal(size=n_b) * radius, radius)
+    newton = rng.normal(size=n_b) * radius * 10.0 ** rng.uniform(0.0, 2.0)
+    grad = hess @ (t - newton)
+    assume(np.abs(t - np.linalg.solve(hess, grad)).sum() > radius)
+    return hess, grad, t, radius
+
+
+def _model(hess, grad, t, u):
+    step = u - t
+    return float(grad @ step + 0.5 * step @ hess @ step)
+
+
+@given(_binding_models())
+@settings(max_examples=60, deadline=None)
+def test_homotopy_model_solve_no_worse_than_projected_gradient_oracle(problem):
+    hess, grad, t, radius = problem
+    u = local_fit._minimize_model(hess, grad, t, radius)
+    assert u is not None
+    eig = np.linalg.eigvalsh(hess)
+    oracle = minimize_model_projected_gradient(hess, grad, t, radius, eig[0], eig[-1], 1e-12)
+    # relative to the size of the model's linear term over the ball
+    scale = np.abs(grad).max() * radius
+    assert _model(hess, grad, t, u) <= _model(hess, grad, t, oracle) + 1e-12 * scale
+    assert np.abs(u).sum() <= radius * (1 + 1e-12)
+    model_grad = grad + hess @ (u - t)
+    assert np.linalg.norm(u - project_l1_ball(u - model_grad, radius)) <= 1e-10
+
+
+def test_failed_model_solve_falls_back_to_gradient_steps(monkeypatch):
+    # the problem of test_newton_point_outside_ball_ends_on_the_ball, with
+    # every homotopy solve failing: each step is then a gradient step
+    rng = np.random.default_rng(50)
+    s = multi_index_set(2, 1)
+    xs = rng.uniform(0.3, 0.7, size=(40, 1))
+    ys = monomial_matrix((xs - 0.5) / 0.4, s) @ np.array([2.0, -3.0, 1.5])
+    data = Dataset(x=xs, y=ys + rng.normal(scale=0.1, size=40))
+    tol = 1e-10
+    cfg = make_cfg(h=0.4, degree=2, bound=2.0, optimizer=OptimizerSettings(gradient_tolerance=tol))
+    exact = fit_local(data, cfg)
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        return None
+
+    monkeypatch.setattr(local_fit, "_minimize_model", failing)
+    res = fit_local(data, cfg)
+    assert calls
+    assert res.converged and res.stationarity_gap <= tol
+    assert res.iterations > exact.iterations
+    np.testing.assert_allclose(res.theta_hat.values, exact.theta_hat.values, atol=1e-7)
+
+
+def test_homotopy_survives_simultaneous_events():
+    # three coordinates tie at the start of the path; events are taken one
+    # at a time, and one that just happened must not recur at the same lam
+    hess = np.array(
+        [[8.0, 7.0, 8.0, 2.0], [7.0, 10.0, 8.0, -1.0], [8.0, 8.0, 13.0, 2.0], [2.0, -1.0, 2.0, 7.0]]
+    )
+    grad = np.array([1.0, 2.0, 2.0, -2.0])
+    t = np.zeros(4)
+    u = local_fit._minimize_model(hess, grad, t, 0.5)
+    assert u is not None
+    np.testing.assert_allclose(u, [0.0, 0.0, -0.1875, 0.3125], atol=1e-15)
+    model_grad = grad + hess @ u
+    assert np.linalg.norm(u - project_l1_ball(u - model_grad, 0.5)) <= 1e-14
