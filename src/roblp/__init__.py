@@ -59,10 +59,8 @@ from .local_fit import (
     FitResult,
     LocalFitConfig,
     OptimizerSettings,
-    Sample,
     criterion,
     criterion_gradient,
-    estimate_at,
     fit_local,
     project_l1_ball,
 )

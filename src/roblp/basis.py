@@ -68,9 +68,6 @@ class MultiIndexSet:
         facs.setflags(write=False)
         return facs
 
-    def position(self, p: tuple[int, ...]) -> int:
-        return self.indices.index(tuple(p))
-
 
 @functools.lru_cache(maxsize=None)
 def multi_index_set(b: int, d: int) -> MultiIndexSet:

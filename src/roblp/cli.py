@@ -9,8 +9,11 @@ Subcommands:
   compare   config-driven contrast comparison
 
 Config-driven subcommands take a JSON experiment config (see the schema
-in roblp.experiments).  ROBLP_WORKERS sets the replication worker count
-for config-driven runs unless the config pins one.
+in roblp.experiments).  ROBLP_WORKERS, a positive integer, sets the
+replication worker count for config-driven runs unless the config pins
+one.  ``fit`` and ``adapt`` take estimator settings: the ``estimator``
+section of an experiment config without kind, x0 and h, plus an optional
+``noise`` section.
 """
 
 from __future__ import annotations
@@ -21,41 +24,38 @@ import os
 import sys
 from pathlib import Path
 
-from .contrast import ContrastSpec
-from .experiments import ConfigError, _resolve_curvature, load_config, run_experiment
-from .kernels import KernelSpec
-from .lepski import bandwidth_grid, selection_config, select_bandwidth
-from .local_fit import Dataset, LocalFitConfig, OptimizerSettings, fit_local
+from .experiments import (
+    CONFIG_SCHEMA,
+    ConfigError,
+    _estimator,
+    _validate,
+    load_config,
+    run_experiment,
+)
+from .local_fit import Dataset, fit_local
 from .simulate import NoiseModel, gen_data, make_test_function
 
 
-def _estimator_settings(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _fit_config(settings: dict, x0, h: float) -> LocalFitConfig:
-    d = len(x0)
-    opt_kwargs = {
-        k: settings[k]
-        for k in ("gradient_tolerance", "max_iterations")
-        if k in settings
-    }
-    return LocalFitConfig(
-        x0=tuple(x0),
-        h=h,
-        degree=settings["degree"],
-        bound=settings["bound"],
-        kernel=KernelSpec(kind=settings.get("kernel", "uniform"), d=d),
-        contrast=ContrastSpec.from_config(settings["contrast"]),
-        optimizer=OptimizerSettings(**opt_kwargs),
-    )
+def _load_estimator(args, kind: str, **flags):
+    """The Estimator of a ``fit``/``adapt`` settings JSON.  Its optional
+    ``noise`` section is split off; the rest, with ``kind``, ``x0`` and the
+    other flags added, is validated as ``$.estimator``."""
+    with open(args.config) as fh:
+        settings = json.load(fh)
+    noise = settings.pop("noise", None)
+    try:
+        if noise is not None:
+            _validate(noise, CONFIG_SCHEMA["properties"]["noise"], "$.noise")
+        model = None if noise is None else NoiseModel.from_config(noise)
+        return _estimator({**settings, "kind": kind, "x0": args.x0, **flags}, model)
+    except ConfigError as exc:
+        raise SystemExit(str(exc))
 
 
 def _cmd_fit(args) -> int:
     data = Dataset.from_csv(args.data)
-    settings = _estimator_settings(args.config)
-    cfg = _fit_config(settings, args.x0, args.h)
+    estimator = _load_estimator(args, "fixed", h=args.h)
+    cfg = estimator.fit_config(args.x0, data.n)
     result = fit_local(data, cfg)
     payload = {
         "estimate": result.estimate,
@@ -74,30 +74,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_adapt(args) -> int:
     data = Dataset.from_csv(args.data)
-    settings = _estimator_settings(args.config)
-    x0 = tuple(args.x0)
-    d = len(x0)
-    grid = bandwidth_grid(data.n, d, settings["degree"])
-    template = _fit_config(settings, x0, grid.h_max)
-
-    noise = settings.get("noise")
-    if settings.get("curvature") is None and noise is None:
-        raise SystemExit(
-            "adapt: provide estimator 'curvature' or a 'noise' section to derive it"
-        )
-    model = None if noise is None else NoiseModel.from_config(noise)
-    try:
-        c = _resolve_curvature(settings, model)
-    except ConfigError as exc:
-        raise SystemExit(str(exc))
-    selection = selection_config(
-        template.contrast,
-        template.kernel,
-        settings["degree"],
-        c,
-        settings.get("risk_power", 2.0),
-    )
-    trace = select_bandwidth(data, x0, grid, template, selection)
+    trace = _load_estimator(args, "adaptive").selection_trace(data, args.x0)
 
     print(f"chosen k: {trace.chosen_k}")
     print(f"bandwidth: {trace.selected_bandwidth!r}")
@@ -150,9 +127,15 @@ def _cmd_experiment(args) -> int:
             f"config is for experiment {cfg['experiment']!r}, not {args.experiment!r}"
         )
     workers = os.environ.get("ROBLP_WORKERS")
-    if workers and "risk" in cfg and "workers" not in cfg["risk"]:
-        cfg["risk"]["workers"] = int(workers)
-    result = run_experiment(cfg, output_dir=args.output_dir)
+    if workers:
+        if not (workers.isdecimal() and int(workers) >= 1):
+            raise SystemExit(f"ROBLP_WORKERS must be a positive integer, got {workers!r}")
+        if "risk" in cfg and "workers" not in cfg["risk"]:
+            cfg["risk"]["workers"] = int(workers)
+    try:
+        result = run_experiment(cfg, output_dir=args.output_dir)
+    except ConfigError as exc:
+        raise SystemExit(str(exc))
     print(json.dumps(result["summary"], indent=2, sort_keys=True))
     print(f"wrote {result['csv']}")
     return 0

@@ -23,7 +23,6 @@ from scipy import integrate
 
 __all__ = [
     "ContrastSpec",
-    "AssumptionReport",
     "huber",
     "square",
     "absolute",

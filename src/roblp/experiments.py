@@ -101,6 +101,18 @@ CONFIG_SCHEMA = {
                 "gradient_tolerance": {"type": "number", "exclusiveMinimum": 0},
                 "max_iterations": {"type": "integer", "minimum": 1},
             },
+            # the fields each kind reads
+            "allOf": [
+                {
+                    "if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
+                    "then": {"required": list(fields)},
+                }
+                for kind, fields in (
+                    ("fixed", ("h", "degree")),
+                    ("minimax", ("beta", "lipschitz")),
+                    ("adaptive", ("degree",)),
+                )
+            ],
         },
         "grid": {
             "type": "object",
@@ -117,7 +129,6 @@ CONFIG_SCHEMA = {
                     "items": {"type": "number", "exclusiveMinimum": 0},
                     "minItems": 1,
                 },
-                "delta": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "risk": {
@@ -146,11 +157,13 @@ class ConfigError(ValueError):
     """Invalid experiment config; message lists offending field paths."""
 
 
-def _validate(cfg: dict) -> None:
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: e.json_path)
+def _validate(instance: dict, schema: dict = CONFIG_SCHEMA, root: str = "$") -> None:
+    """Raise a ConfigError listing every schema violation, each under its
+    field path; ``root`` is the path of ``instance`` in the full config."""
+    validator = jsonschema.Draft202012Validator(schema)
+    errors = sorted(validator.iter_errors(instance), key=lambda e: e.json_path)
     if errors:
-        lines = [f"{e.json_path}: {e.message}" for e in errors]
+        lines = [f"{root}{e.json_path[1:]}: {e.message}" for e in errors]
         raise ConfigError("invalid experiment config:\n  " + "\n  ".join(lines))
 
 
@@ -188,11 +201,7 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _noise_model(cfg: dict) -> NoiseModel:
-    return NoiseModel.from_config(cfg["noise"])
-
-
-def _resolve_curvature(est_cfg: dict, noise: NoiseModel) -> float:
+def _resolve_curvature(est_cfg: dict, noise: NoiseModel | None) -> float:
     """Explicit curvature constant, or derive it from the declared noise
     family and the Huber threshold when the config leaves it null."""
     c = est_cfg.get("curvature")
@@ -204,20 +213,30 @@ def _resolve_curvature(est_cfg: dict, noise: NoiseModel) -> float:
             "$.estimator.curvature: required unless the contrast is huber"
             " (derivation uses the huber threshold)"
         )
+    if noise is None:
+        raise ConfigError(
+            "$.estimator.curvature: required without a noise section to derive it from"
+        )
     return curvature_constant(
         NOISE_FAMILIES[noise.family], contrast["gamma"], noise.sigma_min
     )
 
 
-def _estimator(cfg: dict, noise: NoiseModel) -> Estimator:
-    est = cfg["estimator"]
-    contrast = ContrastSpec.from_config(est["contrast"])
-    opt_kwargs = {}
-    if "gradient_tolerance" in est:
-        opt_kwargs["gradient_tolerance"] = est["gradient_tolerance"]
-    if "max_iterations" in est:
-        opt_kwargs["max_iterations"] = est["max_iterations"]
-    optimizer = OptimizerSettings(**opt_kwargs)
+def _estimator(est: dict, noise: NoiseModel | None) -> Estimator:
+    """Validate an ``estimator`` section and build its Estimator.
+
+    The one parser of estimator settings, shared by the experiments and
+    the CLI.  ``noise`` is the declared noise model (or None), from which
+    an adaptive estimator derives a null curvature.
+    """
+    _validate(est, CONFIG_SCHEMA["properties"]["estimator"], "$.estimator")
+    optimizer = OptimizerSettings(
+        **{k: est[k] for k in ("gradient_tolerance", "max_iterations") if k in est}
+    )
+    try:
+        contrast = ContrastSpec.from_config(est["contrast"])
+    except ValueError as exc:  # a threshold missing, or given to a non-Huber loss
+        raise ConfigError(f"$.estimator.contrast: {exc}") from exc
     kind = est["kind"]
     common = dict(
         kind=kind,
@@ -260,15 +279,37 @@ def _manifest(cfg: dict, out_dir: Path, prefix: str, extras: dict) -> Path:
 def run_experiment(source, output_dir=None) -> dict:
     """Execute a config (or manifest) and write results.
 
-    Returns a dict with the experiment name and the paths written.
+    Every experiment builds its test function, noise model and estimator
+    from the config, then writes ``<prefix>.csv``, the JSON summary
+    ``<prefix>.json`` and ``<prefix>_manifest.json``.  Returns a dict with
+    the experiment name, the paths written and the summary.
     """
     cfg = load_config(source)
     out = cfg["output"]
     out_dir = Path(output_dir) if output_dir is not None else Path(out["directory"])
     out_dir.mkdir(parents=True, exist_ok=True)
     prefix = out["prefix"]
-    runner = _RUNNERS[cfg["experiment"]]
-    return runner(cfg, out_dir, prefix)
+    runner, required = _RUNNERS[cfg["experiment"]]
+    _require(cfg, "function", "noise", *required)
+    noise = NoiseModel.from_config(cfg["noise"])
+    f = make_test_function(cfg["function"])
+    estimator = _estimator(cfg["estimator"], noise)
+    header, rows, summary, extras = runner(cfg, f, noise, estimator, cfg["estimator"]["x0"])
+
+    csv_path = out_dir / f"{prefix}.csv"
+    _write_csv(csv_path, header, rows)
+    json_path = out_dir / f"{prefix}.json"
+    _write_json(json_path, summary)
+    manifest = _manifest(
+        cfg, out_dir, prefix, {"outputs": [csv_path.name, json_path.name], **extras}
+    )
+    return {
+        "experiment": cfg["experiment"],
+        "csv": csv_path,
+        "json": json_path,
+        "manifest": manifest,
+        "summary": summary,
+    }
 
 
 def _require(cfg: dict, *paths: str) -> None:
@@ -286,15 +327,13 @@ def _require(cfg: dict, *paths: str) -> None:
         ))
 
 
-def _run_rates(cfg, out_dir: Path, prefix: str) -> dict:
-    _require(cfg, "function", "noise", "grid.n_values", "risk.replications")
-    noise = _noise_model(cfg)
-    f = make_test_function(cfg["function"])
-    estimator = _estimator(cfg, noise)
-    x0 = cfg["estimator"]["x0"]
+# Each runner takes (cfg, f, noise, estimator, x0) and returns the results
+# CSV header and rows, the JSON summary and extra manifest entries.
+
+
+def _run_rates(cfg, f, noise, estimator, x0):
     d = len(x0)
     r = cfg["risk"].get("power", 2.0)
-    workers = cfg["risk"].get("workers", 1)
     report = risk_curve(
         estimator,
         f,
@@ -304,21 +343,17 @@ def _run_rates(cfg, out_dir: Path, prefix: str) -> dict:
         cfg["grid"]["n_values"],
         cfg["risk"]["replications"],
         cfg["seed"],
-        workers,
+        cfg["risk"].get("workers", 1),
     )
     beta = cfg["estimator"].get("beta", cfg["function"].get("beta"))
     target = -beta / (2.0 * beta + d)
     fit = rate_fit(report, target)
 
-    csv_path = out_dir / f"{prefix}.csv"
-    _write_csv(
-        csv_path,
-        ["n", "risk", "root_risk", "stderr", "replications", "failures"],
-        [
-            [p.n, p.risk, p.risk ** (1.0 / r), p.stderr, p.replications, p.failures]
-            for p in report.points
-        ],
-    )
+    header = ["n", "risk", "root_risk", "stderr", "replications", "failures"]
+    rows = [
+        [p.n, p.risk, p.risk ** (1.0 / r), p.stderr, p.replications, p.failures]
+        for p in report.points
+    ]
     summary = {
         "experiment": "rates",
         "estimator": report.estimator,
@@ -331,36 +366,21 @@ def _run_rates(cfg, out_dir: Path, prefix: str) -> dict:
             "gap": fit.gap,
         },
     }
-    json_path = out_dir / f"{prefix}.json"
-    _write_json(json_path, summary)
-    manifest = _manifest(
-        cfg, out_dir, prefix, {"outputs": [csv_path.name, json_path.name]}
-    )
-    return {"experiment": "rates", "csv": csv_path, "json": json_path, "manifest": manifest, "summary": summary}
+    return header, rows, summary, {}
 
 
-def _run_fit(cfg, out_dir: Path, prefix: str) -> dict:
-    _require(cfg, "function", "noise", "grid.n")
-    noise = _noise_model(cfg)
-    f = make_test_function(cfg["function"])
-    estimator = _estimator(cfg, noise)
-    x0 = cfg["estimator"]["x0"]
-    d = len(x0)
+def _run_fit(cfg, f, noise, estimator, x0):
     n = cfg["grid"]["n"]
-    data = gen_data(f, noise, n, d, cfg["seed"])
+    data = gen_data(f, noise, n, len(x0), cfg["seed"])
     fit_cfg = estimator.fit_config(x0, n)
     result = fit_local(data, fit_cfg)
 
     s = fit_cfg.index_set
-    csv_path = out_dir / f"{prefix}.csv"
-    _write_csv(
-        csv_path,
-        ["position", "index", "coefficient"],
-        [
-            [i, " ".join(map(str, s.indices[i])), float(v)]
-            for i, v in enumerate(result.theta_hat.values)
-        ],
-    )
+    header = ["position", "index", "coefficient"]
+    rows = [
+        [i, " ".join(map(str, s.indices[i])), float(v)]
+        for i, v in enumerate(result.theta_hat.values)
+    ]
     summary = {
         "experiment": "fit",
         "estimator": estimator.describe(),
@@ -373,51 +393,29 @@ def _run_fit(cfg, out_dir: Path, prefix: str) -> dict:
         "converged": result.converged,
         "underdetermined": result.underdetermined,
     }
-    json_path = out_dir / f"{prefix}.json"
-    _write_json(json_path, summary)
-    manifest = _manifest(cfg, out_dir, prefix, {"outputs": [csv_path.name, json_path.name]})
-    return {"experiment": "fit", "csv": csv_path, "json": json_path, "manifest": manifest, "summary": summary}
+    return header, rows, summary, {}
 
 
-def _run_adapt(cfg, out_dir: Path, prefix: str) -> dict:
-    _require(cfg, "function", "noise", "grid.n")
-    noise = _noise_model(cfg)
-    f = make_test_function(cfg["function"])
-    estimator = _estimator(cfg, noise)
+def _run_adapt(cfg, f, noise, estimator, x0):
     if estimator.kind != "adaptive":
         raise ConfigError("$.estimator.kind: adapt experiment needs kind 'adaptive'")
-    x0 = cfg["estimator"]["x0"]
-    d = len(x0)
-    n = cfg["grid"]["n"]
-    data = gen_data(f, noise, n, d, cfg["seed"])
+    data = gen_data(f, noise, cfg["grid"]["n"], len(x0), cfg["seed"])
     trace = estimator.selection_trace(data, x0)
 
-    csv_path = out_dir / f"{prefix}.csv"
-    _write_csv(
-        csv_path,
-        ["k", "h", "estimate", "chosen"],
-        [[k, h, est, int(k == trace.chosen_k)] for k, h, est in trace.estimates],
-    )
+    header = ["k", "h", "estimate", "chosen"]
+    rows = [[k, h, est, int(k == trace.chosen_k)] for k, h, est in trace.estimates]
     summary = {
         "experiment": "adapt",
         "estimator": estimator.describe(),
         "target": float(f(np.atleast_1d(x0))),
         "trace": trace.to_dict(),
     }
-    json_path = out_dir / f"{prefix}.json"
-    _write_json(json_path, summary)
-    manifest = _manifest(cfg, out_dir, prefix, {"outputs": [csv_path.name, json_path.name]})
-    return {"experiment": "adapt", "csv": csv_path, "json": json_path, "manifest": manifest, "summary": summary}
+    return header, rows, summary, {}
 
 
-def _run_tails(cfg, out_dir: Path, prefix: str) -> dict:
-    _require(cfg, "function", "noise", "grid.n", "grid.epsilon_multipliers", "risk.replications")
-    noise = _noise_model(cfg)
-    f = make_test_function(cfg["function"])
-    estimator = _estimator(cfg, noise)
+def _run_tails(cfg, f, noise, estimator, x0):
     if estimator.kind == "adaptive":
         raise ConfigError("$.estimator.kind: tails experiment needs a single bandwidth")
-    x0 = cfg["estimator"]["x0"]
     d = len(x0)
     n = cfg["grid"]["n"]
     fit_cfg = estimator.fit_config(x0, n)
@@ -440,24 +438,20 @@ def _run_tails(cfg, out_dir: Path, prefix: str) -> dict:
         cfg["risk"].get("workers", 1),
     )
 
-    csv_path = out_dir / f"{prefix}.csv"
-    _write_csv(
-        csv_path,
-        ["eps", "valid", "empirical", "exceedances", "wilson_half_width", "bound", "informative", "non_violated"],
+    header = ["eps", "valid", "empirical", "exceedances", "wilson_half_width", "bound", "informative", "non_violated"]
+    rows = [
         [
-            [
-                p.eps,
-                int(p.valid),
-                p.empirical,
-                p.exceedances,
-                p.wilson,
-                p.bound if p.bound is not None else "",
-                int(p.informative),
-                "" if p.non_violated is None else int(p.non_violated),
-            ]
-            for p in report.points
-        ],
-    )
+            p.eps,
+            int(p.valid),
+            p.empirical,
+            p.exceedances,
+            p.wilson,
+            p.bound if p.bound is not None else "",
+            int(p.informative),
+            "" if p.non_violated is None else int(p.non_violated),
+        ]
+        for p in report.points
+    ]
     summary = {
         "experiment": "tails",
         "estimator": estimator.describe(),
@@ -470,50 +464,31 @@ def _run_tails(cfg, out_dir: Path, prefix: str) -> dict:
         "all_informative_non_violated": report.all_informative_non_violated,
         "caveat": report.caveat,
     }
-    json_path = out_dir / f"{prefix}.json"
-    _write_json(json_path, summary)
-    manifest = _manifest(cfg, out_dir, prefix, {"outputs": [csv_path.name, json_path.name], "constants": constants.to_dict()})
-    return {"experiment": "tails", "csv": csv_path, "json": json_path, "manifest": manifest, "summary": summary}
+    return header, rows, summary, {"constants": constants.to_dict()}
 
 
-def _run_compare(cfg, out_dir: Path, prefix: str) -> dict:
-    _require(cfg, "function", "noise", "grid.n", "risk.replications")
-    noise = _noise_model(cfg)
-    f = make_test_function(cfg["function"])
-    estimator = _estimator(cfg, noise)
+def _run_compare(cfg, f, noise, estimator, x0):
     if estimator.kind == "adaptive":
         raise ConfigError("$.estimator.kind: compare experiment needs a single bandwidth")
     if estimator.contrast.kind != "huber":
         raise ConfigError("$.estimator.contrast.kind: compare experiment needs huber")
-    x0 = cfg["estimator"]["x0"]
-    d = len(x0)
     n = cfg["grid"]["n"]
-    h = estimator.bandwidth(n, d)
     rows = compare_contrasts(
+        estimator,
         f,
         x0,
         noise,
         n,
         cfg["risk"]["replications"],
         cfg["seed"],
-        h=h,
-        degree=estimator.fit_degree(),
-        bound=estimator.bound,
-        gamma=estimator.contrast.gamma,
-        kernel_kind=estimator.kernel_kind,
         r=cfg["risk"].get("power", 2.0),
         workers=cfg["risk"].get("workers", 1),
     )
-    csv_path = out_dir / f"{prefix}.csv"
-    _write_csv(
-        csv_path,
-        ["contrast", "risk", "stderr", "max_error"],
-        [[row.name, row.risk, row.stderr, row.max_error] for row in rows],
-    )
+    header = ["contrast", "risk", "stderr", "max_error"]
     summary = {
         "experiment": "compare",
         "estimator": estimator.describe(),
-        "h": h,
+        "h": estimator.bandwidth(n, len(x0)),
         "rows": [
             {
                 "contrast": row.name,
@@ -525,16 +500,14 @@ def _run_compare(cfg, out_dir: Path, prefix: str) -> dict:
             for row in rows
         ],
     }
-    json_path = out_dir / f"{prefix}.json"
-    _write_json(json_path, summary)
-    manifest = _manifest(cfg, out_dir, prefix, {"outputs": [csv_path.name, json_path.name]})
-    return {"experiment": "compare", "csv": csv_path, "json": json_path, "manifest": manifest, "summary": summary}
+    return header, [[row.name, row.risk, row.stderr, row.max_error] for row in rows], summary, {}
 
 
+# experiment -> (runner, config paths it needs beyond function and noise)
 _RUNNERS = {
-    "rates": _run_rates,
-    "fit": _run_fit,
-    "adapt": _run_adapt,
-    "tails": _run_tails,
-    "compare": _run_compare,
+    "rates": (_run_rates, ("grid.n_values", "risk.replications")),
+    "fit": (_run_fit, ("grid.n",)),
+    "adapt": (_run_adapt, ("grid.n",)),
+    "tails": (_run_tails, ("grid.n", "grid.epsilon_multipliers", "risk.replications")),
+    "compare": (_run_compare, ("grid.n", "risk.replications")),
 }

@@ -14,13 +14,14 @@ error is at most 2M.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contrast import ContrastSpec
+from .contrast import ContrastSpec, huber, square
 from .kernels import KernelSpec, ProcedureConstants
 from .lepski import (
     SelectionTrace,
@@ -107,18 +108,20 @@ class Estimator:
             return holder_floor(self.beta)
         return int(self.degree)
 
-    def fit_config(self, x0, n: int) -> LocalFitConfig:
-        x0 = tuple(float(v) for v in np.atleast_1d(x0))
-        d = len(x0)
+    def _local_config(self, x0: tuple[float, ...], h: float) -> LocalFitConfig:
         return LocalFitConfig(
             x0=x0,
-            h=self.bandwidth(n, d),
+            h=h,
             degree=self.fit_degree(),
             bound=self.bound,
-            kernel=KernelSpec(kind=self.kernel_kind, d=d),
+            kernel=KernelSpec(kind=self.kernel_kind, d=len(x0)),
             contrast=self.contrast,
             optimizer=self.optimizer,
         )
+
+    def fit_config(self, x0, n: int) -> LocalFitConfig:
+        x0 = tuple(float(v) for v in np.atleast_1d(x0))
+        return self._local_config(x0, self.bandwidth(n, len(x0)))
 
     def selection_trace(self, data: Dataset, x0) -> SelectionTrace:
         if self.kind != "adaptive":
@@ -126,20 +129,11 @@ class Estimator:
         x0 = tuple(float(v) for v in np.atleast_1d(x0))
         d = len(x0)
         grid = bandwidth_grid(data.n, d, int(self.degree))
-        kernel = KernelSpec(kind=self.kernel_kind, d=d)
-        template = LocalFitConfig(
-            x0=x0,
-            h=grid.h_max,
-            degree=int(self.degree),
-            bound=self.bound,
-            kernel=kernel,
-            contrast=self.contrast,
-            optimizer=self.optimizer,
-        )
+        template = self._local_config(x0, grid.h_max)
         selection = self._selection.get(d)
         if selection is None:
             selection = self._selection[d] = selection_config(
-                self.contrast, kernel, int(self.degree), self.curvature, self.risk_power
+                self.contrast, template.kernel, template.degree, self.curvature, self.risk_power
             )
         return select_bandwidth(data, x0, grid, template, selection)
 
@@ -400,7 +394,9 @@ def tail_check(
 
     The bias enters through its smoothness majorant L d h^beta.  Grid
     points below the validity threshold are flagged and not compared; the
-    bound is compared only where it is informative (< 1).
+    bound is compared only where it is informative (< 1).  Replications
+    with empty windows are excluded and counted; more than 1% of them
+    aborts the run.
     """
     d = cfg.d
     estimator = Estimator(
@@ -415,8 +411,7 @@ def tail_check(
     errs = _replication_errors(
         estimator, f, cfg.x0, model, n, replications, seed, workers
     )
-    failed = int(np.count_nonzero(np.isnan(errs)))
-    ok = errs[~np.isnan(errs)]
+    ok, failed = _valid_errors(errs, n)
     nhd = n * cfg.h**d
     norm_errs = math.sqrt(nhd) * ok
 
@@ -469,51 +464,43 @@ class ComparisonRow:
     failures: int
 
 
+# Huber threshold of compare_contrasts' proxy for the absolute loss.
+TINY_GAMMA = 1e-6
+
+
 def compare_contrasts(
+    estimator: Estimator,
     f: TestFunction,
     x0,
     model: NoiseModel,
     n: int,
     replications: int,
     seed: int,
-    h: float,
-    degree: int,
-    bound: float,
-    gamma: float,
-    kernel_kind: str = "uniform",
     r: float = 2.0,
-    tiny_gamma: float = 1e-6,
     workers: int = 1,
 ) -> tuple[ComparisonRow, ...]:
     """Risk table of squared loss, a tiny-threshold Huber proxy for the
-    absolute loss, and the Huber loss at ``gamma``, on identical
-    replicated datasets.  Replications with empty windows are excluded and
-    counted per row; more than 1% of them aborts the run.
+    absolute loss, and the estimator's own Huber loss, each fitted at the
+    estimator's single bandwidth on identical replicated datasets.
+    Replications with empty windows are excluded and counted per row;
+    more than 1% of them aborts the run.
 
     The proxy approaches the flat absolute-loss minimum slowly, and the
     table is Monte Carlo limited anyway, so the iteration cap is reduced.
     """
-    from .contrast import huber, square
-
+    if estimator.kind == "adaptive" or estimator.contrast.kind != "huber":
+        raise ValueError("compare_contrasts needs a single-bandwidth Huber estimator")
     optimizer = OptimizerSettings(max_iterations=3000)
     variants = [
         ("square", square()),
-        ("absolute_proxy", huber(tiny_gamma)),
-        (f"huber({gamma:g})", huber(gamma)),
+        ("absolute_proxy", huber(TINY_GAMMA)),
+        (f"huber({estimator.contrast.gamma:g})", estimator.contrast),
     ]
     rows = []
     for name, contrast in variants:
-        estimator = Estimator(
-            kind="fixed",
-            contrast=contrast,
-            kernel_kind=kernel_kind,
-            bound=bound,
-            h=h,
-            degree=degree,
-            optimizer=optimizer,
-        )
+        variant = dataclasses.replace(estimator, contrast=contrast, optimizer=optimizer)
         errs = _replication_errors(
-            estimator, f, x0, model, n, replications, seed, workers
+            variant, f, x0, model, n, replications, seed, workers
         )
         ok, failed = _valid_errors(errs, n)
         powered = ok**r

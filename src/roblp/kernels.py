@@ -87,13 +87,6 @@ class KernelSpec:
     def axis_degree(self) -> int:
         return _AXIS_PROFILES[self.kind]["degree"]
 
-    def to_config(self) -> dict:
-        return {"kind": self.kind, "d": self.d}
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "KernelSpec":
-        return cls(kind=cfg["kind"], d=cfg["d"])
-
 
 def uniform_kernel(d: int = 1) -> KernelSpec:
     return KernelSpec(kind="uniform", d=d)
@@ -251,7 +244,8 @@ def risk_bound_constant(
     exp{-(c lam z / (2 n_b) - 1)^2 / B} dz  with z0 = 4 n_b / (c lam) and
     B = 8 k_sup^2 (1 v rho'^2) + (4 delta / (3 n_b)) c lam k_sup (1 v rho').
     ``delta`` is the localization radius, a user-supplied diagnostic input.
-    Reported in risk summaries only; the estimator never uses it.
+    A diagnostic of the theory: no experiment reports it, and the
+    estimator never uses it.
     """
     if r < 1:
         raise ValueError(f"risk power must be >= 1, got {r}")

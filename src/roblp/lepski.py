@@ -40,7 +40,6 @@ __all__ = [
     "bandwidth_grid",
     "threshold_scale",
     "threshold_constant",
-    "huber_threshold_constant",
     "SelectionConfig",
     "selection_config",
     "CheckRecord",
@@ -182,25 +181,6 @@ def threshold_constant(
             raise ValueError(f"{name} must be positive and finite, got {val}")
     return (4.0 * n_b / (c * lam)) * (
         1.0 + 2.0 * k_sup * max(1.0, rho_prime_sup) * math.sqrt(r * d)
-    )
-
-
-def huber_threshold_constant(
-    n_b: int,
-    lam: float,
-    k_sup: float,
-    gamma: float,
-    r: float,
-    d: int,
-    tail_mass: float,
-) -> float:
-    """Huber specialization: curvature bound c = 2 * tail_mass where
-    tail_mass is the unit noise density mass on [0, gamma * sigma_min],
-    giving (2 n_b / (lam tail_mass)) (1 + 2 k_sup (1 v gamma) sqrt(r d))."""
-    if tail_mass <= 0:
-        raise ValueError(f"tail mass must be positive, got {tail_mass}")
-    return (2.0 * n_b / (lam * tail_mass)) * (
-        1.0 + 2.0 * k_sup * max(1.0, gamma) * math.sqrt(r * d)
     )
 
 

@@ -35,7 +35,6 @@ from .contrast import ContrastSpec
 from .kernels import KernelSpec
 
 __all__ = [
-    "Sample",
     "Dataset",
     "OptimizerSettings",
     "LocalFitConfig",
@@ -45,16 +44,7 @@ __all__ = [
     "criterion_gradient",
     "project_l1_ball",
     "fit_local",
-    "estimate_at",
 ]
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One observation: a design point in the unit cube and its response."""
-
-    x: tuple[float, ...]
-    y: float
 
 
 @dataclass(frozen=True)
@@ -87,12 +77,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.x.shape[1]
-
-    @classmethod
-    def from_samples(cls, samples) -> "Dataset":
-        xs = np.array([s.x for s in samples], dtype=float)
-        ys = np.array([s.y for s in samples], dtype=float)
-        return cls(x=xs, y=ys)
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
@@ -527,8 +511,3 @@ def fit_local(data: Dataset, cfg: LocalFitConfig) -> FitResult:
         underdetermined=problem.n_local < problem.index_set.size,
         objective_path=tuple(path) if path is not None else None,
     )
-
-
-def estimate_at(data: Dataset, cfg: LocalFitConfig) -> float:
-    """Fitted function value at the window center."""
-    return fit_local(data, cfg).estimate

@@ -33,7 +33,6 @@ __all__ = [
     "substream",
     "gen_design",
     "gen_noise",
-    "noise_from_uniforms",
     "gen_data",
     "sinusoid",
     "cusp",
@@ -249,16 +248,11 @@ def gen_design(n: int, d: int, seed) -> np.ndarray:
     return substream(seed, DESIGN_STREAM).random((n, d))
 
 
-def noise_from_uniforms(u, family: NoiseFamily) -> np.ndarray:
-    """Inverse-transform unit noise; odd in u around 1/2 by construction."""
-    return family.quantile(u)
-
-
 def gen_noise(model: NoiseModel, n: int, seed) -> np.ndarray:
     """Heteroscedastic noise draws sigma_i * xi_i from the noise sub-stream."""
     u = substream(seed, NOISE_STREAM).random(n)
     u = _U_MARGIN + u * (1.0 - 2.0 * _U_MARGIN)
-    return model.scales(n) * noise_from_uniforms(u, model.unit_family)
+    return model.scales(n) * model.unit_family.quantile(u)
 
 
 def gen_data(f, model: NoiseModel, n: int, d: int, seed) -> Dataset:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from roblp.cli import main
-from roblp.local_fit import Dataset
+from roblp.contrast import huber
+from roblp.harness import Estimator
+from roblp.local_fit import Dataset, fit_local
 from roblp.simulate import NoiseModel, gen_data, sinusoid
 
 
@@ -190,3 +192,100 @@ def test_cli_adapt_non_huber_noise_needs_curvature(dataset_csv, tmp_path):
     )
     with pytest.raises(SystemExit, match=r"\$\.estimator\.curvature"):
         main(["adapt", "--data", str(dataset_csv), "--x0", "0.25", "--config", str(cfg)])
+
+
+def write_settings(tmp_path, **changes):
+    settings = {
+        "degree": 1,
+        "bound": 8.0,
+        "kernel": "uniform",
+        "contrast": {"kind": "huber", "gamma": 1.0},
+        "curvature": 0.38,
+    }
+    settings.update(changes)
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps({k: v for k, v in settings.items() if v is not None}))
+    return str(path)
+
+
+def library_estimator(kind, **fields):
+    return Estimator(kind=kind, contrast=huber(1.0), kernel_kind="uniform", bound=8.0, **fields)
+
+
+def test_cli_fit_is_the_library_fit(dataset_csv, estimator_json, capsys):
+    main(["fit", "--data", str(dataset_csv), "--x0", "0.25", "--h", "0.2", "--config", str(estimator_json)])
+    payload = json.loads(capsys.readouterr().out)
+    data = Dataset.from_csv(dataset_csv)
+    estimator = library_estimator("fixed", h=0.2, degree=1)
+    result = fit_local(data, estimator.fit_config([0.25], data.n))
+    assert payload["estimate"] == result.estimate
+    assert payload["coefficients"] == result.theta_hat.values.tolist()
+
+
+def test_cli_adapt_json_is_the_library_trace(dataset_csv, estimator_json, tmp_path):
+    trace_path = tmp_path / "trace.json"
+    argv = ["adapt", "--data", str(dataset_csv), "--x0", "0.25", "--config", str(estimator_json)]
+    main(argv + ["--json", str(trace_path)])
+    estimator = library_estimator("adaptive", degree=1, curvature=0.38)
+    trace = estimator.selection_trace(Dataset.from_csv(dataset_csv), [0.25])
+    assert trace_path.read_text() == json.dumps(trace.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+FIT, ADAPT = ["fit", "--h", "0.2"], ["adapt"]
+MISSING_DEGREE = r"\$\.estimator: 'degree' is a required property"
+TYPO = r"\$\.estimator: .*'max_iteration' was unexpected"
+
+
+@pytest.mark.parametrize(
+    "command, changes, message",
+    [
+        (FIT, {"degree": None}, MISSING_DEGREE),
+        (ADAPT, {"degree": None}, MISSING_DEGREE),
+        (FIT, {"max_iteration": 10}, TYPO),
+        (ADAPT, {"max_iteration": 10}, TYPO),
+        (ADAPT, {"curvature": None}, r"\$\.estimator\.curvature: required without a noise section"),
+    ],
+    ids=["fit-no-degree", "adapt-no-degree", "fit-typo", "adapt-typo", "adapt-no-curvature"],
+)
+def test_cli_settings_errors_exit_with_field_paths(dataset_csv, tmp_path, command, changes, message):
+    argv = command + ["--data", str(dataset_csv), "--x0", "0.25", "--config", write_settings(tmp_path, **changes)]
+    with pytest.raises(SystemExit, match=message):
+        main(argv)
+
+
+def tails_config(tmp_path, **estimator):
+    cfg = {
+        "experiment": "tails",
+        "seed": 4,
+        "function": {"name": "sinusoid", "beta": 2.0},
+        "noise": {"family": "gaussian", "scale": 0.5},
+        "estimator": {
+            "kind": "fixed",
+            "contrast": {"kind": "huber", "gamma": 1.0},
+            "bound": 8.0,
+            "x0": [0.25],
+            "h": 0.2,
+            "degree": 1,
+            **estimator,
+        },
+        "grid": {"n": 256, "epsilon_multipliers": [1.0, 8.0]},
+        "risk": {"replications": 100},
+        "output": {"directory": str(tmp_path / "out"), "prefix": "t"},
+    }
+    path = tmp_path / "tails.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("workers", ["0", "two", "-1", "1.5"])
+def test_cli_rejects_bad_worker_count(tmp_path, monkeypatch, workers):
+    monkeypatch.setenv("ROBLP_WORKERS", workers)
+    with pytest.raises(SystemExit, match=r"ROBLP_WORKERS must be a positive integer"):
+        main(["tails", "--config", tails_config(tmp_path)])
+    assert not (tmp_path / "out" / "t.csv").exists()
+
+
+def test_cli_experiment_config_errors_exit_with_message(tmp_path):
+    path = tails_config(tmp_path, kind="adaptive", curvature=0.38)
+    with pytest.raises(SystemExit, match=r"\$\.estimator\.kind: tails experiment needs a single bandwidth"):
+        main(["tails", "--config", path])

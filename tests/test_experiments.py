@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from roblp.experiments import ConfigError, load_config, run_experiment
+from roblp.experiments import ConfigError, _estimator, load_config, run_experiment
+from roblp.local_fit import OptimizerSettings
 
 
 def rates_config(out_dir, n_values=(256, 512, 1024, 2048), reps=40):
@@ -215,3 +216,47 @@ def test_unknown_experiment_rejected(tmp_path):
     cfg["experiment"] = "frobnicate"
     with pytest.raises(ConfigError):
         load_config(cfg)
+
+
+def fixed_config(tmp_path, experiment="fit"):
+    cfg = compare_config(tmp_path)
+    cfg["experiment"] = experiment
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "make_config, kind, dropped",
+    [
+        (fixed_config, "fixed", "h"),
+        (rates_config, "minimax", "beta"),
+        (adapt_config, "adaptive", "degree"),
+    ],
+)
+def test_kind_specific_estimator_fields_are_required(tmp_path, make_config, kind, dropped):
+    cfg = make_config(tmp_path)
+    assert cfg["estimator"]["kind"] == kind
+    del cfg["estimator"][dropped]
+    with pytest.raises(ConfigError, match=rf"\$\.estimator: '{dropped}' is a required property"):
+        run_experiment(cfg)
+
+
+def test_estimator_without_curvature_or_noise_is_a_config_error():
+    est = adapt_config("unused")["estimator"]
+    with pytest.raises(ConfigError, match=r"\$\.estimator\.curvature"):
+        _estimator(est, None)
+    assert _estimator({**est, "curvature": 0.3}, None).curvature == 0.3
+
+
+def test_estimator_settings_errors_carry_field_paths():
+    est = adapt_config("unused")["estimator"]
+    with pytest.raises(ConfigError, match=r"\$\.estimator\.contrast"):
+        _estimator({**est, "contrast": {"kind": "huber"}, "curvature": 0.3}, None)
+    with pytest.raises(ConfigError, match=r"\$\.estimator: .*'max_iteration' was unexpected"):
+        _estimator({**est, "max_iteration": 10}, None)
+
+
+def test_estimator_reads_optimizer_settings():
+    est = {**adapt_config("unused")["estimator"], "curvature": 0.3}
+    assert _estimator(est, None).optimizer == OptimizerSettings()
+    tuned = _estimator({**est, "max_iterations": 7, "gradient_tolerance": 1e-5}, None)
+    assert tuned.optimizer == OptimizerSettings(max_iterations=7, gradient_tolerance=1e-5)

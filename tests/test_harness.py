@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from roblp.contrast import huber
+from roblp.contrast import huber, square
 from roblp.harness import (
     ComparisonRow,
     Estimator,
@@ -207,12 +208,14 @@ def test_tail_check_report_structure():
     assert "localization" in report.caveat
 
 
+def fixed_huber() -> Estimator:
+    return Estimator(kind="fixed", contrast=huber(1.0), kernel_kind="uniform", bound=2.0, h=0.4, degree=0)
+
+
 def test_compare_contrasts_zero_noise_agreement():
     f = constant_function(0.4)
     model = NoiseModel(family="gaussian", base_scale=1e-300)
-    rows = compare_contrasts(
-        f, [0.5], model, n=128, replications=40, seed=8, h=0.4, degree=0, bound=2.0, gamma=1.0
-    )
+    rows = compare_contrasts(fixed_huber(), f, [0.5], model, n=128, replications=40, seed=8)
     assert [r.name for r in rows] == ["square", "absolute_proxy", "huber(1)"]
     for row in rows:
         assert row.risk <= 1e-12
@@ -285,9 +288,54 @@ def test_compare_contrasts_aborts_above_one_percent_empty_windows(monkeypatch):
     monkeypatch.setattr(harness, "_replication_errors", two_empty)
     f = constant_function(0.4)
     model = NoiseModel(family="gaussian", base_scale=1.0)
-    kwargs = dict(seed=8, h=0.4, degree=0, bound=2.0, gamma=1.0)
-    rows = compare_contrasts(f, [0.5], model, n=128, replications=200, workers=2, **kwargs)
+    est = fixed_huber()
+    rows = compare_contrasts(est, f, [0.5], model, n=128, replications=200, seed=8, workers=2)
     assert [row.failures for row in rows] == [2, 2, 2]
     assert pools == [2, 2, 2]
     with pytest.raises(RuntimeError, match="2/100 replications had empty windows"):
-        compare_contrasts(f, [0.5], model, n=128, replications=100, **kwargs)
+        compare_contrasts(est, f, [0.5], model, n=128, replications=100, seed=8)
+
+
+def test_compare_contrasts_varies_only_the_contrast(monkeypatch):
+    import roblp.harness as harness
+
+    seen = []
+
+    def record(estimator, f, x0, model, n, replications, seed, workers=1):
+        seen.append(estimator)
+        return np.full(replications, 0.1)
+
+    monkeypatch.setattr(harness, "_replication_errors", record)
+    est = Estimator(
+        kind="minimax", contrast=huber(2.0), kernel_kind="triangular", bound=3.0, beta=2.0, lipschitz=5.0
+    )
+    rows = compare_contrasts(est, constant_function(0.4), [0.5], None, n=64, replications=40, seed=1)
+    assert [row.name for row in rows] == ["square", "absolute_proxy", "huber(2)"]
+    assert [e.contrast for e in seen] == [square(), huber(harness.TINY_GAMMA), huber(2.0)]
+    for e in seen:
+        assert dataclasses.replace(e, contrast=est.contrast, optimizer=est.optimizer) == est
+        assert e.optimizer.max_iterations == 3000
+    with pytest.raises(ValueError, match="single-bandwidth Huber"):
+        compare_contrasts(dataclasses.replace(est, contrast=square()), None, [0.5], None, 64, 40, 1)
+
+
+def test_tail_check_aborts_above_one_percent_empty_windows(monkeypatch):
+    import roblp.harness as harness
+
+    def two_empty(estimator, f, x0, model, n, replications, seed, workers=1):
+        errs = np.full(replications, 0.01)
+        errs[:2] = np.nan
+        return errs
+
+    monkeypatch.setattr(harness, "_replication_errors", two_empty)
+    cfg = LocalFitConfig(
+        x0=(0.25,), h=0.15, degree=1, bound=8.0, kernel=uniform_kernel(1), contrast=huber(1.0)
+    )
+    constants = procedure_constants(cfg.kernel, cfg.index_set, c=0.38)
+    args = (sinusoid(beta=2.0), None, cfg, constants, [0.01, 100.0])
+    report = tail_check(*args, n=256, replications=200, seed=4)
+    assert report.failures == 2
+    # shares are over the 198 replications with a fit
+    assert report.points[0].exceedances == 198 and report.points[0].empirical == 1.0
+    with pytest.raises(RuntimeError, match="2/100 replications had empty windows"):
+        tail_check(*args, n=256, replications=100, seed=4)

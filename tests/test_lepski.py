@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from roblp.contrast import curvature_constant, huber, square
+from roblp.contrast import huber, square
 from roblp.kernels import lambda_min, moment_matrix, uniform_kernel
 from roblp.basis import multi_index_set
 from roblp.lepski import (
@@ -12,7 +12,6 @@ from roblp.lepski import (
     adaptive_rate,
     bandwidth_grid,
     holder_floor,
-    huber_threshold_constant,
     minimax_bandwidth,
     minimax_rate,
     price_to_pay,
@@ -23,7 +22,6 @@ from roblp.lepski import (
     threshold_scale,
 )
 from roblp.local_fit import Dataset, EmptyNeighborhoodError, LocalFitConfig
-from roblp.simulate import NOISE_FAMILIES
 
 
 def test_holder_floor():
@@ -110,16 +108,6 @@ def test_threshold_constant_rejects_square_contrast():
         threshold_constant(1, 1.0, 1.0, 1.0, math.inf, 1.0, 1)
     with pytest.raises(ValueError):
         selection_config(square(), uniform_kernel(1), 1, c=0.5)
-
-
-def test_huber_threshold_matches_general_form():
-    # algebraic substitution: c = 2 * tail_mass
-    lam, k_sup, gamma, r, d = 1 / 12, 1.0, 1.3, 2.0, 1
-    for sigma_min in (0.5, 1.0):
-        tail_mass = 0.5 * curvature_constant(NOISE_FAMILIES["gaussian"], gamma, sigma_min)
-        general = threshold_constant(3, 2 * tail_mass, lam, k_sup, gamma, r, d)
-        special = huber_threshold_constant(3, lam, k_sup, gamma, r, d, tail_mass)
-        assert special == pytest.approx(general, rel=1e-14)
 
 
 def test_selection_config_threshold():

@@ -16,10 +16,8 @@ from roblp.local_fit import (
     EmptyNeighborhoodError,
     LocalFitConfig,
     OptimizerSettings,
-    Sample,
     criterion,
     criterion_gradient,
-    estimate_at,
     fit_local,
     project_l1_ball,
 )
@@ -50,7 +48,7 @@ def test_dataset_validation():
         Dataset(x=np.array([[0.5]]), y=np.array([np.nan]))
     with pytest.raises(ValueError):
         Dataset(x=np.array([[0.5], [0.6]]), y=np.array([0.0]))
-    ds = Dataset.from_samples([Sample(x=(0.1,), y=1.0), Sample(x=(0.9,), y=-1.0)])
+    ds = Dataset(x=np.array([[0.1], [0.9]]), y=np.array([1.0, -1.0]))
     assert ds.n == 2 and ds.d == 1
 
 
@@ -233,7 +231,7 @@ def test_fit_empty_window_raises():
 
 def test_fit_constant_data():
     data = Dataset(x=np.array([[0.45], [0.5], [0.55]]), y=np.array([2.0, 2.0, 2.0]))
-    assert estimate_at(data, make_cfg()) == pytest.approx(2.0, abs=1e-8)
+    assert fit_local(data, make_cfg()).estimate == pytest.approx(2.0, abs=1e-8)
 
 
 def test_estimate_bounded_by_radius():

@@ -15,7 +15,6 @@ from roblp.simulate import (
     gen_design,
     gen_noise,
     make_test_function,
-    noise_from_uniforms,
     product_sinusoid,
     sinusoid,
     substream,
@@ -62,8 +61,8 @@ def test_substream_isolation():
 def test_noise_flip_symmetry_exact(family):
     fam = NOISE_FAMILIES[family]
     u = np.linspace(0.01, 0.99, 199)
-    plus = noise_from_uniforms(u, fam)
-    minus = noise_from_uniforms(1.0 - u, fam)
+    plus = fam.quantile(u)
+    minus = fam.quantile(1.0 - u)
     np.testing.assert_array_equal(plus, -minus)
 
 
