@@ -12,16 +12,13 @@ __version__ = "0.1.0"
 from .basis import (
     CoefficientVector,
     MultiIndexSet,
-    local_polynomial_eval,
     monomial_vector,
     multi_index_set,
-    neighborhood_contains,
     taylor_coefficients,
 )
 from .contrast import (
     ContrastSpec,
     absolute,
-    check_contrast_assumptions,
     curvature_constant,
     huber,
     square,
@@ -33,7 +30,6 @@ from .kernels import (
     lambda_min,
     moment_matrix,
     procedure_constants,
-    risk_bound_constant,
     series_constant,
     triangular_kernel,
     uniform_kernel,
@@ -42,12 +38,9 @@ from .lepski import (
     BandwidthGrid,
     SelectionConfig,
     SelectionTrace,
-    adaptive_rate,
     bandwidth_grid,
     holder_floor,
     minimax_bandwidth,
-    minimax_rate,
-    price_to_pay,
     select_bandwidth,
     selection_config,
     threshold_constant,

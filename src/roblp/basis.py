@@ -28,8 +28,6 @@ __all__ = [
     "CoefficientVector",
     "multi_index_set",
     "monomial_vector",
-    "neighborhood_contains",
-    "local_polynomial_eval",
     "taylor_coefficients",
 ]
 
@@ -152,28 +150,6 @@ def monomial_matrix(points: np.ndarray, s: MultiIndexSet) -> np.ndarray:
     for j in range(1, s.d):
         out *= powers[s.exponents[:, j], :, j]
     return out.T
-
-
-def neighborhood_contains(x, x0, h: float) -> bool:
-    """Whether x lies in the closed cubic window of side h centered at x0."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    return bool(np.all(np.abs(x - x0) <= h / 2.0))
-
-
-def local_polynomial_eval(
-    t: CoefficientVector, x, x0, h: float, s: MultiIndexSet | None = None
-) -> float:
-    """Evaluate the local polynomial t . U((x - x0)/h), zero outside the window."""
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
-    s = t.index_set if s is None else s
-    if not neighborhood_contains(x, x0, h):
-        return 0.0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    z = (x - x0) / h
-    return float(t.values @ monomial_vector(z, s))
 
 
 def taylor_coefficients(f, x0, h: float, b: int) -> CoefficientVector:

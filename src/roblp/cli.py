@@ -25,28 +25,31 @@ import sys
 from pathlib import Path
 
 from .experiments import (
-    CONFIG_SCHEMA,
     ConfigError,
     _estimator,
-    _validate,
+    _noise_model,
+    _test_function,
     load_config,
     run_experiment,
 )
 from .local_fit import Dataset, fit_local
-from .simulate import NoiseModel, gen_data, make_test_function
+from .simulate import gen_data
 
 
-def _load_estimator(args, kind: str, **flags):
+def _load_estimator(args, data: Dataset, kind: str, **flags):
     """The Estimator of a ``fit``/``adapt`` settings JSON.  Its optional
     ``noise`` section is split off; the rest, with ``kind``, ``x0`` and the
-    other flags added, is validated as ``$.estimator``."""
+    other flags added, is validated as ``$.estimator``.  ``--x0`` must
+    match the dimension of ``data``."""
+    if len(args.x0) != data.d:
+        raise SystemExit(
+            f"--x0: {len(args.x0)} coordinates, but {args.data} has dimension {data.d}"
+        )
     with open(args.config) as fh:
         settings = json.load(fh)
     noise = settings.pop("noise", None)
     try:
-        if noise is not None:
-            _validate(noise, CONFIG_SCHEMA["properties"]["noise"], "$.noise")
-        model = None if noise is None else NoiseModel.from_config(noise)
+        model = None if noise is None else _noise_model(noise)
         return _estimator({**settings, "kind": kind, "x0": args.x0, **flags}, model)
     except ConfigError as exc:
         raise SystemExit(str(exc))
@@ -54,7 +57,7 @@ def _load_estimator(args, kind: str, **flags):
 
 def _cmd_fit(args) -> int:
     data = Dataset.from_csv(args.data)
-    estimator = _load_estimator(args, "fixed", h=args.h)
+    estimator = _load_estimator(args, data, "fixed", h=args.h)
     cfg = estimator.fit_config(args.x0, data.n)
     result = fit_local(data, cfg)
     payload = {
@@ -74,7 +77,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_adapt(args) -> int:
     data = Dataset.from_csv(args.data)
-    trace = _load_estimator(args, "adaptive").selection_trace(data, args.x0)
+    trace = _load_estimator(args, data, "adaptive").selection_trace(data, args.x0)
 
     print(f"chosen k: {trace.chosen_k}")
     print(f"bandwidth: {trace.selected_bandwidth!r}")
@@ -96,8 +99,11 @@ def _cmd_simulate(args) -> int:
     for key in ("function", "noise", "n", "seed", "output"):
         if key not in cfg:
             raise SystemExit(f"simulate: config missing key {key!r}")
-    f = make_test_function(cfg["function"])
-    model = NoiseModel.from_config(cfg["noise"])
+    try:
+        f = _test_function(cfg["function"])
+        model = _noise_model(cfg["noise"])
+    except ConfigError as exc:
+        raise SystemExit(str(exc))
     d = cfg.get("d", f.d)
     data = gen_data(f, model, cfg["n"], d, cfg["seed"])
     out = Path(cfg["output"])

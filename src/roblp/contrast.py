@@ -9,8 +9,8 @@ rho applied to residuals.  The workhorse is the Huber loss
 whose derivative is bounded by gamma and 1-Lipschitz, the two properties
 the deviation theory needs.  Squared loss (gamma -> infinity) and absolute
 loss (gamma -> 0) are shipped as baselines for comparison experiments;
-both violate one of those properties and are flagged accordingly, and the
-adaptive threshold computation refuses the squared loss.
+each violates one of those properties, and the adaptive threshold
+computation refuses the squared loss.
 """
 
 from __future__ import annotations
@@ -26,36 +26,8 @@ __all__ = [
     "huber",
     "square",
     "absolute",
-    "huber_value",
-    "huber_prime",
-    "huber_second",
-    "check_contrast_assumptions",
     "curvature_constant",
 ]
-
-
-def huber_value(z, gamma: float):
-    """Huber loss: quadratic inside [-gamma, gamma], linear tails."""
-    if gamma <= 0:
-        raise ValueError(f"huber threshold must be positive, got {gamma}")
-    z = np.asarray(z, dtype=float)
-    a = np.abs(z)
-    return np.where(a <= gamma, 0.5 * z * z, gamma * (a - 0.5 * gamma))
-
-
-def huber_prime(z, gamma: float):
-    """Derivative of the Huber loss: z clipped to [-gamma, gamma]."""
-    if gamma <= 0:
-        raise ValueError(f"huber threshold must be positive, got {gamma}")
-    return np.clip(np.asarray(z, dtype=float), -gamma, gamma)
-
-
-def huber_second(z, gamma: float):
-    """A.e. second derivative: indicator of the closed band |z| <= gamma."""
-    if gamma <= 0:
-        raise ValueError(f"huber threshold must be positive, got {gamma}")
-    z = np.asarray(z, dtype=float)
-    return (np.abs(z) <= gamma).astype(float)
 
 
 @dataclass(frozen=True)
@@ -63,10 +35,7 @@ class ContrastSpec:
     """A contrast function with its derivatives and constants.
 
     ``derivative_bound`` is sup |rho'| (gamma for Huber, 1 for absolute,
-    infinite for square).  ``assumption_violation`` is None when the loss
-    has a bounded 1-Lipschitz derivative, else a short reason string;
-    flagged contrasts stay usable in experiments but are rejected where
-    the theory requires the bound.
+    infinite for square).
     """
 
     kind: str
@@ -84,7 +53,8 @@ class ContrastSpec:
     def value(self, z):
         z = np.asarray(z, dtype=float)
         if self.kind == "huber":
-            return huber_value(z, self.gamma)
+            a, g = np.abs(z), self.gamma
+            return np.where(a <= g, 0.5 * z * z, g * (a - 0.5 * g))
         if self.kind == "square":
             return 0.5 * z * z
         return np.abs(z)
@@ -92,7 +62,7 @@ class ContrastSpec:
     def first_derivative(self, z):
         z = np.asarray(z, dtype=float)
         if self.kind == "huber":
-            return huber_prime(z, self.gamma)
+            return np.clip(z, -self.gamma, self.gamma)
         if self.kind == "square":
             return z
         return np.sign(z)
@@ -100,7 +70,8 @@ class ContrastSpec:
     def second_derivative(self, z):
         z = np.asarray(z, dtype=float)
         if self.kind == "huber":
-            return huber_second(z, self.gamma)
+            # a.e. second derivative: indicator of the closed band |z| <= gamma
+            return (np.abs(z) <= self.gamma).astype(float)
         if self.kind == "square":
             return np.ones_like(z)
         return np.zeros_like(z)
@@ -136,14 +107,6 @@ class ContrastSpec:
             return math.inf
         return 1.0
 
-    @property
-    def assumption_violation(self) -> str | None:
-        if self.kind == "square":
-            return "unbounded derivative"
-        if self.kind == "absolute":
-            return "derivative not Lipschitz at 0"
-        return None
-
     def to_config(self) -> dict:
         cfg = {"kind": self.kind}
         if self.gamma is not None:
@@ -165,70 +128,6 @@ def square() -> ContrastSpec:
 
 def absolute() -> ContrastSpec:
     return ContrastSpec(kind="absolute")
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Pass/fail record of the contrast checks on a sample grid."""
-
-    zero_at_zero: bool
-    symmetric: bool
-    convex: bool
-    derivative_bounded: bool
-    derivative_lipschitz: bool
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.zero_at_zero
-            and self.symmetric
-            and self.convex
-            and self.derivative_bounded
-            and self.derivative_lipschitz
-        )
-
-
-def check_contrast_assumptions(
-    c: ContrastSpec, grid, tol: float = 1e-12
-) -> AssumptionReport:
-    """Check the contrast properties on a finite grid symmetric about 0.
-
-    Convexity is sampled through the midpoint inequality over all grid
-    pairs; the Lipschitz check compares derivative increments over the
-    same pairs.  Returns a report, never raises on failed checks.
-    """
-    grid = np.sort(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise ValueError("sample grid must be non-empty")
-    if not np.allclose(grid, -grid[::-1], atol=1e-12):
-        raise ValueError("sample grid must be symmetric about 0")
-
-    vals = np.asarray(c.value(grid), dtype=float)
-    ders = np.asarray(c.first_derivative(grid), dtype=float)
-
-    zero_at_zero = abs(float(c.value(0.0))) <= tol
-    symmetric = bool(np.all(np.abs(vals - c.value(-grid)) <= tol))
-
-    u = grid[:, None]
-    v = grid[None, :]
-    mid_vals = np.asarray(c.value(0.5 * (u + v)), dtype=float)
-    convex = bool(np.all(mid_vals <= 0.5 * (vals[:, None] + vals[None, :]) + tol))
-
-    bound = c.derivative_bound
-    derivative_bounded = math.isfinite(bound) and bool(
-        np.all(np.abs(ders) <= bound + tol)
-    )
-
-    der_gaps = np.abs(ders[:, None] - ders[None, :])
-    derivative_lipschitz = bool(np.all(der_gaps <= np.abs(u - v) + tol))
-
-    return AssumptionReport(
-        zero_at_zero=zero_at_zero,
-        symmetric=symmetric,
-        convex=convex,
-        derivative_bounded=derivative_bounded,
-        derivative_lipschitz=derivative_lipschitz,
-    )
 
 
 def curvature_constant(g, gamma: float, sigma_min: float) -> float:

@@ -33,7 +33,13 @@ from .harness import (
 )
 from .kernels import procedure_constants
 from .local_fit import OptimizerSettings, fit_local
-from .simulate import NOISE_FAMILIES, NoiseModel, gen_data, make_test_function
+from .simulate import (
+    NOISE_FAMILIES,
+    NoiseModel,
+    TestFunction,
+    gen_data,
+    make_test_function,
+)
 
 __all__ = ["ConfigError", "load_config", "run_experiment", "CONFIG_SCHEMA"]
 
@@ -61,6 +67,7 @@ CONFIG_SCHEMA = {
                 "heteroscedastic": {
                     "type": ["object", "null"],
                     "required": ["kind"],
+                    "additionalProperties": False,
                     "properties": {
                         "kind": {"enum": ["constant", "alternating", "sinusoidal"]},
                         "factor": {"type": "number"},
@@ -201,6 +208,32 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _noise_model(noise: dict) -> NoiseModel:
+    """Validate a ``noise`` section and build its NoiseModel.  Values the
+    model rejects (an alternating factor below 1, a sigma_min above the
+    smallest scale) are ConfigErrors under ``$.noise`` too."""
+    _validate(noise, CONFIG_SCHEMA["properties"]["noise"], "$.noise")
+    try:
+        return NoiseModel.from_config(noise)
+    except ValueError as exc:
+        raise ConfigError(f"$.noise: {exc}") from exc
+
+
+def _test_function(function: dict) -> TestFunction:
+    """Validate a ``function`` section and build its TestFunction; an
+    unknown name, a missing parameter or a value out of range is a
+    ConfigError under ``$.function``."""
+    _validate(function, CONFIG_SCHEMA["properties"]["function"], "$.function")
+    try:
+        return make_test_function(function)
+    except KeyError as exc:
+        raise ConfigError(
+            f"$.function: {exc.args[0]!r} is a required property of {function['name']!r}"
+        ) from exc
+    except ValueError as exc:
+        raise ConfigError(f"$.function: {exc}") from exc
+
+
 def _resolve_curvature(est_cfg: dict, noise: NoiseModel | None) -> float:
     """Explicit curvature constant, or derive it from the declared noise
     family and the Huber threshold when the config leaves it null."""
@@ -291,10 +324,15 @@ def run_experiment(source, output_dir=None) -> dict:
     prefix = out["prefix"]
     runner, required = _RUNNERS[cfg["experiment"]]
     _require(cfg, "function", "noise", *required)
-    noise = NoiseModel.from_config(cfg["noise"])
-    f = make_test_function(cfg["function"])
+    noise = _noise_model(cfg["noise"])
+    f = _test_function(cfg["function"])
     estimator = _estimator(cfg["estimator"], noise)
-    header, rows, summary, extras = runner(cfg, f, noise, estimator, cfg["estimator"]["x0"])
+    x0 = cfg["estimator"]["x0"]
+    if len(x0) != f.d:
+        raise ConfigError(
+            f"$.estimator.x0: {len(x0)} coordinates, but function {f.name!r} has dimension {f.d}"
+        )
+    header, rows, summary, extras = runner(cfg, f, noise, estimator, x0)
 
     csv_path = out_dir / f"{prefix}.csv"
     _write_csv(csv_path, header, rows)

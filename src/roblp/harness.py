@@ -194,6 +194,15 @@ def _valid_errors(errs: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     return errs[~np.isnan(errs)], failed
 
 
+def _risk(errors: np.ndarray, r: float) -> tuple[float, float]:
+    """Mean of errors**r and its standard error (0.0 from one replication)."""
+    powered = errors**r
+    stderr = (
+        float(np.std(powered, ddof=1) / math.sqrt(powered.size)) if powered.size > 1 else 0.0
+    )
+    return float(np.mean(powered)), stderr
+
+
 @dataclass(frozen=True)
 class RiskPoint:
     n: int
@@ -239,9 +248,7 @@ def mc_risk(
         raise ValueError(f"need at least 30 replications, got {replications}")
     errs = _replication_errors(estimator, f, x0, model, n, replications, seed, workers)
     ok, failed = _valid_errors(errs, n)
-    ok = ok**r
-    risk = float(np.mean(ok))
-    stderr = float(np.std(ok, ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else 0.0
+    risk, stderr = _risk(ok, r)
     return RiskPoint(
         n=n, risk=risk, stderr=stderr, replications=replications, failures=failed
     )
@@ -503,14 +510,10 @@ def compare_contrasts(
             variant, f, x0, model, n, replications, seed, workers
         )
         ok, failed = _valid_errors(errs, n)
-        powered = ok**r
+        risk, stderr = _risk(ok, r)
         rows.append(
             ComparisonRow(
-                name=name,
-                risk=float(np.mean(powered)),
-                stderr=float(np.std(powered, ddof=1) / math.sqrt(powered.size)),
-                max_error=float(np.max(ok)),
-                failures=failed,
+                name=name, risk=risk, stderr=stderr, max_error=float(np.max(ok)), failures=failed
             )
         )
     return tuple(rows)

@@ -8,9 +8,8 @@ multi-index set we build the moment matrix
     M[p, q] = int_{[-1/2,1/2]^d} x^{p+q} K(x) dx,
 
 whose smallest eigenvalue calibrates both the deviation bound and the
-adaptive threshold.  The module also evaluates the two numeric constants
-entering those bounds: a convergent series constant and an upper risk
-constant obtained by integrating the deviation bound.
+adaptive threshold.  The module also evaluates the convergent series
+constant entering the deviation bound.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .basis import MultiIndexSet, monomial_matrix
 
@@ -33,7 +31,6 @@ __all__ = [
     "moment_matrix",
     "lambda_min",
     "series_constant",
-    "risk_bound_constant",
     "procedure_constants",
 ]
 
@@ -229,43 +226,3 @@ def procedure_constants(
     sigma, _ = series_constant(kernel.sup_norm, s.d)
     return ProcedureConstants(lam=lambda_min(m), sigma=sigma, c=c, moment_matrix=m)
 
-
-def risk_bound_constant(
-    r: float,
-    constants: ProcedureConstants,
-    n_b: int,
-    k_sup: float,
-    rho_prime_sup: float,
-    delta: float,
-) -> float:
-    """Upper risk constant: the r-th moment implied by the deviation bound.
-
-    Evaluates  (4 n_b / (c lam))^r + n_b sigma * int_{z0}^inf r z^{r-1}
-    exp{-(c lam z / (2 n_b) - 1)^2 / B} dz  with z0 = 4 n_b / (c lam) and
-    B = 8 k_sup^2 (1 v rho'^2) + (4 delta / (3 n_b)) c lam k_sup (1 v rho').
-    ``delta`` is the localization radius, a user-supplied diagnostic input.
-    A diagnostic of the theory: no experiment reports it, and the
-    estimator never uses it.
-    """
-    if r < 1:
-        raise ValueError(f"risk power must be >= 1, got {r}")
-    for name, val in (
-        ("n_b", n_b),
-        ("k_sup", k_sup),
-        ("rho_prime_sup", rho_prime_sup),
-        ("delta", delta),
-    ):
-        if not (math.isfinite(val) and val > 0):
-            raise ValueError(f"{name} must be positive and finite, got {val}")
-    clam = constants.c * constants.lam
-    z0 = 4.0 * n_b / clam
-    a = clam / (2.0 * n_b)
-    denom = 8.0 * k_sup**2 * max(1.0, rho_prime_sup**2) + (
-        4.0 * delta / (3.0 * n_b)
-    ) * clam * k_sup * max(1.0, rho_prime_sup)
-
-    def integrand(z):
-        return r * z ** (r - 1.0) * math.exp(-((a * z - 1.0) ** 2) / denom)
-
-    tail, _ = integrate.quad(integrand, z0, np.inf, epsabs=1e-300, epsrel=1e-10, limit=200)
-    return z0**r + n_b * constants.sigma * tail

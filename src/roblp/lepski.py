@@ -33,9 +33,6 @@ from .local_fit import (
 __all__ = [
     "holder_floor",
     "minimax_bandwidth",
-    "minimax_rate",
-    "price_to_pay",
-    "adaptive_rate",
     "BandwidthGrid",
     "bandwidth_grid",
     "threshold_scale",
@@ -64,22 +61,6 @@ def minimax_bandwidth(beta: float, lipschitz: float, n: int, d: int) -> float:
         raise ValueError("beta, lipschitz, n must be positive and d >= 1")
     h = (lipschitz**2 * n) ** (-1.0 / (2.0 * beta + d))
     return min(h, 1.0)
-
-
-def minimax_rate(beta: float, n: int, d: int) -> float:
-    """Pointwise minimax rate n^{-beta/(2 beta + d)}."""
-    return float(n) ** (-beta / (2.0 * beta + d))
-
-
-def price_to_pay(beta: float, n: int, d: int, b: int) -> float:
-    """Logarithmic inflation factor of the adaptive rate,
-    1 + 2 (b - beta) ln n / ((2 beta + d)(2 b + d)); equals 1 at beta = b."""
-    return 1.0 + 2.0 * (b - beta) * math.log(n) / ((2.0 * beta + d) * (2.0 * b + d))
-
-
-def adaptive_rate(beta: float, n: int, d: int, b: int) -> float:
-    """Attainable adaptive rate (price_to_pay / n)^{beta/(2 beta + d)}."""
-    return (price_to_pay(beta, n, d, b) / n) ** (beta / (2.0 * beta + d))
 
 
 @dataclass(frozen=True)
@@ -208,16 +189,6 @@ class SelectionConfig:
         return threshold_constant(
             self.n_b, self.c, self.lam, self.k_sup, self.rho_prime_sup, self.r, d
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "c": self.c,
-            "lam": self.lam,
-            "n_b": self.n_b,
-            "k_sup": self.k_sup,
-            "rho_prime_sup": self.rho_prime_sup,
-        }
 
 
 def selection_config(

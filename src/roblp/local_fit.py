@@ -111,27 +111,19 @@ class Dataset:
 class OptimizerSettings:
     """Solver settings.  ``max_iterations`` caps the outer (Newton or
     gradient) steps and ``gradient_tolerance`` bounds the stationarity
-    gap at convergence.  ``initial_step`` is the first trial step of a
-    projected gradient step; ``backtracking`` and ``armijo`` drive the
-    monotone Armijo line search of both step kinds.  ``record_objective``
-    keeps the criterion after every step, as the line search tracks it, in
+    gap at convergence.  ``record_objective`` keeps the criterion after
+    every step, as the line search tracks it, in
     ``FitResult.objective_path``."""
 
     max_iterations: int = 20_000
     gradient_tolerance: float = 1e-8
-    initial_step: float = 1.0
-    backtracking: float = 0.5
-    armijo: float = 1e-4
     record_objective: bool = False
 
     def __post_init__(self):
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-        for name in ("gradient_tolerance", "initial_step", "armijo"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0 < self.backtracking < 1:
-            raise ValueError("backtracking factor must be in (0, 1)")
+        if self.gradient_tolerance <= 0:
+            raise ValueError("gradient_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -198,6 +190,12 @@ class EmptyNeighborhoodError(RuntimeError):
         self.grid_index = grid_index
 
 
+# Monotone Armijo line search of both step kinds: the first trial step of
+# a projected gradient step, the step shrink factor and the sufficient
+# decrease fraction.
+INITIAL_STEP = 1.0
+BACKTRACKING = 0.5
+ARMIJO = 1e-4
 # A Newton model is used only when lambda_min(H) > _CONDITION_RATIO * lambda_max(H).
 _CONDITION_RATIO = 1e-8
 # Relative size of a criterion change that rounds away: under half an ulp.
@@ -300,10 +298,10 @@ def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     return float(v[min(idx, v.size - 1)])
 
 
-def _gradient_step(problem, t, fval, grad, prev_t, prev_grad, radius, opt):
+def _gradient_step(problem, t, fval, grad, prev_t, prev_grad, radius):
     """Spectral (Barzilai-Borwein) trial step, safeguarded, then monotone
     Armijo backtracking on the projected step."""
-    step = opt.initial_step
+    step = INITIAL_STEP
     if prev_t is not None:
         dt = t - prev_t
         dg = grad - prev_grad
@@ -314,9 +312,9 @@ def _gradient_step(problem, t, fval, grad, prev_t, prev_grad, radius, opt):
         candidate = project_l1_ball(t - step * grad, radius)
         cand_val = problem.value(candidate)
         decrease = float(grad @ (candidate - t))
-        if cand_val <= fval + opt.armijo * decrease:
+        if cand_val <= fval + ARMIJO * decrease:
             break
-        step *= opt.backtracking
+        step *= BACKTRACKING
         if step < 1e-18:
             break
     return candidate, cand_val
@@ -398,7 +396,7 @@ def _minimize_model(hess, grad, t, radius):
     return project_l1_ball(u, radius)
 
 
-def _newton_step(problem, t, fval, grad, radius, opt):
+def _newton_step(problem, t, fval, grad, radius):
     """Proximal Newton step on the Huber active set, or None where the
     curvature is degenerate or the step fails its line search.
 
@@ -434,9 +432,9 @@ def _newton_step(problem, t, fval, grad, radius, opt):
     step = 1.0
     while step >= 1e-18:
         change = problem.increment(t, step * direction)
-        if change <= opt.armijo * step * decrease or (flat and change <= resolution):
+        if change <= ARMIJO * step * decrease or (flat and change <= resolution):
             return t + step * direction, fval + change
-        step *= opt.backtracking
+        step *= BACKTRACKING
     return None
 
 
@@ -479,9 +477,9 @@ def fit_local(data: Dataset, cfg: LocalFitConfig) -> FitResult:
     for _ in range(opt.max_iterations):
         if converged:
             break
-        proposal = _newton_step(problem, t, fval, grad, radius, opt)
+        proposal = _newton_step(problem, t, fval, grad, radius)
         if proposal is None:
-            proposal = _gradient_step(problem, t, fval, grad, prev_t, prev_grad, radius, opt)
+            proposal = _gradient_step(problem, t, fval, grad, prev_t, prev_grad, radius)
         candidate, cand_val = proposal
         if cand_val > fval:
             break  # line search stalled at numerical precision

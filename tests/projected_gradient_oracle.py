@@ -1,4 +1,5 @@
-"""Differential oracles, kept verbatim apart from their names:
+"""Differential oracles, kept verbatim apart from their names and the
+line-search constants, which they read from ``roblp.local_fit``:
 
 - the projected gradient solver that ``fit_local`` used before it took
   proximal Newton steps; tests compare the criterion values the two
@@ -14,6 +15,9 @@ import numpy as np
 
 from roblp.basis import CoefficientVector
 from roblp.local_fit import (
+    ARMIJO,
+    BACKTRACKING,
+    INITIAL_STEP,
     Dataset,
     EmptyNeighborhoodError,
     FitResult,
@@ -60,7 +64,7 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
             break
         # Spectral (Barzilai-Borwein) trial step, safeguarded, then
         # monotone Armijo backtracking on the projected step.
-        step = opt.initial_step
+        step = INITIAL_STEP
         if prev_t is not None:
             dt = t - prev_t
             dg = grad - prev_grad
@@ -73,9 +77,9 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
             candidate = project_l1_ball(t - step * grad, radius)
             cand_val = problem.value(candidate)
             decrease = float(grad @ (candidate - t))
-            if cand_val <= fval + opt.armijo * decrease:
+            if cand_val <= fval + ARMIJO * decrease:
                 break
-            step *= opt.backtracking
+            step *= BACKTRACKING
             if step < 1e-18:
                 break
         if cand_val > fval:

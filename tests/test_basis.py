@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from roblp.basis import (
     CoefficientVector,
-    local_polynomial_eval,
     monomial_matrix,
     monomial_vector,
     multi_index_set,
-    neighborhood_contains,
     taylor_coefficients,
 )
 from roblp.simulate import polynomial_function
@@ -96,42 +94,6 @@ def test_monomial_vector_multiplicative_property(b, d, data):
         assert vec[i] == pytest.approx(expect, rel=1e-12, abs=1e-300)
 
 
-def test_neighborhood_membership():
-    assert neighborhood_contains([0.5], [0.5], 0.2)
-    assert not neighborhood_contains([0.61], [0.5], 0.2)
-    # closed at the boundary
-    assert neighborhood_contains([0.6], [0.5], 0.2)
-    assert neighborhood_contains([0.5 + 0.1, 0.5 - 0.1], [0.5, 0.5], 0.2)
-
-
-def test_local_polynomial_eval_examples():
-    s = multi_index_set(2, 1)
-    t = CoefficientVector(values=np.array([1.0, 2.0, 3.0]), index_set=s)
-    # value at the center is the first coefficient
-    assert local_polynomial_eval(t, [0.5], [0.5], 0.2) == 1.0
-    # outside the window the indicator kills the polynomial
-    assert local_polynomial_eval(t, [0.8], [0.5], 0.2) == 0.0
-    # hand evaluation via the monomial oracle: z = 0.05/0.2 = 0.25
-    val = local_polynomial_eval(t, [0.55], [0.5], 0.2)
-    assert val == pytest.approx(1 + 2 * 0.25 + 3 * 0.25**2, rel=1e-14)
-    assert val == pytest.approx(1.6875)
-
-
-def test_local_polynomial_linear_in_coefficients():
-    rng = np.random.default_rng(3)
-    s = multi_index_set(3, 2)
-    t1 = rng.normal(size=s.size)
-    t2 = rng.normal(size=s.size)
-    a = 0.7
-    x0 = np.array([0.4, 0.6])
-    for _ in range(20):
-        x = x0 + rng.uniform(-0.05, 0.05, size=2)
-        v1 = local_polynomial_eval(CoefficientVector(t1, s), x, x0, 0.1)
-        v2 = local_polynomial_eval(CoefficientVector(t2, s), x, x0, 0.1)
-        v12 = local_polynomial_eval(CoefficientVector(a * t1 + t2, s), x, x0, 0.1)
-        assert v12 == pytest.approx(a * v1 + v2, rel=1e-12, abs=1e-12)
-
-
 def test_coefficient_vector_validation():
     s = multi_index_set(1, 1)
     with pytest.raises(ValueError):
@@ -175,7 +137,7 @@ def test_taylor_roundtrip_reproduces_polynomials(b, d):
     theta = taylor_coefficients(f, x0, h, b)
     for _ in range(30):
         x = x0 + rng.uniform(-h / 2, h / 2, size=d)
-        lp = local_polynomial_eval(theta, x, x0, h)
+        lp = theta.values @ monomial_vector((x - x0) / h, s)
         assert lp == pytest.approx(float(f(x)), rel=1e-11, abs=1e-12)
 
 

@@ -244,8 +244,13 @@ TYPO = r"\$\.estimator: .*'max_iteration' was unexpected"
         (FIT, {"max_iteration": 10}, TYPO),
         (ADAPT, {"max_iteration": 10}, TYPO),
         (ADAPT, {"curvature": None}, r"\$\.estimator\.curvature: required without a noise section"),
+        (
+            ADAPT,
+            {"curvature": None, "noise": {"family": "gaussian", "scale": 0.5, "sigma_min": 0.8}},
+            r"\$\.noise: sigma_min 0\.8 exceeds the smallest emitted scale 0\.5",
+        ),
     ],
-    ids=["fit-no-degree", "adapt-no-degree", "fit-typo", "adapt-typo", "adapt-no-curvature"],
+    ids=["fit-no-degree", "adapt-no-degree", "fit-typo", "adapt-typo", "adapt-no-curvature", "adapt-noise-value"],
 )
 def test_cli_settings_errors_exit_with_field_paths(dataset_csv, tmp_path, command, changes, message):
     argv = command + ["--data", str(dataset_csv), "--x0", "0.25", "--config", write_settings(tmp_path, **changes)]
@@ -253,12 +258,12 @@ def test_cli_settings_errors_exit_with_field_paths(dataset_csv, tmp_path, comman
         main(argv)
 
 
-def tails_config(tmp_path, **estimator):
+def tails_config(tmp_path, function=None, noise=None, **estimator):
     cfg = {
         "experiment": "tails",
         "seed": 4,
-        "function": {"name": "sinusoid", "beta": 2.0},
-        "noise": {"family": "gaussian", "scale": 0.5},
+        "function": function or {"name": "sinusoid", "beta": 2.0},
+        "noise": noise or {"family": "gaussian", "scale": 0.5},
         "estimator": {
             "kind": "fixed",
             "contrast": {"kind": "huber", "gamma": 1.0},
@@ -289,3 +294,91 @@ def test_cli_experiment_config_errors_exit_with_message(tmp_path):
     path = tails_config(tmp_path, kind="adaptive", curvature=0.38)
     with pytest.raises(SystemExit, match=r"\$\.estimator\.kind: tails experiment needs a single bandwidth"):
         main(["tails", "--config", path])
+
+
+SINUSOID = {"name": "sinusoid", "beta": 2.0}
+GAUSSIAN = {"family": "gaussian", "scale": 0.5}
+
+
+@pytest.mark.parametrize(
+    "function, noise, x0, message",
+    [
+        ({"name": "sinusiod", "beta": 2.0}, GAUSSIAN, [0.25], r"\$\.function: unknown test function 'sinusiod'"),
+        ({"name": "sinusoid"}, GAUSSIAN, [0.25], r"\$\.function: 'beta' is a required property of 'sinusoid'"),
+        ({"name": "cusp", "beta": 2.0}, GAUSSIAN, [0.25], r"\$\.function: cusp smoothness must be in \(0, 1\]"),
+        (
+            SINUSOID,
+            {**GAUSSIAN, "heteroscedastic": {"kind": "alternating", "factr": 2.0}},
+            [0.25],
+            r"\$\.noise\.heteroscedastic: Additional properties are not allowed \('factr' was unexpected\)",
+        ),
+        (
+            SINUSOID,
+            {**GAUSSIAN, "heteroscedastic": {"kind": "alternating", "factor": 0.5}},
+            [0.25],
+            r"\$\.noise: alternating factor must be >= 1",
+        ),
+        (
+            SINUSOID,
+            {**GAUSSIAN, "sigma_min": 0.8},
+            [0.25],
+            r"\$\.noise: sigma_min 0\.8 exceeds the smallest emitted scale 0\.5",
+        ),
+        (SINUSOID, GAUSSIAN, [0.25, 0.5], r"\$\.estimator\.x0: 2 coordinates, but function 'sinusoid' has dimension 1"),
+    ],
+    ids=["unknown-name", "missing-beta", "cusp-beta", "rule-typo", "rule-factor", "sigma-min", "x0-dimension"],
+)
+def test_cli_function_and_noise_errors_exit_with_message(tmp_path, function, noise, x0, message):
+    path = tails_config(tmp_path, function=function, noise=noise, x0=x0)
+    with pytest.raises(SystemExit, match=message):
+        main(["tails", "--config", path])
+    assert not (tmp_path / "out" / "t.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["rates", "tails", "compare"])
+def test_cli_function_errors_exit_for_every_experiment(tmp_path, command):
+    tails_config(tmp_path, function={"name": "sinusoid"})
+    cfg = json.loads((tmp_path / "tails.json").read_text())
+    cfg["experiment"] = command
+    cfg["grid"]["n_values"] = [256, 512, 1024, 2048]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit, match=r"\$\.function: 'beta' is a required property"):
+        main([command, "--config", str(path)])
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (
+            {"noise": {"family": "laplace", "sclae": 3.0}},
+            r"\$\.noise: Additional properties are not allowed \('sclae' was unexpected\)",
+        ),
+        ({"noise": {"family": "laplace", "scale": -1.0}}, r"\$\.noise\.scale: -1\.0 is less than or equal"),
+        ({"function": {"name": "sinusiod", "beta": 2.0}}, r"\$\.function: unknown test function 'sinusiod'"),
+        ({"function": {"name": "cusp"}}, r"\$\.function: 'beta' is a required property of 'cusp'"),
+    ],
+    ids=["noise-typo", "noise-scale", "function-name", "function-beta"],
+)
+def test_cli_simulate_checks_its_sections(tmp_path, changes, message):
+    out_csv = tmp_path / "sim" / "dataset.csv"
+    cfg = {
+        "function": {"name": "cusp", "beta": 0.5},
+        "noise": {"family": "laplace", "scale": 1.0},
+        "n": 100,
+        "seed": 9,
+        "output": str(out_csv),
+        **changes,
+    }
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit, match=message):
+        main(["simulate", "--config", str(path)])
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", [FIT, ADAPT], ids=["fit", "adapt"])
+def test_cli_x0_must_match_the_data_dimension(dataset_csv, estimator_json, command):
+    argv = command + ["--data", str(dataset_csv), "--x0", "0.25", "0.3", "--config", str(estimator_json)]
+    with pytest.raises(SystemExit, match=r"--x0: 2 coordinates, but .*data\.csv has dimension 1"):
+        main(argv)

@@ -7,42 +7,39 @@ from hypothesis import strategies as st
 
 from roblp.contrast import (
     absolute,
-    check_contrast_assumptions,
     curvature_constant,
     huber,
-    huber_prime,
-    huber_second,
-    huber_value,
     square,
 )
 from roblp.simulate import NOISE_FAMILIES
 
 
 def test_huber_value_examples():
-    assert huber_value(0.0, 1.0) == 0.0
-    assert huber_value(0.0, 7.3) == 0.0
+    assert huber(1.0).value(0.0) == 0.0
+    assert huber(7.3).value(0.0) == 0.0
     # branch continuity at |z| = gamma
     g = 1.7
-    assert huber_value(g, g) == pytest.approx(0.5 * g * g, rel=1e-15)
+    assert huber(g).value(g) == pytest.approx(0.5 * g * g, rel=1e-15)
     assert 0.5 * g * g == g * (g - 0.5 * g)
     # direct formula on the tail
-    assert huber_value(3.0, 1.0) == pytest.approx(2.5)
+    assert huber(1.0).value(3.0) == pytest.approx(2.5)
     # symmetric tail (negative arguments stay nonnegative)
-    assert huber_value(-3.0, 1.0) == pytest.approx(2.5)
+    assert huber(1.0).value(-3.0) == pytest.approx(2.5)
 
 
 def test_huber_prime_and_second():
-    assert huber_prime(0.3, 1.0) == pytest.approx(0.3)
-    assert huber_prime(-5.0, 1.0) == -1.0
-    assert huber_prime(5.0, 1.0) == 1.0
-    assert huber_second(2.0, 1.0) == 0.0
-    assert huber_second(0.2, 1.0) == 1.0
-    assert huber_second(1.0, 1.0) == 1.0  # closed band at the kink
+    c = huber(1.0)
+    assert c.first_derivative(0.3) == pytest.approx(0.3)
+    assert c.first_derivative(-5.0) == -1.0
+    assert c.first_derivative(5.0) == 1.0
+    assert c.second_derivative(2.0) == 0.0
+    assert c.second_derivative(0.2) == 1.0
+    assert c.second_derivative(1.0) == 1.0  # closed band at the kink
 
 
 def test_huber_rejects_bad_threshold():
     with pytest.raises(ValueError):
-        huber_value(1.0, 0.0)
+        huber(0.0)
     with pytest.raises(ValueError):
         huber(-1.0)
 
@@ -54,8 +51,9 @@ def test_huber_prime_matches_finite_differences():
     zs = rng.uniform(-4, 4, size=1000)
     # keep sample points away from the kink by more than the step
     zs = zs[np.abs(np.abs(zs) - gamma) > 10 * step]
-    fd = (huber_value(zs + step, gamma) - huber_value(zs - step, gamma)) / (2 * step)
-    an = huber_prime(zs, gamma)
+    c = huber(gamma)
+    fd = (c.value(zs + step) - c.value(zs - step)) / (2 * step)
+    an = c.first_derivative(zs)
     assert np.max(np.abs(fd - an) / (1.0 + np.abs(an))) < 1e-6
 
 
@@ -63,30 +61,28 @@ def test_huber_tail_linearity():
     gamma = 0.7
     zs = np.array([1.2, -3.4, 10.0, -50.0])
     np.testing.assert_allclose(
-        huber_value(zs, gamma) / gamma, np.abs(zs) - gamma / 2, rtol=1e-14
+        huber(gamma).value(zs) / gamma, np.abs(zs) - gamma / 2, rtol=1e-14
     )
 
 
 @given(st.floats(min_value=-50, max_value=50), st.floats(min_value=0.01, max_value=10))
 @settings(max_examples=200, deadline=None)
 def test_huber_nonnegative_and_even(z, gamma):
-    v = float(huber_value(z, gamma))
+    c = huber(gamma)
+    v = float(c.value(z))
     assert v >= 0.0
-    assert v == float(huber_value(-z, gamma))
+    assert v == float(c.value(-z))
 
 
 def test_contrast_specs():
     h = huber(2.0)
     assert h.derivative_bound == 2.0
-    assert h.assumption_violation is None
     s = square()
     assert math.isinf(s.derivative_bound)
-    assert s.assumption_violation == "unbounded derivative"
     assert s.value(3.0) == pytest.approx(4.5)
     assert s.first_derivative(3.0) == pytest.approx(3.0)
     a = absolute()
     assert a.derivative_bound == 1.0
-    assert a.assumption_violation is not None
     assert a.value(-2.0) == 2.0
 
 
@@ -95,25 +91,6 @@ def test_contrast_serialization_roundtrip():
 
     for spec in (huber(1.5), square(), absolute()):
         assert ContrastSpec.from_config(spec.to_config()) == spec
-
-
-def test_assumption_checks_on_grid():
-    grid = np.linspace(-5, 5, 201)
-    rep = check_contrast_assumptions(huber(1.0), grid)
-    assert rep.passed
-    rep = check_contrast_assumptions(square(), grid)
-    assert not rep.derivative_bounded
-    assert rep.convex and rep.symmetric and rep.zero_at_zero
-    rep = check_contrast_assumptions(absolute(), grid)
-    assert not rep.derivative_lipschitz
-    assert rep.convex and rep.symmetric
-
-
-def test_assumption_checks_validate_grid():
-    with pytest.raises(ValueError):
-        check_contrast_assumptions(huber(1.0), [])
-    with pytest.raises(ValueError):
-        check_contrast_assumptions(huber(1.0), [0.0, 1.0])
 
 
 def test_curvature_constant_gaussian():

@@ -260,3 +260,37 @@ def test_estimator_reads_optimizer_settings():
     assert _estimator(est, None).optimizer == OptimizerSettings()
     tuned = _estimator({**est, "max_iterations": 7, "gradient_tolerance": 1e-5}, None)
     assert tuned.optimizer == OptimizerSettings(max_iterations=7, gradient_tolerance=1e-5)
+
+
+def test_x0_must_match_the_function_dimension(tmp_path):
+    cfg = adapt_config(tmp_path)
+    cfg["estimator"]["x0"] = [0.25, 0.5]
+    with pytest.raises(
+        ConfigError, match=r"\$\.estimator\.x0: 2 coordinates, but function 'sinusoid' has dimension 1"
+    ):
+        run_experiment(cfg)
+
+
+def test_function_and_noise_errors_carry_field_paths(tmp_path):
+    cfg = adapt_config(tmp_path)
+    cfg["function"] = {"name": "constant"}
+    with pytest.raises(ConfigError, match=r"\$\.function: 'value' is a required property of 'constant'"):
+        run_experiment(cfg)
+    cfg = adapt_config(tmp_path)
+    cfg["noise"]["heteroscedastic"] = {"kind": "sinusoidal", "amplitude": 1.5}
+    with pytest.raises(ConfigError, match=r"\$\.noise: sinusoidal amplitude must be in \[0, 1\)"):
+        run_experiment(cfg)
+
+
+def test_compare_single_replication_reports_zero_stderr(tmp_path):
+    cfg = compare_config(tmp_path)
+    cfg["risk"]["replications"] = 1
+    result = run_experiment(cfg)
+
+    def reject(name):
+        raise ValueError(f"summary JSON holds {name}")
+
+    summary = json.loads(result["json"].read_text(), parse_constant=reject)
+    assert [row["stderr"] for row in summary["rows"]] == [0.0, 0.0, 0.0]
+    rows = result["csv"].read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["0.0", "0.0", "0.0"]

@@ -339,3 +339,21 @@ def test_tail_check_aborts_above_one_percent_empty_windows(monkeypatch):
     assert report.points[0].exceedances == 198 and report.points[0].empirical == 1.0
     with pytest.raises(RuntimeError, match="2/100 replications had empty windows"):
         tail_check(*args, n=256, replications=100, seed=4)
+
+
+def test_compare_contrasts_rows_are_mc_risk_points(monkeypatch):
+    import roblp.harness as harness
+
+    def planted(estimator, f, x0, model, n, replications, seed, workers=1):
+        errs = np.random.default_rng(len(estimator.contrast.kind)).uniform(0, 1, replications)
+        errs[0] = np.nan
+        return errs
+
+    monkeypatch.setattr(harness, "_replication_errors", planted)
+    est = fixed_huber()
+    rows = compare_contrasts(est, None, [0.5], None, n=64, replications=150, seed=3, r=1.5)
+    for row, contrast in zip(rows, (square(), huber(harness.TINY_GAMMA), est.contrast)):
+        variant = dataclasses.replace(est, contrast=contrast)
+        point = mc_risk(variant, None, [0.5], None, 1.5, 64, 150, seed=3)
+        assert (row.risk, row.stderr, row.failures) == (point.risk, point.stderr, 1)
+        assert point.failures == 1 and row.stderr > 0

@@ -14,7 +14,6 @@ from roblp.kernels import (
     lambda_min,
     moment_matrix,
     procedure_constants,
-    risk_bound_constant,
     series_constant,
     triangular_kernel,
     uniform_kernel,
@@ -170,54 +169,3 @@ def test_procedure_constants_validation():
         ProcedureConstants(lam=-1.0, sigma=3.0, c=0.5, moment_matrix=np.eye(2))
     with pytest.raises(ValueError):
         ProcedureConstants(lam=1.0, sigma=1.0, c=0.5, moment_matrix=np.eye(2))
-
-
-def _bound_inputs():
-    s = multi_index_set(1, 1)
-    consts = ProcedureConstants(
-        lam=1 / 12, sigma=3.0, c=0.5, moment_matrix=np.diag([1.0, 1 / 12])
-    )
-    return consts, s.size
-
-
-def test_risk_bound_constant_lower_limit_algebra():
-    # at z0 = 4 n_b / (c lam) the exponent numerator is (2 - 1)^2 = 1
-    consts, n_b = _bound_inputs()
-    z0 = 4 * n_b / (consts.c * consts.lam)
-    a = consts.c * consts.lam / (2 * n_b)
-    assert (a * z0 - 1.0) ** 2 == pytest.approx(1.0, rel=1e-14)
-
-
-def test_risk_bound_constant_dominates_first_term():
-    consts, n_b = _bound_inputs()
-    for r in (1.0, 2.0):
-        val = risk_bound_constant(
-            r, consts, n_b=n_b, k_sup=1.0, rho_prime_sup=1.0, delta=0.5
-        )
-        assert val >= (4 * n_b / (consts.c * consts.lam)) ** r
-
-
-def test_risk_bound_constant_matches_midpoint_oracle():
-    consts, n_b = _bound_inputs()
-    r, k_sup, rho, delta = 2.0, 1.0, 1.0, 0.5
-    clam = consts.c * consts.lam
-    z0 = 4 * n_b / clam
-    a = clam / (2 * n_b)
-    denom = 8 * k_sup**2 + (4 * delta / (3 * n_b)) * clam * k_sup
-    # midpoint rule with 1e6 panels on a generously truncated domain
-    z_hi = (1 + math.sqrt(80 * denom)) / a
-    zs = np.linspace(z0, z_hi, 2_000_001)
-    mids = 0.5 * (zs[:-1] + zs[1:])
-    width = zs[1] - zs[0]
-    integrand = r * mids ** (r - 1) * np.exp(-((a * mids - 1) ** 2) / denom)
-    oracle = z0**r + n_b * consts.sigma * float(np.sum(integrand) * width)
-    val = risk_bound_constant(r, consts, n_b=n_b, k_sup=k_sup, rho_prime_sup=rho, delta=delta)
-    assert val == pytest.approx(oracle, rel=1e-6)
-
-
-def test_risk_bound_constant_rejects_bad_inputs():
-    consts, n_b = _bound_inputs()
-    with pytest.raises(ValueError):
-        risk_bound_constant(0.5, consts, n_b, 1.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        risk_bound_constant(2.0, consts, n_b, 1.0, math.inf, 0.5)

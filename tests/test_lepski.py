@@ -9,12 +9,9 @@ from roblp.basis import multi_index_set
 from roblp.lepski import (
     BandwidthGrid,
     SelectionConfig,
-    adaptive_rate,
     bandwidth_grid,
     holder_floor,
     minimax_bandwidth,
-    minimax_rate,
-    price_to_pay,
     select_bandwidth,
     select_index,
     selection_config,
@@ -146,16 +143,6 @@ def test_select_index_validation():
         select_index([], [])
     with pytest.raises(ValueError):
         select_index([1.0], [1.0, 2.0])
-
-
-def test_rate_identities():
-    # the adaptive normalization at beta = b collapses to the minimax rate
-    for n, d, b in ((1000, 1, 2), (4096, 2, 3)):
-        assert price_to_pay(b, n, d, b) == 1.0
-        assert adaptive_rate(b, n, d, b) == pytest.approx(minimax_rate(b, n, d), rel=1e-14)
-    # price grows logarithmically below b
-    assert price_to_pay(1.0, 10_000, 1, 3) > 1.0
-    assert minimax_rate(2.0, 1024, 1) == pytest.approx(1024 ** (-0.4))
 
 
 def _selection_inputs(n=240, seed=1, constant=None):
