@@ -36,7 +36,6 @@ from .kernels import (
 )
 from .lepski import (
     BandwidthGrid,
-    SelectionConfig,
     SelectionTrace,
     bandwidth_grid,
     holder_floor,

@@ -29,6 +29,7 @@ from .experiments import (
     _estimator,
     _noise_model,
     _test_function,
+    _validate,
     load_config,
     run_experiment,
 )
@@ -93,19 +94,32 @@ def _cmd_adapt(args) -> int:
     return 0
 
 
+# The top level of a ``simulate`` config; its function and noise sections
+# are checked as in experiment configs.
+_SIMULATE_SCHEMA = {
+    "type": "object",
+    "required": ["function", "noise", "n", "seed", "output"],
+    "additionalProperties": False,
+    "properties": {
+        "function": {"type": "object"},
+        "noise": {"type": "object"},
+        "n": {"type": "integer", "minimum": 1},
+        "seed": {"type": "integer", "minimum": 0},
+        "output": {"type": "string"},
+    },
+}
+
+
 def _cmd_simulate(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
-    for key in ("function", "noise", "n", "seed", "output"):
-        if key not in cfg:
-            raise SystemExit(f"simulate: config missing key {key!r}")
     try:
+        _validate(cfg, _SIMULATE_SCHEMA)
         f = _test_function(cfg["function"])
         model = _noise_model(cfg["noise"])
     except ConfigError as exc:
         raise SystemExit(str(exc))
-    d = cfg.get("d", f.d)
-    data = gen_data(f, model, cfg["n"], d, cfg["seed"])
+    data = gen_data(f, model, cfg["n"], f.d, cfg["seed"])
     out = Path(cfg["output"])
     out.parent.mkdir(parents=True, exist_ok=True)
     data.to_csv(out)
@@ -113,7 +127,7 @@ def _cmd_simulate(args) -> int:
         "function": f.to_config(),
         "noise": model.to_config(),
         "n": cfg["n"],
-        "d": d,
+        "d": f.d,
         "seed": cfg["seed"],
         "csv": out.name,
     }

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "ContrastSpec",
@@ -134,16 +133,10 @@ def curvature_constant(g, gamma: float, sigma_min: float) -> float:
     """Lower bound on the expected Huber curvature: twice the mass of the
     unit noise density on [0, gamma * sigma_min].
 
-    ``g`` is a symmetric unit-scale density, either an object with a
-    ``cdf`` method (closed form, preferred) or a plain density callable
-    integrated by adaptive quadrature to 1e-10 relative accuracy.
+    ``g`` is a symmetric unit-scale noise family with a closed-form
+    ``cdf`` (an entry of ``roblp.simulate.NOISE_FAMILIES``).
     """
     upper = gamma * sigma_min
     if upper <= 0:
         raise ValueError(f"gamma * sigma_min must be positive, got {upper}")
-    cdf = getattr(g, "cdf", None)
-    if cdf is not None:
-        return 2.0 * (float(cdf(upper)) - 0.5)
-    density = getattr(g, "density", g)
-    mass, _ = integrate.quad(density, 0.0, upper, epsabs=1e-300, epsrel=1e-12)
-    return 2.0 * mass
+    return 2.0 * (float(g.cdf(upper)) - 0.5)

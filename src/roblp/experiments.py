@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -25,8 +24,8 @@ from . import __version__
 from .contrast import ContrastSpec, curvature_constant
 from .harness import (
     Estimator,
+    _validity_threshold,
     compare_contrasts,
-    deviation_bound_threshold,
     rate_fit,
     risk_curve,
     tail_check,
@@ -44,6 +43,16 @@ from .simulate import (
 __all__ = ["ConfigError", "load_config", "run_experiment", "CONFIG_SCHEMA"]
 
 
+# The parameters each test function takes; make_test_function reports a
+# required one that is missing.
+_NUMBER = {"type": "number"}
+_FUNCTION_PARAMETERS = {
+    "sinusoid": {"beta": _NUMBER, "amplitude": _NUMBER},
+    "cusp": {"beta": _NUMBER, "amplitude": _NUMBER, "center": _NUMBER},
+    "product_sinusoid": {"beta": _NUMBER, "amplitude": _NUMBER},
+    "constant": {"value": _NUMBER, "d": {"type": "integer", "minimum": 1}, "beta": _NUMBER},
+}
+
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["experiment", "seed", "estimator", "output"],
@@ -55,6 +64,13 @@ CONFIG_SCHEMA = {
             "type": "object",
             "required": ["name"],
             "properties": {"name": {"type": "string"}},
+            "allOf": [
+                {
+                    "if": {"required": ["name"], "properties": {"name": {"const": name}}},
+                    "then": {"properties": {"name": True, **params}, "additionalProperties": False},
+                }
+                for name, params in _FUNCTION_PARAMETERS.items()
+            ],
         },
         "noise": {
             "type": "object",
@@ -454,15 +470,12 @@ def _run_adapt(cfg, f, noise, estimator, x0):
 def _run_tails(cfg, f, noise, estimator, x0):
     if estimator.kind == "adaptive":
         raise ConfigError("$.estimator.kind: tails experiment needs a single bandwidth")
-    d = len(x0)
     n = cfg["grid"]["n"]
     fit_cfg = estimator.fit_config(x0, n)
     c = _resolve_curvature(cfg["estimator"], noise)
     constants = procedure_constants(fit_cfg.kernel, fit_cfg.index_set, c)
 
-    bias = f.lipschitz * d * fit_cfg.h**f.beta
-    u = max(1.0, bias * math.sqrt(n * fit_cfg.h**d))
-    eps_min = deviation_bound_threshold(fit_cfg.index_set.size, c, constants.lam, u)
+    _, _, eps_min = _validity_threshold(f, fit_cfg, constants, n)
     eps_grid = [m * eps_min for m in cfg["grid"]["epsilon_multipliers"]]
     report = tail_check(
         f,

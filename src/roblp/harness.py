@@ -80,8 +80,8 @@ class Estimator:
     curvature: float | None = None
     risk_power: float = 2.0
     optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
-    # Selection constants by dimension, filled on first use: they depend
-    # only on the fields above, so every replication shares them.
+    # Selection threshold constant by dimension, filled on first use: it
+    # depends only on the fields above, so every replication shares it.
     _selection: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -130,12 +130,12 @@ class Estimator:
         d = len(x0)
         grid = bandwidth_grid(data.n, d, int(self.degree))
         template = self._local_config(x0, grid.h_max)
-        selection = self._selection.get(d)
-        if selection is None:
-            selection = self._selection[d] = selection_config(
+        threshold = self._selection.get(d)
+        if threshold is None:
+            threshold = self._selection[d] = selection_config(
                 self.contrast, template.kernel, template.degree, self.curvature, self.risk_power
             )
-        return select_bandwidth(data, x0, grid, template, selection)
+        return select_bandwidth(data, grid, template, threshold)
 
     def estimate(self, data: Dataset, x0) -> float:
         if self.kind == "adaptive":
@@ -385,6 +385,19 @@ class TailReport:
         return all(checked) if checked else True
 
 
+def _validity_threshold(
+    f: TestFunction, cfg: LocalFitConfig, constants: ProcedureConstants, n: int
+) -> tuple[float, float, float]:
+    """The bias majorant L d h^beta, u = max(1, bias sqrt(n h^d)) and the
+    validity threshold eps_min of the exponential bound for a fit at
+    ``cfg`` on n samples."""
+    d = cfg.d
+    bias_majorant = f.lipschitz * d * cfg.h**f.beta
+    u = max(1.0, bias_majorant * math.sqrt(n * cfg.h**d))
+    eps_min = deviation_bound_threshold(cfg.index_set.size, constants.c, constants.lam, u)
+    return bias_majorant, u, eps_min
+
+
 def tail_check(
     f: TestFunction,
     model: NoiseModel,
@@ -405,7 +418,6 @@ def tail_check(
     with empty windows are excluded and counted; more than 1% of them
     aborts the run.
     """
-    d = cfg.d
     estimator = Estimator(
         kind="fixed",
         contrast=cfg.contrast,
@@ -419,13 +431,11 @@ def tail_check(
         estimator, f, cfg.x0, model, n, replications, seed, workers
     )
     ok, failed = _valid_errors(errs, n)
-    nhd = n * cfg.h**d
+    nhd = n * cfg.h**cfg.d
     norm_errs = math.sqrt(nhd) * ok
 
     n_b = cfg.index_set.size
-    bias_majorant = f.lipschitz * d * cfg.h**f.beta
-    u = max(1.0, bias_majorant * math.sqrt(nhd))
-    eps_min = deviation_bound_threshold(n_b, constants.c, constants.lam, u)
+    bias_majorant, u, eps_min = _validity_threshold(f, cfg, constants, n)
     rho_sup = cfg.contrast.derivative_bound
     k_sup = cfg.kernel.sup_norm
 

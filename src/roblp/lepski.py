@@ -7,11 +7,11 @@ keeps the largest one whose estimate is consistent with every finer one:
 
     k_hat = inf{ k : |f_k(x0) - f_l(x0)| <= C * S_n(l)  for all l > k },
 
-with the comparison scale S_n(l) = sqrt((1 + l ln 2) / (n h_l^d)) and a
-threshold constant C assembled from the basis size, the kernel, the
-contrast-derivative bound and the noise curvature lower bound.  At the
-finest index the consistency condition is vacuous, so the rule always
-selects some index.
+with the comparison scale S_n(l) = sqrt((1 + l ln 2) / (n h_l^d)) and the
+threshold constant C of ``selection_config``, assembled from the basis
+size, the kernel, the contrast-derivative bound and the noise curvature
+lower bound.  At the finest index the consistency condition is vacuous,
+so the rule always selects some index.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .kernels import KernelSpec, lambda_min, moment_matrix
 from .local_fit import (
     Dataset,
     EmptyNeighborhoodError,
-    FitResult,
     LocalFitConfig,
     fit_local,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "bandwidth_grid",
     "threshold_scale",
     "threshold_constant",
-    "SelectionConfig",
     "selection_config",
     "CheckRecord",
     "SelectionTrace",
@@ -165,46 +163,24 @@ def threshold_constant(
     )
 
 
-@dataclass(frozen=True)
-class SelectionConfig:
-    """Inputs of the selection threshold.  ``threshold`` is derived
-    exactly from them; contrasts with unbounded derivative are rejected."""
-
-    r: float
-    c: float
-    lam: float
-    n_b: int
-    k_sup: float
-    rho_prime_sup: float
-
-    def __post_init__(self):
-        # threshold_constant validates all fields
-        threshold_constant(
-            self.n_b, self.c, self.lam, self.k_sup, self.rho_prime_sup, self.r, 1
-        )
-        if self.r < 1:
-            raise ValueError(f"risk power must be >= 1, got {self.r}")
-
-    def threshold(self, d: int) -> float:
-        return threshold_constant(
-            self.n_b, self.c, self.lam, self.k_sup, self.rho_prime_sup, self.r, d
-        )
-
-
 def selection_config(
     contrast: ContrastSpec, kernel: KernelSpec, degree: int, c: float, r: float = 2.0
-) -> SelectionConfig:
-    """Assemble the selection constants for a contrast/kernel/degree triple."""
+) -> float:
+    """The threshold constant C of the selection rule for a
+    contrast/kernel/degree triple, curvature constant ``c`` and risk power
+    ``r``, at the kernel's dimension.
+
+    Rejects a contrast with unbounded derivative (the squared loss), any
+    input that is not positive and finite, and r < 1.
+    """
     s = multi_index_set(degree, kernel.d)
     lam = lambda_min(moment_matrix(kernel, s))
-    return SelectionConfig(
-        r=r,
-        c=c,
-        lam=lam,
-        n_b=s.size,
-        k_sup=kernel.sup_norm,
-        rho_prime_sup=contrast.derivative_bound,
+    constant = threshold_constant(
+        s.size, c, lam, kernel.sup_norm, contrast.derivative_bound, r, kernel.d
     )
+    if r < 1:
+        raise ValueError(f"risk power must be >= 1, got {r}")
+    return constant
 
 
 @dataclass(frozen=True)
@@ -288,34 +264,27 @@ def select_index(
 
 
 def select_bandwidth(
-    data: Dataset,
-    x0,
-    grid: BandwidthGrid,
-    fit_template: LocalFitConfig,
-    selection: SelectionConfig,
+    data: Dataset, grid: BandwidthGrid, fit_template: LocalFitConfig, threshold: float
 ) -> SelectionTrace:
     """Run the estimator over the whole grid and apply the selection rule.
 
-    Each bandwidth is fitted independently on the same data (no warm
-    starts, so results do not depend on evaluation order).  An empty
-    window raises ``EmptyNeighborhoodError`` carrying the offending grid
-    index.
+    Each bandwidth is fitted at ``fit_template.x0`` with the template's
+    settings, independently on the same data (no warm starts, so results
+    do not depend on evaluation order).  ``threshold`` is the constant C
+    from ``selection_config``.  An empty window raises
+    ``EmptyNeighborhoodError`` carrying the offending grid index.
     """
-    fits: list[FitResult] = []
+    estimates: list[float] = []
     for k, h_k in enumerate(grid.bandwidths):
         try:
-            fits.append(fit_local(data, replace(fit_template, x0=x0, h=h_k)))
+            estimates.append(fit_local(data, replace(fit_template, h=h_k)).estimate)
         except EmptyNeighborhoodError as exc:
             raise EmptyNeighborhoodError(exc.x0, exc.h, grid_index=k) from exc
 
-    c_thresh = selection.threshold(grid.d)
-    thresholds = [c_thresh * threshold_scale(l, grid) for l in range(grid.k_n + 1)]
-    estimates = [f.estimate for f in fits]
+    thresholds = [threshold * threshold_scale(l, grid) for l in range(grid.k_n + 1)]
     chosen, checks = select_index(estimates, thresholds)
     return SelectionTrace(
-        estimates=tuple(
-            (k, grid.bandwidths[k], estimates[k]) for k in range(grid.k_n + 1)
-        ),
+        estimates=tuple(zip(range(grid.k_n + 1), grid.bandwidths, estimates)),
         chosen_k=chosen,
         pairwise_checks=checks,
     )

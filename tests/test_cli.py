@@ -357,8 +357,13 @@ def test_cli_function_errors_exit_for_every_experiment(tmp_path, command):
         ({"noise": {"family": "laplace", "scale": -1.0}}, r"\$\.noise\.scale: -1\.0 is less than or equal"),
         ({"function": {"name": "sinusiod", "beta": 2.0}}, r"\$\.function: unknown test function 'sinusiod'"),
         ({"function": {"name": "cusp"}}, r"\$\.function: 'beta' is a required property of 'cusp'"),
+        (
+            {"function": {"name": "sinusoid", "beta": 2.0, "amplitdue": 3.0}},
+            r"\$\.function: Additional properties are not allowed \('amplitdue' was unexpected\)",
+        ),
+        ({"function": {"name": "sinusoid", "beta": "2"}}, r"\$\.function\.beta: '2' is not of type 'number'"),
     ],
-    ids=["noise-typo", "noise-scale", "function-name", "function-beta"],
+    ids=["noise-typo", "noise-scale", "function-name", "function-beta", "function-typo", "function-type"],
 )
 def test_cli_simulate_checks_its_sections(tmp_path, changes, message):
     out_csv = tmp_path / "sim" / "dataset.csv"
@@ -375,6 +380,48 @@ def test_cli_simulate_checks_its_sections(tmp_path, changes, message):
     with pytest.raises(SystemExit, match=message):
         main(["simulate", "--config", str(path)])
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize(
+    "changes, dropped, message",
+    [
+        ({"d": 2}, None, r"\$: Additional properties are not allowed \('d' was unexpected\)"),
+        ({"output": {}}, None, r"\$\.output: \{\} is not of type 'string'"),
+        ({"sede": 9}, "seed", r"\$: 'seed' is a required property"),
+    ],
+    ids=["d", "output-dict", "seed-typo"],
+)
+def test_cli_simulate_checks_its_top_level(tmp_path, changes, dropped, message):
+    cfg = {
+        "function": {"name": "sinusoid", "beta": 2.0},
+        "noise": {"family": "gaussian", "scale": 0.5},
+        "n": 100,
+        "seed": 9,
+        "output": str(tmp_path / "sim" / "dataset.csv"),
+        **changes,
+    }
+    cfg.pop(dropped, None)
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit, match=message):
+        main(["simulate", "--config", str(path)])
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_cli_simulate_takes_the_dimension_from_the_function(tmp_path):
+    out_csv = tmp_path / "product.csv"
+    cfg = {
+        "function": {"name": "product_sinusoid", "beta": 2.0},
+        "noise": {"family": "gaussian", "scale": 0.5},
+        "n": 50,
+        "seed": 3,
+        "output": str(out_csv),
+    }
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert out_csv.read_text().splitlines()[0] == "x_1,x_2,y"
+    assert json.loads(out_csv.with_suffix(".json").read_text())["d"] == 2
 
 
 @pytest.mark.parametrize("command", [FIT, ADAPT], ids=["fit", "adapt"])

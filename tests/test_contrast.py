@@ -111,15 +111,6 @@ def test_curvature_constant_total_mass_limit():
     assert got == pytest.approx(1.0, abs=1e-12)
 
 
-def test_curvature_constant_quadrature_fallback():
-    # plain density callable: adaptive quadrature path
-    def density(z):
-        return math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
-
-    got = curvature_constant(density, 1.0, 1.0)
-    assert got == pytest.approx(math.erf(1 / math.sqrt(2)), abs=1e-10)
-
-
 def test_curvature_constant_monotone_and_bounded():
     fam = NOISE_FAMILIES["laplace"]
     vals = [curvature_constant(fam, g, 1.0) for g in (0.2, 0.5, 1.0, 2.0, 5.0)]

@@ -282,6 +282,29 @@ def test_function_and_noise_errors_carry_field_paths(tmp_path):
         run_experiment(cfg)
 
 
+@pytest.mark.parametrize(
+    "function, message",
+    [
+        (
+            {"name": "sinusoid", "beta": 2.0, "amplitdue": 3.0},
+            r"\$\.function: Additional properties are not allowed \('amplitdue' was unexpected\)",
+        ),
+        ({"name": "sinusoid", "beta": "2"}, r"\$\.function\.beta: '2' is not of type 'number'"),
+        (
+            {"name": "constant", "value": 0.5, "beta": 2.0, "center": 0.5},
+            r"\$\.function: Additional properties are not allowed \('center' was unexpected\)",
+        ),
+    ],
+    ids=["typo", "type", "other-function-parameter"],
+)
+def test_function_parameters_are_checked_per_function(tmp_path, function, message):
+    cfg = adapt_config(tmp_path)
+    cfg["function"] = function
+    with pytest.raises(ConfigError, match=message):
+        run_experiment(cfg)
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_compare_single_replication_reports_zero_stderr(tmp_path):
     cfg = compare_config(tmp_path)
     cfg["risk"]["replications"] = 1

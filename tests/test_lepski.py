@@ -8,7 +8,6 @@ from roblp.kernels import lambda_min, moment_matrix, uniform_kernel
 from roblp.basis import multi_index_set
 from roblp.lepski import (
     BandwidthGrid,
-    SelectionConfig,
     bandwidth_grid,
     holder_floor,
     minimax_bandwidth,
@@ -108,11 +107,27 @@ def test_threshold_constant_rejects_square_contrast():
 
 
 def test_selection_config_threshold():
-    cfg = selection_config(huber(1.0), uniform_kernel(1), 1, c=0.5, r=2.0)
-    assert cfg.n_b == 2
-    assert cfg.lam == pytest.approx(1 / 12)
+    # n_b = 2 basis functions, lambda = 1/12 for the uniform kernel at degree 1
+    threshold = selection_config(huber(1.0), uniform_kernel(1), 1, c=0.5, r=2.0)
     expected = (4 * 2 / (0.5 * (1 / 12))) * (1 + 2 * 1.0 * 1.0 * math.sqrt(2.0))
-    assert cfg.threshold(1) == pytest.approx(expected, rel=1e-14)
+    assert isinstance(threshold, float)
+    assert threshold == pytest.approx(expected, rel=1e-14)
+
+
+def test_selection_config_uses_the_kernel_dimension():
+    s = multi_index_set(1, 2)
+    lam = lambda_min(moment_matrix(uniform_kernel(2), s))
+    k_sup = uniform_kernel(2).sup_norm
+    threshold = selection_config(huber(2.0), uniform_kernel(2), 1, c=0.5, r=3.0)
+    assert threshold == threshold_constant(s.size, 0.5, lam, k_sup, 2.0, 3.0, 2)
+
+
+@pytest.mark.parametrize(
+    "c, r", [(0.0, 2.0), (-0.5, 2.0), (math.nan, 2.0), (math.inf, 2.0), (0.5, 0.5), (0.5, math.inf)]
+)
+def test_selection_config_rejects_bad_inputs(c, r):
+    with pytest.raises(ValueError):
+        selection_config(huber(1.0), uniform_kernel(1), 1, c=c, r=r)
 
 
 def test_select_index_rule_walkthrough():
@@ -163,26 +178,25 @@ def _selection_inputs(n=240, seed=1, constant=None):
         kernel=uniform_kernel(1),
         contrast=huber(1.0),
     )
-    selection = selection_config(huber(1.0), uniform_kernel(1), 1, c=0.4, r=2.0)
-    return data, grid, template, selection
+    threshold = selection_config(huber(1.0), uniform_kernel(1), 1, c=0.4, r=2.0)
+    return data, grid, template, threshold
 
 
 def test_select_bandwidth_constant_data_picks_largest():
-    data, grid, template, selection = _selection_inputs(constant=0.7)
-    trace = select_bandwidth(data, (0.5,), grid, template, selection)
+    data, grid, template, threshold = _selection_inputs(constant=0.7)
+    trace = select_bandwidth(data, grid, template, threshold)
     assert trace.chosen_k == 0
     assert trace.selected == pytest.approx(0.7, abs=1e-7)
     assert trace.selected_bandwidth == grid.h_max
 
 
 def test_select_bandwidth_trace_replays():
-    data, grid, template, selection = _selection_inputs()
-    trace = select_bandwidth(data, (0.5,), grid, template, selection)
+    data, grid, template, threshold = _selection_inputs()
+    trace = select_bandwidth(data, grid, template, threshold)
     assert len(trace.estimates) == grid.k_n + 1
     assert trace.selected == trace.estimates[trace.chosen_k][2]
     # replay the rule from the recorded estimates and thresholds
-    c_thresh = selection.threshold(1)
-    thresholds = [c_thresh * threshold_scale(l, grid) for l in range(grid.k_n + 1)]
+    thresholds = [threshold * threshold_scale(l, grid) for l in range(grid.k_n + 1)]
     chosen, _ = select_index([e for _, _, e in trace.estimates], thresholds)
     assert chosen == trace.chosen_k
     for chk in trace.pairwise_checks:
@@ -193,14 +207,9 @@ def test_select_bandwidth_trace_replays():
 
 
 def test_select_bandwidth_deterministic():
-    a = select_bandwidth(*_unpack(_selection_inputs()))
-    b = select_bandwidth(*_unpack(_selection_inputs()))
+    a = select_bandwidth(*_selection_inputs())
+    b = select_bandwidth(*_selection_inputs())
     assert a == b
-
-
-def _unpack(inputs):
-    data, grid, template, selection = inputs
-    return data, (0.5,), grid, template, selection
 
 
 def test_select_bandwidth_single_level_grid():
@@ -218,8 +227,8 @@ def test_select_bandwidth_single_level_grid():
         kernel=uniform_kernel(1),
         contrast=huber(1.0),
     )
-    selection = selection_config(huber(1.0), uniform_kernel(1), 1, c=0.4)
-    trace = select_bandwidth(data, (0.5,), grid, template, selection)
+    threshold = selection_config(huber(1.0), uniform_kernel(1), 1, c=0.4)
+    trace = select_bandwidth(data, grid, template, threshold)
     assert trace.chosen_k == 0
     assert trace.pairwise_checks == ()
 
@@ -234,15 +243,15 @@ def _clustered_selection_inputs(gap_low, gap_high, n=4096, degree=3):
     data = Dataset(x=xs[:, None], y=rng.normal(size=n))
     grid = bandwidth_grid(n, 1, degree)
     template = LocalFitConfig(
-        x0=(0.0,),
+        x0=(0.5,),
         h=1.0,
         degree=degree,
         bound=8.0,
         kernel=uniform_kernel(1),
         contrast=huber(1.0),
     )
-    selection = selection_config(huber(1.0), uniform_kernel(1), degree, c=0.4, r=2.0)
-    return data, grid, template, selection
+    threshold = selection_config(huber(1.0), uniform_kernel(1), degree, c=0.4, r=2.0)
+    return data, grid, template, threshold
 
 
 @pytest.mark.parametrize(
@@ -253,9 +262,9 @@ def _clustered_selection_inputs(gap_low, gap_high, n=4096, degree=3):
     ],
 )
 def test_select_bandwidth_empty_window_names_grid_index(gap_low, gap_high, empty_k):
-    data, grid, template, selection = _clustered_selection_inputs(gap_low, gap_high)
+    data, grid, template, threshold = _clustered_selection_inputs(gap_low, gap_high)
     with pytest.raises(EmptyNeighborhoodError, match=f"grid index k={empty_k}") as exc:
-        select_bandwidth(data, 0.5, grid, template, selection)
+        select_bandwidth(data, grid, template, threshold)
     assert exc.value.grid_index == empty_k
     assert exc.value.x0 == (0.5,)
     assert exc.value.h == grid.bandwidths[empty_k]
