@@ -25,6 +25,7 @@ import sys
 from pathlib import Path
 
 from .experiments import (
+    CONFIG_SCHEMA,
     ConfigError,
     _estimator,
     _noise_model,
@@ -33,8 +34,17 @@ from .experiments import (
     load_config,
     run_experiment,
 )
-from .local_fit import Dataset, fit_local
+from .local_fit import Dataset, EmptyNeighborhoodError, fit_local
 from .simulate import gen_data
+
+
+def _load_data(path) -> Dataset:
+    """The dataset CSV at ``path``; a missing or invalid file exits with a
+    message naming it."""
+    try:
+        return Dataset.from_csv(path)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(str(exc))
 
 
 def _load_estimator(args, data: Dataset, kind: str, **flags):
@@ -49,15 +59,12 @@ def _load_estimator(args, data: Dataset, kind: str, **flags):
     with open(args.config) as fh:
         settings = json.load(fh)
     noise = settings.pop("noise", None)
-    try:
-        model = None if noise is None else _noise_model(noise)
-        return _estimator({**settings, "kind": kind, "x0": args.x0, **flags}, model)
-    except ConfigError as exc:
-        raise SystemExit(str(exc))
+    model = None if noise is None else _noise_model(noise)
+    return _estimator({**settings, "kind": kind, "x0": args.x0, **flags}, model)
 
 
 def _cmd_fit(args) -> int:
-    data = Dataset.from_csv(args.data)
+    data = _load_data(args.data)
     estimator = _load_estimator(args, data, "fixed", h=args.h)
     cfg = estimator.fit_config(args.x0, data.n)
     result = fit_local(data, cfg)
@@ -77,7 +84,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_adapt(args) -> int:
-    data = Dataset.from_csv(args.data)
+    data = _load_data(args.data)
     trace = _load_estimator(args, data, "adaptive").selection_trace(data, args.x0)
 
     print(f"chosen k: {trace.chosen_k}")
@@ -95,7 +102,7 @@ def _cmd_adapt(args) -> int:
 
 
 # The top level of a ``simulate`` config; its function and noise sections
-# are checked as in experiment configs.
+# are checked as in experiment configs, and n and seed as there.
 _SIMULATE_SCHEMA = {
     "type": "object",
     "required": ["function", "noise", "n", "seed", "output"],
@@ -103,8 +110,8 @@ _SIMULATE_SCHEMA = {
     "properties": {
         "function": {"type": "object"},
         "noise": {"type": "object"},
-        "n": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
+        "n": CONFIG_SCHEMA["properties"]["grid"]["properties"]["n"],
+        "seed": CONFIG_SCHEMA["properties"]["seed"],
         "output": {"type": "string"},
     },
 }
@@ -113,12 +120,9 @@ _SIMULATE_SCHEMA = {
 def _cmd_simulate(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
-    try:
-        _validate(cfg, _SIMULATE_SCHEMA)
-        f = _test_function(cfg["function"])
-        model = _noise_model(cfg["noise"])
-    except ConfigError as exc:
-        raise SystemExit(str(exc))
+    _validate(cfg, _SIMULATE_SCHEMA)
+    f = _test_function(cfg["function"])
+    model = _noise_model(cfg["noise"])
     data = gen_data(f, model, cfg["n"], f.d, cfg["seed"])
     out = Path(cfg["output"])
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -138,10 +142,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        raise SystemExit(str(exc))
+    cfg = load_config(args.config)
     if cfg["experiment"] != args.experiment:
         raise SystemExit(
             f"config is for experiment {cfg['experiment']!r}, not {args.experiment!r}"
@@ -152,10 +153,7 @@ def _cmd_experiment(args) -> int:
             raise SystemExit(f"ROBLP_WORKERS must be a positive integer, got {workers!r}")
         if "risk" in cfg and "workers" not in cfg["risk"]:
             cfg["risk"]["workers"] = int(workers)
-    try:
-        result = run_experiment(cfg, output_dir=args.output_dir)
-    except ConfigError as exc:
-        raise SystemExit(str(exc))
+    result = run_experiment(cfg, output_dir=args.output_dir)
     print(json.dumps(result["summary"], indent=2, sort_keys=True))
     print(f"wrote {result['csv']}")
     return 0
@@ -200,8 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a config error or an empty fitting window (its
+    message names the window, and the grid index within a selection)
+    exits with its message."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, EmptyNeighborhoodError) as exc:
+        raise SystemExit(str(exc))
 
 
 if __name__ == "__main__":

@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 
+CONTRAST_KINDS = ("huber", "square", "absolute")
+
+
 @dataclass(frozen=True)
 class ContrastSpec:
     """A contrast function with its derivatives and constants.
@@ -41,7 +44,7 @@ class ContrastSpec:
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("huber", "square", "absolute"):
+        if self.kind not in CONTRAST_KINDS:
             raise ValueError(f"unknown contrast kind {self.kind!r}")
         if self.kind == "huber":
             if self.gamma is None or self.gamma <= 0:

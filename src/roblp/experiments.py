@@ -21,19 +21,24 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .contrast import ContrastSpec, curvature_constant
+from .contrast import CONTRAST_KINDS, ContrastSpec, curvature_constant
 from .harness import (
+    ESTIMATOR_FIELDS,
     Estimator,
+    _check_rate_sizes,
+    _check_replications,
     _validity_threshold,
     compare_contrasts,
     rate_fit,
     risk_curve,
     tail_check,
 )
-from .kernels import procedure_constants
+from .kernels import _AXIS_PROFILES, procedure_constants
 from .local_fit import OptimizerSettings, fit_local
 from .simulate import (
+    HETEROSCEDASTIC_KINDS,
     NOISE_FAMILIES,
+    TEST_FUNCTIONS,
     NoiseModel,
     TestFunction,
     gen_data,
@@ -41,17 +46,6 @@ from .simulate import (
 )
 
 __all__ = ["ConfigError", "load_config", "run_experiment", "CONFIG_SCHEMA"]
-
-
-# The parameters each test function takes; make_test_function reports a
-# required one that is missing.
-_NUMBER = {"type": "number"}
-_FUNCTION_PARAMETERS = {
-    "sinusoid": {"beta": _NUMBER, "amplitude": _NUMBER},
-    "cusp": {"beta": _NUMBER, "amplitude": _NUMBER, "center": _NUMBER},
-    "product_sinusoid": {"beta": _NUMBER, "amplitude": _NUMBER},
-    "constant": {"value": _NUMBER, "d": {"type": "integer", "minimum": 1}, "beta": _NUMBER},
-}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -69,7 +63,7 @@ CONFIG_SCHEMA = {
                     "if": {"required": ["name"], "properties": {"name": {"const": name}}},
                     "then": {"properties": {"name": True, **params}, "additionalProperties": False},
                 }
-                for name, params in _FUNCTION_PARAMETERS.items()
+                for name, (_, params) in TEST_FUNCTIONS.items()
             ],
         },
         "noise": {
@@ -85,7 +79,7 @@ CONFIG_SCHEMA = {
                     "required": ["kind"],
                     "additionalProperties": False,
                     "properties": {
-                        "kind": {"enum": ["constant", "alternating", "sinusoidal"]},
+                        "kind": {"enum": list(HETEROSCEDASTIC_KINDS)},
                         "factor": {"type": "number"},
                         "amplitude": {"type": "number"},
                         "period": {"type": "integer", "minimum": 1},
@@ -98,17 +92,17 @@ CONFIG_SCHEMA = {
             "required": ["kind", "contrast", "bound", "x0"],
             "additionalProperties": False,
             "properties": {
-                "kind": {"enum": ["fixed", "minimax", "adaptive"]},
+                "kind": {"enum": list(ESTIMATOR_FIELDS)},
                 "contrast": {
                     "type": "object",
                     "required": ["kind"],
                     "additionalProperties": False,
                     "properties": {
-                        "kind": {"enum": ["huber", "square", "absolute"]},
+                        "kind": {"enum": list(CONTRAST_KINDS)},
                         "gamma": {"type": "number", "exclusiveMinimum": 0},
                     },
                 },
-                "kernel": {"enum": ["uniform", "triangular", "epanechnikov"]},
+                "kernel": {"enum": list(_AXIS_PROFILES)},
                 "bound": {"type": "number", "exclusiveMinimum": 0},
                 "x0": {
                     "type": "array",
@@ -124,17 +118,13 @@ CONFIG_SCHEMA = {
                 "gradient_tolerance": {"type": "number", "exclusiveMinimum": 0},
                 "max_iterations": {"type": "integer", "minimum": 1},
             },
-            # the fields each kind reads
+            # the fields each kind reads; a null curvature is derived
             "allOf": [
                 {
                     "if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
-                    "then": {"required": list(fields)},
+                    "then": {"required": [f for f in fields if f != "curvature"]},
                 }
-                for kind, fields in (
-                    ("fixed", ("h", "degree")),
-                    ("minimax", ("beta", "lipschitz")),
-                    ("adaptive", ("degree",)),
-                )
+                for kind, fields in ESTIMATOR_FIELDS.items()
             ],
         },
         "grid": {
@@ -180,10 +170,20 @@ class ConfigError(ValueError):
     """Invalid experiment config; message lists offending field paths."""
 
 
+# Draft 2020-12, except that an "integer" is a Python int (not a bool):
+# the draft's own rule passes integral floats such as 512.0.
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)
+    ),
+)
+
+
 def _validate(instance: dict, schema: dict = CONFIG_SCHEMA, root: str = "$") -> None:
     """Raise a ConfigError listing every schema violation, each under its
     field path; ``root`` is the path of ``instance`` in the full config."""
-    validator = jsonschema.Draft202012Validator(schema)
+    validator = _Validator(schema)
     errors = sorted(validator.iter_errors(instance), key=lambda e: e.json_path)
     if errors:
         lines = [f"{root}{e.json_path[1:]}: {e.message}" for e in errors]
@@ -286,23 +286,17 @@ def _estimator(est: dict, noise: NoiseModel | None) -> Estimator:
         contrast = ContrastSpec.from_config(est["contrast"])
     except ValueError as exc:  # a threshold missing, or given to a non-Huber loss
         raise ConfigError(f"$.estimator.contrast: {exc}") from exc
-    kind = est["kind"]
-    common = dict(
-        kind=kind,
+    fields = {name: est.get(name) for name in ESTIMATOR_FIELDS[est["kind"]]}
+    if "curvature" in fields:
+        fields["curvature"] = _resolve_curvature(est, noise)
+    return Estimator(
+        kind=est["kind"],
         contrast=contrast,
         kernel_kind=est.get("kernel", "uniform"),
         bound=est["bound"],
-        optimizer=optimizer,
-    )
-    if kind == "fixed":
-        return Estimator(**common, h=est["h"], degree=est["degree"])
-    if kind == "minimax":
-        return Estimator(**common, beta=est["beta"], lipschitz=est["lipschitz"])
-    return Estimator(
-        **common,
-        degree=est["degree"],
-        curvature=_resolve_curvature(est, noise),
         risk_power=est.get("risk_power", 2.0),
+        optimizer=optimizer,
+        **fields,
     )
 
 
@@ -386,6 +380,15 @@ def _require(cfg: dict, *paths: str) -> None:
 
 
 def _run_rates(cfg, f, noise, estimator, x0):
+    # the harness limits, checked before the first replication
+    for path, check, value in (
+        ("risk.replications", _check_replications, cfg["risk"]["replications"]),
+        ("grid.n_values", _check_rate_sizes, cfg["grid"]["n_values"]),
+    ):
+        try:
+            check(value)
+        except ValueError as exc:
+            raise ConfigError(f"$.{path}: {exc}") from exc
     d = len(x0)
     r = cfg["risk"].get("power", 2.0)
     report = risk_curve(
@@ -399,7 +402,7 @@ def _run_rates(cfg, f, noise, estimator, x0):
         cfg["seed"],
         cfg["risk"].get("workers", 1),
     )
-    beta = cfg["estimator"].get("beta", cfg["function"].get("beta"))
+    beta = cfg["estimator"].get("beta", f.beta)
     target = -beta / (2.0 * beta + d)
     fit = rate_fit(report, target)
 

@@ -59,6 +59,15 @@ __all__ = [
 ]
 
 
+# The fields each estimator kind reads; the experiment schema requires
+# them too, except a curvature, which a config may derive from its noise.
+ESTIMATOR_FIELDS = {
+    "fixed": ("h", "degree"),
+    "minimax": ("beta", "lipschitz"),
+    "adaptive": ("degree", "curvature"),
+}
+
+
 @dataclass(frozen=True)
 class Estimator:
     """Descriptor of one pointwise estimator.
@@ -87,14 +96,11 @@ class Estimator:
     )
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "minimax", "adaptive"):
+        if self.kind not in ESTIMATOR_FIELDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
-        if self.kind == "fixed" and (self.h is None or self.degree is None):
-            raise ValueError("fixed estimator needs h and degree")
-        if self.kind == "minimax" and (self.beta is None or self.lipschitz is None):
-            raise ValueError("minimax estimator needs beta and lipschitz")
-        if self.kind == "adaptive" and (self.degree is None or self.curvature is None):
-            raise ValueError("adaptive estimator needs degree and curvature")
+        fields = ESTIMATOR_FIELDS[self.kind]
+        if any(getattr(self, name) is None for name in fields):
+            raise ValueError(f"{self.kind} estimator needs {' and '.join(fields)}")
 
     def bandwidth(self, n: int, d: int) -> float:
         if self.kind == "fixed":
@@ -230,6 +236,20 @@ class RiskReport:
         return tuple(p.risk for p in self.points)
 
 
+def _check_replications(replications: int) -> None:
+    """mc_risk's floor on the replication count."""
+    if replications < 30:
+        raise ValueError(f"need at least 30 replications, got {replications}")
+
+
+def _check_rate_sizes(n_grid) -> None:
+    """rate_fit's demands on the sample sizes of a risk curve."""
+    if len(n_grid) < 4:
+        raise ValueError("need at least 4 sample sizes for a rate fit")
+    if max(n_grid) / min(n_grid) < 4.0:
+        raise ValueError("sample sizes must span at least two dyadic octaves")
+
+
 def mc_risk(
     estimator: Estimator,
     f: TestFunction,
@@ -244,8 +264,7 @@ def mc_risk(
     """Monte Carlo estimate of E|f_hat(x0) - f(x0)|^r with its standard
     error.  Replications with empty windows are excluded and counted;
     more than 1% of them aborts the run."""
-    if replications < 30:
-        raise ValueError(f"need at least 30 replications, got {replications}")
+    _check_replications(replications)
     errs = _replication_errors(estimator, f, x0, model, n, replications, seed, workers)
     ok, failed = _valid_errors(errs, n)
     risk, stderr = _risk(ok, r)
@@ -289,12 +308,8 @@ class RateFit:
 def rate_fit(report: RiskReport, target: float) -> RateFit:
     """Regress (1/r) log risk on log n and compare against the
     theoretical exponent (e.g. -beta/(2 beta + d))."""
-    if len(report.points) < 4:
-        raise ValueError("need at least 4 sample sizes for a rate fit")
-    ns = np.asarray(report.n_grid, dtype=float)
-    if ns.max() / ns.min() < 4.0:
-        raise ValueError("sample sizes must span at least two dyadic octaves")
-    x = np.log(ns)
+    _check_rate_sizes(report.n_grid)
+    x = np.log(np.asarray(report.n_grid, dtype=float))
     y = np.log(np.asarray(report.risks)) / report.r
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)

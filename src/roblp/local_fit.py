@@ -80,7 +80,8 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
-        """Read a dataset CSV with header x_1,...,x_d,y."""
+        """Read a dataset CSV with header x_1,...,x_d,y; invalid contents
+        are a ValueError naming the file."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -93,11 +94,14 @@ class Dataset:
                     f"{path}: header must be {','.join(expected) if d >= 1 else 'x_1,...,y'},"
                     f" got {','.join(header)}"
                 )
-            rows = [[float(v) for v in row] for row in reader if row]
+            rows = [row for row in reader if row]
         if not rows:
             raise ValueError(f"{path}: no data rows")
-        arr = np.asarray(rows, dtype=float)
-        return cls(x=arr[:, :d], y=arr[:, d])
+        try:
+            arr = np.asarray([[float(v) for v in row] for row in rows], dtype=float)
+            return cls(x=arr[:, :d], y=arr[:, d])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

@@ -12,6 +12,7 @@ draw exactly.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -133,6 +134,9 @@ NOISE_FAMILIES = {
 # ---------------------------------------------------------------------------
 # Heteroscedastic scale rules
 # ---------------------------------------------------------------------------
+HETEROSCEDASTIC_KINDS = ("constant", "alternating", "sinusoidal")
+
+
 @dataclass(frozen=True)
 class HeteroscedasticRule:
     """Per-observation scale multipliers: constant, alternating between 1
@@ -144,7 +148,7 @@ class HeteroscedasticRule:
     period: int = 16
 
     def __post_init__(self):
-        if self.kind not in ("constant", "alternating", "sinusoidal"):
+        if self.kind not in HETEROSCEDASTIC_KINDS:
             raise ValueError(f"unknown heteroscedastic rule {self.kind!r}")
         if self.kind == "alternating" and self.factor < 1.0:
             raise ValueError("alternating factor must be >= 1")
@@ -463,24 +467,33 @@ def function_library() -> list[TestFunction]:
     ]
 
 
+_NUMBER = {"type": "number"}
+
+# Config name -> (factory, JSON Schema of each of its keyword parameters).
+# Defaults live in the factory signatures; the experiment schema and
+# make_test_function both read this table.
+TEST_FUNCTIONS = {
+    "sinusoid": (sinusoid, {"beta": _NUMBER, "amplitude": _NUMBER}),
+    "cusp": (cusp, {"beta": _NUMBER, "amplitude": _NUMBER, "center": _NUMBER}),
+    "product_sinusoid": (product_sinusoid, {"beta": _NUMBER, "amplitude": _NUMBER}),
+    "constant": (
+        constant_function,
+        {"value": _NUMBER, "d": {"type": "integer", "minimum": 1}, "beta": _NUMBER},
+    ),
+}
+
+
 def make_test_function(cfg: dict) -> TestFunction:
-    """Build a test function from its config dict {'name': ..., params}."""
+    """Build a test function from its config dict {'name': ..., params};
+    a missing required parameter is a KeyError naming it."""
     name = cfg["name"]
-    if name == "sinusoid":
-        return sinusoid(beta=cfg["beta"], amplitude=cfg.get("amplitude", 1.0))
-    if name == "cusp":
-        return cusp(
-            beta=cfg["beta"],
-            amplitude=cfg.get("amplitude", 1.0),
-            center=cfg.get("center", 0.5),
-        )
-    if name == "product_sinusoid":
-        return product_sinusoid(beta=cfg["beta"], amplitude=cfg.get("amplitude", 1.0))
-    if name == "constant":
-        return constant_function(
-            cfg["value"], d=cfg.get("d", 1), beta=cfg.get("beta", 1.0)
-        )
-    raise ValueError(f"unknown test function {name!r}")
+    if name not in TEST_FUNCTIONS:
+        raise ValueError(f"unknown test function {name!r}")
+    factory, params = TEST_FUNCTIONS[name]
+    for p in inspect.signature(factory).parameters.values():
+        if p.default is p.empty and p.name not in cfg:
+            raise KeyError(p.name)
+    return factory(**{k: cfg[k] for k in params if k in cfg})
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from roblp import experiments
 from roblp.cli import main
 from roblp.contrast import huber
 from roblp.harness import Estimator
@@ -428,4 +430,91 @@ def test_cli_simulate_takes_the_dimension_from_the_function(tmp_path):
 def test_cli_x0_must_match_the_data_dimension(dataset_csv, estimator_json, command):
     argv = command + ["--data", str(dataset_csv), "--x0", "0.25", "0.3", "--config", str(estimator_json)]
     with pytest.raises(SystemExit, match=r"--x0: 2 coordinates, but .*data\.csv has dimension 1"):
+        main(argv)
+
+
+@pytest.mark.parametrize(
+    "command, path, value",
+    [
+        ("tails", ("grid", "n"), 256.0),
+        ("tails", ("seed",), 4.0),
+        ("tails", ("risk", "replications"), 100.0),
+        ("tails", ("risk", "workers"), 2.0),
+        ("tails", ("estimator", "degree"), 1.0),
+        ("simulate", ("n",), 100.0),
+    ],
+    ids=["grid.n", "seed", "replications", "workers", "degree", "simulate-n"],
+)
+def test_integral_floats_are_not_integers(tmp_path, command, path, value):
+    if command == "simulate":
+        cfg = {
+            "function": SINUSOID,
+            "noise": GAUSSIAN,
+            "n": 100,
+            "seed": 9,
+            "output": str(tmp_path / "sim" / "dataset.csv"),
+        }
+    else:
+        cfg = json.loads(Path(tails_config(tmp_path)).read_text())
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit, match=rf"\$\.{'.'.join(path)}: {value!r} is not of type 'integer'"):
+        main([command, "--config", str(config)])
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "reps, n_values, message",
+    [
+        (29, [256, 512, 1024, 2048], r"\$\.risk\.replications: need at least 30 replications, got 29"),
+        (30, [256, 512, 1024], r"\$\.grid\.n_values: need at least 4 sample sizes"),
+        (30, [256, 384, 512, 768], r"\$\.grid\.n_values: sample sizes must span at least two dyadic octaves"),
+    ],
+    ids=["replications", "sizes", "span"],
+)
+def test_cli_rates_limits_exit_before_any_replication(tmp_path, monkeypatch, reps, n_values, message):
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran")
+
+    monkeypatch.setattr(experiments, "risk_curve", no_replications)
+    cfg = json.loads(Path(tails_config(tmp_path)).read_text())
+    cfg.update(experiment="rates", grid={"n_values": n_values}, risk={"replications": reps})
+    path = tmp_path / "rates.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit, match=message):
+        main(["rates", "--config", str(path)])
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("command", [FIT, ADAPT], ids=["fit", "adapt"])
+def test_cli_data_errors_exit_naming_the_file(tmp_path, estimator_json, command):
+    outside = tmp_path / "outside.csv"
+    outside.write_text("x_1,y\n0.1,1.0\n1.2,1.0\n")
+    missing = tmp_path / "missing.csv"
+    for data, message in (
+        (outside, r"outside\.csv: design points must lie in \[0,1\]\^d"),
+        (missing, r"No such file or directory: .*missing\.csv"),
+    ):
+        argv = command + ["--data", str(data), "--x0", "0.5", "--config", str(estimator_json)]
+        with pytest.raises(SystemExit, match=message):
+            main(argv)
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["fit", "--h", "0.01"], r"^no samples in the window of side 0\.01 centered at \(0\.95,\)$"),
+        (ADAPT, r"^no samples in the window of side .* centered at \(0\.95,\) \(grid index k=0\)$"),
+    ],
+    ids=["fit", "adapt"],
+)
+def test_cli_empty_window_exits_naming_the_window(tmp_path, estimator_json, command, message):
+    data = tmp_path / "five.csv"
+    data.write_text("x_1,y\n" + "".join(f"0.{i},1.0\n" for i in range(1, 6)))
+    argv = command + ["--data", str(data), "--x0", "0.95", "--config", str(estimator_json)]
+    with pytest.raises(SystemExit, match=message):
         main(argv)

@@ -3,8 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from roblp.experiments import ConfigError, _estimator, load_config, run_experiment
+from roblp import experiments
+from roblp.contrast import CONTRAST_KINDS
+from roblp.experiments import ConfigError, _estimator, _noise_model, load_config, run_experiment
+from roblp.harness import ESTIMATOR_FIELDS
+from roblp.kernels import _AXIS_PROFILES
 from roblp.local_fit import OptimizerSettings
+from roblp.simulate import HETEROSCEDASTIC_KINDS
 
 
 def rates_config(out_dir, n_values=(256, 512, 1024, 2048), reps=40):
@@ -317,3 +322,67 @@ def test_compare_single_replication_reports_zero_stderr(tmp_path):
     assert [row["stderr"] for row in summary["rows"]] == [0.0, 0.0, 0.0]
     rows = result["csv"].read_text().splitlines()[1:]
     assert [row.split(",")[2] for row in rows] == ["0.0", "0.0", "0.0"]
+
+
+def test_rates_target_falls_back_to_the_function_smoothness(tmp_path):
+    # neither the fixed estimator nor the constant function's config names
+    # beta; the target comes from the function's declared smoothness (1.0)
+    cfg = rates_config(tmp_path, reps=30)
+    cfg["function"] = {"name": "constant", "value": 0.5}
+    cfg["estimator"] = compare_config(tmp_path)["estimator"]
+    summary = json.loads(run_experiment(cfg)["json"].read_text())
+    assert summary["rate_fit"]["target"] == pytest.approx(-1.0 / 3.0)
+
+
+@pytest.mark.parametrize(
+    "reps, n_values, message",
+    [
+        (29, (256, 512, 1024, 2048), r"\$\.risk\.replications: need at least 30 replications, got 29"),
+        (30, (256, 512, 1024), r"\$\.grid\.n_values: need at least 4 sample sizes"),
+        (30, (256, 384, 512, 768), r"\$\.grid\.n_values: sample sizes must span at least two dyadic octaves"),
+    ],
+    ids=["replications", "sizes", "span"],
+)
+def test_rates_limits_are_config_errors_before_any_replication(tmp_path, monkeypatch, reps, n_values, message):
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran")
+
+    monkeypatch.setattr(experiments, "risk_curve", no_replications)
+    with pytest.raises(ConfigError, match=message):
+        run_experiment(rates_config(tmp_path, n_values=n_values, reps=reps))
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("kernel", list(_AXIS_PROFILES))
+@pytest.mark.parametrize("contrast", list(CONTRAST_KINDS))
+def test_every_kernel_and_contrast_kind_builds(kernel, contrast):
+    est = {
+        **compare_config("unused")["estimator"],
+        "kernel": kernel,
+        "contrast": {"kind": contrast, **({"gamma": 1.0} if contrast == "huber" else {})},
+    }
+    fit_cfg = _estimator(est, None).fit_config(est["x0"], 512)
+    assert (fit_cfg.kernel.kind, fit_cfg.contrast.kind) == (kernel, contrast)
+
+
+@pytest.mark.parametrize("kind", list(ESTIMATOR_FIELDS))
+def test_every_estimator_kind_builds_with_its_fields(kind):
+    est = {
+        "kind": kind,
+        "contrast": {"kind": "huber", "gamma": 1.0},
+        "bound": 8.0,
+        "x0": [0.25],
+        "h": 0.2,
+        "degree": 1,
+        "beta": 2.0,
+        "lipschitz": 39.5,
+        "curvature": 0.3,
+    }
+    estimator = _estimator(est, None)
+    table_fields = {name for fields in ESTIMATOR_FIELDS.values() for name in fields}
+    assert {name for name in table_fields if getattr(estimator, name) is not None} == set(ESTIMATOR_FIELDS[kind])
+
+
+@pytest.mark.parametrize("rule", list(HETEROSCEDASTIC_KINDS))
+def test_every_heteroscedastic_rule_builds(rule):
+    assert _noise_model({"family": "gaussian", "heteroscedastic": {"kind": rule}}).heteroscedastic.kind == rule

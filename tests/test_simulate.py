@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from roblp.simulate import (
     NOISE_FAMILIES,
+    TEST_FUNCTIONS,
     HeteroscedasticRule,
     NoiseModel,
     certify_holder,
@@ -217,3 +219,19 @@ def test_make_test_function_roundtrip():
         np.testing.assert_allclose(back(x), f(x))
     with pytest.raises(ValueError):
         make_test_function({"name": "nope"})
+
+
+
+@pytest.mark.parametrize("name", sorted(TEST_FUNCTIONS))
+def test_test_function_table_lists_its_factory_parameters(name):
+    factory, params = TEST_FUNCTIONS[name]
+    assert list(params) == list(inspect.signature(factory).parameters)
+    built = make_test_function({"name": name, "beta": 0.5, "value": 0.5})
+    assert built.name == name
+
+
+def test_make_test_function_names_a_missing_required_parameter():
+    with pytest.raises(KeyError, match="beta"):
+        make_test_function({"name": "cusp", "amplitude": 2.0})
+    with pytest.raises(KeyError, match="value"):
+        make_test_function({"name": "constant", "beta": 2.0})
