@@ -29,6 +29,7 @@ from .experiments import (
     ConfigError,
     _estimator,
     _noise_model,
+    _read_json,
     _test_function,
     _validate,
     load_config,
@@ -56,8 +57,7 @@ def _load_estimator(args, data: Dataset, kind: str, **flags):
         raise SystemExit(
             f"--x0: {len(args.x0)} coordinates, but {args.data} has dimension {data.d}"
         )
-    with open(args.config) as fh:
-        settings = json.load(fh)
+    settings = _read_json(args.config)
     noise = settings.pop("noise", None)
     model = None if noise is None else _noise_model(noise)
     return _estimator({**settings, "kind": kind, "x0": args.x0, **flags}, model)
@@ -118,8 +118,7 @@ _SIMULATE_SCHEMA = {
 
 
 def _cmd_simulate(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    cfg = _read_json(args.config)
     _validate(cfg, _SIMULATE_SCHEMA)
     f = _test_function(cfg["function"])
     model = _noise_model(cfg["noise"])

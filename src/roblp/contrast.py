@@ -91,14 +91,16 @@ class ContrastSpec:
         z1 = z + dz
         knot = self.gamma if self.kind == "huber" else 0.0
         a, a1 = np.abs(z), np.abs(z1)
-        same_tail = (a > knot) & (a1 > knot) & (np.sign(z) == np.sign(z1))
-        inc = np.where(
-            same_tail,
-            self.derivative_bound * np.sign(z) * dz,
-            self.value(z1) - self.value(z),
-        )
+        sign = np.sign(z)
+        inc = np.asarray(self.derivative_bound * sign * dz)
+        same_piece = (a > knot) & (a1 > knot) & (sign == np.sign(z1))
         if self.kind == "huber":
-            inc = np.where((a <= knot) & (a1 <= knot), quadratic, inc)
+            inner = (a <= knot) & (a1 <= knot)
+            np.copyto(inc, quadratic, where=inner)
+            same_piece |= inner
+        crossing = ~same_piece
+        if crossing.any():
+            inc[crossing] = self.value(z1[crossing]) - self.value(z[crossing])
         return inc
 
     @property

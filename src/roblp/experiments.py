@@ -125,6 +125,13 @@ CONFIG_SCHEMA = {
                     "then": {"required": [f for f in fields if f != "curvature"]},
                 }
                 for kind, fields in ESTIMATOR_FIELDS.items()
+            ]
+            + [
+                # the adaptive bandwidth grid is built for a degree of at least 1
+                {
+                    "if": {"required": ["kind"], "properties": {"kind": {"const": "adaptive"}}},
+                    "then": {"properties": {"degree": {"minimum": 1}}},
+                }
             ],
         },
         "grid": {
@@ -190,12 +197,23 @@ def _validate(instance: dict, schema: dict = CONFIG_SCHEMA, root: str = "$") -> 
         raise ConfigError("invalid experiment config:\n  " + "\n  ".join(lines))
 
 
+def _read_json(path) -> dict:
+    """The JSON document in the file at ``path``; a file that cannot be
+    read or parsed is a ConfigError naming it."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def load_config(source) -> dict:
     """Load and validate a config dict, a config file, or a manifest file
     (its embedded config is extracted)."""
     if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            cfg = json.load(fh)
+        cfg = _read_json(source)
     else:
         cfg = dict(source)
     if "config" in cfg and "experiment" not in cfg:

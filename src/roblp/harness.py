@@ -24,18 +24,21 @@ import numpy as np
 from .contrast import ContrastSpec, huber, square
 from .kernels import KernelSpec, ProcedureConstants
 from .lepski import (
+    BandwidthGrid,
     SelectionTrace,
     bandwidth_grid,
     holder_floor,
     minimax_bandwidth,
+    _select_estimates,
     select_bandwidth,
     selection_config,
 )
 from .local_fit import (
     Dataset,
-    EmptyNeighborhoodError,
     LocalFitConfig,
     OptimizerSettings,
+    _fit_problems,
+    _LocalProblem,
     fit_local,
 )
 from .simulate import NoiseModel, TestFunction, gen_data
@@ -129,19 +132,26 @@ class Estimator:
         x0 = tuple(float(v) for v in np.atleast_1d(x0))
         return self._local_config(x0, self.bandwidth(n, len(x0)))
 
-    def selection_trace(self, data: Dataset, x0) -> SelectionTrace:
-        if self.kind != "adaptive":
-            raise ValueError("selection trace only defined for the adaptive kind")
-        x0 = tuple(float(v) for v in np.atleast_1d(x0))
+    def _selection_setup(
+        self, x0: tuple[float, ...], n: int
+    ) -> tuple[BandwidthGrid, LocalFitConfig, float]:
+        """The adaptive kind's bandwidth grid for n samples, its fit template
+        at x0 and the selection threshold constant C."""
         d = len(x0)
-        grid = bandwidth_grid(data.n, d, int(self.degree))
+        grid = bandwidth_grid(n, d, int(self.degree))
         template = self._local_config(x0, grid.h_max)
         threshold = self._selection.get(d)
         if threshold is None:
             threshold = self._selection[d] = selection_config(
                 self.contrast, template.kernel, template.degree, self.curvature, self.risk_power
             )
-        return select_bandwidth(data, grid, template, threshold)
+        return grid, template, threshold
+
+    def selection_trace(self, data: Dataset, x0) -> SelectionTrace:
+        if self.kind != "adaptive":
+            raise ValueError("selection trace only defined for the adaptive kind")
+        x0 = tuple(float(v) for v in np.atleast_1d(x0))
+        return select_bandwidth(data, *self._selection_setup(x0, data.n))
 
     def estimate(self, data: Dataset, x0) -> float:
         if self.kind == "adaptive":
@@ -164,29 +174,71 @@ class Estimator:
         return desc
 
 
-def _replication_error(args) -> float:
-    """|f_hat(x0) - f(x0)| for one seeded replication; NaN marks an empty
-    window (counted and excluded by the caller)."""
-    estimator, f, x0, model, n, seed, rep = args
-    d = len(np.atleast_1d(x0))
-    data = gen_data(f, model, n, d, (seed, rep))
-    try:
-        est = estimator.estimate(data, x0)
-    except EmptyNeighborhoodError:
-        return math.nan
-    return abs(est - float(f(np.atleast_1d(x0))))
+# Most replications one pool task runs.  A block's fits are solved in
+# stacks, so larger blocks spread the solver's per-iteration cost over more
+# fits.
+BLOCK_REPLICATIONS = 64
+
+
+def _block_errors(args) -> list[float]:
+    """|f_hat(x0) - f(x0)| for a contiguous block of seeded replications.
+
+    Each replication's dataset is reduced to its windows (every grid level
+    for the adaptive kind) as soon as it is drawn.  One solver call takes
+    the block's windows as they are drawn and solves them in stacks, and
+    the adaptive kind applies the selection rule per replication.  NaN
+    marks a replication with an empty window (counted and excluded by the
+    caller).
+    """
+    estimator, f, x0, model, n, seed, reps = args
+    x0 = tuple(float(v) for v in np.atleast_1d(x0))
+    if estimator.kind == "adaptive":
+        grid, template, threshold = estimator._selection_setup(x0, n)
+        configs = [dataclasses.replace(template, h=h) for h in grid.bandwidths]
+    else:
+        configs = [estimator.fit_config(x0, n)]
+    fitted = []  # per replication: whether it has windows to fit
+
+    def windows():
+        for rep in reps:
+            data = gen_data(f, model, n, len(x0), (seed, rep))
+            own = [_LocalProblem(data, cfg) for cfg in configs]
+            fitted.append(all(w.n_local for w in own))
+            if fitted[-1]:
+                yield from own
+
+    fits = iter(_fit_problems(windows()))
+    target = float(f(np.asarray(x0)))
+    errors = []
+    for ok in fitted:
+        if not ok:
+            errors.append(math.nan)
+            continue
+        estimates = [next(fits).estimate for _ in configs]
+        if estimator.kind == "adaptive":
+            est = _select_estimates(estimates, grid, threshold).selected
+        else:
+            est = estimates[0]
+        errors.append(abs(est - target))
+    return errors
 
 
 def _replication_errors(
     estimator, f, x0, model, n, replications, seed, workers: int = 1
 ) -> np.ndarray:
-    tasks = [(estimator, f, x0, model, n, seed, rep) for rep in range(replications)]
+    """Errors of replications 0..replications-1, in contiguous blocks (at
+    least one per worker); each block is one pool task."""
+    size = max(1, min(BLOCK_REPLICATIONS, -(-replications // workers)))
+    tasks = [
+        (estimator, f, x0, model, n, seed, range(start, min(start + size, replications)))
+        for start in range(0, replications, size)
+    ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            errs = list(ex.map(_replication_error, tasks, chunksize=8))
+            blocks = list(ex.map(_block_errors, tasks))
     else:
-        errs = [_replication_error(t) for t in tasks]
-    return np.asarray(errs, dtype=float)
+        blocks = [_block_errors(task) for task in tasks]
+    return np.asarray([e for block in blocks for e in block], dtype=float)
 
 
 def _valid_errors(errs: np.ndarray, n: int) -> tuple[np.ndarray, int]:

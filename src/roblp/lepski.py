@@ -26,7 +26,9 @@ from .local_fit import (
     Dataset,
     EmptyNeighborhoodError,
     LocalFitConfig,
-    fit_local,
+    _fit_problems,
+    _LocalProblem,
+    fit_local,  # noqa: F401  perfbench/tracing.py patches this lookup site
 )
 
 __all__ = [
@@ -270,17 +272,24 @@ def select_bandwidth(
 
     Each bandwidth is fitted at ``fit_template.x0`` with the template's
     settings, independently on the same data (no warm starts, so results
-    do not depend on evaluation order).  ``threshold`` is the constant C
-    from ``selection_config``.  An empty window raises
-    ``EmptyNeighborhoodError`` carrying the offending grid index.
+    do not depend on evaluation order); the levels are solved as one
+    stack.  ``threshold`` is the constant C from ``selection_config``.  An
+    empty window raises ``EmptyNeighborhoodError`` carrying the offending
+    grid index.
     """
-    estimates: list[float] = []
+    windows = []
     for k, h_k in enumerate(grid.bandwidths):
-        try:
-            estimates.append(fit_local(data, replace(fit_template, h=h_k)).estimate)
-        except EmptyNeighborhoodError as exc:
-            raise EmptyNeighborhoodError(exc.x0, exc.h, grid_index=k) from exc
+        window = _LocalProblem(data, replace(fit_template, h=h_k))
+        if not window.n_local:
+            raise EmptyNeighborhoodError(fit_template.x0, h_k, grid_index=k)
+        windows.append(window)
+    return _select_estimates([fit.estimate for fit in _fit_problems(windows)], grid, threshold)
 
+
+def _select_estimates(estimates, grid: BandwidthGrid, threshold: float) -> SelectionTrace:
+    """The selection rule on the per-level estimates of one dataset, with
+    threshold constant C = ``threshold``: the trace ``select_bandwidth``
+    returns."""
     thresholds = [threshold * threshold_scale(l, grid) for l in range(grid.k_n + 1)]
     chosen, checks = select_index(estimates, thresholds)
     return SelectionTrace(

@@ -21,11 +21,26 @@ Hessian is singular or badly conditioned (absolute loss, tiny thresholds,
 too few samples in the quadratic band), or the homotopy fails, it takes a
 Barzilai-Borwein projected gradient step instead.  The l1-ball projection
 is the classic sort-based simplex projection (Duchi et al. 2008).
+
+The solver works on a stack of windows: the Monte Carlo harness draws a
+block of replications and hands all their fits (every grid level, for the
+adaptive kind) to one solver call, which iterates them in stacks of up to
+_STACK_CHUNKS chunks; a bandwidth selection solves its grid levels as one
+stack, and ``fit_local`` is a stack of one.  Each iteration takes the
+residuals, gradients, Hessians, condition tests, Newton solves, line
+searches and stationarity gaps of all live fits at once; a fit that needs
+the homotopy or a gradient step takes it inside the same loop.  A window
+is padded with zero rows to whole chunks of _CHUNK rows, and every sum
+over its samples adds its own chunks in order, so a fit's arithmetic, and
+its result, is the same bit for bit whatever else shares its stack:
+harness results do not depend on the block size or on the worker count
+(ROBLP_WORKERS).
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,7 +96,8 @@ class Dataset:
     @classmethod
     def from_csv(cls, path) -> "Dataset":
         """Read a dataset CSV with header x_1,...,x_d,y; invalid contents
-        are a ValueError naming the file."""
+        are a ValueError naming the file, and the line of a row whose
+        field count is not the header's."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -94,7 +110,16 @@ class Dataset:
                     f"{path}: header must be {','.join(expected) if d >= 1 else 'x_1,...,y'},"
                     f" got {','.join(header)}"
                 )
-            rows = [row for row in reader if row]
+            rows = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"{path}: line {reader.line_num} has {len(row)} fields,"
+                        f" the header {len(header)}"
+                    )
+                rows.append(row)
         if not rows:
             raise ValueError(f"{path}: no data rows")
         try:
@@ -204,60 +229,93 @@ ARMIJO = 1e-4
 _CONDITION_RATIO = 1e-8
 # Relative size of a criterion change that rounds away: under half an ulp.
 _ROUNDING = 0.2 * np.finfo(float).eps
+# A fit stops once its criterion has not changed over this many steps.
+_STAGNANT_STEPS = 64
+
+
+# Rows per chunk of a window.  A window is padded with zero rows to whole
+# chunks, and each of its sums over samples adds its chunks' partial sums
+# in order: it depends on the window alone, whatever else is stacked with
+# it (see _Stack).
+_CHUNK = 64
+# Most chunks in one stack (unless one window has more): it bounds the
+# solver's working arrays.
+_STACK_CHUNKS = 64
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i . b_i for each row i, one BLAS dot product per row."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _residuals(design_t: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Residuals y - X t of each chunk, for coefficients ``t`` per chunk."""
+    return y - np.matmul(design_t.swapaxes(1, 2), t[:, :, None])[:, :, 0]
+
+
+def _chunk_gradients(design_t: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """X'psi of each chunk."""
+    return np.matmul(design_t, psi[:, :, None])[:, :, 0]
+
+
+def _sum_chunks(partial: np.ndarray, starts) -> np.ndarray:
+    """Per-chunk partial sums added over each window's chunks, in order;
+    ``starts`` holds each window's first chunk."""
+    return np.add.reduceat(partial, starts, axis=0)
 
 
 class _LocalProblem:
     """Precomputed window data: rescaled design monomials, kernel weights
-    and responses, plus the 1/(n h^d) normalization by the full size."""
+    and responses, plus the 1/(n h^d) normalization by the full size.
+
+    ``weights`` and ``y`` hold the window's samples.  The solver reads the
+    window in chunks of _CHUNK rows, padded with zero rows:
+    ``design_t`` (chunk x N_b x _CHUNK, each chunk's transposed design),
+    ``chunk_weights`` and ``chunk_y``.  ``value`` and ``gradient`` sum over
+    the chunks as the solver does, so they agree with it bit for bit.
+    """
 
     def __init__(self, data: Dataset, cfg: LocalFitConfig):
         x0 = np.asarray(cfg.x0, dtype=float)
         if data.d != cfg.d:
             raise ValueError(f"data dimension {data.d} != config dimension {cfg.d}")
         inside = np.flatnonzero((np.abs(data.x - x0) <= cfg.h / 2.0).all(axis=1))
-        self.n_local = inside.size
+        self.cfg = cfg
+        self.n_local = m = inside.size
         self.scale = 1.0 / (data.n * cfg.h**cfg.d)
         self.index_set = cfg.index_set
         self.contrast = cfg.contrast
-        if self.n_local:
+        self.chunks = -(-m // _CHUNK)
+        rows = self.chunks * _CHUNK
+        design_t = np.zeros((self.index_set.size, rows))
+        weights, y = np.zeros(rows), np.zeros(rows)
+        if m:
             z = (data.x.take(inside, axis=0) - x0) / cfg.h
-            self.design = monomial_matrix(z, self.index_set)
-            self.weights = cfg.kernel.value(z)
-            self.y = data.y.take(inside)
-        else:
-            self.design = np.zeros((0, self.index_set.size))
-            self.weights = np.zeros(0)
-            self.y = np.zeros(0)
+            design_t[:, :m] = monomial_matrix(z, self.index_set).T
+            weights[:m] = cfg.kernel.value(z)
+            y[:m] = data.y.take(inside)
+        self.design_t = np.ascontiguousarray(
+            design_t.reshape(self.index_set.size, self.chunks, _CHUNK).transpose(1, 0, 2)
+        )
+        self.chunk_weights = weights.reshape(self.chunks, _CHUNK)
+        self.chunk_y = y.reshape(self.chunks, _CHUNK)
+        self.weights = weights[:m]
+        self.y = y[:m]
+
+    def _resid(self, t: np.ndarray) -> np.ndarray:
+        return _residuals(self.design_t, self.chunk_y, t[None])
 
     def value(self, t: np.ndarray) -> float:
         if not self.n_local:
             return 0.0
-        resid = self.y - self.design @ t
-        return self.scale * float(self.weights @ self.contrast.value(resid))
+        rho = self.contrast.value(self._resid(t))
+        return self.scale * float(_sum_chunks(_rowdot(self.chunk_weights, rho), [0])[0])
 
     def gradient(self, t: np.ndarray) -> np.ndarray:
         if not self.n_local:
             return np.zeros(self.index_set.size)
-        resid = self.y - self.design @ t
-        psi = self.weights * self.contrast.first_derivative(resid)
-        return -self.scale * (self.design.T @ psi)
-
-    def increment(self, t: np.ndarray, step: np.ndarray) -> float:
-        """value(t + step) - value(t), accurate even when the step is too
-        small for the two values to differ in floating point."""
-        resid = self.y - self.design @ t
-        inc = self.contrast.increment(resid, -(self.design @ step))
-        return self.scale * float(self.weights @ inc)
-
-    def hessian(self, t: np.ndarray) -> np.ndarray | None:
-        """Generalized Hessian scale X'diag(w rho''(r))X, where rho'' is the
-        indicator of the Huber band; None when fewer samples than
-        coefficients are active, which makes it singular."""
-        resid = self.y - self.design @ t
-        w = self.weights * self.contrast.second_derivative(resid)
-        if np.count_nonzero(w) < self.index_set.size:
-            return None
-        return self.scale * ((self.design.T * w) @ self.design)
+        psi = self.chunk_weights * self.contrast.first_derivative(self._resid(t))
+        return -self.scale * _sum_chunks(_chunk_gradients(self.design_t, psi), [0])[0]
 
 
 def criterion(t, data: Dataset, cfg: LocalFitConfig) -> float:
@@ -273,20 +331,32 @@ def criterion_gradient(t, data: Dataset, cfg: LocalFitConfig) -> np.ndarray:
     return _LocalProblem(data, cfg).gradient(t)
 
 
+def _project_rows(v: np.ndarray, radius: float) -> np.ndarray:
+    """Euclidean projection of each row of ``v`` onto the l1-ball,
+    sort-based; a row inside the ball is returned unchanged."""
+    a = np.abs(v)
+    over = a.sum(axis=1) > radius
+    out = v.copy()
+    if not over.any():
+        return out
+    a = a[over]
+    u = np.sort(a, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - radius
+    hits = u * np.arange(1, u.shape[1] + 1) > css
+    rho = u.shape[1] - 1 - np.argmax(hits[:, ::-1], axis=1)  # last hit
+    tau = css[np.arange(a.shape[0]), rho] / (rho + 1.0)
+    out[over] = np.sign(v[over]) * np.maximum(a - tau[:, None], 0.0)
+    return out
+
+
 def project_l1_ball(t, radius: float) -> np.ndarray:
     """Euclidean projection onto the l1-ball, sort-based."""
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     t = np.asarray(t, dtype=float)
-    a = np.abs(t)
-    if a.sum() <= radius:
+    if np.abs(t).sum() <= radius:
         return t.copy()
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u) - radius
-    k = np.arange(1, u.size + 1)
-    rho = np.nonzero(u * k > css)[0][-1]
-    tau = css[rho] / (rho + 1.0)
-    return np.sign(t) * np.maximum(a - tau, 0.0)
+    return _project_rows(t[None], radius)[0]
 
 
 def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
@@ -400,116 +470,268 @@ def _minimize_model(hess, grad, t, radius):
     return project_l1_ball(u, radius)
 
 
-def _newton_step(problem, t, fval, grad, radius):
-    """Proximal Newton step on the Huber active set, or None where the
-    curvature is degenerate or the step fails its line search.
+def _starts(chunks: np.ndarray) -> np.ndarray:
+    """First chunk of each fit, from the fits' chunk counts."""
+    return np.concatenate(([0], np.cumsum(chunks[:-1])))
+
+
+class _Stack:
+    """The live fits of a stack of windows, and their iterates.
+
+    The chunk arrays (``design_t``, ``weights``, ``y``, ``resid``) hold the
+    windows' chunks, each window's contiguously; ``owner`` maps a chunk to
+    its fit and ``starts`` a fit to its first chunk.  Every per-chunk
+    product is one BLAS call on that chunk alone, and ``per_fit`` adds a
+    fit's chunks in order, so a fit's arithmetic does not depend on the
+    other fits.  Fits leave the stack as they stop, and the arrays shrink
+    with them.
+    """
+
+    _FITS = (
+        "index", "chunks", "scale", "t", "fval", "grad", "gap", "converged", "stopped",
+        "iterations", "stagnant", "prev_t", "prev_grad", "has_prev",
+    )
+    _CHUNKS = ("design_t", "weights", "y", "resid")
+
+    def __init__(self, problems: list[_LocalProblem]):
+        cfg = problems[0].cfg
+        self.contrast, self.radius, self.optimizer = cfg.contrast, cfg.bound, cfg.optimizer
+        self.index_set = cfg.index_set
+        size, n_b = len(problems), self.index_set.size
+        self.problems = problems
+        self.paths = [[] for _ in problems] if self.optimizer.record_objective else None
+        self.index = np.arange(size)
+        self.chunks = np.array([problem.chunks for problem in problems])
+        self._layout()
+        self.design_t = np.concatenate([problem.design_t for problem in problems])
+        self.weights = np.concatenate([problem.chunk_weights for problem in problems])
+        self.y = np.concatenate([problem.chunk_y for problem in problems])
+        t = np.zeros((size, n_b))
+        t[:, 0] = [_weighted_median(problem.y, problem.weights) for problem in problems]
+        self.scale = np.array([problem.scale for problem in problems])
+        self.t = _project_rows(t, self.radius)
+        self.stopped = np.zeros(size, dtype=bool)
+        self.iterations = np.zeros(size, dtype=int)
+        self.stagnant = np.zeros(size, dtype=int)
+        self.prev_t = np.zeros((size, n_b))
+        self.prev_grad = np.zeros((size, n_b))
+        self.has_prev = np.zeros(size, dtype=bool)
+        self.update()
+        self.fval = self.scale * self.per_fit(
+            _rowdot(self.weights, self.contrast.value(self.resid))
+        )
+        self.record(np.ones(size, dtype=bool))
+
+    def _layout(self) -> None:
+        self.owner = np.repeat(np.arange(self.chunks.size), self.chunks)
+        self.starts = _starts(self.chunks)
+
+    @property
+    def size(self) -> int:
+        return self.index.size
+
+    def per_fit(self, partial: np.ndarray, fits=None) -> np.ndarray:
+        """Sum per-chunk ``partial`` over each fit's chunks, in order; with
+        ``fits``, the partials are those of those fits' chunks only."""
+        return _sum_chunks(partial, self.starts if fits is None else _starts(self.chunks[fits]))
+
+    def update(self) -> None:
+        """Residuals, gradient and stationarity gap at the current iterates;
+        the gap is the norm of the unit-step projected gradient step."""
+        self.resid = _residuals(self.design_t, self.y, self.t[self.owner])
+        psi = self.weights * self.contrast.first_derivative(self.resid)
+        self.grad = -self.scale[:, None] * self.per_fit(_chunk_gradients(self.design_t, psi))
+        step = self.t - _project_rows(self.t - self.grad, self.radius)
+        self.gap = np.sqrt(_rowdot(step, step))
+        self.converged = self.gap <= self.optimizer.gradient_tolerance
+
+    def advance(self, cand: np.ndarray, cand_val: np.ndarray) -> None:
+        """Move each fit to its candidate.  A fit stops where it is when
+        the candidate raises its criterion (the line search stalled at
+        numerical precision) or equals its iterate (a fixed point at
+        numerical precision), and after it moves when its criterion has
+        not changed for _STAGNANT_STEPS steps (flat at float precision,
+        the tolerance unreachable)."""
+        moved = (cand_val <= self.fval) & ~(cand == self.t).all(axis=1)
+        self.stagnant = np.where(cand_val == self.fval, self.stagnant + 1, 0)
+        self.prev_t, self.prev_grad = self.t, self.grad
+        self.has_prev = self.has_prev | moved
+        self.t = np.where(moved[:, None], cand, self.t)
+        self.fval = np.where(moved, cand_val, self.fval)
+        self.iterations += moved
+        self.update()
+        self.stopped = ~moved | (self.stagnant > _STAGNANT_STEPS)
+        self.record(moved)
+
+    def record(self, moved: np.ndarray) -> None:
+        if self.paths is not None:
+            for row in moved.nonzero()[0]:
+                self.paths[self.index[row]].append(float(self.fval[row]))
+
+    def release(self, done: np.ndarray, results: list) -> None:
+        """Store the results of the fits flagged ``done`` and drop them."""
+        if not done.any():
+            return
+        t = _project_rows(self.t[done], self.radius)
+        for values, row in zip(t, done.nonzero()[0]):
+            i = self.index[row]
+            problem = self.problems[i]
+            theta = CoefficientVector(values=values, index_set=self.index_set)
+            results[i] = FitResult(
+                theta_hat=theta,
+                estimate=theta.center_value,
+                n_local=problem.n_local,
+                iterations=int(self.iterations[row]),
+                stationarity_gap=float(self.gap[row]),
+                converged=bool(self.converged[row]),
+                underdetermined=problem.n_local < self.index_set.size,
+                objective_path=tuple(self.paths[i]) if self.paths is not None else None,
+            )
+        keep = ~done
+        for name in self._CHUNKS:
+            setattr(self, name, getattr(self, name)[keep[self.owner]])
+        for name in self._FITS:
+            setattr(self, name, getattr(self, name)[keep])
+        self._layout()
+
+
+def _newton_steps(stack: _Stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Proximal Newton steps of the stack's fits on their Huber active sets.
+
+    Returns candidates and their criterion values (the iterates where no
+    step was taken) and the mask of fits that took one.  A fit takes none
+    where its curvature is degenerate, its model solve fails or its line
+    search fails; it then takes a projected gradient step.
 
     The model Hessian H = scale X'diag(w 1{|r| <= gamma})X is used when at
     least N_b samples are active and its condition number is below
     1/_CONDITION_RATIO.  The quadratic model is minimized over the ball
     exactly: by the Newton point when that lies inside it, else by the
-    homotopy of ``_minimize_model``; None when the homotopy fails.
-    Armijo backtracking along the segment keeps the iterate feasible.  It
-    compares criterion increments computed piece by piece, which stay
-    accurate where the criterion values no longer differ in floating point.
+    homotopy of ``_minimize_model``.  Armijo backtracking along the segment
+    keeps the iterate feasible.  It compares criterion increments computed
+    piece by piece, which stay accurate where the criterion values no
+    longer differ in floating point.
     """
-    hess = problem.hessian(t)
-    if hess is None:
-        return None
+    s = stack
+    cand, cand_val = s.t.copy(), s.fval.copy()
+    took = np.zeros(s.size, dtype=bool)
+    active = s.weights * s.contrast.second_derivative(s.resid)
+    newton = s.per_fit(np.count_nonzero(active, axis=1)) >= s.index_set.size
+    if not newton.any():
+        return cand, cand_val, took
+    partial = np.matmul(s.design_t * active[:, None, :], s.design_t.swapaxes(1, 2))
+    hess = s.scale[:, None, None] * s.per_fit(partial)
     eig = np.linalg.eigvalsh(hess)
-    if not eig[0] > _CONDITION_RATIO * eig[-1]:
-        return None
-    target = t - np.linalg.solve(hess, grad)
-    if np.abs(target).sum() > radius:
-        target = _minimize_model(hess, grad, t, radius)
-        if target is None:
-            return None
-    direction = target - t
-    decrease = float(grad @ direction)
+    newton &= eig[:, 0] > _CONDITION_RATIO * eig[:, -1]
+    if not newton.any():
+        return cand, cand_val, took
+    rows = newton.nonzero()[0]
+    t, grad, hess = s.t[rows], s.grad[rows], hess[rows]
+    target = t - np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+    for j in (np.abs(target).sum(axis=1) > s.radius).nonzero()[0]:
+        u = _minimize_model(hess[j], grad[j], t[j], s.radius)
+        target[j] = np.nan if u is None else u
+    direction = np.zeros_like(s.t)
+    direction[rows] = target - t
+    decrease = _rowdot(s.grad, direction)
     # Below this the criterion, and a direction along the ball's surface,
     # cannot be resolved in floating point.  A change that small leaves
     # fval + change == fval, so taking such a step keeps descent monotone.
-    resolution = _ROUNDING * abs(fval)
-    flat = abs(decrease) <= resolution
-    if not (decrease < 0 or flat):
-        return None
+    resolution = _ROUNDING * np.abs(s.fval)
+    flat = np.abs(decrease) <= resolution
+    pending = newton & ((decrease < 0) | flat)  # False after a failed model solve (NaN)
+    direction[~pending] = 0.0
+    # The design times the direction; a step scales it by a power of two,
+    # which is exact.
+    shift = np.matmul(s.design_t.swapaxes(1, 2), direction[s.owner][:, :, None])[:, :, 0]
     step = 1.0
-    while step >= 1e-18:
-        change = problem.increment(t, step * direction)
-        if change <= ARMIJO * step * decrease or (flat and change <= resolution):
-            return t + step * direction, fval + change
+    while step >= 1e-18 and pending.any():
+        fits = pending.nonzero()[0]
+        subset = fits.size < s.size
+        chunks = pending[s.owner] if subset else slice(None)
+        inc = s.contrast.increment(s.resid[chunks], -(step * shift[chunks]))
+        change = s.scale[fits] * s.per_fit(
+            _rowdot(s.weights[chunks], inc), fits if subset else None
+        )
+        ok = (change <= ARMIJO * step * decrease[fits]) | (
+            flat[fits] & (change <= resolution[fits])
+        )
+        accepted = fits[ok]
+        cand[accepted] = s.t[accepted] + step * direction[accepted]
+        cand_val[accepted] = s.fval[accepted] + change[ok]
+        took[accepted] = True
+        pending[accepted] = False
         step *= BACKTRACKING
-    return None
+    return cand, cand_val, took
+
+
+def _fit_stack(problems: list[_LocalProblem]) -> list[FitResult]:
+    """Minimize the local criteria of a stack of windows together.
+
+    Every iteration takes a proximal Newton step (``_newton_steps``) for
+    each live fit whose curvature allows one and a Barzilai-Borwein
+    projected gradient step for the others; both use monotone Armijo
+    backtracking.  A fit stops when its unit-step projected-gradient norm
+    falls below the tolerance, when ``_Stack.advance`` stops it, or at the
+    iteration cap.
+    """
+    stack = _Stack(problems)
+    results: list = [None] * len(problems)
+    for _ in range(stack.optimizer.max_iterations):
+        stack.release(stack.converged | stack.stopped, results)
+        if not stack.size:
+            break
+        cand, cand_val, took = _newton_steps(stack)
+        for row in (~took).nonzero()[0]:
+            s = stack
+            prev = (s.prev_t[row], s.prev_grad[row]) if s.has_prev[row] else (None, None)
+            cand[row], cand_val[row] = _gradient_step(
+                s.problems[s.index[row]], s.t[row], s.fval[row], s.grad[row], *prev, s.radius
+            )
+        stack.advance(cand, cand_val)
+    stack.release(np.ones(stack.size, dtype=bool), results)
+    return results
+
+
+def _fit_problems(problems: Iterable[_LocalProblem]) -> list[FitResult]:
+    """Fit every window of ``problems`` (any iterable), in order.
+
+    Consecutive windows with equal fit settings are solved together, as
+    stacks of at most _STACK_CHUNKS chunks (or one window larger on its
+    own).  Each stack is solved once it is complete, so only its windows
+    are held at a time.  An empty window raises EmptyNeighborhoodError.
+    """
+    results: list[FitResult] = []
+    stack: list[_LocalProblem] = []
+    chunks, settings = 0, None
+    for problem in problems:
+        cfg = problem.cfg
+        if not problem.n_local:
+            raise EmptyNeighborhoodError(cfg.x0, cfg.h)
+        key = (cfg.degree, cfg.d, cfg.bound, cfg.contrast, cfg.optimizer)
+        if stack and (key != settings or chunks + problem.chunks > _STACK_CHUNKS):
+            results += _fit_stack(stack)
+            stack, chunks = [], 0
+        stack.append(problem)
+        chunks += problem.chunks
+        settings = key
+    if stack:
+        results += _fit_stack(stack)
+    return results
 
 
 def fit_local(data: Dataset, cfg: LocalFitConfig) -> FitResult:
     """Minimize the local criterion over the l1-ball by proximal Newton
-    steps, with projected gradient steps where the curvature degenerates.
+    steps, with projected gradient steps where the curvature degenerates:
+    a stack of one window (see ``_fit_stack``).
 
     Starts from the kernel-weighted median of the in-window responses in
-    the constant coordinate (zeros elsewhere, projected).  Each iteration
-    takes a proximal Newton step on the Huber active set when its Hessian
-    is well conditioned, and a Barzilai-Borwein projected gradient step
-    otherwise (absolute loss, tiny thresholds, windows with fewer active
-    samples than coefficients); both use monotone Armijo backtracking.
-    Stops when the unit-step projected-gradient norm falls below the
-    tolerance or the iteration cap is hit.  Convexity of the criterion
+    the constant coordinate (zeros elsewhere, projected).  Projected
+    gradient steps cover absolute loss, tiny thresholds and windows with
+    fewer active samples than coefficients.  Convexity of the criterion
     plus compactness of the ball make any stationary point a global
     minimizer.
     """
     if data.n == 0:
         raise ValueError("dataset is empty")
-    problem = _LocalProblem(data, cfg)
-    if problem.n_local == 0:
-        raise EmptyNeighborhoodError(cfg.x0, cfg.h)
-
-    opt = cfg.optimizer
-    radius = cfg.bound
-    t = np.zeros(problem.index_set.size)
-    t[0] = _weighted_median(problem.y, problem.weights)
-    t = project_l1_ball(t, radius)
-
-    fval = problem.value(t)
-    grad = problem.gradient(t)
-    path = [fval] if opt.record_objective else None
-    prev_t = prev_grad = None
-    gap = float(np.linalg.norm(t - project_l1_ball(t - grad, radius)))
-    converged = gap <= opt.gradient_tolerance
-    iterations = 0
-    stagnant = 0
-
-    for _ in range(opt.max_iterations):
-        if converged:
-            break
-        proposal = _newton_step(problem, t, fval, grad, radius)
-        if proposal is None:
-            proposal = _gradient_step(problem, t, fval, grad, prev_t, prev_grad, radius)
-        candidate, cand_val = proposal
-        if cand_val > fval:
-            break  # line search stalled at numerical precision
-        if np.array_equal(candidate, t):
-            break  # fixed point at numerical precision
-        stagnant = stagnant + 1 if cand_val == fval else 0
-        prev_t, prev_grad = t, grad
-        t, fval = candidate, cand_val
-        grad = problem.gradient(t)
-        iterations += 1
-        if path is not None:
-            path.append(fval)
-        gap = float(np.linalg.norm(t - project_l1_ball(t - grad, radius)))
-        converged = gap <= opt.gradient_tolerance
-        if stagnant > 64:
-            break  # objective flat at float precision, tolerance unreachable
-
-    t = project_l1_ball(t, radius)
-    theta = CoefficientVector(values=t, index_set=problem.index_set)
-    return FitResult(
-        theta_hat=theta,
-        estimate=theta.center_value,
-        n_local=problem.n_local,
-        iterations=iterations,
-        stationarity_gap=gap,
-        converged=converged,
-        underdetermined=problem.n_local < problem.index_set.size,
-        objective_path=tuple(path) if path is not None else None,
-    )
+    return _fit_problems([_LocalProblem(data, cfg)])[0]

@@ -495,13 +495,40 @@ def test_cli_data_errors_exit_naming_the_file(tmp_path, estimator_json, command)
     outside = tmp_path / "outside.csv"
     outside.write_text("x_1,y\n0.1,1.0\n1.2,1.0\n")
     missing = tmp_path / "missing.csv"
+    wide = tmp_path / "wide.csv"
+    wide.write_text("x_1,y\n0.4,1.0\n0.5,1,5\n0.6,1.0\n")
     for data, message in (
         (outside, r"outside\.csv: design points must lie in \[0,1\]\^d"),
         (missing, r"No such file or directory: .*missing\.csv"),
+        (wide, r"wide\.csv: line 3 has 3 fields, the header 2$"),
     ):
         argv = command + ["--data", str(data), "--x0", "0.5", "--config", str(estimator_json)]
         with pytest.raises(SystemExit, match=message):
             main(argv)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["fit", "--data", "DATA", "--x0", "0.5", "--h", "0.3"],
+        ["adapt", "--data", "DATA", "--x0", "0.5"],
+        ["simulate"],
+        ["rates"],
+        ["tails"],
+        ["compare"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_cli_missing_config_exits_naming_the_file(dataset_csv, tmp_path, command):
+    argv = [str(dataset_csv) if arg == "DATA" else arg for arg in command]
+    with pytest.raises(SystemExit, match=r"^\S*nope\.json: No such file or directory$"):
+        main(argv + ["--config", str(tmp_path / "nope.json")])
+
+
+def test_cli_adapt_degree_zero_exits_with_its_path(dataset_csv, tmp_path):
+    argv = ADAPT + ["--data", str(dataset_csv), "--x0", "0.25", "--config", write_settings(tmp_path, degree=0)]
+    with pytest.raises(SystemExit, match=r"\$\.estimator\.degree: 0 is less than the minimum of 1"):
+        main(argv)
 
 
 @pytest.mark.parametrize(

@@ -245,6 +245,27 @@ def test_kind_specific_estimator_fields_are_required(tmp_path, make_config, kind
         run_experiment(cfg)
 
 
+def test_adaptive_degree_zero_is_a_config_error(tmp_path):
+    # the bandwidth grid needs degree >= 1; a fixed fit takes degree 0
+    cfg = adapt_config(tmp_path)
+    cfg["estimator"]["degree"] = 0
+    with pytest.raises(ConfigError, match=r"\$\.estimator\.degree: 0 is less than the minimum of 1"):
+        run_experiment(cfg)
+    assert not list(tmp_path.iterdir())
+    fixed = fixed_config(tmp_path)
+    fixed["estimator"]["degree"] = 0
+    assert run_experiment(fixed)["summary"]["converged"]
+
+
+def test_unreadable_config_file_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match=r"^\S*nope\.json: No such file or directory$"):
+        run_experiment(tmp_path / "nope.json")
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"experiment": ')
+    with pytest.raises(ConfigError, match=r"^\S*broken\.json: invalid JSON: "):
+        load_config(broken)
+
+
 def test_estimator_without_curvature_or_noise_is_a_config_error():
     est = adapt_config("unused")["estimator"]
     with pytest.raises(ConfigError, match=r"\$\.estimator\.curvature"):

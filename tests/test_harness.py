@@ -21,7 +21,7 @@ from roblp.harness import (
 )
 from roblp.kernels import procedure_constants, uniform_kernel
 from roblp.basis import multi_index_set
-from roblp.local_fit import LocalFitConfig, OptimizerSettings
+from roblp.local_fit import Dataset, EmptyNeighborhoodError, LocalFitConfig, OptimizerSettings
 from roblp.simulate import NoiseModel, constant_function, gen_data, sinusoid
 
 
@@ -246,6 +246,74 @@ def test_mc_risk_parallel_matches_sequential():
     seq = mc_risk(est, f, [0.25], model, 2.0, 128, 32, seed=12, workers=1)
     par = mc_risk(est, f, [0.25], model, 2.0, 128, 32, seed=12, workers=2)
     assert par == seq
+
+
+def _replication_cases():
+    """(estimator, noise) of the minimax kind under Cauchy noise and of the
+    adaptive kind, on the sinusoid at x0 = 0.25."""
+    f = sinusoid(beta=2.0)
+    minimax = Estimator(
+        kind="minimax", contrast=huber(1.0), kernel_kind="uniform", bound=8.0, beta=2.0, lipschitz=f.lipschitz
+    )
+    adaptive = Estimator(
+        kind="adaptive", contrast=huber(1.0), kernel_kind="uniform", bound=8.0, degree=2, curvature=0.38
+    )
+    return [
+        (minimax, NoiseModel(family="cauchy", base_scale=1.0)),
+        (adaptive, NoiseModel(family="gaussian", base_scale=0.5)),
+    ]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["minimax-cauchy", "adaptive"])
+def test_replication_errors_do_not_depend_on_the_block_size(monkeypatch, case):
+    import roblp.harness as harness
+
+    est, model = _replication_cases()[case]
+    f, x0, n, reps, seed = sinusoid(beta=2.0), [0.25], 600, 23, 14
+    target = float(f(np.array(x0)))
+    single = [abs(est.estimate(gen_data(f, model, n, 1, (seed, rep)), x0) - target) for rep in range(reps)]
+    for size in (1, 7, reps):
+        monkeypatch.setattr(harness, "BLOCK_REPLICATIONS", size)
+        errs = harness._replication_errors(est, f, x0, model, n, reps, seed)
+        np.testing.assert_array_equal(errs, single)
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["minimax-cauchy", "adaptive"])
+def test_replication_errors_mark_empty_windows_nan(monkeypatch, case):
+    import roblp.harness as harness
+
+    def holed(f, model, n, d, seed):
+        # odd replications have no design point within 0.04 of x0: the
+        # minimax window and the finest grid level are empty
+        data = gen_data(f, model, n, d, seed)
+        if seed[1] % 2 == 0:
+            return data
+        x = data.x.copy()
+        near = np.abs(x[:, 0] - 0.25) <= 0.04
+        x[near, 0] += 0.1
+        return Dataset(x=x, y=data.y)
+
+    monkeypatch.setattr(harness, "gen_data", holed)
+    est, model = _replication_cases()[case]
+    f, x0, n, reps, seed = sinusoid(beta=2.0), [0.25], 600, 12, 16
+    errs = harness._replication_errors(est, f, x0, model, n, reps, seed)
+    assert np.isnan(errs[1::2]).all()
+    for rep in range(0, reps, 2):
+        data = gen_data(f, model, n, 1, (seed, rep))
+        assert errs[rep] == abs(est.estimate(data, x0) - float(f(np.array(x0))))
+    with pytest.raises(EmptyNeighborhoodError):
+        est.estimate(holed(f, model, n, 1, (seed, 1)), x0)
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["minimax-cauchy", "adaptive"])
+def test_replication_errors_parallel_match_sequential(case):
+    import roblp.harness as harness
+
+    est, model = _replication_cases()[case]
+    args = (est, sinusoid(beta=2.0), [0.25], model, 600, 40, 15)
+    np.testing.assert_array_equal(
+        harness._replication_errors(*args, workers=1), harness._replication_errors(*args, workers=2)
+    )
 
 
 def test_selection_constants_built_once_per_estimator(monkeypatch):

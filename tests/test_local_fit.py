@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from roblp.basis import monomial_matrix, multi_index_set
 from roblp.contrast import absolute, huber
 from roblp.kernels import uniform_kernel, epanechnikov_kernel
-from roblp.lepski import bandwidth_grid
+from roblp.lepski import bandwidth_grid, minimax_bandwidth
 from roblp.simulate import NoiseModel, gen_data, sinusoid
 import roblp.local_fit as local_fit
 from roblp.local_fit import (
@@ -521,3 +521,63 @@ def test_homotopy_survives_simultaneous_events():
     np.testing.assert_allclose(u, [0.0, 0.0, -0.1875, 0.3125], atol=1e-15)
     model_grad = grad + hess @ u
     assert np.linalg.norm(u - project_l1_ball(u - model_grad, 0.5)) <= 1e-14
+
+
+def _stacking_cases():
+    """(data, cfg) fits covering each solver path, each kind in a run that
+    stacks: plain Newton steps (Huber(1)), Cauchy noise at the minimax
+    bandwidth, every grid level of the adaptive kind, projected gradient
+    steps (Huber(1e-6)) and the homotopy (a ball that binds)."""
+    f = sinusoid(2.0)
+    gauss = NoiseModel(family="gaussian", base_scale=0.5)
+    cauchy = NoiseModel(family="cauchy", base_scale=1.0)
+    small = [gen_data(f, gauss, 512, 1, (31, rep)) for rep in range(9)]
+    design = [monomial_matrix((data.x - 0.25) / 0.3, multi_index_set(2, 1)) for data in small]
+    steep = [Dataset(x=data.x, y=z @ [2.0, -3.0, 1.5] + 0.1 * data.y) for data, z in zip(small, design)]
+    h = minimax_bandwidth(2.0, f.lipschitz, 2048, 1)
+    grid = bandwidth_grid(1024, 1, 2)
+    tiny = OptimizerSettings(max_iterations=200)
+    return (
+        [(data, make_cfg(x0=(0.25,), h=0.15, degree=1, bound=8.0)) for data in small]
+        + [(data, make_cfg(x0=(0.25,), h=0.2, contrast=huber(1e-6), optimizer=tiny)) for data in small]
+        + [(data, make_cfg(x0=(0.25,), h=0.3, degree=2, bound=2.0)) for data in steep]
+        + [
+            (gen_data(f, cauchy, 2048, 1, (32, rep)), make_cfg(x0=(0.25,), h=h, degree=1, bound=8.0))
+            for rep in range(9)
+        ]
+        + [
+            (data, make_cfg(x0=(0.25,), h=h_k, degree=2, bound=8.0))
+            for data in (gen_data(f, gauss, 1024, 1, (33, rep)) for rep in range(3))
+            for h_k in grid.bandwidths
+        ]
+    )
+
+
+def test_stacked_fits_are_bit_identical_to_single_fits(monkeypatch):
+    calls = {"_minimize_model": 0, "_gradient_step": 0}
+    for name in calls:
+        original = getattr(local_fit, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(local_fit, name, counting)
+    cases = _stacking_cases()
+    singles = [fit_local(data, cfg) for data, cfg in cases]
+    assert all(calls.values())  # both fallbacks ran
+    windows = [local_fit._LocalProblem(data, cfg) for data, cfg in cases]
+    for size in (1, 7, len(windows)):
+        stacked = [
+            fit
+            for start in range(0, len(windows), size)
+            for fit in local_fit._fit_problems(windows[start : start + size])
+        ]
+        assert len(stacked) == len(singles)
+        for fit, single in zip(stacked, singles):
+            assert fit.estimate == single.estimate
+            np.testing.assert_array_equal(fit.theta_hat.values, single.theta_hat.values)
+            assert (fit.iterations, fit.converged, fit.stationarity_gap) == (
+                single.iterations, single.converged, single.stationarity_gap
+            )
+
