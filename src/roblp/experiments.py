@@ -1,7 +1,10 @@
 """Config-driven experiments with reproducible outputs.
 
-An experiment is a JSON config with sections {function, noise, estimator,
-grid, risk, output}.  Running one writes a results CSV plus a JSON
+An experiment is one of the Monte Carlo studies ``rates``, ``tails`` and
+``compare``, given as a JSON config with sections {function, noise,
+estimator, grid, risk, output}; a single fit or selection trace on
+simulated data is ``roblp simulate`` followed by ``roblp fit`` or
+``roblp adapt``.  Running one writes a results CSV plus a JSON
 summary and a manifest recording the exact config, its hash, the derived
 numeric constants and library versions.  Outputs are pure functions of
 the config (seed included), so a rerun — including a rerun started from
@@ -34,14 +37,13 @@ from .harness import (
     tail_check,
 )
 from .kernels import _AXIS_PROFILES, procedure_constants
-from .local_fit import OptimizerSettings, fit_local
+from .local_fit import OptimizerSettings
 from .simulate import (
     HETEROSCEDASTIC_KINDS,
     NOISE_FAMILIES,
     TEST_FUNCTIONS,
     NoiseModel,
     TestFunction,
-    gen_data,
     make_test_function,
 )
 
@@ -52,7 +54,7 @@ CONFIG_SCHEMA = {
     "required": ["experiment", "seed", "estimator", "output"],
     "additionalProperties": False,
     "properties": {
-        "experiment": {"enum": ["fit", "adapt", "rates", "tails", "compare"]},
+        "experiment": {"enum": ["rates", "tails", "compare"]},
         "seed": {"type": "integer", "minimum": 0},
         "function": {
             "type": "object",
@@ -198,15 +200,19 @@ def _validate(instance: dict, schema: dict = CONFIG_SCHEMA, root: str = "$") -> 
 
 
 def _read_json(path) -> dict:
-    """The JSON document in the file at ``path``; a file that cannot be
-    read or parsed is a ConfigError naming it."""
+    """The JSON object in the file at ``path``; a file that cannot be
+    read or parsed, or whose top level is not an object, is a ConfigError
+    naming it."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            document = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ConfigError(f"{path}: the top level is not a JSON object")
+    return document
 
 
 def load_config(source) -> dict:
@@ -338,7 +344,8 @@ def _manifest(cfg: dict, out_dir: Path, prefix: str, extras: dict) -> Path:
 
 
 def run_experiment(source, output_dir=None) -> dict:
-    """Execute a config (or manifest) and write results.
+    """Execute a config (or manifest) of a ``rates``, ``tails`` or
+    ``compare`` experiment and write results.
 
     Every experiment builds its test function, noise model and estimator
     from the config, then writes ``<prefix>.csv``, the JSON summary
@@ -444,50 +451,6 @@ def _run_rates(cfg, f, noise, estimator, x0):
     return header, rows, summary, {}
 
 
-def _run_fit(cfg, f, noise, estimator, x0):
-    n = cfg["grid"]["n"]
-    data = gen_data(f, noise, n, len(x0), cfg["seed"])
-    fit_cfg = estimator.fit_config(x0, n)
-    result = fit_local(data, fit_cfg)
-
-    s = fit_cfg.index_set
-    header = ["position", "index", "coefficient"]
-    rows = [
-        [i, " ".join(map(str, s.indices[i])), float(v)]
-        for i, v in enumerate(result.theta_hat.values)
-    ]
-    summary = {
-        "experiment": "fit",
-        "estimator": estimator.describe(),
-        "h": fit_cfg.h,
-        "estimate": result.estimate,
-        "target": float(f(np.atleast_1d(x0))),
-        "n_local": result.n_local,
-        "iterations": result.iterations,
-        "stationarity_gap": result.stationarity_gap,
-        "converged": result.converged,
-        "underdetermined": result.underdetermined,
-    }
-    return header, rows, summary, {}
-
-
-def _run_adapt(cfg, f, noise, estimator, x0):
-    if estimator.kind != "adaptive":
-        raise ConfigError("$.estimator.kind: adapt experiment needs kind 'adaptive'")
-    data = gen_data(f, noise, cfg["grid"]["n"], len(x0), cfg["seed"])
-    trace = estimator.selection_trace(data, x0)
-
-    header = ["k", "h", "estimate", "chosen"]
-    rows = [[k, h, est, int(k == trace.chosen_k)] for k, h, est in trace.estimates]
-    summary = {
-        "experiment": "adapt",
-        "estimator": estimator.describe(),
-        "target": float(f(np.atleast_1d(x0))),
-        "trace": trace.to_dict(),
-    }
-    return header, rows, summary, {}
-
-
 def _run_tails(cfg, f, noise, estimator, x0):
     if estimator.kind == "adaptive":
         raise ConfigError("$.estimator.kind: tails experiment needs a single bandwidth")
@@ -578,8 +541,6 @@ def _run_compare(cfg, f, noise, estimator, x0):
 # experiment -> (runner, config paths it needs beyond function and noise)
 _RUNNERS = {
     "rates": (_run_rates, ("grid.n_values", "risk.replications")),
-    "fit": (_run_fit, ("grid.n",)),
-    "adapt": (_run_adapt, ("grid.n",)),
     "tails": (_run_tails, ("grid.n", "grid.epsilon_multipliers", "risk.replications")),
     "compare": (_run_compare, ("grid.n", "risk.replications")),
 }

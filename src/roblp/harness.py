@@ -29,16 +29,18 @@ from .lepski import (
     bandwidth_grid,
     holder_floor,
     minimax_bandwidth,
+    _level_configs,
     _select_estimates,
     select_bandwidth,
     selection_config,
 )
 from .local_fit import (
     Dataset,
+    EmptyNeighborhoodError,
     LocalFitConfig,
     OptimizerSettings,
     _fit_problems,
-    _LocalProblem,
+    _windows,
     fit_local,
 )
 from .simulate import NoiseModel, TestFunction, gen_data
@@ -192,9 +194,10 @@ def _block_errors(args) -> list[float]:
     """
     estimator, f, x0, model, n, seed, reps = args
     x0 = tuple(float(v) for v in np.atleast_1d(x0))
-    if estimator.kind == "adaptive":
+    adaptive = estimator.kind == "adaptive"
+    if adaptive:
         grid, template, threshold = estimator._selection_setup(x0, n)
-        configs = [dataclasses.replace(template, h=h) for h in grid.bandwidths]
+        configs = _level_configs(grid, template)
     else:
         configs = [estimator.fit_config(x0, n)]
     fitted = []  # per replication: whether it has windows to fit
@@ -202,10 +205,13 @@ def _block_errors(args) -> list[float]:
     def windows():
         for rep in reps:
             data = gen_data(f, model, n, len(x0), (seed, rep))
-            own = [_LocalProblem(data, cfg) for cfg in configs]
-            fitted.append(all(w.n_local for w in own))
-            if fitted[-1]:
-                yield from own
+            try:
+                own = _windows(data, configs, grid=adaptive)
+            except EmptyNeighborhoodError:
+                fitted.append(False)
+                continue
+            fitted.append(True)
+            yield from own
 
     fits = iter(_fit_problems(windows()))
     target = float(f(np.asarray(x0)))
@@ -215,7 +221,7 @@ def _block_errors(args) -> list[float]:
             errors.append(math.nan)
             continue
         estimates = [next(fits).estimate for _ in configs]
-        if estimator.kind == "adaptive":
+        if adaptive:
             est = _select_estimates(estimates, grid, threshold).selected
         else:
             est = estimates[0]

@@ -24,10 +24,9 @@ from .contrast import ContrastSpec
 from .kernels import KernelSpec, lambda_min, moment_matrix
 from .local_fit import (
     Dataset,
-    EmptyNeighborhoodError,
     LocalFitConfig,
     _fit_problems,
-    _LocalProblem,
+    _windows,
     fit_local,  # noqa: F401  perfbench/tracing.py patches this lookup site
 )
 
@@ -277,13 +276,13 @@ def select_bandwidth(
     empty window raises ``EmptyNeighborhoodError`` carrying the offending
     grid index.
     """
-    windows = []
-    for k, h_k in enumerate(grid.bandwidths):
-        window = _LocalProblem(data, replace(fit_template, h=h_k))
-        if not window.n_local:
-            raise EmptyNeighborhoodError(fit_template.x0, h_k, grid_index=k)
-        windows.append(window)
+    windows = _windows(data, _level_configs(grid, fit_template), grid=True)
     return _select_estimates([fit.estimate for fit in _fit_problems(windows)], grid, threshold)
+
+
+def _level_configs(grid: BandwidthGrid, template: LocalFitConfig) -> list[LocalFitConfig]:
+    """The fit config of each grid level: ``template`` at bandwidth h_k."""
+    return [replace(template, h=h_k) for h_k in grid.bandwidths]
 
 
 def _select_estimates(estimates, grid: BandwidthGrid, threshold: float) -> SelectionTrace:

@@ -140,13 +140,10 @@ class Dataset:
 class OptimizerSettings:
     """Solver settings.  ``max_iterations`` caps the outer (Newton or
     gradient) steps and ``gradient_tolerance`` bounds the stationarity
-    gap at convergence.  ``record_objective`` keeps the criterion after
-    every step, as the line search tracks it, in
-    ``FitResult.objective_path``."""
+    gap at convergence."""
 
     max_iterations: int = 20_000
     gradient_tolerance: float = 1e-8
-    record_objective: bool = False
 
     def __post_init__(self):
         if self.max_iterations <= 0:
@@ -203,7 +200,6 @@ class FitResult:
     stationarity_gap: float
     converged: bool
     underdetermined: bool
-    objective_path: tuple[float, ...] | None = None
 
 
 class EmptyNeighborhoodError(RuntimeError):
@@ -316,6 +312,21 @@ class _LocalProblem:
             return np.zeros(self.index_set.size)
         psi = self.chunk_weights * self.contrast.first_derivative(self._resid(t))
         return -self.scale * _sum_chunks(_chunk_gradients(self.design_t, psi), [0])[0]
+
+
+def _windows(
+    data: Dataset, configs: Iterable[LocalFitConfig], grid: bool = False
+) -> list[_LocalProblem]:
+    """The window of ``data`` for each fit config.  An empty one raises
+    EmptyNeighborhoodError, carrying its position as the grid index when
+    the configs are the levels of a bandwidth ``grid``."""
+    windows = []
+    for k, cfg in enumerate(configs):
+        window = _LocalProblem(data, cfg)
+        if not window.n_local:
+            raise EmptyNeighborhoodError(cfg.x0, cfg.h, grid_index=k if grid else None)
+        windows.append(window)
+    return windows
 
 
 def criterion(t, data: Dataset, cfg: LocalFitConfig) -> float:
@@ -499,7 +510,6 @@ class _Stack:
         self.index_set = cfg.index_set
         size, n_b = len(problems), self.index_set.size
         self.problems = problems
-        self.paths = [[] for _ in problems] if self.optimizer.record_objective else None
         self.index = np.arange(size)
         self.chunks = np.array([problem.chunks for problem in problems])
         self._layout()
@@ -520,7 +530,6 @@ class _Stack:
         self.fval = self.scale * self.per_fit(
             _rowdot(self.weights, self.contrast.value(self.resid))
         )
-        self.record(np.ones(size, dtype=bool))
 
     def _layout(self) -> None:
         self.owner = np.repeat(np.arange(self.chunks.size), self.chunks)
@@ -561,12 +570,6 @@ class _Stack:
         self.iterations += moved
         self.update()
         self.stopped = ~moved | (self.stagnant > _STAGNANT_STEPS)
-        self.record(moved)
-
-    def record(self, moved: np.ndarray) -> None:
-        if self.paths is not None:
-            for row in moved.nonzero()[0]:
-                self.paths[self.index[row]].append(float(self.fval[row]))
 
     def release(self, done: np.ndarray, results: list) -> None:
         """Store the results of the fits flagged ``done`` and drop them."""
@@ -585,7 +588,6 @@ class _Stack:
                 stationarity_gap=float(self.gap[row]),
                 converged=bool(self.converged[row]),
                 underdetermined=problem.n_local < self.index_set.size,
-                objective_path=tuple(self.paths[i]) if self.paths is not None else None,
             )
         keep = ~done
         for name in self._CHUNKS:
@@ -699,15 +701,14 @@ def _fit_problems(problems: Iterable[_LocalProblem]) -> list[FitResult]:
     Consecutive windows with equal fit settings are solved together, as
     stacks of at most _STACK_CHUNKS chunks (or one window larger on its
     own).  Each stack is solved once it is complete, so only its windows
-    are held at a time.  An empty window raises EmptyNeighborhoodError.
+    are held at a time.  The windows come from ``_windows``, so none is
+    empty.
     """
     results: list[FitResult] = []
     stack: list[_LocalProblem] = []
     chunks, settings = 0, None
     for problem in problems:
         cfg = problem.cfg
-        if not problem.n_local:
-            raise EmptyNeighborhoodError(cfg.x0, cfg.h)
         key = (cfg.degree, cfg.d, cfg.bound, cfg.contrast, cfg.optimizer)
         if stack and (key != settings or chunks + problem.chunks > _STACK_CHUNKS):
             results += _fit_stack(stack)
@@ -734,4 +735,4 @@ def fit_local(data: Dataset, cfg: LocalFitConfig) -> FitResult:
     """
     if data.n == 0:
         raise ValueError("dataset is empty")
-    return _fit_problems([_LocalProblem(data, cfg)])[0]
+    return _fit_problems(_windows(data, [cfg]))[0]

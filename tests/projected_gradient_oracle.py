@@ -1,5 +1,6 @@
-"""Differential oracles, kept verbatim apart from their names and the
-line-search constants, which they read from ``roblp.local_fit``:
+"""Differential oracles, kept verbatim apart from their names, the
+line-search constants, which they read from ``roblp.local_fit``, and the
+criterion path that ``FitResult`` no longer records:
 
 - the projected gradient solver that ``fit_local`` used before it took
   proximal Newton steps; tests compare the criterion values the two
@@ -52,7 +53,6 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
 
     fval = problem.value(t)
     grad = problem.gradient(t)
-    path = [fval] if opt.record_objective else None
     prev_t = prev_grad = None
     gap = float(np.linalg.norm(t - project_l1_ball(t - grad, radius)))
     converged = gap <= opt.gradient_tolerance
@@ -91,8 +91,6 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
         t, fval = candidate, cand_val
         grad = problem.gradient(t)
         iterations += 1
-        if path is not None:
-            path.append(fval)
         gap = float(np.linalg.norm(t - project_l1_ball(t - grad, radius)))
         converged = gap <= opt.gradient_tolerance
         if stagnant > 64:
@@ -108,7 +106,6 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
         stationarity_gap=gap,
         converged=converged,
         underdetermined=problem.n_local < problem.index_set.size,
-        objective_path=tuple(path) if path is not None else None,
     )
 
 

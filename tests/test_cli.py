@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -5,11 +6,13 @@ import numpy as np
 import pytest
 
 from roblp import experiments
-from roblp.cli import main
-from roblp.contrast import huber
+from roblp.cli import _cmd_experiment, build_parser, main
+from roblp.contrast import curvature_constant, huber
+from roblp.experiments import CONFIG_SCHEMA
 from roblp.harness import Estimator
+from roblp.lepski import bandwidth_grid
 from roblp.local_fit import Dataset, fit_local
-from roblp.simulate import NoiseModel, gen_data, sinusoid
+from roblp.simulate import NOISE_FAMILIES, NoiseModel, gen_data, sinusoid
 
 
 @pytest.fixture
@@ -88,16 +91,25 @@ def test_cli_adapt_derives_curvature_from_noise(dataset_csv, tmp_path, capsys):
     cfg.write_text(
         json.dumps(
             {
-                "degree": 1,
+                "degree": 2,
                 "bound": 8.0,
                 "contrast": {"kind": "huber", "gamma": 1.0},
                 "noise": {"family": "gaussian", "scale": 0.3},
             }
         )
     )
-    rc = main(["adapt", "--data", str(dataset_csv), "--x0", "0.25", "--config", str(cfg)])
+    trace_path = tmp_path / "trace.json"
+    argv = ["adapt", "--data", str(dataset_csv), "--x0", "0.25", "--config", str(cfg)]
+    rc = main(argv + ["--json", str(trace_path)])
     assert rc == 0
     assert "chosen k:" in capsys.readouterr().out
+    # the Huber curvature of the declared noise, one estimate per grid level
+    model = NoiseModel(family="gaussian", base_scale=0.3)
+    curvature = curvature_constant(NOISE_FAMILIES["gaussian"], 1.0, model.sigma_min)
+    data = Dataset.from_csv(dataset_csv)
+    trace = library_estimator("adaptive", degree=2, curvature=curvature).selection_trace(data, [0.25])
+    assert json.loads(trace_path.read_text()) == trace.to_dict()
+    assert len(trace.estimates) == bandwidth_grid(data.n, 1, 2).k_n + 1
 
 
 def test_cli_simulate(tmp_path, capsys):
@@ -149,6 +161,58 @@ def test_cli_rates(tmp_path, capsys):
     assert "rate_fit" in out
     assert (tmp_path / "out" / "r.csv").exists()
     assert (tmp_path / "out" / "r_manifest.json").exists()
+
+
+def config_subcommands():
+    """The subcommands that run an experiment config."""
+    parser = build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name for name, sub in subcommands.choices.items() if sub.get_default("func") is _cmd_experiment}
+
+
+def test_config_experiments_are_the_cli_subcommands():
+    assert set(CONFIG_SCHEMA["properties"]["experiment"]["enum"]) == config_subcommands() == {
+        "rates",
+        "tails",
+        "compare",
+    }
+
+
+@pytest.mark.parametrize("experiment", ["fit", "adapt"])
+def test_cli_rejects_single_fit_experiment_configs(tmp_path, experiment):
+    cfg = json.loads(Path(tails_config(tmp_path)).read_text())
+    cfg["experiment"] = experiment
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit, match=rf"\$\.experiment: '{experiment}' is not one of"):
+        main(["tails", "--config", str(path)])
+
+
+def test_cli_simulate_then_fit_or_adapt_is_the_fit_on_simulated_data(tmp_path, estimator_json, capsys):
+    # the dataset CSV round trip is exact, so the CLI fits the simulated data
+    out_csv = tmp_path / "sinusoid_cauchy.csv"
+    sim = {
+        "function": {"name": "sinusoid", "beta": 2.0},
+        "noise": {"family": "cauchy", "scale": 1.0},
+        "n": 2048,
+        "seed": 11,
+        "output": str(out_csv),
+    }
+    sim_path = tmp_path / "sim.json"
+    sim_path.write_text(json.dumps(sim))
+    main(["simulate", "--config", str(sim_path)])
+    capsys.readouterr()
+    data = gen_data(sinusoid(beta=2.0), NoiseModel(family="cauchy", base_scale=1.0), 2048, 1, 11)
+
+    data_args = ["--data", str(out_csv), "--x0", "0.25", "--config", str(estimator_json)]
+    main(["fit", "--h", "0.2"] + data_args)
+    fit = fit_local(data, library_estimator("fixed", h=0.2, degree=1).fit_config([0.25], data.n))
+    assert json.loads(capsys.readouterr().out)["estimate"] == fit.estimate
+
+    trace_path = tmp_path / "trace.json"
+    main(["adapt", "--json", str(trace_path)] + data_args)
+    trace = library_estimator("adaptive", degree=1, curvature=0.38).selection_trace(data, [0.25])
+    assert json.loads(trace_path.read_text()) == trace.to_dict()
 
 
 def test_cli_rejects_mismatched_experiment(tmp_path):
@@ -523,12 +587,27 @@ def test_cli_missing_config_exits_naming_the_file(dataset_csv, tmp_path, command
     argv = [str(dataset_csv) if arg == "DATA" else arg for arg in command]
     with pytest.raises(SystemExit, match=r"^\S*nope\.json: No such file or directory$"):
         main(argv + ["--config", str(tmp_path / "nope.json")])
+    # so does a config whose top level is valid JSON but not an object
+    path = tmp_path / "scalar.json"
+    for document in ([1, 2], "my config"):
+        path.write_text(json.dumps(document))
+        with pytest.raises(SystemExit, match=r"^\S*scalar\.json: the top level is not a JSON object$"):
+            main(argv + ["--config", str(path)])
 
 
 def test_cli_adapt_degree_zero_exits_with_its_path(dataset_csv, tmp_path):
     argv = ADAPT + ["--data", str(dataset_csv), "--x0", "0.25", "--config", write_settings(tmp_path, degree=0)]
     with pytest.raises(SystemExit, match=r"\$\.estimator\.degree: 0 is less than the minimum of 1"):
         main(argv)
+
+
+def test_cli_fit_at_degree_zero_converges(dataset_csv, tmp_path, capsys):
+    # only the adaptive kind needs degree >= 1
+    argv = FIT + ["--data", str(dataset_csv), "--x0", "0.25", "--config", write_settings(tmp_path, degree=0)]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["converged"]
+    assert payload["indices"] == [[0]]
 
 
 @pytest.mark.parametrize(

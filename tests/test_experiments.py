@@ -33,25 +33,19 @@ def rates_config(out_dir, n_values=(256, 512, 1024, 2048), reps=40):
     }
 
 
-def adapt_config(out_dir):
-    return {
-        "experiment": "adapt",
-        "seed": 7,
-        "function": {"name": "sinusoid", "beta": 2.0},
-        "noise": {"family": "gaussian", "scale": 0.5},
-        "estimator": {
-            "kind": "adaptive",
-            "contrast": {"kind": "huber", "gamma": 1.0},
-            "kernel": "uniform",
-            "bound": 8.0,
-            "x0": [0.25],
-            "degree": 2,
-            "curvature": None,
-            "risk_power": 2.0,
-        },
-        "grid": {"n": 1024},
-        "output": {"directory": str(out_dir), "prefix": "adapt_demo"},
+def adaptive_config(out_dir):
+    cfg = rates_config(out_dir)
+    cfg["estimator"] = {
+        "kind": "adaptive",
+        "contrast": {"kind": "huber", "gamma": 1.0},
+        "kernel": "uniform",
+        "bound": 8.0,
+        "x0": [0.25],
+        "degree": 2,
+        "curvature": None,
+        "risk_power": 2.0,
     }
+    return cfg
 
 
 def test_rates_experiment_shape(tmp_path):
@@ -76,49 +70,6 @@ def test_rates_rerun_is_byte_identical(tmp_path):
     # rerun from the manifest alone reproduces the CSV byte for byte
     third = run_experiment(first["manifest"], output_dir=tmp_path / "c")
     assert third["csv"].read_bytes() == blob1
-
-
-def test_adapt_experiment_trace(tmp_path):
-    result = run_experiment(adapt_config(tmp_path))
-    lines = result["csv"].read_text().splitlines()
-    assert lines[0] == "k,h,estimate,chosen"
-    summary = json.loads(result["json"].read_text())
-    trace = summary["trace"]
-    # one estimate row per grid level
-    from roblp.lepski import bandwidth_grid
-
-    grid = bandwidth_grid(1024, 1, 2)
-    assert len(trace["estimates"]) == grid.k_n + 1
-    assert len(lines) == 2 + grid.k_n
-    assert trace["chosen_k"] in range(grid.k_n + 1)
-    # derived curvature recorded via the selection constants path
-    assert summary["estimator"]["curvature"] > 0
-
-
-def test_fit_experiment(tmp_path):
-    cfg = {
-        "experiment": "fit",
-        "seed": 3,
-        "function": {"name": "constant", "value": 0.6},
-        "noise": {"family": "gaussian", "scale": 0.1},
-        "estimator": {
-            "kind": "fixed",
-            "contrast": {"kind": "huber", "gamma": 1.0},
-            "bound": 2.0,
-            "x0": [0.5],
-            "h": 0.3,
-            "degree": 1,
-        },
-        "grid": {"n": 512},
-        "output": {"directory": str(tmp_path), "prefix": "fit_demo"},
-    }
-    result = run_experiment(cfg)
-    summary = json.loads(result["json"].read_text())
-    assert summary["estimate"] == pytest.approx(0.6, abs=0.1)
-    assert summary["n_local"] > 0
-    lines = result["csv"].read_text().splitlines()
-    assert lines[0] == "position,index,coefficient"
-    assert len(lines) == 3  # two basis functions
 
 
 def test_tails_experiment(tmp_path):
@@ -223,18 +174,22 @@ def test_unknown_experiment_rejected(tmp_path):
         load_config(cfg)
 
 
-def fixed_config(tmp_path, experiment="fit"):
-    cfg = compare_config(tmp_path)
+@pytest.mark.parametrize("experiment", ["fit", "adapt"])
+def test_single_fit_experiments_are_rejected(tmp_path, experiment):
+    # a fit or selection trace on simulated data is `roblp simulate`
+    # followed by `roblp fit` or `roblp adapt`
+    cfg = rates_config(tmp_path)
     cfg["experiment"] = experiment
-    return cfg
+    with pytest.raises(ConfigError, match=rf"\$\.experiment: '{experiment}' is not one of"):
+        load_config(cfg)
 
 
 @pytest.mark.parametrize(
     "make_config, kind, dropped",
     [
-        (fixed_config, "fixed", "h"),
+        (compare_config, "fixed", "h"),
         (rates_config, "minimax", "beta"),
-        (adapt_config, "adaptive", "degree"),
+        (adaptive_config, "adaptive", "degree"),
     ],
 )
 def test_kind_specific_estimator_fields_are_required(tmp_path, make_config, kind, dropped):
@@ -246,15 +201,13 @@ def test_kind_specific_estimator_fields_are_required(tmp_path, make_config, kind
 
 
 def test_adaptive_degree_zero_is_a_config_error(tmp_path):
-    # the bandwidth grid needs degree >= 1; a fixed fit takes degree 0
-    cfg = adapt_config(tmp_path)
+    # the bandwidth grid needs degree >= 1 (a fixed fit at degree 0 is
+    # tested through the CLI)
+    cfg = adaptive_config(tmp_path)
     cfg["estimator"]["degree"] = 0
     with pytest.raises(ConfigError, match=r"\$\.estimator\.degree: 0 is less than the minimum of 1"):
         run_experiment(cfg)
     assert not list(tmp_path.iterdir())
-    fixed = fixed_config(tmp_path)
-    fixed["estimator"]["degree"] = 0
-    assert run_experiment(fixed)["summary"]["converged"]
 
 
 def test_unreadable_config_file_is_a_config_error(tmp_path):
@@ -267,14 +220,14 @@ def test_unreadable_config_file_is_a_config_error(tmp_path):
 
 
 def test_estimator_without_curvature_or_noise_is_a_config_error():
-    est = adapt_config("unused")["estimator"]
+    est = adaptive_config("unused")["estimator"]
     with pytest.raises(ConfigError, match=r"\$\.estimator\.curvature"):
         _estimator(est, None)
     assert _estimator({**est, "curvature": 0.3}, None).curvature == 0.3
 
 
 def test_estimator_settings_errors_carry_field_paths():
-    est = adapt_config("unused")["estimator"]
+    est = adaptive_config("unused")["estimator"]
     with pytest.raises(ConfigError, match=r"\$\.estimator\.contrast"):
         _estimator({**est, "contrast": {"kind": "huber"}, "curvature": 0.3}, None)
     with pytest.raises(ConfigError, match=r"\$\.estimator: .*'max_iteration' was unexpected"):
@@ -282,14 +235,14 @@ def test_estimator_settings_errors_carry_field_paths():
 
 
 def test_estimator_reads_optimizer_settings():
-    est = {**adapt_config("unused")["estimator"], "curvature": 0.3}
+    est = {**adaptive_config("unused")["estimator"], "curvature": 0.3}
     assert _estimator(est, None).optimizer == OptimizerSettings()
     tuned = _estimator({**est, "max_iterations": 7, "gradient_tolerance": 1e-5}, None)
     assert tuned.optimizer == OptimizerSettings(max_iterations=7, gradient_tolerance=1e-5)
 
 
 def test_x0_must_match_the_function_dimension(tmp_path):
-    cfg = adapt_config(tmp_path)
+    cfg = adaptive_config(tmp_path)
     cfg["estimator"]["x0"] = [0.25, 0.5]
     with pytest.raises(
         ConfigError, match=r"\$\.estimator\.x0: 2 coordinates, but function 'sinusoid' has dimension 1"
@@ -298,11 +251,11 @@ def test_x0_must_match_the_function_dimension(tmp_path):
 
 
 def test_function_and_noise_errors_carry_field_paths(tmp_path):
-    cfg = adapt_config(tmp_path)
+    cfg = adaptive_config(tmp_path)
     cfg["function"] = {"name": "constant"}
     with pytest.raises(ConfigError, match=r"\$\.function: 'value' is a required property of 'constant'"):
         run_experiment(cfg)
-    cfg = adapt_config(tmp_path)
+    cfg = adaptive_config(tmp_path)
     cfg["noise"]["heteroscedastic"] = {"kind": "sinusoidal", "amplitude": 1.5}
     with pytest.raises(ConfigError, match=r"\$\.noise: sinusoidal amplitude must be in \[0, 1\)"):
         run_experiment(cfg)
@@ -324,7 +277,7 @@ def test_function_and_noise_errors_carry_field_paths(tmp_path):
     ids=["typo", "type", "other-function-parameter"],
 )
 def test_function_parameters_are_checked_per_function(tmp_path, function, message):
-    cfg = adapt_config(tmp_path)
+    cfg = adaptive_config(tmp_path)
     cfg["function"] = function
     with pytest.raises(ConfigError, match=message):
         run_experiment(cfg)
