@@ -35,6 +35,7 @@ from .experiments import (
     load_config,
     run_experiment,
 )
+from .lepski import bandwidth_grid
 from .local_fit import Dataset, EmptyNeighborhoodError, fit_local
 from .simulate import gen_data
 
@@ -85,7 +86,12 @@ def _cmd_fit(args) -> int:
 
 def _cmd_adapt(args) -> int:
     data = _load_data(args.data)
-    trace = _load_estimator(args, data, "adaptive").selection_trace(data, args.x0)
+    estimator = _load_estimator(args, data, "adaptive")
+    try:
+        bandwidth_grid(data.n, data.d, estimator.degree)
+    except ValueError as exc:
+        raise SystemExit(f"--data: {args.data} is too small for the bandwidth grid: {exc}")
+    trace = estimator.selection_trace(data, args.x0)
 
     print(f"chosen k: {trace.chosen_k}")
     print(f"bandwidth: {trace.selected_bandwidth!r}")

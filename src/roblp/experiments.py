@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from .harness import (
     tail_check,
 )
 from .kernels import _AXIS_PROFILES, procedure_constants
+from .lepski import bandwidth_grid
 from .local_fit import OptimizerSettings
 from .simulate import (
     HETEROSCEDASTIC_KINDS,
@@ -303,6 +305,10 @@ def _estimator(est: dict, noise: NoiseModel | None) -> Estimator:
     an adaptive estimator derives a null curvature.
     """
     _validate(est, CONFIG_SCHEMA["properties"]["estimator"], "$.estimator")
+    # JSON's NaN passes the schema's bounds, since every comparison with it is false
+    bad = [v for v in est["x0"] if not math.isfinite(v)]
+    if bad:
+        raise ConfigError(f"$.estimator.x0: coordinate {bad[0]!r} is not finite")
     optimizer = OptimizerSettings(
         **{k: est[k] for k in ("gradient_tolerance", "max_iterations") if k in est}
     )
@@ -415,6 +421,12 @@ def _run_rates(cfg, f, noise, estimator, x0):
         except ValueError as exc:
             raise ConfigError(f"$.{path}: {exc}") from exc
     d = len(x0)
+    if estimator.kind == "adaptive":  # each n needs a non-empty bandwidth grid
+        for n in cfg["grid"]["n_values"]:
+            try:
+                bandwidth_grid(n, d, estimator.degree)
+            except ValueError as exc:
+                raise ConfigError(f"$.grid.n_values: {exc}") from exc
     r = cfg["risk"].get("power", 2.0)
     report = risk_curve(
         estimator,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,6 +239,8 @@ def _replication_errors(
         for start in range(0, replications, size)
     ]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as ex:
             blocks = list(ex.map(_block_errors, tasks))
     else:

@@ -85,25 +85,6 @@ def _grid_bounds(n: int, d: int, b: int) -> tuple[float, float]:
     return h_min, h_max
 
 
-def _minimal_admissible_n(d: int, b: int, ceiling: int = 2**62) -> int:
-    lo, hi = 3, 3
-    while hi < ceiling:
-        h_min, h_max = _grid_bounds(hi, d, b)
-        if h_min <= h_max:
-            break
-        lo, hi = hi, hi * 2
-    else:
-        raise RuntimeError("no admissible sample size found")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        h_min, h_max = _grid_bounds(mid, d, b)
-        if h_min <= h_max:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
-
-
 def bandwidth_grid(n: int, d: int, b: int) -> BandwidthGrid:
     """Grid with h_min = (ln n)^{2/d} n^{-1/d} and h_max = n^{-1/(2b+d)}."""
     if n < 3:
@@ -115,8 +96,7 @@ def bandwidth_grid(n: int, d: int, b: int) -> BandwidthGrid:
     h_min, h_max = _grid_bounds(n, d, b)
     if h_min > h_max:
         raise ValueError(
-            f"grid empty: h_min {h_min:.4g} > h_max {h_max:.4g} for n={n}, d={d}, b={b};"
-            f" minimal admissible n is {_minimal_admissible_n(d, b)}"
+            f"grid empty: h_min {h_min:.4g} > h_max {h_max:.4g} for n={n}, d={d}, b={b}"
         )
     bandwidths = []
     k = 0

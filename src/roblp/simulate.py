@@ -12,6 +12,7 @@ draw exactly.
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import math
 from dataclasses import dataclass
@@ -19,7 +20,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 from .basis import multi_index_set
 from .lepski import holder_floor
@@ -73,6 +73,9 @@ class NoiseFamily:
     density: Callable[[float], float]
     cdf: Callable[[float], float]
     _upper_quantile: Callable[[np.ndarray], np.ndarray]  # for u in [1/2, 1)
+    # Modules the quantile imports when first called.  A NoiseModel of the
+    # family imports them when built, in the parent of any worker pool.
+    quantile_modules: tuple[str, ...] = ()
 
     def quantile(self, u):
         """Inverse cdf, folded so quantile(1 - u) == -quantile(u) exactly."""
@@ -89,6 +92,12 @@ def _gauss_density(z):
 
 def _gauss_cdf(z):
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+
+def _gauss_upper_quantile(u):
+    from scipy.special import ndtri
+
+    return ndtri(u)
 
 
 def _laplace_density(z):
@@ -114,7 +123,8 @@ NOISE_FAMILIES = {
         name="gaussian",
         density=_gauss_density,
         cdf=_gauss_cdf,
-        _upper_quantile=lambda u: ndtri(u),
+        _upper_quantile=_gauss_upper_quantile,
+        quantile_modules=("scipy.special",),
     ),
     "laplace": NoiseFamily(
         name="laplace",
@@ -193,6 +203,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.family not in NOISE_FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
+        for module in NOISE_FAMILIES[self.family].quantile_modules:
+            importlib.import_module(module)
         if self.base_scale <= 0:
             raise ValueError(f"base scale must be positive, got {self.base_scale}")
         rule = self.heteroscedastic or HeteroscedasticRule()

@@ -624,3 +624,20 @@ def test_cli_empty_window_exits_naming_the_window(tmp_path, estimator_json, comm
     argv = command + ["--data", str(data), "--x0", "0.95", "--config", str(estimator_json)]
     with pytest.raises(SystemExit, match=message):
         main(argv)
+
+
+def test_cli_adapt_on_a_sample_too_small_for_the_grid_exits_with_one_line(tmp_path, estimator_json):
+    data = tmp_path / "ten.csv"
+    data.write_text("x_1,y\n" + "".join(f"0.{i}5,1.0\n" for i in range(10)))
+    argv = ADAPT + ["--data", str(data), "--x0", "0.5", "--config", str(estimator_json)]
+    message = r"^--data: \S*ten\.csv is too small for the bandwidth grid: grid empty: .* for n=10, d=1, b=1$"
+    with pytest.raises(SystemExit, match=message):
+        main(argv)
+
+
+@pytest.mark.parametrize("command", [FIT, ADAPT], ids=["fit", "adapt"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_non_finite_x0_exits_with_its_path(dataset_csv, estimator_json, command, value):
+    argv = command + ["--data", str(dataset_csv), f"--x0={value}", "--config", str(estimator_json)]
+    with pytest.raises(SystemExit, match=r"\$\.estimator\.x0"):
+        main(argv)

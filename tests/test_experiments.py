@@ -327,6 +327,33 @@ def test_rates_limits_are_config_errors_before_any_replication(tmp_path, monkeyp
     assert not list(tmp_path.rglob("*.csv"))
 
 
+def test_adaptive_rates_with_an_empty_grid_is_a_config_error_before_any_replication(tmp_path, monkeypatch):
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran")
+
+    monkeypatch.setattr(experiments, "risk_curve", no_replications)
+    cfg = adaptive_config(tmp_path)
+    cfg["estimator"]["degree"] = 1
+    cfg["grid"]["n_values"] = [100, 20, 40, 80]
+    with pytest.raises(ConfigError, match=r"^\$\.grid\.n_values: grid empty: .* for n=20, d=1, b=1$"):
+        run_experiment(cfg)
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
+def test_non_finite_x0_is_a_config_error(tmp_path, value):
+    cfg = rates_config(tmp_path)
+    cfg["estimator"]["x0"] = [value]
+    with pytest.raises(ConfigError, match=r"\$\.estimator\.x0"):
+        run_experiment(cfg)
+    # so does a config file: Python's json reads NaN and Infinity
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match=r"\$\.estimator\.x0"):
+        run_experiment(path)
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 @pytest.mark.parametrize("kernel", list(_AXIS_PROFILES))
 @pytest.mark.parametrize("contrast", list(CONTRAST_KINDS))
 def test_every_kernel_and_contrast_kind_builds(kernel, contrast):
