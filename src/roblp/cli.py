@@ -35,6 +35,7 @@ from .experiments import (
     load_config,
     run_experiment,
 )
+from .harness import TooManyFailuresError
 from .lepski import bandwidth_grid
 from .local_fit import Dataset, EmptyNeighborhoodError, fit_local
 from .simulate import gen_data
@@ -203,13 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a config error or an empty fitting window (its
-    message names the window, and the grid index within a selection)
-    exits with its message."""
+    """Run one subcommand; a config error, an empty fitting window (its
+    message names the window, and the grid index within a selection) or an
+    experiment aborted for too many empty windows exits with its message."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, EmptyNeighborhoodError) as exc:
+    except (ConfigError, EmptyNeighborhoodError, TooManyFailuresError) as exc:
         raise SystemExit(str(exc))
 
 

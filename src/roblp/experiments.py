@@ -361,7 +361,6 @@ def run_experiment(source, output_dir=None) -> dict:
     cfg = load_config(source)
     out = cfg["output"]
     out_dir = Path(output_dir) if output_dir is not None else Path(out["directory"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     prefix = out["prefix"]
     runner, required = _RUNNERS[cfg["experiment"]]
     _require(cfg, "function", "noise", *required)
@@ -373,8 +372,10 @@ def run_experiment(source, output_dir=None) -> dict:
         raise ConfigError(
             f"$.estimator.x0: {len(x0)} coordinates, but function {f.name!r} has dimension {f.d}"
         )
+    _check_bandwidths(cfg, estimator, len(x0))
     header, rows, summary, extras = runner(cfg, f, noise, estimator, x0)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{prefix}.csv"
     _write_csv(csv_path, header, rows)
     json_path = out_dir / f"{prefix}.json"
@@ -406,6 +407,28 @@ def _require(cfg: dict, *paths: str) -> None:
         ))
 
 
+def _check_bandwidths(cfg: dict, estimator: Estimator, d: int) -> None:
+    """Derive the bandwidth grid (adaptive kind) or the bandwidth of each
+    sample size of the config before the first replication.  Tails and
+    compare need a single bandwidth; an empty grid is a ConfigError under
+    the sample sizes' path and a bandwidth that is not a positive finite
+    number one under ``$.estimator``, each naming n."""
+    rates = cfg["experiment"] == "rates"
+    if estimator.kind == "adaptive" and not rates:
+        raise ConfigError(
+            f"$.estimator.kind: {cfg['experiment']} experiment needs a single bandwidth"
+        )
+    for n in cfg["grid"]["n_values"] if rates else [cfg["grid"]["n"]]:
+        try:
+            if estimator.kind == "adaptive":
+                bandwidth_grid(n, d, estimator.degree)
+            else:
+                estimator.bandwidth(n, d)
+        except ValueError as exc:
+            path = "grid.n_values" if estimator.kind == "adaptive" else "estimator"
+            raise ConfigError(f"$.{path}: {exc}") from exc
+
+
 # Each runner takes (cfg, f, noise, estimator, x0) and returns the results
 # CSV header and rows, the JSON summary and extra manifest entries.
 
@@ -421,12 +444,6 @@ def _run_rates(cfg, f, noise, estimator, x0):
         except ValueError as exc:
             raise ConfigError(f"$.{path}: {exc}") from exc
     d = len(x0)
-    if estimator.kind == "adaptive":  # each n needs a non-empty bandwidth grid
-        for n in cfg["grid"]["n_values"]:
-            try:
-                bandwidth_grid(n, d, estimator.degree)
-            except ValueError as exc:
-                raise ConfigError(f"$.grid.n_values: {exc}") from exc
     r = cfg["risk"].get("power", 2.0)
     report = risk_curve(
         estimator,
@@ -464,8 +481,6 @@ def _run_rates(cfg, f, noise, estimator, x0):
 
 
 def _run_tails(cfg, f, noise, estimator, x0):
-    if estimator.kind == "adaptive":
-        raise ConfigError("$.estimator.kind: tails experiment needs a single bandwidth")
     n = cfg["grid"]["n"]
     fit_cfg = estimator.fit_config(x0, n)
     c = _resolve_curvature(cfg["estimator"], noise)
@@ -515,8 +530,6 @@ def _run_tails(cfg, f, noise, estimator, x0):
 
 
 def _run_compare(cfg, f, noise, estimator, x0):
-    if estimator.kind == "adaptive":
-        raise ConfigError("$.estimator.kind: compare experiment needs a single bandwidth")
     if estimator.contrast.kind != "huber":
         raise ConfigError("$.estimator.contrast.kind: compare experiment needs huber")
     n = cfg["grid"]["n"]

@@ -60,6 +60,7 @@ __all__ = [
     "deviation_bound_threshold",
     "tail_check",
     "compare_contrasts",
+    "TooManyFailuresError",
 ]
 
 
@@ -248,13 +249,18 @@ def _replication_errors(
     return np.asarray([e for block in blocks for e in block], dtype=float)
 
 
+class TooManyFailuresError(RuntimeError):
+    """More than 1% of a run's replications had an empty window."""
+
+
 def _valid_errors(errs: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     """The finite errors and the count of empty-window replications (NaN);
-    more than 1% of them aborts the run."""
+    more than 1% of them aborts the run with TooManyFailuresError."""
     failed = int(np.count_nonzero(np.isnan(errs)))
     if failed > 0.01 * errs.size:
-        raise RuntimeError(
-            f"{failed}/{errs.size} replications had empty windows at n={n}"
+        raise TooManyFailuresError(
+            f"{failed}/{errs.size} replications had empty windows at n={n},"
+            " more than the 1% a run allows"
         )
     return errs[~np.isnan(errs)], failed
 

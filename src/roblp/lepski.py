@@ -55,10 +55,18 @@ def holder_floor(beta: float) -> int:
 
 def minimax_bandwidth(beta: float, lipschitz: float, n: int, d: int) -> float:
     """Bias/variance-optimal bandwidth (L^2 n)^{-1/(2 beta + d)}, clamped
-    into (0, 1]."""
+    into (0, 1]; a ValueError where it is not a positive finite number."""
     if beta <= 0 or lipschitz <= 0 or n <= 0 or d < 1:
         raise ValueError("beta, lipschitz, n must be positive and d >= 1")
-    h = (lipschitz**2 * n) ** (-1.0 / (2.0 * beta + d))
+    try:
+        h = (lipschitz**2 * n) ** (-1.0 / (2.0 * beta + d))
+    except (OverflowError, ZeroDivisionError):  # L^2 overflows or underflows to 0
+        h = math.nan
+    if not 0.0 < h < math.inf:
+        raise ValueError(
+            f"minimax bandwidth (L^2 n)^(-1/(2 beta + d)) is not a positive finite number"
+            f" for lipschitz={lipschitz!r}, n={n}, beta={beta!r}, d={d}"
+        )
     return min(h, 1.0)
 
 
@@ -256,8 +264,9 @@ def select_bandwidth(
     empty window raises ``EmptyNeighborhoodError`` carrying the offending
     grid index.
     """
-    windows = _windows(data, _level_configs(grid, fit_template), grid=True)
-    return _select_estimates([fit.estimate for fit in _fit_problems(windows)], grid, threshold)
+    # an iterator, so that no window outlives its stack's layout
+    fits = _fit_problems(iter(_windows(data, _level_configs(grid, fit_template), grid=True)))
+    return _select_estimates([fit.estimate for fit in fits], grid, threshold)
 
 
 def _level_configs(grid: BandwidthGrid, template: LocalFitConfig) -> list[LocalFitConfig]:

@@ -29,10 +29,10 @@ _STACK_CHUNKS chunks; a bandwidth selection solves its grid levels as one
 stack, and ``fit_local`` is a stack of one.  Each iteration takes the
 residuals, gradients, Hessians, condition tests, Newton solves, line
 searches and stationarity gaps of all live fits at once; a fit that needs
-the homotopy or a gradient step takes it inside the same loop.  A window
-is padded with zero rows to whole chunks of _CHUNK rows, and every sum
-over its samples adds its own chunks in order, so a fit's arithmetic, and
-its result, is the same bit for bit whatever else shares its stack:
+the homotopy or a gradient step takes it inside the same loop.  The stack
+pads each window with zero rows to whole chunks of _CHUNK rows, and every
+sum over its samples adds its own chunks in order, so a fit's arithmetic,
+and its result, is the same bit for bit whatever else shares its stack:
 harness results do not depend on the block size or on the worker count
 (ROBLP_WORKERS).
 """
@@ -249,69 +249,25 @@ def _residuals(design_t: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray
     return y - np.matmul(design_t.swapaxes(1, 2), t[:, :, None])[:, :, 0]
 
 
-def _chunk_gradients(design_t: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """X'psi of each chunk."""
-    return np.matmul(design_t, psi[:, :, None])[:, :, 0]
-
-
-def _sum_chunks(partial: np.ndarray, starts) -> np.ndarray:
-    """Per-chunk partial sums added over each window's chunks, in order;
-    ``starts`` holds each window's first chunk."""
-    return np.add.reduceat(partial, starts, axis=0)
-
-
 class _LocalProblem:
-    """Precomputed window data: rescaled design monomials, kernel weights
-    and responses, plus the 1/(n h^d) normalization by the full size.
-
-    ``weights`` and ``y`` hold the window's samples.  The solver reads the
-    window in chunks of _CHUNK rows, padded with zero rows:
-    ``design_t`` (chunk x N_b x _CHUNK, each chunk's transposed design),
-    ``chunk_weights`` and ``chunk_y``.  ``value`` and ``gradient`` sum over
-    the chunks as the solver does, so they agree with it bit for bit.
-    """
+    """One fit's window: the rescaled design monomials ``design`` (a row per
+    sample in the window), the kernel weights ``weights``, the responses
+    ``y``, their count ``n_local``, the 1/(n h^d) normalization ``scale`` by
+    the full sample size, and the fit's ``cfg``.  A ``_Stack`` lays windows
+    out for the solver."""
 
     def __init__(self, data: Dataset, cfg: LocalFitConfig):
         x0 = np.asarray(cfg.x0, dtype=float)
         if data.d != cfg.d:
             raise ValueError(f"data dimension {data.d} != config dimension {cfg.d}")
         inside = np.flatnonzero((np.abs(data.x - x0) <= cfg.h / 2.0).all(axis=1))
+        z = (data.x.take(inside, axis=0) - x0) / cfg.h
         self.cfg = cfg
-        self.n_local = m = inside.size
+        self.n_local = inside.size
         self.scale = 1.0 / (data.n * cfg.h**cfg.d)
-        self.index_set = cfg.index_set
-        self.contrast = cfg.contrast
-        self.chunks = -(-m // _CHUNK)
-        rows = self.chunks * _CHUNK
-        design_t = np.zeros((self.index_set.size, rows))
-        weights, y = np.zeros(rows), np.zeros(rows)
-        if m:
-            z = (data.x.take(inside, axis=0) - x0) / cfg.h
-            design_t[:, :m] = monomial_matrix(z, self.index_set).T
-            weights[:m] = cfg.kernel.value(z)
-            y[:m] = data.y.take(inside)
-        self.design_t = np.ascontiguousarray(
-            design_t.reshape(self.index_set.size, self.chunks, _CHUNK).transpose(1, 0, 2)
-        )
-        self.chunk_weights = weights.reshape(self.chunks, _CHUNK)
-        self.chunk_y = y.reshape(self.chunks, _CHUNK)
-        self.weights = weights[:m]
-        self.y = y[:m]
-
-    def _resid(self, t: np.ndarray) -> np.ndarray:
-        return _residuals(self.design_t, self.chunk_y, t[None])
-
-    def value(self, t: np.ndarray) -> float:
-        if not self.n_local:
-            return 0.0
-        rho = self.contrast.value(self._resid(t))
-        return self.scale * float(_sum_chunks(_rowdot(self.chunk_weights, rho), [0])[0])
-
-    def gradient(self, t: np.ndarray) -> np.ndarray:
-        if not self.n_local:
-            return np.zeros(self.index_set.size)
-        psi = self.chunk_weights * self.contrast.first_derivative(self._resid(t))
-        return -self.scale * _sum_chunks(_chunk_gradients(self.design_t, psi), [0])[0]
+        self.design = monomial_matrix(z, cfg.index_set)
+        self.weights = cfg.kernel.value(z)
+        self.y = data.y.take(inside)
 
 
 def _windows(
@@ -329,17 +285,26 @@ def _windows(
     return windows
 
 
+def _stack_at(t, data: Dataset, cfg: LocalFitConfig) -> _Stack | None:
+    """The window of ``data`` for ``cfg`` as a stack of one at coefficients
+    ``t``, or None when the window is empty."""
+    window = _LocalProblem(data, cfg)
+    if not window.n_local:
+        return None
+    return _Stack([window], np.asarray(t, dtype=float)[None])
+
+
 def criterion(t, data: Dataset, cfg: LocalFitConfig) -> float:
     """Localized contrast criterion at coefficients ``t`` (defined on all
     of R^{N_b}, not just the constraint ball)."""
-    t = np.asarray(t, dtype=float)
-    return _LocalProblem(data, cfg).value(t)
+    stack = _stack_at(t, data, cfg)
+    return 0.0 if stack is None else float(stack.fval[0])
 
 
 def criterion_gradient(t, data: Dataset, cfg: LocalFitConfig) -> np.ndarray:
     """Analytic gradient of the criterion; exact wherever rho' exists."""
-    t = np.asarray(t, dtype=float)
-    return _LocalProblem(data, cfg).gradient(t)
+    stack = _stack_at(t, data, cfg)
+    return np.zeros(cfg.index_set.size) if stack is None else stack.grad[0]
 
 
 def _project_rows(v: np.ndarray, radius: float) -> np.ndarray:
@@ -371,8 +336,6 @@ def project_l1_ball(t, radius: float) -> np.ndarray:
 
 
 def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
-    if values.size == 0:
-        return 0.0
     if weights.sum() <= 0:
         return float(np.median(values))
     order = np.argsort(values, kind="stable")
@@ -383,19 +346,22 @@ def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     return float(v[min(idx, v.size - 1)])
 
 
-def _gradient_step(problem, t, fval, grad, prev_t, prev_grad, radius):
-    """Spectral (Barzilai-Borwein) trial step, safeguarded, then monotone
-    Armijo backtracking on the projected step."""
+def _gradient_step(stack, row):
+    """Spectral (Barzilai-Borwein) trial step of the stack's fit ``row``,
+    safeguarded, then monotone Armijo backtracking on the projected step."""
+    s = stack
+    t, fval, grad = s.t[row], s.fval[row], s.grad[row]
+    fit = np.arange(s.size) == row
     step = INITIAL_STEP
-    if prev_t is not None:
-        dt = t - prev_t
-        dg = grad - prev_grad
+    if s.has_prev[row]:
+        dt = t - s.prev_t[row]
+        dg = grad - s.prev_grad[row]
         curv = float(dt @ dg)
         if curv > 0:
             step = min(max(float(dt @ dt) / curv, 1e-12), 1e12)
     while True:
-        candidate = project_l1_ball(t - step * grad, radius)
-        cand_val = problem.value(candidate)
+        candidate = project_l1_ball(t - step * grad, s.radius)
+        cand_val = s.value(candidate[None], fit)[0]
         decrease = float(grad @ (candidate - t))
         if cand_val <= fval + ARMIJO * decrease:
             break
@@ -483,43 +449,63 @@ def _minimize_model(hess, grad, t, radius):
 
 def _starts(chunks: np.ndarray) -> np.ndarray:
     """First chunk of each fit, from the fits' chunk counts."""
-    return np.concatenate(([0], np.cumsum(chunks[:-1])))
+    return chunks.cumsum() - chunks
 
 
 class _Stack:
     """The live fits of a stack of windows, and their iterates.
 
-    The chunk arrays (``design_t``, ``weights``, ``y``, ``resid``) hold the
-    windows' chunks, each window's contiguously; ``owner`` maps a chunk to
-    its fit and ``starts`` a fit to its first chunk.  Every per-chunk
-    product is one BLAS call on that chunk alone, and ``per_fit`` adds a
-    fit's chunks in order, so a fit's arithmetic does not depend on the
-    other fits.  Fits leave the stack as they stop, and the arrays shrink
-    with them.
+    The stack lays its windows out in chunks of _CHUNK rows: each window
+    fills a run of whole chunks, padded with zero rows, in one stack-wide
+    array per field (``design_t``, each chunk's transposed design,
+    ``weights``, ``y`` and ``resid``); ``owner`` maps a chunk to its fit and
+    ``starts`` a fit to its first chunk.  Every per-chunk product is one
+    BLAS call on that chunk alone, and ``per_fit`` adds a fit's chunks in
+    order, so a fit's arithmetic does not depend on the other fits.  Fits
+    leave the stack as they stop, and the arrays shrink with them.
     """
 
     _FITS = (
-        "index", "chunks", "scale", "t", "fval", "grad", "gap", "converged", "stopped",
-        "iterations", "stagnant", "prev_t", "prev_grad", "has_prev",
+        "index", "chunks", "n_local", "scale", "t", "fval", "grad", "gap", "converged",
+        "stopped", "iterations", "stagnant", "prev_t", "prev_grad", "has_prev",
     )
     _CHUNKS = ("design_t", "weights", "y", "resid")
 
-    def __init__(self, problems: list[_LocalProblem]):
-        cfg = problems[0].cfg
+    @staticmethod
+    def chunk_count(n_local):
+        """Chunks a window of ``n_local`` samples fills."""
+        return -(-n_local // _CHUNK)
+
+    def __init__(self, windows: list[_LocalProblem], t: np.ndarray | None = None):
+        """Lay out ``windows`` (none empty) and start each fit at its row of
+        ``t``, by default at the kernel-weighted median of its responses in
+        the constant coordinate (zeros elsewhere, projected)."""
+        cfg = windows[0].cfg
         self.contrast, self.radius, self.optimizer = cfg.contrast, cfg.bound, cfg.optimizer
         self.index_set = cfg.index_set
-        size, n_b = len(problems), self.index_set.size
-        self.problems = problems
+        size, n_b = len(windows), self.index_set.size
         self.index = np.arange(size)
-        self.chunks = np.array([problem.chunks for problem in problems])
+        self.n_local = np.array([window.n_local for window in windows])
+        self.chunks = self.chunk_count(self.n_local)
+        self.scale = np.array([window.scale for window in windows])
         self._layout()
-        self.design_t = np.concatenate([problem.design_t for problem in problems])
-        self.weights = np.concatenate([problem.chunk_weights for problem in problems])
-        self.y = np.concatenate([problem.chunk_y for problem in problems])
-        t = np.zeros((size, n_b))
-        t[:, 0] = [_weighted_median(problem.y, problem.weights) for problem in problems]
-        self.scale = np.array([problem.scale for problem in problems])
-        self.t = _project_rows(t, self.radius)
+        total = int(self.chunks.sum())
+        self.design_t = np.zeros((total, n_b, _CHUNK))
+        self.weights, self.y = np.zeros((total, _CHUNK)), np.zeros((total, _CHUNK))
+        weights, y = self.weights.reshape(-1), self.y.reshape(-1)  # views, row by row
+        for window, first in zip(windows, self.starts):
+            rows = slice(first * _CHUNK, first * _CHUNK + window.n_local)
+            weights[rows], y[rows] = window.weights, window.y
+            full, rest = divmod(window.n_local, _CHUNK)
+            whole = window.design[: full * _CHUNK].reshape(full, _CHUNK, n_b)
+            self.design_t[first : first + full] = whole.transpose(0, 2, 1)
+            if rest:
+                self.design_t[first + full, :, :rest] = window.design[full * _CHUNK :].T
+        if t is None:
+            t = np.zeros((size, n_b))
+            t[:, 0] = [_weighted_median(window.y, window.weights) for window in windows]
+            t = _project_rows(t, self.radius)
+        self.t = t
         self.stopped = np.zeros(size, dtype=bool)
         self.iterations = np.zeros(size, dtype=int)
         self.stagnant = np.zeros(size, dtype=int)
@@ -527,9 +513,7 @@ class _Stack:
         self.prev_grad = np.zeros((size, n_b))
         self.has_prev = np.zeros(size, dtype=bool)
         self.update()
-        self.fval = self.scale * self.per_fit(
-            _rowdot(self.weights, self.contrast.value(self.resid))
-        )
+        self.fval = self.value()
 
     def _layout(self) -> None:
         self.owner = np.repeat(np.arange(self.chunks.size), self.chunks)
@@ -542,14 +526,29 @@ class _Stack:
     def per_fit(self, partial: np.ndarray, fits=None) -> np.ndarray:
         """Sum per-chunk ``partial`` over each fit's chunks, in order; with
         ``fits``, the partials are those of those fits' chunks only."""
-        return _sum_chunks(partial, self.starts if fits is None else _starts(self.chunks[fits]))
+        starts = self.starts if fits is None else _starts(self.chunks[fits])
+        return np.add.reduceat(partial, starts, axis=0)
+
+    def value(self, t: np.ndarray | None = None, fits: np.ndarray | None = None) -> np.ndarray:
+        """Criterion of each fit at its row of ``t``, by default at its
+        iterate (from the residuals of the last ``update``); with a mask
+        ``fits``, of the flagged fits only, ``t`` holding a row for each."""
+        chunks, rows = (slice(None),) * 2 if fits is None else (fits[self.owner], fits)
+        if t is None:
+            resid = self.resid[chunks]
+        else:
+            t = t.repeat(self.chunks[rows], axis=0)
+            resid = _residuals(self.design_t[chunks], self.y[chunks], t)
+        rho = self.contrast.value(resid)
+        return self.scale[rows] * self.per_fit(_rowdot(self.weights[chunks], rho), fits)
 
     def update(self) -> None:
         """Residuals, gradient and stationarity gap at the current iterates;
         the gap is the norm of the unit-step projected gradient step."""
         self.resid = _residuals(self.design_t, self.y, self.t[self.owner])
         psi = self.weights * self.contrast.first_derivative(self.resid)
-        self.grad = -self.scale[:, None] * self.per_fit(_chunk_gradients(self.design_t, psi))
+        chunk_grad = np.matmul(self.design_t, psi[:, :, None])[:, :, 0]  # X'psi per chunk
+        self.grad = -self.scale[:, None] * self.per_fit(chunk_grad)
         step = self.t - _project_rows(self.t - self.grad, self.radius)
         self.gap = np.sqrt(_rowdot(step, step))
         self.converged = self.gap <= self.optimizer.gradient_tolerance
@@ -578,16 +577,15 @@ class _Stack:
         t = _project_rows(self.t[done], self.radius)
         for values, row in zip(t, done.nonzero()[0]):
             i = self.index[row]
-            problem = self.problems[i]
             theta = CoefficientVector(values=values, index_set=self.index_set)
             results[i] = FitResult(
                 theta_hat=theta,
                 estimate=theta.center_value,
-                n_local=problem.n_local,
+                n_local=int(self.n_local[row]),
                 iterations=int(self.iterations[row]),
                 stationarity_gap=float(self.gap[row]),
                 converged=bool(self.converged[row]),
-                underdetermined=problem.n_local < self.index_set.size,
+                underdetermined=bool(self.n_local[row] < self.index_set.size),
             )
         keep = ~done
         for name in self._CHUNKS:
@@ -667,7 +665,7 @@ def _newton_steps(stack: _Stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cand, cand_val, took
 
 
-def _fit_stack(problems: list[_LocalProblem]) -> list[FitResult]:
+def _fit_stack(windows: list[_LocalProblem]) -> list[FitResult]:
     """Minimize the local criteria of a stack of windows together.
 
     Every iteration takes a proximal Newton step (``_newton_steps``) for
@@ -675,46 +673,46 @@ def _fit_stack(problems: list[_LocalProblem]) -> list[FitResult]:
     projected gradient step for the others; both use monotone Armijo
     backtracking.  A fit stops when its unit-step projected-gradient norm
     falls below the tolerance, when ``_Stack.advance`` stops it, or at the
-    iteration cap.
+    iteration cap.  Empties ``windows`` once the stack has laid them out,
+    so their arrays are not held twice while the fits iterate.
     """
-    stack = _Stack(problems)
-    results: list = [None] * len(problems)
+    stack = _Stack(windows)
+    results: list = [None] * len(windows)
+    windows.clear()
     for _ in range(stack.optimizer.max_iterations):
         stack.release(stack.converged | stack.stopped, results)
         if not stack.size:
             break
         cand, cand_val, took = _newton_steps(stack)
         for row in (~took).nonzero()[0]:
-            s = stack
-            prev = (s.prev_t[row], s.prev_grad[row]) if s.has_prev[row] else (None, None)
-            cand[row], cand_val[row] = _gradient_step(
-                s.problems[s.index[row]], s.t[row], s.fval[row], s.grad[row], *prev, s.radius
-            )
+            cand[row], cand_val[row] = _gradient_step(stack, row)
         stack.advance(cand, cand_val)
     stack.release(np.ones(stack.size, dtype=bool), results)
     return results
 
 
-def _fit_problems(problems: Iterable[_LocalProblem]) -> list[FitResult]:
-    """Fit every window of ``problems`` (any iterable), in order.
+def _fit_problems(windows: Iterable[_LocalProblem]) -> list[FitResult]:
+    """Fit every window of ``windows`` (any iterable), in order.
 
     Consecutive windows with equal fit settings are solved together, as
     stacks of at most _STACK_CHUNKS chunks (or one window larger on its
-    own).  Each stack is solved once it is complete, so only its windows
-    are held at a time.  The windows come from ``_windows``, so none is
+    own).  Each stack is solved once it is complete, and drops its windows
+    once laid out, so from an iterator only the windows of the stack being
+    gathered are held.  The windows come from ``_windows``, so none is
     empty.
     """
     results: list[FitResult] = []
     stack: list[_LocalProblem] = []
     chunks, settings = 0, None
-    for problem in problems:
-        cfg = problem.cfg
+    for window in windows:
+        cfg = window.cfg
         key = (cfg.degree, cfg.d, cfg.bound, cfg.contrast, cfg.optimizer)
-        if stack and (key != settings or chunks + problem.chunks > _STACK_CHUNKS):
+        size = _Stack.chunk_count(window.n_local)
+        if stack and (key != settings or chunks + size > _STACK_CHUNKS):
             results += _fit_stack(stack)
             stack, chunks = [], 0
-        stack.append(problem)
-        chunks += problem.chunks
+        stack.append(window)
+        chunks += size
         settings = key
     if stack:
         results += _fit_stack(stack)

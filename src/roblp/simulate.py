@@ -181,6 +181,12 @@ class HeteroscedasticRule:
             return 1.0 - self.amplitude
         return 1.0
 
+    @property
+    def max_multiplier(self) -> float:
+        if self.kind == "sinusoidal":
+            return 1.0 + self.amplitude
+        return self.factor if self.kind == "alternating" else 1.0
+
     def to_config(self) -> dict:
         return {
             "kind": self.kind,
@@ -205,12 +211,20 @@ class NoiseModel:
             raise ValueError(f"unknown noise family {self.family!r}")
         for module in NOISE_FAMILIES[self.family].quantile_modules:
             importlib.import_module(module)
-        if self.base_scale <= 0:
+        if not self.base_scale > 0:  # NaN too
             raise ValueError(f"base scale must be positive, got {self.base_scale}")
         rule = self.heteroscedastic or HeteroscedasticRule()
+        # the draw at the largest uniform gen_noise feeds the quantile
+        quantile = abs(float(self.unit_family.quantile(1.0 - _U_MARGIN)))
+        largest = float(self.base_scale) * float(rule.max_multiplier) * quantile
+        if not math.isfinite(largest):
+            raise ValueError(
+                f"the largest noise draw, scale {self.base_scale!r} x largest multiplier"
+                f" {rule.max_multiplier!r} x |quantile(1 - 2^-53)| {quantile!r}, is not finite"
+            )
         implied = self.base_scale * rule.min_multiplier
         sigma_min = implied if self.sigma_min is None else float(self.sigma_min)
-        if sigma_min <= 0:
+        if not sigma_min > 0:  # NaN too
             raise ValueError(f"sigma_min must be positive, got {sigma_min}")
         if sigma_min > implied + 1e-15:
             raise ValueError(

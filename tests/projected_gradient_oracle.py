@@ -1,6 +1,7 @@
 """Differential oracles, kept verbatim apart from their names, the
-line-search constants, which they read from ``roblp.local_fit``, and the
-criterion path that ``FitResult`` no longer records:
+line-search constants and the criterion and its gradient, which they read
+from ``roblp.local_fit``, and the criterion path that ``FitResult`` no
+longer records:
 
 - the projected gradient solver that ``fit_local`` used before it took
   proximal Newton steps; tests compare the criterion values the two
@@ -25,6 +26,8 @@ from roblp.local_fit import (
     LocalFitConfig,
     _LocalProblem,
     _weighted_median,
+    criterion,
+    criterion_gradient,
     project_l1_ball,
 )
 
@@ -47,12 +50,12 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
 
     opt = cfg.optimizer
     radius = cfg.bound
-    t = np.zeros(problem.index_set.size)
+    t = np.zeros(cfg.index_set.size)
     t[0] = _weighted_median(problem.y, problem.weights)
     t = project_l1_ball(t, radius)
 
-    fval = problem.value(t)
-    grad = problem.gradient(t)
+    fval = criterion(t, data, cfg)
+    grad = criterion_gradient(t, data, cfg)
     prev_t = prev_grad = None
     gap = float(np.linalg.norm(t - project_l1_ball(t - grad, radius)))
     converged = gap <= opt.gradient_tolerance
@@ -75,7 +78,7 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
         cand_val = fval
         while True:
             candidate = project_l1_ball(t - step * grad, radius)
-            cand_val = problem.value(candidate)
+            cand_val = criterion(candidate, data, cfg)
             decrease = float(grad @ (candidate - t))
             if cand_val <= fval + ARMIJO * decrease:
                 break
@@ -89,7 +92,7 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
         stagnant = stagnant + 1 if cand_val == fval else 0
         prev_t, prev_grad = t, grad
         t, fval = candidate, cand_val
-        grad = problem.gradient(t)
+        grad = criterion_gradient(t, data, cfg)
         iterations += 1
         gap = float(np.linalg.norm(t - project_l1_ball(t - grad, radius)))
         converged = gap <= opt.gradient_tolerance
@@ -97,7 +100,7 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
             break  # objective flat at float precision, tolerance unreachable
 
     t = project_l1_ball(t, radius)
-    theta = CoefficientVector(values=t, index_set=problem.index_set)
+    theta = CoefficientVector(values=t, index_set=cfg.index_set)
     return FitResult(
         theta_hat=theta,
         estimate=theta.center_value,
@@ -105,7 +108,7 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
         iterations=iterations,
         stationarity_gap=gap,
         converged=converged,
-        underdetermined=problem.n_local < problem.index_set.size,
+        underdetermined=problem.n_local < cfg.index_set.size,
     )
 
 

@@ -641,3 +641,38 @@ def test_cli_non_finite_x0_exits_with_its_path(dataset_csv, estimator_json, comm
     argv = command + ["--data", str(dataset_csv), f"--x0={value}", "--config", str(estimator_json)]
     with pytest.raises(SystemExit, match=r"\$\.estimator\.x0"):
         main(argv)
+
+
+COMPARE_CAUCHY = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "compare_cauchy.json"
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        (
+            "estimator",
+            "lipschitz",
+            1e-300,
+            r"^\$\.estimator: minimax bandwidth .* is not a positive finite number for lipschitz=1e-300, n=4096,",
+        ),
+        (
+            "estimator",
+            "lipschitz",
+            1e300,
+            r"^\$\.estimator: minimax bandwidth .* is not a positive finite number for lipschitz=1e\+300, n=4096,",
+        ),
+        ("noise", "scale", 1e308, r"^\$\.noise: the largest noise draw, scale 1e\+308 .* is not finite$"),
+        ("grid", "n", 1, r"^\d+/500 replications had empty windows at n=1, more than the 1% a run allows$"),
+    ],
+    ids=["lipschitz-tiny", "lipschitz-huge", "noise-scale", "grid-n-1"],
+)
+def test_cli_compare_exits_with_one_line(tmp_path, monkeypatch, section, key, value, message):
+    monkeypatch.delenv("ROBLP_WORKERS", raising=False)
+    cfg = json.loads(COMPARE_CAUCHY.read_text())
+    cfg[section][key] = value
+    path = tmp_path / "compare.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit, match=message) as exc:
+        main(["compare", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+    assert "\n" not in str(exc.value)
+    assert not (tmp_path / "out").exists()

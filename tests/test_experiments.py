@@ -340,6 +340,27 @@ def test_adaptive_rates_with_an_empty_grid_is_a_config_error_before_any_replicat
     assert not list(tmp_path.rglob("*.csv"))
 
 
+def test_minimax_bandwidth_of_every_n_is_derived_before_any_replication(tmp_path, monkeypatch):
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran")
+
+    monkeypatch.setattr(experiments, "risk_curve", no_replications)
+    cfg = rates_config(tmp_path)
+    cfg["estimator"]["lipschitz"] = (1e308 / 200) ** 0.5  # L^2 n overflows from n=512 on
+    with pytest.raises(ConfigError, match=r"^\$\.estimator: minimax bandwidth .* n=512, beta=2\.0, d=1$"):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize("section", ["noise", "grid"])
+def test_a_rejected_config_creates_no_output_directory(tmp_path, section):
+    out = tmp_path / "out"
+    cfg = rates_config(out)
+    del cfg[section]
+    with pytest.raises(ConfigError, match=rf"\$\.{section}"):
+        run_experiment(cfg)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
 def test_non_finite_x0_is_a_config_error(tmp_path, value):
     cfg = rates_config(tmp_path)

@@ -46,6 +46,12 @@ def test_minimax_bandwidth_monotonicity():
     assert all(h2 > h1 for h1, h2 in zip(hb, hb[1:]))
 
 
+@pytest.mark.parametrize("lipschitz", [1e-300, 1e300, 1e154], ids=["underflow", "overflow", "infinite-product"])
+def test_minimax_bandwidth_rejects_a_non_finite_power(lipschitz):
+    with pytest.raises(ValueError, match=r"not a positive finite number for lipschitz=.*, n=4096, beta=2\.0, d=1$"):
+        minimax_bandwidth(2.0, lipschitz, 4096, 1)
+
+
 def test_bandwidth_grid_example():
     # direct arithmetic: n=1e4, d=1, b=2
     grid = bandwidth_grid(10_000, 1, 2)

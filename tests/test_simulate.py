@@ -130,6 +130,25 @@ def test_noise_model_scales_rejects_rule_below_sigma_min(monkeypatch):
         model.scales(5)
 
 
+@pytest.mark.parametrize("family", sorted(NOISE_FAMILIES))
+def test_noise_model_rejects_a_non_finite_largest_draw(family):
+    quantile = abs(float(NOISE_FAMILIES[family].quantile(1.0 - 2.0**-53)))
+    scale = np.finfo(float).max / quantile / 2.0
+    assert np.all(np.isfinite(gen_noise(NoiseModel(family=family, base_scale=scale), 2000, 3)))
+    with pytest.raises(ValueError, match=r"the largest noise draw, .* is not finite"):
+        NoiseModel(family=family, base_scale=4.0 * scale)
+    rule = HeteroscedasticRule(kind="alternating", factor=4.0)
+    with pytest.raises(ValueError, match=r"largest multiplier 4\.0"):
+        NoiseModel(family=family, base_scale=scale, heteroscedastic=rule)
+
+
+def test_noise_model_rejects_nan_scales():
+    with pytest.raises(ValueError, match="base scale must be positive, got nan"):
+        NoiseModel(family="gaussian", base_scale=math.nan)
+    with pytest.raises(ValueError, match="sigma_min must be positive, got nan"):
+        NoiseModel(family="gaussian", base_scale=1.0, sigma_min=math.nan)
+
+
 def test_noise_model_serialization():
     rule = HeteroscedasticRule(kind="alternating", factor=2.0)
     model = NoiseModel(family="cauchy", base_scale=0.7, heteroscedastic=rule)
