@@ -27,6 +27,7 @@ from pathlib import Path
 from .experiments import (
     CONFIG_SCHEMA,
     ConfigError,
+    _derive,
     _estimator,
     _noise_model,
     _read_json,
@@ -88,10 +89,8 @@ def _cmd_fit(args) -> int:
 def _cmd_adapt(args) -> int:
     data = _load_data(args.data)
     estimator = _load_estimator(args, data, "adaptive")
-    try:
-        bandwidth_grid(data.n, data.d, estimator.degree)
-    except ValueError as exc:
-        raise SystemExit(f"--data: {args.data} is too small for the bandwidth grid: {exc}")
+    where = f"--data: {args.data} is too small for the bandwidth grid"
+    _derive(where, bandwidth_grid, data.n, data.d, estimator.degree)
     trace = estimator.selection_trace(data, args.x0)
 
     print(f"chosen k: {trace.chosen_k}")

@@ -181,12 +181,21 @@ class ConfigError(ValueError):
     """Invalid experiment config; message lists offending field paths."""
 
 
-# Draft 2020-12, except that an "integer" is a Python int (not a bool):
-# the draft's own rule passes integral floats such as 512.0.
+def _finite(_, v) -> bool:
+    """A number that a float holds finitely: not NaN (which passes every
+    bound), an infinity or an int beyond float range."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+# Draft 2020-12, except that a "number" is finite and an "integer" a finite
+# int (the draft's own rule passes integral floats such as 512.0).
 _Validator = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many(
+        {"number": _finite, "integer": lambda c, v: isinstance(v, int) and _finite(c, v)}
     ),
 )
 
@@ -250,15 +259,21 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _derive(where: str, build, *args):
+    """``build(*args)``; a ValueError or ArithmeticError it raises is a
+    ConfigError under ``where``, a field path or a flag."""
+    try:
+        return build(*args)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _noise_model(noise: dict) -> NoiseModel:
     """Validate a ``noise`` section and build its NoiseModel.  Values the
     model rejects (an alternating factor below 1, a sigma_min above the
     smallest scale) are ConfigErrors under ``$.noise`` too."""
     _validate(noise, CONFIG_SCHEMA["properties"]["noise"], "$.noise")
-    try:
-        return NoiseModel.from_config(noise)
-    except ValueError as exc:
-        raise ConfigError(f"$.noise: {exc}") from exc
+    return _derive("$.noise", NoiseModel.from_config, noise)
 
 
 def _test_function(function: dict) -> TestFunction:
@@ -266,14 +281,7 @@ def _test_function(function: dict) -> TestFunction:
     unknown name, a missing parameter or a value out of range is a
     ConfigError under ``$.function``."""
     _validate(function, CONFIG_SCHEMA["properties"]["function"], "$.function")
-    try:
-        return make_test_function(function)
-    except KeyError as exc:
-        raise ConfigError(
-            f"$.function: {exc.args[0]!r} is a required property of {function['name']!r}"
-        ) from exc
-    except ValueError as exc:
-        raise ConfigError(f"$.function: {exc}") from exc
+    return _derive("$.function", make_test_function, function)
 
 
 def _resolve_curvature(est_cfg: dict, noise: NoiseModel | None) -> float:
@@ -292,9 +300,8 @@ def _resolve_curvature(est_cfg: dict, noise: NoiseModel | None) -> float:
         raise ConfigError(
             "$.estimator.curvature: required without a noise section to derive it from"
         )
-    return curvature_constant(
-        NOISE_FAMILIES[noise.family], contrast["gamma"], noise.sigma_min
-    )
+    family = NOISE_FAMILIES[noise.family]
+    return _derive("$.estimator.curvature", curvature_constant, family, contrast["gamma"], noise.sigma_min)
 
 
 def _estimator(est: dict, noise: NoiseModel | None) -> Estimator:
@@ -305,17 +312,11 @@ def _estimator(est: dict, noise: NoiseModel | None) -> Estimator:
     an adaptive estimator derives a null curvature.
     """
     _validate(est, CONFIG_SCHEMA["properties"]["estimator"], "$.estimator")
-    # JSON's NaN passes the schema's bounds, since every comparison with it is false
-    bad = [v for v in est["x0"] if not math.isfinite(v)]
-    if bad:
-        raise ConfigError(f"$.estimator.x0: coordinate {bad[0]!r} is not finite")
     optimizer = OptimizerSettings(
         **{k: est[k] for k in ("gradient_tolerance", "max_iterations") if k in est}
     )
-    try:
-        contrast = ContrastSpec.from_config(est["contrast"])
-    except ValueError as exc:  # a threshold missing, or given to a non-Huber loss
-        raise ConfigError(f"$.estimator.contrast: {exc}") from exc
+    # a threshold missing, or given to a non-Huber loss
+    contrast = _derive("$.estimator.contrast", ContrastSpec.from_config, est["contrast"])
     fields = {name: est.get(name) for name in ESTIMATOR_FIELDS[est["kind"]]}
     if "curvature" in fields:
         fields["curvature"] = _resolve_curvature(est, noise)
@@ -419,14 +420,10 @@ def _check_bandwidths(cfg: dict, estimator: Estimator, d: int) -> None:
             f"$.estimator.kind: {cfg['experiment']} experiment needs a single bandwidth"
         )
     for n in cfg["grid"]["n_values"] if rates else [cfg["grid"]["n"]]:
-        try:
-            if estimator.kind == "adaptive":
-                bandwidth_grid(n, d, estimator.degree)
-            else:
-                estimator.bandwidth(n, d)
-        except ValueError as exc:
-            path = "grid.n_values" if estimator.kind == "adaptive" else "estimator"
-            raise ConfigError(f"$.{path}: {exc}") from exc
+        if estimator.kind == "adaptive":
+            _derive("$.grid.n_values", bandwidth_grid, n, d, estimator.degree)
+        else:
+            _derive("$.estimator", estimator.bandwidth, n, d)
 
 
 # Each runner takes (cfg, f, noise, estimator, x0) and returns the results
@@ -435,14 +432,8 @@ def _check_bandwidths(cfg: dict, estimator: Estimator, d: int) -> None:
 
 def _run_rates(cfg, f, noise, estimator, x0):
     # the harness limits, checked before the first replication
-    for path, check, value in (
-        ("risk.replications", _check_replications, cfg["risk"]["replications"]),
-        ("grid.n_values", _check_rate_sizes, cfg["grid"]["n_values"]),
-    ):
-        try:
-            check(value)
-        except ValueError as exc:
-            raise ConfigError(f"$.{path}: {exc}") from exc
+    _derive("$.risk.replications", _check_replications, cfg["risk"]["replications"])
+    _derive("$.grid.n_values", _check_rate_sizes, cfg["grid"]["n_values"])
     d = len(x0)
     r = cfg["risk"].get("power", 2.0)
     report = risk_curve(
@@ -484,9 +475,9 @@ def _run_tails(cfg, f, noise, estimator, x0):
     n = cfg["grid"]["n"]
     fit_cfg = estimator.fit_config(x0, n)
     c = _resolve_curvature(cfg["estimator"], noise)
-    constants = procedure_constants(fit_cfg.kernel, fit_cfg.index_set, c)
+    constants = _derive("$.estimator", procedure_constants, fit_cfg.kernel, fit_cfg.index_set, c)
 
-    _, _, eps_min = _validity_threshold(f, fit_cfg, constants, n)
+    _, _, eps_min = _derive("$.estimator", _validity_threshold, f, fit_cfg, constants, n)
     eps_grid = [m * eps_min for m in cfg["grid"]["epsilon_multipliers"]]
     report = tail_check(
         f,

@@ -509,6 +509,13 @@ TEST_FUNCTIONS = {
 }
 
 
+class _MissingParameter(KeyError, ValueError):
+    """A required parameter absent from a test-function config: a KeyError,
+    and a ValueError with a plain message, like any other bad value."""
+
+    __str__ = ValueError.__str__
+
+
 def make_test_function(cfg: dict) -> TestFunction:
     """Build a test function from its config dict {'name': ..., params};
     a missing required parameter is a KeyError naming it."""
@@ -518,7 +525,7 @@ def make_test_function(cfg: dict) -> TestFunction:
     factory, params = TEST_FUNCTIONS[name]
     for p in inspect.signature(factory).parameters.values():
         if p.default is p.empty and p.name not in cfg:
-            raise KeyError(p.name)
+            raise _MissingParameter(f"{p.name!r} is a required property of {name!r}")
     return factory(**{k: cfg[k] for k in params if k in cfg})
 
 
