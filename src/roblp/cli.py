@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from .experiments import (
     CONFIG_SCHEMA,
     ConfigError,
-    _derive,
+    _check_sizes,
     _estimator,
     _noise_model,
     _read_json,
@@ -37,7 +36,6 @@ from .experiments import (
     run_experiment,
 )
 from .harness import TooManyFailuresError
-from .lepski import bandwidth_grid
 from .local_fit import Dataset, EmptyNeighborhoodError, fit_local
 from .simulate import gen_data
 
@@ -54,8 +52,9 @@ def _load_data(path) -> Dataset:
 def _load_estimator(args, data: Dataset, kind: str, **flags):
     """The Estimator of a ``fit``/``adapt`` settings JSON.  Its optional
     ``noise`` section is split off; the rest, with ``kind``, ``x0`` and the
-    other flags added, is validated as ``$.estimator``.  ``--x0`` must
-    match the dimension of ``data``."""
+    other flags added, is validated as ``$.estimator`` and checked against
+    the size of ``data`` as an experiment's against its smallest n.
+    ``--x0`` must match the dimension of ``data``."""
     if len(args.x0) != data.d:
         raise SystemExit(
             f"--x0: {len(args.x0)} coordinates, but {args.data} has dimension {data.d}"
@@ -63,7 +62,9 @@ def _load_estimator(args, data: Dataset, kind: str, **flags):
     settings = _read_json(args.config)
     noise = settings.pop("noise", None)
     model = None if noise is None else _noise_model(noise)
-    return _estimator({**settings, "kind": kind, "x0": args.x0, **flags}, model)
+    estimator = _estimator({**settings, "kind": kind, "x0": args.x0, **flags}, model)
+    _check_sizes(estimator, [data.n], args.x0, f"--data: {args.data} is too small for the bandwidth grid")
+    return estimator
 
 
 def _cmd_fit(args) -> int:
@@ -89,8 +90,6 @@ def _cmd_fit(args) -> int:
 def _cmd_adapt(args) -> int:
     data = _load_data(args.data)
     estimator = _load_estimator(args, data, "adaptive")
-    where = f"--data: {args.data} is too small for the bandwidth grid"
-    _derive(where, bandwidth_grid, data.n, data.d, estimator.degree)
     trace = estimator.selection_trace(data, args.x0)
 
     print(f"chosen k: {trace.chosen_k}")
@@ -126,8 +125,8 @@ _SIMULATE_SCHEMA = {
 def _cmd_simulate(args) -> int:
     cfg = _read_json(args.config)
     _validate(cfg, _SIMULATE_SCHEMA)
-    f = _test_function(cfg["function"])
     model = _noise_model(cfg["noise"])
+    f = _test_function(cfg["function"], model)
     data = gen_data(f, model, cfg["n"], f.d, cfg["seed"])
     out = Path(cfg["output"])
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -152,12 +151,6 @@ def _cmd_experiment(args) -> int:
         raise SystemExit(
             f"config is for experiment {cfg['experiment']!r}, not {args.experiment!r}"
         )
-    workers = os.environ.get("ROBLP_WORKERS")
-    if workers:
-        if not (workers.isdecimal() and int(workers) >= 1):
-            raise SystemExit(f"ROBLP_WORKERS must be a positive integer, got {workers!r}")
-        if "risk" in cfg and "workers" not in cfg["risk"]:
-            cfg["risk"]["workers"] = int(workers)
     result = run_experiment(cfg, output_dir=args.output_dir)
     print(json.dumps(result["summary"], indent=2, sort_keys=True))
     print(f"wrote {result['csv']}")

@@ -17,6 +17,8 @@ import csv
 import hashlib
 import json
 import math
+import numbers
+import os
 import sys
 from pathlib import Path
 
@@ -185,7 +187,7 @@ def _finite(_, v) -> bool:
     """A number that a float holds finitely: not NaN (which passes every
     bound), an infinity or an int beyond float range."""
     try:
-        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
     except OverflowError:  # an int beyond float range
         return False
 
@@ -276,12 +278,19 @@ def _noise_model(noise: dict) -> NoiseModel:
     return _derive("$.noise", NoiseModel.from_config, noise)
 
 
-def _test_function(function: dict) -> TestFunction:
+def _test_function(function: dict, noise: NoiseModel) -> TestFunction:
     """Validate a ``function`` section and build its TestFunction; an
-    unknown name, a missing parameter or a value out of range is a
-    ConfigError under ``$.function``."""
+    unknown name, a missing parameter, a value out of range or a bound on
+    |f| that ``noise`` could push out of float range is a ConfigError under
+    ``$.function``."""
     _validate(function, CONFIG_SCHEMA["properties"]["function"], "$.function")
-    return _derive("$.function", make_test_function, function)
+    f = _derive("$.function", make_test_function, function)
+    if not math.isfinite(f.bound + noise._largest_draw):
+        raise ConfigError(
+            f"$.function: bound {f.bound!r} plus the largest noise draw"
+            f" {noise._largest_draw!r} is beyond float range, as responses may be"
+        )
+    return f
 
 
 def _resolve_curvature(est_cfg: dict, noise: NoiseModel | None) -> float:
@@ -357,7 +366,9 @@ def run_experiment(source, output_dir=None) -> dict:
     Every experiment builds its test function, noise model and estimator
     from the config, then writes ``<prefix>.csv``, the JSON summary
     ``<prefix>.json`` and ``<prefix>_manifest.json``.  Returns a dict with
-    the experiment name, the paths written and the summary.
+    the experiment name, the paths written and the summary.  Replications
+    run on ``risk.workers`` processes, else ROBLP_WORKERS, else one; the
+    count is not written into the config, so outputs do not record it.
     """
     cfg = load_config(source)
     out = cfg["output"]
@@ -365,16 +376,22 @@ def run_experiment(source, output_dir=None) -> dict:
     prefix = out["prefix"]
     runner, required = _RUNNERS[cfg["experiment"]]
     _require(cfg, "function", "noise", *required)
+    workers = _workers(cfg["risk"])
     noise = _noise_model(cfg["noise"])
-    f = _test_function(cfg["function"])
+    f = _test_function(cfg["function"], noise)
     estimator = _estimator(cfg["estimator"], noise)
     x0 = cfg["estimator"]["x0"]
     if len(x0) != f.d:
         raise ConfigError(
             f"$.estimator.x0: {len(x0)} coordinates, but function {f.name!r} has dimension {f.d}"
         )
-    _check_bandwidths(cfg, estimator, len(x0))
-    header, rows, summary, extras = runner(cfg, f, noise, estimator, x0)
+    rates = cfg["experiment"] == "rates"
+    if estimator.kind == "adaptive" and not rates:
+        raise ConfigError(
+            f"$.estimator.kind: {cfg['experiment']} experiment needs a single bandwidth"
+        )
+    _check_sizes(estimator, cfg["grid"]["n_values"] if rates else [cfg["grid"]["n"]], x0)
+    header, rows, summary, extras = runner(cfg, f, noise, estimator, x0, workers)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{prefix}.csv"
@@ -408,29 +425,67 @@ def _require(cfg: dict, *paths: str) -> None:
         ))
 
 
-def _check_bandwidths(cfg: dict, estimator: Estimator, d: int) -> None:
-    """Derive the bandwidth grid (adaptive kind) or the bandwidth of each
-    sample size of the config before the first replication.  Tails and
-    compare need a single bandwidth; an empty grid is a ConfigError under
-    the sample sizes' path and a bandwidth that is not a positive finite
-    number one under ``$.estimator``, each naming n."""
-    rates = cfg["experiment"] == "rates"
-    if estimator.kind == "adaptive" and not rates:
+def _workers(risk: dict) -> int:
+    """The replication worker count: ``risk.workers``, else ROBLP_WORKERS,
+    else 1."""
+    if "workers" in risk:
+        return risk["workers"]
+    workers = os.environ.get("ROBLP_WORKERS")
+    if not workers:
+        return 1
+    if not (workers.isdecimal() and int(workers) >= 1):
+        raise ConfigError(f"ROBLP_WORKERS must be a positive integer, got {workers!r}")
+    return int(workers)
+
+
+def _check_sizes(
+    estimator: Estimator, n_values, x0, grid_where: str = "$.grid.n_values"
+) -> None:
+    """Derive what each sample size needs at point ``x0`` before any basis
+    is built or replication runs, each failure a ConfigError naming n.
+
+    A fit degree whose basis has more coefficients than the smallest n
+    (a local linear fit is always allowed), a bandwidth that is not a
+    positive finite number or whose window normalization 1/(n h^d) is not
+    finite, and an adaptive selection constant that cannot be formed are
+    reported under ``$.estimator``, an empty bandwidth grid under
+    ``grid_where``."""
+    d = len(x0)
+    n_min, b = min(n_values), estimator.fit_degree()
+    if math.comb(b + d, d) > max(n_min, d + 1):
         raise ConfigError(
-            f"$.estimator.kind: {cfg['experiment']} experiment needs a single bandwidth"
+            f"$.estimator: fit degree {b:.6g} has more basis coefficients than n={n_min} samples"
         )
-    for n in cfg["grid"]["n_values"] if rates else [cfg["grid"]["n"]]:
+    for n in n_values:
         if estimator.kind == "adaptive":
-            _derive("$.grid.n_values", bandwidth_grid, n, d, estimator.degree)
-        else:
-            _derive("$.estimator", estimator.bandwidth, n, d)
+            _derive(grid_where, bandwidth_grid, n, d, estimator.degree)
+            continue
+        h = _derive("$.estimator", estimator.bandwidth, n, d)
+        if n * h**d < 1.0 / sys.float_info.max:
+            raise ConfigError(
+                f"$.estimator: bandwidth {h!r} gives a window normalization 1/(n h^d)"
+                f" beyond float range at n={n}, d={d}"
+            )
+    if estimator.kind == "adaptive":
+        _derive("$.estimator", estimator._selection_setup, tuple(x0), n_min)
 
 
-# Each runner takes (cfg, f, noise, estimator, x0) and returns the results
-# CSV header and rows, the JSON summary and extra manifest entries.
+def _check_risk(r: float, n: int, risk: float, stderr: float, rate_fit: bool) -> None:
+    """The one config check after replications: a risk or standard error
+    of errors**r that is not finite, or a zero risk whose log a rate fit
+    would take, is a ConfigError under ``$.risk.power`` naming n."""
+    if not (math.isfinite(risk) and math.isfinite(stderr)) or (rate_fit and risk == 0.0):
+        raise ConfigError(
+            f"$.risk.power: at n={n} the mean of errors**{r!r} is {risk!r}, its standard"
+            f" error {stderr!r}: the power takes the errors out of float range"
+        )
 
 
-def _run_rates(cfg, f, noise, estimator, x0):
+# Each runner takes (cfg, f, noise, estimator, x0, workers) and returns the
+# results CSV header and rows, the JSON summary and extra manifest entries.
+
+
+def _run_rates(cfg, f, noise, estimator, x0, workers):
     # the harness limits, checked before the first replication
     _derive("$.risk.replications", _check_replications, cfg["risk"]["replications"])
     _derive("$.grid.n_values", _check_rate_sizes, cfg["grid"]["n_values"])
@@ -445,8 +500,10 @@ def _run_rates(cfg, f, noise, estimator, x0):
         cfg["grid"]["n_values"],
         cfg["risk"]["replications"],
         cfg["seed"],
-        cfg["risk"].get("workers", 1),
+        workers,
     )
+    for p in report.points:
+        _check_risk(r, p.n, p.risk, p.stderr, rate_fit=True)
     beta = cfg["estimator"].get("beta", f.beta)
     target = -beta / (2.0 * beta + d)
     fit = rate_fit(report, target)
@@ -471,7 +528,7 @@ def _run_rates(cfg, f, noise, estimator, x0):
     return header, rows, summary, {}
 
 
-def _run_tails(cfg, f, noise, estimator, x0):
+def _run_tails(cfg, f, noise, estimator, x0, workers):
     n = cfg["grid"]["n"]
     fit_cfg = estimator.fit_config(x0, n)
     c = _resolve_curvature(cfg["estimator"], noise)
@@ -479,6 +536,11 @@ def _run_tails(cfg, f, noise, estimator, x0):
 
     _, _, eps_min = _derive("$.estimator", _validity_threshold, f, fit_cfg, constants, n)
     eps_grid = [m * eps_min for m in cfg["grid"]["epsilon_multipliers"]]
+    for m, eps in zip(cfg["grid"]["epsilon_multipliers"], eps_grid):
+        if not math.isfinite(eps):
+            raise ConfigError(
+                f"$.grid.epsilon_multipliers: eps_min {eps_min!r} x {m!r} is not finite"
+            )
     report = tail_check(
         f,
         noise,
@@ -488,7 +550,7 @@ def _run_tails(cfg, f, noise, estimator, x0):
         n,
         cfg["risk"]["replications"],
         cfg["seed"],
-        cfg["risk"].get("workers", 1),
+        workers,
     )
 
     header = ["eps", "valid", "empirical", "exceedances", "wilson_half_width", "bound", "informative", "non_violated"]
@@ -520,10 +582,11 @@ def _run_tails(cfg, f, noise, estimator, x0):
     return header, rows, summary, {"constants": constants.to_dict()}
 
 
-def _run_compare(cfg, f, noise, estimator, x0):
+def _run_compare(cfg, f, noise, estimator, x0, workers):
     if estimator.contrast.kind != "huber":
         raise ConfigError("$.estimator.contrast.kind: compare experiment needs huber")
     n = cfg["grid"]["n"]
+    r = cfg["risk"].get("power", 2.0)
     rows = compare_contrasts(
         estimator,
         f,
@@ -532,9 +595,11 @@ def _run_compare(cfg, f, noise, estimator, x0):
         n,
         cfg["risk"]["replications"],
         cfg["seed"],
-        r=cfg["risk"].get("power", 2.0),
-        workers=cfg["risk"].get("workers", 1),
+        r=r,
+        workers=workers,
     )
+    for row in rows:
+        _check_risk(r, n, row.risk, row.stderr, rate_fit=False)
     header = ["contrast", "risk", "stderr", "max_error"]
     summary = {
         "experiment": "compare",

@@ -416,11 +416,21 @@ def deviation_bound(
     """Exponential bound on P(sqrt(n h^d) |f_hat(x0) - f(x0)| >= eps)
     under the localization event, for eps above the validity threshold."""
     clam = c * lam
-    num = (clam * eps / (2.0 * n_b) - u) ** 2
-    den = 8.0 * k_sup**2 * max(1.0, rho_prime_sup**2) + (
-        4.0 * k_sup / (3.0 * n_b)
-    ) * max(1.0, rho_prime_sup) * clam * eps / math.sqrt(nhd)
-    return n_b * sigma * math.exp(-num / den)
+    gap = clam * eps / (2.0 * n_b) - u
+    if gap == math.inf:  # c lam eps beyond float range: the exponent grows with it
+        return 0.0
+    try:
+        num = gap**2
+        den = 8.0 * k_sup**2 * max(1.0, rho_prime_sup**2) + (
+            4.0 * k_sup / (3.0 * n_b)
+        ) * max(1.0, rho_prime_sup) * clam * eps / math.sqrt(nhd)
+        exponent = num / den
+    except OverflowError:  # a square beyond float range: the same ratio, unsquared
+        s = max(1.0, rho_prime_sup)
+        exponent = (abs(gap) / s) * (
+            abs(gap) / (8.0 * k_sup**2 * s + 4.0 * k_sup / (3.0 * n_b) * clam * eps / math.sqrt(nhd))
+        )
+    return n_b * sigma * math.exp(-exponent)
 
 
 @dataclass(frozen=True)

@@ -321,7 +321,15 @@ def _project_rows(v: np.ndarray, radius: float) -> np.ndarray:
     hits = u * np.arange(1, u.shape[1] + 1) > css
     rho = u.shape[1] - 1 - np.argmax(hits[:, ::-1], axis=1)  # last hit
     tau = css[np.arange(a.shape[0]), rho] / (rho + 1.0)
-    out[over] = np.sign(v[over]) * np.maximum(a - tau[:, None], 0.0)
+    proj = np.maximum(a - tau[:, None], 0.0)
+    # u_1 > u_1 - radius always holds, unless rounding absorbs the radius
+    # (|u_1| >> radius): then the radius goes in equal parts to the entries
+    # equal to u_1
+    if not hits[:, 0].all():
+        lost = ~hits[:, 0]
+        top = a[lost] == u[lost, :1]
+        proj[lost] = top * (radius / top.sum(axis=1, keepdims=True))
+    out[over] = np.sign(v[over]) * proj
     return out
 
 
@@ -366,7 +374,7 @@ def _gradient_step(stack, row):
         if cand_val <= fval + ARMIJO * decrease:
             break
         step *= BACKTRACKING
-        if step < 1e-18:
+        if not step >= 1e-18:  # NaN too: inf/inf spectral steps, the fit then stops
             break
     return candidate, cand_val
 

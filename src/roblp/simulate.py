@@ -15,7 +15,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -205,6 +205,8 @@ class NoiseModel:
     base_scale: float = 1.0
     heteroscedastic: HeteroscedasticRule | None = None
     sigma_min: float | None = None
+    # the largest |draw| gen_noise can emit, derived
+    _largest_draw: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in NOISE_FAMILIES:
@@ -222,6 +224,7 @@ class NoiseModel:
                 f"the largest noise draw, scale {self.base_scale!r} x largest multiplier"
                 f" {rule.max_multiplier!r} x |quantile(1 - 2^-53)| {quantile!r}, is not finite"
             )
+        object.__setattr__(self, "_largest_draw", largest)
         implied = self.base_scale * rule.min_multiplier
         sigma_min = implied if self.sigma_min is None else float(self.sigma_min)
         if not sigma_min > 0:  # NaN too
@@ -310,6 +313,13 @@ class TestFunction:
     fn: Callable
     partial_fn: Callable
     params: dict
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lipschitz) and math.isfinite(self.bound)):
+            raise ValueError(
+                f"{self.name}: the declared Lipschitz constant {self.lipschitz!r} and"
+                f" bound {self.bound!r} must be finite"
+            )
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

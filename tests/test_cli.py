@@ -356,6 +356,18 @@ def test_cli_rejects_bad_worker_count(tmp_path, monkeypatch, workers):
     assert not (tmp_path / "out" / "t.csv").exists()
 
 
+def test_cli_worker_count_stays_out_of_the_manifest(tmp_path, monkeypatch):
+    path = tails_config(tmp_path)
+    outputs = []
+    for workers in ("2", "1"):
+        monkeypatch.setenv("ROBLP_WORKERS", workers)
+        main(["tails", "--config", path, "--output-dir", str(tmp_path / workers)])
+        outputs.append([(tmp_path / workers / name).read_bytes() for name in ("t.csv", "t_manifest.json")])
+        path = str(tmp_path / workers / "t_manifest.json")  # the rerun starts from the manifest
+    assert outputs[0] == outputs[1]
+    assert "workers" not in json.loads(outputs[0][1])["config"]["risk"]
+
+
 def test_cli_experiment_config_errors_exit_with_message(tmp_path):
     path = tails_config(tmp_path, kind="adaptive", curvature=0.38)
     with pytest.raises(SystemExit, match=r"\$\.estimator\.kind: tails experiment needs a single bandwidth"):

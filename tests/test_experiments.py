@@ -351,6 +351,20 @@ def test_minimax_bandwidth_of_every_n_is_derived_before_any_replication(tmp_path
         run_experiment(cfg)
 
 
+def test_a_fit_degree_with_more_coefficients_than_samples_is_a_config_error_before_any_replication(tmp_path, monkeypatch):
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran")
+
+    monkeypatch.setattr(experiments, "risk_curve", no_replications)
+    cfg = rates_config(tmp_path)
+    cfg["estimator"]["beta"] = 1e308  # fit degree holder_floor(beta), about 1e308
+    with pytest.raises(ConfigError, match=r"^\$\.estimator: fit degree 1e\+308 has more basis coefficients than n=256 samples$"):
+        run_experiment(cfg)
+    cfg["estimator"] = {**compare_config(tmp_path)["estimator"], "degree": 256}
+    with pytest.raises(ConfigError, match=r"fit degree 256 has more basis coefficients than n=256 samples"):
+        run_experiment(cfg)
+
+
 @pytest.mark.parametrize("section", ["noise", "grid"])
 def test_a_rejected_config_creates_no_output_directory(tmp_path, section):
     out = tmp_path / "out"

@@ -179,6 +179,16 @@ def test_deviation_bound_shape():
     )
 
 
+def test_deviation_bound_tends_to_its_limits_where_a_square_overflows():
+    kwargs = dict(n_b=2, sigma=3.0, lam=0.1, c=0.5, k_sup=1.0, u=1.0, nhd=50.0)
+    # rho'^2 beyond float range: the exponent tends to 0, the bound to n_b sigma
+    assert deviation_bound(100.0, rho_prime_sup=1e308, **kwargs) == 6.0
+    # (c lam eps / (2 n_b) - u)^2 beyond float range: the bound tends to 0
+    assert deviation_bound(1e200, rho_prime_sup=1.0, **kwargs) == 0.0
+    # c lam eps itself beyond float range: so does it
+    assert deviation_bound(1e308, rho_prime_sup=1.0, **{**kwargs, "c": 1e300}) == 0.0
+
+
 def test_tail_check_report_structure():
     f = sinusoid(beta=2.0)
     model = NoiseModel(family="gaussian", base_scale=0.5)

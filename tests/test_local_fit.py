@@ -147,6 +147,16 @@ def test_project_l1_ball_examples():
         project_l1_ball(np.array([1.0]), 0.0)
 
 
+@pytest.mark.parametrize(
+    "t, expected",
+    [([1e300, 1e299], [8.0, 0.0]), ([-1e300, 1e300, 3.0], [-4.0, 4.0, 0.0]), ([1e20, 1.0], [8.0, 0.0])],
+    ids=str,
+)
+def test_project_l1_ball_far_beyond_the_radius(t, expected):
+    # u_1 - radius rounds to u_1 here, and the projection still lands on the ball
+    np.testing.assert_array_equal(project_l1_ball(np.array(t), 8.0), expected)
+
+
 @given(
     st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=1, max_size=6),
     st.floats(min_value=0.1, max_value=4.0),

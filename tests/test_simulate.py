@@ -254,3 +254,10 @@ def test_make_test_function_names_a_missing_required_parameter():
         make_test_function({"name": "cusp", "amplitude": 2.0})
     with pytest.raises(KeyError, match="value"):
         make_test_function({"name": "constant", "beta": 2.0})
+
+
+@pytest.mark.parametrize("factory", [sinusoid, product_sinusoid])
+def test_declared_constants_must_be_finite(factory):
+    # L = a (2 pi)^2 overflows for amplitude 1e308
+    with pytest.raises(ValueError, match=r"Lipschitz constant inf and bound inf must be finite"):
+        factory(beta=2.0, amplitude=1e308)
