@@ -19,6 +19,7 @@ import json
 import math
 import numbers
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -202,13 +203,25 @@ _Validator = jsonschema.validators.extend(
 )
 
 
+# An int of more digits than this is said by its length in a message.
+_LONG_INT = re.compile(r"(?<![\w.])-?\d{21,}(?![\w.])")
+
+
+def _int_length(match: re.Match) -> str:
+    digits = match.group().lstrip("-")
+    sign = "a negative" if len(digits) < len(match.group()) else "an"
+    return f"{sign} integer of {len(digits)} digits"
+
+
 def _validate(instance: dict, schema: dict = CONFIG_SCHEMA, root: str = "$") -> None:
     """Raise a ConfigError listing every schema violation, each under its
     field path; ``root`` is the path of ``instance`` in the full config."""
     validator = _Validator(schema)
     errors = sorted(validator.iter_errors(instance), key=lambda e: e.json_path)
     if errors:
-        lines = [f"{root}{e.json_path[1:]}: {e.message}" for e in errors]
+        lines = [
+            f"{root}{e.json_path[1:]}: {_LONG_INT.sub(_int_length, e.message)}" for e in errors
+        ]
         raise ConfigError("invalid experiment config:\n  " + "\n  ".join(lines))
 
 
@@ -267,7 +280,9 @@ def _derive(where: str, build, *args):
     try:
         return build(*args)
     except (ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        # a float power's OverflowError carries (errno, text): say the text
+        errno_text = isinstance(exc, OverflowError) and len(exc.args) == 2
+        raise ConfigError(f"{where}: {exc.args[1] if errno_text else exc}") from exc
 
 
 def _noise_model(noise: dict) -> NoiseModel:
@@ -467,7 +482,7 @@ def _check_sizes(
                 f" beyond float range at n={n}, d={d}"
             )
     if estimator.kind == "adaptive":
-        _derive("$.estimator", estimator._selection_setup, tuple(x0), n_min)
+        _derive("$.estimator", estimator._selection_plan, tuple(x0), n_min)
 
 
 def _check_risk(r: float, n: int, risk: float, stderr: float, rate_fit: bool) -> None:

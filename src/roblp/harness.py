@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,13 +24,12 @@ import numpy as np
 from .contrast import ContrastSpec, huber, square
 from .kernels import KernelSpec, ProcedureConstants
 from .lepski import (
-    BandwidthGrid,
     SelectionTrace,
     bandwidth_grid,
     holder_floor,
     minimax_bandwidth,
-    _level_configs,
     _select_estimates,
+    _selection_plan,
     select_bandwidth,
     selection_config,
 )
@@ -94,11 +94,14 @@ class Estimator:
     curvature: float | None = None
     risk_power: float = 2.0
     optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
-    # Selection threshold constant by dimension, filled on first use: it
-    # depends only on the fields above, so every replication shares it.
+    # Selection threshold constant by dimension, and selection plan (the
+    # arguments of select_bandwidth) by point and sample size, filled on
+    # first use: they depend only on the fields above and those keys, so
+    # every replication shares them.
     _selection: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ESTIMATOR_FIELDS:
@@ -134,26 +137,29 @@ class Estimator:
         x0 = tuple(float(v) for v in np.atleast_1d(x0))
         return self._local_config(x0, self.bandwidth(n, len(x0)))
 
-    def _selection_setup(
+    def _selection_plan(
         self, x0: tuple[float, ...], n: int
-    ) -> tuple[BandwidthGrid, LocalFitConfig, float]:
-        """The adaptive kind's bandwidth grid for n samples, its fit template
-        at x0 and the selection threshold constant C."""
-        d = len(x0)
-        grid = bandwidth_grid(n, d, int(self.degree))
-        template = self._local_config(x0, grid.h_max)
-        threshold = self._selection.get(d)
-        if threshold is None:
-            threshold = self._selection[d] = selection_config(
-                self.contrast, template.kernel, template.degree, self.curvature, self.risk_power
-            )
-        return grid, template, threshold
+    ) -> tuple[tuple[LocalFitConfig, ...], tuple[float, ...]]:
+        """The adaptive kind's selection plan at x0 for n samples: the fit
+        config and the threshold of each level of its bandwidth grid."""
+        plan = self._plans.get((x0, n))
+        if plan is None:
+            d = len(x0)
+            grid = bandwidth_grid(n, d, int(self.degree))
+            template = self._local_config(x0, grid.h_max)
+            threshold = self._selection.get(d)
+            if threshold is None:
+                threshold = self._selection[d] = selection_config(
+                    self.contrast, template.kernel, template.degree, self.curvature, self.risk_power
+                )
+            plan = self._plans[x0, n] = _selection_plan(grid, template, threshold)
+        return plan
 
     def selection_trace(self, data: Dataset, x0) -> SelectionTrace:
         if self.kind != "adaptive":
             raise ValueError("selection trace only defined for the adaptive kind")
         x0 = tuple(float(v) for v in np.atleast_1d(x0))
-        return select_bandwidth(data, *self._selection_setup(x0, data.n))
+        return select_bandwidth(data, *self._selection_plan(x0, data.n))
 
     def estimate(self, data: Dataset, x0) -> float:
         if self.kind == "adaptive":
@@ -196,8 +202,7 @@ def _block_errors(args) -> list[float]:
     x0 = tuple(float(v) for v in np.atleast_1d(x0))
     adaptive = estimator.kind == "adaptive"
     if adaptive:
-        grid, template, threshold = estimator._selection_setup(x0, n)
-        configs = _level_configs(grid, template)
+        configs, thresholds = estimator._selection_plan(x0, n)
     else:
         configs = [estimator.fit_config(x0, n)]
     fitted = []  # per replication: whether it has windows to fit
@@ -222,7 +227,7 @@ def _block_errors(args) -> list[float]:
             continue
         estimates = [next(fits).estimate for _ in configs]
         if adaptive:
-            est = _select_estimates(estimates, grid, threshold).selected
+            est = _select_estimates(estimates, configs, thresholds).selected
         else:
             est = estimates[0]
         errors.append(abs(est - target))
@@ -233,12 +238,15 @@ def _replication_errors(
     estimator, f, x0, model, n, replications, seed, workers: int = 1
 ) -> np.ndarray:
     """Errors of replications 0..replications-1, in contiguous blocks (at
-    least one per worker); each block is one pool task."""
+    least one per worker); each block is one pool task.  The pool has no
+    more processes than the machine has CPUs or the run has blocks."""
+    workers = min(workers, os.cpu_count() or 1)
     size = max(1, min(BLOCK_REPLICATIONS, -(-replications // workers)))
     tasks = [
         (estimator, f, x0, model, n, seed, range(start, min(start + size, replications)))
         for start in range(0, replications, size)
     ]
+    workers = min(workers, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

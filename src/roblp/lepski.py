@@ -17,6 +17,7 @@ so the rule always selects some index.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from .basis import multi_index_set
@@ -253,35 +254,42 @@ def select_index(
 
 
 def select_bandwidth(
-    data: Dataset, grid: BandwidthGrid, fit_template: LocalFitConfig, threshold: float
+    data: Dataset, levels: Sequence[LocalFitConfig], thresholds: Sequence[float]
 ) -> SelectionTrace:
-    """Run the estimator over the whole grid and apply the selection rule.
+    """Run the estimator at every grid level and apply the selection rule.
 
-    Each bandwidth is fitted at ``fit_template.x0`` with the template's
-    settings, independently on the same data (no warm starts, so results
-    do not depend on evaluation order); the levels are solved as one
-    stack.  ``threshold`` is the constant C from ``selection_config``.  An
-    empty window raises ``EmptyNeighborhoodError`` carrying the offending
-    grid index.
+    ``levels`` holds the fit config of each grid level, finest last: one
+    template at x0 with bandwidth h_k (see ``_selection_plan``).  Each level
+    is fitted independently on the same data (no warm starts, so results
+    do not depend on evaluation order), and the levels are solved as one
+    stack.  ``thresholds`` holds each level's threshold C * S_n(l), C from
+    ``selection_config``.  An empty window raises
+    ``EmptyNeighborhoodError`` carrying the offending grid index.
     """
     # an iterator, so that no window outlives its stack's layout
-    fits = _fit_problems(iter(_windows(data, _level_configs(grid, fit_template), grid=True)))
-    return _select_estimates([fit.estimate for fit in fits], grid, threshold)
+    fits = _fit_problems(iter(_windows(data, levels, grid=True)))
+    return _select_estimates([fit.estimate for fit in fits], levels, thresholds)
 
 
-def _level_configs(grid: BandwidthGrid, template: LocalFitConfig) -> list[LocalFitConfig]:
-    """The fit config of each grid level: ``template`` at bandwidth h_k."""
-    return [replace(template, h=h_k) for h_k in grid.bandwidths]
+def _selection_plan(
+    grid: BandwidthGrid, template: LocalFitConfig, threshold: float
+) -> tuple[tuple[LocalFitConfig, ...], tuple[float, ...]]:
+    """The arguments of ``select_bandwidth`` on ``grid``: the fit config of
+    each level, ``template`` at bandwidth h_k, and its threshold C * S_n(l)
+    for threshold constant C = ``threshold``."""
+    levels = tuple(replace(template, h=h_k) for h_k in grid.bandwidths)
+    thresholds = tuple(threshold * threshold_scale(l, grid) for l in range(grid.k_n + 1))
+    return levels, thresholds
 
 
-def _select_estimates(estimates, grid: BandwidthGrid, threshold: float) -> SelectionTrace:
-    """The selection rule on the per-level estimates of one dataset, with
-    threshold constant C = ``threshold``: the trace ``select_bandwidth``
-    returns."""
-    thresholds = [threshold * threshold_scale(l, grid) for l in range(grid.k_n + 1)]
+def _select_estimates(
+    estimates, levels: Sequence[LocalFitConfig], thresholds: Sequence[float]
+) -> SelectionTrace:
+    """The selection rule on the per-level estimates of one dataset: the
+    trace ``select_bandwidth`` returns."""
     chosen, checks = select_index(estimates, thresholds)
     return SelectionTrace(
-        estimates=tuple(zip(range(grid.k_n + 1), grid.bandwidths, estimates)),
+        estimates=tuple(zip(range(len(levels)), (cfg.h for cfg in levels), estimates)),
         chosen_k=chosen,
         pairwise_checks=checks,
     )

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -282,6 +284,32 @@ def test_function_parameters_are_checked_per_function(tmp_path, function, messag
     with pytest.raises(ConfigError, match=message):
         run_experiment(cfg)
     assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("function", "beta"), 1e308, "$.function: " + os.strerror(errno.ERANGE)),
+        (
+            ("function", "beta"),
+            10**400,
+            "invalid experiment config:\n  $.function.beta: an integer of 401 digits is not of type 'number'",
+        ),
+        (
+            ("estimator", "bound"),
+            -(10**30),
+            "invalid experiment config:\n  $.estimator.bound: a negative integer of 31 digits"
+            " is less than or equal to the minimum of 0",
+        ),
+    ],
+    ids=["overflow-errno", "long-int", "long-negative-int"],
+)
+def test_arithmetic_and_schema_errors_read_as_plain_text(tmp_path, path, value, message):
+    cfg = rates_config(tmp_path)
+    cfg[path[0]][path[1]] = value
+    with pytest.raises(ConfigError) as exc:
+        run_experiment(cfg)
+    assert str(exc.value) == message
 
 
 def test_compare_single_replication_reports_zero_stderr(tmp_path):

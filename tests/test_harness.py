@@ -277,13 +277,15 @@ def _replication_cases():
 @pytest.mark.parametrize("case", [0, 1], ids=["minimax-cauchy", "adaptive"])
 def test_replication_errors_do_not_depend_on_the_block_size(monkeypatch, case):
     import roblp.harness as harness
+    import roblp.local_fit as local_fit
 
     est, model = _replication_cases()[case]
     f, x0, n, reps, seed = sinusoid(beta=2.0), [0.25], 600, 23, 14
     target = float(f(np.array(x0)))
     single = [abs(est.estimate(gen_data(f, model, n, 1, (seed, rep)), x0) - target) for rep in range(reps)]
-    for size in (1, 7, reps):
+    for size, cap in ((1, 512), (7, 1), (reps, 64), (reps, 512)):
         monkeypatch.setattr(harness, "BLOCK_REPLICATIONS", size)
+        monkeypatch.setattr(local_fit, "_STACK_CHUNKS", cap)
         errs = harness._replication_errors(est, f, x0, model, n, reps, seed)
         np.testing.assert_array_equal(errs, single)
 
@@ -326,7 +328,42 @@ def test_replication_errors_parallel_match_sequential(case):
     )
 
 
+def test_pool_size_is_bounded_by_the_cpus_and_the_blocks(monkeypatch):
+    import concurrent.futures
+
+    import roblp.harness as harness
+
+    sizes = []
+
+    class Recording:
+        """Stands in for the pool: records its size and maps in process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    est = Estimator(kind="fixed", contrast=huber(1.0), kernel_kind="uniform", bound=8.0, h=0.2, degree=1)
+    args = (est, sinusoid(beta=2.0), [0.25], NoiseModel(family="gaussian", base_scale=0.5), 128)
+    serial = harness._replication_errors(*args, 30, 12, workers=1)
+    for cpus, reps, expected in ((4, 30, [4]), (1000, 3, [3]), (None, 30, []), (1, 30, [])):
+        sizes.clear()
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        errs = harness._replication_errors(*args, reps, 12, workers=100000)
+        assert sizes == expected
+        np.testing.assert_array_equal(errs, serial[:reps])
+
+
 def test_selection_constants_built_once_per_estimator(monkeypatch):
+    import roblp.harness as harness
     import roblp.lepski as lepski
 
     calls = []
@@ -336,7 +373,15 @@ def test_selection_constants_built_once_per_estimator(monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
+    plans = []
+    original_plan = harness._selection_plan
+
+    def counting_plan(grid, template, threshold):
+        plans.append((template.x0, grid.n))
+        return original_plan(grid, template, threshold)
+
     monkeypatch.setattr(lepski, "moment_matrix", counting)
+    monkeypatch.setattr(harness, "_selection_plan", counting_plan)
     est = Estimator(
         kind="adaptive",
         contrast=huber(1.0),
@@ -345,11 +390,20 @@ def test_selection_constants_built_once_per_estimator(monkeypatch):
         degree=1,
         curvature=0.38,
     )
-    data = gen_data(sinusoid(beta=2.0), NoiseModel(family="gaussian", base_scale=0.3), 600, 1, seed=77)
+    f, model = sinusoid(beta=2.0), NoiseModel(family="gaussian", base_scale=0.3)
+    data = gen_data(f, model, 600, 1, seed=77)
     first = est.selection_trace(data, [0.25])
     second = est.selection_trace(data, [0.25])
     assert len(calls) == 1
     assert first == second
+    assert plans == [((0.25,), 600)]
+    # the plan is built once per point and sample size, and the harness
+    # shares the selection's
+    est.selection_trace(data, [0.3])
+    est.selection_trace(gen_data(f, model, 700, 1, seed=78), [0.25])
+    harness._replication_errors(est, f, [0.25], model, 600, 3, 5)
+    assert plans == [((0.25,), 600), ((0.3,), 600), ((0.25,), 700)]
+    assert len(calls) == 1
 
 
 def test_compare_contrasts_aborts_above_one_percent_empty_windows(monkeypatch):

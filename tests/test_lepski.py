@@ -16,6 +16,7 @@ from roblp.lepski import (
     selection_config,
     threshold_constant,
     threshold_scale,
+    _selection_plan,
 )
 from roblp.local_fit import Dataset, EmptyNeighborhoodError, LocalFitConfig
 
@@ -188,9 +189,14 @@ def _selection_inputs(n=240, seed=1, constant=None):
     return data, grid, template, threshold
 
 
+def _select(data, grid, template, threshold):
+    """select_bandwidth on ``grid`` at ``template`` with constant ``threshold``."""
+    return select_bandwidth(data, *_selection_plan(grid, template, threshold))
+
+
 def test_select_bandwidth_constant_data_picks_largest():
     data, grid, template, threshold = _selection_inputs(constant=0.7)
-    trace = select_bandwidth(data, grid, template, threshold)
+    trace = _select(data, grid, template, threshold)
     assert trace.chosen_k == 0
     assert trace.selected == pytest.approx(0.7, abs=1e-7)
     assert trace.selected_bandwidth == grid.h_max
@@ -198,7 +204,7 @@ def test_select_bandwidth_constant_data_picks_largest():
 
 def test_select_bandwidth_trace_replays():
     data, grid, template, threshold = _selection_inputs()
-    trace = select_bandwidth(data, grid, template, threshold)
+    trace = _select(data, grid, template, threshold)
     assert len(trace.estimates) == grid.k_n + 1
     assert trace.selected == trace.estimates[trace.chosen_k][2]
     # replay the rule from the recorded estimates and thresholds
@@ -213,8 +219,8 @@ def test_select_bandwidth_trace_replays():
 
 
 def test_select_bandwidth_deterministic():
-    a = select_bandwidth(*_selection_inputs())
-    b = select_bandwidth(*_selection_inputs())
+    a = _select(*_selection_inputs())
+    b = _select(*_selection_inputs())
     assert a == b
 
 
@@ -234,7 +240,7 @@ def test_select_bandwidth_single_level_grid():
         contrast=huber(1.0),
     )
     threshold = selection_config(huber(1.0), uniform_kernel(1), 1, c=0.4)
-    trace = select_bandwidth(data, grid, template, threshold)
+    trace = _select(data, grid, template, threshold)
     assert trace.chosen_k == 0
     assert trace.pairwise_checks == ()
 
@@ -270,7 +276,7 @@ def _clustered_selection_inputs(gap_low, gap_high, n=4096, degree=3):
 def test_select_bandwidth_empty_window_names_grid_index(gap_low, gap_high, empty_k):
     data, grid, template, threshold = _clustered_selection_inputs(gap_low, gap_high)
     with pytest.raises(EmptyNeighborhoodError, match=f"grid index k={empty_k}") as exc:
-        select_bandwidth(data, grid, template, threshold)
+        _select(data, grid, template, threshold)
     assert exc.value.grid_index == empty_k
     assert exc.value.x0 == (0.5,)
     assert exc.value.h == grid.bandwidths[empty_k]

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from roblp.basis import monomial_matrix, multi_index_set
 from roblp.contrast import absolute, huber
-from roblp.kernels import uniform_kernel, epanechnikov_kernel
+from roblp.kernels import KernelSpec, uniform_kernel, epanechnikov_kernel
 from roblp.lepski import bandwidth_grid, minimax_bandwidth
 from roblp.simulate import NoiseModel, gen_data, sinusoid
 import roblp.local_fit as local_fit
@@ -597,3 +597,65 @@ def test_stacked_fits_are_bit_identical_to_single_fits(monkeypatch):
                 single.iterations, single.converged, single.stationarity_gap
             )
 
+
+def _weighted_median_by_sort(values, weights):
+    """The weighted median by a stable sort: the first sorted value at
+    which the cumulative weight reaches half the total."""
+    order = np.argsort(values, kind="stable")
+    cum = np.cumsum(weights[order])
+    idx = int(np.searchsorted(cum, 0.5 * cum[-1]))
+    return float(values[order][min(idx, values.size - 1)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+@example([0.3])
+@example([2.0, 1.0])
+@example([0.0, -0.0])
+@example([-0.0, 0.0])
+@example([-0.0, 0.0, -0.0, 0.0, 1.0])
+@example([0.0, -1.0, -0.0, 0.0, -0.0, 2.0])
+def test_unit_weight_median_matches_the_stable_sort_bit_for_bit(values):
+    values = np.asarray(values, dtype=float)
+    weights = np.ones(values.size)
+    got = local_fit._weighted_median(values, weights)
+    want = _weighted_median_by_sort(values, weights)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()  # -0.0 != 0.0 here
+
+
+@pytest.mark.parametrize("kernel", ["uniform", "triangular", "epanechnikov"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_nested_grid_windows_equal_windows_cut_from_the_full_sample(kernel, d):
+    data = gen_data(sinusoid(beta=2.0), NoiseModel(family="gaussian", base_scale=0.5), 8192, d, seed=(31, d))
+    spec = KernelSpec(kind=kernel, d=d)
+    configs = [make_cfg(x0=(0.3,) * d, h=0.4 * 2.0**-k, kernel=spec) for k in range(4)]
+    # a larger window, or one around another point, is not nested
+    configs += [make_cfg(x0=(0.3,) * d, h=0.2, kernel=spec), make_cfg(x0=(0.6,) * d, h=0.1, kernel=spec)]
+    nested = local_fit._windows(data, configs, grid=True)
+    for window, cfg in zip(nested, configs):
+        alone = local_fit._LocalProblem(data, cfg)
+        assert window.n_local == alone.n_local > 0
+        assert window.scale == alone.scale
+        for name in ("x", "design", "weights", "y"):
+            a, b = getattr(window, name), getattr(alone, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("grid, index", [(True, 1), (False, None)])
+def test_an_empty_inner_grid_level_raises_with_its_index(grid, index):
+    # the samples lie 0.2 or more from x0: in the level of side 1, not of side 0.25
+    x = np.array([[0.3], [0.7], [0.05], [0.95]])
+    data = Dataset(x=x, y=np.arange(4.0))
+    configs = [make_cfg(x0=(0.5,), h=h) for h in (1.0, 0.25, 0.125)]
+    with pytest.raises(EmptyNeighborhoodError, match="side 0.25") as exc:
+        local_fit._windows(data, configs, grid=grid)
+    assert exc.value.grid_index == index
