@@ -1,57 +1,50 @@
 #!/usr/bin/env python3
 """Convergence-rate study: minimax bandwidth, Gaussian vs Cauchy noise.
 
-Runs the config-driven rates experiment for both noise families and
-prints the fitted log-log slopes next to the theoretical exponent
--beta/(2 beta + d).  Writes CSVs and manifests under --output.
+Runs the rates experiment of scripts/configs/rates_gaussian.json, then the
+same config under Cauchy noise, and prints the fitted log-log slopes next
+to the theoretical exponent -beta/(2 beta + d).  The flags override the
+config's values; the CSVs and manifests go under its output directory.
 """
 
 import argparse
+import json
+from pathlib import Path
 
 from roblp.experiments import run_experiment
-from roblp.simulate import sinusoid
 
-
-def build_config(family, scale, out_dir, n_values, replications, seed):
-    f = sinusoid(beta=2.0)
-    return {
-        "experiment": "rates",
-        "seed": seed,
-        "function": {"name": "sinusoid", "beta": 2.0, "amplitude": 1.0},
-        "noise": {"family": family, "scale": scale},
-        "estimator": {
-            "kind": "minimax",
-            "contrast": {"kind": "huber", "gamma": 1.0},
-            "kernel": "uniform",
-            "bound": 8.0,
-            "x0": [0.25],
-            "beta": 2.0,
-            "lipschitz": f.lipschitz,
-        },
-        "grid": {"n_values": n_values},
-        "risk": {"replications": replications, "power": 2.0},
-        "output": {"directory": out_dir, "prefix": f"rates_{family}"},
-    }
+CONFIG = Path(__file__).resolve().parent / "configs" / "rates_gaussian.json"
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--output", default="results/rates")
-    ap.add_argument("--replications", type=int, default=200)
-    ap.add_argument("--seed", type=int, default=20240810)
-    ap.add_argument(
-        "--n", type=int, nargs="+", default=[512, 1024, 2048, 4096, 8192, 16384]
-    )
+    ap.add_argument("--output", help="output directory")
+    ap.add_argument("--replications", type=int)
+    ap.add_argument("--seed", type=int)
+    ap.add_argument("--n", type=int, nargs="+", help="sample sizes")
     args = ap.parse_args()
 
-    for family, scale in (("gaussian", 0.5), ("cauchy", 1.0)):
-        cfg = build_config(
-            family, scale, args.output, args.n, args.replications, args.seed
-        )
-        result = run_experiment(cfg)
+    cfg = json.loads(CONFIG.read_text())
+    for value, section, key in (
+        (args.output, "output", "directory"),
+        (args.replications, "risk", "replications"),
+        (args.n, "grid", "n_values"),
+    ):
+        if value is not None:
+            cfg[section][key] = value
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+
+    cauchy = {
+        **cfg,
+        "noise": {"family": "cauchy", "scale": 1.0},
+        "output": {**cfg["output"], "prefix": "rates_cauchy"},
+    }
+    for run in (cfg, cauchy):
+        result = run_experiment(run)
         fit = result["summary"]["rate_fit"]
         print(
-            f"{family:9s} slope {fit['slope']:+.4f}  target {fit['target']:+.4f}"
+            f"{run['noise']['family']:9s} slope {fit['slope']:+.4f}  target {fit['target']:+.4f}"
             f"  gap {fit['gap']:+.4f}  -> {result['csv']}"
         )
 

@@ -1,45 +1,39 @@
 #!/usr/bin/env python3
 """Deviation-tail study: empirical tails of the normalized error against
-the exponential bound, at the minimax bandwidth."""
+the exponential bound, at the minimax bandwidth.
+
+Runs the tails experiment of scripts/configs/tails_gaussian.json; the
+flags override the config's values.
+"""
 
 import argparse
+import json
+from pathlib import Path
 
 from roblp.experiments import run_experiment
-from roblp.simulate import sinusoid
+
+CONFIG = Path(__file__).resolve().parent / "configs" / "tails_gaussian.json"
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--output", default="results/tails")
-    ap.add_argument("--n", type=int, default=1024)
-    ap.add_argument("--replications", type=int, default=10_000)
-    ap.add_argument("--seed", type=int, default=20240810)
+    ap.add_argument("--output", help="output directory")
+    ap.add_argument("--n", type=int, help="sample size")
+    ap.add_argument("--replications", type=int)
+    ap.add_argument("--seed", type=int)
     args = ap.parse_args()
 
-    f = sinusoid(beta=2.0)
-    h = (f.lipschitz**2 * args.n) ** (-1.0 / 5.0)
-    cfg = {
-        "experiment": "tails",
-        "seed": args.seed,
-        "function": {"name": "sinusoid", "beta": 2.0, "amplitude": 1.0},
-        "noise": {"family": "gaussian", "scale": 0.5},
-        "estimator": {
-            "kind": "fixed",
-            "contrast": {"kind": "huber", "gamma": 1.0},
-            "kernel": "uniform",
-            "bound": 8.0,
-            "x0": [0.25],
-            "h": h,
-            "degree": 1,
-            "curvature": None,
-        },
-        "grid": {
-            "n": args.n,
-            "epsilon_multipliers": [1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0],
-        },
-        "risk": {"replications": args.replications},
-        "output": {"directory": args.output, "prefix": "tails_gaussian"},
-    }
+    cfg = json.loads(CONFIG.read_text())
+    for value, section, key in (
+        (args.output, "output", "directory"),
+        (args.n, "grid", "n"),
+        (args.replications, "risk", "replications"),
+    ):
+        if value is not None:
+            cfg[section][key] = value
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+
     result = run_experiment(cfg)
     summary = result["summary"]
     print(f"validity threshold eps_min = {summary['eps_min']:.2f}")

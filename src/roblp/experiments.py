@@ -56,8 +56,20 @@ __all__ = ["ConfigError", "load_config", "run_experiment", "CONFIG_SCHEMA"]
 
 CONFIG_SCHEMA = {
     "type": "object",
-    "required": ["experiment", "seed", "estimator", "output"],
+    "required": ["experiment", "seed", "function", "noise", "estimator", "grid", "risk", "output"],
     "additionalProperties": False,
+    # the grid fields each experiment reads
+    "allOf": [
+        {
+            "if": {"required": ["experiment"], "properties": {"experiment": {"const": experiment}}},
+            "then": {"properties": {"grid": {"required": fields}}},
+        }
+        for experiment, fields in (
+            ("rates", ["n_values"]),
+            ("tails", ["n", "epsilon_multipliers"]),
+            ("compare", ["n"]),
+        )
+    ],
     "properties": {
         "experiment": {"enum": ["rates", "tails", "compare"]},
         "seed": {"type": "integer", "minimum": 0},
@@ -160,6 +172,7 @@ CONFIG_SCHEMA = {
         },
         "risk": {
             "type": "object",
+            "required": ["replications"],
             "additionalProperties": False,
             "properties": {
                 "replications": {"type": "integer", "minimum": 1},
@@ -389,8 +402,7 @@ def run_experiment(source, output_dir=None) -> dict:
     out = cfg["output"]
     out_dir = Path(output_dir) if output_dir is not None else Path(out["directory"])
     prefix = out["prefix"]
-    runner, required = _RUNNERS[cfg["experiment"]]
-    _require(cfg, "function", "noise", *required)
+    runner = _RUNNERS[cfg["experiment"]]
     workers = _workers(cfg["risk"])
     noise = _noise_model(cfg["noise"])
     f = _test_function(cfg["function"], noise)
@@ -423,21 +435,6 @@ def run_experiment(source, output_dir=None) -> dict:
         "manifest": manifest,
         "summary": summary,
     }
-
-
-def _require(cfg: dict, *paths: str) -> None:
-    missing = []
-    for path in paths:
-        node = cfg
-        for key in path.split("."):
-            if not isinstance(node, dict) or key not in node:
-                missing.append(f"$.{path}")
-                break
-            node = node[key]
-    if missing:
-        raise ConfigError("invalid experiment config:\n  " + "\n  ".join(
-            f"{p}: required for experiment {cfg['experiment']!r}" for p in missing
-        ))
 
 
 def _workers(risk: dict) -> int:
@@ -482,7 +479,7 @@ def _check_sizes(
                 f" beyond float range at n={n}, d={d}"
             )
     if estimator.kind == "adaptive":
-        _derive("$.estimator", estimator._selection_plan, tuple(x0), n_min)
+        _derive("$.estimator", estimator.plan, x0, n_min)
 
 
 def _check_risk(r: float, n: int, risk: float, stderr: float, rate_fit: bool) -> None:
@@ -634,9 +631,4 @@ def _run_compare(cfg, f, noise, estimator, x0, workers):
     return header, [[row.name, row.risk, row.stderr, row.max_error] for row in rows], summary, {}
 
 
-# experiment -> (runner, config paths it needs beyond function and noise)
-_RUNNERS = {
-    "rates": (_run_rates, ("grid.n_values", "risk.replications")),
-    "tails": (_run_tails, ("grid.n", "grid.epsilon_multipliers", "risk.replications")),
-    "compare": (_run_compare, ("grid.n", "risk.replications")),
-}
+_RUNNERS = {"rates": _run_rates, "tails": _run_tails, "compare": _run_compare}

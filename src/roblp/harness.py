@@ -7,6 +7,12 @@ against the exponential bound, and compares contrasts under heavy-tailed
 noise.  Replications are keyed by (seed, replication index) so results
 are independent of execution order and reproducible bit-for-bit.
 
+Each study is one driver call: every fit plan it needs (one per n of a
+risk curve, one per row of a contrast table) is a job, and the blocks of
+all its jobs share one task list, so a run opens at most one process
+pool.  The 1% abort rule is checked once every job has run, and its
+error names the sample size of the first offending job.
+
 Risks are always finite without moment assumptions on the noise: both the
 estimator and the target are bounded by the coefficient bound M, so every
 error is at most 2M.
@@ -52,7 +58,6 @@ __all__ = [
     "TailPoint",
     "TailReport",
     "ComparisonRow",
-    "mc_risk",
     "risk_curve",
     "rate_fit",
     "wilson_half_width",
@@ -94,10 +99,9 @@ class Estimator:
     curvature: float | None = None
     risk_power: float = 2.0
     optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
-    # Selection threshold constant by dimension, and selection plan (the
-    # arguments of select_bandwidth) by point and sample size, filled on
-    # first use: they depend only on the fields above and those keys, so
-    # every replication shares them.
+    # Selection threshold constant by dimension, and the adaptive plan by
+    # point and sample size, filled on first use: they depend only on the
+    # fields above and those keys, so every replication shares them.
     _selection: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -137,11 +141,16 @@ class Estimator:
         x0 = tuple(float(v) for v in np.atleast_1d(x0))
         return self._local_config(x0, self.bandwidth(n, len(x0)))
 
-    def _selection_plan(
-        self, x0: tuple[float, ...], n: int
-    ) -> tuple[tuple[LocalFitConfig, ...], tuple[float, ...]]:
-        """The adaptive kind's selection plan at x0 for n samples: the fit
-        config and the threshold of each level of its bandwidth grid."""
+    def plan(
+        self, x0, n: int
+    ) -> tuple[tuple[LocalFitConfig, ...], tuple[float, ...] | None]:
+        """The fits of one estimate at x0 from n samples, and their
+        selection thresholds: one fit config and None for a single
+        bandwidth; for the adaptive kind, the fit config and the threshold
+        of each level of its bandwidth grid, built once per (x0, n)."""
+        x0 = tuple(float(v) for v in np.atleast_1d(x0))
+        if self.kind != "adaptive":
+            return (self.fit_config(x0, n),), None
         plan = self._plans.get((x0, n))
         if plan is None:
             d = len(x0)
@@ -158,8 +167,7 @@ class Estimator:
     def selection_trace(self, data: Dataset, x0) -> SelectionTrace:
         if self.kind != "adaptive":
             raise ValueError("selection trace only defined for the adaptive kind")
-        x0 = tuple(float(v) for v in np.atleast_1d(x0))
-        return select_bandwidth(data, *self._selection_plan(x0, data.n))
+        return select_bandwidth(data, *self.plan(x0, data.n))
 
     def estimate(self, data: Dataset, x0) -> float:
         if self.kind == "adaptive":
@@ -189,29 +197,25 @@ BLOCK_REPLICATIONS = 64
 
 
 def _block_errors(args) -> list[float]:
-    """|f_hat(x0) - f(x0)| for a contiguous block of seeded replications.
+    """|f_hat(x0) - f(x0)| for a contiguous block of seeded replications of
+    one plan (see ``Estimator.plan``); x0 is the point its configs fit at.
 
-    Each replication's dataset is reduced to its windows (every grid level
-    for the adaptive kind) as soon as it is drawn.  One solver call takes
-    the block's windows as they are drawn and solves them in stacks, and
-    the adaptive kind applies the selection rule per replication.  NaN
-    marks a replication with an empty window (counted and excluded by the
-    caller).
+    Each replication's dataset is reduced to the plan's windows as soon as
+    it is drawn.  One solver call takes the block's windows as they are
+    drawn and solves them in stacks; a plan with thresholds is a bandwidth
+    grid, whose selection rule runs per replication.  NaN marks a
+    replication with an empty window (counted and excluded by the caller).
     """
-    estimator, f, x0, model, n, seed, reps = args
-    x0 = tuple(float(v) for v in np.atleast_1d(x0))
-    adaptive = estimator.kind == "adaptive"
-    if adaptive:
-        configs, thresholds = estimator._selection_plan(x0, n)
-    else:
-        configs = [estimator.fit_config(x0, n)]
+    (configs, thresholds), f, model, n, seed, reps = args
+    x0 = configs[0].x0
+    grid = thresholds is not None
     fitted = []  # per replication: whether it has windows to fit
 
     def windows():
         for rep in reps:
             data = gen_data(f, model, n, len(x0), (seed, rep))
             try:
-                own = _windows(data, configs, grid=adaptive)
+                own = _windows(data, configs, grid=grid)
             except EmptyNeighborhoodError:
                 fitted.append(False)
                 continue
@@ -226,7 +230,7 @@ def _block_errors(args) -> list[float]:
             errors.append(math.nan)
             continue
         estimates = [next(fits).estimate for _ in configs]
-        if adaptive:
+        if grid:
             est = _select_estimates(estimates, configs, thresholds).selected
         else:
             est = estimates[0]
@@ -234,16 +238,17 @@ def _block_errors(args) -> list[float]:
     return errors
 
 
-def _replication_errors(
-    estimator, f, x0, model, n, replications, seed, workers: int = 1
-) -> np.ndarray:
-    """Errors of replications 0..replications-1, in contiguous blocks (at
-    least one per worker); each block is one pool task.  The pool has no
-    more processes than the machine has CPUs or the run has blocks."""
+def _replication_errors(jobs, f, model, replications, seed, workers: int = 1) -> np.ndarray:
+    """Errors of replications 0..replications-1 of each (plan, n) job of one
+    run, one row per job.  Each job's replications run in contiguous blocks
+    (at least one per worker), and the blocks of every job form one task
+    list, mapped through at most one pool.  The pool has no more processes
+    than the machine has CPUs or the run has blocks."""
     workers = min(workers, os.cpu_count() or 1)
     size = max(1, min(BLOCK_REPLICATIONS, -(-replications // workers)))
     tasks = [
-        (estimator, f, x0, model, n, seed, range(start, min(start + size, replications)))
+        (plan, f, model, n, seed, range(start, min(start + size, replications)))
+        for plan, n in jobs
         for start in range(0, replications, size)
     ]
     workers = min(workers, len(tasks))
@@ -254,7 +259,8 @@ def _replication_errors(
             blocks = list(ex.map(_block_errors, tasks))
     else:
         blocks = [_block_errors(task) for task in tasks]
-    return np.asarray([e for block in blocks for e in block], dtype=float)
+    errors = np.asarray([e for block in blocks for e in block], dtype=float)
+    return errors.reshape(len(jobs), replications)
 
 
 class TooManyFailuresError(RuntimeError):
@@ -273,13 +279,20 @@ def _valid_errors(errs: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     return errs[~np.isnan(errs)], failed
 
 
-def _risk(errors: np.ndarray, r: float) -> tuple[float, float]:
-    """Mean of errors**r and its standard error (0.0 from one replication)."""
-    powered = errors**r
-    stderr = (
-        float(np.std(powered, ddof=1) / math.sqrt(powered.size)) if powered.size > 1 else 0.0
-    )
-    return float(np.mean(powered)), stderr
+def _risks(errors: np.ndarray, jobs, r: float) -> list[tuple[np.ndarray, int, float, float]]:
+    """Per (plan, n) job of a run: its finite errors, its count of
+    empty-window replications, and the mean of errors**r with its standard
+    error (0.0 from one replication).  Every job is checked against the 1%
+    abort rule, in order, before any risk is formed."""
+    valid = [_valid_errors(errs, n) for errs, (_, n) in zip(errors, jobs)]
+    risks = []
+    for ok, failed in valid:
+        powered = ok**r
+        stderr = (
+            float(np.std(powered, ddof=1) / math.sqrt(powered.size)) if powered.size > 1 else 0.0
+        )
+        risks.append((ok, failed, float(np.mean(powered)), stderr))
+    return risks
 
 
 @dataclass(frozen=True)
@@ -310,7 +323,7 @@ class RiskReport:
 
 
 def _check_replications(replications: int) -> None:
-    """mc_risk's floor on the replication count."""
+    """risk_curve's floor on the replication count."""
     if replications < 30:
         raise ValueError(f"need at least 30 replications, got {replications}")
 
@@ -321,29 +334,6 @@ def _check_rate_sizes(n_grid) -> None:
         raise ValueError("need at least 4 sample sizes for a rate fit")
     if max(n_grid) / min(n_grid) < 4.0:
         raise ValueError("sample sizes must span at least two dyadic octaves")
-
-
-def mc_risk(
-    estimator: Estimator,
-    f: TestFunction,
-    x0,
-    model: NoiseModel,
-    r: float,
-    n: int,
-    replications: int,
-    seed: int,
-    workers: int = 1,
-) -> RiskPoint:
-    """Monte Carlo estimate of E|f_hat(x0) - f(x0)|^r with its standard
-    error.  Replications with empty windows are excluded and counted;
-    more than 1% of them aborts the run."""
-    _check_replications(replications)
-    errs = _replication_errors(estimator, f, x0, model, n, replications, seed, workers)
-    ok, failed = _valid_errors(errs, n)
-    risk, stderr = _risk(ok, r)
-    return RiskPoint(
-        n=n, risk=risk, stderr=stderr, replications=replications, failures=failed
-    )
 
 
 def risk_curve(
@@ -357,9 +347,16 @@ def risk_curve(
     seed: int,
     workers: int = 1,
 ) -> RiskReport:
+    """Monte Carlo estimates of E|f_hat(x0) - f(x0)|^r with their standard
+    errors at each n of ``n_grid``.  Replications with empty windows are
+    excluded and counted; more than 1% of them at any n aborts the run."""
+    _check_replications(replications)
+    n_grid = [int(n) for n in n_grid]
+    jobs = [(estimator.plan(x0, n), n) for n in n_grid]
+    errors = _replication_errors(jobs, f, model, replications, seed, workers)
     points = tuple(
-        mc_risk(estimator, f, x0, model, r, int(n), replications, seed, workers)
-        for n in n_grid
+        RiskPoint(n=n, risk=risk, stderr=stderr, replications=replications, failures=failed)
+        for n, (_, failed, risk, stderr) in zip(n_grid, _risks(errors, jobs, r))
     )
     return RiskReport(points=points, r=r, seed=seed, estimator=estimator.describe())
 
@@ -516,18 +513,7 @@ def tail_check(
     with empty windows are excluded and counted; more than 1% of them
     aborts the run.
     """
-    estimator = Estimator(
-        kind="fixed",
-        contrast=cfg.contrast,
-        kernel_kind=cfg.kernel.kind,
-        bound=cfg.bound,
-        h=cfg.h,
-        degree=cfg.degree,
-        optimizer=cfg.optimizer,
-    )
-    errs = _replication_errors(
-        estimator, f, cfg.x0, model, n, replications, seed, workers
-    )
+    (errs,) = _replication_errors([(((cfg,), None), n)], f, model, replications, seed, workers)
     ok, failed = _valid_errors(errs, n)
     nhd = n * cfg.h**cfg.d
     norm_errs = math.sqrt(nhd) * ok
@@ -605,23 +591,19 @@ def compare_contrasts(
     """
     if estimator.kind == "adaptive" or estimator.contrast.kind != "huber":
         raise ValueError("compare_contrasts needs a single-bandwidth Huber estimator")
-    optimizer = OptimizerSettings(max_iterations=3000)
+    cfg = dataclasses.replace(
+        estimator.fit_config(x0, n), optimizer=OptimizerSettings(max_iterations=3000)
+    )
     variants = [
         ("square", square()),
         ("absolute_proxy", huber(TINY_GAMMA)),
         (f"huber({estimator.contrast.gamma:g})", estimator.contrast),
     ]
-    rows = []
-    for name, contrast in variants:
-        variant = dataclasses.replace(estimator, contrast=contrast, optimizer=optimizer)
-        errs = _replication_errors(
-            variant, f, x0, model, n, replications, seed, workers
+    jobs = [(((dataclasses.replace(cfg, contrast=contrast),), None), n) for _, contrast in variants]
+    errors = _replication_errors(jobs, f, model, replications, seed, workers)
+    return tuple(
+        ComparisonRow(
+            name=name, risk=risk, stderr=stderr, max_error=float(np.max(ok)), failures=failed
         )
-        ok, failed = _valid_errors(errs, n)
-        risk, stderr = _risk(ok, r)
-        rows.append(
-            ComparisonRow(
-                name=name, risk=risk, stderr=stderr, max_error=float(np.max(ok)), failures=failed
-            )
-        )
-    return tuple(rows)
+        for (name, _), (ok, failed, risk, stderr) in zip(variants, _risks(errors, jobs, r))
+    )

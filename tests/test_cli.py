@@ -219,6 +219,8 @@ def test_cli_rejects_mismatched_experiment(tmp_path):
     cfg = {
         "experiment": "compare",
         "seed": 1,
+        "function": {"name": "constant", "value": 0.0},
+        "noise": {"family": "gaussian"},
         "estimator": {
             "kind": "fixed",
             "contrast": {"kind": "huber", "gamma": 1.0},
@@ -227,6 +229,8 @@ def test_cli_rejects_mismatched_experiment(tmp_path):
             "h": 0.5,
             "degree": 0,
         },
+        "grid": {"n": 64},
+        "risk": {"replications": 30},
         "output": {"directory": str(tmp_path), "prefix": "x"},
     }
     path = tmp_path / "cfg.json"

@@ -158,8 +158,54 @@ def test_config_errors_carry_field_paths(tmp_path):
 def test_config_missing_section_reported(tmp_path):
     cfg = rates_config(tmp_path)
     del cfg["grid"]
-    with pytest.raises(ConfigError, match=r"\$\.grid\.n_values"):
+    with pytest.raises(ConfigError, match=r"\$: 'grid' is a required property"):
         run_experiment(cfg)
+
+
+def _tails_config(out_dir):
+    cfg = compare_config(out_dir)
+    cfg["experiment"] = "tails"
+    cfg["grid"]["epsilon_multipliers"] = [1.0, 8.0]
+    return cfg
+
+
+def _without(cfg, *paths):
+    for path in paths:
+        *parents, key = path.split(".")
+        node = cfg
+        for parent in parents:
+            node = node[parent]
+        del node[key]
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "cfg, lines",
+    [
+        (
+            lambda out: _without(rates_config(out), "noise", "grid.n_values"),
+            ["$: 'noise' is a required property", "$.grid: 'n_values' is a required property"],
+        ),
+        (
+            lambda out: _without(_tails_config(out), "grid.epsilon_multipliers", "risk.replications"),
+            [
+                "$.grid: 'epsilon_multipliers' is a required property",
+                "$.risk: 'replications' is a required property",
+            ],
+        ),
+    ],
+    ids=["rates", "tails"],
+)
+def test_missing_paths_are_one_config_error_before_any_driver(tmp_path, monkeypatch, cfg, lines):
+    def no_replications(*args, **kwargs):
+        raise AssertionError("a driver ran")
+
+    for driver in ("risk_curve", "tail_check", "compare_contrasts"):
+        monkeypatch.setattr(experiments, driver, no_replications)
+    with pytest.raises(ConfigError) as exc:
+        run_experiment(cfg(tmp_path / "out"))
+    assert str(exc.value).splitlines() == ["invalid experiment config:"] + [f"  {line}" for line in lines]
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_config_from_file(tmp_path):
@@ -398,7 +444,7 @@ def test_a_rejected_config_creates_no_output_directory(tmp_path, section):
     out = tmp_path / "out"
     cfg = rates_config(out)
     del cfg[section]
-    with pytest.raises(ConfigError, match=rf"\$\.{section}"):
+    with pytest.raises(ConfigError, match=rf"\$: '{section}' is a required property"):
         run_experiment(cfg)
     assert not out.exists()
 

@@ -13,7 +13,6 @@ from roblp.harness import (
     compare_contrasts,
     deviation_bound,
     deviation_bound_threshold,
-    mc_risk,
     rate_fit,
     risk_curve,
     tail_check,
@@ -72,7 +71,7 @@ def test_mc_risk_zero_noise_polynomial():
         degree=0,
         optimizer=OptimizerSettings(gradient_tolerance=1e-12),
     )
-    pt = mc_risk(est, f, [0.5], model, 2.0, 64, 30, seed=5)
+    pt = risk_curve(est, f, [0.5], model, 2.0, [64], 30, seed=5).points[0]
     assert pt.risk <= 1e-10
     assert pt.failures == 0
 
@@ -84,7 +83,7 @@ def test_mc_risk_bounded_by_radius():
     est = Estimator(
         kind="fixed", contrast=huber(1.0), kernel_kind="uniform", bound=bound, h=0.3, degree=1
     )
-    pt = mc_risk(est, f, [0.25], model, 2.0, 128, 30, seed=6)
+    pt = risk_curve(est, f, [0.25], model, 2.0, [128], 30, seed=6).points[0]
     assert pt.risk <= (2 * bound) ** 2
     assert math.isfinite(pt.risk)
 
@@ -104,7 +103,7 @@ def test_mc_risk_matches_local_mean_oracle():
         degree=0,
         optimizer=OptimizerSettings(gradient_tolerance=1e-12),
     )
-    pt = mc_risk(est, f, x0, model, r, n, reps, seed=10)
+    pt = risk_curve(est, f, x0, model, r, [n], reps, seed=10).points[0]
     target = float(f(np.array(x0)))
     oracle_errs = []
     for rep in range(reps):
@@ -123,7 +122,7 @@ def test_mc_risk_rejects_low_replications():
         kind="fixed", contrast=huber(1.0), kernel_kind="uniform", bound=1.0, h=0.5, degree=0
     )
     with pytest.raises(ValueError):
-        mc_risk(est, f, [0.5], model, 2.0, 64, 10, seed=1)
+        risk_curve(est, f, [0.5], model, 2.0, [64], 10, seed=1)
 
 
 def test_mc_risk_aborts_on_frequent_empty_windows():
@@ -133,7 +132,7 @@ def test_mc_risk_aborts_on_frequent_empty_windows():
         kind="fixed", contrast=huber(1.0), kernel_kind="uniform", bound=1.0, h=0.002, degree=0
     )
     with pytest.raises(RuntimeError, match="empty windows"):
-        mc_risk(est, f, [0.5], model, 2.0, 8, 40, seed=2)
+        risk_curve(est, f, [0.5], model, 2.0, [8], 40, seed=2)
 
 
 def test_risk_monotonicity_soft_guard():
@@ -253,8 +252,8 @@ def test_mc_risk_parallel_matches_sequential():
     est = Estimator(
         kind="fixed", contrast=huber(1.0), kernel_kind="uniform", bound=8.0, h=0.2, degree=1
     )
-    seq = mc_risk(est, f, [0.25], model, 2.0, 128, 32, seed=12, workers=1)
-    par = mc_risk(est, f, [0.25], model, 2.0, 128, 32, seed=12, workers=2)
+    seq = risk_curve(est, f, [0.25], model, 2.0, [128], 32, seed=12, workers=1)
+    par = risk_curve(est, f, [0.25], model, 2.0, [128], 32, seed=12, workers=2)
     assert par == seq
 
 
@@ -286,8 +285,8 @@ def test_replication_errors_do_not_depend_on_the_block_size(monkeypatch, case):
     for size, cap in ((1, 512), (7, 1), (reps, 64), (reps, 512)):
         monkeypatch.setattr(harness, "BLOCK_REPLICATIONS", size)
         monkeypatch.setattr(local_fit, "_STACK_CHUNKS", cap)
-        errs = harness._replication_errors(est, f, x0, model, n, reps, seed)
-        np.testing.assert_array_equal(errs, single)
+        errs = harness._replication_errors([(est.plan(x0, n), n)], f, model, reps, seed)
+        np.testing.assert_array_equal(errs, [single])
 
 
 @pytest.mark.parametrize("case", [0, 1], ids=["minimax-cauchy", "adaptive"])
@@ -308,7 +307,7 @@ def test_replication_errors_mark_empty_windows_nan(monkeypatch, case):
     monkeypatch.setattr(harness, "gen_data", holed)
     est, model = _replication_cases()[case]
     f, x0, n, reps, seed = sinusoid(beta=2.0), [0.25], 600, 12, 16
-    errs = harness._replication_errors(est, f, x0, model, n, reps, seed)
+    (errs,) = harness._replication_errors([(est.plan(x0, n), n)], f, model, reps, seed)
     assert np.isnan(errs[1::2]).all()
     for rep in range(0, reps, 2):
         data = gen_data(f, model, n, 1, (seed, rep))
@@ -322,16 +321,18 @@ def test_replication_errors_parallel_match_sequential(case):
     import roblp.harness as harness
 
     est, model = _replication_cases()[case]
-    args = (est, sinusoid(beta=2.0), [0.25], model, 600, 40, 15)
+    jobs = [(est.plan([0.25], n), n) for n in (600, 700)]
+    args = (jobs, sinusoid(beta=2.0), model, 40, 15)
     np.testing.assert_array_equal(
         harness._replication_errors(*args, workers=1), harness._replication_errors(*args, workers=2)
     )
 
 
-def test_pool_size_is_bounded_by_the_cpus_and_the_blocks(monkeypatch):
+@pytest.fixture
+def pools(monkeypatch):
+    """The sizes of the pools opened while the test runs: an in-process
+    stand-in replaces the process pool, so none starts a process."""
     import concurrent.futures
-
-    import roblp.harness as harness
 
     sizes = []
 
@@ -351,15 +352,46 @@ def test_pool_size_is_bounded_by_the_cpus_and_the_blocks(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return sizes
+
+
+def test_pool_size_is_bounded_by_the_cpus_and_the_blocks(monkeypatch, pools):
+    import roblp.harness as harness
+
     est = Estimator(kind="fixed", contrast=huber(1.0), kernel_kind="uniform", bound=8.0, h=0.2, degree=1)
-    args = (est, sinusoid(beta=2.0), [0.25], NoiseModel(family="gaussian", base_scale=0.5), 128)
+    jobs = [(est.plan([0.25], 128), 128)]
+    args = (jobs, sinusoid(beta=2.0), NoiseModel(family="gaussian", base_scale=0.5))
     serial = harness._replication_errors(*args, 30, 12, workers=1)
     for cpus, reps, expected in ((4, 30, [4]), (1000, 3, [3]), (None, 30, []), (1, 30, [])):
-        sizes.clear()
+        pools.clear()
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         errs = harness._replication_errors(*args, reps, 12, workers=100000)
-        assert sizes == expected
-        np.testing.assert_array_equal(errs, serial[:reps])
+        assert pools == expected
+        np.testing.assert_array_equal(errs, serial[:, :reps])
+
+
+def test_a_run_opens_one_pool_for_all_its_jobs(monkeypatch, pools):
+    import roblp.harness as harness
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    f, model = sinusoid(beta=2.0), NoiseModel(family="gaussian", base_scale=0.5)
+    est = Estimator(
+        kind="minimax", contrast=huber(1.0), kernel_kind="uniform", bound=8.0, beta=2.0, lipschitz=f.lipschitz
+    )
+    runs = {
+        "rates": lambda workers: risk_curve(est, f, [0.25], model, 2.0, [256, 512, 1024], 30, 21, workers),
+        "compare": lambda workers: compare_contrasts(fixed_huber(), f, [0.25], model, 128, 30, 22, workers=workers),
+    }
+    for name, run in runs.items():
+        pools.clear()
+        serial = run(1)
+        assert pools == [], name
+        assert run(2) == serial, name
+        assert pools == [2], name
+    # a run of one block opens none
+    pools.clear()
+    harness._replication_errors([(est.plan([0.25], 256), 256)], f, model, 1, 23, workers=2)
+    assert pools == []
 
 
 def test_selection_constants_built_once_per_estimator(monkeypatch):
@@ -401,7 +433,7 @@ def test_selection_constants_built_once_per_estimator(monkeypatch):
     # shares the selection's
     est.selection_trace(data, [0.3])
     est.selection_trace(gen_data(f, model, 700, 1, seed=78), [0.25])
-    harness._replication_errors(est, f, [0.25], model, 600, 3, 5)
+    harness._replication_errors([(est.plan([0.25], 600), 600)], f, model, 3, 5)
     assert plans == [((0.25,), 600), ((0.3,), 600), ((0.25,), 700)]
     assert len(calls) == 1
 
@@ -411,10 +443,10 @@ def test_compare_contrasts_aborts_above_one_percent_empty_windows(monkeypatch):
 
     pools = []
 
-    def two_empty(estimator, f, x0, model, n, replications, seed, workers=1):
-        pools.append(workers)
-        errs = np.full(replications, 0.1)
-        errs[:2] = np.nan
+    def two_empty(jobs, f, model, replications, seed, workers=1):
+        pools.append((len(jobs), workers))
+        errs = np.full((len(jobs), replications), 0.1)
+        errs[:, :2] = np.nan
         return errs
 
     monkeypatch.setattr(harness, "_replication_errors", two_empty)
@@ -423,7 +455,7 @@ def test_compare_contrasts_aborts_above_one_percent_empty_windows(monkeypatch):
     est = fixed_huber()
     rows = compare_contrasts(est, f, [0.5], model, n=128, replications=200, seed=8, workers=2)
     assert [row.failures for row in rows] == [2, 2, 2]
-    assert pools == [2, 2, 2]
+    assert pools == [(3, 2)]
     with pytest.raises(RuntimeError, match="2/100 replications had empty windows"):
         compare_contrasts(est, f, [0.5], model, n=128, replications=100, seed=8)
 
@@ -433,9 +465,9 @@ def test_compare_contrasts_varies_only_the_contrast(monkeypatch):
 
     seen = []
 
-    def record(estimator, f, x0, model, n, replications, seed, workers=1):
-        seen.append(estimator)
-        return np.full(replications, 0.1)
+    def record(jobs, f, model, replications, seed, workers=1):
+        seen.extend(jobs)
+        return np.full((len(jobs), replications), 0.1)
 
     monkeypatch.setattr(harness, "_replication_errors", record)
     est = Estimator(
@@ -443,10 +475,13 @@ def test_compare_contrasts_varies_only_the_contrast(monkeypatch):
     )
     rows = compare_contrasts(est, constant_function(0.4), [0.5], None, n=64, replications=40, seed=1)
     assert [row.name for row in rows] == ["square", "absolute_proxy", "huber(2)"]
-    assert [e.contrast for e in seen] == [square(), huber(harness.TINY_GAMMA), huber(2.0)]
-    for e in seen:
-        assert dataclasses.replace(e, contrast=est.contrast, optimizer=est.optimizer) == est
-        assert e.optimizer.max_iterations == 3000
+    assert [n for _, n in seen] == [64, 64, 64]
+    assert [plan[1] for plan, _ in seen] == [None, None, None]
+    configs = [cfg for (configs, _), _ in seen for cfg in configs]
+    assert [cfg.contrast for cfg in configs] == [square(), huber(harness.TINY_GAMMA), huber(2.0)]
+    for cfg in configs:
+        assert dataclasses.replace(cfg, contrast=est.contrast, optimizer=est.optimizer) == est.fit_config([0.5], 64)
+        assert cfg.optimizer.max_iterations == 3000
     with pytest.raises(ValueError, match="single-bandwidth Huber"):
         compare_contrasts(dataclasses.replace(est, contrast=square()), None, [0.5], None, 64, 40, 1)
 
@@ -454,9 +489,10 @@ def test_compare_contrasts_varies_only_the_contrast(monkeypatch):
 def test_tail_check_aborts_above_one_percent_empty_windows(monkeypatch):
     import roblp.harness as harness
 
-    def two_empty(estimator, f, x0, model, n, replications, seed, workers=1):
-        errs = np.full(replications, 0.01)
-        errs[:2] = np.nan
+    def two_empty(jobs, f, model, replications, seed, workers=1):
+        assert jobs == [(((cfg,), None), 256)]
+        errs = np.full((1, replications), 0.01)
+        errs[:, :2] = np.nan
         return errs
 
     monkeypatch.setattr(harness, "_replication_errors", two_empty)
@@ -476,16 +512,20 @@ def test_tail_check_aborts_above_one_percent_empty_windows(monkeypatch):
 def test_compare_contrasts_rows_are_mc_risk_points(monkeypatch):
     import roblp.harness as harness
 
-    def planted(estimator, f, x0, model, n, replications, seed, workers=1):
-        errs = np.random.default_rng(len(estimator.contrast.kind)).uniform(0, 1, replications)
-        errs[0] = np.nan
-        return errs
+    def planted(jobs, f, model, replications, seed, workers=1):
+        errs = [
+            np.random.default_rng(len(configs[0].contrast.kind)).uniform(0, 1, replications)
+            for (configs, _), _ in jobs
+        ]
+        for e in errs:
+            e[0] = np.nan
+        return np.asarray(errs)
 
     monkeypatch.setattr(harness, "_replication_errors", planted)
     est = fixed_huber()
     rows = compare_contrasts(est, None, [0.5], None, n=64, replications=150, seed=3, r=1.5)
     for row, contrast in zip(rows, (square(), huber(harness.TINY_GAMMA), est.contrast)):
         variant = dataclasses.replace(est, contrast=contrast)
-        point = mc_risk(variant, None, [0.5], None, 1.5, 64, 150, seed=3)
+        (point,) = risk_curve(variant, None, [0.5], None, 1.5, [64], 150, seed=3).points
         assert (row.risk, row.stderr, row.failures) == (point.risk, point.stderr, 1)
         assert point.failures == 1 and row.stderr > 0

@@ -444,7 +444,7 @@ def _local_problems(draw):
 
 
 @given(_local_problems())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_newton_criterion_no_worse_than_projected_gradient_oracle(problem):
     data, cfg = problem
     res = fit_local(data, cfg)
