@@ -453,8 +453,9 @@ def _workers(risk: dict) -> int:
 def _check_sizes(
     estimator: Estimator, n_values, x0, grid_where: str = "$.grid.n_values"
 ) -> None:
-    """Derive what each sample size needs at point ``x0`` before any basis
-    is built or replication runs, each failure a ConfigError naming n.
+    """Derive each sample size's plan at point ``x0`` (see
+    ``Estimator.plan``) before any basis is built or replication runs, each
+    failure a ConfigError naming n; the drivers then read these plans.
 
     A fit degree whose basis has more coefficients than the smallest n
     (a local linear fit is always allowed), a bandwidth that is not a
@@ -468,18 +469,17 @@ def _check_sizes(
         raise ConfigError(
             f"$.estimator: fit degree {b:.6g} has more basis coefficients than n={n_min} samples"
         )
-    for n in n_values:
-        if estimator.kind == "adaptive":
+    if estimator.kind == "adaptive":
+        for n in n_values:
             _derive(grid_where, bandwidth_grid, n, d, estimator.degree)
-            continue
-        h = _derive("$.estimator", estimator.bandwidth, n, d)
+    for n in n_values:
+        levels, _ = _derive("$.estimator", estimator.plan, x0, n)
+        h = levels[-1].h  # the finest
         if n * h**d < 1.0 / sys.float_info.max:
             raise ConfigError(
                 f"$.estimator: bandwidth {h!r} gives a window normalization 1/(n h^d)"
                 f" beyond float range at n={n}, d={d}"
             )
-    if estimator.kind == "adaptive":
-        _derive("$.estimator", estimator.plan, x0, n_min)
 
 
 def _check_risk(r: float, n: int, risk: float, stderr: float, rate_fit: bool) -> None:
@@ -616,7 +616,7 @@ def _run_compare(cfg, f, noise, estimator, x0, workers):
     summary = {
         "experiment": "compare",
         "estimator": estimator.describe(),
-        "h": estimator.bandwidth(n, len(x0)),
+        "h": estimator.fit_config(x0, n).h,
         "rows": [
             {
                 "contrast": row.name,

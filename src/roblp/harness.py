@@ -99,12 +99,10 @@ class Estimator:
     curvature: float | None = None
     risk_power: float = 2.0
     optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
-    # Selection threshold constant by dimension, and the adaptive plan by
-    # point and sample size, filled on first use: they depend only on the
-    # fields above and those keys, so every replication shares them.
-    _selection: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    # Selection threshold constant by dimension, and the plan by point and
+    # sample size, filled on first use: they depend only on the fields
+    # above and those keys, so every replication shares them.
+    _selection: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -113,13 +111,6 @@ class Estimator:
         fields = ESTIMATOR_FIELDS[self.kind]
         if any(getattr(self, name) is None for name in fields):
             raise ValueError(f"{self.kind} estimator needs {' and '.join(fields)}")
-
-    def bandwidth(self, n: int, d: int) -> float:
-        if self.kind == "fixed":
-            return float(self.h)
-        if self.kind == "minimax":
-            return minimax_bandwidth(self.beta, self.lipschitz, n, d)
-        raise ValueError("adaptive estimator has no single bandwidth")
 
     def fit_degree(self) -> int:
         if self.kind == "minimax":
@@ -137,23 +128,19 @@ class Estimator:
             optimizer=self.optimizer,
         )
 
-    def fit_config(self, x0, n: int) -> LocalFitConfig:
-        x0 = tuple(float(v) for v in np.atleast_1d(x0))
-        return self._local_config(x0, self.bandwidth(n, len(x0)))
-
     def plan(
         self, x0, n: int
     ) -> tuple[tuple[LocalFitConfig, ...], tuple[float, ...] | None]:
-        """The fits of one estimate at x0 from n samples, and their
-        selection thresholds: one fit config and None for a single
-        bandwidth; for the adaptive kind, the fit config and the threshold
-        of each level of its bandwidth grid, built once per (x0, n)."""
+        """The fits of one estimate at x0 from n samples and their selection
+        thresholds, built once per (x0, n): one fit config and None for a
+        single bandwidth (``h`` or the minimax one); for the adaptive kind,
+        the config and threshold of each level of its grid, finest last."""
         x0 = tuple(float(v) for v in np.atleast_1d(x0))
-        if self.kind != "adaptive":
-            return (self.fit_config(x0, n),), None
         plan = self._plans.get((x0, n))
-        if plan is None:
-            d = len(x0)
+        if plan is not None:
+            return plan
+        d = len(x0)
+        if self.kind == "adaptive":
             grid = bandwidth_grid(n, d, int(self.degree))
             template = self._local_config(x0, grid.h_max)
             threshold = self._selection.get(d)
@@ -161,18 +148,32 @@ class Estimator:
                 threshold = self._selection[d] = selection_config(
                     self.contrast, template.kernel, template.degree, self.curvature, self.risk_power
                 )
-            plan = self._plans[x0, n] = _selection_plan(grid, template, threshold)
+            plan = _selection_plan(grid, template, threshold)
+        else:
+            fixed = self.kind == "fixed"
+            h = float(self.h) if fixed else minimax_bandwidth(self.beta, self.lipschitz, n, d)
+            plan = (self._local_config(x0, h),), None
+        self._plans[x0, n] = plan
         return plan
 
+    def fit_config(self, x0, n: int) -> LocalFitConfig:
+        """The fit config of a single-bandwidth plan."""
+        configs, thresholds = self.plan(x0, n)
+        if thresholds is not None:
+            raise ValueError("adaptive estimator has no single bandwidth")
+        return configs[0]
+
     def selection_trace(self, data: Dataset, x0) -> SelectionTrace:
-        if self.kind != "adaptive":
+        levels, thresholds = self.plan(x0, data.n)
+        if thresholds is None:
             raise ValueError("selection trace only defined for the adaptive kind")
-        return select_bandwidth(data, *self.plan(x0, data.n))
+        return select_bandwidth(data, levels, thresholds)
 
     def estimate(self, data: Dataset, x0) -> float:
-        if self.kind == "adaptive":
-            return self.selection_trace(data, x0).selected
-        return fit_local(data, self.fit_config(x0, data.n)).estimate
+        configs, thresholds = self.plan(x0, data.n)
+        if thresholds is None:
+            return fit_local(data, configs[0]).estimate
+        return self.selection_trace(data, x0).selected
 
     def describe(self) -> dict:
         desc = {
@@ -587,13 +588,13 @@ def compare_contrasts(
     more than 1% of them aborts the run.
 
     The proxy approaches the flat absolute-loss minimum slowly, and the
-    table is Monte Carlo limited anyway, so the iteration cap is reduced.
+    table is Monte Carlo limited anyway: the iteration cap is at most 3000.
     """
     if estimator.kind == "adaptive" or estimator.contrast.kind != "huber":
         raise ValueError("compare_contrasts needs a single-bandwidth Huber estimator")
-    cfg = dataclasses.replace(
-        estimator.fit_config(x0, n), optimizer=OptimizerSettings(max_iterations=3000)
-    )
+    cfg = estimator.fit_config(x0, n)
+    cap = min(3000, cfg.optimizer.max_iterations)
+    cfg = dataclasses.replace(cfg, optimizer=dataclasses.replace(cfg.optimizer, max_iterations=cap))
     variants = [
         ("square", square()),
         ("absolute_proxy", huber(TINY_GAMMA)),

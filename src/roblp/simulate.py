@@ -199,13 +199,15 @@ class HeteroscedasticRule:
 @dataclass(frozen=True)
 class NoiseModel:
     """Noise specification: family, base scale, optional per-index scale
-    rule, and the known lower scale bound sigma_min."""
+    rule, and the known lower scale bound sigma_min, checked once on build
+    against the smallest scale the rule emits."""
 
     family: str
     base_scale: float = 1.0
     heteroscedastic: HeteroscedasticRule | None = None
     sigma_min: float | None = None
-    # the largest |draw| gen_noise can emit, derived
+    # derived: the scale rule, and the largest |draw| gen_noise can emit
+    _rule: HeteroscedasticRule = field(init=False, repr=False, compare=False)
     _largest_draw: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -216,6 +218,7 @@ class NoiseModel:
         if not self.base_scale > 0:  # NaN too
             raise ValueError(f"base scale must be positive, got {self.base_scale}")
         rule = self.heteroscedastic or HeteroscedasticRule()
+        object.__setattr__(self, "_rule", rule)
         # the draw at the largest uniform gen_noise feeds the quantile
         quantile = abs(float(self.unit_family.quantile(1.0 - _U_MARGIN)))
         largest = float(self.base_scale) * float(rule.max_multiplier) * quantile
@@ -225,11 +228,12 @@ class NoiseModel:
                 f" {rule.max_multiplier!r} x |quantile(1 - 2^-53)| {quantile!r}, is not finite"
             )
         object.__setattr__(self, "_largest_draw", largest)
+        # no multiplier falls below min_multiplier, so no scale below this
         implied = self.base_scale * rule.min_multiplier
         sigma_min = implied if self.sigma_min is None else float(self.sigma_min)
         if not sigma_min > 0:  # NaN too
             raise ValueError(f"sigma_min must be positive, got {sigma_min}")
-        if sigma_min > implied + 1e-15:
+        if sigma_min > implied + 4 * math.ulp(implied):
             raise ValueError(
                 f"sigma_min {sigma_min} exceeds the smallest emitted scale {implied}"
             )
@@ -240,15 +244,8 @@ class NoiseModel:
         return NOISE_FAMILIES[self.family]
 
     def scales(self, n: int) -> np.ndarray:
-        rule = self.heteroscedastic or HeteroscedasticRule()
-        s = self.base_scale * rule.multipliers(n)
-        low = s < self.sigma_min - 1e-15
-        if np.any(low):
-            raise ValueError(
-                f"scale rule emitted scale {float(s[low].min())!r} below"
-                f" sigma_min {self.sigma_min!r}"
-            )
-        return s
+        """The scale of each of n draws; the build checked sigma_min."""
+        return self.base_scale * self._rule.multipliers(n)
 
     def to_config(self) -> dict:
         cfg = {
@@ -347,13 +344,13 @@ def _sin_partial(freq, amplitude, p, x):
 def sinusoid(beta: float, amplitude: float = 1.0) -> TestFunction:
     """a sin(2 pi x) on [0,1], declared at smoothness beta.
 
-    All derivatives exist; the constants follow from |f^(m)| <= a (2 pi)^m:
-    L = a (2 pi)^{floor+1} and M = a sum_{m<=floor} (2 pi)^m.
+    All derivatives exist; the constants follow from |f^(m)| <= |a| (2 pi)^m:
+    L = |a| (2 pi)^{floor+1} and M = |a| sum_{m<=floor} (2 pi)^m.
     """
     floor = holder_floor(beta)
     freq = 2.0 * math.pi
-    lipschitz = amplitude * freq ** (floor + 1)
-    bound = amplitude * sum(freq**m for m in range(floor + 1))
+    lipschitz = abs(amplitude) * freq ** (floor + 1)
+    bound = abs(amplitude) * sum(freq**m for m in range(floor + 1))
     return TestFunction(
         name="sinusoid",
         d=1,
@@ -377,18 +374,18 @@ def _cusp_partial(amplitude, center, beta, p, x):
 
 
 def cusp(beta: float, amplitude: float = 1.0, center: float = 0.5) -> TestFunction:
-    """a |x - c|^beta for beta in (0, 1]: Hoelder with L = a, no first
+    """a |x - c|^beta for beta in (0, 1]: Hoelder with L = |a|, no first
     derivative at the cusp (reported absent everywhere)."""
     if not 0 < beta <= 1:
         raise ValueError(f"cusp smoothness must be in (0, 1], got {beta}")
     if not 0 <= center <= 1:
         raise ValueError(f"cusp center must be in [0, 1], got {center}")
-    bound = amplitude * max(center, 1.0 - center) ** beta
+    bound = abs(amplitude) * max(center, 1.0 - center) ** beta
     return TestFunction(
         name="cusp",
         d=1,
         beta=beta,
-        lipschitz=amplitude,
+        lipschitz=abs(amplitude),
         bound=bound,
         fn=partial(_cusp_eval, amplitude, center, beta),
         partial_fn=partial(_cusp_partial, amplitude, center, beta),
@@ -414,9 +411,9 @@ def product_sinusoid(beta: float, amplitude: float = 1.0) -> TestFunction:
     """a sin(2 pi x_1) sin(2 pi x_2) on [0,1]^2 at declared smoothness beta."""
     floor = holder_floor(beta)
     freq = 2.0 * math.pi
-    lipschitz = amplitude * freq ** (floor + 1)
-    # d=2 has m+1 indices of total order m, each with sup |partial| <= a (2pi)^m
-    bound = amplitude * sum(freq**m * (m + 1) for m in range(floor + 1))
+    lipschitz = abs(amplitude) * freq ** (floor + 1)
+    # d=2 has m+1 indices of total order m, each with sup |partial| <= |a| (2pi)^m
+    bound = abs(amplitude) * sum(freq**m * (m + 1) for m in range(floor + 1))
     return TestFunction(
         name="product_sinusoid",
         d=2,

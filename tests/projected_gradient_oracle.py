@@ -1,7 +1,8 @@
 """Differential oracles, kept verbatim apart from their names, the
-line-search constants and the criterion and its gradient, which they read
-from ``roblp.local_fit``, and the criterion path that ``FitResult`` no
-longer records:
+line-search constants, which they read from ``roblp.local_fit``, the
+criterion and its gradient, which they read from a ``_Stack`` of the fit's
+window, cut once (the sums ``criterion`` and ``criterion_gradient``
+compute), and the criterion path that ``FitResult`` no longer records:
 
 - the projected gradient solver that ``fit_local`` used before it took
   proximal Newton steps; tests compare the criterion values the two
@@ -25,9 +26,8 @@ from roblp.local_fit import (
     FitResult,
     LocalFitConfig,
     _LocalProblem,
+    _Stack,
     _weighted_median,
-    criterion,
-    criterion_gradient,
     project_l1_ball,
 )
 
@@ -53,9 +53,18 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
     t = np.zeros(cfg.index_set.size)
     t[0] = _weighted_median(problem.y, problem.weights)
     t = project_l1_ball(t, radius)
+    stack = _Stack([problem], t[None])
 
-    fval = criterion(t, data, cfg)
-    grad = criterion_gradient(t, data, cfg)
+    def criterion(u):
+        return float(stack.value(u[None])[0])
+
+    def criterion_gradient(u):
+        stack.t = u[None]
+        stack.update()
+        return stack.grad[0]
+
+    fval = criterion(t)
+    grad = criterion_gradient(t)
     prev_t = prev_grad = None
     gap = float(np.linalg.norm(t - project_l1_ball(t - grad, radius)))
     converged = gap <= opt.gradient_tolerance
@@ -78,7 +87,7 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
         cand_val = fval
         while True:
             candidate = project_l1_ball(t - step * grad, radius)
-            cand_val = criterion(candidate, data, cfg)
+            cand_val = criterion(candidate)
             decrease = float(grad @ (candidate - t))
             if cand_val <= fval + ARMIJO * decrease:
                 break
@@ -92,7 +101,7 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
         stagnant = stagnant + 1 if cand_val == fval else 0
         prev_t, prev_grad = t, grad
         t, fval = candidate, cand_val
-        grad = criterion_gradient(t, data, cfg)
+        grad = criterion_gradient(t)
         iterations += 1
         gap = float(np.linalg.norm(t - project_l1_ball(t - grad, radius)))
         converged = gap <= opt.gradient_tolerance

@@ -122,26 +122,35 @@ def compare_config(tmp_path):
     }
 
 
-def test_compare_experiment(tmp_path):
-    result = run_experiment(compare_config(tmp_path))
-    lines = result["csv"].read_text().splitlines()
-    assert lines[0] == "contrast,risk,stderr,max_error"
-    assert len(lines) == 4
-    summary = json.loads(result["json"].read_text())
-    names = [row["contrast"] for row in summary["rows"]]
-    assert names == ["square", "absolute_proxy", "huber(1)"]
-    assert [row["failures"] for row in summary["rows"]] == [0, 0, 0]
-
-
-def test_compare_experiment_csv_identical_across_workers(tmp_path):
-    outputs = []
+@pytest.fixture(scope="module")
+def compare_runs(tmp_path_factory):
+    # one 30-replication compare run per worker count, shared by the tests
+    # of its output and of its independence from the worker count
+    out_dir = tmp_path_factory.mktemp("compare")
+    results = []
     for workers in (1, 2):
-        cfg = compare_config(tmp_path)
+        cfg = compare_config(out_dir)
         cfg["risk"]["replications"] = 30
         cfg["risk"]["workers"] = workers
         cfg["output"]["prefix"] = f"compare_w{workers}"
-        outputs.append(run_experiment(cfg)["csv"].read_bytes())
-    assert outputs[0] == outputs[1]
+        results.append(run_experiment(cfg))
+    return results
+
+
+def test_compare_experiment(compare_runs):
+    for result in compare_runs:
+        lines = result["csv"].read_text().splitlines()
+        assert lines[0] == "contrast,risk,stderr,max_error"
+        assert len(lines) == 4
+        summary = json.loads(result["json"].read_text())
+        names = [row["contrast"] for row in summary["rows"]]
+        assert names == ["square", "absolute_proxy", "huber(1)"]
+        assert [row["failures"] for row in summary["rows"]] == [0, 0, 0]
+
+
+def test_compare_experiment_csv_identical_across_workers(compare_runs):
+    single, pooled = (result["csv"].read_bytes() for result in compare_runs)
+    assert single == pooled
 
 
 def test_config_errors_carry_field_paths(tmp_path):
@@ -206,6 +215,44 @@ def test_missing_paths_are_one_config_error_before_any_driver(tmp_path, monkeypa
         run_experiment(cfg(tmp_path / "out"))
     assert str(exc.value).splitlines() == ["invalid experiment config:"] + [f"  {line}" for line in lines]
     assert not (tmp_path / "out").exists()
+
+
+def test_a_sigma_min_above_the_smallest_scale_is_a_config_error_before_any_driver(
+    tmp_path, monkeypatch
+):
+    # within 1e-15 of the scale, but 54 times it: the draws would emit
+    # scales below sigma_min
+    def no_replications(*args, **kwargs):
+        raise AssertionError("a driver ran")
+
+    for driver in ("risk_curve", "tail_check", "compare_contrasts"):
+        monkeypatch.setattr(experiments, driver, no_replications)
+    cfg = rates_config(tmp_path / "out")
+    cfg["noise"] = {"family": "laplace", "scale": 1.877556829253587e-17, "sigma_min": 1.018775568292536e-15}
+    with pytest.raises(ConfigError) as exc:
+        run_experiment(cfg)
+    assert str(exc.value) == (
+        "$.noise: sigma_min 1.018775568292536e-15 exceeds the smallest emitted scale"
+        " 1.877556829253587e-17"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_tails_constants_do_not_depend_on_the_sign_of_the_amplitude(tmp_path):
+    # -f lies in the Hoelder class of f, so the bias majorant and the
+    # validity threshold are the same
+    summaries = []
+    for amplitude in (1.0, -1.0):
+        cfg = _tails_config(tmp_path)
+        cfg["function"]["amplitude"] = amplitude
+        cfg["estimator"]["h"] = 0.3
+        cfg["grid"]["n"] = 1024
+        cfg["risk"]["replications"] = 30
+        cfg["output"]["prefix"] = f"tails_{amplitude:+g}"
+        summaries.append(json.loads(run_experiment(cfg)["json"].read_text()))
+    plus, minus = summaries
+    assert plus["bias_majorant"] == pytest.approx(3.553, abs=1e-3)
+    assert (minus["bias_majorant"], minus["eps_min"]) == (plus["bias_majorant"], plus["eps_min"])
 
 
 def test_load_config_from_file(tmp_path):

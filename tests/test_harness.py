@@ -243,7 +243,17 @@ def test_estimator_validation_and_description():
     assert est.fit_degree() == 1
     desc = est.describe()
     assert desc["kind"] == "minimax" and desc["beta"] == 2.0
-    assert est.bandwidth(1024, 1) == pytest.approx((39.5**2 * 1024) ** (-0.2))
+    assert est.fit_config([0.5], 1024).h == pytest.approx((39.5**2 * 1024) ** (-0.2))
+    # one plan per (x0, n), whatever the kind or the form of x0
+    assert est.plan([0.5], 1024) is est.plan((0.5,), 1024) is est.plan(0.5, 1024)
+    with pytest.raises(ValueError, match="selection trace only defined for the adaptive kind"):
+        est.selection_trace(Dataset(x=np.full((4, 1), 0.5), y=np.zeros(4)), [0.5])
+    adaptive = Estimator(
+        kind="adaptive", contrast=huber(1.0), kernel_kind="uniform", bound=8.0, degree=2, curvature=0.1
+    )
+    assert adaptive.plan([0.5], 1024) is adaptive.plan([0.5], 1024)
+    with pytest.raises(ValueError, match="adaptive estimator has no single bandwidth"):
+        adaptive.fit_config([0.5], 1024)
 
 
 def test_mc_risk_parallel_matches_sequential():
@@ -484,6 +494,31 @@ def test_compare_contrasts_varies_only_the_contrast(monkeypatch):
         assert cfg.optimizer.max_iterations == 3000
     with pytest.raises(ValueError, match="single-bandwidth Huber"):
         compare_contrasts(dataclasses.replace(est, contrast=square()), None, [0.5], None, 64, 40, 1)
+
+
+@pytest.mark.parametrize(
+    "settings, expected",
+    [
+        (OptimizerSettings(max_iterations=500, gradient_tolerance=1e-6), (500, 1e-6)),
+        (OptimizerSettings(gradient_tolerance=1e-5), (3000, 1e-5)),
+    ],
+)
+def test_compare_contrasts_keeps_the_estimator_solver_settings(monkeypatch, settings, expected):
+    # the iteration cap falls to at most 3000; the tolerance is the estimator's
+    import roblp.harness as harness
+
+    seen = []
+
+    def record(jobs, f, model, replications, seed, workers=1):
+        seen.extend(jobs)
+        return np.full((len(jobs), replications), 0.1)
+
+    monkeypatch.setattr(harness, "_replication_errors", record)
+    est = dataclasses.replace(fixed_huber(), optimizer=settings)
+    compare_contrasts(est, constant_function(0.4), [0.5], None, n=64, replications=40, seed=1)
+    assert len(seen) == 3
+    for ((cfg,), _), _ in seen:
+        assert (cfg.optimizer.max_iterations, cfg.optimizer.gradient_tolerance) == expected
 
 
 def test_tail_check_aborts_above_one_percent_empty_windows(monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from roblp.simulate import (
+    HETEROSCEDASTIC_KINDS,
     NOISE_FAMILIES,
     TEST_FUNCTIONS,
     HeteroscedasticRule,
@@ -119,15 +120,27 @@ def test_heteroscedastic_rules():
         NoiseModel(family="gaussian", base_scale=1.0, sigma_min=2.0)
 
 
-def test_noise_model_scales_rejects_rule_below_sigma_min(monkeypatch):
-    rule = HeteroscedasticRule(kind="sinusoidal", amplitude=0.5, period=8)
-    model = NoiseModel(family="gaussian", base_scale=2.0, heteroscedastic=rule)
-    # a rule whose multipliers undercut its own min_multiplier
-    monkeypatch.setattr(
-        HeteroscedasticRule, "multipliers", lambda self, n: np.full(n, 0.2)
-    )
-    with pytest.raises(ValueError, match=r"scale 0\.4 below sigma_min 1\.0"):
-        model.scales(5)
+@pytest.mark.parametrize("kind", HETEROSCEDASTIC_KINDS)
+def test_no_multiplier_falls_below_min_multiplier(kind):
+    # NoiseModel checks sigma_min once, against base_scale * min_multiplier,
+    # and scales() checks nothing; both rely on this invariant
+    rng = np.random.default_rng(11)
+    amplitudes = [0.0, 0.1, 0.5, 0.9, 0.999, 1.0 - 2.0**-52, *rng.uniform(0.0, 1.0, 20)]
+    factors = [1.0, 1.0 + 2.0**-52, 1.5, 3.0, 1e300, *rng.uniform(1.0, 10.0, 5)]
+    for amplitude in amplitudes:
+        for factor in factors:
+            for period in (1, 2, 3, 4, 7, 8, 16, 100, 1023):
+                rule = HeteroscedasticRule(kind=kind, factor=factor, amplitude=amplitude, period=period)
+                for n in (1, 2, 5, 64, 2049):
+                    assert rule.multipliers(n).min() >= rule.min_multiplier, (rule, n)
+
+
+def test_sigma_min_slack_is_relative_to_the_smallest_scale():
+    for scale in (1.877556829253587e-17, 0.5, 3e5):
+        ulp_above = np.nextafter(scale, math.inf)
+        assert NoiseModel(family="laplace", base_scale=scale, sigma_min=ulp_above).sigma_min == ulp_above
+        with pytest.raises(ValueError, match="exceeds the smallest emitted scale"):
+            NoiseModel(family="laplace", base_scale=scale, sigma_min=scale * (1 + 1e-12))
 
 
 @pytest.mark.parametrize("family", sorted(NOISE_FAMILIES))
@@ -203,6 +216,26 @@ def test_library_certificates():
     for f in function_library():
         cert = certify_holder(f, n_pairs=2000, seed=1)
         assert cert.ok, (f.name, f.beta, cert)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        sinusoid(beta=2.0, amplitude=-1.0),
+        sinusoid(beta=3.0, amplitude=-0.5),
+        cusp(beta=0.5, amplitude=-1.0, center=0.5),
+        cusp(beta=1.0, amplitude=-2.0, center=0.3),
+        product_sinusoid(beta=2.0, amplitude=-1.0),
+    ],
+    ids=lambda f: f"{f.name}-{f.beta}",
+)
+def test_negative_amplitudes_declare_the_constants_of_their_mirror(f):
+    # -f lies in the Hoelder class of f: same constants, both certified
+    mirror = make_test_function({**f.to_config(), "amplitude": -f.params["amplitude"]})
+    assert (f.lipschitz, f.bound) == (mirror.lipschitz, mirror.bound)
+    assert f.lipschitz > 0 and f.bound > 0
+    cert = certify_holder(f, n_pairs=2000, seed=1)
+    assert cert.ok, cert
 
 
 def test_cusp_certificate_with_unit_constant():
