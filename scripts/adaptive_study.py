@@ -2,68 +2,32 @@
 """Adaptive-vs-oracle study: selection-rule risk against every single
 bandwidth on its grid.
 
-For each replication the selection trace already contains the fit at
-every grid bandwidth, so the adaptive risk and all single-bandwidth
-risks come from the same fits.  Prints the risk table, the ratio to the
-best bandwidth, and the logarithmic inflation the theory allows.
+Runs the rates experiment of scripts/configs/rates_adaptive.json and
+prints its summary's selection table per n: each grid level's risk and
+how often Lepski's rule chose it, from the same fits, and the ratio of
+the rule's risk to the best level's.  The flags are rate_study.py's.
 """
 
-import argparse
-import math
+from pathlib import Path
 
-import numpy as np
+from rate_study import config_from_flags
+from roblp.experiments import run_experiment
 
-from roblp.contrast import curvature_constant, huber
-from roblp.harness import Estimator
-from roblp.simulate import NOISE_FAMILIES, NoiseModel, gen_data, sinusoid
+CONFIG = Path(__file__).resolve().parent / "configs" / "rates_adaptive.json"
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=4096)
-    ap.add_argument("--degree", type=int, default=3)
-    ap.add_argument("--replications", type=int, default=200)
-    ap.add_argument("--seed", type=int, default=20240810)
-    ap.add_argument("--gamma", type=float, default=1.0)
-    ap.add_argument("--scale", type=float, default=0.5)
-    args = ap.parse_args()
-
-    f = sinusoid(beta=2.0)
-    model = NoiseModel(family="gaussian", base_scale=args.scale)
-    c = curvature_constant(NOISE_FAMILIES["gaussian"], args.gamma, model.sigma_min)
-    est = Estimator(
-        kind="adaptive",
-        contrast=huber(args.gamma),
-        kernel_kind="uniform",
-        bound=8.0,
-        degree=args.degree,
-        curvature=c,
-        risk_power=2.0,
-    )
-    x0 = (0.25,)
-    target = float(f(np.array(x0)))
-
-    adaptive_errs, per_k, chosen = [], [], []
-    bandwidths = None
-    for rep in range(args.replications):
-        data = gen_data(f, model, args.n, 1, (args.seed, rep))
-        trace = est.selection_trace(data, x0)
-        bandwidths = [h for _, h, _ in trace.estimates]
-        adaptive_errs.append((trace.selected - target) ** 2)
-        per_k.append([(e - target) ** 2 for _, _, e in trace.estimates])
-        chosen.append(trace.chosen_k)
-
-    adaptive_risk = float(np.mean(adaptive_errs))
-    single = np.mean(np.asarray(per_k), axis=0)
-    print(f"curvature constant c = {c:.6f}")
-    print(f"{'k':>3} {'h':>10} {'risk':>12} {'chosen%':>8}")
-    for k, (h, risk) in enumerate(zip(bandwidths, single)):
-        share = 100.0 * np.mean(np.asarray(chosen) == k)
-        print(f"{k:>3} {h:>10.5f} {risk:>12.6f} {share:>7.1f}%")
-    ratio = adaptive_risk / single.min()
-    ln_factor = math.log(args.n) ** (2.0 / 5.0)
-    print(f"adaptive risk {adaptive_risk:.6f}, best single {single.min():.6f}")
-    print(f"ratio {ratio:.3f} (logarithmic allowance ~{ln_factor:.2f})")
+    result = run_experiment(config_from_flags(CONFIG, __doc__))
+    for point in result["summary"]["selection"]:
+        levels = point["levels"]
+        fitted = sum(level["chosen"] for level in levels)
+        print(f"n={point['n']}  can_reject={point['can_reject']}")
+        print(f"{'k':>3} {'h':>10} {'risk':>12} {'chosen%':>8}")
+        for level in levels:
+            share = 100.0 * level["chosen"] / fitted
+            print(f"{level['k']:>3} {level['h']:>10.5f} {level['risk']:>12.6f} {share:>7.1f}%")
+        print(f"ratio {point['ratio']:.3f}")
+    print(f"wrote {result['csv']}")
 
 
 if __name__ == "__main__":

@@ -16,25 +16,30 @@ from roblp.experiments import run_experiment
 CONFIG = Path(__file__).resolve().parent / "configs" / "rates_gaussian.json"
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+def config_from_flags(path: Path, description: str) -> dict:
+    """The rates or tails config at ``path`` with the flags' values in place
+    of its own; ``--n`` takes a rates config's sizes, a tails config's n."""
+    cfg = json.loads(path.read_text())
+    sizes = "n_values" in cfg["grid"]
+    ap = argparse.ArgumentParser(description=description)
     ap.add_argument("--output", help="output directory")
     ap.add_argument("--replications", type=int)
     ap.add_argument("--seed", type=int)
-    ap.add_argument("--n", type=int, nargs="+", help="sample sizes")
+    ap.add_argument("--n", type=int, nargs="+" if sizes else None, help="sample size(s)")
     args = ap.parse_args()
-
-    cfg = json.loads(CONFIG.read_text())
     for value, section, key in (
-        (args.output, "output", "directory"),
-        (args.replications, "risk", "replications"),
-        (args.n, "grid", "n_values"),
+        (args.output, cfg["output"], "directory"),
+        (args.replications, cfg["risk"], "replications"),
+        (args.n, cfg["grid"], "n_values" if sizes else "n"),
+        (args.seed, cfg, "seed"),
     ):
         if value is not None:
-            cfg[section][key] = value
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+            section[key] = value
+    return cfg
 
+
+def main():
+    cfg = config_from_flags(CONFIG, __doc__)
     cauchy = {
         **cfg,
         "noise": {"family": "cauchy", "scale": 1.0},

@@ -483,9 +483,10 @@ def _check_sizes(
 
 
 def _check_risk(r: float, n: int, risk: float, stderr: float, rate_fit: bool) -> None:
-    """The one config check after replications: a risk or standard error
-    of errors**r that is not finite, or a zero risk whose log a rate fit
-    would take, is a ConfigError under ``$.risk.power`` naming n."""
+    """The one config check after replications: a risk (a grid level's too)
+    or standard error of errors**r that is not finite, or a zero risk, whose
+    log a rate fit takes and by which a selection ratio divides, is a
+    ConfigError under ``$.risk.power`` naming n."""
     if not (math.isfinite(risk) and math.isfinite(stderr)) or (rate_fit and risk == 0.0):
         raise ConfigError(
             f"$.risk.power: at n={n} the mean of errors**{r!r} is {risk!r}, its standard"
@@ -516,6 +517,8 @@ def _run_rates(cfg, f, noise, estimator, x0, workers):
     )
     for p in report.points:
         _check_risk(r, p.n, p.risk, p.stderr, rate_fit=True)
+        for level in p.selection["levels"] if p.selection else ():
+            _check_risk(r, p.n, level["risk"], 0.0, rate_fit=True)
     beta = cfg["estimator"].get("beta", f.beta)
     target = -beta / (2.0 * beta + d)
     fit = rate_fit(report, target)
@@ -537,6 +540,8 @@ def _run_rates(cfg, f, noise, estimator, x0, workers):
             "gap": fit.gap,
         },
     }
+    if estimator.kind == "adaptive":
+        summary["selection"] = [{"n": p.n, **p.selection} for p in report.points]
     return header, rows, summary, {}
 
 

@@ -8,10 +8,12 @@ noise.  Replications are keyed by (seed, replication index) so results
 are independent of execution order and reproducible bit-for-bit.
 
 Each study is one driver call: every fit plan it needs (one per n of a
-risk curve, one per row of a contrast table) is a job, and the blocks of
-all its jobs share one task list, so a run opens at most one process
-pool.  The 1% abort rule is checked once every job has run, and its
-error names the sample size of the first offending job.
+risk curve, one holding the three contrasts of a contrast table) is a
+job, and the blocks of all its jobs share one task list, so a run opens
+at most one process pool.  A block returns every fit's estimate, and the
+parent applies a grid's selection rule.  The 1% abort rule is checked
+once every job has run, and its error names the sample size of the first
+offending job.
 
 Risks are always finite without moment assumptions on the noise: both the
 estimator and the target are bounded by the coefficient bound M, so every
@@ -197,26 +199,24 @@ class Estimator:
 BLOCK_REPLICATIONS = 64
 
 
-def _block_errors(args) -> list[float]:
-    """|f_hat(x0) - f(x0)| for a contiguous block of seeded replications of
-    one plan (see ``Estimator.plan``); x0 is the point its configs fit at.
+def _block_estimates(args) -> np.ndarray:
+    """The estimate of each fit config of one plan (see ``Estimator.plan``),
+    a column each, for a contiguous block of seeded replications, a row
+    each; a NaN row marks a replication with an empty window (counted and
+    excluded by the caller).
 
-    Each replication's dataset is reduced to the plan's windows as soon as
-    it is drawn.  One solver call takes the block's windows as they are
-    drawn and solves them in stacks; a plan with thresholds is a bandwidth
-    grid, whose selection rule runs per replication.  NaN marks a
-    replication with an empty window (counted and excluded by the caller).
+    Each replication's dataset is reduced to the configs' windows as soon
+    as it is drawn, and one solver call takes the block's windows as they
+    are drawn and solves them in stacks.
     """
-    (configs, thresholds), f, model, n, seed, reps = args
-    x0 = configs[0].x0
-    grid = thresholds is not None
+    configs, f, model, n, seed, reps = args
     fitted = []  # per replication: whether it has windows to fit
 
     def windows():
         for rep in reps:
-            data = gen_data(f, model, n, len(x0), (seed, rep))
+            data = gen_data(f, model, n, configs[0].d, (seed, rep))
             try:
-                own = _windows(data, configs, grid=grid)
+                own = _windows(data, configs)
             except EmptyNeighborhoodError:
                 fitted.append(False)
                 continue
@@ -224,44 +224,33 @@ def _block_errors(args) -> list[float]:
             yield from own
 
     fits = iter(_fit_problems(windows()))
-    target = float(f(np.asarray(x0)))
-    errors = []
-    for ok in fitted:
-        if not ok:
-            errors.append(math.nan)
-            continue
-        estimates = [next(fits).estimate for _ in configs]
-        if grid:
-            est = _select_estimates(estimates, configs, thresholds).selected
-        else:
-            est = estimates[0]
-        errors.append(abs(est - target))
-    return errors
+    return np.array([[next(fits).estimate if ok else math.nan for _ in configs] for ok in fitted])
 
 
-def _replication_errors(jobs, f, model, replications, seed, workers: int = 1) -> np.ndarray:
-    """Errors of replications 0..replications-1 of each (plan, n) job of one
-    run, one row per job.  Each job's replications run in contiguous blocks
-    (at least one per worker), and the blocks of every job form one task
-    list, mapped through at most one pool.  The pool has no more processes
-    than the machine has CPUs or the run has blocks."""
+def _replication_estimates(jobs, f, model, replications, seed, workers: int = 1) -> list[np.ndarray]:
+    """Estimates of replications 0..replications-1 of each (configs, n) job
+    of one run, a (replications x configs) array per job.  Each job's
+    replications run in contiguous blocks (at least one per worker), and
+    the blocks of every job form one task list, mapped through at most one
+    pool.  The pool has no more processes than the machine has CPUs or the
+    run has blocks."""
     workers = min(workers, os.cpu_count() or 1)
     size = max(1, min(BLOCK_REPLICATIONS, -(-replications // workers)))
+    starts = range(0, replications, size)
     tasks = [
-        (plan, f, model, n, seed, range(start, min(start + size, replications)))
-        for plan, n in jobs
-        for start in range(0, replications, size)
+        (configs, f, model, n, seed, range(start, min(start + size, replications)))
+        for configs, n in jobs
+        for start in starts
     ]
     workers = min(workers, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            blocks = list(ex.map(_block_errors, tasks))
+            blocks = iter(list(ex.map(_block_estimates, tasks)))
     else:
-        blocks = [_block_errors(task) for task in tasks]
-    errors = np.asarray([e for block in blocks for e in block], dtype=float)
-    return errors.reshape(len(jobs), replications)
+        blocks = map(_block_estimates, tasks)
+    return [np.concatenate([next(blocks) for _ in starts]) for _ in jobs]
 
 
 class TooManyFailuresError(RuntimeError):
@@ -280,12 +269,13 @@ def _valid_errors(errs: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     return errs[~np.isnan(errs)], failed
 
 
-def _risks(errors: np.ndarray, jobs, r: float) -> list[tuple[np.ndarray, int, float, float]]:
-    """Per (plan, n) job of a run: its finite errors, its count of
-    empty-window replications, and the mean of errors**r with its standard
-    error (0.0 from one replication).  Every job is checked against the 1%
-    abort rule, in order, before any risk is formed."""
-    valid = [_valid_errors(errs, n) for errs, (_, n) in zip(errors, jobs)]
+def _risks(errors, n_values, r: float) -> list[tuple[np.ndarray, int, float, float]]:
+    """Per row of ``errors`` (one per job of a run, of sample size n): its
+    finite errors, its count of empty-window replications, and the mean of
+    errors**r with its standard error (0.0 from one replication).  Every
+    row is checked against the 1% abort rule, in order, before any risk is
+    formed."""
+    valid = [_valid_errors(errs, n) for errs, n in zip(errors, n_values)]
     risks = []
     for ok, failed in valid:
         powered = ok**r
@@ -296,6 +286,38 @@ def _risks(errors: np.ndarray, jobs, r: float) -> list[tuple[np.ndarray, int, fl
     return risks
 
 
+def _choices(estimates: np.ndarray, levels, thresholds) -> np.ndarray:
+    """The level each replication's estimate is taken from: for a grid
+    plan, the one the selection rule chooses from its row of estimates;
+    for a single bandwidth, or a NaN row, level 0."""
+    if thresholds is None:
+        return np.zeros(len(estimates), dtype=int)
+    return np.array(
+        [0 if np.isnan(row[0]) else _select_estimates(row, levels, thresholds).chosen_k for row in estimates]
+    )
+
+
+def _selection_summary(estimates, chosen, levels, thresholds, target, r, risk) -> dict | None:
+    """For a grid plan (None otherwise): each level's risk and chosen count,
+    the selected risk ``risk`` over the best level's, and whether any
+    threshold at a level l >= 1 lies below 2M, the largest difference two
+    estimates bounded by M can have: where none does, the rule cannot
+    reject and always chooses level 0."""
+    if thresholds is None:
+        return None
+    ok = ~np.isnan(estimates[:, 0])
+    level_risks = [float(np.mean(np.abs(column - target) ** r)) for column in estimates[ok].T]
+    best, counts = min(level_risks), np.bincount(chosen[ok], minlength=len(levels))
+    return {
+        "levels": [
+            {"k": k, "h": cfg.h, "risk": level_risk, "chosen": int(counts[k])}
+            for k, (cfg, level_risk) in enumerate(zip(levels, level_risks))
+        ],
+        "ratio": risk / best if best > 0 else math.inf,
+        "can_reject": any(t < 2.0 * levels[0].bound for t in thresholds[1:]),
+    }
+
+
 @dataclass(frozen=True)
 class RiskPoint:
     n: int
@@ -303,6 +325,7 @@ class RiskPoint:
     stderr: float
     replications: int
     failures: int
+    selection: dict | None = None  # a grid plan's, from ``_selection_summary``
 
 
 @dataclass(frozen=True)
@@ -350,14 +373,26 @@ def risk_curve(
 ) -> RiskReport:
     """Monte Carlo estimates of E|f_hat(x0) - f(x0)|^r with their standard
     errors at each n of ``n_grid``.  Replications with empty windows are
-    excluded and counted; more than 1% of them at any n aborts the run."""
+    excluded and counted; more than 1% of them at any n aborts the run.
+    For the adaptive kind each point carries its ``selection`` summary."""
     _check_replications(replications)
     n_grid = [int(n) for n in n_grid]
-    jobs = [(estimator.plan(x0, n), n) for n in n_grid]
-    errors = _replication_errors(jobs, f, model, replications, seed, workers)
+    plans = [estimator.plan(x0, n) for n in n_grid]
+    estimates = _replication_estimates(
+        [(levels, n) for (levels, _), n in zip(plans, n_grid)], f, model, replications, seed, workers
+    )
+    target = float(f(np.asarray(plans[0][0][0].x0)))
+    chosen = [_choices(est, *plan) for plan, est in zip(plans, estimates)]
+    rows = np.arange(replications)
+    errors = [np.abs(est[rows, k] - target) for est, k in zip(estimates, chosen)]
     points = tuple(
-        RiskPoint(n=n, risk=risk, stderr=stderr, replications=replications, failures=failed)
-        for n, (_, failed, risk, stderr) in zip(n_grid, _risks(errors, jobs, r))
+        RiskPoint(
+            n, risk, stderr, replications, failed,
+            _selection_summary(est, k, *plan, target, r, risk),
+        )
+        for n, plan, est, k, (_, failed, risk, stderr) in zip(
+            n_grid, plans, estimates, chosen, _risks(errors, n_grid, r)
+        )
     )
     return RiskReport(points=points, r=r, seed=seed, estimator=estimator.describe())
 
@@ -514,8 +549,8 @@ def tail_check(
     with empty windows are excluded and counted; more than 1% of them
     aborts the run.
     """
-    (errs,) = _replication_errors([(((cfg,), None), n)], f, model, replications, seed, workers)
-    ok, failed = _valid_errors(errs, n)
+    (est,) = _replication_estimates([((cfg,), n)], f, model, replications, seed, workers)
+    ok, failed = _valid_errors(np.abs(est[:, 0] - float(f(np.asarray(cfg.x0)))), n)
     nhd = n * cfg.h**cfg.d
     norm_errs = math.sqrt(nhd) * ok
 
@@ -600,11 +635,12 @@ def compare_contrasts(
         ("absolute_proxy", huber(TINY_GAMMA)),
         (f"huber({estimator.contrast.gamma:g})", estimator.contrast),
     ]
-    jobs = [(((dataclasses.replace(cfg, contrast=contrast),), None), n) for _, contrast in variants]
-    errors = _replication_errors(jobs, f, model, replications, seed, workers)
+    configs = tuple(dataclasses.replace(cfg, contrast=contrast) for _, contrast in variants)
+    (est,) = _replication_estimates([(configs, n)], f, model, replications, seed, workers)
+    errors = np.abs(est - float(f(np.asarray(cfg.x0)))).T
     return tuple(
         ComparisonRow(
             name=name, risk=risk, stderr=stderr, max_error=float(np.max(ok)), failures=failed
         )
-        for (name, _), (ok, failed, risk, stderr) in zip(variants, _risks(errors, jobs, r))
+        for (name, _), (ok, failed, risk, stderr) in zip(variants, _risks(errors, [n] * 3, r))
     )

@@ -23,8 +23,9 @@ Barzilai-Borwein projected gradient step instead.  The l1-ball projection
 is the classic sort-based simplex projection (Duchi et al. 2008).
 
 The solver works on a stack of windows: the Monte Carlo harness draws a
-block of replications and hands all their fits (every grid level, for the
-adaptive kind) to one solver call, which iterates them in stacks of up to
+block of replications and hands all their fits (every config of its plan:
+each grid level, or each contrast of a compare table) to one solver call,
+which iterates the windows of equal fit settings in stacks of up to
 _STACK_CHUNKS chunks; a bandwidth selection solves its grid levels as one
 stack, and ``fit_local`` is a stack of one.  The windows of a bandwidth
 grid are nested: each level is cut from the samples of the one before, so
@@ -739,30 +740,37 @@ def _fit_stack(windows: list[_LocalProblem]) -> list[FitResult]:
 
 
 def _fit_problems(windows: Iterable[_LocalProblem]) -> list[FitResult]:
-    """Fit every window of ``windows`` (any iterable), in order.
+    """Fit every window of ``windows`` (any iterable); the results are in
+    input order.
 
-    Consecutive windows with equal fit settings are solved together, as
-    stacks of at most _STACK_CHUNKS chunks (or one window larger on its
-    own).  Each stack is solved once it is complete, and drops its windows
-    once laid out, so from an iterator only the windows of the stack being
-    gathered are held.  The windows come from ``_windows``, so none is
-    empty.
+    Windows with equal fit settings are solved together, in whatever order
+    they come: each settings key gathers one pending stack of at most
+    _STACK_CHUNKS chunks (or one window larger on its own).  A stack is
+    solved once it is complete, and drops its windows once laid out, so
+    from an iterator only the windows of the pending stacks are held.  The
+    windows come from ``_windows``, so none is empty.
     """
-    results: list[FitResult] = []
-    stack: list[_LocalProblem] = []
-    chunks, settings = 0, None
-    for window in windows:
+    results: list = []
+    pending: dict = {}  # settings key -> [positions, windows, chunks]
+
+    def solve(key):
+        positions, stack, _ = pending.pop(key)
+        for i, fit in zip(positions, _fit_stack(stack)):
+            results[i] = fit
+
+    for i, window in enumerate(windows):
         cfg = window.cfg
         key = (cfg.degree, cfg.d, cfg.bound, cfg.contrast, cfg.optimizer)
         size = _Stack.chunk_count(window.n_local)
-        if stack and (key != settings or chunks + size > _STACK_CHUNKS):
-            results += _fit_stack(stack)
-            stack, chunks = [], 0
-        stack.append(window)
-        chunks += size
-        settings = key
-    if stack:
-        results += _fit_stack(stack)
+        if key in pending and pending[key][2] + size > _STACK_CHUNKS:
+            solve(key)
+        group = pending.setdefault(key, [[], [], 0])
+        group[0].append(i)
+        group[1].append(window)
+        group[2] += size
+        results.append(None)
+    for key in list(pending):
+        solve(key)
     return results
 
 

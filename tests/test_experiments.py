@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +58,7 @@ def test_rates_experiment_shape(tmp_path):
     assert len(lines) == 1 + 4  # header + one row per sample size
     summary = json.loads(result["json"].read_text())
     assert summary["rate_fit"]["target"] == pytest.approx(-0.4)
+    assert "selection" not in summary  # only an adaptive estimator selects
     manifest = json.loads(result["manifest"].read_text())
     assert manifest["config"]["experiment"] == "rates"
     assert len(manifest["config_sha256"]) == 64
@@ -72,6 +74,34 @@ def test_rates_rerun_is_byte_identical(tmp_path):
     # rerun from the manifest alone reproduces the CSV byte for byte
     third = run_experiment(first["manifest"], output_dir=tmp_path / "c")
     assert third["csv"].read_bytes() == blob1
+
+
+RATES_ADAPTIVE = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "rates_adaptive.json"
+
+
+def test_adaptive_rates_summary_reports_each_level_and_whether_the_rule_can_reject(tmp_path):
+    cfg = json.loads(RATES_ADAPTIVE.read_text())
+    cfg["risk"]["replications"] = 30
+    cfg["output"]["directory"] = str(tmp_path / "derived")
+    result = run_experiment(cfg)
+    risks = [float(line.split(",")[1]) for line in result["csv"].read_text().splitlines()[1:]]
+    selection = result["summary"]["selection"]
+    assert [point["n"] for point in selection] == cfg["grid"]["n_values"]
+    for point, risk in zip(selection, risks):
+        # every threshold at l >= 1 exceeds 2M = 16: the rule keeps level 0
+        assert point["can_reject"] is False
+        levels = point["levels"]
+        assert [level["k"] for level in levels] == list(range(len(levels)))
+        assert [level["chosen"] for level in levels] == [30] + [0] * (len(levels) - 1)
+        assert levels[0]["risk"] == risk
+        assert point["ratio"] == risk / min(level["risk"] for level in levels)
+    # an explicit large curvature makes the threshold constant C small
+    cfg["estimator"]["curvature"] = 1e4
+    cfg["output"]["directory"] = str(tmp_path / "large")
+    selection = run_experiment(cfg)["summary"]["selection"]
+    assert [point["can_reject"] for point in selection] == [True] * 4
+    for point in selection:
+        assert sum(level["chosen"] for level in point["levels"]) == 30
 
 
 def test_tails_experiment(tmp_path):

@@ -20,7 +20,8 @@ from roblp.harness import (
 )
 from roblp.kernels import procedure_constants, uniform_kernel
 from roblp.basis import multi_index_set
-from roblp.local_fit import Dataset, EmptyNeighborhoodError, LocalFitConfig, OptimizerSettings
+from roblp.lepski import select_bandwidth
+from roblp.local_fit import Dataset, EmptyNeighborhoodError, LocalFitConfig, OptimizerSettings, fit_local
 from roblp.simulate import NoiseModel, constant_function, gen_data, sinusoid
 
 
@@ -268,8 +269,11 @@ def test_mc_risk_parallel_matches_sequential():
 
 
 def _replication_cases():
-    """(estimator, noise) of the minimax kind under Cauchy noise and of the
-    adaptive kind, on the sinusoid at x0 = 0.25."""
+    """(plan, noise) on the sinusoid, the plan a function of x0 and n that
+    returns the fit configs and thresholds of ``Estimator.plan``: of the
+    minimax kind under Cauchy noise, of the adaptive kind, and of a
+    compare table, a fixed bandwidth under square, Huber(1e-6) and Huber(1)
+    loss, under Cauchy noise."""
     f = sinusoid(beta=2.0)
     minimax = Estimator(
         kind="minimax", contrast=huber(1.0), kernel_kind="uniform", bound=8.0, beta=2.0, lipschitz=f.lipschitz
@@ -277,35 +281,56 @@ def _replication_cases():
     adaptive = Estimator(
         kind="adaptive", contrast=huber(1.0), kernel_kind="uniform", bound=8.0, degree=2, curvature=0.38
     )
+    fixed = Estimator(
+        kind="fixed", contrast=huber(1.0), kernel_kind="uniform", bound=8.0, h=0.08, degree=1,
+        optimizer=OptimizerSettings(max_iterations=200),
+    )
+
+    def compare(x0, n):
+        (cfg,), thresholds = fixed.plan(x0, n)
+        contrasts = (square(), huber(1e-6), huber(1.0))
+        return tuple(dataclasses.replace(cfg, contrast=c) for c in contrasts), thresholds
+
+    cauchy = NoiseModel(family="cauchy", base_scale=1.0)
     return [
-        (minimax, NoiseModel(family="cauchy", base_scale=1.0)),
-        (adaptive, NoiseModel(family="gaussian", base_scale=0.5)),
+        (minimax.plan, cauchy),
+        (adaptive.plan, NoiseModel(family="gaussian", base_scale=0.5)),
+        (compare, cauchy),
     ]
 
 
-@pytest.mark.parametrize("case", [0, 1], ids=["minimax-cauchy", "adaptive"])
+CASES = dict(argnames="case", argvalues=[0, 1, 2], ids=["minimax-cauchy", "adaptive", "compare"])
+
+
+@pytest.mark.parametrize(**CASES)
 def test_replication_errors_do_not_depend_on_the_block_size(monkeypatch, case):
     import roblp.harness as harness
     import roblp.local_fit as local_fit
 
-    est, model = _replication_cases()[case]
+    plan, model = _replication_cases()[case]
     f, x0, n, reps, seed = sinusoid(beta=2.0), [0.25], 600, 23, 14
-    target = float(f(np.array(x0)))
-    single = [abs(est.estimate(gen_data(f, model, n, 1, (seed, rep)), x0) - target) for rep in range(reps)]
+    configs, thresholds = plan(x0, n)
+    draws = [gen_data(f, model, n, 1, (seed, rep)) for rep in range(reps)]
+    single = [[fit_local(data, cfg).estimate for cfg in configs] for data in draws]
     for size, cap in ((1, 512), (7, 1), (reps, 64), (reps, 512)):
         monkeypatch.setattr(harness, "BLOCK_REPLICATIONS", size)
         monkeypatch.setattr(local_fit, "_STACK_CHUNKS", cap)
-        errs = harness._replication_errors([(est.plan(x0, n), n)], f, model, reps, seed)
-        np.testing.assert_array_equal(errs, [single])
+        (est,) = harness._replication_estimates([(configs, n)], f, model, reps, seed)
+        np.testing.assert_array_equal(est, single)
+    if thresholds is not None:  # the rule in the parent picks the selection's estimate
+        selected = est[np.arange(reps), harness._choices(est, configs, thresholds)]
+        expected = [select_bandwidth(data, configs, thresholds).selected for data in draws]
+        np.testing.assert_array_equal(selected, expected)
 
 
-@pytest.mark.parametrize("case", [0, 1], ids=["minimax-cauchy", "adaptive"])
+@pytest.mark.parametrize(**CASES)
 def test_replication_errors_mark_empty_windows_nan(monkeypatch, case):
     import roblp.harness as harness
+    from roblp.local_fit import _windows
 
     def holed(f, model, n, d, seed):
         # odd replications have no design point within 0.04 of x0: the
-        # minimax window and the finest grid level are empty
+        # minimax and the compare window and the finest grid level are empty
         data = gen_data(f, model, n, d, seed)
         if seed[1] % 2 == 0:
             return data
@@ -315,27 +340,29 @@ def test_replication_errors_mark_empty_windows_nan(monkeypatch, case):
         return Dataset(x=x, y=data.y)
 
     monkeypatch.setattr(harness, "gen_data", holed)
-    est, model = _replication_cases()[case]
+    plan, model = _replication_cases()[case]
     f, x0, n, reps, seed = sinusoid(beta=2.0), [0.25], 600, 12, 16
-    (errs,) = harness._replication_errors([(est.plan(x0, n), n)], f, model, reps, seed)
-    assert np.isnan(errs[1::2]).all()
+    configs, _ = plan(x0, n)
+    (est,) = harness._replication_estimates([(configs, n)], f, model, reps, seed)
+    assert np.isnan(est[1::2]).all()
     for rep in range(0, reps, 2):
         data = gen_data(f, model, n, 1, (seed, rep))
-        assert errs[rep] == abs(est.estimate(data, x0) - float(f(np.array(x0))))
+        assert list(est[rep]) == [fit_local(data, cfg).estimate for cfg in configs]
     with pytest.raises(EmptyNeighborhoodError):
-        est.estimate(holed(f, model, n, 1, (seed, 1)), x0)
+        _windows(holed(f, model, n, 1, (seed, 1)), configs)
 
 
-@pytest.mark.parametrize("case", [0, 1], ids=["minimax-cauchy", "adaptive"])
+@pytest.mark.parametrize(**CASES)
 def test_replication_errors_parallel_match_sequential(case):
     import roblp.harness as harness
 
-    est, model = _replication_cases()[case]
-    jobs = [(est.plan([0.25], n), n) for n in (600, 700)]
+    plan, model = _replication_cases()[case]
+    jobs = [(plan([0.25], n)[0], n) for n in (600, 700)]
     args = (jobs, sinusoid(beta=2.0), model, 40, 15)
-    np.testing.assert_array_equal(
-        harness._replication_errors(*args, workers=1), harness._replication_errors(*args, workers=2)
-    )
+    serial, parallel = (harness._replication_estimates(*args, workers=w) for w in (1, 2))
+    assert len(serial) == len(parallel) == 2
+    for s, p in zip(serial, parallel):
+        np.testing.assert_array_equal(s, p)
 
 
 @pytest.fixture
@@ -369,15 +396,15 @@ def test_pool_size_is_bounded_by_the_cpus_and_the_blocks(monkeypatch, pools):
     import roblp.harness as harness
 
     est = Estimator(kind="fixed", contrast=huber(1.0), kernel_kind="uniform", bound=8.0, h=0.2, degree=1)
-    jobs = [(est.plan([0.25], 128), 128)]
+    jobs = [(est.plan([0.25], 128)[0], 128)]
     args = (jobs, sinusoid(beta=2.0), NoiseModel(family="gaussian", base_scale=0.5))
-    serial = harness._replication_errors(*args, 30, 12, workers=1)
+    (serial,) = harness._replication_estimates(*args, 30, 12, workers=1)
     for cpus, reps, expected in ((4, 30, [4]), (1000, 3, [3]), (None, 30, []), (1, 30, [])):
         pools.clear()
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-        errs = harness._replication_errors(*args, reps, 12, workers=100000)
+        (est_reps,) = harness._replication_estimates(*args, reps, 12, workers=100000)
         assert pools == expected
-        np.testing.assert_array_equal(errs, serial[:, :reps])
+        np.testing.assert_array_equal(est_reps, serial[:reps])
 
 
 def test_a_run_opens_one_pool_for_all_its_jobs(monkeypatch, pools):
@@ -400,7 +427,7 @@ def test_a_run_opens_one_pool_for_all_its_jobs(monkeypatch, pools):
         assert pools == [2], name
     # a run of one block opens none
     pools.clear()
-    harness._replication_errors([(est.plan([0.25], 256), 256)], f, model, 1, 23, workers=2)
+    harness._replication_estimates([(est.plan([0.25], 256)[0], 256)], f, model, 1, 23, workers=2)
     assert pools == []
 
 
@@ -443,7 +470,7 @@ def test_selection_constants_built_once_per_estimator(monkeypatch):
     # shares the selection's
     est.selection_trace(data, [0.3])
     est.selection_trace(gen_data(f, model, 700, 1, seed=78), [0.25])
-    harness._replication_errors([(est.plan([0.25], 600), 600)], f, model, 3, 5)
+    harness._replication_estimates([(est.plan([0.25], 600)[0], 600)], f, model, 3, 5)
     assert plans == [((0.25,), 600), ((0.3,), 600), ((0.25,), 700)]
     assert len(calls) == 1
 
@@ -454,18 +481,19 @@ def test_compare_contrasts_aborts_above_one_percent_empty_windows(monkeypatch):
     pools = []
 
     def two_empty(jobs, f, model, replications, seed, workers=1):
-        pools.append((len(jobs), workers))
-        errs = np.full((len(jobs), replications), 0.1)
-        errs[:, :2] = np.nan
-        return errs
+        pools.append((len(jobs), [len(configs) for configs, _ in jobs], workers))
+        estimates = [np.full((replications, len(configs)), 0.1) for configs, _ in jobs]
+        for est in estimates:
+            est[:2] = np.nan
+        return estimates
 
-    monkeypatch.setattr(harness, "_replication_errors", two_empty)
+    monkeypatch.setattr(harness, "_replication_estimates", two_empty)
     f = constant_function(0.4)
     model = NoiseModel(family="gaussian", base_scale=1.0)
     est = fixed_huber()
     rows = compare_contrasts(est, f, [0.5], model, n=128, replications=200, seed=8, workers=2)
     assert [row.failures for row in rows] == [2, 2, 2]
-    assert pools == [(3, 2)]
+    assert pools == [(1, [3], 2)]  # one job holds the three contrasts
     with pytest.raises(RuntimeError, match="2/100 replications had empty windows"):
         compare_contrasts(est, f, [0.5], model, n=128, replications=100, seed=8)
 
@@ -477,17 +505,16 @@ def test_compare_contrasts_varies_only_the_contrast(monkeypatch):
 
     def record(jobs, f, model, replications, seed, workers=1):
         seen.extend(jobs)
-        return np.full((len(jobs), replications), 0.1)
+        return [np.full((replications, len(configs)), 0.1) for configs, _ in jobs]
 
-    monkeypatch.setattr(harness, "_replication_errors", record)
+    monkeypatch.setattr(harness, "_replication_estimates", record)
     est = Estimator(
         kind="minimax", contrast=huber(2.0), kernel_kind="triangular", bound=3.0, beta=2.0, lipschitz=5.0
     )
     rows = compare_contrasts(est, constant_function(0.4), [0.5], None, n=64, replications=40, seed=1)
     assert [row.name for row in rows] == ["square", "absolute_proxy", "huber(2)"]
-    assert [n for _, n in seen] == [64, 64, 64]
-    assert [plan[1] for plan, _ in seen] == [None, None, None]
-    configs = [cfg for (configs, _), _ in seen for cfg in configs]
+    assert [n for _, n in seen] == [64]
+    ((configs, _),) = seen
     assert [cfg.contrast for cfg in configs] == [square(), huber(harness.TINY_GAMMA), huber(2.0)]
     for cfg in configs:
         assert dataclasses.replace(cfg, contrast=est.contrast, optimizer=est.optimizer) == est.fit_config([0.5], 64)
@@ -511,13 +538,14 @@ def test_compare_contrasts_keeps_the_estimator_solver_settings(monkeypatch, sett
 
     def record(jobs, f, model, replications, seed, workers=1):
         seen.extend(jobs)
-        return np.full((len(jobs), replications), 0.1)
+        return [np.full((replications, len(configs)), 0.1) for configs, _ in jobs]
 
-    monkeypatch.setattr(harness, "_replication_errors", record)
+    monkeypatch.setattr(harness, "_replication_estimates", record)
     est = dataclasses.replace(fixed_huber(), optimizer=settings)
     compare_contrasts(est, constant_function(0.4), [0.5], None, n=64, replications=40, seed=1)
-    assert len(seen) == 3
-    for ((cfg,), _), _ in seen:
+    ((configs, _),) = seen
+    assert len(configs) == 3
+    for cfg in configs:
         assert (cfg.optimizer.max_iterations, cfg.optimizer.gradient_tolerance) == expected
 
 
@@ -525,12 +553,13 @@ def test_tail_check_aborts_above_one_percent_empty_windows(monkeypatch):
     import roblp.harness as harness
 
     def two_empty(jobs, f, model, replications, seed, workers=1):
-        assert jobs == [(((cfg,), None), 256)]
-        errs = np.full((1, replications), 0.01)
-        errs[:, :2] = np.nan
-        return errs
+        assert jobs == [((cfg,), 256)]
+        # estimates 0.01 from the target
+        est = np.full((replications, 1), float(f(np.asarray(cfg.x0))) + 0.01)
+        est[:2] = np.nan
+        return [est]
 
-    monkeypatch.setattr(harness, "_replication_errors", two_empty)
+    monkeypatch.setattr(harness, "_replication_estimates", two_empty)
     cfg = LocalFitConfig(
         x0=(0.25,), h=0.15, degree=1, bound=8.0, kernel=uniform_kernel(1), contrast=huber(1.0)
     )
@@ -548,19 +577,44 @@ def test_compare_contrasts_rows_are_mc_risk_points(monkeypatch):
     import roblp.harness as harness
 
     def planted(jobs, f, model, replications, seed, workers=1):
-        errs = [
-            np.random.default_rng(len(configs[0].contrast.kind)).uniform(0, 1, replications)
-            for (configs, _), _ in jobs
-        ]
-        for e in errs:
-            e[0] = np.nan
-        return np.asarray(errs)
+        estimates = []
+        for configs, _ in jobs:
+            columns = [
+                np.random.default_rng(len(cfg.contrast.kind)).uniform(0, 1, replications)
+                for cfg in configs
+            ]
+            est = np.stack(columns, axis=1)
+            est[0] = np.nan
+            estimates.append(est)
+        return estimates
 
-    monkeypatch.setattr(harness, "_replication_errors", planted)
-    est = fixed_huber()
-    rows = compare_contrasts(est, None, [0.5], None, n=64, replications=150, seed=3, r=1.5)
+    monkeypatch.setattr(harness, "_replication_estimates", planted)
+    est, f = fixed_huber(), constant_function(0.4)
+    rows = compare_contrasts(est, f, [0.5], None, n=64, replications=150, seed=3, r=1.5)
     for row, contrast in zip(rows, (square(), huber(harness.TINY_GAMMA), est.contrast)):
         variant = dataclasses.replace(est, contrast=contrast)
-        (point,) = risk_curve(variant, None, [0.5], None, 1.5, [64], 150, seed=3).points
+        (point,) = risk_curve(variant, f, [0.5], None, 1.5, [64], 150, seed=3).points
         assert (row.risk, row.stderr, row.failures) == (point.risk, point.stderr, 1)
         assert point.failures == 1 and row.stderr > 0
+
+
+def test_compare_contrasts_draws_each_replication_once(monkeypatch):
+    # one job holds the three contrasts, so each dataset is drawn once, and
+    # its rows are the risk points of the three single-contrast fits
+    import roblp.harness as harness
+
+    draws = []
+
+    def counting(*args):
+        draws.append(args[-1])
+        return gen_data(*args)
+
+    monkeypatch.setattr(harness, "gen_data", counting)
+    f, model = sinusoid(beta=2.0), NoiseModel(family="cauchy", base_scale=1.0)
+    est = dataclasses.replace(fixed_huber(), optimizer=OptimizerSettings(max_iterations=200))
+    rows = compare_contrasts(est, f, [0.25], model, n=256, replications=30, seed=24)
+    assert sorted(draws) == [(24, rep) for rep in range(30)]
+    for row, contrast in zip(rows, (square(), huber(harness.TINY_GAMMA), est.contrast)):
+        variant = dataclasses.replace(est, contrast=contrast)
+        (point,) = risk_curve(variant, f, [0.25], model, 2.0, [256], 30, seed=24).points
+        assert (row.risk, row.stderr, row.failures) == (point.risk, point.stderr, point.failures)

@@ -598,6 +598,41 @@ def test_stacked_fits_are_bit_identical_to_single_fits(monkeypatch):
             )
 
 
+def test_windows_of_alternating_settings_stack_per_settings_key(monkeypatch):
+    # each settings key gathers its own stack, whatever order the windows
+    # come in, and the results come back in input order
+    f, gauss = sinusoid(2.0), NoiseModel(family="gaussian", base_scale=0.5)
+    tiny = OptimizerSettings(max_iterations=200)
+    settings = [
+        make_cfg(x0=(0.25,), h=0.15, degree=1, bound=8.0),
+        make_cfg(x0=(0.25,), h=0.15, degree=1, bound=8.0, contrast=huber(1e-6), optimizer=tiny),
+    ]
+    cases = [(gen_data(f, gauss, 512, 1, (35, rep)), cfg) for rep in range(6) for cfg in settings]
+    alone = [None] * len(cases)
+    for cfg in settings:
+        positions = [i for i, case in enumerate(cases) if case[1] is cfg]
+        fits = local_fit._fit_problems([local_fit._LocalProblem(*cases[i]) for i in positions])
+        for i, fit in zip(positions, fits):
+            alone[i] = fit
+    stacks = []
+    original = local_fit._fit_stack
+
+    def counting(windows):
+        stacks.append(len(windows))
+        return original(windows)
+
+    monkeypatch.setattr(local_fit, "_fit_stack", counting)
+    mixed = local_fit._fit_problems(local_fit._LocalProblem(*case) for case in cases)
+    assert stacks == [6, 6]
+    assert [fit.n_local for fit in mixed] == [fit.n_local for fit in alone]
+    for fit, single in zip(mixed, alone):
+        assert fit.estimate == single.estimate
+        np.testing.assert_array_equal(fit.theta_hat.values, single.theta_hat.values)
+        assert (fit.iterations, fit.converged, fit.stationarity_gap) == (
+            single.iterations, single.converged, single.stationarity_gap
+        )
+
+
 def _weighted_median_by_sort(values, weights):
     """The weighted median by a stable sort: the first sorted value at
     which the cumulative weight reaches half the total."""
