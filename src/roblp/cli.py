@@ -49,17 +49,25 @@ def _load_data(path) -> Dataset:
         raise SystemExit(str(exc))
 
 
+# The flag or subcommand that supplies each estimator key a settings file omits.
+_SUPPLIED = {"kind": "the subcommand, fit or adapt", "x0": "--x0", "h": "fit's --h (adapt selects h)"}
+
+
 def _load_estimator(args, data: Dataset, kind: str, **flags):
     """The Estimator of a ``fit``/``adapt`` settings JSON.  Its optional
     ``noise`` section is split off; the rest, with ``kind``, ``x0`` and the
     other flags added, is validated as ``$.estimator`` and checked against
-    the size of ``data`` as an experiment's against its smallest n.
-    ``--x0`` must match the dimension of ``data``."""
+    the size of ``data`` as an experiment's against its smallest n.  A
+    settings key the command line supplies is a ConfigError.  ``--x0``
+    must match the dimension of ``data``."""
     if len(args.x0) != data.d:
         raise SystemExit(
             f"--x0: {len(args.x0)} coordinates, but {args.data} has dimension {data.d}"
         )
     settings = _read_json(args.config)
+    for key, source in _SUPPLIED.items():
+        if key in settings:
+            raise ConfigError(f"$.estimator.{key}: set by {source}, not by the settings file")
     noise = settings.pop("noise", None)
     model = None if noise is None else _noise_model(noise)
     estimator = _estimator({**settings, "kind": kind, "x0": args.x0, **flags}, model)

@@ -36,9 +36,9 @@ from .lepski import (
     bandwidth_grid,
     holder_floor,
     minimax_bandwidth,
-    _select_estimates,
     _selection_plan,
     select_bandwidth,
+    select_index,
     selection_config,
 )
 from .local_fit import (
@@ -286,15 +286,13 @@ def _risks(errors, n_values, r: float) -> list[tuple[np.ndarray, int, float, flo
     return risks
 
 
-def _choices(estimates: np.ndarray, levels, thresholds) -> np.ndarray:
+def _choices(estimates: np.ndarray, thresholds) -> np.ndarray:
     """The level each replication's estimate is taken from: for a grid
     plan, the one the selection rule chooses from its row of estimates;
     for a single bandwidth, or a NaN row, level 0."""
     if thresholds is None:
         return np.zeros(len(estimates), dtype=int)
-    return np.array(
-        [0 if np.isnan(row[0]) else _select_estimates(row, levels, thresholds).chosen_k for row in estimates]
-    )
+    return np.array([0 if np.isnan(row[0]) else select_index(row, thresholds)[0] for row in estimates])
 
 
 def _selection_summary(estimates, chosen, levels, thresholds, target, r, risk) -> dict | None:
@@ -382,7 +380,7 @@ def risk_curve(
         [(levels, n) for (levels, _), n in zip(plans, n_grid)], f, model, replications, seed, workers
     )
     target = float(f(np.asarray(plans[0][0][0].x0)))
-    chosen = [_choices(est, *plan) for plan, est in zip(plans, estimates)]
+    chosen = [_choices(est, thresholds) for (_, thresholds), est in zip(plans, estimates)]
     rows = np.arange(replications)
     errors = [np.abs(est[rows, k] - target) for est, k in zip(estimates, chosen)]
     points = tuple(

@@ -267,8 +267,13 @@ def select_bandwidth(
     ``EmptyNeighborhoodError`` carrying the offending grid index.
     """
     # an iterator, so that no window outlives its stack's layout
-    fits = _fit_problems(iter(_windows(data, levels, grid=True)))
-    return _select_estimates([fit.estimate for fit in fits], levels, thresholds)
+    estimates = [fit.estimate for fit in _fit_problems(iter(_windows(data, levels, grid=True)))]
+    chosen, checks = select_index(estimates, thresholds)
+    return SelectionTrace(
+        estimates=tuple(zip(range(len(levels)), (cfg.h for cfg in levels), estimates)),
+        chosen_k=chosen,
+        pairwise_checks=checks,
+    )
 
 
 def _selection_plan(
@@ -281,15 +286,3 @@ def _selection_plan(
     thresholds = tuple(threshold * threshold_scale(l, grid) for l in range(grid.k_n + 1))
     return levels, thresholds
 
-
-def _select_estimates(
-    estimates, levels: Sequence[LocalFitConfig], thresholds: Sequence[float]
-) -> SelectionTrace:
-    """The selection rule on the per-level estimates of one dataset: the
-    trace ``select_bandwidth`` returns."""
-    chosen, checks = select_index(estimates, thresholds)
-    return SelectionTrace(
-        estimates=tuple(zip(range(len(levels)), (cfg.h for cfg in levels), estimates)),
-        chosen_k=chosen,
-        pairwise_checks=checks,
-    )

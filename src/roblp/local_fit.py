@@ -25,22 +25,24 @@ is the classic sort-based simplex projection (Duchi et al. 2008).
 The solver works on a stack of windows: the Monte Carlo harness draws a
 block of replications and hands all their fits (every config of its plan:
 each grid level, or each contrast of a compare table) to one solver call,
-which iterates the windows of equal fit settings in stacks of up to
-_STACK_CHUNKS chunks; a bandwidth selection solves its grid levels as one
-stack, and ``fit_local`` is a stack of one.  The windows of a bandwidth
-grid are nested: each level is cut from the samples of the one before, so
-only the largest scans the full sample.  Every fit starts from the
-kernel-weighted median of its window's responses, found by a partition
-where the weights are all one (the uniform kernel) and by a sort
-otherwise.  Each iteration takes the residuals, gradients, Hessians,
-condition tests, Newton solves, line searches and stationarity gaps of
-all live fits at once; a fit that needs the homotopy or a gradient step
-takes it inside the same loop.  The stack
-pads each window with zero rows to whole chunks of _CHUNK rows, and every
-sum over its samples adds its own chunks in order, so a fit's arithmetic,
-and its result, is the same bit for bit whatever else shares its stack:
-harness results do not depend on the block size or on the worker count
-(ROBLP_WORKERS).
+which iterates the windows of equal fit settings (degree, kernel, radius,
+contrast, optimizer) in stacks of up to _STACK_CHUNKS chunks; a bandwidth
+selection solves its grid levels as one stack, and ``fit_local`` is a
+stack of one.  The windows of a bandwidth grid are nested: each level is
+cut from the samples of the one before, so only the largest scans the
+full sample.  A window is only its rows.  The stack writes each window's
+rescaled points into whole chunks of _CHUNK rows, padded with zero rows,
+and builds the design monomials and kernel weights of all its windows in
+one call each.  Every fit starts from the kernel-weighted median of its
+window's responses, found by a partition where the weights are all one
+(the uniform kernel) and by a sort otherwise.  Each iteration takes the
+residuals, gradients, Hessians, condition tests, Newton solves, line
+searches and stationarity gaps of all live fits at once; a fit that needs
+the homotopy or a gradient step takes it inside the same loop.  Every sum
+over a window's samples adds its own chunks in order, so a fit's
+arithmetic, and its result, is the same bit for bit whatever else shares
+its stack: harness results do not depend on the block size or on the
+worker count (ROBLP_WORKERS).
 """
 
 from __future__ import annotations
@@ -261,27 +263,22 @@ def _residuals(design_t: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray
 
 class _LocalProblem:
     """One fit's window: the design points ``x`` and responses ``y`` of the
-    samples in it, their count ``n_local``, the rescaled design monomials
-    ``design`` (a row per sample), the kernel weights ``weights``, the
-    1/(n h^d) normalization ``scale`` by the full sample size, and the fit's
-    ``cfg``.  Only the samples of ``within``, a window of ``data`` known to
-    contain this one, are scanned when it is given.  A ``_Stack`` lays
-    windows out for the solver."""
+    samples in it, their count ``n_local``, the 1/(n h^d) normalization
+    ``scale`` by the full sample size, and the fit's ``cfg``.  Only the
+    samples of ``within``, a window of ``data`` known to contain this one,
+    are scanned when it is given.  A ``_Stack`` lays windows out for the
+    solver and builds their rescaled design and kernel weights."""
 
     def __init__(self, data: Dataset, cfg: LocalFitConfig, within: _LocalProblem | None = None):
-        x0 = np.asarray(cfg.x0, dtype=float)
         if data.d != cfg.d:
             raise ValueError(f"data dimension {data.d} != config dimension {cfg.d}")
         x, y = (data.x, data.y) if within is None else (within.x, within.y)
-        inside = np.flatnonzero((np.abs(x - x0) <= cfg.h / 2.0).all(axis=1))
+        inside = np.flatnonzero((np.abs(x - cfg.x0) <= cfg.h / 2.0).all(axis=1))
         self.x = x.take(inside, axis=0)
-        z = (self.x - x0) / cfg.h
+        self.y = y.take(inside)
         self.cfg = cfg
         self.n_local = inside.size
         self.scale = 1.0 / (data.n * cfg.h**cfg.d)
-        self.design = monomial_matrix(z, cfg.index_set)
-        self.weights = cfg.kernel.value(z)
-        self.y = y.take(inside)
 
 
 def _windows(
@@ -294,8 +291,8 @@ def _windows(
     A window is a sup-norm box, so one with the previous config's x0 and a
     bandwidth no larger lies inside the previous window, and is cut from
     its samples: of a grid's levels, only the largest scans the full
-    sample.  The mask and the rescaling are elementwise, so the window is
-    the same bit for bit as one cut from the full sample."""
+    sample.  The mask is elementwise, so the window is the same bit for
+    bit as one cut from the full sample."""
     windows: list[_LocalProblem] = []
     for k, cfg in enumerate(configs):
         prev = windows[-1] if windows else None
@@ -498,13 +495,17 @@ class _Stack:
     """The live fits of a stack of windows, and their iterates.
 
     The stack lays its windows out in chunks of _CHUNK rows: each window
-    fills a run of whole chunks, padded with zero rows, in one stack-wide
-    array per field (``design_t``, each chunk's transposed design,
-    ``weights``, ``y`` and ``resid``); ``owner`` maps a chunk to its fit and
-    ``starts`` a fit to its first chunk.  Every per-chunk product is one
-    BLAS call on that chunk alone, and ``per_fit`` adds a fit's chunks in
-    order, so a fit's arithmetic does not depend on the other fits.  Fits
-    leave the stack as they stop, and the arrays shrink with them.
+    fills a run of whole chunks, padded with rows of exact zeros, in one
+    stack-wide array per field (``design_t``, each chunk's transposed
+    design, ``weights``, ``y`` and ``resid``); ``owner`` maps a chunk to its
+    fit and ``starts`` a fit to its first chunk.  Its windows share one
+    kernel and one index set, so one ``monomial_matrix`` and one
+    ``KernelSpec.value`` call build every row's design and weight; both are
+    elementwise, so a row's bits do not depend on the rest of the stack.
+    Every per-chunk product is one BLAS call on that chunk alone, and
+    ``per_fit`` adds a fit's chunks in order, so a fit's arithmetic does not
+    depend on the other fits.  Fits leave the stack as they stop, and the
+    arrays shrink with them.
     """
 
     _FITS = (
@@ -519,9 +520,9 @@ class _Stack:
         return -(-n_local // _CHUNK)
 
     def __init__(self, windows: list[_LocalProblem], t: np.ndarray | None = None):
-        """Lay out ``windows`` (none empty) and start each fit at its row of
-        ``t``, by default at the kernel-weighted median of its responses in
-        the constant coordinate (zeros elsewhere, projected)."""
+        """Lay out ``windows`` (none empty, of one settings key) and start each
+        fit at its row of ``t``, by default at the kernel-weighted median of
+        its responses in the constant coordinate (zeros elsewhere, projected)."""
         cfg = windows[0].cfg
         self.contrast, self.radius, self.optimizer = cfg.contrast, cfg.bound, cfg.optimizer
         self.index_set = cfg.index_set
@@ -531,21 +532,20 @@ class _Stack:
         self.chunks = self.chunk_count(self.n_local)
         self.scale = np.array([window.scale for window in windows])
         self._layout()
-        total = int(self.chunks.sum())
-        self.design_t = np.zeros((total, n_b, _CHUNK))
-        self.weights, self.y = np.zeros((total, _CHUNK)), np.zeros((total, _CHUNK))
-        weights, y = self.weights.reshape(-1), self.y.reshape(-1)  # views, row by row
-        for window, first in zip(windows, self.starts):
-            rows = slice(first * _CHUNK, first * _CHUNK + window.n_local)
-            weights[rows], y[rows] = window.weights, window.y
-            full, rest = divmod(window.n_local, _CHUNK)
-            whole = window.design[: full * _CHUNK].reshape(full, _CHUNK, n_b)
-            self.design_t[first : first + full] = whole.transpose(0, 2, 1)
-            if rest:
-                self.design_t[first + full, :, :rest] = window.design[full * _CHUNK :].T
+        rows = [slice(first, first + n) for first, n in zip(self.starts * _CHUNK, self.n_local)]
+        z = np.zeros((int(self.chunks.sum()) * _CHUNK, cfg.d))
+        y, live = np.zeros(z.shape[0]), np.zeros(z.shape[0], dtype=bool)
+        for window, fit in zip(windows, rows):
+            z[fit] = (window.x - window.cfg.x0) / window.cfg.h
+            y[fit], live[fit] = window.y, True
+        design = monomial_matrix(z, self.index_set)
+        design[~live] = 0.0  # padding rows
+        weights = np.where(live, cfg.kernel.value(z), 0.0)
+        self.design_t = np.ascontiguousarray(design.reshape(-1, _CHUNK, n_b).transpose(0, 2, 1))
+        self.weights, self.y = weights.reshape(-1, _CHUNK), y.reshape(-1, _CHUNK)
         if t is None:
             t = np.zeros((size, n_b))
-            t[:, 0] = [_weighted_median(window.y, window.weights) for window in windows]
+            t[:, 0] = [_weighted_median(y[fit], weights[fit]) for fit in rows]
             t = _project_rows(t, self.radius)
         self.t = t
         self.stopped = np.zeros(size, dtype=bool)
@@ -743,12 +743,12 @@ def _fit_problems(windows: Iterable[_LocalProblem]) -> list[FitResult]:
     """Fit every window of ``windows`` (any iterable); the results are in
     input order.
 
-    Windows with equal fit settings are solved together, in whatever order
-    they come: each settings key gathers one pending stack of at most
-    _STACK_CHUNKS chunks (or one window larger on its own).  A stack is
-    solved once it is complete, and drops its windows once laid out, so
-    from an iterator only the windows of the pending stacks are held.  The
-    windows come from ``_windows``, so none is empty.
+    Windows with equal fit settings (all but x0 and h) are solved
+    together, in whatever order they come: each settings key gathers one
+    pending stack of at most _STACK_CHUNKS chunks (or one window larger on
+    its own).  A stack is solved once it is complete, and drops its windows
+    once laid out, so from an iterator only the windows of the pending
+    stacks are held.  The windows come from ``_windows``, so none is empty.
     """
     results: list = []
     pending: dict = {}  # settings key -> [positions, windows, chunks]
@@ -760,7 +760,7 @@ def _fit_problems(windows: Iterable[_LocalProblem]) -> list[FitResult]:
 
     for i, window in enumerate(windows):
         cfg = window.cfg
-        key = (cfg.degree, cfg.d, cfg.bound, cfg.contrast, cfg.optimizer)
+        key = (cfg.degree, cfg.kernel, cfg.bound, cfg.contrast, cfg.optimizer)
         size = _Stack.chunk_count(window.n_local)
         if key in pending and pending[key][2] + size > _STACK_CHUNKS:
             solve(key)

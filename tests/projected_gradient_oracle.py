@@ -1,8 +1,10 @@
 """Differential oracles, kept verbatim apart from their names, the
-line-search constants, which they read from ``roblp.local_fit``, the
-criterion and its gradient, which they read from a ``_Stack`` of the fit's
-window, cut once (the sums ``criterion`` and ``criterion_gradient``
-compute), and the criterion path that ``FitResult`` no longer records:
+line-search constants, which they read from ``roblp.local_fit``, the start
+(the kernel-weighted median), the criterion and its gradient, which they
+read from a ``_Stack`` of the fit's window, cut once (the sums
+``criterion`` and ``criterion_gradient`` compute; a window carries only its
+rows, and the stack builds its design and weights), and the criterion path
+that ``FitResult`` no longer records:
 
 - the projected gradient solver that ``fit_local`` used before it took
   proximal Newton steps; tests compare the criterion values the two
@@ -27,7 +29,6 @@ from roblp.local_fit import (
     LocalFitConfig,
     _LocalProblem,
     _Stack,
-    _weighted_median,
     project_l1_ball,
 )
 
@@ -50,10 +51,8 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
 
     opt = cfg.optimizer
     radius = cfg.bound
-    t = np.zeros(cfg.index_set.size)
-    t[0] = _weighted_median(problem.y, problem.weights)
-    t = project_l1_ball(t, radius)
-    stack = _Stack([problem], t[None])
+    stack = _Stack([problem])
+    t = stack.t[0]
 
     def criterion(u):
         return float(stack.value(u[None])[0])

@@ -319,8 +319,15 @@ TYPO = r"\$\.estimator: .*'max_iteration' was unexpected"
             {"curvature": None, "noise": {"family": "gaussian", "scale": 0.5, "sigma_min": 0.8}},
             r"\$\.noise: sigma_min 0\.8 exceeds the smallest emitted scale 0\.5",
         ),
+        # the command line supplies these; a settings file that sets them is refused
+        (FIT, {"kind": "minimax"}, r"\$\.estimator\.kind: set by the subcommand, fit or adapt"),
+        (ADAPT, {"x0": [0.9]}, r"\$\.estimator\.x0: set by --x0"),
+        (FIT, {"h": 0.9}, r"\$\.estimator\.h: set by fit's --h"),
     ],
-    ids=["fit-no-degree", "adapt-no-degree", "fit-typo", "adapt-typo", "adapt-no-curvature", "adapt-noise-value"],
+    ids=[
+        "fit-no-degree", "adapt-no-degree", "fit-typo", "adapt-typo", "adapt-no-curvature",
+        "adapt-noise-value", "fit-kind", "adapt-x0", "fit-h",
+    ],
 )
 def test_cli_settings_errors_exit_with_field_paths(dataset_csv, tmp_path, command, changes, message):
     argv = command + ["--data", str(dataset_csv), "--x0", "0.25", "--config", write_settings(tmp_path, **changes)]

@@ -318,7 +318,7 @@ def test_replication_errors_do_not_depend_on_the_block_size(monkeypatch, case):
         (est,) = harness._replication_estimates([(configs, n)], f, model, reps, seed)
         np.testing.assert_array_equal(est, single)
     if thresholds is not None:  # the rule in the parent picks the selection's estimate
-        selected = est[np.arange(reps), harness._choices(est, configs, thresholds)]
+        selected = est[np.arange(reps), harness._choices(est, thresholds)]
         expected = [select_bandwidth(data, configs, thresholds).selected for data in draws]
         np.testing.assert_array_equal(selected, expected)
 

@@ -606,6 +606,8 @@ def test_windows_of_alternating_settings_stack_per_settings_key(monkeypatch):
     settings = [
         make_cfg(x0=(0.25,), h=0.15, degree=1, bound=8.0),
         make_cfg(x0=(0.25,), h=0.15, degree=1, bound=8.0, contrast=huber(1e-6), optimizer=tiny),
+        # the kernel alone sets a key apart: a stack builds one kernel's weights
+        make_cfg(x0=(0.25,), h=0.15, degree=1, bound=8.0, kernel=KernelSpec(kind="triangular", d=1)),
     ]
     cases = [(gen_data(f, gauss, 512, 1, (35, rep)), cfg) for rep in range(6) for cfg in settings]
     alone = [None] * len(cases)
@@ -623,7 +625,7 @@ def test_windows_of_alternating_settings_stack_per_settings_key(monkeypatch):
 
     monkeypatch.setattr(local_fit, "_fit_stack", counting)
     mixed = local_fit._fit_problems(local_fit._LocalProblem(*case) for case in cases)
-    assert stacks == [6, 6]
+    assert stacks == [6, 6, 6]
     assert [fit.n_local for fit in mixed] == [fit.n_local for fit in alone]
     for fit, single in zip(mixed, alone):
         assert fit.estimate == single.estimate
@@ -676,13 +678,32 @@ def test_nested_grid_windows_equal_windows_cut_from_the_full_sample(kernel, d):
     # a larger window, or one around another point, is not nested
     configs += [make_cfg(x0=(0.3,) * d, h=0.2, kernel=spec), make_cfg(x0=(0.6,) * d, h=0.1, kernel=spec)]
     nested = local_fit._windows(data, configs, grid=True)
-    for window, cfg in zip(nested, configs):
-        alone = local_fit._LocalProblem(data, cfg)
-        assert window.n_local == alone.n_local > 0
-        assert window.scale == alone.scale
-        for name in ("x", "design", "weights", "y"):
-            a, b = getattr(window, name), getattr(alone, name)
+    alone = [local_fit._LocalProblem(data, cfg) for cfg in configs]
+    for window, single in zip(nested, alone):
+        assert window.n_local == single.n_local > 0
+        assert window.scale == single.scale
+        for name in ("x", "y"):
+            a, b = getattr(window, name), getattr(single, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    stack, cut = local_fit._Stack(nested), local_fit._Stack(alone)
+    for name in ("design_t", "weights", "y"):
+        a, b = getattr(stack, name), getattr(cut, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    # a window's rows hold its responses and the monomials and kernel values
+    # of its rescaled points, as calls on that window alone give them; its
+    # padding rows hold +0.0
+    chunk, index_set = local_fit._CHUNK, configs[0].index_set
+    design = cut.design_t.transpose(0, 2, 1).reshape(-1, index_set.size)
+    weights, y = cut.weights.reshape(-1), cut.y.reshape(-1)
+    for window, first, rows in zip(alone, cut.starts * chunk, cut.chunks * chunk):
+        cfg, live = window.cfg, slice(first, first + window.n_local)
+        z = (window.x - np.asarray(cfg.x0)) / cfg.h
+        assert design[live].tobytes() == monomial_matrix(z, index_set).tobytes()
+        assert weights[live].tobytes() == spec.value(z).tobytes()
+        assert y[live].tobytes() == window.y.tobytes()
+        pad = slice(first + window.n_local, first + rows)
+        for padding in (design[pad], weights[pad], y[pad]):
+            assert padding.tobytes() == np.zeros_like(padding).tobytes()
 
 
 @pytest.mark.parametrize("grid, index", [(True, 1), (False, None)])
