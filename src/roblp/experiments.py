@@ -267,18 +267,11 @@ def load_config(source) -> dict:
     return cfg
 
 
-def _float_repr(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_float_repr(v) for v in row])
+        writer.writerows(rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:

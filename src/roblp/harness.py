@@ -206,25 +206,22 @@ def _block_estimates(args) -> np.ndarray:
     excluded by the caller).
 
     Each replication's dataset is reduced to the configs' windows as soon
-    as it is drawn, and one solver call takes the block's windows as they
-    are drawn and solves them in stacks.
+    as it is drawn, and one solver call takes the block's windows as one
+    list and solves them in stacks.
     """
     configs, f, model, n, seed, reps = args
-    fitted = []  # per replication: whether it has windows to fit
-
-    def windows():
-        for rep in reps:
-            data = gen_data(f, model, n, configs[0].d, (seed, rep))
-            try:
-                own = _windows(data, configs)
-            except EmptyNeighborhoodError:
-                fitted.append(False)
-                continue
-            fitted.append(True)
-            yield from own
-
-    fits = iter(_fit_problems(windows()))
-    return np.array([[next(fits).estimate if ok else math.nan for _ in configs] for ok in fitted])
+    estimates = np.full((len(reps), len(configs)), math.nan)
+    windows, fitted = [], []  # fitted: the rows of replications with windows
+    for row, rep in enumerate(reps):
+        data = gen_data(f, model, n, configs[0].d, (seed, rep))
+        try:
+            windows += _windows(data, configs)
+        except EmptyNeighborhoodError:
+            continue
+        fitted.append(row)
+    fits = [fit.estimate for fit in _fit_problems(windows)]
+    estimates[fitted] = np.reshape(fits, (len(fitted), len(configs)))
+    return estimates
 
 
 def _replication_estimates(jobs, f, model, replications, seed, workers: int = 1) -> list[np.ndarray]:
@@ -247,10 +244,10 @@ def _replication_estimates(jobs, f, model, replications, seed, workers: int = 1)
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            blocks = iter(list(ex.map(_block_estimates, tasks)))
+            blocks = list(ex.map(_block_estimates, tasks))
     else:
-        blocks = map(_block_estimates, tasks)
-    return [np.concatenate([next(blocks) for _ in starts]) for _ in jobs]
+        blocks = [_block_estimates(task) for task in tasks]
+    return [np.concatenate(blocks[j : j + len(starts)]) for j in range(0, len(tasks), len(starts))]
 
 
 class TooManyFailuresError(RuntimeError):
@@ -425,13 +422,17 @@ def rate_fit(report: RiskReport, target: float) -> RateFit:
     )
 
 
-def wilson_half_width(successes: int, trials: int, z: float = 1.96) -> float:
-    """Half-width of the Wilson score interval for a binomial proportion."""
+# Normal quantile of the two-sided 95% Wilson interval.
+WILSON_Z = 1.96
+
+
+def wilson_half_width(successes: int, trials: int) -> float:
+    """Half-width of the 95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     p = successes / trials
-    denom = 1.0 + z * z / trials
-    half = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials**2))
+    denom = 1.0 + WILSON_Z * WILSON_Z / trials
+    half = (WILSON_Z / denom) * math.sqrt(p * (1.0 - p) / trials + WILSON_Z * WILSON_Z / (4.0 * trials**2))
     return half
 
 

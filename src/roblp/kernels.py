@@ -139,7 +139,13 @@ def moment_matrix(
     return 0.5 * (m + m.T)
 
 
-def lambda_min(m: np.ndarray, floor: float = 1e-12) -> float:
+# Smallest eigenvalue lambda_min accepts as positive definite.
+EIGENVALUE_FLOOR = 1e-12
+# series_constant stops once a term drops below this share of the sum.
+SERIES_REL_TOL = 1e-16
+
+
+def lambda_min(m: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix via a symmetric solver."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -147,21 +153,19 @@ def lambda_min(m: np.ndarray, floor: float = 1e-12) -> float:
     if not np.allclose(m, m.T, atol=1e-10):
         raise ValueError("matrix must be symmetric")
     smallest = float(np.linalg.eigvalsh(m)[0])
-    if smallest <= floor:
+    if smallest <= EIGENVALUE_FLOOR:
         raise NotPositiveDefiniteError(
             f"moment matrix not positive definite (smallest eigenvalue {smallest:.3e})"
         )
     return smallest
 
 
-def series_constant(
-    k_sup: float, d: int, rel_tol: float = 1e-16, max_terms: int = 10_000
-) -> tuple[float, int]:
+def series_constant(k_sup: float, d: int, max_terms: int = 10_000) -> tuple[float, int]:
     """Series constant multiplying the deviation bound.
 
     Sums  2 + 2 * sum_{l>=1} d^2 10^{2l-1} exp{-(18 * 10^l / (pi^4 l^4))
     / (8 k_sup (k_sup + 1/3))}  until the current term drops below
-    ``rel_tol`` times the partial sum.  Returns the value and the number
+    SERIES_REL_TOL times the partial sum.  Returns the value and the number
     of terms summed; raises if the cap is hit first (pathological k_sup).
 
     The d^2 factor is the design dimension squared, coming from the
@@ -178,7 +182,7 @@ def series_constant(
         exponent = -(18.0 * 10.0**l) / (math.pi**4 * l**4) * damping
         term = 2.0 * d * d * 10.0 ** (2 * l - 1) * math.exp(exponent)
         total += term
-        if term < rel_tol * total:
+        if term < SERIES_REL_TOL * total:
             return total, l
     raise RuntimeError(
         f"series constant did not converge within {max_terms} terms (k_sup={k_sup})"

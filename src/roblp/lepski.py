@@ -88,12 +88,6 @@ class BandwidthGrid:
         return len(self.bandwidths) - 1
 
 
-def _grid_bounds(n: int, d: int, b: int) -> tuple[float, float]:
-    h_min = math.log(n) ** (2.0 / d) * float(n) ** (-1.0 / d)
-    h_max = float(n) ** (-1.0 / (2.0 * b + d))
-    return h_min, h_max
-
-
 def bandwidth_grid(n: int, d: int, b: int) -> BandwidthGrid:
     """Grid with h_min = (ln n)^{2/d} n^{-1/d} and h_max = n^{-1/(2b+d)}."""
     if n < 3:
@@ -102,7 +96,8 @@ def bandwidth_grid(n: int, d: int, b: int) -> BandwidthGrid:
         raise ValueError(f"grid degree must be >= 1, got {b}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    h_min, h_max = _grid_bounds(n, d, b)
+    h_min = math.log(n) ** (2.0 / d) * float(n) ** (-1.0 / d)
+    h_max = float(n) ** (-1.0 / (2.0 * b + d))
     if h_min > h_max:
         raise ValueError(
             f"grid empty: h_min {h_min:.4g} > h_max {h_max:.4g} for n={n}, d={d}, b={b}"
@@ -266,8 +261,7 @@ def select_bandwidth(
     ``selection_config``.  An empty window raises
     ``EmptyNeighborhoodError`` carrying the offending grid index.
     """
-    # an iterator, so that no window outlives its stack's layout
-    estimates = [fit.estimate for fit in _fit_problems(iter(_windows(data, levels, grid=True)))]
+    estimates = [fit.estimate for fit in _fit_problems(_windows(data, levels, grid=True))]
     chosen, checks = select_index(estimates, thresholds)
     return SelectionTrace(
         estimates=tuple(zip(range(len(levels)), (cfg.h for cfg in levels), estimates)),

@@ -720,12 +720,10 @@ def _fit_stack(windows: list[_LocalProblem]) -> list[FitResult]:
     projected gradient step for the others; both use monotone Armijo
     backtracking.  A fit stops when its unit-step projected-gradient norm
     falls below the tolerance, when ``_Stack.advance`` stops it, or at the
-    iteration cap.  Empties ``windows`` once the stack has laid them out,
-    so their arrays are not held twice while the fits iterate.
+    iteration cap.
     """
     stack = _Stack(windows)
     results: list = [None] * len(windows)
-    windows.clear()
     for _ in range(stack.optimizer.max_iterations):
         done = stack.converged | stack.stopped
         if done.all():
@@ -739,16 +737,14 @@ def _fit_stack(windows: list[_LocalProblem]) -> list[FitResult]:
     return results
 
 
-def _fit_problems(windows: Iterable[_LocalProblem]) -> list[FitResult]:
-    """Fit every window of ``windows`` (any iterable); the results are in
-    input order.
+def _fit_problems(windows: list[_LocalProblem]) -> list[FitResult]:
+    """Fit every window of ``windows``; the results are in input order.
 
     Windows with equal fit settings (all but x0 and h) are solved
     together, in whatever order they come: each settings key gathers one
     pending stack of at most _STACK_CHUNKS chunks (or one window larger on
-    its own).  A stack is solved once it is complete, and drops its windows
-    once laid out, so from an iterator only the windows of the pending
-    stacks are held.  The windows come from ``_windows``, so none is empty.
+    its own), solved once it is complete.  The windows come from
+    ``_windows``, so none is empty.
     """
     results: list = []
     pending: dict = {}  # settings key -> [positions, windows, chunks]

@@ -12,7 +12,6 @@ draw exactly.
 
 from __future__ import annotations
 
-import importlib
 import inspect
 import math
 from dataclasses import dataclass, field
@@ -73,9 +72,6 @@ class NoiseFamily:
     density: Callable[[float], float]
     cdf: Callable[[float], float]
     _upper_quantile: Callable[[np.ndarray], np.ndarray]  # for u in [1/2, 1)
-    # Modules the quantile imports when first called.  A NoiseModel of the
-    # family imports them when built, in the parent of any worker pool.
-    quantile_modules: tuple[str, ...] = ()
 
     def quantile(self, u):
         """Inverse cdf, folded so quantile(1 - u) == -quantile(u) exactly."""
@@ -124,7 +120,6 @@ NOISE_FAMILIES = {
         density=_gauss_density,
         cdf=_gauss_cdf,
         _upper_quantile=_gauss_upper_quantile,
-        quantile_modules=("scipy.special",),
     ),
     "laplace": NoiseFamily(
         name="laplace",
@@ -213,8 +208,6 @@ class NoiseModel:
     def __post_init__(self):
         if self.family not in NOISE_FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
-        for module in NOISE_FAMILIES[self.family].quantile_modules:
-            importlib.import_module(module)
         if not self.base_scale > 0:  # NaN too
             raise ValueError(f"base scale must be positive, got {self.base_scale}")
         rule = self.heteroscedastic or HeteroscedasticRule()
@@ -581,10 +574,9 @@ def certify_holder(f: TestFunction, n_pairs: int = 10_000, seed: int = 0) -> Hol
     return HolderCertificate(max_holder_ratio=max_ratio, derivative_sum=der_sum, ok=ok)
 
 
-def certify_noise_family(family: NoiseFamily, grid=None) -> bool:
+def certify_noise_family(family: NoiseFamily) -> bool:
     """Symmetry and monotone decay on the positive axis, on a grid."""
-    if grid is None:
-        grid = np.linspace(0.0, 20.0, 2001)
+    grid = np.linspace(0.0, 20.0, 2001)
     dens = np.asarray(family.density(grid), dtype=float)
     symmetric = np.allclose(dens, np.asarray(family.density(-grid), dtype=float))
     decreasing = bool(np.all(np.diff(dens) <= 1e-15))

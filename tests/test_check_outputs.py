@@ -1,0 +1,52 @@
+"""The byte-identity comparison of scripts/check_outputs.py, on two
+temporary output trees (no git, no subprocess)."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "check_outputs.py"
+
+
+def _compare():
+    spec = importlib.util.spec_from_file_location("check_outputs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.compare
+
+
+def _tree(root: Path, files: dict) -> Path:
+    for name, data in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    root.mkdir(exist_ok=True)
+    return root
+
+
+def test_compare_prints_a_line_per_file_and_passes_only_when_all_are_identical(tmp_path, capsys):
+    compare = _compare()
+    same = {"a.csv": b"x\r\n0.1\r\n", "run/summary.json": b"{}\n"}
+    before = _tree(tmp_path / "before", same)
+    after = _tree(tmp_path / "after", same)
+    assert compare(before, after) is True
+    assert capsys.readouterr().out.splitlines() == [
+        "identical a.csv",
+        "identical run/summary.json",
+    ]
+
+    _tree(after, {"a.csv": b"x\r\n0.2\r\n", "new.txt": b""})
+    _tree(before, {"old.txt": b""})
+    assert compare(before, after) is False
+    assert capsys.readouterr().out.splitlines() == [
+        "changed   a.csv",
+        "missing   new.txt",
+        "missing   old.txt",
+        "identical run/summary.json",
+    ]
+
+
+def test_compare_of_two_empty_trees_fails(tmp_path, capsys):
+    before = _tree(tmp_path / "before", {})
+    after = _tree(tmp_path / "after", {})
+    assert _compare()(before, after) is False
+    assert capsys.readouterr().out == ""

@@ -573,3 +573,20 @@ def test_every_estimator_kind_builds_with_its_fields(kind):
 @pytest.mark.parametrize("rule", list(HETEROSCEDASTIC_KINDS))
 def test_every_heteroscedastic_rule_builds(rule):
     assert _noise_model({"family": "gaussian", "heteroscedastic": {"kind": rule}}).heteroscedastic.kind == rule
+
+
+def test_write_csv_writes_a_numpy_float_as_a_float(tmp_path):
+    # the repr of a numpy scalar is np.float64(0.1) under numpy 2; the CSV
+    # cell is the number alone
+    path = tmp_path / "out.csv"
+    experiments._write_csv(path, ["x"], [[np.float64(0.1)]])
+    assert path.read_bytes() == b"x\r\n0.1\r\n"
+
+
+def test_write_csv_keeps_the_bytes_of_python_floats_ints_and_blanks(tmp_path):
+    path = tmp_path / "out.csv"
+    rows = [[0.1, 3, ""], [0.30000000000000004, -0.0, 1e-17], [1e300, 0, 2.5]]
+    experiments._write_csv(path, ["a", "b", "c"], rows)
+    assert path.read_bytes() == (
+        b"a,b,c\r\n0.1,3,\r\n0.30000000000000004,-0.0,1e-17\r\n1e+300,0,2.5\r\n"
+    )

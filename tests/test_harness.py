@@ -60,7 +60,7 @@ def test_rate_fit_validates_grid():
         rate_fit(_report_from_risks([512, 600, 700, 800], [1, 1, 1, 1]), target=-0.4)
 
 
-def test_mc_risk_zero_noise_polynomial():
+def test_risk_curve_zero_noise_polynomial():
     f = constant_function(0.5)
     model = NoiseModel(family="gaussian", base_scale=1e-300)
     est = Estimator(
@@ -77,7 +77,7 @@ def test_mc_risk_zero_noise_polynomial():
     assert pt.failures == 0
 
 
-def test_mc_risk_bounded_by_radius():
+def test_risk_curve_bounded_by_radius():
     f = sinusoid(beta=2.0)
     model = NoiseModel(family="cauchy", base_scale=1.0)
     bound = 8.0
@@ -89,7 +89,7 @@ def test_mc_risk_bounded_by_radius():
     assert math.isfinite(pt.risk)
 
 
-def test_mc_risk_matches_local_mean_oracle():
+def test_risk_curve_matches_local_mean_oracle():
     # closed-form oracle: degree 0, uniform kernel, huge huber threshold
     # is the in-window sample mean
     f = sinusoid(beta=2.0)
@@ -116,7 +116,7 @@ def test_mc_risk_matches_local_mean_oracle():
     assert abs(pt.risk - oracle_risk) <= 2 * se + 1e-12
 
 
-def test_mc_risk_rejects_low_replications():
+def test_risk_curve_rejects_low_replications():
     f = constant_function(0.0)
     model = NoiseModel(family="gaussian", base_scale=1.0)
     est = Estimator(
@@ -126,7 +126,7 @@ def test_mc_risk_rejects_low_replications():
         risk_curve(est, f, [0.5], model, 2.0, [64], 10, seed=1)
 
 
-def test_mc_risk_aborts_on_frequent_empty_windows():
+def test_risk_curve_aborts_on_frequent_empty_windows():
     f = constant_function(0.0)
     model = NoiseModel(family="gaussian", base_scale=1.0)
     est = Estimator(
@@ -155,7 +155,7 @@ def test_risk_monotonicity_soft_guard():
 
 def test_wilson_half_width():
     # against the textbook formula at p-hat = 0.5
-    hw = wilson_half_width(50, 100, z=1.96)
+    hw = wilson_half_width(50, 100)
     z = 1.96
     denom = 1 + z * z / 100
     expected = (z / denom) * math.sqrt(0.25 / 100 + z * z / 40000)
@@ -257,7 +257,24 @@ def test_estimator_validation_and_description():
         adaptive.fit_config([0.5], 1024)
 
 
-def test_mc_risk_parallel_matches_sequential():
+@pytest.mark.parametrize("kind", ["fixed", "minimax", "adaptive"])
+def test_estimate_is_the_single_fit_or_the_selected_estimate(kind):
+    f, model = sinusoid(beta=2.0), NoiseModel(family="gaussian", base_scale=0.5)
+    fields = {
+        "fixed": dict(h=0.2, degree=1),
+        "minimax": dict(beta=2.0, lipschitz=f.lipschitz),
+        "adaptive": dict(degree=2, curvature=0.1),
+    }[kind]
+    est = Estimator(kind=kind, contrast=huber(1.0), kernel_kind="uniform", bound=8.0, **fields)
+    data, x0 = gen_data(f, model, 1024, 1, (31, 0)), (0.25,)
+    if kind == "adaptive":
+        expected = est.selection_trace(data, x0).selected
+    else:
+        expected = fit_local(data, est.fit_config(x0, data.n)).estimate
+    assert est.estimate(data, x0) == expected
+
+
+def test_risk_curve_parallel_matches_sequential():
     f = sinusoid(beta=2.0)
     model = NoiseModel(family="gaussian", base_scale=0.5)
     est = Estimator(
@@ -573,7 +590,7 @@ def test_tail_check_aborts_above_one_percent_empty_windows(monkeypatch):
         tail_check(*args, n=256, replications=100, seed=4)
 
 
-def test_compare_contrasts_rows_are_mc_risk_points(monkeypatch):
+def test_compare_contrasts_rows_are_risk_points(monkeypatch):
     import roblp.harness as harness
 
     def planted(jobs, f, model, replications, seed, workers=1):
