@@ -15,6 +15,9 @@ and in the working tree, each side with its own ``src`` and configs:
 
 Prints one line per output file, ``identical``, ``changed`` or ``missing``
 (written on one side only), and exits 1 unless every line is identical.
+A command that fails prints a ``failed`` line naming it (its standard
+error goes to standard error) and makes the script exit 1 too: a study
+that fails on both sides writes no file on either.
 """
 
 import os
@@ -29,8 +32,9 @@ STUDIES = ("rates_gaussian", "tails_gaussian", "compare_cauchy", "rates_adaptive
 DATASET = "results/datasets/cusp_laplace.csv"
 
 
-def _roblp(tree: Path, out: Path, args, workers=1, stdout=None) -> None:
-    """Run ``roblp args`` from ``tree``'s source in directory ``out``."""
+def _roblp(tree: Path, out: Path, args, workers=1, stdout=None) -> bool:
+    """Run ``roblp args`` from ``tree``'s source in directory ``out``;
+    False, after a ``failed`` line, when it fails."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "ROBLP_WORKERS": str(workers)}
     with open(out / stdout, "w") if stdout else open(os.devnull, "w") as sink:
         done = subprocess.run(
@@ -38,22 +42,27 @@ def _roblp(tree: Path, out: Path, args, workers=1, stdout=None) -> None:
             cwd=out, env=env, stdout=sink, stderr=subprocess.PIPE, text=True,
         )
     if done.returncode:
-        print(f"{tree}: roblp {' '.join(map(str, args))} failed:\n{done.stderr}", file=sys.stderr)
+        sys.stderr.write(done.stderr)
+        print(f"{'failed':9} {tree}: roblp {' '.join(map(str, args))} (ROBLP_WORKERS={workers})")
+    return not done.returncode
 
 
-def run_outputs(tree: Path, out: Path) -> None:
-    """Write every output of ``tree``'s code under ``out``."""
+def run_outputs(tree: Path, out: Path) -> bool:
+    """Write every output of ``tree``'s code under ``out``; True when no
+    command failed."""
     print(f"running {tree} ...", file=sys.stderr, flush=True)
     configs = tree / "scripts" / "configs"
     out.mkdir(parents=True)
+    ok = True
     for name in STUDIES:
         for workers in (1, 2):
             args = [name.split("_")[0], "--config", configs / f"{name}.json"]
-            _roblp(tree, out, args + ["--output-dir", f"{name}_w{workers}"], workers)
-    _roblp(tree, out, ["simulate", "--config", configs / "simulate_cusp.json"])
+            ok &= _roblp(tree, out, args + ["--output-dir", f"{name}_w{workers}"], workers)
+    ok &= _roblp(tree, out, ["simulate", "--config", configs / "simulate_cusp.json"])
     settings = ["--data", DATASET, "--x0", "0.25", "--config", configs / "estimator_huber.json"]
-    _roblp(tree, out, ["fit", "--h", "0.2", *settings], stdout="fit.txt")
-    _roblp(tree, out, ["adapt", *settings, "--json", "adapt_trace.json"], stdout="adapt.txt")
+    ok &= _roblp(tree, out, ["fit", "--h", "0.2", *settings], stdout="fit.txt")
+    ok &= _roblp(tree, out, ["adapt", *settings, "--json", "adapt_trace.json"], stdout="adapt.txt")
+    return ok
 
 
 def compare(before: Path, after: Path) -> bool:
@@ -87,11 +96,12 @@ def main() -> int:
         add = git + ["worktree", "add", "--detach", "--quiet", str(checkout), rev]
         subprocess.run(add, check=True)
         try:
-            run_outputs(checkout, tmp / "before")
+            ran = run_outputs(checkout, tmp / "before")
         finally:
             subprocess.run(git + ["worktree", "remove", "--force", str(checkout)], check=True)
-        run_outputs(ROOT, tmp / "after")
-        return 0 if compare(tmp / "before", tmp / "after") else 1
+        ran &= run_outputs(ROOT, tmp / "after")
+        same = compare(tmp / "before", tmp / "after")
+        return 0 if ran and same else 1
 
 
 if __name__ == "__main__":

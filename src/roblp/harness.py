@@ -15,6 +15,12 @@ parent applies a grid's selection rule.  The 1% abort rule is checked
 once every job has run, and its error names the sample size of the first
 offending job.
 
+A window is only its rows.  A block draws each replication's rows inside
+its plan's first window (a grid's widest level, or the one window every
+contrast of a compare table shares), never a whole ``Dataset``, and cuts
+each fit's window from those rows; so every plan's windows must lie
+inside its first.
+
 Risks are always finite without moment assumptions on the noise: both the
 estimator and the target are bounded by the coefficient bound M, so every
 error is at most 2M.
@@ -50,7 +56,12 @@ from .local_fit import (
     _windows,
     fit_local,
 )
-from .simulate import NoiseModel, TestFunction, gen_data
+from .simulate import (
+    NoiseModel,
+    TestFunction,
+    gen_data,  # noqa: F401  perfbench/tracing.py patches this lookup site
+    gen_window,
+)
 
 __all__ = [
     "Estimator",
@@ -199,23 +210,39 @@ class Estimator:
 BLOCK_REPLICATIONS = 64
 
 
+def _plan_box(configs) -> tuple[tuple[float, ...], float]:
+    """The window box (x0, h) of a plan's first config, which must hold
+    every config's window: the configs share x0 and no bandwidth is
+    larger.  Otherwise a ValueError, so no window is cut from too few
+    rows."""
+    x0, h = configs[0].x0, configs[0].h
+    for k, cfg in enumerate(configs):
+        if cfg.x0 != x0 or cfg.h > h:
+            raise ValueError(
+                f"fit config {k} (x0={cfg.x0}, h={cfg.h}) lies outside the window of"
+                f" the plan's first config (x0={x0}, h={h})"
+            )
+    return x0, h
+
+
 def _block_estimates(args) -> np.ndarray:
     """The estimate of each fit config of one plan (see ``Estimator.plan``),
     a column each, for a contiguous block of seeded replications, a row
     each; a NaN row marks a replication with an empty window (counted and
     excluded by the caller).
 
-    Each replication's dataset is reduced to the configs' windows as soon
-    as it is drawn, and one solver call takes the block's windows as one
-    list and solves them in stacks.
+    Each replication draws only the rows in the plan's first window
+    (``_plan_box``) and cuts every config's window from them; one solver
+    call takes the block's windows as one list and solves them in stacks.
     """
     configs, f, model, n, seed, reps = args
+    box = _plan_box(configs)
     estimates = np.full((len(reps), len(configs)), math.nan)
     windows, fitted = [], []  # fitted: the rows of replications with windows
     for row, rep in enumerate(reps):
-        data = gen_data(f, model, n, configs[0].d, (seed, rep))
+        x, y = gen_window(f, model, n, len(box[0]), (seed, rep), box)
         try:
-            windows += _windows(data, configs)
+            windows += _windows(x, y, n, configs)
         except EmptyNeighborhoodError:
             continue
         fitted.append(row)
@@ -230,7 +257,9 @@ def _replication_estimates(jobs, f, model, replications, seed, workers: int = 1)
     replications run in contiguous blocks (at least one per worker), and
     the blocks of every job form one task list, mapped through at most one
     pool.  The pool has no more processes than the machine has CPUs or the
-    run has blocks."""
+    run has blocks.  A replication count below 1 is a ValueError."""
+    if replications < 1:
+        raise ValueError(f"need at least 1 replication, got {replications}")
     workers = min(workers, os.cpu_count() or 1)
     size = max(1, min(BLOCK_REPLICATIONS, -(-replications // workers)))
     starts = range(0, replications, size)

@@ -261,7 +261,8 @@ def select_bandwidth(
     ``selection_config``.  An empty window raises
     ``EmptyNeighborhoodError`` carrying the offending grid index.
     """
-    estimates = [fit.estimate for fit in _fit_problems(_windows(data, levels, grid=True))]
+    windows = _windows(data.x, data.y, data.n, levels, grid=True)
+    estimates = [fit.estimate for fit in _fit_problems(windows)]
     chosen, checks = select_index(estimates, thresholds)
     return SelectionTrace(
         estimates=tuple(zip(range(len(levels)), (cfg.h for cfg in levels), estimates)),

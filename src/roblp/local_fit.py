@@ -28,9 +28,12 @@ each grid level, or each contrast of a compare table) to one solver call,
 which iterates the windows of equal fit settings (degree, kernel, radius,
 contrast, optimizer) in stacks of up to _STACK_CHUNKS chunks; a bandwidth
 selection solves its grid levels as one stack, and ``fit_local`` is a
-stack of one.  The windows of a bandwidth grid are nested: each level is
-cut from the samples of the one before, so only the largest scans the
-full sample.  A window is only its rows.  The stack writes each window's
+stack of one.  A window is only its rows: it is cut from given rows
+``x``, ``y`` of a sample of size n (all of a ``Dataset``'s, or just those
+the harness drew inside the plan's widest window), and n sets its
+1/(n h^d) scale.  The windows of a bandwidth grid are nested: each level
+is cut from the samples of the one before, so only the largest scans the
+given rows.  The stack writes each window's
 rescaled points into whole chunks of _CHUNK rows, padded with zero rows,
 and builds the design monomials and kernel weights of all its windows in
 one call each.  Every fit starts from the kernel-weighted median of its
@@ -70,6 +73,12 @@ __all__ = [
 ]
 
 
+def _check_responses(y: np.ndarray) -> None:
+    """A response that is not finite is a ValueError."""
+    if not np.all(np.isfinite(y)):
+        raise ValueError("responses must be finite")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Design matrix in [0,1]^d and response vector, validated on build."""
@@ -84,8 +93,7 @@ class Dataset:
             raise ValueError(f"{x.shape[0]} design points but {y.shape[0]} responses")
         if not np.all(np.isfinite(x)) or np.any(x < 0.0) or np.any(x > 1.0):
             raise ValueError("design points must lie in [0,1]^d")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("responses must be finite")
+        _check_responses(y)
         x = x.copy()
         y = y.copy()
         x.setflags(write=False)
@@ -261,43 +269,55 @@ def _residuals(design_t: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray
     return y - np.matmul(design_t.swapaxes(1, 2), t[:, :, None])[:, :, 0]
 
 
+def _box_rows(x: np.ndarray, x0, h: float) -> np.ndarray:
+    """Indices, in order, of the rows of ``x`` in the sup-norm box of side
+    ``h`` centered at ``x0``: a fit's window."""
+    return np.flatnonzero((np.abs(x - x0) <= h / 2.0).all(axis=1))
+
+
 class _LocalProblem:
     """One fit's window: the design points ``x`` and responses ``y`` of the
     samples in it, their count ``n_local``, the 1/(n h^d) normalization
-    ``scale`` by the full sample size, and the fit's ``cfg``.  Only the
-    samples of ``within``, a window of ``data`` known to contain this one,
-    are scanned when it is given.  A ``_Stack`` lays windows out for the
-    solver and builds their rescaled design and kernel weights."""
+    ``scale`` by the full sample size ``n``, and the fit's ``cfg``.  The
+    rows given must hold every sample of the window; only the rows of
+    ``within``, a window known to contain this one, are scanned when it is
+    given.  A ``_Stack`` lays windows out for the solver and builds their
+    rescaled design and kernel weights."""
 
-    def __init__(self, data: Dataset, cfg: LocalFitConfig, within: _LocalProblem | None = None):
-        if data.d != cfg.d:
-            raise ValueError(f"data dimension {data.d} != config dimension {cfg.d}")
-        x, y = (data.x, data.y) if within is None else (within.x, within.y)
-        inside = np.flatnonzero((np.abs(x - cfg.x0) <= cfg.h / 2.0).all(axis=1))
+    def __init__(
+        self, x: np.ndarray, y: np.ndarray, n: int, cfg: LocalFitConfig,
+        within: _LocalProblem | None = None,
+    ):
+        if x.shape[1] != cfg.d:
+            raise ValueError(f"data dimension {x.shape[1]} != config dimension {cfg.d}")
+        if within is not None:
+            x, y = within.x, within.y
+        inside = _box_rows(x, cfg.x0, cfg.h)
         self.x = x.take(inside, axis=0)
         self.y = y.take(inside)
         self.cfg = cfg
         self.n_local = inside.size
-        self.scale = 1.0 / (data.n * cfg.h**cfg.d)
+        self.scale = 1.0 / (n * cfg.h**cfg.d)
 
 
 def _windows(
-    data: Dataset, configs: Iterable[LocalFitConfig], grid: bool = False
+    x: np.ndarray, y: np.ndarray, n: int, configs: Iterable[LocalFitConfig], grid: bool = False
 ) -> list[_LocalProblem]:
-    """The window of ``data`` for each fit config.  An empty one raises
-    EmptyNeighborhoodError, carrying its position as the grid index when
-    the configs are the levels of a bandwidth ``grid``.
+    """The window of each fit config among the rows ``x``, ``y`` of a
+    sample of size ``n`` (all its rows, or a set holding every window).  An
+    empty one raises EmptyNeighborhoodError, carrying its position as the
+    grid index when the configs are the levels of a bandwidth ``grid``.
 
     A window is a sup-norm box, so one with the previous config's x0 and a
     bandwidth no larger lies inside the previous window, and is cut from
-    its samples: of a grid's levels, only the largest scans the full
-    sample.  The mask is elementwise, so the window is the same bit for
-    bit as one cut from the full sample."""
+    its samples: of a grid's levels, only the largest scans the given
+    rows.  The mask is elementwise, so the window is the same bit for bit
+    as one cut from the full sample."""
     windows: list[_LocalProblem] = []
     for k, cfg in enumerate(configs):
         prev = windows[-1] if windows else None
         inside = prev is not None and cfg.x0 == prev.cfg.x0 and cfg.h <= prev.cfg.h
-        window = _LocalProblem(data, cfg, prev if inside else None)
+        window = _LocalProblem(x, y, n, cfg, prev if inside else None)
         if not window.n_local:
             raise EmptyNeighborhoodError(cfg.x0, cfg.h, grid_index=k if grid else None)
         windows.append(window)
@@ -307,7 +327,7 @@ def _windows(
 def _stack_at(t, data: Dataset, cfg: LocalFitConfig) -> _Stack | None:
     """The window of ``data`` for ``cfg`` as a stack of one at coefficients
     ``t``, or None when the window is empty."""
-    window = _LocalProblem(data, cfg)
+    window = _LocalProblem(data.x, data.y, data.n, cfg)
     if not window.n_local:
         return None
     return _Stack([window], np.asarray(t, dtype=float)[None])
@@ -784,4 +804,4 @@ def fit_local(data: Dataset, cfg: LocalFitConfig) -> FitResult:
     """
     if data.n == 0:
         raise ValueError("dataset is empty")
-    return _fit_problems(_windows(data, [cfg]))[0]
+    return _fit_problems(_windows(data.x, data.y, data.n, [cfg]))[0]

@@ -8,6 +8,14 @@ pure function of (seed, stream).  All noise families are sampled by
 inverse transform from the same uniform stream; the quantile transforms
 are folded around 1/2 so that flipping a uniform u -> 1 - u negates the
 draw exactly.
+
+One routine, ``gen_window``, draws every sample.  A fit sees only the
+samples in its window, so the Monte Carlo harness takes just a window's
+rows: both uniform streams are drawn in full, then f, the scale rule and
+the noise quantile run on the window's rows alone.  Each of them is
+elementwise, so every row has the same bits as in the whole sample, which
+``gen_data`` returns as a validated ``Dataset`` (for the CLI and direct
+fits).
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import numpy as np
 
 from .basis import multi_index_set
 from .lepski import holder_floor
-from .local_fit import Dataset
+from .local_fit import Dataset, _box_rows, _check_responses
 
 __all__ = [
     "NoiseFamily",
@@ -33,6 +41,7 @@ __all__ = [
     "substream",
     "gen_design",
     "gen_noise",
+    "gen_window",
     "gen_data",
     "sinusoid",
     "cusp",
@@ -162,13 +171,13 @@ class HeteroscedasticRule:
         if self.period < 1:
             raise ValueError("period must be >= 1")
 
-    def multipliers(self, n: int) -> np.ndarray:
-        i = np.arange(n)
+    def multipliers(self, rows: np.ndarray) -> np.ndarray:
+        """The multiplier of each sample index in ``rows``."""
         if self.kind == "constant":
-            return np.ones(n)
+            return np.ones(len(rows))
         if self.kind == "alternating":
-            return np.where(i % 2 == 0, 1.0, self.factor)
-        return 1.0 + self.amplitude * np.sin(2.0 * math.pi * i / self.period)
+            return np.where(rows % 2 == 0, 1.0, self.factor)
+        return 1.0 + self.amplitude * np.sin(2.0 * math.pi * rows / self.period)
 
     @property
     def min_multiplier(self) -> float:
@@ -236,9 +245,10 @@ class NoiseModel:
     def unit_family(self) -> NoiseFamily:
         return NOISE_FAMILIES[self.family]
 
-    def scales(self, n: int) -> np.ndarray:
-        """The scale of each of n draws; the build checked sigma_min."""
-        return self.base_scale * self._rule.multipliers(n)
+    def scales(self, rows: np.ndarray) -> np.ndarray:
+        """The scale of the draw at each sample index in ``rows``; the build
+        checked sigma_min."""
+        return self.base_scale * self._rule.multipliers(rows)
 
     def to_config(self) -> dict:
         cfg = {
@@ -271,18 +281,45 @@ def gen_design(n: int, d: int, seed) -> np.ndarray:
     return substream(seed, DESIGN_STREAM).random((n, d))
 
 
-def gen_noise(model: NoiseModel, n: int, seed) -> np.ndarray:
-    """Heteroscedastic noise draws sigma_i * xi_i from the noise sub-stream."""
+def gen_noise(model: NoiseModel, n: int, seed, rows: np.ndarray | None = None) -> np.ndarray:
+    """Heteroscedastic noise draws sigma_i * xi_i from the noise sub-stream:
+    all n, or those of the sample indices ``rows``.  The whole stream is
+    drawn either way, so a draw's bits do not depend on ``rows``."""
     u = substream(seed, NOISE_STREAM).random(n)
+    if rows is None:
+        rows = np.arange(n)
+    else:
+        u = u.take(rows)
     u = _U_MARGIN + u * (1.0 - 2.0 * _U_MARGIN)
-    return model.scales(n) * model.unit_family.quantile(u)
+    return model.scales(rows) * model.unit_family.quantile(u)
+
+
+def gen_window(
+    f, model: NoiseModel, n: int, d: int, seed, box=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sample Y_i = f(X_i) + sigma_i xi_i of size n, with independent
+    design and noise sub-streams, as rows (x, y): those in ``box``, an
+    (x0, h) pair naming a fit's window, the sup-norm box of side h centered
+    at x0; all n rows without one.
+
+    Both sub-streams are drawn in full, so a row's bits do not depend on
+    the box: f, the scale rule and the noise quantile are elementwise, and
+    are evaluated on the box's rows only.  The design lies in [0,1)^d by
+    construction; a response that is not finite is a ValueError, as in
+    ``Dataset``."""
+    x = gen_design(n, d, seed)
+    rows = None
+    if box is not None:
+        rows = _box_rows(x, *box)
+        x = x.take(rows, axis=0)
+    y = np.asarray(f(x), dtype=float) + gen_noise(model, n, seed, rows)
+    _check_responses(y)
+    return x, y
 
 
 def gen_data(f, model: NoiseModel, n: int, d: int, seed) -> Dataset:
-    """Synthetic sample Y_i = f(X_i) + sigma_i xi_i with independent
-    design and noise sub-streams."""
-    x = gen_design(n, d, seed)
-    y = np.asarray(f(x), dtype=float) + gen_noise(model, n, seed)
+    """The whole sample of ``gen_window`` as a validated ``Dataset``."""
+    x, y = gen_window(f, model, n, d, seed)
     return Dataset(x=x, y=y)
 
 

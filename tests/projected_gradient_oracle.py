@@ -45,7 +45,7 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
     """
     if data.n == 0:
         raise ValueError("dataset is empty")
-    problem = _LocalProblem(data, cfg)
+    problem = _LocalProblem(data.x, data.y, data.n, cfg)
     if problem.n_local == 0:
         raise EmptyNeighborhoodError(cfg.x0, cfg.h)
 

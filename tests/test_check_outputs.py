@@ -1,17 +1,23 @@
-"""The byte-identity comparison of scripts/check_outputs.py, on two
-temporary output trees (no git, no subprocess)."""
+"""scripts/check_outputs.py: its byte-identity comparison, on two
+temporary output trees (no git, no subprocess), and its report of a
+failing command."""
 
 import importlib.util
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "check_outputs.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "check_outputs.py"
 
 
-def _compare():
+def _script():
     spec = importlib.util.spec_from_file_location("check_outputs", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.compare
+    return module
+
+
+def _compare():
+    return _script().compare
 
 
 def _tree(root: Path, files: dict) -> Path:
@@ -50,3 +56,14 @@ def test_compare_of_two_empty_trees_fails(tmp_path, capsys):
     after = _tree(tmp_path / "after", {})
     assert _compare()(before, after) is False
     assert capsys.readouterr().out == ""
+
+
+def test_a_failing_command_prints_a_failed_line_naming_it(tmp_path, capsys):
+    # a study config that does not exist: roblp exits non-zero and writes nothing
+    script = _script()
+    args = ["rates", "--config", tmp_path / "missing.json", "--output-dir", "out"]
+    assert script._roblp(ROOT, tmp_path, args, workers=2) is False
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [f"failed    {ROOT}: roblp {' '.join(map(str, args))} (ROBLP_WORKERS=2)"]
+    assert "missing.json" in err
+    assert not (tmp_path / "out").exists()

@@ -22,7 +22,7 @@ from roblp.kernels import procedure_constants, uniform_kernel
 from roblp.basis import multi_index_set
 from roblp.lepski import select_bandwidth
 from roblp.local_fit import Dataset, EmptyNeighborhoodError, LocalFitConfig, OptimizerSettings, fit_local
-from roblp.simulate import NoiseModel, constant_function, gen_data, sinusoid
+from roblp.simulate import NoiseModel, constant_function, gen_data, gen_window, sinusoid
 
 
 def _report_from_risks(n_grid, risks, r=2.0):
@@ -343,20 +343,20 @@ def test_replication_errors_do_not_depend_on_the_block_size(monkeypatch, case):
 @pytest.mark.parametrize(**CASES)
 def test_replication_errors_mark_empty_windows_nan(monkeypatch, case):
     import roblp.harness as harness
-    from roblp.local_fit import _windows
+    from roblp.local_fit import _box_rows, _windows
 
-    def holed(f, model, n, d, seed):
+    def holed(f, model, n, d, seed, box=None):
         # odd replications have no design point within 0.04 of x0: the
         # minimax and the compare window and the finest grid level are empty
-        data = gen_data(f, model, n, d, seed)
-        if seed[1] % 2 == 0:
-            return data
-        x = data.x.copy()
-        near = np.abs(x[:, 0] - 0.25) <= 0.04
-        x[near, 0] += 0.1
-        return Dataset(x=x, y=data.y)
+        x, y = gen_window(f, model, n, d, seed)
+        if seed[1] % 2:
+            x = x.copy()
+            near = np.abs(x[:, 0] - 0.25) <= 0.04
+            x[near, 0] += 0.1
+        rows = slice(None) if box is None else _box_rows(x, *box)
+        return x[rows], y[rows]
 
-    monkeypatch.setattr(harness, "gen_data", holed)
+    monkeypatch.setattr(harness, "gen_window", holed)
     plan, model = _replication_cases()[case]
     f, x0, n, reps, seed = sinusoid(beta=2.0), [0.25], 600, 12, 16
     configs, _ = plan(x0, n)
@@ -366,7 +366,7 @@ def test_replication_errors_mark_empty_windows_nan(monkeypatch, case):
         data = gen_data(f, model, n, 1, (seed, rep))
         assert list(est[rep]) == [fit_local(data, cfg).estimate for cfg in configs]
     with pytest.raises(EmptyNeighborhoodError):
-        _windows(holed(f, model, n, 1, (seed, 1)), configs)
+        _windows(*holed(f, model, n, 1, (seed, 1)), n, configs)
 
 
 @pytest.mark.parametrize(**CASES)
@@ -380,6 +380,39 @@ def test_replication_errors_parallel_match_sequential(case):
     assert len(serial) == len(parallel) == 2
     for s, p in zip(serial, parallel):
         np.testing.assert_array_equal(s, p)
+
+
+def test_a_plan_whose_windows_leave_its_first_window_is_rejected():
+    # a block draws only the rows of the plan's first window, so a config
+    # around another point, or wider, would be cut from too few rows
+    import roblp.harness as harness
+
+    f, n = sinusoid(beta=2.0), 600
+    (plan, model), (grid, _) = _replication_cases()[:2]
+    (cfg,) = plan([0.25], n)[0]
+    levels = grid([0.25], n)[0]
+    for configs in (
+        (cfg, dataclasses.replace(cfg, x0=(0.3,))),
+        (cfg, dataclasses.replace(cfg, h=cfg.h * 1.5)),
+        levels[::-1],
+    ):
+        with pytest.raises(ValueError, match="outside the window of the plan's first config"):
+            harness._replication_estimates([(configs, n)], f, model, 4, 17)
+
+
+@pytest.mark.parametrize("replications", [0, -3])
+def test_a_replication_count_below_one_is_named(replications):
+    import roblp.harness as harness
+
+    plan, model = _replication_cases()[0]
+    with pytest.raises(ValueError, match=f"need at least 1 replication, got {replications}$"):
+        harness._replication_estimates(
+            [(plan([0.25], 600)[0], 600)], sinusoid(beta=2.0), model, replications, 17
+        )
+    with pytest.raises(ValueError, match=f"need at least 1 replication, got {replications}$"):
+        compare_contrasts(
+            fixed_huber(), constant_function(0.4), [0.5], model, n=128, replications=replications, seed=8
+        )
 
 
 @pytest.fixture
@@ -622,11 +655,11 @@ def test_compare_contrasts_draws_each_replication_once(monkeypatch):
 
     draws = []
 
-    def counting(*args):
-        draws.append(args[-1])
-        return gen_data(*args)
+    def counting(f, model, n, d, seed, box=None):
+        draws.append(seed)
+        return gen_window(f, model, n, d, seed, box)
 
-    monkeypatch.setattr(harness, "gen_data", counting)
+    monkeypatch.setattr(harness, "gen_window", counting)
     f, model = sinusoid(beta=2.0), NoiseModel(family="cauchy", base_scale=1.0)
     est = dataclasses.replace(fixed_huber(), optimizer=OptimizerSettings(max_iterations=200))
     rows = compare_contrasts(est, f, [0.25], model, n=256, replications=30, seed=24)

@@ -41,6 +41,11 @@ def make_cfg(**kw):
     return LocalFitConfig(**defaults)
 
 
+def _problem(data, cfg):
+    """The window of ``cfg`` cut from all of ``data``'s rows."""
+    return local_fit._LocalProblem(data.x, data.y, data.n, cfg)
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(x=np.array([[1.5]]), y=np.array([0.0]))
@@ -582,7 +587,7 @@ def test_stacked_fits_are_bit_identical_to_single_fits(monkeypatch):
     cases = _stacking_cases()
     singles = [fit_local(data, cfg) for data, cfg in cases]
     assert all(calls.values())  # both fallbacks ran
-    windows = [local_fit._LocalProblem(data, cfg) for data, cfg in cases]
+    windows = [_problem(data, cfg) for data, cfg in cases]
     for size in (1, 7, len(windows)):
         stacked = [
             fit
@@ -613,7 +618,7 @@ def test_windows_of_alternating_settings_stack_per_settings_key(monkeypatch):
     alone = [None] * len(cases)
     for cfg in settings:
         positions = [i for i, case in enumerate(cases) if case[1] is cfg]
-        fits = local_fit._fit_problems([local_fit._LocalProblem(*cases[i]) for i in positions])
+        fits = local_fit._fit_problems([_problem(*cases[i]) for i in positions])
         for i, fit in zip(positions, fits):
             alone[i] = fit
     stacks = []
@@ -624,7 +629,7 @@ def test_windows_of_alternating_settings_stack_per_settings_key(monkeypatch):
         return original(windows)
 
     monkeypatch.setattr(local_fit, "_fit_stack", counting)
-    mixed = local_fit._fit_problems(local_fit._LocalProblem(*case) for case in cases)
+    mixed = local_fit._fit_problems(_problem(*case) for case in cases)
     assert stacks == [6, 6, 6]
     assert [fit.n_local for fit in mixed] == [fit.n_local for fit in alone]
     for fit, single in zip(mixed, alone):
@@ -677,8 +682,8 @@ def test_nested_grid_windows_equal_windows_cut_from_the_full_sample(kernel, d):
     configs = [make_cfg(x0=(0.3,) * d, h=0.4 * 2.0**-k, kernel=spec) for k in range(4)]
     # a larger window, or one around another point, is not nested
     configs += [make_cfg(x0=(0.3,) * d, h=0.2, kernel=spec), make_cfg(x0=(0.6,) * d, h=0.1, kernel=spec)]
-    nested = local_fit._windows(data, configs, grid=True)
-    alone = [local_fit._LocalProblem(data, cfg) for cfg in configs]
+    nested = local_fit._windows(data.x, data.y, data.n, configs, grid=True)
+    alone = [_problem(data, cfg) for cfg in configs]
     for window, single in zip(nested, alone):
         assert window.n_local == single.n_local > 0
         assert window.scale == single.scale
@@ -713,5 +718,5 @@ def test_an_empty_inner_grid_level_raises_with_its_index(grid, index):
     data = Dataset(x=x, y=np.arange(4.0))
     configs = [make_cfg(x0=(0.5,), h=h) for h in (1.0, 0.25, 0.125)]
     with pytest.raises(EmptyNeighborhoodError, match="side 0.25") as exc:
-        local_fit._windows(data, configs, grid=grid)
+        local_fit._windows(data.x, data.y, data.n, configs, grid=grid)
     assert exc.value.grid_index == index

@@ -17,6 +17,7 @@ from roblp.simulate import (
     gen_data,
     gen_design,
     gen_noise,
+    gen_window,
     make_test_function,
     product_sinusoid,
     sinusoid,
@@ -103,13 +104,13 @@ def test_noise_quantile_cdf_consistency():
 def test_heteroscedastic_rules():
     rule = HeteroscedasticRule(kind="alternating", factor=3.0)
     model = NoiseModel(family="gaussian", base_scale=0.5, heteroscedastic=rule)
-    s = model.scales(6)
+    s = model.scales(np.arange(6))
     np.testing.assert_allclose(s, [0.5, 1.5, 0.5, 1.5, 0.5, 1.5])
     assert model.sigma_min == 0.5
 
     rule = HeteroscedasticRule(kind="sinusoidal", amplitude=0.5, period=8)
     model = NoiseModel(family="laplace", base_scale=1.0, heteroscedastic=rule)
-    s = model.scales(64)
+    s = model.scales(np.arange(64))
     assert np.all(s >= model.sigma_min - 1e-15)
     assert model.sigma_min == pytest.approx(0.5)
     assert s.min() == pytest.approx(0.5, abs=1e-12)
@@ -132,7 +133,7 @@ def test_no_multiplier_falls_below_min_multiplier(kind):
             for period in (1, 2, 3, 4, 7, 8, 16, 100, 1023):
                 rule = HeteroscedasticRule(kind=kind, factor=factor, amplitude=amplitude, period=period)
                 for n in (1, 2, 5, 64, 2049):
-                    assert rule.multipliers(n).min() >= rule.min_multiplier, (rule, n)
+                    assert rule.multipliers(np.arange(n)).min() >= rule.min_multiplier, (rule, n)
 
 
 def test_sigma_min_slack_is_relative_to_the_smallest_scale():
@@ -182,6 +183,44 @@ def test_gen_data_zero_function_gives_noise_stream():
     data = gen_data(f, model, 80, 1, seed=9)
     np.testing.assert_array_equal(data.y, gen_noise(model, 80, seed=9))
     np.testing.assert_array_equal(data.x, gen_design(80, 1, seed=9))
+
+
+# (x0, h) boxes: interior, clipped at 0, clipped at 1, holding every row
+# (the design lies in [0,1)), and holding none
+WINDOW_BOXES = {
+    "interior": (0.4, 0.3),
+    "clipped-0": (0.02, 0.2),
+    "clipped-1": (0.97, 0.25),
+    "all": (0.5, 1.0),
+    "empty": (2.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("box", WINDOW_BOXES, ids=str)
+@pytest.mark.parametrize("rule", HETEROSCEDASTIC_KINDS)
+@pytest.mark.parametrize("family", sorted(NOISE_FAMILIES))
+@pytest.mark.parametrize("d", [1, 2])
+def test_window_draw_is_the_full_samples_rows_bit_for_bit(d, family, rule, box):
+    # f, the scale rule and the quantile evaluated on the window's rows give
+    # the bits they give on the whole sample
+    f = sinusoid(beta=2.0, amplitude=3.0) if d == 1 else product_sinusoid(beta=2.0, amplitude=3.0)
+    rule = HeteroscedasticRule(kind=rule, factor=2.5, amplitude=0.7, period=5)
+    model = NoiseModel(family=family, base_scale=0.8, heteroscedastic=rule)
+    x0, h = WINDOW_BOXES[box]
+    n, seed = 3000, (61, d)
+    data = gen_data(f, model, n, d, seed)
+    inside = (np.abs(data.x - (x0,) * d) <= h / 2.0).all(axis=1)
+    x, y = gen_window(f, model, n, d, seed, ((x0,) * d, h))
+    assert x.shape == (np.count_nonzero(inside), d) and y.shape == x.shape[:1]
+    assert x.tobytes() == data.x[inside].tobytes()
+    assert y.tobytes() == data.y[inside].tobytes()
+    assert (x.shape[0] == n) == (box == "all") and (x.shape[0] == 0) == (box == "empty")
+
+
+def test_window_draw_rejects_responses_that_are_not_finite():
+    model = NoiseModel(family="gaussian", base_scale=1.0)
+    with pytest.raises(ValueError, match="responses must be finite"):
+        gen_window(lambda x: np.where(x[:, 0] < 0.5, np.inf, 0.0), model, 64, 1, 3, ((0.25,), 0.2))
 
 
 def test_gen_data_regression_slope():
