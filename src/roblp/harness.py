@@ -240,7 +240,7 @@ def _block_estimates(args) -> np.ndarray:
     estimates = np.full((len(reps), len(configs)), math.nan)
     windows, fitted = [], []  # fitted: the rows of replications with windows
     for row, rep in enumerate(reps):
-        x, y = gen_window(f, model, n, len(box[0]), (seed, rep), box)
+        x, y = gen_window(f, model, n, configs[0].d, (seed, rep), box)
         try:
             windows += _windows(x, y, n, configs)
         except EmptyNeighborhoodError:
