@@ -18,8 +18,8 @@ offending job.
 A window is only its rows.  A block draws each replication's rows inside
 its plan's first window (a grid's widest level, or the one window every
 contrast of a compare table shares), never a whole ``Dataset``, and cuts
-each fit's window from those rows; so every plan's windows must lie
-inside its first.
+each fit's window from those rows; so a plan's windows must lie each
+inside the one before it, checked by ``_windows``.
 
 Risks are always finite without moment assumptions on the noise: both the
 estimator and the target are bounded by the coefficient bound M, so every
@@ -210,33 +210,19 @@ class Estimator:
 BLOCK_REPLICATIONS = 64
 
 
-def _plan_box(configs) -> tuple[tuple[float, ...], float]:
-    """The window box (x0, h) of a plan's first config, which must hold
-    every config's window: the configs share x0 and no bandwidth is
-    larger.  Otherwise a ValueError, so no window is cut from too few
-    rows."""
-    x0, h = configs[0].x0, configs[0].h
-    for k, cfg in enumerate(configs):
-        if cfg.x0 != x0 or cfg.h > h:
-            raise ValueError(
-                f"fit config {k} (x0={cfg.x0}, h={cfg.h}) lies outside the window of"
-                f" the plan's first config (x0={x0}, h={h})"
-            )
-    return x0, h
-
-
 def _block_estimates(args) -> np.ndarray:
     """The estimate of each fit config of one plan (see ``Estimator.plan``),
     a column each, for a contiguous block of seeded replications, a row
     each; a NaN row marks a replication with an empty window (counted and
     excluded by the caller).
 
-    Each replication draws only the rows in the plan's first window
-    (``_plan_box``) and cuts every config's window from them; one solver
+    Each replication draws only the rows in the plan's first window and
+    cuts every config's window from them (``_windows``, which rejects a
+    plan whose windows do not each lie inside the one before); one solver
     call takes the block's windows as one list and solves them in stacks.
     """
     configs, f, model, n, seed, reps = args
-    box = _plan_box(configs)
+    box = configs[0].x0, configs[0].h
     estimates = np.full((len(reps), len(configs)), math.nan)
     windows, fitted = [], []  # fitted: the rows of replications with windows
     for row, rep in enumerate(reps):

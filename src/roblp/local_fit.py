@@ -28,15 +28,16 @@ each grid level, or each contrast of a compare table) to one solver call,
 which iterates the windows of equal fit settings (degree, kernel, radius,
 contrast, optimizer) in stacks of up to _STACK_CHUNKS chunks; a bandwidth
 selection solves its grid levels as one stack, and ``fit_local`` is a
-stack of one.  A window is only its rows: it is cut from given rows
-``x``, ``y`` of a sample of size n (all of a ``Dataset``'s, or just those
-the harness drew inside the plan's widest window), and n sets its
-1/(n h^d) scale.  The windows of a bandwidth grid are nested: each level
-is cut from the samples of the one before, so only the largest scans the
-given rows.  The stack writes each window's
-rescaled points into whole chunks of _CHUNK rows, padded with zero rows,
-and builds the design monomials and kernel weights of all its windows in
-one call each.  Every fit starts from the kernel-weighted median of its
+stack of one.  A window is only its rows, and ``_windows`` alone cuts
+them, from given rows ``x``, ``y`` of a sample of size n (all of a
+``Dataset``'s, or just those the harness drew inside the plan's first
+window); n sets its 1/(n h^d) scale.  A plan's windows (a grid's levels,
+a compare table's contrasts, or one fit) lie each inside the one before
+it, checked by ``_windows``: each is cut from the samples of the one
+before, so only the first scans the given rows.  The stack writes each
+window's rescaled points into whole chunks of _CHUNK rows, padded with
+zero rows, and builds the design monomials and kernel weights of all its
+windows in one call each.  Every fit starts from the kernel-weighted median of its
 window's responses, found by a partition where the weights are all one
 (the uniform kernel) and by a sort otherwise.  Each iteration takes the
 residuals, gradients, Hessians, condition tests, Newton solves, line
@@ -51,7 +52,7 @@ worker count (ROBLP_WORKERS).
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -276,61 +277,60 @@ def _box_rows(x: np.ndarray, x0, h: float) -> np.ndarray:
 
 
 class _LocalProblem:
-    """One fit's window: the design points ``x`` and responses ``y`` of the
-    samples in it, their count ``n_local``, the 1/(n h^d) normalization
-    ``scale`` by the full sample size ``n``, and the fit's ``cfg``.  The
-    rows given must hold every sample of the window; only the rows of
-    ``within``, a window known to contain this one, are scanned when it is
-    given.  A ``_Stack`` lays windows out for the solver and builds their
-    rescaled design and kernel weights."""
+    """One fit's window, as ``_windows`` cuts it: the design points ``x``
+    and responses ``y`` of the samples in it, their count ``n_local``, the
+    1/(n h^d) normalization ``scale`` by the full sample size ``n``, and
+    the fit's ``cfg``.  A ``_Stack`` lays windows out for the solver and
+    builds their rescaled design and kernel weights."""
 
-    def __init__(
-        self, x: np.ndarray, y: np.ndarray, n: int, cfg: LocalFitConfig,
-        within: _LocalProblem | None = None,
-    ):
-        if x.shape[1] != cfg.d:
-            raise ValueError(f"data dimension {x.shape[1]} != config dimension {cfg.d}")
-        if within is not None:
-            x, y = within.x, within.y
-        inside = _box_rows(x, cfg.x0, cfg.h)
-        self.x = x.take(inside, axis=0)
-        self.y = y.take(inside)
-        self.cfg = cfg
-        self.n_local = inside.size
+    def __init__(self, x: np.ndarray, y: np.ndarray, n: int, cfg: LocalFitConfig):
+        self.x, self.y, self.cfg = x, y, cfg
+        self.n_local = y.size
         self.scale = 1.0 / (n * cfg.h**cfg.d)
 
 
 def _windows(
-    x: np.ndarray, y: np.ndarray, n: int, configs: Iterable[LocalFitConfig], grid: bool = False
+    x: np.ndarray, y: np.ndarray, n: int, configs: Sequence[LocalFitConfig], grid: bool = False
 ) -> list[_LocalProblem]:
     """The window of each fit config among the rows ``x``, ``y`` of a
-    sample of size ``n`` (all its rows, or a set holding every window).  An
-    empty one raises EmptyNeighborhoodError, carrying its position as the
-    grid index when the configs are the levels of a bandwidth ``grid``.
+    sample of size ``n`` (all its rows, or a set holding the first window).
+    An empty one raises EmptyNeighborhoodError, carrying its position as
+    the grid index when the configs are the levels of a bandwidth ``grid``.
 
-    A window is a sup-norm box, so one with the previous config's x0 and a
-    bandwidth no larger lies inside the previous window, and is cut from
-    its samples: of a grid's levels, only the largest scans the given
-    rows.  The mask is elementwise, so the window is the same bit for bit
-    as one cut from the full sample."""
+    The configs are a chain of nested windows: each has the x0 of the one
+    before it and a bandwidth no larger, so, a window being a sup-norm
+    box, it lies inside the one before.  Any other plan is a ValueError,
+    raised before a window is cut.  Window 0 is cut from the given rows
+    and each later one from the window before it.  The mask is
+    elementwise, so a window is the same bit for bit as one cut from the
+    full sample."""
+    if x.shape[1] != configs[0].d:
+        raise ValueError(f"data dimension {x.shape[1]} != config dimension {configs[0].d}")
+    for k in range(1, len(configs)):
+        prev, cfg = configs[k - 1], configs[k]
+        if cfg.x0 != prev.x0 or cfg.h > prev.h:
+            raise ValueError(
+                f"fit config {k} (x0={cfg.x0}, h={cfg.h}) lies outside the window of"
+                f" fit config {k - 1} (x0={prev.x0}, h={prev.h})"
+            )
     windows: list[_LocalProblem] = []
     for k, cfg in enumerate(configs):
-        prev = windows[-1] if windows else None
-        inside = prev is not None and cfg.x0 == prev.cfg.x0 and cfg.h <= prev.cfg.h
-        window = _LocalProblem(x, y, n, cfg, prev if inside else None)
-        if not window.n_local:
+        inside = _box_rows(x, cfg.x0, cfg.h)
+        if not inside.size:
             raise EmptyNeighborhoodError(cfg.x0, cfg.h, grid_index=k if grid else None)
-        windows.append(window)
+        x, y = x.take(inside, axis=0), y.take(inside)
+        windows.append(_LocalProblem(x, y, n, cfg))
     return windows
 
 
 def _stack_at(t, data: Dataset, cfg: LocalFitConfig) -> _Stack | None:
     """The window of ``data`` for ``cfg`` as a stack of one at coefficients
     ``t``, or None when the window is empty."""
-    window = _LocalProblem(data.x, data.y, data.n, cfg)
-    if not window.n_local:
+    try:
+        windows = _windows(data.x, data.y, data.n, [cfg])
+    except EmptyNeighborhoodError:
         return None
-    return _Stack([window], np.asarray(t, dtype=float)[None])
+    return _Stack(windows, np.asarray(t, dtype=float)[None])
 
 
 def criterion(t, data: Dataset, cfg: LocalFitConfig) -> float:
@@ -412,12 +412,10 @@ def _gradient_step(stack, row):
     t, fval, grad = s.t[row], s.fval[row], s.grad[row]
     fit = np.arange(s.size) == row
     step = INITIAL_STEP
-    if s.has_prev[row]:
-        dt = t - s.prev_t[row]
-        dg = grad - s.prev_grad[row]
-        curv = float(dt @ dg)
-        if curv > 0:
-            step = min(max(float(dt @ dt) / curv, 1e-12), 1e12)
+    dt = t - s.prev_t[row]
+    curv = float(dt @ (grad - s.prev_grad[row]))
+    if curv > 0:  # not at the first iterate, where dt = 0
+        step = min(max(float(dt @ dt) / curv, 1e-12), 1e12)
     while True:
         candidate = project_l1_ball(t - step * grad, s.radius)
         cand_val = s.value(candidate[None], fit)[0]
@@ -530,7 +528,7 @@ class _Stack:
 
     _FITS = (
         "index", "chunks", "n_local", "scale", "t", "fval", "grad", "gap", "converged",
-        "stopped", "iterations", "stagnant", "prev_t", "prev_grad", "has_prev",
+        "stopped", "iterations", "stagnant", "prev_t", "prev_grad",
     )
     _CHUNKS = ("design_t", "weights", "y", "resid")
 
@@ -571,11 +569,9 @@ class _Stack:
         self.stopped = np.zeros(size, dtype=bool)
         self.iterations = np.zeros(size, dtype=int)
         self.stagnant = np.zeros(size, dtype=int)
-        self.prev_t = np.zeros((size, n_b))
-        self.prev_grad = np.zeros((size, n_b))
-        self.has_prev = np.zeros(size, dtype=bool)
         self.update()
         self.fval = self.value()
+        self.prev_t, self.prev_grad = self.t, self.grad
 
     def _layout(self) -> None:
         self.owner = np.repeat(np.arange(self.chunks.size), self.chunks)
@@ -625,7 +621,6 @@ class _Stack:
         moved = (cand_val <= self.fval) & ~(cand == self.t).all(axis=1)
         self.stagnant = np.where(cand_val == self.fval, self.stagnant + 1, 0)
         self.prev_t, self.prev_grad = self.t, self.grad
-        self.has_prev = self.has_prev | moved
         self.t = np.where(moved[:, None], cand, self.t)
         self.fval = np.where(moved, cand_val, self.fval)
         self.iterations += moved

@@ -1,10 +1,10 @@
 """Differential oracles, kept verbatim apart from their names, the
 line-search constants, which they read from ``roblp.local_fit``, the start
 (the kernel-weighted median), the criterion and its gradient, which they
-read from a ``_Stack`` of the fit's window, cut once (the sums
-``criterion`` and ``criterion_gradient`` compute; a window carries only its
-rows, and the stack builds its design and weights), and the criterion path
-that ``FitResult`` no longer records:
+read from a ``_Stack`` of the fit's window, cut once by ``_windows`` (the
+sums ``criterion`` and ``criterion_gradient`` compute; a window carries
+only its rows, and the stack builds its design and weights), and the
+criterion path that ``FitResult`` no longer records:
 
 - the projected gradient solver that ``fit_local`` used before it took
   proximal Newton steps; tests compare the criterion values the two
@@ -24,11 +24,10 @@ from roblp.local_fit import (
     BACKTRACKING,
     INITIAL_STEP,
     Dataset,
-    EmptyNeighborhoodError,
     FitResult,
     LocalFitConfig,
-    _LocalProblem,
     _Stack,
+    _windows,
     project_l1_ball,
 )
 
@@ -45,9 +44,7 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
     """
     if data.n == 0:
         raise ValueError("dataset is empty")
-    problem = _LocalProblem(data.x, data.y, data.n, cfg)
-    if problem.n_local == 0:
-        raise EmptyNeighborhoodError(cfg.x0, cfg.h)
+    (problem,) = _windows(data.x, data.y, data.n, [cfg])  # raises EmptyNeighborhoodError
 
     opt = cfg.optimizer
     radius = cfg.bound

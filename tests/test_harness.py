@@ -384,7 +384,9 @@ def test_replication_errors_parallel_match_sequential(case):
 
 def test_a_plan_whose_windows_leave_its_first_window_is_rejected():
     # a block draws only the rows of the plan's first window, so a config
-    # around another point, or wider, would be cut from too few rows
+    # around another point, or wider, would be cut from too few rows;
+    # _windows rejects each such plan, as one not nested in the window
+    # before it
     import roblp.harness as harness
 
     f, n = sinusoid(beta=2.0), 600
@@ -396,7 +398,7 @@ def test_a_plan_whose_windows_leave_its_first_window_is_rejected():
         (cfg, dataclasses.replace(cfg, h=cfg.h * 1.5)),
         levels[::-1],
     ):
-        with pytest.raises(ValueError, match="outside the window of the plan's first config"):
+        with pytest.raises(ValueError, match=r"fit config 1 \(.*\) lies outside the window of fit config 0"):
             harness._replication_estimates([(configs, n)], f, model, 4, 17)
 
 

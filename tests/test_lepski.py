@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -280,3 +281,13 @@ def test_select_bandwidth_empty_window_names_grid_index(gap_low, gap_high, empty
     assert exc.value.grid_index == empty_k
     assert exc.value.x0 == (0.5,)
     assert exc.value.h == grid.bandwidths[empty_k]
+
+
+def test_select_bandwidth_rejects_levels_that_are_not_a_chain_of_windows():
+    # the level h = 0.2 lies inside the first window, not inside the h = 0.1
+    # one before it
+    data, grid, template, threshold = _selection_inputs()
+    levels, thresholds = _selection_plan(grid, template, threshold)
+    levels = [replace(levels[0], h=h) for h in (0.4, 0.1, 0.2)]
+    with pytest.raises(ValueError, match=r"fit config 2 \(.*\) lies outside the window of fit config 1"):
+        select_bandwidth(data, levels, thresholds[:3])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,7 +44,8 @@ def make_cfg(**kw):
 
 def _problem(data, cfg):
     """The window of ``cfg`` cut from all of ``data``'s rows."""
-    return local_fit._LocalProblem(data.x, data.y, data.n, cfg)
+    (window,) = local_fit._windows(data.x, data.y, data.n, [cfg])
+    return window
 
 
 def test_dataset_validation():
@@ -680,8 +682,6 @@ def test_nested_grid_windows_equal_windows_cut_from_the_full_sample(kernel, d):
     data = gen_data(sinusoid(beta=2.0), NoiseModel(family="gaussian", base_scale=0.5), 8192, d, seed=(31, d))
     spec = KernelSpec(kind=kernel, d=d)
     configs = [make_cfg(x0=(0.3,) * d, h=0.4 * 2.0**-k, kernel=spec) for k in range(4)]
-    # a larger window, or one around another point, is not nested
-    configs += [make_cfg(x0=(0.3,) * d, h=0.2, kernel=spec), make_cfg(x0=(0.6,) * d, h=0.1, kernel=spec)]
     nested = local_fit._windows(data.x, data.y, data.n, configs, grid=True)
     alone = [_problem(data, cfg) for cfg in configs]
     for window, single in zip(nested, alone):
@@ -720,3 +720,26 @@ def test_an_empty_inner_grid_level_raises_with_its_index(grid, index):
     with pytest.raises(EmptyNeighborhoodError, match="side 0.25") as exc:
         local_fit._windows(data.x, data.y, data.n, configs, grid=grid)
     assert exc.value.grid_index == index
+
+
+@pytest.mark.parametrize(
+    "x0, hs, k",
+    [
+        ((0.5,), (0.1, 0.2), 1),  # wider than the window before it
+        ((0.5,), (0.4, 0.1, 0.2), 2),  # inside the first window, not the one before
+        ((0.6,), (0.1, 0.1), 1),  # around another point
+    ],
+)
+def test_a_plan_that_is_not_a_chain_of_windows_raises_before_any_cut(x0, hs, k):
+    # no sample lies within 0.25 of 0.5: window 0 is empty, yet the chain is
+    # checked first
+    data = Dataset(x=np.array([[0.05], [0.95]]), y=np.zeros(2))
+    configs = [make_cfg(x0=(0.5,), h=hs[0])] + [make_cfg(x0=x0, h=h) for h in hs[1:]]
+    prev, cfg = configs[k - 1], configs[k]
+    message = (
+        f"fit config {k} (x0={cfg.x0}, h={cfg.h}) lies outside the window of"
+        f" fit config {k - 1} (x0={prev.x0}, h={prev.h})"
+    )
+    for grid in (True, False):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            local_fit._windows(data.x, data.y, data.n, configs, grid=grid)
