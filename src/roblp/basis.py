@@ -27,7 +27,7 @@ __all__ = [
     "MultiIndexSet",
     "CoefficientVector",
     "multi_index_set",
-    "monomial_vector",
+    "monomial_matrix",
     "taylor_coefficients",
 ]
 
@@ -120,25 +120,12 @@ class CoefficientVector:
         return float(np.sum(np.abs(self.values)))
 
 
-def monomial_vector(z, s: MultiIndexSet) -> np.ndarray:
-    """Evaluate all monomials z^p, p in s, at a point z in R^d.
-
-    Uses the convention 0^0 = 1 so the constant monomial is always 1 and
-    the vector at z = 0 is the first standard basis vector.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.shape != (s.d,):
-        raise ValueError(f"expected point in R^{s.d}, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("point must be finite")
-    return np.prod(z[None, :] ** s.exponents, axis=1)
-
-
 def monomial_matrix(points: np.ndarray, s: MultiIndexSet) -> np.ndarray:
-    """Vectorized monomial_vector: rows of ``points`` (m, d) -> (m, size).
+    """All monomials z^p, p in s, at each row z of ``points`` (m, d):
+    an (m, size) matrix.  The constant monomial is 1, also at z = 0.
 
     The powers z_j^e, e <= b, come from repeated multiplication rather
-    than float pow; they agree with ``monomial_vector`` to a few ulp."""
+    than float pow; they agree with a pow-based evaluation to a few ulp."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != s.d:
         raise ValueError(f"expected (m, {s.d}) points, got shape {points.shape}")

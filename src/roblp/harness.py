@@ -73,8 +73,6 @@ __all__ = [
     "ComparisonRow",
     "risk_curve",
     "rate_fit",
-    "wilson_half_width",
-    "deviation_bound",
     "deviation_bound_threshold",
     "tail_check",
     "compare_contrasts",
@@ -177,12 +175,20 @@ class Estimator:
         return configs[0]
 
     def selection_trace(self, data: Dataset, x0) -> SelectionTrace:
+        """The adaptive kind's selection at x0 on ``data``: the estimate
+        and bandwidth of every grid level, every pairwise check and the
+        chosen level.  A single-bandwidth kind is a ValueError; an empty
+        window raises EmptyNeighborhoodError carrying its grid index."""
         levels, thresholds = self.plan(x0, data.n)
         if thresholds is None:
             raise ValueError("selection trace only defined for the adaptive kind")
         return select_bandwidth(data, levels, thresholds)
 
     def estimate(self, data: Dataset, x0) -> float:
+        """The estimate of f(x0) from ``data``: the fit at the single
+        bandwidth, or the adaptive kind's selected one.  An empty window
+        raises EmptyNeighborhoodError, with the grid index inside a
+        selection."""
         configs, thresholds = self.plan(x0, data.n)
         if thresholds is None:
             return fit_local(data, configs[0]).estimate
@@ -441,7 +447,7 @@ def rate_fit(report: RiskReport, target: float) -> RateFit:
 WILSON_Z = 1.96
 
 
-def wilson_half_width(successes: int, trials: int) -> float:
+def _wilson_half_width(successes: int, trials: int) -> float:
     """Half-width of the 95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
@@ -457,7 +463,7 @@ def deviation_bound_threshold(n_b: int, c: float, lam: float, u: float) -> float
     return 4.0 * n_b / (c * lam) * u
 
 
-def deviation_bound(
+def _deviation_bound(
     eps: float,
     n_b: int,
     sigma: float,
@@ -512,9 +518,7 @@ class TailReport:
 
     n: int
     h: float
-    nhd: float
     bias_majorant: float
-    u: float
     eps_min: float
     replications: int
     failures: int
@@ -579,13 +583,13 @@ def tail_check(
         valid = eps >= eps_min
         exceed = int(np.count_nonzero(norm_errs >= eps))
         emp = exceed / ok.size
-        wilson = wilson_half_width(exceed, ok.size)
+        wilson = _wilson_half_width(exceed, ok.size)
         if not valid:
             points.append(
                 TailPoint(eps, False, emp, exceed, wilson, None, False, None)
             )
             continue
-        bound = deviation_bound(
+        bound = _deviation_bound(
             eps, n_b, constants.sigma, constants.lam, constants.c, k_sup, rho_sup, u, nhd
         )
         informative = bound < 1.0
@@ -596,9 +600,7 @@ def tail_check(
     return TailReport(
         n=n,
         h=cfg.h,
-        nhd=nhd,
         bias_majorant=bias_majorant,
-        u=u,
         eps_min=eps_min,
         replications=replications,
         failures=failed,

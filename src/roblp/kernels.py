@@ -26,8 +26,6 @@ __all__ = [
     "ProcedureConstants",
     "NotPositiveDefiniteError",
     "uniform_kernel",
-    "triangular_kernel",
-    "epanechnikov_kernel",
     "moment_matrix",
     "lambda_min",
     "series_constant",
@@ -67,14 +65,11 @@ class KernelSpec:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
 
     def value(self, z):
-        """Kernel value at points z of shape (d,) or (m, d)."""
+        """Kernel values at the rows of z, an (m, d) array."""
         z = np.asarray(z, dtype=float)
-        single = z.ndim == 1
-        pts = np.atleast_2d(z)
-        if pts.shape[1] != self.d:
-            raise ValueError(f"expected points in R^{self.d}, got shape {z.shape}")
-        vals = np.prod(_axis_value(self.kind, pts), axis=1)
-        return float(vals[0]) if single else vals
+        if z.ndim != 2 or z.shape[1] != self.d:
+            raise ValueError(f"expected (m, {self.d}) points, got shape {z.shape}")
+        return np.prod(_axis_value(self.kind, z), axis=1)
 
     @property
     def sup_norm(self) -> float:
@@ -87,14 +82,6 @@ class KernelSpec:
 
 def uniform_kernel(d: int = 1) -> KernelSpec:
     return KernelSpec(kind="uniform", d=d)
-
-
-def triangular_kernel(d: int = 1) -> KernelSpec:
-    return KernelSpec(kind="triangular", d=d)
-
-
-def epanechnikov_kernel(d: int = 1) -> KernelSpec:
-    return KernelSpec(kind="epanechnikov", d=d)
 
 
 class NotPositiveDefiniteError(ValueError):

@@ -36,8 +36,6 @@ __all__ = [
     "minimax_bandwidth",
     "BandwidthGrid",
     "bandwidth_grid",
-    "threshold_scale",
-    "threshold_constant",
     "selection_config",
     "CheckRecord",
     "SelectionTrace",
@@ -115,7 +113,7 @@ def bandwidth_grid(n: int, d: int, b: int) -> BandwidthGrid:
     )
 
 
-def threshold_scale(l: int, grid: BandwidthGrid) -> float:
+def _threshold_scale(l: int, grid: BandwidthGrid) -> float:
     """Comparison scale sqrt((1 + l ln 2) / (n h_l^d)); strictly
     increasing in l."""
     if not 0 <= l <= grid.k_n:
@@ -124,7 +122,7 @@ def threshold_scale(l: int, grid: BandwidthGrid) -> float:
     return math.sqrt((1.0 + l * math.log(2.0)) / (grid.n * h_l**grid.d))
 
 
-def threshold_constant(
+def _threshold_constant(
     n_b: int, c: float, lam: float, k_sup: float, rho_prime_sup: float, r: float, d: int
 ) -> float:
     """Threshold constant (4 n_b / (c lam)) (1 + 2 k_sup (1 v rho') sqrt(r d))."""
@@ -160,7 +158,7 @@ def selection_config(
     """
     s = multi_index_set(degree, kernel.d)
     lam = lambda_min(moment_matrix(kernel, s))
-    constant = threshold_constant(
+    constant = _threshold_constant(
         s.size, c, lam, kernel.sup_norm, contrast.derivative_bound, r, kernel.d
     )
     if r < 1:
@@ -278,6 +276,6 @@ def _selection_plan(
     each level, ``template`` at bandwidth h_k, and its threshold C * S_n(l)
     for threshold constant C = ``threshold``."""
     levels = tuple(replace(template, h=h_k) for h_k in grid.bandwidths)
-    thresholds = tuple(threshold * threshold_scale(l, grid) for l in range(grid.k_n + 1))
+    thresholds = tuple(threshold * _threshold_scale(l, grid) for l in range(grid.k_n + 1))
     return levels, thresholds
 

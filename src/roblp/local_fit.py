@@ -69,7 +69,6 @@ __all__ = [
     "EmptyNeighborhoodError",
     "criterion",
     "criterion_gradient",
-    "project_l1_ball",
     "fit_local",
 ]
 
@@ -372,7 +371,7 @@ def _project_rows(v: np.ndarray, radius: float) -> np.ndarray:
     return out
 
 
-def project_l1_ball(t, radius: float) -> np.ndarray:
+def _project_l1_ball(t, radius: float) -> np.ndarray:
     """Euclidean projection onto the l1-ball, sort-based."""
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -417,7 +416,7 @@ def _gradient_step(stack, row):
     if curv > 0:  # not at the first iterate, where dt = 0
         step = min(max(float(dt @ dt) / curv, 1e-12), 1e12)
     while True:
-        candidate = project_l1_ball(t - step * grad, s.radius)
+        candidate = _project_l1_ball(t - step * grad, s.radius)
         cand_val = s.value(candidate[None], fit)[0]
         decrease = float(grad @ (candidate - t))
         if cand_val <= fval + ARMIJO * decrease:
@@ -501,7 +500,7 @@ def _minimize_model(hess, grad, t, radius):
     # ||u||_1 = s'v - lam s'w cancels terms up to s'v in size
     if not np.abs(u).sum() - radius <= 4 * k * np.finfo(float).eps * (s @ v):
         return None
-    return project_l1_ball(u, radius)
+    return _project_l1_ball(u, radius)
 
 
 def _starts(chunks: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Synthetic regression data: uniform designs, symmetric heavy-tailed
-noise, and test functions with certified smoothness constants.
+noise, and test functions with declared smoothness constants.
 
 Randomness comes from the counter-based Philox generator with explicit
 sub-stream derivation: stream 0 of a seed drives the design, stream 1 the
@@ -28,7 +28,6 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import multi_index_set
 from .lepski import holder_floor
 from .local_fit import Dataset, _box_rows, _check_responses
 
@@ -39,18 +38,14 @@ __all__ = [
     "NoiseModel",
     "TestFunction",
     "substream",
-    "gen_design",
-    "gen_noise",
     "gen_window",
     "gen_data",
+    "make_test_function",
     "sinusoid",
     "cusp",
     "product_sinusoid",
     "constant_function",
     "polynomial_function",
-    "function_library",
-    "certify_holder",
-    "certify_noise_family",
 ]
 
 DESIGN_STREAM = 0
@@ -210,7 +205,7 @@ class NoiseModel:
     base_scale: float = 1.0
     heteroscedastic: HeteroscedasticRule | None = None
     sigma_min: float | None = None
-    # derived: the scale rule, and the largest |draw| gen_noise can emit
+    # derived: the scale rule, and the largest |draw| _gen_noise can emit
     _rule: HeteroscedasticRule = field(init=False, repr=False, compare=False)
     _largest_draw: float = field(init=False, repr=False, compare=False)
 
@@ -221,7 +216,7 @@ class NoiseModel:
             raise ValueError(f"base scale must be positive, got {self.base_scale}")
         rule = self.heteroscedastic or HeteroscedasticRule()
         object.__setattr__(self, "_rule", rule)
-        # the draw at the largest uniform gen_noise feeds the quantile
+        # the draw at the largest uniform _gen_noise feeds the quantile
         quantile = abs(float(self.unit_family.quantile(1.0 - _U_MARGIN)))
         largest = float(self.base_scale) * float(rule.max_multiplier) * quantile
         if not math.isfinite(largest):
@@ -274,14 +269,14 @@ class NoiseModel:
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
-def gen_design(n: int, d: int, seed) -> np.ndarray:
+def _gen_design(n: int, d: int, seed) -> np.ndarray:
     """n i.i.d. uniform points on [0,1]^d from the design sub-stream."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return substream(seed, DESIGN_STREAM).random((n, d))
 
 
-def gen_noise(model: NoiseModel, n: int, seed, rows: np.ndarray | None = None) -> np.ndarray:
+def _gen_noise(model: NoiseModel, n: int, seed, rows: np.ndarray | None = None) -> np.ndarray:
     """Heteroscedastic noise draws sigma_i * xi_i from the noise sub-stream:
     all n, or those of the sample indices ``rows``.  The whole stream is
     drawn either way, so a draw's bits do not depend on ``rows``."""
@@ -307,12 +302,12 @@ def gen_window(
     are evaluated on the box's rows only.  The design lies in [0,1)^d by
     construction; a response that is not finite is a ValueError, as in
     ``Dataset``."""
-    x = gen_design(n, d, seed)
+    x = _gen_design(n, d, seed)
     rows = None
     if box is not None:
         rows = _box_rows(x, *box)
         x = x.take(rows, axis=0)
-    y = np.asarray(f(x), dtype=float) + gen_noise(model, n, seed, rows)
+    y = np.asarray(f(x), dtype=float) + _gen_noise(model, n, seed, rows)
     _check_responses(y)
     return x, y
 
@@ -518,18 +513,6 @@ def polynomial_function(coeffs: dict, d: int, beta: float | None = None) -> Test
     )
 
 
-def function_library() -> list[TestFunction]:
-    """Named test functions with certified constants."""
-    return [
-        sinusoid(beta=2.0),
-        sinusoid(beta=3.0),
-        cusp(beta=0.5, amplitude=1.0, center=0.5),
-        cusp(beta=1.0, amplitude=1.0, center=0.3),
-        product_sinusoid(beta=2.0),
-        constant_function(0.5),
-    ]
-
-
 _NUMBER = {"type": "number"}
 
 # Config name -> (factory, JSON Schema of each of its keyword parameters).
@@ -564,57 +547,3 @@ def make_test_function(cfg: dict) -> TestFunction:
         if p.default is p.empty and p.name not in cfg:
             raise _MissingParameter(f"{p.name!r} is a required property of {name!r}")
     return factory(**{k: cfg[k] for k in params if k in cfg})
-
-
-# ---------------------------------------------------------------------------
-# Certificates
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class HolderCertificate:
-    """Sampled check of the declared smoothness constants."""
-
-    max_holder_ratio: float
-    derivative_sum: float
-    ok: bool
-
-
-def certify_holder(f: TestFunction, n_pairs: int = 10_000, seed: int = 0) -> HolderCertificate:
-    """Check the two class inequalities on sampled point pairs: top-order
-    increments against L ||x - y||_1^{beta - floor}, and the grid sup of
-    the derivative sum against the bound M."""
-    floor = holder_floor(f.beta)
-    rng = substream(seed, 7)
-    xs = rng.random((n_pairs, f.d))
-    ys = rng.random((n_pairs, f.d))
-    exponent = f.beta - floor
-
-    top = [p for p in multi_index_set(floor, f.d).indices if sum(p) == floor]
-    max_ratio = 0.0
-    for p in top:
-        for xi, yi in zip(xs, ys):
-            fx = f.partial(p, xi) if floor > 0 else float(f(xi))
-            fy = f.partial(p, yi) if floor > 0 else float(f(yi))
-            if fx is None or fy is None:
-                return HolderCertificate(math.inf, math.inf, False)
-            gap = np.abs(xi - yi).sum()
-            if gap > 0:
-                max_ratio = max(max_ratio, abs(fx - fy) / gap**exponent)
-
-    grid = rng.random((512, f.d))
-    der_sum = 0.0
-    for p in multi_index_set(floor, f.d).indices:
-        if sum(p) == 0:
-            der_sum += float(np.max(np.abs(f(grid))))
-        else:
-            der_sum += max(abs(f.partial(p, xi)) for xi in grid)
-    ok = max_ratio <= f.lipschitz * (1 + 1e-9) and der_sum <= f.bound * (1 + 1e-9)
-    return HolderCertificate(max_holder_ratio=max_ratio, derivative_sum=der_sum, ok=ok)
-
-
-def certify_noise_family(family: NoiseFamily) -> bool:
-    """Symmetry and monotone decay on the positive axis, on a grid."""
-    grid = np.linspace(0.0, 20.0, 2001)
-    dens = np.asarray(family.density(grid), dtype=float)
-    symmetric = np.allclose(dens, np.asarray(family.density(-grid), dtype=float))
-    decreasing = bool(np.all(np.diff(dens) <= 1e-15))
-    return symmetric and decreasing and bool(np.all(dens >= 0))

@@ -28,7 +28,7 @@ from roblp.local_fit import (
     LocalFitConfig,
     _Stack,
     _windows,
-    project_l1_ball,
+    _project_l1_ball,
 )
 
 
@@ -62,7 +62,7 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
     fval = criterion(t)
     grad = criterion_gradient(t)
     prev_t = prev_grad = None
-    gap = float(np.linalg.norm(t - project_l1_ball(t - grad, radius)))
+    gap = float(np.linalg.norm(t - _project_l1_ball(t - grad, radius)))
     converged = gap <= opt.gradient_tolerance
     iterations = 0
     stagnant = 0
@@ -82,7 +82,7 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
         candidate = t
         cand_val = fval
         while True:
-            candidate = project_l1_ball(t - step * grad, radius)
+            candidate = _project_l1_ball(t - step * grad, radius)
             cand_val = criterion(candidate)
             decrease = float(grad @ (candidate - t))
             if cand_val <= fval + ARMIJO * decrease:
@@ -99,12 +99,12 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
         t, fval = candidate, cand_val
         grad = criterion_gradient(t)
         iterations += 1
-        gap = float(np.linalg.norm(t - project_l1_ball(t - grad, radius)))
+        gap = float(np.linalg.norm(t - _project_l1_ball(t - grad, radius)))
         converged = gap <= opt.gradient_tolerance
         if stagnant > 64:
             break  # objective flat at float precision, tolerance unreachable
 
-    t = project_l1_ball(t, radius)
+    t = _project_l1_ball(t, radius)
     theta = CoefficientVector(values=t, index_set=cfg.index_set)
     return FitResult(
         theta_hat=theta,
@@ -132,8 +132,8 @@ def minimize_model_projected_gradient(hess, grad, t, radius, mu, lip, tol):
     u = prev = t
     for _ in range(_MODEL_MAX_ITERATIONS):
         v = u + momentum * (u - prev)
-        prev, u = u, project_l1_ball(v - (grad + hess @ (v - t)) / lip, radius)
+        prev, u = u, _project_l1_ball(v - (grad + hess @ (v - t)) / lip, radius)
         model_grad = grad + hess @ (u - t)
-        if np.linalg.norm(u - project_l1_ball(u - model_grad, radius)) <= tol:
+        if np.linalg.norm(u - _project_l1_ball(u - model_grad, radius)) <= tol:
             break
     return u

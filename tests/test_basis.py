@@ -8,12 +8,27 @@ from hypothesis import strategies as st
 
 from roblp.basis import (
     CoefficientVector,
+    MultiIndexSet,
     monomial_matrix,
-    monomial_vector,
     multi_index_set,
     taylor_coefficients,
 )
 from roblp.simulate import polynomial_function
+
+
+def monomial_vector(z, s: MultiIndexSet) -> np.ndarray:
+    """Evaluate all monomials z^p, p in s, at a point z in R^d, by float
+    pow: the reference for ``monomial_matrix``.
+
+    Uses the convention 0^0 = 1 so the constant monomial is always 1 and
+    the vector at z = 0 is the first standard basis vector.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if z.shape != (s.d,):
+        raise ValueError(f"expected point in R^{s.d}, got shape {z.shape}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("point must be finite")
+    return np.prod(z[None, :] ** s.exponents, axis=1)
 
 
 def brute_force_indices(b, d):

@@ -11,12 +11,12 @@ from roblp.harness import (
     RiskPoint,
     RiskReport,
     compare_contrasts,
-    deviation_bound,
+    _deviation_bound,
     deviation_bound_threshold,
     rate_fit,
     risk_curve,
     tail_check,
-    wilson_half_width,
+    _wilson_half_width,
 )
 from roblp.kernels import procedure_constants, uniform_kernel
 from roblp.basis import multi_index_set
@@ -155,14 +155,14 @@ def test_risk_monotonicity_soft_guard():
 
 def test_wilson_half_width():
     # against the textbook formula at p-hat = 0.5
-    hw = wilson_half_width(50, 100)
+    hw = _wilson_half_width(50, 100)
     z = 1.96
     denom = 1 + z * z / 100
     expected = (z / denom) * math.sqrt(0.25 / 100 + z * z / 40000)
     assert hw == pytest.approx(expected, rel=1e-12)
-    assert wilson_half_width(0, 100) > 0  # informative even with zero counts
+    assert _wilson_half_width(0, 100) > 0  # informative even with zero counts
     with pytest.raises(ValueError):
-        wilson_half_width(0, 0)
+        _wilson_half_width(0, 0)
 
 
 def test_deviation_bound_shape():
@@ -172,7 +172,7 @@ def test_deviation_bound_shape():
     # numerator is (2u - u)^2 = u^2, not zero
     clam = 0.4 / 12
     assert clam * eps0 / (2 * 2) == pytest.approx(2.0)
-    vals = [deviation_bound(eps, **kwargs) for eps in (eps0, 2 * eps0, 4 * eps0, 8 * eps0)]
+    vals = [_deviation_bound(eps, **kwargs) for eps in (eps0, 2 * eps0, 4 * eps0, 8 * eps0)]
     assert all(v2 < v1 for v1, v2 in zip(vals, vals[1:]))  # decreasing beyond the edge
     assert vals[0] == pytest.approx(
         2 * 1e8 * math.exp(-1.0 / (8 + (4 / 6) * clam * eps0 / math.sqrt(60.0)))
@@ -182,11 +182,11 @@ def test_deviation_bound_shape():
 def test_deviation_bound_tends_to_its_limits_where_a_square_overflows():
     kwargs = dict(n_b=2, sigma=3.0, lam=0.1, c=0.5, k_sup=1.0, u=1.0, nhd=50.0)
     # rho'^2 beyond float range: the exponent tends to 0, the bound to n_b sigma
-    assert deviation_bound(100.0, rho_prime_sup=1e308, **kwargs) == 6.0
+    assert _deviation_bound(100.0, rho_prime_sup=1e308, **kwargs) == 6.0
     # (c lam eps / (2 n_b) - u)^2 beyond float range: the bound tends to 0
-    assert deviation_bound(1e200, rho_prime_sup=1.0, **kwargs) == 0.0
+    assert _deviation_bound(1e200, rho_prime_sup=1.0, **kwargs) == 0.0
     # c lam eps itself beyond float range: so does it
-    assert deviation_bound(1e308, rho_prime_sup=1.0, **{**kwargs, "c": 1e300}) == 0.0
+    assert _deviation_bound(1e308, rho_prime_sup=1.0, **{**kwargs, "c": 1e300}) == 0.0
 
 
 def test_tail_check_report_structure():

@@ -10,12 +10,10 @@ from roblp.kernels import (
     KernelSpec,
     NotPositiveDefiniteError,
     ProcedureConstants,
-    epanechnikov_kernel,
     lambda_min,
     moment_matrix,
     procedure_constants,
     series_constant,
-    triangular_kernel,
     uniform_kernel,
 )
 
@@ -32,7 +30,7 @@ def uniform_axis_moment(r: int) -> float:
 def test_kernel_normalization_by_quadrature(kind, d):
     # product kernels: per-axis mass via scipy quadrature, then power d
     one_d = KernelSpec(kind=kind, d=1)
-    mass, _ = integrate.quad(lambda u: float(one_d.value(np.array([u]))), -0.5, 0.5)
+    mass, _ = integrate.quad(lambda u: one_d.value(np.array([[u]]))[0], -0.5, 0.5)
     assert mass**d == pytest.approx(1.0, abs=1e-8)
 
 
@@ -51,6 +49,12 @@ def test_kernel_support_and_sup_norm(kind):
 def test_kernel_rejects_unknown_kind():
     with pytest.raises(ValueError):
         KernelSpec(kind="gaussian", d=1)
+
+
+@pytest.mark.parametrize("shape", [(2,), (3, 1), (1, 3, 2)])
+def test_kernel_values_take_an_m_by_d_array(shape):
+    with pytest.raises(ValueError, match=r"expected \(m, 2\) points"):
+        KernelSpec(kind="uniform", d=2).value(np.zeros(shape))
 
 
 def test_moment_matrix_uniform_examples():

@@ -15,8 +15,8 @@ from roblp.lepski import (
     select_bandwidth,
     select_index,
     selection_config,
-    threshold_constant,
-    threshold_scale,
+    _threshold_constant,
+    _threshold_scale,
     _selection_plan,
 )
 from roblp.local_fit import Dataset, EmptyNeighborhoodError, LocalFitConfig
@@ -86,30 +86,30 @@ def test_bandwidth_grid_errors():
 def test_threshold_scale_values():
     grid = bandwidth_grid(10_000, 1, 2)
     # l = 0: the log term vanishes
-    assert threshold_scale(0, grid) == pytest.approx(
+    assert _threshold_scale(0, grid) == pytest.approx(
         math.sqrt(1.0 / (10_000 * grid.h_max))
     )
     # arithmetic oracle at l = 2: sqrt((1 + 2 ln 2) / (n h_max / 4))
     h2 = grid.h_max / 4
     expected = math.sqrt((1 + 2 * math.log(2)) / (10_000 * h2))
-    assert threshold_scale(2, grid) == pytest.approx(expected, rel=1e-12)
+    assert _threshold_scale(2, grid) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(0.07761, abs=1e-5)
     # strictly increasing in l
-    scales = [threshold_scale(l, grid) for l in range(grid.k_n + 1)]
+    scales = [_threshold_scale(l, grid) for l in range(grid.k_n + 1)]
     assert all(s2 > s1 for s1, s2 in zip(scales, scales[1:]))
     with pytest.raises(ValueError):
-        threshold_scale(grid.k_n + 1, grid)
+        _threshold_scale(grid.k_n + 1, grid)
 
 
 def test_threshold_constant_unit_plugin():
-    assert threshold_constant(1, 1.0, 1.0, 1.0, 1.0, 1.0, 1) == pytest.approx(12.0)
+    assert _threshold_constant(1, 1.0, 1.0, 1.0, 1.0, 1.0, 1) == pytest.approx(12.0)
     # doubling the basis size doubles the constant
-    assert threshold_constant(2, 1.0, 1.0, 1.0, 1.0, 1.0, 1) == pytest.approx(24.0)
+    assert _threshold_constant(2, 1.0, 1.0, 1.0, 1.0, 1.0, 1) == pytest.approx(24.0)
 
 
 def test_threshold_constant_rejects_square_contrast():
     with pytest.raises(ValueError):
-        threshold_constant(1, 1.0, 1.0, 1.0, math.inf, 1.0, 1)
+        _threshold_constant(1, 1.0, 1.0, 1.0, math.inf, 1.0, 1)
     with pytest.raises(ValueError):
         selection_config(square(), uniform_kernel(1), 1, c=0.5)
 
@@ -127,7 +127,7 @@ def test_selection_config_uses_the_kernel_dimension():
     lam = lambda_min(moment_matrix(uniform_kernel(2), s))
     k_sup = uniform_kernel(2).sup_norm
     threshold = selection_config(huber(2.0), uniform_kernel(2), 1, c=0.5, r=3.0)
-    assert threshold == threshold_constant(s.size, 0.5, lam, k_sup, 2.0, 3.0, 2)
+    assert threshold == _threshold_constant(s.size, 0.5, lam, k_sup, 2.0, 3.0, 2)
 
 
 @pytest.mark.parametrize(
@@ -209,7 +209,7 @@ def test_select_bandwidth_trace_replays():
     assert len(trace.estimates) == grid.k_n + 1
     assert trace.selected == trace.estimates[trace.chosen_k][2]
     # replay the rule from the recorded estimates and thresholds
-    thresholds = [threshold * threshold_scale(l, grid) for l in range(grid.k_n + 1)]
+    thresholds = [threshold * _threshold_scale(l, grid) for l in range(grid.k_n + 1)]
     chosen, _ = select_index([e for _, _, e in trace.estimates], thresholds)
     assert chosen == trace.chosen_k
     for chk in trace.pairwise_checks:

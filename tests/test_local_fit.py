@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from roblp.basis import monomial_matrix, multi_index_set
 from roblp.contrast import absolute, huber
-from roblp.kernels import KernelSpec, uniform_kernel, epanechnikov_kernel
+from roblp.kernels import KernelSpec, uniform_kernel
 from roblp.lepski import bandwidth_grid, minimax_bandwidth
 from roblp.simulate import NoiseModel, gen_data, sinusoid
 import roblp.local_fit as local_fit
@@ -20,7 +20,7 @@ from roblp.local_fit import (
     criterion,
     criterion_gradient,
     fit_local,
-    project_l1_ball,
+    _project_l1_ball,
 )
 
 from projected_gradient_oracle import (
@@ -127,7 +127,7 @@ def test_gradient_cancels_for_symmetric_residuals():
 @pytest.mark.parametrize("kernel_kind", ["uniform", "epanechnikov"])
 def test_gradient_matches_finite_differences(kernel_kind):
     rng = np.random.default_rng(7)
-    kernel = uniform_kernel(1) if kernel_kind == "uniform" else epanechnikov_kernel(1)
+    kernel = KernelSpec(kind=kernel_kind, d=1)
     for trial in range(20):
         n = 30
         xs = rng.random((n, 1))
@@ -146,12 +146,12 @@ def test_gradient_matches_finite_differences(kernel_kind):
 
 
 def test_project_l1_ball_examples():
-    np.testing.assert_allclose(project_l1_ball(np.array([0.3, -0.2]), 1.0), [0.3, -0.2])
-    np.testing.assert_allclose(project_l1_ball(np.array([2.0, 0.0]), 1.0), [1.0, 0.0])
+    np.testing.assert_allclose(_project_l1_ball(np.array([0.3, -0.2]), 1.0), [0.3, -0.2])
+    np.testing.assert_allclose(_project_l1_ball(np.array([2.0, 0.0]), 1.0), [1.0, 0.0])
     # KKT by hand: soft-threshold at 0.5
-    np.testing.assert_allclose(project_l1_ball(np.array([1.0, 1.0]), 1.0), [0.5, 0.5])
+    np.testing.assert_allclose(_project_l1_ball(np.array([1.0, 1.0]), 1.0), [0.5, 0.5])
     with pytest.raises(ValueError):
-        project_l1_ball(np.array([1.0]), 0.0)
+        _project_l1_ball(np.array([1.0]), 0.0)
 
 
 @pytest.mark.parametrize(
@@ -161,7 +161,7 @@ def test_project_l1_ball_examples():
 )
 def test_project_l1_ball_far_beyond_the_radius(t, expected):
     # u_1 - radius rounds to u_1 here, and the projection still lands on the ball
-    np.testing.assert_array_equal(project_l1_ball(np.array(t), 8.0), expected)
+    np.testing.assert_array_equal(_project_l1_ball(np.array(t), 8.0), expected)
 
 
 @given(
@@ -171,9 +171,9 @@ def test_project_l1_ball_far_beyond_the_radius(t, expected):
 @settings(max_examples=150, deadline=None)
 def test_project_l1_ball_properties(vals, radius):
     t = np.array(vals)
-    p = project_l1_ball(t, radius)
+    p = _project_l1_ball(t, radius)
     assert np.sum(np.abs(p)) <= radius + 1e-9
-    np.testing.assert_allclose(project_l1_ball(p, radius), p, atol=1e-12)
+    np.testing.assert_allclose(_project_l1_ball(p, radius), p, atol=1e-12)
     if np.sum(np.abs(t)) <= radius:
         np.testing.assert_array_equal(p, t)
 
@@ -200,7 +200,7 @@ def test_project_l1_ball_against_qp_oracle():
             options={"ftol": 1e-14, "maxiter": 1000},
         )
         oracle = res.x[:4] - res.x[4:]
-        np.testing.assert_allclose(project_l1_ball(t, radius), oracle, atol=1e-6)
+        np.testing.assert_allclose(_project_l1_ball(t, radius), oracle, atol=1e-6)
 
 
 def test_fit_recovers_noiseless_polynomial():
@@ -388,7 +388,7 @@ def test_newton_point_outside_ball_ends_on_the_ball():
     assert res.stationarity_gap <= tol
     t = res.theta_hat.values
     grad = criterion_gradient(t, data, cfg)
-    assert np.linalg.norm(t - project_l1_ball(t - grad, cfg.bound)) <= tol
+    assert np.linalg.norm(t - _project_l1_ball(t - grad, cfg.bound)) <= tol
 
 
 def test_binding_ball_certifies_tight_tolerance():
@@ -478,7 +478,7 @@ def _binding_models(draw):
     eig[0], eig[-1] = 1.0 / kappa, 1.0
     hess = (q * eig) @ q.T
     hess = (hess + hess.T) / 2
-    t = project_l1_ball(rng.normal(size=n_b) * radius, radius)
+    t = _project_l1_ball(rng.normal(size=n_b) * radius, radius)
     newton = rng.normal(size=n_b) * radius * 10.0 ** rng.uniform(0.0, 2.0)
     grad = hess @ (t - newton)
     assume(np.abs(t - np.linalg.solve(hess, grad)).sum() > radius)
@@ -503,7 +503,7 @@ def test_homotopy_model_solve_no_worse_than_projected_gradient_oracle(problem):
     assert _model(hess, grad, t, u) <= _model(hess, grad, t, oracle) + 1e-12 * scale
     assert np.abs(u).sum() <= radius * (1 + 1e-12)
     model_grad = grad + hess @ (u - t)
-    assert np.linalg.norm(u - project_l1_ball(u - model_grad, radius)) <= 1e-10
+    assert np.linalg.norm(u - _project_l1_ball(u - model_grad, radius)) <= 1e-10
 
 
 def test_failed_model_solve_falls_back_to_gradient_steps(monkeypatch):
@@ -543,7 +543,7 @@ def test_homotopy_survives_simultaneous_events():
     assert u is not None
     np.testing.assert_allclose(u, [0.0, 0.0, -0.1875, 0.3125], atol=1e-15)
     model_grad = grad + hess @ u
-    assert np.linalg.norm(u - project_l1_ball(u - model_grad, 0.5)) <= 1e-14
+    assert np.linalg.norm(u - _project_l1_ball(u - model_grad, 0.5)) <= 1e-14
 
 
 def _stacking_cases():

@@ -1,28 +1,29 @@
 import inspect
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from roblp.basis import multi_index_set
+from roblp.lepski import holder_floor
 from roblp.simulate import (
     HETEROSCEDASTIC_KINDS,
     NOISE_FAMILIES,
     TEST_FUNCTIONS,
     HeteroscedasticRule,
+    NoiseFamily,
     NoiseModel,
-    certify_holder,
-    certify_noise_family,
     constant_function,
     cusp,
     gen_data,
-    gen_design,
-    gen_noise,
+    _gen_design,
+    _gen_noise,
     gen_window,
     make_test_function,
     product_sinusoid,
     sinusoid,
     substream,
-    function_library,
 )
 
 # asymptotic sd of the sample median is 1 / (2 g(0) sqrt(n)); per-family g(0)
@@ -33,31 +34,95 @@ MEDIAN_BAND_CONSTANT = {
 }
 
 
+# Certificates of the declared constants: the oracles of the tests below.
+def function_library() -> list:
+    """Named test functions with certified constants."""
+    return [
+        sinusoid(beta=2.0),
+        sinusoid(beta=3.0),
+        cusp(beta=0.5, amplitude=1.0, center=0.5),
+        cusp(beta=1.0, amplitude=1.0, center=0.3),
+        product_sinusoid(beta=2.0),
+        constant_function(0.5),
+    ]
+
+
+@dataclass(frozen=True)
+class HolderCertificate:
+    """Sampled check of the declared smoothness constants."""
+
+    max_holder_ratio: float
+    derivative_sum: float
+    ok: bool
+
+
+def certify_holder(f, n_pairs: int = 10_000, seed: int = 0) -> HolderCertificate:
+    """Check the two class inequalities on sampled point pairs: top-order
+    increments against L ||x - y||_1^{beta - floor}, and the grid sup of
+    the derivative sum against the bound M."""
+    floor = holder_floor(f.beta)
+    rng = substream(seed, 7)
+    xs = rng.random((n_pairs, f.d))
+    ys = rng.random((n_pairs, f.d))
+    exponent = f.beta - floor
+
+    top = [p for p in multi_index_set(floor, f.d).indices if sum(p) == floor]
+    max_ratio = 0.0
+    for p in top:
+        for xi, yi in zip(xs, ys):
+            fx = f.partial(p, xi) if floor > 0 else float(f(xi))
+            fy = f.partial(p, yi) if floor > 0 else float(f(yi))
+            if fx is None or fy is None:
+                return HolderCertificate(math.inf, math.inf, False)
+            gap = np.abs(xi - yi).sum()
+            if gap > 0:
+                max_ratio = max(max_ratio, abs(fx - fy) / gap**exponent)
+
+    grid = rng.random((512, f.d))
+    der_sum = 0.0
+    for p in multi_index_set(floor, f.d).indices:
+        if sum(p) == 0:
+            der_sum += float(np.max(np.abs(f(grid))))
+        else:
+            der_sum += max(abs(f.partial(p, xi)) for xi in grid)
+    ok = max_ratio <= f.lipschitz * (1 + 1e-9) and der_sum <= f.bound * (1 + 1e-9)
+    return HolderCertificate(max_holder_ratio=max_ratio, derivative_sum=der_sum, ok=ok)
+
+
+def certify_noise_family(family: NoiseFamily) -> bool:
+    """Symmetry and monotone decay on the positive axis, on a grid."""
+    grid = np.linspace(0.0, 20.0, 2001)
+    dens = np.asarray(family.density(grid), dtype=float)
+    symmetric = np.allclose(dens, np.asarray(family.density(-grid), dtype=float))
+    decreasing = bool(np.all(np.diff(dens) <= 1e-15))
+    return symmetric and decreasing and bool(np.all(dens >= 0))
+
+
 def test_design_determinism_and_range():
-    a = gen_design(1000, 2, seed=42)
-    b = gen_design(1000, 2, seed=42)
+    a = _gen_design(1000, 2, seed=42)
+    b = _gen_design(1000, 2, seed=42)
     np.testing.assert_array_equal(a, b)
-    c = gen_design(1000, 2, seed=43)
+    c = _gen_design(1000, 2, seed=43)
     assert not np.array_equal(a, c)
     assert np.all((a >= 0) & (a < 1))
 
 
 def test_design_mean_band():
     n = 100_000
-    x = gen_design(n, 2, seed=7)
+    x = _gen_design(n, 2, seed=7)
     for j in range(2):
         assert abs(x[:, j].mean() - 0.5) < 4 / math.sqrt(n)
 
 
 def test_substream_isolation():
     # design and noise streams of the same seed do not overlap
-    x = gen_design(100, 1, seed=5)
+    x = _gen_design(100, 1, seed=5)
     model = NoiseModel(family="gaussian", base_scale=1.0)
-    noise = gen_noise(model, 100, seed=5)
+    noise = _gen_noise(model, 100, seed=5)
     assert not np.allclose(x[:, 0], noise)
     # tuple seeds address replications
-    n1 = gen_noise(model, 50, seed=(5, 0))
-    n2 = gen_noise(model, 50, seed=(5, 1))
+    n1 = _gen_noise(model, 50, seed=(5, 0))
+    n2 = _gen_noise(model, 50, seed=(5, 1))
     assert not np.allclose(n1, n2)
 
 
@@ -75,7 +140,7 @@ def test_noise_median_band(family):
     n = 100_000
     scale = 1.7
     model = NoiseModel(family=family, base_scale=scale)
-    draws = gen_noise(model, n, seed=11)
+    draws = _gen_noise(model, n, seed=11)
     band = 4 * MEDIAN_BAND_CONSTANT[family] / math.sqrt(n) * scale
     assert abs(np.median(draws)) < band
 
@@ -83,7 +148,7 @@ def test_noise_median_band(family):
 def test_cauchy_interquartile_range():
     n = 100_000
     model = NoiseModel(family="cauchy", base_scale=2.0)
-    draws = gen_noise(model, n, seed=13)
+    draws = _gen_noise(model, n, seed=13)
     q75, q25 = np.percentile(draws, [75, 25])
     # quartiles of the unit cauchy sit at +/- 1
     assert q75 - q25 == pytest.approx(2 * 2.0, rel=0.05)
@@ -148,7 +213,7 @@ def test_sigma_min_slack_is_relative_to_the_smallest_scale():
 def test_noise_model_rejects_a_non_finite_largest_draw(family):
     quantile = abs(float(NOISE_FAMILIES[family].quantile(1.0 - 2.0**-53)))
     scale = np.finfo(float).max / quantile / 2.0
-    assert np.all(np.isfinite(gen_noise(NoiseModel(family=family, base_scale=scale), 2000, 3)))
+    assert np.all(np.isfinite(_gen_noise(NoiseModel(family=family, base_scale=scale), 2000, 3)))
     with pytest.raises(ValueError, match=r"the largest noise draw, .* is not finite"):
         NoiseModel(family=family, base_scale=4.0 * scale)
     rule = HeteroscedasticRule(kind="alternating", factor=4.0)
@@ -181,8 +246,8 @@ def test_gen_data_zero_function_gives_noise_stream():
     f = constant_function(0.0)
     model = NoiseModel(family="laplace", base_scale=1.0)
     data = gen_data(f, model, 80, 1, seed=9)
-    np.testing.assert_array_equal(data.y, gen_noise(model, 80, seed=9))
-    np.testing.assert_array_equal(data.x, gen_design(80, 1, seed=9))
+    np.testing.assert_array_equal(data.y, _gen_noise(model, 80, seed=9))
+    np.testing.assert_array_equal(data.x, _gen_design(80, 1, seed=9))
 
 
 # (x0, h) boxes: interior, clipped at 0, clipped at 1, holding every row
