@@ -19,7 +19,10 @@ A window is only its rows.  A block draws each replication's rows inside
 its plan's first window (a grid's widest level, or the one window every
 contrast of a compare table shares), never a whole ``Dataset``, and cuts
 each fit's window from those rows; so a plan's windows must lie each
-inside the one before it, checked by ``_windows``.
+inside the one before it, checked by ``_windows``.  Only the random
+streams are drawn replication by replication: the test function, the
+noise transform, every window cut and the solver's layout each run once
+over the whole block's rows, as array operations.
 
 Risks are always finite without moment assumptions on the noise: both the
 estimator and the target are bounded by the coefficient bound M, so every
@@ -49,7 +52,6 @@ from .lepski import (
 )
 from .local_fit import (
     Dataset,
-    EmptyNeighborhoodError,
     LocalFitConfig,
     OptimizerSettings,
     _fit_problems,
@@ -222,24 +224,19 @@ def _block_estimates(args) -> np.ndarray:
     each; a NaN row marks a replication with an empty window (counted and
     excluded by the caller).
 
-    Each replication draws only the rows in the plan's first window and
-    cuts every config's window from them (``_windows``, which rejects a
-    plan whose windows do not each lie inside the one before); one solver
-    call takes the block's windows as one list and solves them in stacks.
+    One ``gen_window`` call draws each replication's rows in the plan's
+    first window, one ``_windows`` call cuts every config's window of every
+    replication from them (and rejects a plan whose windows do not each lie
+    inside the one before), and one solver call takes the block's windows
+    and solves them in stacks.
     """
     configs, f, model, n, seed, reps = args
-    box = configs[0].x0, configs[0].h
-    estimates = np.full((len(reps), len(configs)), math.nan)
-    windows, fitted = [], []  # fitted: the rows of replications with windows
-    for row, rep in enumerate(reps):
-        x, y = gen_window(f, model, n, configs[0].d, (seed, rep), box)
-        try:
-            windows += _windows(x, y, n, configs)
-        except EmptyNeighborhoodError:
-            continue
-        fitted.append(row)
+    seeds, box = [(seed, rep) for rep in reps], (configs[0].x0, configs[0].h)
+    x, y, counts = gen_window(f, model, n, configs[0].d, seeds, box)
+    windows, fitted = _windows(x, y, n, configs, counts)
     fits = [fit.estimate for fit in _fit_problems(windows)]
-    estimates[fitted] = np.reshape(fits, (len(fitted), len(configs)))
+    estimates = np.full((len(reps), len(configs)), math.nan)
+    estimates[fitted] = np.reshape(fits, (len(configs), -1)).T
     return estimates
 
 
@@ -248,11 +245,16 @@ def _replication_estimates(jobs, f, model, replications, seed, workers: int = 1)
     of one run, a (replications x configs) array per job.  Each job's
     replications run in contiguous blocks (at least one per worker), and
     the blocks of every job form one task list, mapped through at most one
-    pool.  The pool has no more processes than the machine has CPUs or the
-    run has blocks.  A replication count below 1 is a ValueError."""
+    pool.  The pool has no more processes than this process may run on
+    CPUs (its affinity mask, where the platform has one) or the run has
+    blocks.  A replication count below 1 is a ValueError."""
     if replications < 1:
         raise ValueError(f"need at least 1 replication, got {replications}")
-    workers = min(workers, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(workers, cpus)
     size = max(1, min(BLOCK_REPLICATIONS, -(-replications // workers)))
     starts = range(0, replications, size)
     tasks = [

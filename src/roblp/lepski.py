@@ -259,7 +259,7 @@ def select_bandwidth(
     ``selection_config``.  An empty window raises
     ``EmptyNeighborhoodError`` carrying the offending grid index.
     """
-    windows = _windows(data.x, data.y, data.n, levels, grid=True)
+    windows, _ = _windows(data.x, data.y, data.n, levels, grid=True)
     estimates = [fit.estimate for fit in _fit_problems(windows)]
     chosen, checks = select_index(estimates, thresholds)
     return SelectionTrace(

@@ -29,17 +29,20 @@ which iterates the windows of equal fit settings (degree, kernel, radius,
 contrast, optimizer) in stacks of up to _STACK_CHUNKS chunks; a bandwidth
 selection solves its grid levels as one stack, and ``fit_local`` is a
 stack of one.  A window is only its rows, and ``_windows`` alone cuts
-them, from given rows ``x``, ``y`` of a sample of size n (all of a
-``Dataset``'s, or just those the harness drew inside the plan's first
-window); n sets its 1/(n h^d) scale.  A plan's windows (a grid's levels,
-a compare table's contrasts, or one fit) lie each inside the one before
-it, checked by ``_windows``: each is cut from the samples of the one
-before, so only the first scans the given rows.  The stack writes each
-window's rescaled points into whole chunks of _CHUNK rows, padded with
-zero rows, and builds the design monomials and kernel weights of all its
-windows in one call each.  Every fit starts from the kernel-weighted median of its
-window's responses, found by a partition where the weights are all one
-(the uniform kernel) and by a sort otherwise.  Each iteration takes the
+them, from given rows ``x``, ``y`` of samples of size n (all of a
+``Dataset``'s, or those the harness drew inside the plan's first window
+for a whole block of replications); n sets its 1/(n h^d) scale.  A plan's
+windows (a grid's levels, a compare table's contrasts, or one fit) lie
+each inside the one before it, checked by ``_windows``: each is cut from
+the samples of the one before, by one mask over the block's rows, so only
+the first scans the given rows.  The windows of one config come as one
+``_Windows``: their rows end to end and each one's row count.  The stack
+writes every window's rescaled points into whole chunks of _CHUNK rows,
+padded with zero rows, by one mask scatter, and builds the design monomials
+and kernel weights of all its windows in one call each.  Every fit starts
+from the kernel-weighted median of its window's responses, found by a
+partition where the weights are all one (the uniform kernel) and by a
+sort otherwise.  Each iteration takes the
 residuals, gradients, Hessians, condition tests, Newton solves, line
 searches and stationarity gaps of all live fits at once; a fit that needs
 the homotopy or a gradient step takes it inside the same loop.  Every sum
@@ -272,37 +275,61 @@ def _residuals(design_t: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray
 def _box_rows(x: np.ndarray, x0, h: float) -> np.ndarray:
     """Indices, in order, of the rows of ``x`` in the sup-norm box of side
     ``h`` centered at ``x0``: a fit's window."""
-    return np.flatnonzero((np.abs(x - x0) <= h / 2.0).all(axis=1))
+    inside = np.abs(x - x0) <= h / 2.0
+    # one column needs no reduction: its flat indices are the rows
+    return np.flatnonzero(inside if x.shape[1] == 1 else inside.all(axis=1))
 
 
-class _LocalProblem:
-    """One fit's window, as ``_windows`` cuts it: the design points ``x``
-    and responses ``y`` of the samples in it, their count ``n_local``, the
-    1/(n h^d) normalization ``scale`` by the full sample size ``n``, and
-    the fit's ``cfg``.  A ``_Stack`` lays windows out for the solver and
-    builds their rescaled design and kernel weights."""
+class _Windows:
+    """The windows of one fit config in a block of replications, as
+    ``_windows`` cuts them: the design points ``x`` and responses ``y`` of
+    their samples, window after window, the sample count ``n_local`` of
+    each, the 1/(n h^d) normalization ``scale`` by the full sample size
+    ``n``, and the fit's ``cfg``.  A ``_Stack`` lays windows out for the
+    solver and builds their rescaled design and kernel weights."""
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, n: int, cfg: LocalFitConfig):
-        self.x, self.y, self.cfg = x, y, cfg
-        self.n_local = y.size
-        self.scale = 1.0 / (n * cfg.h**cfg.d)
+    def __init__(
+        self, x: np.ndarray, y: np.ndarray, n_local: np.ndarray, scale: float, cfg: LocalFitConfig
+    ):
+        self.x, self.y, self.n_local, self.scale, self.cfg = x, y, n_local, scale, cfg
+        self.size = n_local.size  # windows
+
+    def take(self, start: int, stop: int) -> _Windows:
+        """Windows start..stop-1, as views of these rows."""
+        first, last = self.n_local[:start].sum(), self.n_local[:stop].sum()
+        return _Windows(
+            self.x[first:last], self.y[first:last], self.n_local[start:stop], self.scale, self.cfg
+        )
 
 
 def _windows(
-    x: np.ndarray, y: np.ndarray, n: int, configs: Sequence[LocalFitConfig], grid: bool = False
-) -> list[_LocalProblem]:
-    """The window of each fit config among the rows ``x``, ``y`` of a
-    sample of size ``n`` (all its rows, or a set holding the first window).
-    An empty one raises EmptyNeighborhoodError, carrying its position as
+    x: np.ndarray,
+    y: np.ndarray,
+    n: int,
+    configs: Sequence[LocalFitConfig],
+    counts: np.ndarray | None = None,
+    grid: bool = False,
+) -> tuple[list[_Windows], np.ndarray]:
+    """The windows of each fit config among the rows ``x``, ``y`` of
+    samples of size ``n`` (all of a sample's rows, or a set holding its
+    first window), one ``_Windows`` per config, and the mask of the
+    replications they hold.
+
+    With ``counts``, the rows are those of a block of replications,
+    ``counts[r]`` rows of replication r after those of the one before; a
+    replication with an empty window is dropped from every config's
+    windows and marked False.  Without, the rows are one sample's, and an
+    empty window raises EmptyNeighborhoodError, carrying its position as
     the grid index when the configs are the levels of a bandwidth ``grid``.
 
     The configs are a chain of nested windows: each has the x0 of the one
     before it and a bandwidth no larger, so, a window being a sup-norm
     box, it lies inside the one before.  Any other plan is a ValueError,
     raised before a window is cut.  Window 0 is cut from the given rows
-    and each later one from the window before it.  The mask is
-    elementwise, so a window is the same bit for bit as one cut from the
-    full sample."""
+    and each later one from the window before it, by one mask over the
+    whole block; each replication's row count is a ``bincount`` of the
+    replication ids.  The mask is elementwise, so a window is the same bit
+    for bit as one cut from its replication's full sample."""
     if x.shape[1] != configs[0].d:
         raise ValueError(f"data dimension {x.shape[1]} != config dimension {configs[0].d}")
     for k in range(1, len(configs)):
@@ -312,21 +339,36 @@ def _windows(
                 f"fit config {k} (x0={cfg.x0}, h={cfg.h}) lies outside the window of"
                 f" fit config {k - 1} (x0={prev.x0}, h={prev.h})"
             )
-    windows: list[_LocalProblem] = []
+    # each row's replication, where there are several
+    rep = None if counts is None else np.repeat(np.arange(len(counts)), counts)
+    cuts = []
     for k, cfg in enumerate(configs):
         inside = _box_rows(x, cfg.x0, cfg.h)
-        if not inside.size:
+        if rep is None and not inside.size:
             raise EmptyNeighborhoodError(cfg.x0, cfg.h, grid_index=k if grid else None)
         x, y = x.take(inside, axis=0), y.take(inside)
-        windows.append(_LocalProblem(x, y, n, cfg))
-    return windows
+        if rep is None:
+            n_local = np.array([inside.size])
+        else:
+            rep = rep.take(inside)
+            n_local = np.bincount(rep, minlength=len(counts))
+        cuts.append((x, y, rep, n_local))
+    ok = cuts[-1][3] > 0  # the windows nest, so the last is the first to empty
+    dropped = not ok.all()
+    windows = []
+    for cfg, (x, y, rep, n_local) in zip(configs, cuts):
+        if dropped:
+            keep = ok.take(rep)
+            x, y, n_local = x[keep], y[keep], n_local[ok]
+        windows.append(_Windows(x, y, n_local, 1.0 / (n * cfg.h**cfg.d), cfg))
+    return windows, ok
 
 
 def _stack_at(t, data: Dataset, cfg: LocalFitConfig) -> _Stack | None:
     """The window of ``data`` for ``cfg`` as a stack of one at coefficients
     ``t``, or None when the window is empty."""
     try:
-        windows = _windows(data.x, data.y, data.n, [cfg])
+        windows, _ = _windows(data.x, data.y, data.n, [cfg])
     except EmptyNeighborhoodError:
         return None
     return _Stack(windows, np.asarray(t, dtype=float)[None])
@@ -381,12 +423,11 @@ def _project_l1_ball(t, radius: float) -> np.ndarray:
     return _project_rows(t[None], radius)[0]
 
 
-def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
+def _weighted_median(values: np.ndarray, weights: np.ndarray | None = None) -> float:
     """The lower weighted median: the first value, in stable sorted order,
-    at which the cumulative weight reaches half the total."""
-    if weights.sum() <= 0:
-        return float(np.median(values))
-    if (weights == 1.0).all():
+    at which the cumulative weight reaches half the total; ``weights``
+    None stands for unit weights."""
+    if weights is None:
         # The cumulative weights 1, 2, ..., m are exact, so that value has
         # rank (m - 1) // 2, and a partition finds it without a sort.  Only
         # -0.0 and 0.0 tie without being the same bits: of the zeros, take
@@ -396,6 +437,8 @@ def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
         if value == 0.0:
             value = values[values == 0.0][rank - np.count_nonzero(values < 0.0)]
         return float(value)
+    if weights.sum() <= 0:
+        return float(np.median(values))
     order = np.argsort(values, kind="stable")
     v = values[order]
     w = weights[order]
@@ -536,33 +579,52 @@ class _Stack:
         """Chunks a window of ``n_local`` samples fills."""
         return -(-n_local // _CHUNK)
 
-    def __init__(self, windows: list[_LocalProblem], t: np.ndarray | None = None):
+    def __init__(self, windows: list[_Windows], t: np.ndarray | None = None):
         """Lay out ``windows`` (none empty, of one settings key) and start each
         fit at its row of ``t``, by default at the kernel-weighted median of
-        its responses in the constant coordinate (zeros elsewhere, projected)."""
+        its responses in the constant coordinate (zeros elsewhere, projected).
+        Every window's rescaled points and responses reach the chunk layout
+        by one mask scatter over the stack's rows, not window by window."""
         cfg = windows[0].cfg
         self.contrast, self.radius, self.optimizer = cfg.contrast, cfg.bound, cfg.optimizer
         self.index_set = cfg.index_set
-        size, n_b = len(windows), self.index_set.size
+        n_b = self.index_set.size
+        self.n_local = np.concatenate([w.n_local for w in windows])
+        size = self.n_local.size
         self.index = np.arange(size)
-        self.n_local = np.array([window.n_local for window in windows])
         self.chunks = self.chunk_count(self.n_local)
-        self.scale = np.array([window.scale for window in windows])
+        self.scale = np.repeat([w.scale for w in windows], [w.size for w in windows])
         self._layout()
-        rows = [slice(first, first + n) for first, n in zip(self.starts * _CHUNK, self.n_local)]
-        z = np.zeros((int(self.chunks.sum()) * _CHUNK, cfg.d))
-        y, live = np.zeros(z.shape[0]), np.zeros(z.shape[0], dtype=bool)
-        for window, fit in zip(windows, rows):
-            z[fit] = (window.x - window.cfg.x0) / window.cfg.h
-            y[fit], live[fit] = window.y, True
-        design = monomial_matrix(z, self.index_set)
-        design[~live] = 0.0  # padding rows
+        # a window's samples fill the first rows of its chunks, in order
+        position = np.arange(self.owner.size) - self.starts[self.owner]  # of a chunk in its window
+        live = (np.arange(_CHUNK) < (self.n_local[self.owner] - _CHUNK * position)[:, None]).ravel()
+        # the rescaled points, one coordinate per row of z (each scattered
+        # by a one-dimensional mask), and the responses
+        x = np.concatenate([(w.x - w.cfg.x0) / w.cfg.h for w in windows])
+        z = np.zeros((cfg.d, live.size))
+        for coordinate, column in zip(x.T, z):
+            column[live] = coordinate
+        z = z.T
+        y = np.zeros(live.size)
+        y[live] = np.concatenate([w.y for w in windows])
+        # each monomial's values over the rows, one contiguous row each; a
+        # padding row (z = 0) holds only the constant monomial, 1, so
+        # zeroing that one clears it
+        design = monomial_matrix(z, self.index_set).T
+        design[0] = live
         weights = np.where(live, cfg.kernel.value(z), 0.0)
-        self.design_t = np.ascontiguousarray(design.reshape(-1, _CHUNK, n_b).transpose(0, 2, 1))
+        self.design_t = np.ascontiguousarray(design.reshape(n_b, -1, _CHUNK).transpose(1, 0, 2))
         self.weights, self.y = weights.reshape(-1, _CHUNK), y.reshape(-1, _CHUNK)
         if t is None:
+            # a window whose weights are all one (the uniform kernel's)
+            # takes the unit-weight median
+            unit = self.per_fit((self.weights == 1.0).sum(axis=1)) == self.n_local
+            firsts = (self.starts * _CHUNK).tolist()
             t = np.zeros((size, n_b))
-            t[:, 0] = [_weighted_median(y[fit], weights[fit]) for fit in rows]
+            t[:, 0] = [
+                _weighted_median(y[first : first + m], None if one else weights[first : first + m])
+                for first, m, one in zip(firsts, self.n_local.tolist(), unit.tolist())
+            ]
             t = _project_rows(t, self.radius)
         self.t = t
         self.stopped = np.zeros(size, dtype=bool)
@@ -630,17 +692,19 @@ class _Stack:
         """Store the results of the fits in ``rows``, by default of all."""
         rows = np.arange(self.size) if rows is None else rows
         t = _project_rows(self.t[rows], self.radius)
-        for values, row in zip(t, rows):
-            i = self.index[row]
+        n_b = self.index_set.size
+        names = ("index", "n_local", "iterations", "gap", "converged")
+        fields = [getattr(self, name)[rows].tolist() for name in names]
+        for values, i, n_local, iterations, gap, converged in zip(t, *fields):
             theta = CoefficientVector(values=values, index_set=self.index_set)
             results[i] = FitResult(
                 theta_hat=theta,
                 estimate=theta.center_value,
-                n_local=int(self.n_local[row]),
-                iterations=int(self.iterations[row]),
-                stationarity_gap=float(self.gap[row]),
-                converged=bool(self.converged[row]),
-                underdetermined=bool(self.n_local[row] < self.index_set.size),
+                n_local=n_local,
+                iterations=iterations,
+                stationarity_gap=gap,
+                converged=converged,
+                underdetermined=n_local < n_b,
             )
 
     def release(self, done: np.ndarray, results: list) -> None:
@@ -726,7 +790,7 @@ def _newton_steps(stack: _Stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cand, cand_val, took
 
 
-def _fit_stack(windows: list[_LocalProblem]) -> list[FitResult]:
+def _fit_stack(windows: list[_Windows]) -> list[FitResult]:
     """Minimize the local criteria of a stack of windows together.
 
     Every iteration takes a proximal Newton step (``_newton_steps``) for
@@ -737,7 +801,7 @@ def _fit_stack(windows: list[_LocalProblem]) -> list[FitResult]:
     iteration cap.
     """
     stack = _Stack(windows)
-    results: list = [None] * len(windows)
+    results: list = [None] * stack.size
     for _ in range(stack.optimizer.max_iterations):
         done = stack.converged | stack.stopped
         if done.all():
@@ -751,34 +815,47 @@ def _fit_stack(windows: list[_LocalProblem]) -> list[FitResult]:
     return results
 
 
-def _fit_problems(windows: list[_LocalProblem]) -> list[FitResult]:
-    """Fit every window of ``windows``; the results are in input order.
+def _fit_problems(windows) -> list[FitResult]:
+    """Fit every window of each ``_Windows`` of ``windows``; the results are
+    in input order, window after window.
 
     Windows with equal fit settings (all but x0 and h) are solved
     together, in whatever order they come: each settings key gathers one
     pending stack of at most _STACK_CHUNKS chunks (or one window larger on
-    its own), solved once it is complete.  The windows come from
-    ``_windows``, so none is empty.
+    its own), solved once it is complete; a ``_Windows`` that does not fit
+    is split where the stack fills.  The windows come from ``_windows``,
+    so none is empty.
     """
     results: list = []
-    pending: dict = {}  # settings key -> [positions, windows, chunks]
+    pending: dict = {}  # settings key -> [first results, windows, chunks]
 
     def solve(key):
-        positions, stack, _ = pending.pop(key)
-        for i, fit in zip(positions, _fit_stack(stack)):
-            results[i] = fit
+        firsts, stack, _ = pending.pop(key)
+        fits, at = _fit_stack(stack), 0
+        for first, part in zip(firsts, stack):
+            results[first : first + part.size] = fits[at : at + part.size]
+            at += part.size
 
-    for i, window in enumerate(windows):
-        cfg = window.cfg
+    for part in windows:
+        if not part.size:
+            continue
+        cfg = part.cfg
         key = (cfg.degree, cfg.kernel, cfg.bound, cfg.contrast, cfg.optimizer)
-        size = _Stack.chunk_count(window.n_local)
-        if key in pending and pending[key][2] + size > _STACK_CHUNKS:
-            solve(key)
+        first, taken = len(results), 0
+        results += [None] * part.size
         group = pending.setdefault(key, [[], [], 0])
-        group[0].append(i)
-        group[1].append(window)
-        group[2] += size
-        results.append(None)
+        for i, n_local in enumerate(part.n_local.tolist()):
+            size = _Stack.chunk_count(n_local)
+            if group[2] and group[2] + size > _STACK_CHUNKS:
+                if i > taken:
+                    group[0].append(first + taken)
+                    group[1].append(part.take(taken, i))
+                    taken = i
+                solve(key)
+                group = pending.setdefault(key, [[], [], 0])
+            group[2] += size
+        group[0].append(first + taken)
+        group[1].append(part.take(taken, part.size) if taken else part)
     for key in list(pending):
         solve(key)
     return results
@@ -798,4 +875,5 @@ def fit_local(data: Dataset, cfg: LocalFitConfig) -> FitResult:
     """
     if data.n == 0:
         raise ValueError("dataset is empty")
-    return _fit_problems(_windows(data.x, data.y, data.n, [cfg]))[0]
+    windows, _ = _windows(data.x, data.y, data.n, [cfg])
+    return _fit_problems(windows)[0]

@@ -9,13 +9,14 @@ inverse transform from the same uniform stream; the quantile transforms
 are folded around 1/2 so that flipping a uniform u -> 1 - u negates the
 draw exactly.
 
-One routine, ``gen_window``, draws every sample.  A fit sees only the
-samples in its window, so the Monte Carlo harness takes just a window's
-rows: both uniform streams are drawn in full, then f, the scale rule and
-the noise quantile run on the window's rows alone.  Each of them is
-elementwise, so every row has the same bits as in the whole sample, which
-``gen_data`` returns as a validated ``Dataset`` (for the CLI and direct
-fits).
+One routine, ``gen_window``, draws every sample, for a block of seeds at
+once.  A fit sees only the samples in its window, so the Monte Carlo
+harness takes just a window's rows: per seed, both uniform streams are
+drawn in full and cut to the window's rows, one seed at a time; then f,
+the scale rule and the noise quantile run once, on the block's window
+rows.  Each of them is elementwise, so every row has the same bits as in
+its seed's whole sample, which ``gen_data`` returns as a validated
+``Dataset`` (for the CLI and direct fits), a block of one.
 """
 
 from __future__ import annotations
@@ -70,10 +71,10 @@ def substream(seed, *stream_ids: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class NoiseFamily:
-    """A symmetric unit-scale density with closed-form cdf and quantile."""
+    """A symmetric unit-scale distribution with closed-form cdf and
+    quantile."""
 
     name: str
-    density: Callable[[float], float]
     cdf: Callable[[float], float]
     _upper_quantile: Callable[[np.ndarray], np.ndarray]  # for u in [1/2, 1)
 
@@ -83,11 +84,6 @@ class NoiseFamily:
         upper = np.where(u >= 0.5, u, 1.0 - u)
         vals = self._upper_quantile(upper)
         return np.where(u >= 0.5, vals, -vals)
-
-
-def _gauss_density(z):
-    z = np.asarray(z, dtype=float)
-    return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
 def _gauss_cdf(z):
@@ -100,18 +96,8 @@ def _gauss_upper_quantile(u):
     return ndtri(u)
 
 
-def _laplace_density(z):
-    z = np.asarray(z, dtype=float)
-    return 0.5 * np.exp(-np.abs(z))
-
-
 def _laplace_cdf(z):
     return 0.5 * math.exp(z) if z < 0 else 1.0 - 0.5 * math.exp(-z)
-
-
-def _cauchy_density(z):
-    z = np.asarray(z, dtype=float)
-    return 1.0 / (math.pi * (1.0 + z * z))
 
 
 def _cauchy_cdf(z):
@@ -121,19 +107,16 @@ def _cauchy_cdf(z):
 NOISE_FAMILIES = {
     "gaussian": NoiseFamily(
         name="gaussian",
-        density=_gauss_density,
         cdf=_gauss_cdf,
         _upper_quantile=_gauss_upper_quantile,
     ),
     "laplace": NoiseFamily(
         name="laplace",
-        density=_laplace_density,
         cdf=_laplace_cdf,
         _upper_quantile=lambda u: -np.log(2.0 * (1.0 - u)),
     ),
     "cauchy": NoiseFamily(
         name="cauchy",
-        density=_cauchy_density,
         cdf=_cauchy_cdf,
         _upper_quantile=lambda u: np.tan(math.pi * (u - 0.5)),
     ),
@@ -276,45 +259,51 @@ def _gen_design(n: int, d: int, seed) -> np.ndarray:
     return substream(seed, DESIGN_STREAM).random((n, d))
 
 
-def _gen_noise(model: NoiseModel, n: int, seed, rows: np.ndarray | None = None) -> np.ndarray:
-    """Heteroscedastic noise draws sigma_i * xi_i from the noise sub-stream:
-    all n, or those of the sample indices ``rows``.  The whole stream is
-    drawn either way, so a draw's bits do not depend on ``rows``."""
-    u = substream(seed, NOISE_STREAM).random(n)
-    if rows is None:
-        rows = np.arange(n)
-    else:
-        u = u.take(rows)
+def _gen_noise(model: NoiseModel, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Heteroscedastic noise draws sigma_i * xi_i at the sample indices
+    ``rows`` from their uniforms ``u`` of the noise sub-stream."""
     u = _U_MARGIN + u * (1.0 - 2.0 * _U_MARGIN)
     return model.scales(rows) * model.unit_family.quantile(u)
 
 
 def gen_window(
-    f, model: NoiseModel, n: int, d: int, seed, box=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sample Y_i = f(X_i) + sigma_i xi_i of size n, with independent
-    design and noise sub-streams, as rows (x, y): those in ``box``, an
-    (x0, h) pair naming a fit's window, the sup-norm box of side h centered
-    at x0; all n rows without one.
+    f, model: NoiseModel, n: int, d: int, seeds, box=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each seed of ``seeds``, the sample Y_i = f(X_i) + sigma_i xi_i of
+    size n, with independent design and noise sub-streams, as rows (x, y):
+    those in ``box``, an (x0, h) pair naming a fit's window, the sup-norm
+    box of side h centered at x0; all n rows without one.  Returns the rows
+    of every seed, seed after seed, and each seed's row count.
 
-    Both sub-streams are drawn in full, so a row's bits do not depend on
-    the box: f, the scale rule and the noise quantile are elementwise, and
-    are evaluated on the box's rows only.  The design lies in [0,1)^d by
-    construction; a response that is not finite is a ValueError, as in
-    ``Dataset``."""
-    x = _gen_design(n, d, seed)
-    rows = None
-    if box is not None:
-        rows = _box_rows(x, *box)
-        x = x.take(rows, axis=0)
-    y = np.asarray(f(x), dtype=float) + _gen_noise(model, n, seed, rows)
+    Both sub-streams of a seed are drawn in full and cut to the box before
+    the next seed's are drawn, so a row's bits depend neither on the box
+    nor on the other seeds: f, the scale rule and the noise quantile are
+    elementwise, and are evaluated once, on the block's rows.  The design
+    lies in [0,1)^d by construction; a response that is not finite is a
+    ValueError, as in ``Dataset``."""
+    xs, us, rows = [], [], []
+    for seed in seeds:
+        x = _gen_design(n, d, seed)
+        u = substream(seed, NOISE_STREAM).random(n)
+        if box is None:
+            inside = np.arange(n)
+        else:
+            inside = _box_rows(x, *box)
+            x, u = x.take(inside, axis=0), u.take(inside)
+        xs.append(x)
+        us.append(u)
+        rows.append(inside)
+    counts = np.array([inside.size for inside in rows])
+    x, u, rows = (parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in (xs, us, rows))
+    y = np.asarray(f(x), dtype=float) + _gen_noise(model, u, rows)
     _check_responses(y)
-    return x, y
+    return x, y, counts
 
 
 def gen_data(f, model: NoiseModel, n: int, d: int, seed) -> Dataset:
-    """The whole sample of ``gen_window`` as a validated ``Dataset``."""
-    x, y = gen_window(f, model, n, d, seed)
+    """The whole sample of ``gen_window`` for one seed as a validated
+    ``Dataset``."""
+    x, y, _ = gen_window(f, model, n, d, [seed])
     return Dataset(x=x, y=y)
 
 

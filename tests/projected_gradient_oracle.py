@@ -44,7 +44,7 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
     """
     if data.n == 0:
         raise ValueError("dataset is empty")
-    (problem,) = _windows(data.x, data.y, data.n, [cfg])  # raises EmptyNeighborhoodError
+    (problem,), _ = _windows(data.x, data.y, data.n, [cfg])  # raises EmptyNeighborhoodError
 
     opt = cfg.optimizer
     radius = cfg.bound
@@ -109,11 +109,11 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
     return FitResult(
         theta_hat=theta,
         estimate=theta.center_value,
-        n_local=problem.n_local,
+        n_local=int(problem.n_local[0]),
         iterations=iterations,
         stationarity_gap=gap,
         converged=converged,
-        underdetermined=problem.n_local < cfg.index_set.size,
+        underdetermined=bool(problem.n_local[0] < cfg.index_set.size),
     )
 
 

@@ -345,16 +345,19 @@ def test_replication_errors_mark_empty_windows_nan(monkeypatch, case):
     import roblp.harness as harness
     from roblp.local_fit import _box_rows, _windows
 
-    def holed(f, model, n, d, seed, box=None):
+    def holed(f, model, n, d, seeds, box=None):
         # odd replications have no design point within 0.04 of x0: the
         # minimax and the compare window and the finest grid level are empty
-        x, y = gen_window(f, model, n, d, seed)
-        if seed[1] % 2:
-            x = x.copy()
-            near = np.abs(x[:, 0] - 0.25) <= 0.04
-            x[near, 0] += 0.1
-        rows = slice(None) if box is None else _box_rows(x, *box)
-        return x[rows], y[rows]
+        xs, ys = [], []
+        for seed in seeds:
+            x, y, _ = gen_window(f, model, n, d, [seed])
+            if seed[1] % 2:
+                near = np.abs(x[:, 0] - 0.25) <= 0.04
+                x[near, 0] += 0.1
+            rows = slice(None) if box is None else _box_rows(x, *box)
+            xs.append(x[rows])
+            ys.append(y[rows])
+        return np.concatenate(xs), np.concatenate(ys), np.array([len(y) for y in ys])
 
     monkeypatch.setattr(harness, "gen_window", holed)
     plan, model = _replication_cases()[case]
@@ -365,8 +368,9 @@ def test_replication_errors_mark_empty_windows_nan(monkeypatch, case):
     for rep in range(0, reps, 2):
         data = gen_data(f, model, n, 1, (seed, rep))
         assert list(est[rep]) == [fit_local(data, cfg).estimate for cfg in configs]
+    x, y, _ = holed(f, model, n, 1, [(seed, 1)])
     with pytest.raises(EmptyNeighborhoodError):
-        _windows(*holed(f, model, n, 1, (seed, 1)), n, configs)
+        _windows(x, y, n, configs)
 
 
 @pytest.mark.parametrize(**CASES)
@@ -451,6 +455,16 @@ def test_pool_size_is_bounded_by_the_cpus_and_the_blocks(monkeypatch, pools):
     jobs = [(est.plan([0.25], 128)[0], 128)]
     args = (jobs, sinusoid(beta=2.0), NoiseModel(family="gaussian", base_scale=0.5))
     (serial,) = harness._replication_estimates(*args, 30, 12, workers=1)
+    # the CPUs of the process's affinity mask count, not the machine's
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+    for cpus, reps, expected in ((4, 30, [4]), (1000, 3, [3]), (1, 30, [])):
+        pools.clear()
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        (est_reps,) = harness._replication_estimates(*args, reps, 12, workers=100000)
+        assert pools == expected
+        np.testing.assert_array_equal(est_reps, serial[:reps])
+    # without an affinity mask, the machine's count; none known, one process
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
     for cpus, reps, expected in ((4, 30, [4]), (1000, 3, [3]), (None, 30, []), (1, 30, [])):
         pools.clear()
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
@@ -462,6 +476,7 @@ def test_pool_size_is_bounded_by_the_cpus_and_the_blocks(monkeypatch, pools):
 def test_a_run_opens_one_pool_for_all_its_jobs(monkeypatch, pools):
     import roblp.harness as harness
 
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
     f, model = sinusoid(beta=2.0), NoiseModel(family="gaussian", base_scale=0.5)
     est = Estimator(
@@ -657,9 +672,9 @@ def test_compare_contrasts_draws_each_replication_once(monkeypatch):
 
     draws = []
 
-    def counting(f, model, n, d, seed, box=None):
-        draws.append(seed)
-        return gen_window(f, model, n, d, seed, box)
+    def counting(f, model, n, d, seeds, box=None):
+        draws.extend(seeds)
+        return gen_window(f, model, n, d, seeds, box)
 
     monkeypatch.setattr(harness, "gen_window", counting)
     f, model = sinusoid(beta=2.0), NoiseModel(family="cauchy", base_scale=1.0)

@@ -10,7 +10,7 @@ from roblp.basis import monomial_matrix, multi_index_set
 from roblp.contrast import absolute, huber
 from roblp.kernels import KernelSpec, uniform_kernel
 from roblp.lepski import bandwidth_grid, minimax_bandwidth
-from roblp.simulate import NoiseModel, gen_data, sinusoid
+from roblp.simulate import NoiseModel, gen_data, product_sinusoid, sinusoid
 import roblp.local_fit as local_fit
 from roblp.local_fit import (
     Dataset,
@@ -44,7 +44,7 @@ def make_cfg(**kw):
 
 def _problem(data, cfg):
     """The window of ``cfg`` cut from all of ``data``'s rows."""
-    (window,) = local_fit._windows(data.x, data.y, data.n, [cfg])
+    (window,), _ = local_fit._windows(data.x, data.y, data.n, [cfg])
     return window
 
 
@@ -670,9 +670,8 @@ def _weighted_median_by_sort(values, weights):
 @example([0.0, -1.0, -0.0, 0.0, -0.0, 2.0])
 def test_unit_weight_median_matches_the_stable_sort_bit_for_bit(values):
     values = np.asarray(values, dtype=float)
-    weights = np.ones(values.size)
-    got = local_fit._weighted_median(values, weights)
-    want = _weighted_median_by_sort(values, weights)
+    got = local_fit._weighted_median(values)  # unit weights
+    want = _weighted_median_by_sort(values, np.ones(values.size))
     assert np.float64(got).tobytes() == np.float64(want).tobytes()  # -0.0 != 0.0 here
 
 
@@ -682,10 +681,10 @@ def test_nested_grid_windows_equal_windows_cut_from_the_full_sample(kernel, d):
     data = gen_data(sinusoid(beta=2.0), NoiseModel(family="gaussian", base_scale=0.5), 8192, d, seed=(31, d))
     spec = KernelSpec(kind=kernel, d=d)
     configs = [make_cfg(x0=(0.3,) * d, h=0.4 * 2.0**-k, kernel=spec) for k in range(4)]
-    nested = local_fit._windows(data.x, data.y, data.n, configs, grid=True)
+    nested, _ = local_fit._windows(data.x, data.y, data.n, configs, grid=True)
     alone = [_problem(data, cfg) for cfg in configs]
     for window, single in zip(nested, alone):
-        assert window.n_local == single.n_local > 0
+        assert window.n_local.tolist() == single.n_local.tolist() and single.n_local[0] > 0
         assert window.scale == single.scale
         for name in ("x", "y"):
             a, b = getattr(window, name), getattr(single, name)
@@ -701,14 +700,88 @@ def test_nested_grid_windows_equal_windows_cut_from_the_full_sample(kernel, d):
     design = cut.design_t.transpose(0, 2, 1).reshape(-1, index_set.size)
     weights, y = cut.weights.reshape(-1), cut.y.reshape(-1)
     for window, first, rows in zip(alone, cut.starts * chunk, cut.chunks * chunk):
-        cfg, live = window.cfg, slice(first, first + window.n_local)
+        n_local = int(window.n_local[0])
+        cfg, live = window.cfg, slice(first, first + n_local)
         z = (window.x - np.asarray(cfg.x0)) / cfg.h
         assert design[live].tobytes() == monomial_matrix(z, index_set).tobytes()
         assert weights[live].tobytes() == spec.value(z).tobytes()
         assert y[live].tobytes() == window.y.tobytes()
-        pad = slice(first + window.n_local, first + rows)
+        pad = slice(first + n_local, first + rows)
         for padding in (design[pad], weights[pad], y[pad]):
             assert padding.tobytes() == np.zeros_like(padding).tobytes()
+
+
+def _assert_same_fit(fit, single):
+    assert fit.estimate == single.estimate and fit.n_local == single.n_local
+    np.testing.assert_array_equal(fit.theta_hat.values, single.theta_hat.values)
+    assert (fit.iterations, fit.converged, fit.stationarity_gap) == (
+        single.iterations, single.converged, single.stationarity_gap
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_block_cut_leaves_the_other_replications_unshifted(d):
+    # replication 2 keeps samples in grid levels 0 and 1 only: it is dropped
+    # from every level, and each other replication's windows are the bits of
+    # its own cut, in order, whichever level the hole is at
+    configs = [make_cfg(x0=(0.3,) * d, h=0.4 * 2.0**-k, kernel=KernelSpec(kind="uniform", d=d)) for k in range(4)]
+    f = sinusoid(beta=2.0) if d == 1 else product_sinusoid(beta=2.0)
+    model, n = NoiseModel(family="gaussian", base_scale=0.5), 2048
+    samples = [gen_data(f, model, n, d, (36, d, rep)) for rep in range(5)]
+    x = [data.x.copy() for data in samples]
+    near = (np.abs(x[2] - 0.3) <= configs[2].h / 2.0).all(axis=1)
+    x[2][near, 0] = 0.3 + 0.07  # inside level 1 (half-width 0.1), outside level 2
+    y = [data.y for data in samples]
+    windows, ok = local_fit._windows(
+        np.concatenate(x), np.concatenate(y), n, configs, np.array([len(v) for v in y]), grid=True
+    )
+    assert ok.tolist() == [True, True, False, True, True]
+    with pytest.raises(EmptyNeighborhoodError) as exc:
+        local_fit._windows(x[2], y[2], n, configs, grid=True)
+    assert exc.value.grid_index == 2
+    for k, level in enumerate(windows):
+        assert level.cfg is configs[k] and level.scale == 1.0 / (n * configs[k].h ** d)
+        ends = level.n_local.cumsum()
+        for rep, first, last in zip((0, 1, 3, 4), ends - level.n_local, ends):
+            alone, _ = local_fit._windows(x[rep], y[rep], n, configs, grid=True)
+            assert level.x[first:last].tobytes() == alone[k].x.tobytes()
+            assert level.y[first:last].tobytes() == alone[k].y.tobytes()
+    # the fits of the block are those of each replication on its own
+    fits = local_fit._fit_problems(windows)
+    singles = [fit_local(Dataset(x=x[rep], y=y[rep]), cfg) for cfg in configs for rep in (0, 1, 3, 4)]
+    for fit, single in zip(fits, singles, strict=True):
+        _assert_same_fit(fit, single)
+
+
+@pytest.mark.parametrize("kernel", ["triangular", "epanechnikov"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_stacks_of_weighted_kernels_give_each_fit_its_bits_alone(monkeypatch, kernel, d):
+    # block windows of three nested levels, stacked whole and split by a
+    # small stack cap: each fit is the fit of its stack of one
+    spec = KernelSpec(kind=kernel, d=d)
+    configs = [make_cfg(x0=(0.25,) * d, h=h, degree=1, bound=8.0, kernel=spec) for h in (0.4, 0.2, 0.1)]
+    f = sinusoid(beta=2.0) if d == 1 else product_sinusoid(beta=2.0)
+    model, n = NoiseModel(family="cauchy", base_scale=1.0), 1024
+    samples = [gen_data(f, model, n, d, (37, d, rep)) for rep in range(6)]
+    x, y = (np.concatenate([getattr(data, name) for data in samples]) for name in ("x", "y"))
+    windows, ok = local_fit._windows(x, y, n, configs, np.full(len(samples), n), grid=True)
+    assert ok.all()
+    # each fit starts at the weighted median of its window's responses,
+    # under the kernel weights of its own rescaled points
+    starts = local_fit._Stack(windows).t[:, 0]
+    medians = [
+        _weighted_median_by_sort(part.y[first:last], spec.value((part.x[first:last] - cfg.x0) / cfg.h))
+        for part, cfg in zip(windows, configs)
+        for first, last in zip(part.n_local.cumsum() - part.n_local, part.n_local.cumsum())
+    ]
+    assert max(map(abs, medians)) < 8.0  # inside the ball: the start is not projected
+    assert starts.tolist() == medians
+    singles = [fit_local(data, cfg) for cfg in configs for data in samples]
+    for cap in (local_fit._STACK_CHUNKS, 8):
+        monkeypatch.setattr(local_fit, "_STACK_CHUNKS", cap)
+        stacked = local_fit._fit_problems(windows)
+        for fit, single in zip(stacked, singles, strict=True):
+            _assert_same_fit(fit, single)
 
 
 @pytest.mark.parametrize("grid, index", [(True, 1), (False, None)])

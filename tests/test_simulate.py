@@ -10,6 +10,7 @@ from roblp.lepski import holder_floor
 from roblp.simulate import (
     HETEROSCEDASTIC_KINDS,
     NOISE_FAMILIES,
+    NOISE_STREAM,
     TEST_FUNCTIONS,
     HeteroscedasticRule,
     NoiseFamily,
@@ -90,12 +91,23 @@ def certify_holder(f, n_pairs: int = 10_000, seed: int = 0) -> HolderCertificate
 
 
 def certify_noise_family(family: NoiseFamily) -> bool:
-    """Symmetry and monotone decay on the positive axis, on a grid."""
+    """Symmetry and monotone decay of the density on the positive axis, on
+    a grid, read off the shipped cdf: cdf(z) + cdf(-z) == 1, the cdf does
+    not decrease, and it is concave on [0, 20], as a density that does not
+    increase there makes it."""
     grid = np.linspace(0.0, 20.0, 2001)
-    dens = np.asarray(family.density(grid), dtype=float)
-    symmetric = np.allclose(dens, np.asarray(family.density(-grid), dtype=float))
-    decreasing = bool(np.all(np.diff(dens) <= 1e-15))
-    return symmetric and decreasing and bool(np.all(dens >= 0))
+    upper = np.array([family.cdf(float(z)) for z in grid])
+    lower = np.array([family.cdf(float(-z)) for z in grid])
+    symmetric = bool(np.all(upper + lower == 1.0))
+    increasing = bool(np.all(np.diff(upper) >= 0.0)) and upper[0] == 0.5 and upper[-1] <= 1.0
+    concave = bool(np.all(np.diff(upper, 2) <= 1e-15))
+    return symmetric and increasing and concave
+
+
+def noise_stream(model: NoiseModel, n: int, seed) -> np.ndarray:
+    """The noise of a seed's whole sample of size n: its noise sub-stream
+    through ``_gen_noise``."""
+    return _gen_noise(model, substream(seed, NOISE_STREAM).random(n), np.arange(n))
 
 
 def test_design_determinism_and_range():
@@ -118,11 +130,11 @@ def test_substream_isolation():
     # design and noise streams of the same seed do not overlap
     x = _gen_design(100, 1, seed=5)
     model = NoiseModel(family="gaussian", base_scale=1.0)
-    noise = _gen_noise(model, 100, seed=5)
+    noise = noise_stream(model, 100, 5)
     assert not np.allclose(x[:, 0], noise)
     # tuple seeds address replications
-    n1 = _gen_noise(model, 50, seed=(5, 0))
-    n2 = _gen_noise(model, 50, seed=(5, 1))
+    n1 = noise_stream(model, 50, (5, 0))
+    n2 = noise_stream(model, 50, (5, 1))
     assert not np.allclose(n1, n2)
 
 
@@ -140,7 +152,7 @@ def test_noise_median_band(family):
     n = 100_000
     scale = 1.7
     model = NoiseModel(family=family, base_scale=scale)
-    draws = _gen_noise(model, n, seed=11)
+    draws = noise_stream(model, n, 11)
     band = 4 * MEDIAN_BAND_CONSTANT[family] / math.sqrt(n) * scale
     assert abs(np.median(draws)) < band
 
@@ -148,7 +160,7 @@ def test_noise_median_band(family):
 def test_cauchy_interquartile_range():
     n = 100_000
     model = NoiseModel(family="cauchy", base_scale=2.0)
-    draws = _gen_noise(model, n, seed=13)
+    draws = noise_stream(model, n, 13)
     q75, q25 = np.percentile(draws, [75, 25])
     # quartiles of the unit cauchy sit at +/- 1
     assert q75 - q25 == pytest.approx(2 * 2.0, rel=0.05)
@@ -213,7 +225,7 @@ def test_sigma_min_slack_is_relative_to_the_smallest_scale():
 def test_noise_model_rejects_a_non_finite_largest_draw(family):
     quantile = abs(float(NOISE_FAMILIES[family].quantile(1.0 - 2.0**-53)))
     scale = np.finfo(float).max / quantile / 2.0
-    assert np.all(np.isfinite(_gen_noise(NoiseModel(family=family, base_scale=scale), 2000, 3)))
+    assert np.all(np.isfinite(noise_stream(NoiseModel(family=family, base_scale=scale), 2000, 3)))
     with pytest.raises(ValueError, match=r"the largest noise draw, .* is not finite"):
         NoiseModel(family=family, base_scale=4.0 * scale)
     rule = HeteroscedasticRule(kind="alternating", factor=4.0)
@@ -246,7 +258,7 @@ def test_gen_data_zero_function_gives_noise_stream():
     f = constant_function(0.0)
     model = NoiseModel(family="laplace", base_scale=1.0)
     data = gen_data(f, model, 80, 1, seed=9)
-    np.testing.assert_array_equal(data.y, _gen_noise(model, 80, seed=9))
+    np.testing.assert_array_equal(data.y, noise_stream(model, 80, 9))
     np.testing.assert_array_equal(data.x, _gen_design(80, 1, seed=9))
 
 
@@ -275,8 +287,9 @@ def test_window_draw_is_the_full_samples_rows_bit_for_bit(d, family, rule, box):
     n, seed = 3000, (61, d)
     data = gen_data(f, model, n, d, seed)
     inside = (np.abs(data.x - (x0,) * d) <= h / 2.0).all(axis=1)
-    x, y = gen_window(f, model, n, d, seed, ((x0,) * d, h))
+    x, y, counts = gen_window(f, model, n, d, [seed], ((x0,) * d, h))
     assert x.shape == (np.count_nonzero(inside), d) and y.shape == x.shape[:1]
+    assert counts.tolist() == [x.shape[0]]
     assert x.tobytes() == data.x[inside].tobytes()
     assert y.tobytes() == data.y[inside].tobytes()
     assert (x.shape[0] == n) == (box == "all") and (x.shape[0] == 0) == (box == "empty")
@@ -285,7 +298,37 @@ def test_window_draw_is_the_full_samples_rows_bit_for_bit(d, family, rule, box):
 def test_window_draw_rejects_responses_that_are_not_finite():
     model = NoiseModel(family="gaussian", base_scale=1.0)
     with pytest.raises(ValueError, match="responses must be finite"):
-        gen_window(lambda x: np.where(x[:, 0] < 0.5, np.inf, 0.0), model, 64, 1, 3, ((0.25,), 0.2))
+        gen_window(lambda x: np.where(x[:, 0] < 0.5, np.inf, 0.0), model, 64, 1, [3], ((0.25,), 0.2))
+    # in a block, one seed's response is enough
+    with pytest.raises(ValueError, match="responses must be finite"):
+        gen_window(lambda x: np.where(x[:, 0] < 0.01, np.inf, 0.0), model, 64, 1, [3, 4, 5])
+
+
+@pytest.mark.parametrize("rule", HETEROSCEDASTIC_KINDS)
+@pytest.mark.parametrize("family", sorted(NOISE_FAMILIES))
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_block_draw_gives_each_seed_the_rows_of_its_own_draw(d, family, rule):
+    # f, the scale rule and the quantile run once on the block's rows; each
+    # seed's rows keep the bits of a draw of that seed alone, also after a
+    # seed whose box holds no row
+    f = sinusoid(beta=2.0, amplitude=3.0) if d == 1 else product_sinusoid(beta=2.0, amplitude=3.0)
+    rule = HeteroscedasticRule(kind=rule, factor=2.5, amplitude=0.7, period=5)
+    model = NoiseModel(family=family, base_scale=0.8, heteroscedastic=rule)
+    n, seeds = 40, [(60, d, rep) for rep in range(6)]
+    box = ((0.3,) * d, 0.05 if d == 1 else 0.2)
+    for window in (box, None):
+        x, y, counts = gen_window(f, model, n, d, seeds, window)
+        if window is None:
+            assert counts.tolist() == [n] * len(seeds)
+        else:
+            assert 0 in counts[1:-1].tolist() and 0 not in counts[-2:].tolist()
+        assert x.shape == (counts.sum(), d) and y.shape == x.shape[:1]
+        ends = counts.cumsum()
+        for seed, first, last in zip(seeds, ends - counts, ends):
+            one_x, one_y, one = gen_window(f, model, n, d, [seed], window)
+            assert one.tolist() == [last - first]
+            assert x[first:last].tobytes() == one_x.tobytes()
+            assert y[first:last].tobytes() == one_y.tobytes()
 
 
 def test_gen_data_regression_slope():
