@@ -234,9 +234,8 @@ def _block_estimates(args) -> np.ndarray:
     seeds, box = [(seed, rep) for rep in reps], (configs[0].x0, configs[0].h)
     x, y, counts = gen_window(f, model, n, configs[0].d, seeds, box)
     windows, fitted = _windows(x, y, n, configs, counts)
-    fits = [fit.estimate for fit in _fit_problems(windows)]
     estimates = np.full((len(reps), len(configs)), math.nan)
-    estimates[fitted] = np.reshape(fits, (len(configs), -1)).T
+    estimates[fitted] = np.column_stack([fits.estimate for fits in _fit_problems(windows)])
     return estimates
 
 

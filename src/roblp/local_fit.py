@@ -221,6 +221,65 @@ class FitResult:
     underdetermined: bool
 
 
+class _Fits:
+    """The results of fits of one index set, a column each, fit after fit:
+    the projected coefficients ``theta`` (a row each), the sample count
+    ``n_local``, the ``iterations``, the stationarity ``gap`` and the
+    ``converged`` flag.  ``_Stack.store`` writes into them as its fits
+    stop; ``result`` builds one fit's ``FitResult``."""
+
+    COLUMNS = ("theta", "n_local", "iterations", "gap", "converged")
+
+    def __init__(self, index_set: MultiIndexSet, theta, n_local, iterations, gap, converged):
+        self.index_set = index_set
+        self.theta, self.n_local, self.iterations = theta, n_local, iterations
+        self.gap, self.converged = gap, converged
+
+    @classmethod
+    def allocate(cls, index_set: MultiIndexSet, n_local: np.ndarray) -> _Fits:
+        """Room for the fits of windows of ``n_local`` samples each."""
+        size = n_local.size
+        return cls(
+            index_set,
+            np.empty((size, index_set.size)),
+            n_local,
+            np.empty(size, dtype=int),
+            np.empty(size),
+            np.empty(size, dtype=bool),
+        )
+
+    @property
+    def estimate(self) -> np.ndarray:
+        """The fitted value at x0 of each fit: its constant coefficient."""
+        return self.theta[:, 0]
+
+    def take(self, start: int, stop: int) -> _Fits:
+        """Fits start..stop-1, as views of these columns."""
+        return _Fits(self.index_set, *(getattr(self, name)[start:stop] for name in self.COLUMNS))
+
+    @classmethod
+    def join(cls, parts: list[_Fits]) -> _Fits:
+        """The fits of ``parts``, one after the other."""
+        if len(parts) == 1:
+            return parts[0]
+        columns = (np.concatenate([getattr(p, name) for p in parts]) for name in cls.COLUMNS)
+        return cls(parts[0].index_set, *columns)
+
+    def result(self, i: int) -> FitResult:
+        """The ``FitResult`` of fit ``i``."""
+        theta = CoefficientVector(values=self.theta[i], index_set=self.index_set)
+        n_local = int(self.n_local[i])
+        return FitResult(
+            theta_hat=theta,
+            estimate=theta.center_value,
+            n_local=n_local,
+            iterations=int(self.iterations[i]),
+            stationarity_gap=float(self.gap[i]),
+            converged=bool(self.converged[i]),
+            underdetermined=n_local < self.index_set.size,
+        )
+
+
 class EmptyNeighborhoodError(RuntimeError):
     """No sample falls in the fitting window; the estimator is undefined.
     ``grid_index`` is the bandwidth-grid level when the fit ran inside a
@@ -688,30 +747,25 @@ class _Stack:
         self.update()
         self.stopped = ~moved | (self.stagnant > _STAGNANT_STEPS)
 
-    def store(self, results: list, rows: np.ndarray | None = None) -> None:
-        """Store the results of the fits in ``rows``, by default of all."""
-        rows = np.arange(self.size) if rows is None else rows
+    def store(self, fits: _Fits, rows: np.ndarray | None = None) -> None:
+        """Store the results of the fits in ``rows``, by default of all, in
+        their rows of ``fits``; a coefficient that is not finite is a
+        ValueError."""
+        rows = slice(None) if rows is None else rows
         t = _project_rows(self.t[rows], self.radius)
-        n_b = self.index_set.size
-        names = ("index", "n_local", "iterations", "gap", "converged")
-        fields = [getattr(self, name)[rows].tolist() for name in names]
-        for values, i, n_local, iterations, gap, converged in zip(t, *fields):
-            theta = CoefficientVector(values=values, index_set=self.index_set)
-            results[i] = FitResult(
-                theta_hat=theta,
-                estimate=theta.center_value,
-                n_local=n_local,
-                iterations=iterations,
-                stationarity_gap=gap,
-                converged=converged,
-                underdetermined=n_local < n_b,
-            )
+        if not np.isfinite(t).all():
+            raise ValueError("coefficients must be finite")
+        index = self.index[rows]
+        fits.theta[index] = t
+        fits.iterations[index] = self.iterations[rows]
+        fits.gap[index] = self.gap[rows]
+        fits.converged[index] = self.converged[rows]
 
-    def release(self, done: np.ndarray, results: list) -> None:
+    def release(self, done: np.ndarray, fits: _Fits) -> None:
         """Store the results of the fits flagged ``done`` and drop them."""
         if not done.any():
             return
-        self.store(results, done.nonzero()[0])
+        self.store(fits, done.nonzero()[0])
         keep = ~done
         for name in self._CHUNKS:
             setattr(self, name, getattr(self, name)[keep[self.owner]])
@@ -790,8 +844,9 @@ def _newton_steps(stack: _Stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cand, cand_val, took
 
 
-def _fit_stack(windows: list[_Windows]) -> list[FitResult]:
-    """Minimize the local criteria of a stack of windows together.
+def _fit_stack(windows: list[_Windows]) -> _Fits:
+    """Minimize the local criteria of a stack of windows together; their
+    results, in order.
 
     Every iteration takes a proximal Newton step (``_newton_steps``) for
     each live fit whose curvature allows one and a Barzilai-Borwein
@@ -801,23 +856,23 @@ def _fit_stack(windows: list[_Windows]) -> list[FitResult]:
     iteration cap.
     """
     stack = _Stack(windows)
-    results: list = [None] * stack.size
+    fits = _Fits.allocate(stack.index_set, stack.n_local)
     for _ in range(stack.optimizer.max_iterations):
         done = stack.converged | stack.stopped
         if done.all():
             break
-        stack.release(done, results)
+        stack.release(done, fits)
         cand, cand_val, took = _newton_steps(stack)
         for row in (~took).nonzero()[0]:
             cand[row], cand_val[row] = _gradient_step(stack, row)
         stack.advance(cand, cand_val)
-    stack.store(results)  # the fits left, stopped or at the iteration cap
-    return results
+    stack.store(fits)  # the fits left, stopped or at the iteration cap
+    return fits
 
 
-def _fit_problems(windows) -> list[FitResult]:
-    """Fit every window of each ``_Windows`` of ``windows``; the results are
-    in input order, window after window.
+def _fit_problems(windows) -> list[_Fits]:
+    """Fit every window of each ``_Windows`` of ``windows``; the results of
+    each, in input order, one ``_Fits`` per ``_Windows``.
 
     Windows with equal fit settings (all but x0 and h) are solved
     together, in whatever order they come: each settings key gathers one
@@ -826,39 +881,40 @@ def _fit_problems(windows) -> list[FitResult]:
     is split where the stack fills.  The windows come from ``_windows``,
     so none is empty.
     """
-    results: list = []
-    pending: dict = {}  # settings key -> [first results, windows, chunks]
+    parts: list[list[_Fits]] = []  # the results of each _Windows, piece by piece
+    pending: dict = {}  # settings key -> [owners, windows, chunks]
 
     def solve(key):
-        firsts, stack, _ = pending.pop(key)
+        owners, stack, _ = pending.pop(key)
         fits, at = _fit_stack(stack), 0
-        for first, part in zip(firsts, stack):
-            results[first : first + part.size] = fits[at : at + part.size]
+        for owner, part in zip(owners, stack):
+            parts[owner].append(fits.take(at, at + part.size))
             at += part.size
 
-    for part in windows:
+    for owner, part in enumerate(windows):
         if not part.size:
+            parts.append([_Fits.allocate(part.cfg.index_set, part.n_local)])
             continue
+        parts.append([])
         cfg = part.cfg
         key = (cfg.degree, cfg.kernel, cfg.bound, cfg.contrast, cfg.optimizer)
-        first, taken = len(results), 0
-        results += [None] * part.size
+        taken = 0
         group = pending.setdefault(key, [[], [], 0])
         for i, n_local in enumerate(part.n_local.tolist()):
             size = _Stack.chunk_count(n_local)
             if group[2] and group[2] + size > _STACK_CHUNKS:
                 if i > taken:
-                    group[0].append(first + taken)
+                    group[0].append(owner)
                     group[1].append(part.take(taken, i))
                     taken = i
                 solve(key)
                 group = pending.setdefault(key, [[], [], 0])
             group[2] += size
-        group[0].append(first + taken)
+        group[0].append(owner)
         group[1].append(part.take(taken, part.size) if taken else part)
     for key in list(pending):
         solve(key)
-    return results
+    return [_Fits.join(pieces) for pieces in parts]
 
 
 def fit_local(data: Dataset, cfg: LocalFitConfig) -> FitResult:
@@ -876,4 +932,4 @@ def fit_local(data: Dataset, cfg: LocalFitConfig) -> FitResult:
     if data.n == 0:
         raise ValueError("dataset is empty")
     windows, _ = _windows(data.x, data.y, data.n, [cfg])
-    return _fit_problems(windows)[0]
+    return _fit_problems(windows)[0].result(0)

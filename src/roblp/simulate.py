@@ -2,21 +2,25 @@
 noise, and test functions with declared smoothness constants.
 
 Randomness comes from the counter-based Philox generator with explicit
-sub-stream derivation: stream 0 of a seed drives the design, stream 1 the
-noise, so the two are independent by construction and every draw is a
-pure function of (seed, stream).  All noise families are sampled by
-inverse transform from the same uniform stream; the quantile transforms
-are folded around 1/2 so that flipping a uniform u -> 1 - u negates the
-draw exactly.
+sub-streams: stream 0 of a seed drives the design, stream 1 the noise, so
+the two are independent by construction and every draw is a pure
+function of (seed, stream).  A sub-stream is Philox at counter 0 under
+the key numpy's ``SeedSequence(seed, spawn_key=(stream,))`` derives, by
+its entropy-pool hash, which ``_philox_keys`` evaluates as array
+operations over a whole block of seeds.  All noise families are sampled
+by inverse transform from the same uniform stream; the quantile
+transforms are folded around 1/2 so that flipping a uniform u -> 1 - u
+negates the draw exactly.
 
 One routine, ``gen_window``, draws every sample, for a block of seeds at
 once.  A fit sees only the samples in its window, so the Monte Carlo
-harness takes just a window's rows: per seed, both uniform streams are
-drawn in full and cut to the window's rows, one seed at a time; then f,
-the scale rule and the noise quantile run once, on the block's window
-rows.  Each of them is elementwise, so every row has the same bits as in
-its seed's whole sample, which ``gen_data`` returns as a validated
-``Dataset`` (for the CLI and direct fits), a block of one.
+harness takes just a window's rows: the keys of the block's streams are
+derived in one pass; then, one seed at a time, a reused Philox is set to
+each of the seed's keys, and both uniform streams are drawn in full and
+cut to the window's rows; then f, the scale rule and the noise quantile
+run once, on the block's window rows.  Each of them is elementwise, so every row has the
+same bits as in its seed's whole sample, which ``gen_data`` returns as a
+validated ``Dataset`` (for the CLI and direct fits), a block of one.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -56,14 +60,149 @@ NOISE_STREAM = 1
 _U_MARGIN = 2.0**-53
 
 
-def substream(seed, *stream_ids: int) -> np.random.Generator:
-    """Philox generator for a named sub-stream of a seed.
+# numpy's SeedSequence hash: a pool of four 32-bit words, the multiplier
+# sequences of its entropy hash (A) and its output hash (B), and the mixing
+# multipliers; all arithmetic wraps modulo 2^32.
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _XSHIFT = (np.array(c, dtype=np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
+
+
+def _hash_columns(init: int, mult: int, first: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants of ``calls`` hash steps from step ``first`` on, as
+    columns: a step xors the value with the running constant (``xor``),
+    advances the constant by ``mult`` and multiplies the value by the new
+    one (``times``)."""
+    c = init * pow(mult, first, 1 << 32) & _MASK32
+    xor, times = [], []
+    for _ in range(calls):
+        xor.append(c)
+        c = c * mult & _MASK32
+        times.append(c)
+    return np.array(xor, dtype=np.uint32)[:, None], np.array(times, dtype=np.uint32)[:, None]
+
+
+@lru_cache(maxsize=64)
+def _entropy_steps(first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Constants of the four entropy-hash steps from step ``first`` on."""
+    return _hash_columns(_INIT_A, _MULT_A, first, _POOL)
+
+
+@lru_cache(maxsize=None)
+def _spread_steps(src: int) -> tuple[np.ndarray, np.ndarray]:
+    """Constants of the steps that mix pool word ``src`` into the other
+    three, on their rows; zeros on row ``src``, whose result is dropped."""
+    xor, times = (np.zeros((_POOL, 1), dtype=np.uint32) for _ in range(2))
+    dst = [i for i in range(_POOL) if i != src]
+    xor[dst], times[dst] = (c[:3] for c in _entropy_steps(_POOL + 3 * src))
+    return xor, times
+
+
+@lru_cache(maxsize=None)
+def _output_steps() -> tuple[np.ndarray, np.ndarray]:
+    """Constants of the output hash, one step per pool word."""
+    return _hash_columns(_INIT_B, _MULT_B, 0, _POOL)
+
+
+def _hashmix(values: np.ndarray, steps: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """One hash step of ``values`` per row of the constant columns."""
+    xor, times = steps
+    values = (values ^ xor) * times
+    return values ^ (values >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pool words ``x`` with hashed words ``y`` mixed in."""
+    x = _MIX_L * x - _MIX_R * y
+    return x ^ (x >> _XSHIFT)
+
+
+@lru_cache(maxsize=64)
+def _spawn_words(position: int, streams: tuple) -> np.ndarray:
+    """Each stream id, the one word of its spawn key at entropy word
+    ``position``, hashed against the four pool words: (streams, 4, 1)."""
+    for stream in streams:
+        if not 0 <= stream <= _MASK32:
+            raise ValueError(f"a stream id is one 32-bit word, got {stream}")
+    words = np.array(streams, dtype=np.uint32)[:, None, None]
+    return _hashmix(words, _entropy_steps(_POOL * position))
+
+
+def _entropy_words(seed) -> list[int]:
+    """The 32-bit words numpy's SeedSequence reads from ``seed``, an int or
+    a tuple (or list) of ints, each least significant word first, padded
+    with zeros to the pool size as it is under a spawn key.  A negative
+    value is a ValueError."""
+    words = []
+    for value in seed if isinstance(seed, (tuple, list)) else (seed,):
+        value = int(value)
+        if value < 0:
+            raise ValueError(f"a seed must be non-negative, got {value}")
+        words.append(value & _MASK32)
+        while value > _MASK32:
+            value >>= 32
+            words.append(value & _MASK32)
+    return words + [0] * (_POOL - len(words))
+
+
+def _philox_keys(seeds, streams: tuple) -> list:
+    """The Philox key of each stream id of ``streams`` for each seed of
+    ``seeds`` (an int or a tuple of ints), as lists of two ints: key s of
+    seed i is ``keys[i][s]``, numpy's ``SeedSequence(seed,
+    spawn_key=(s,)).generate_state(2, np.uint64)``.
+
+    The hash runs once per entropy word count, on all the seeds with that
+    many words (a column each): the pool is filled from the first four
+    words, each pool word is mixed into the other three (one step on the
+    pool's rows), the further words are mixed in, and the spawn word last,
+    for every stream at once; the output hash turns each pool into four
+    words, read as two little-endian uint64s."""
+    groups: dict = {}
+    for i, seed in enumerate(seeds):
+        words = _entropy_words(seed)
+        index, rows = groups.setdefault(len(words), ([], []))
+        index.append(i)
+        rows.append(words)
+    keys: list = [None] * len(seeds)
+    for count, (index, rows) in groups.items():
+        entropy = np.array(rows, dtype=np.uint32).T
+        pool = _hashmix(entropy[:_POOL], _entropy_steps(0))
+        for src in range(_POOL):
+            mixed = _mix(pool, _hashmix(pool[src], _spread_steps(src)))
+            mixed[src] = pool[src]
+            pool = mixed
+        for j in range(_POOL, count):
+            pool = _mix(pool, _hashmix(entropy[j], _entropy_steps(_POOL * j)))
+        pool = _mix(pool, _spawn_words(count, streams))  # (streams, 4, seeds)
+        state = _hashmix(pool, _output_steps()).transpose(2, 0, 1)
+        words = np.ascontiguousarray(state, dtype="<u4").view("<u8").tolist()
+        for i, seed_keys in zip(index, words):
+            keys[i] = seed_keys
+    return keys
+
+
+def _set_key(bits: np.random.Philox, key: list) -> None:
+    """Put ``bits`` at counter 0 of ``key`` with an empty buffer: the state
+    of a Philox built with that key."""
+    bits.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def substream(seed, stream: int) -> np.random.Generator:
+    """Philox generator for sub-stream ``stream`` of a seed.
 
     ``seed`` may be an int or a tuple of ints (e.g. (base_seed, rep)).
     """
-    entropy = seed if isinstance(seed, (tuple, list)) else (int(seed),)
-    ss = np.random.SeedSequence(entropy=tuple(int(v) for v in entropy), spawn_key=stream_ids)
-    return np.random.Generator(np.random.Philox(ss))
+    rng = np.random.Generator(np.random.Philox(key=0))
+    _set_key(rng.bit_generator, _philox_keys([seed], (stream,))[0][0])
+    return rng
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +391,6 @@ class NoiseModel:
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
-def _gen_design(n: int, d: int, seed) -> np.ndarray:
-    """n i.i.d. uniform points on [0,1]^d from the design sub-stream."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return substream(seed, DESIGN_STREAM).random((n, d))
-
-
 def _gen_noise(model: NoiseModel, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Heteroscedastic noise draws sigma_i * xi_i at the sample indices
     ``rows`` from their uniforms ``u`` of the noise sub-stream."""
@@ -275,16 +407,24 @@ def gen_window(
     box of side h centered at x0; all n rows without one.  Returns the rows
     of every seed, seed after seed, and each seed's row count.
 
-    Both sub-streams of a seed are drawn in full and cut to the box before
-    the next seed's are drawn, so a row's bits depend neither on the box
-    nor on the other seeds: f, the scale rule and the noise quantile are
-    elementwise, and are evaluated once, on the block's rows.  The design
-    lies in [0,1)^d by construction; a response that is not finite is a
-    ValueError, as in ``Dataset``."""
+    The keys of every seed's sub-streams are derived in one pass
+    (``_philox_keys``), and one Philox, set to each key in turn, draws
+    them.  Both sub-streams of a seed are drawn in full and cut to the box
+    before the next seed's are drawn, so a row's bits depend neither on
+    the box nor on the other seeds: f, the scale rule and the noise
+    quantile are elementwise, and are evaluated once, on the block's rows.
+    The design lies in [0,1)^d by construction; n < 1, a negative seed and
+    a response that is not finite (as in ``Dataset``) are ValueErrors."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    keys = _philox_keys(seeds, (DESIGN_STREAM, NOISE_STREAM))
+    rng = np.random.Generator(np.random.Philox(key=0))  # each stream sets its key
     xs, us, rows = [], [], []
-    for seed in seeds:
-        x = _gen_design(n, d, seed)
-        u = substream(seed, NOISE_STREAM).random(n)
+    for design_key, noise_key in keys:
+        _set_key(rng.bit_generator, design_key)
+        x = rng.random((n, d))
+        _set_key(rng.bit_generator, noise_key)
+        u = rng.random(n)
         if box is None:
             inside = np.arange(n)
         else:

@@ -48,6 +48,12 @@ def _problem(data, cfg):
     return window
 
 
+def fit_results(windows) -> list:
+    """The ``FitResult`` of every window of ``windows``, solved together,
+    window after window."""
+    return [fits.result(i) for fits in local_fit._fit_problems(windows) for i in range(fits.n_local.size)]
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(x=np.array([[1.5]]), y=np.array([0.0]))
@@ -594,7 +600,7 @@ def test_stacked_fits_are_bit_identical_to_single_fits(monkeypatch):
         stacked = [
             fit
             for start in range(0, len(windows), size)
-            for fit in local_fit._fit_problems(windows[start : start + size])
+            for fit in fit_results(windows[start : start + size])
         ]
         assert len(stacked) == len(singles)
         for fit, single in zip(stacked, singles):
@@ -620,7 +626,7 @@ def test_windows_of_alternating_settings_stack_per_settings_key(monkeypatch):
     alone = [None] * len(cases)
     for cfg in settings:
         positions = [i for i, case in enumerate(cases) if case[1] is cfg]
-        fits = local_fit._fit_problems([_problem(*cases[i]) for i in positions])
+        fits = fit_results([_problem(*cases[i]) for i in positions])
         for i, fit in zip(positions, fits):
             alone[i] = fit
     stacks = []
@@ -631,7 +637,7 @@ def test_windows_of_alternating_settings_stack_per_settings_key(monkeypatch):
         return original(windows)
 
     monkeypatch.setattr(local_fit, "_fit_stack", counting)
-    mixed = local_fit._fit_problems(_problem(*case) for case in cases)
+    mixed = fit_results(_problem(*case) for case in cases)
     assert stacks == [6, 6, 6]
     assert [fit.n_local for fit in mixed] == [fit.n_local for fit in alone]
     for fit, single in zip(mixed, alone):
@@ -747,7 +753,7 @@ def test_a_block_cut_leaves_the_other_replications_unshifted(d):
             assert level.x[first:last].tobytes() == alone[k].x.tobytes()
             assert level.y[first:last].tobytes() == alone[k].y.tobytes()
     # the fits of the block are those of each replication on its own
-    fits = local_fit._fit_problems(windows)
+    fits = fit_results(windows)
     singles = [fit_local(Dataset(x=x[rep], y=y[rep]), cfg) for cfg in configs for rep in (0, 1, 3, 4)]
     for fit, single in zip(fits, singles, strict=True):
         _assert_same_fit(fit, single)
@@ -779,7 +785,7 @@ def test_stacks_of_weighted_kernels_give_each_fit_its_bits_alone(monkeypatch, ke
     singles = [fit_local(data, cfg) for cfg in configs for data in samples]
     for cap in (local_fit._STACK_CHUNKS, 8):
         monkeypatch.setattr(local_fit, "_STACK_CHUNKS", cap)
-        stacked = local_fit._fit_problems(windows)
+        stacked = fit_results(windows)
         for fit, single in zip(stacked, singles, strict=True):
             _assert_same_fit(fit, single)
 

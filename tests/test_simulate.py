@@ -8,6 +8,7 @@ import pytest
 from roblp.basis import multi_index_set
 from roblp.lepski import holder_floor
 from roblp.simulate import (
+    DESIGN_STREAM,
     HETEROSCEDASTIC_KINDS,
     NOISE_FAMILIES,
     NOISE_STREAM,
@@ -18,8 +19,8 @@ from roblp.simulate import (
     constant_function,
     cusp,
     gen_data,
-    _gen_design,
     _gen_noise,
+    _philox_keys,
     gen_window,
     make_test_function,
     product_sinusoid,
@@ -110,25 +111,32 @@ def noise_stream(model: NoiseModel, n: int, seed) -> np.ndarray:
     return _gen_noise(model, substream(seed, NOISE_STREAM).random(n), np.arange(n))
 
 
+def design(n: int, d: int, seed) -> np.ndarray:
+    """The design of a seed's whole sample of size n, as ``gen_window``
+    draws it."""
+    x, _, _ = gen_window(constant_function(0.0, d=d), NoiseModel(family="gaussian"), n, d, [seed])
+    return x
+
+
 def test_design_determinism_and_range():
-    a = _gen_design(1000, 2, seed=42)
-    b = _gen_design(1000, 2, seed=42)
+    a = design(1000, 2, seed=42)
+    b = design(1000, 2, seed=42)
     np.testing.assert_array_equal(a, b)
-    c = _gen_design(1000, 2, seed=43)
+    c = design(1000, 2, seed=43)
     assert not np.array_equal(a, c)
     assert np.all((a >= 0) & (a < 1))
 
 
 def test_design_mean_band():
     n = 100_000
-    x = _gen_design(n, 2, seed=7)
+    x = design(n, 2, seed=7)
     for j in range(2):
         assert abs(x[:, j].mean() - 0.5) < 4 / math.sqrt(n)
 
 
 def test_substream_isolation():
     # design and noise streams of the same seed do not overlap
-    x = _gen_design(100, 1, seed=5)
+    x = design(100, 1, seed=5)
     model = NoiseModel(family="gaussian", base_scale=1.0)
     noise = noise_stream(model, 100, 5)
     assert not np.allclose(x[:, 0], noise)
@@ -136,6 +144,79 @@ def test_substream_isolation():
     n1 = noise_stream(model, 50, (5, 0))
     n2 = noise_stream(model, 50, (5, 1))
     assert not np.allclose(n1, n2)
+
+
+def test_a_sample_needs_a_row():
+    model = NoiseModel(family="gaussian")
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
+            gen_window(constant_function(0.0), model, n, 1, [1])
+
+
+def seed_sequence_key(seed, stream: int) -> list:
+    """The oracle: numpy's own key for sub-stream ``stream`` of ``seed``."""
+    entropy = seed if isinstance(seed, tuple) else (seed,)
+    return np.random.SeedSequence(entropy, spawn_key=(stream,)).generate_state(2, np.uint64).tolist()
+
+
+# int and tuple seeds across the 32-bit word boundaries, beyond 2^64, and
+# with more than the pool's four words of entropy
+KEY_SEEDS = [
+    0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 7, 3**90,
+    (0,), (5, 0), (5, 1), (0, 0, 0, 0), (2**32 - 1, 2**32), (1, 2, 3, 4, 5),
+    (7, 2**70, 9), tuple(range(11)), (2**200, 3),
+]
+
+
+@pytest.mark.parametrize("streams", [(0, 1), (1, 0), (7,), (2**32 - 1, 0, 5)])
+def test_block_keys_are_numpys_seed_sequence_keys(streams):
+    # one block mixes every word count, so the hash runs once per count
+    keys = _philox_keys(KEY_SEEDS, streams)
+    assert len(keys) == len(KEY_SEEDS)
+    for seed, seed_keys in zip(KEY_SEEDS, keys):
+        assert seed_keys == [seed_sequence_key(seed, s) for s in streams]
+    # each seed's keys do not depend on the seeds beside it
+    for seed, seed_keys in zip(KEY_SEEDS, keys):
+        assert _philox_keys([seed], streams) == [seed_keys]
+
+
+def test_keys_reject_negative_seeds_and_stream_ids_past_one_word():
+    for seed in (-1, (3, -2), [0, -(2**40)]):
+        with pytest.raises(ValueError, match="non-negative"):
+            _philox_keys([1, seed], (0, 1))
+        with pytest.raises(ValueError, match="non-negative"):
+            substream(seed, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            gen_window(constant_function(0.0), NoiseModel(family="gaussian"), 8, 1, [1, seed])
+    for stream in (-1, 2**32):
+        with pytest.raises(ValueError, match="one 32-bit word"):
+            substream(1, stream)
+
+
+@pytest.mark.parametrize("stream", [DESIGN_STREAM, NOISE_STREAM, 7])
+@pytest.mark.parametrize("seed", [0, 2**32, (5, 3), (1, 2, 3, 4, 5)], ids=str)
+def test_substream_is_the_seed_sequence_stream(seed, stream):
+    entropy = seed if isinstance(seed, tuple) else (seed,)
+    oracle = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy, spawn_key=(stream,)))
+    )
+    assert substream(seed, stream).random(2000).tobytes() == oracle.random(2000).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("size", [1, 2, 64])
+def test_block_rows_are_the_substream_draws_bit_for_bit(size, d):
+    # whole samples (no box), so every row is compared; the block mixes
+    # pairs, ints of two words and seeds of five words
+    seeds = [((11, rep), 2**33 + rep, (rep, 2**40, 1, 2, 3))[rep % 3] for rep in range(size)]
+    model = NoiseModel(family="laplace", base_scale=0.5)
+    n = 37
+    x, y, counts = gen_window(constant_function(0.0, d=d), model, n, d, seeds)
+    assert counts.tolist() == [n] * size
+    for rep, seed in enumerate(seeds):
+        rows = slice(rep * n, (rep + 1) * n)
+        assert x[rows].tobytes() == substream(seed, DESIGN_STREAM).random((n, d)).tobytes()
+        assert y[rows].tobytes() == noise_stream(model, n, seed).tobytes()
 
 
 @pytest.mark.parametrize("family", sorted(NOISE_FAMILIES))
@@ -259,7 +340,7 @@ def test_gen_data_zero_function_gives_noise_stream():
     model = NoiseModel(family="laplace", base_scale=1.0)
     data = gen_data(f, model, 80, 1, seed=9)
     np.testing.assert_array_equal(data.y, noise_stream(model, 80, 9))
-    np.testing.assert_array_equal(data.x, _gen_design(80, 1, seed=9))
+    np.testing.assert_array_equal(data.x, substream(9, DESIGN_STREAM).random((80, 1)))
 
 
 # (x0, h) boxes: interior, clipped at 0, clipped at 1, holding every row
