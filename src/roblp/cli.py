@@ -49,6 +49,17 @@ def _load_data(path) -> Dataset:
         raise SystemExit(str(exc))
 
 
+def _output_path(path) -> Path:
+    """``path``, with its directory made; a directory that cannot be made
+    exits with a message naming ``path``."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SystemExit(f"{path}: cannot create its directory ({exc.strerror})")
+    return path
+
+
 # The flag or subcommand that supplies each estimator key a settings file omits.
 _SUPPLIED = {"kind": "the subcommand, fit or adapt", "x0": "--x0", "h": "fit's --h (adapt selects h)"}
 
@@ -98,6 +109,7 @@ def _cmd_fit(args) -> int:
 def _cmd_adapt(args) -> int:
     data = _load_data(args.data)
     estimator = _load_estimator(args, data, "adaptive")
+    out = _output_path(args.json) if args.json else None
     trace = estimator.selection_trace(data, args.x0)
 
     print(f"chosen k: {trace.chosen_k}")
@@ -109,8 +121,8 @@ def _cmd_adapt(args) -> int:
             f"{chk.k:>3} {chk.l:>3} {chk.difference:>14.6g} {chk.threshold:>14.6g}"
             f" {'yes' if chk.passed else 'no'}"
         )
-    if args.json:
-        Path(args.json).write_text(json.dumps(trace.to_dict(), indent=2, sort_keys=True) + "\n")
+    if out is not None:
+        out.write_text(json.dumps(trace.to_dict(), indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -135,9 +147,8 @@ def _cmd_simulate(args) -> int:
     _validate(cfg, _SIMULATE_SCHEMA)
     model = _noise_model(cfg["noise"])
     f = _test_function(cfg["function"], model)
+    out = _output_path(cfg["output"])
     data = gen_data(f, model, cfg["n"], f.d, cfg["seed"])
-    out = Path(cfg["output"])
-    out.parent.mkdir(parents=True, exist_ok=True)
     data.to_csv(out)
     sidecar = {
         "function": f.to_config(),

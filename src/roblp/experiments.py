@@ -390,6 +390,9 @@ def run_experiment(source, output_dir=None) -> dict:
     the experiment name, the paths written and the summary.  Replications
     run on ``risk.workers`` processes, else ROBLP_WORKERS, else one; the
     count is not written into the config, so outputs do not record it.
+    An output directory that cannot be made is a ConfigError naming it,
+    raised before any replication runs; the directory is made only once
+    they have all run.
     """
     cfg = load_config(source)
     out = cfg["output"]
@@ -411,6 +414,7 @@ def run_experiment(source, output_dir=None) -> dict:
             f"$.estimator.kind: {cfg['experiment']} experiment needs a single bandwidth"
         )
     _check_sizes(estimator, cfg["grid"]["n_values"] if rates else [cfg["grid"]["n"]], x0)
+    _check_output_dir(out_dir)
     header, rows, summary, extras = runner(cfg, f, noise, estimator, x0, workers)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -428,6 +432,17 @@ def run_experiment(source, output_dir=None) -> dict:
         "manifest": manifest,
         "summary": summary,
     }
+
+
+def _check_output_dir(out_dir: Path) -> None:
+    """A ConfigError naming ``out_dir`` unless it can be made and written
+    into: the nearest of it and its ancestors that exists must be a
+    writable directory.  Nothing is made here."""
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {out_dir}: {existing} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise ConfigError(f"output directory {out_dir}: {existing} is not writable")
 
 
 def _workers(risk: dict) -> int:

@@ -235,7 +235,7 @@ def _block_estimates(args) -> np.ndarray:
     x, y, counts = gen_window(f, model, n, configs[0].d, seeds, box)
     windows, fitted = _windows(x, y, n, configs, counts)
     estimates = np.full((len(reps), len(configs)), math.nan)
-    estimates[fitted] = np.column_stack([fits.estimate for fits in _fit_problems(windows)])
+    estimates[fitted] = _fit_problems(windows).estimate.reshape(len(configs), -1).T
     return estimates
 
 

@@ -260,7 +260,7 @@ def select_bandwidth(
     ``EmptyNeighborhoodError`` carrying the offending grid index.
     """
     windows, _ = _windows(data.x, data.y, data.n, levels, grid=True)
-    estimates = [e for fits in _fit_problems(windows) for e in fits.estimate.tolist()]
+    estimates = _fit_problems(windows).estimate.tolist()
     chosen, checks = select_index(estimates, thresholds)
     return SelectionTrace(
         estimates=tuple(zip(range(len(levels)), (cfg.h for cfg in levels), estimates)),

@@ -22,34 +22,36 @@ too few samples in the quadratic band), or the homotopy fails, it takes a
 Barzilai-Borwein projected gradient step instead.  The l1-ball projection
 is the classic sort-based simplex projection (Duchi et al. 2008).
 
-The solver works on a stack of windows: the Monte Carlo harness draws a
-block of replications and hands all their fits (every config of its plan:
-each grid level, or each contrast of a compare table) to one solver call,
-which iterates the windows of equal fit settings (degree, kernel, radius,
-contrast, optimizer) in stacks of up to _STACK_CHUNKS chunks; a bandwidth
-selection solves its grid levels as one stack, and ``fit_local`` is a
-stack of one.  A window is only its rows, and ``_windows`` alone cuts
-them, from given rows ``x``, ``y`` of samples of size n (all of a
-``Dataset``'s, or those the harness drew inside the plan's first window
-for a whole block of replications); n sets its 1/(n h^d) scale.  A plan's
-windows (a grid's levels, a compare table's contrasts, or one fit) lie
-each inside the one before it, checked by ``_windows``: each is cut from
-the samples of the one before, by one mask over the block's rows, so only
-the first scans the given rows.  The windows of one config come as one
-``_Windows``: their rows end to end and each one's row count.  The stack
-writes every window's rescaled points into whole chunks of _CHUNK rows,
-padded with zero rows, by one mask scatter, and builds the design monomials
-and kernel weights of all its windows in one call each.  Every fit starts
-from the kernel-weighted median of its window's responses, found by a
-partition where the weights are all one (the uniform kernel) and by a
-sort otherwise.  Each iteration takes the
-residuals, gradients, Hessians, condition tests, Newton solves, line
-searches and stationarity gaps of all live fits at once; a fit that needs
-the homotopy or a gradient step takes it inside the same loop.  Every sum
-over a window's samples adds its own chunks in order, so a fit's
-arithmetic, and its result, is the same bit for bit whatever else shares
-its stack: harness results do not depend on the block size or on the
-worker count (ROBLP_WORKERS).
+The solver works on a stack of windows.  A plan is the fit configs of
+one estimate: a grid's levels, a compare table's contrasts, or one fit.
+The Monte Carlo harness draws a block of replications and hands all the
+windows of its plan to one solver call, ``_fit_problems``, which cuts
+them in one pass into stacks, runs of consecutive windows of equal fit
+settings (degree, kernel, radius, contrast, optimizer) of up to
+_STACK_CHUNKS chunks, and stores every result in the plan's one
+``_Fits``; a bandwidth selection solves its grid levels as one stack, and
+``fit_local`` is a stack of one.  A window is only its rows, and
+``_windows`` alone cuts them, from given rows ``x``, ``y`` of samples of
+size n (all of a ``Dataset``'s, or those the harness drew inside the
+plan's first window for a whole block of replications); n sets its
+1/(n h^d) scale.  A plan's windows lie each inside the one before it,
+checked by ``_windows``: each is cut from the samples of the one before,
+by one mask over the block's rows, so only the first scans the given
+rows.  A plan's windows come as one ``_Windows``, config after config:
+their rows end to end, and each one's row count, config and scale.  A
+stack takes a run of them as a view, writes every window's rescaled
+points into whole chunks of _CHUNK rows, padded with zero rows, by one
+mask scatter, and builds the design monomials and kernel weights of all
+its windows in one call each.  Every fit starts from the kernel-weighted
+median of its window's responses, found by a partition where the weights
+are all one (the uniform kernel) and by a sort otherwise.  Each
+iteration takes the residuals, gradients, Hessians, condition tests,
+Newton solves, line searches and stationarity gaps of all live fits at
+once; a fit that needs the homotopy or a gradient step takes it inside
+the same loop.  Every sum over a window's samples adds its own chunks in
+order, so a fit's arithmetic, and its result, is the same bit for bit
+whatever else shares its stack: harness results do not depend on the
+block size or on the worker count (ROBLP_WORKERS).
 """
 
 from __future__ import annotations
@@ -222,48 +224,25 @@ class FitResult:
 
 
 class _Fits:
-    """The results of fits of one index set, a column each, fit after fit:
-    the projected coefficients ``theta`` (a row each), the sample count
-    ``n_local``, the ``iterations``, the stationarity ``gap`` and the
-    ``converged`` flag.  ``_Stack.store`` writes into them as its fits
-    stop; ``result`` builds one fit's ``FitResult``."""
+    """The results of the fits of one plan (one index set), a column each,
+    fit after fit: the projected coefficients ``theta`` (a row each), the
+    sample count ``n_local``, the ``iterations``, the stationarity ``gap``
+    and the ``converged`` flag.  Built empty for windows of ``n_local``
+    samples each; ``_Stack.store`` writes into it as its fits stop, and
+    ``result`` builds one fit's ``FitResult``."""
 
-    COLUMNS = ("theta", "n_local", "iterations", "gap", "converged")
-
-    def __init__(self, index_set: MultiIndexSet, theta, n_local, iterations, gap, converged):
-        self.index_set = index_set
-        self.theta, self.n_local, self.iterations = theta, n_local, iterations
-        self.gap, self.converged = gap, converged
-
-    @classmethod
-    def allocate(cls, index_set: MultiIndexSet, n_local: np.ndarray) -> _Fits:
-        """Room for the fits of windows of ``n_local`` samples each."""
+    def __init__(self, index_set: MultiIndexSet, n_local: np.ndarray):
         size = n_local.size
-        return cls(
-            index_set,
-            np.empty((size, index_set.size)),
-            n_local,
-            np.empty(size, dtype=int),
-            np.empty(size),
-            np.empty(size, dtype=bool),
-        )
+        self.index_set, self.n_local = index_set, n_local
+        self.theta = np.empty((size, index_set.size))
+        self.iterations = np.empty(size, dtype=int)
+        self.gap = np.empty(size)
+        self.converged = np.empty(size, dtype=bool)
 
     @property
     def estimate(self) -> np.ndarray:
         """The fitted value at x0 of each fit: its constant coefficient."""
         return self.theta[:, 0]
-
-    def take(self, start: int, stop: int) -> _Fits:
-        """Fits start..stop-1, as views of these columns."""
-        return _Fits(self.index_set, *(getattr(self, name)[start:stop] for name in self.COLUMNS))
-
-    @classmethod
-    def join(cls, parts: list[_Fits]) -> _Fits:
-        """The fits of ``parts``, one after the other."""
-        if len(parts) == 1:
-            return parts[0]
-        columns = (np.concatenate([getattr(p, name) for p in parts]) for name in cls.COLUMNS)
-        return cls(parts[0].index_set, *columns)
 
     def result(self, i: int) -> FitResult:
         """The ``FitResult`` of fit ``i``."""
@@ -340,24 +319,26 @@ def _box_rows(x: np.ndarray, x0, h: float) -> np.ndarray:
 
 
 class _Windows:
-    """The windows of one fit config in a block of replications, as
+    """The windows of a plan's fit configs in a block of replications, as
     ``_windows`` cuts them: the design points ``x`` and responses ``y`` of
-    their samples, window after window, the sample count ``n_local`` of
-    each, the 1/(n h^d) normalization ``scale`` by the full sample size
-    ``n``, and the fit's ``cfg``.  A ``_Stack`` lays windows out for the
+    their samples, window after window, and for each window its sample
+    count ``n_local``, the index ``config`` of its config in the plan's
+    ``configs`` and its 1/(n h^d) normalization ``scale`` by the full
+    sample size n.  ``first`` is the plan position of window 0: 0 for a
+    plan, the start of a ``take``.  A ``_Stack`` lays windows out for the
     solver and builds their rescaled design and kernel weights."""
 
-    def __init__(
-        self, x: np.ndarray, y: np.ndarray, n_local: np.ndarray, scale: float, cfg: LocalFitConfig
-    ):
-        self.x, self.y, self.n_local, self.scale, self.cfg = x, y, n_local, scale, cfg
+    def __init__(self, x, y, n_local, config, scale, configs: Sequence[LocalFitConfig], first: int = 0):
+        self.x, self.y, self.n_local, self.config, self.scale = x, y, n_local, config, scale
+        self.configs, self.first = configs, first
         self.size = n_local.size  # windows
 
     def take(self, start: int, stop: int) -> _Windows:
         """Windows start..stop-1, as views of these rows."""
         first, last = self.n_local[:start].sum(), self.n_local[:stop].sum()
         return _Windows(
-            self.x[first:last], self.y[first:last], self.n_local[start:stop], self.scale, self.cfg
+            self.x[first:last], self.y[first:last], self.n_local[start:stop],
+            self.config[start:stop], self.scale[start:stop], self.configs, self.first + start,
         )
 
 
@@ -368,11 +349,12 @@ def _windows(
     configs: Sequence[LocalFitConfig],
     counts: np.ndarray | None = None,
     grid: bool = False,
-) -> tuple[list[_Windows], np.ndarray]:
-    """The windows of each fit config among the rows ``x``, ``y`` of
-    samples of size ``n`` (all of a sample's rows, or a set holding its
-    first window), one ``_Windows`` per config, and the mask of the
-    replications they hold.
+) -> tuple[_Windows, np.ndarray]:
+    """The windows of a plan's fit ``configs`` among the rows ``x``, ``y``
+    of samples of size ``n`` (all of a sample's rows, or a set holding its
+    first window), as one ``_Windows``: config after config, each config's
+    windows in replication order; and the mask of the replications they
+    hold.  Every config has one window per kept replication.
 
     With ``counts``, the rows are those of a block of replications,
     ``counts[r]`` rows of replication r after those of the one before; a
@@ -384,11 +366,13 @@ def _windows(
     The configs are a chain of nested windows: each has the x0 of the one
     before it and a bandwidth no larger, so, a window being a sup-norm
     box, it lies inside the one before.  Any other plan is a ValueError,
-    raised before a window is cut.  Window 0 is cut from the given rows
-    and each later one from the window before it, by one mask over the
-    whole block; each replication's row count is a ``bincount`` of the
-    replication ids.  The mask is elementwise, so a window is the same bit
-    for bit as one cut from its replication's full sample."""
+    raised before a window is cut.  Every plan builder also gives its
+    configs one degree, as the plan's one ``_Fits`` holds one index set.
+    Window 0 is cut from the given rows and each later one from the window
+    before it, by one mask over the whole block; each replication's row
+    count is a ``bincount`` of the replication ids.  The mask is
+    elementwise, so a window is the same bit for bit as one cut from its
+    replication's full sample."""
     if x.shape[1] != configs[0].d:
         raise ValueError(f"data dimension {x.shape[1]} != config dimension {configs[0].d}")
     for k in range(1, len(configs)):
@@ -414,13 +398,17 @@ def _windows(
         cuts.append((x, y, rep, n_local))
     ok = cuts[-1][3] > 0  # the windows nest, so the last is the first to empty
     dropped = not ok.all()
-    windows = []
-    for cfg, (x, y, rep, n_local) in zip(configs, cuts):
+    parts = []  # each config's rows and window sizes, of the kept replications
+    for x, y, rep, n_local in cuts:
         if dropped:
             keep = ok.take(rep)
             x, y, n_local = x[keep], y[keep], n_local[ok]
-        windows.append(_Windows(x, y, n_local, 1.0 / (n * cfg.h**cfg.d), cfg))
-    return windows, ok
+        parts.append((x, y, n_local))
+    x, y, n_local = (np.concatenate(column) for column in zip(*parts))
+    kept = parts[0][2].size  # windows per config
+    scale = np.array([1.0 / (n * cfg.h**cfg.d) for cfg in configs])
+    config = np.arange(len(configs)).repeat(kept)
+    return _Windows(x, y, n_local, config, scale.repeat(kept), configs), ok
 
 
 def _stack_at(t, data: Dataset, cfg: LocalFitConfig) -> _Stack | None:
@@ -638,34 +626,37 @@ class _Stack:
         """Chunks a window of ``n_local`` samples fills."""
         return -(-n_local // _CHUNK)
 
-    def __init__(self, windows: list[_Windows], t: np.ndarray | None = None):
-        """Lay out ``windows`` (none empty, of one settings key) and start each
-        fit at its row of ``t``, by default at the kernel-weighted median of
-        its responses in the constant coordinate (zeros elsewhere, projected).
-        Every window's rescaled points and responses reach the chunk layout
-        by one mask scatter over the stack's rows, not window by window."""
-        cfg = windows[0].cfg
+    def __init__(self, windows: _Windows, t: np.ndarray | None = None):
+        """Lay out ``windows`` (none empty, of one settings key, a run of a
+        plan's) and start each fit at its row of ``t``, by default at the
+        kernel-weighted median of its responses in the constant coordinate
+        (zeros elsewhere, projected).  Every window's points, rescaled by
+        its own config's h, and its responses reach the chunk layout by one
+        mask scatter over the stack's rows, not window by window; a fit's
+        ``index`` is its window's position in the plan."""
+        configs = windows.configs
+        cfg = configs[windows.config[0]]
         self.contrast, self.radius, self.optimizer = cfg.contrast, cfg.bound, cfg.optimizer
         self.index_set = cfg.index_set
         n_b = self.index_set.size
-        self.n_local = np.concatenate([w.n_local for w in windows])
-        size = self.n_local.size
-        self.index = np.arange(size)
+        self.n_local, self.scale = windows.n_local, windows.scale
+        size = windows.size
+        self.index = np.arange(windows.first, windows.first + size)
         self.chunks = self.chunk_count(self.n_local)
-        self.scale = np.repeat([w.scale for w in windows], [w.size for w in windows])
         self._layout()
         # a window's samples fill the first rows of its chunks, in order
         position = np.arange(self.owner.size) - self.starts[self.owner]  # of a chunk in its window
         live = (np.arange(_CHUNK) < (self.n_local[self.owner] - _CHUNK * position)[:, None]).ravel()
         # the rescaled points, one coordinate per row of z (each scattered
         # by a one-dimensional mask), and the responses
-        x = np.concatenate([(w.x - w.cfg.x0) / w.cfg.h for w in windows])
+        h = np.array([c.h for c in configs]).take(windows.config).repeat(self.n_local)
+        x = (windows.x - cfg.x0) / h[:, None]
         z = np.zeros((cfg.d, live.size))
         for coordinate, column in zip(x.T, z):
             column[live] = coordinate
         z = z.T
         y = np.zeros(live.size)
-        y[live] = np.concatenate([w.y for w in windows])
+        y[live] = windows.y
         # each monomial's values over the rows, one contiguous row each; a
         # padding row (z = 0) holds only the constant monomial, 1, so
         # zeroing that one clears it
@@ -844,9 +835,9 @@ def _newton_steps(stack: _Stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cand, cand_val, took
 
 
-def _fit_stack(windows: list[_Windows]) -> _Fits:
-    """Minimize the local criteria of a stack of windows together; their
-    results, in order.
+def _fit_stack(windows: _Windows, fits: _Fits) -> None:
+    """Minimize the local criteria of a stack of windows together, storing
+    each result in its window's row of its plan's ``fits``.
 
     Every iteration takes a proximal Newton step (``_newton_steps``) for
     each live fit whose curvature allows one and a Barzilai-Borwein
@@ -856,7 +847,6 @@ def _fit_stack(windows: list[_Windows]) -> _Fits:
     iteration cap.
     """
     stack = _Stack(windows)
-    fits = _Fits.allocate(stack.index_set, stack.n_local)
     for _ in range(stack.optimizer.max_iterations):
         done = stack.converged | stack.stopped
         if done.all():
@@ -867,54 +857,32 @@ def _fit_stack(windows: list[_Windows]) -> _Fits:
             cand[row], cand_val[row] = _gradient_step(stack, row)
         stack.advance(cand, cand_val)
     stack.store(fits)  # the fits left, stopped or at the iteration cap
-    return fits
 
 
-def _fit_problems(windows) -> list[_Fits]:
-    """Fit every window of each ``_Windows`` of ``windows``; the results of
-    each, in input order, one ``_Fits`` per ``_Windows``.
+def _fit_problems(windows: _Windows) -> _Fits:
+    """Fit every window of a plan's ``windows``; their results, in order.
 
-    Windows with equal fit settings (all but x0 and h) are solved
-    together, in whatever order they come: each settings key gathers one
-    pending stack of at most _STACK_CHUNKS chunks (or one window larger on
-    its own), solved once it is complete; a ``_Windows`` that does not fit
-    is split where the stack fills.  The windows come from ``_windows``,
-    so none is empty.
+    One pass over the windows cuts them into stacks: a stack is a run of
+    consecutive windows of equal fit settings (all but x0 and h), cut
+    where the next window would take it past _STACK_CHUNKS chunks (a
+    window larger than that is a stack on its own).  Each stack stores its
+    results straight into the plan's one ``_Fits``.  The windows come from
+    ``_windows``, so none is empty.
     """
-    parts: list[list[_Fits]] = []  # the results of each _Windows, piece by piece
-    pending: dict = {}  # settings key -> [owners, windows, chunks]
-
-    def solve(key):
-        owners, stack, _ = pending.pop(key)
-        fits, at = _fit_stack(stack), 0
-        for owner, part in zip(owners, stack):
-            parts[owner].append(fits.take(at, at + part.size))
-            at += part.size
-
-    for owner, part in enumerate(windows):
-        if not part.size:
-            parts.append([_Fits.allocate(part.cfg.index_set, part.n_local)])
-            continue
-        parts.append([])
-        cfg = part.cfg
-        key = (cfg.degree, cfg.kernel, cfg.bound, cfg.contrast, cfg.optimizer)
-        taken = 0
-        group = pending.setdefault(key, [[], [], 0])
-        for i, n_local in enumerate(part.n_local.tolist()):
-            size = _Stack.chunk_count(n_local)
-            if group[2] and group[2] + size > _STACK_CHUNKS:
-                if i > taken:
-                    group[0].append(owner)
-                    group[1].append(part.take(taken, i))
-                    taken = i
-                solve(key)
-                group = pending.setdefault(key, [[], [], 0])
-            group[2] += size
-        group[0].append(owner)
-        group[1].append(part.take(taken, part.size) if taken else part)
-    for key in list(pending):
-        solve(key)
-    return [_Fits.join(pieces) for pieces in parts]
+    configs = windows.configs
+    keys = [(cfg.degree, cfg.kernel, cfg.bound, cfg.contrast, cfg.optimizer) for cfg in configs]
+    fits = _Fits(configs[0].index_set, windows.n_local)
+    sizes = _Stack.chunk_count(windows.n_local).tolist()
+    # the first window of each stack, and the chunks and key of the last
+    starts, chunks, current = [], 0, None
+    for i, (config, size) in enumerate(zip(windows.config.tolist(), sizes)):
+        if keys[config] != current or chunks + size > _STACK_CHUNKS:
+            starts.append(i)
+            chunks, current = 0, keys[config]
+        chunks += size
+    for start, stop in zip(starts, starts[1:] + [windows.size]):
+        _fit_stack(windows.take(start, stop), fits)
+    return fits
 
 
 def fit_local(data: Dataset, cfg: LocalFitConfig) -> FitResult:
@@ -932,4 +900,4 @@ def fit_local(data: Dataset, cfg: LocalFitConfig) -> FitResult:
     if data.n == 0:
         raise ValueError("dataset is empty")
     windows, _ = _windows(data.x, data.y, data.n, [cfg])
-    return _fit_problems(windows)[0].result(0)
+    return _fit_problems(windows).result(0)

@@ -44,11 +44,11 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
     """
     if data.n == 0:
         raise ValueError("dataset is empty")
-    (problem,), _ = _windows(data.x, data.y, data.n, [cfg])  # raises EmptyNeighborhoodError
+    problem, _ = _windows(data.x, data.y, data.n, [cfg])  # raises EmptyNeighborhoodError
 
     opt = cfg.optimizer
     radius = cfg.bound
-    stack = _Stack([problem])
+    stack = _Stack(problem)
     t = stack.t[0]
 
     def criterion(u):

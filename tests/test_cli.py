@@ -135,6 +135,47 @@ def test_cli_simulate(tmp_path, capsys):
     assert sidecar["seed"] == 9
 
 
+def test_an_output_path_that_cannot_be_written_exits_with_one_line_naming_it(
+    tmp_path, dataset_csv, estimator_json, monkeypatch
+):
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran")
+
+    monkeypatch.setattr(experiments, "tail_check", no_replications)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    sim = tmp_path / "sim.json"
+    sim.write_text(
+        json.dumps(
+            {
+                "function": {"name": "cusp", "beta": 0.5},
+                "noise": {"family": "laplace", "scale": 1.0},
+                "n": 100,
+                "seed": 9,
+                "output": str(taken / "dataset.csv"),
+            }
+        )
+    )
+    adapt = ["adapt", "--data", str(dataset_csv), "--x0", "0.25", "--config", str(estimator_json)]
+    for argv, path in (
+        (["tails", "--config", tails_config(tmp_path), "--output-dir", str(taken)], taken),
+        (adapt + ["--json", str(taken / "trace.json")], taken / "trace.json"),
+        (["simulate", "--config", str(sim)], taken / "dataset.csv"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = str(exc.value)
+        assert str(path) in message and "\n" not in message, argv[0]
+    assert taken.read_text() == ""
+
+
+def test_cli_adapt_json_makes_its_directory(dataset_csv, estimator_json, tmp_path):
+    trace_path = tmp_path / "new" / "dir" / "trace.json"
+    argv = ["adapt", "--data", str(dataset_csv), "--x0", "0.25", "--config", str(estimator_json)]
+    assert main(argv + ["--json", str(trace_path)]) == 0
+    assert "chosen_k" in json.loads(trace_path.read_text())
+
+
 def test_cli_rates(tmp_path, capsys):
     cfg = {
         "experiment": "rates",

@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -524,6 +525,28 @@ def test_a_rejected_config_creates_no_output_directory(tmp_path, section):
     with pytest.raises(ConfigError, match=rf"\$: '{section}' is a required property"):
         run_experiment(cfg)
     assert not out.exists()
+
+
+def test_an_output_directory_that_cannot_be_made_is_one_config_error_before_any_driver(tmp_path, monkeypatch):
+    # the directory is an existing file, or lies under one, in the config
+    # or in the output_dir override
+    def no_replications(*args, **kwargs):
+        raise AssertionError("a driver ran")
+
+    monkeypatch.setattr(experiments, "tail_check", no_replications)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out, override in ((taken, None), (taken / "out", None), (tmp_path / "free", taken)):
+        with pytest.raises(ConfigError) as exc:
+            run_experiment(_tails_config(out), output_dir=override)
+        named = override or out
+        message = rf"output directory {re.escape(str(named))}: {re.escape(str(taken))} is not a directory"
+        assert re.fullmatch(message, str(exc.value))
+    assert taken.read_text() == "" and not (tmp_path / "free").exists()
+    # a directory the process may not write into; patched, as the superuser may write anywhere
+    monkeypatch.setattr(experiments.os, "access", lambda path, mode: False)
+    with pytest.raises(ConfigError, match=rf"^output directory {re.escape(str(tmp_path / 'free'))}: .* is not writable$"):
+        run_experiment(_tails_config(tmp_path / "free"))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from roblp.basis import multi_index_set
 from roblp.lepski import select_bandwidth
 from roblp.local_fit import Dataset, EmptyNeighborhoodError, LocalFitConfig, OptimizerSettings, fit_local
 from roblp.simulate import NoiseModel, constant_function, gen_data, gen_window, sinusoid
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def _report_from_risks(n_grid, risks, r=2.0):
@@ -404,6 +408,83 @@ def test_a_plan_whose_windows_leave_its_first_window_is_rejected():
     ):
         with pytest.raises(ValueError, match=r"fit config 1 \(.*\) lies outside the window of fit config 0"):
             harness._replication_estimates([(configs, n)], f, model, 4, 17)
+
+
+def _shipped_plan(name: str, n: int) -> tuple:
+    """The fit configs of one estimate at n samples under the shipped
+    config ``name``, its test function and its noise model.  Of a compare
+    config, the three contrasts of its table, as ``compare_contrasts``
+    builds them, at an iteration cap of 200 to keep the test short."""
+    from roblp.experiments import _estimator, _noise_model, _test_function
+
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    model = _noise_model(cfg["noise"])
+    configs, _ = _estimator(cfg["estimator"], model).plan(cfg["estimator"]["x0"], n)
+    if cfg["experiment"] == "compare":
+        (fit,) = configs
+        fit = dataclasses.replace(fit, optimizer=OptimizerSettings(max_iterations=200))
+        configs = tuple(dataclasses.replace(fit, contrast=c) for c in (square(), huber(1e-6), fit.contrast))
+    return configs, _test_function(cfg["function"], model), model
+
+
+@pytest.mark.parametrize("cap", [512, 8])
+@pytest.mark.parametrize(
+    "name, n, reps, expected",
+    [
+        ("tails_gaussian", 1024, 64, [(64, 80)]),
+        ("compare_cauchy", 1024, 64, [(64, 80)] * 3),
+        ("rates_adaptive", 4096, 60, [(25, 500), (25, 498), (40, 509), (68, 510), (142, 410)]),
+    ],
+    ids=["tails", "compare", "adaptive"],
+)
+def test_a_block_packs_its_plan_into_maximal_runs_of_one_settings_key(monkeypatch, name, n, reps, expected, cap):
+    # every _fit_stack call of one block, as (windows, chunks): the stacks
+    # cover the plan's windows once, in order, a run of one settings key
+    # each, and a stack ends only at a key change or where the next window
+    # would pass the cap; at the shipped cap, the stacks are those listed
+    import roblp.harness as harness
+    import roblp.local_fit as local_fit
+
+    monkeypatch.setattr(local_fit, "_STACK_CHUNKS", cap)
+    plans, stacks = [], []
+    fit_problems, fit_stack = local_fit._fit_problems, local_fit._fit_stack
+
+    def recording_plan(windows):
+        plans.append(windows)
+        return fit_problems(windows)
+
+    def recording_stack(windows, fits):
+        stacks.append(windows)
+        return fit_stack(windows, fits)
+
+    monkeypatch.setattr(harness, "_fit_problems", recording_plan)
+    monkeypatch.setattr(local_fit, "_fit_stack", recording_stack)
+    configs, f, model = _shipped_plan(name, n)
+    harness._block_estimates((configs, f, model, n, 100, range(reps)))
+    (plan,) = plans
+    assert plan.size == reps * len(configs)  # no window is empty
+    chunks = local_fit._Stack.chunk_count(plan.n_local).tolist()
+    keys = [(c.degree, c.kernel, c.bound, c.contrast, c.optimizer) for c in configs]
+    key = [keys[k] for k in plan.config.tolist()]
+    first, sizes = 0, []
+    for stack in stacks:
+        last = first + stack.size
+        rows = slice(plan.n_local[:first].sum(), plan.n_local[:last].sum())
+        assert stack.first == first and stack.size > 0
+        assert stack.n_local.tolist() == plan.n_local[first:last].tolist()
+        assert stack.config.tolist() == plan.config[first:last].tolist()
+        assert stack.x.tobytes() == plan.x[rows].tobytes() and stack.y.tobytes() == plan.y[rows].tobytes()
+        assert len(set(key[first:last])) == 1
+        assert sum(chunks[first:last]) <= cap or stack.size == 1
+        if last < plan.size:
+            assert key[last] != key[first] or sum(chunks[first : last + 1]) > cap
+        sizes.append((stack.size, sum(chunks[first:last])))
+        first = last
+    assert first == plan.size
+    if cap == 512:
+        assert sizes == expected
+    else:
+        assert len(sizes) > len(expected)
 
 
 @pytest.mark.parametrize("replications", [0, -3])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -44,14 +45,35 @@ def make_cfg(**kw):
 
 def _problem(data, cfg):
     """The window of ``cfg`` cut from all of ``data``'s rows."""
-    (window,), _ = local_fit._windows(data.x, data.y, data.n, [cfg])
+    window, _ = local_fit._windows(data.x, data.y, data.n, [cfg])
     return window
 
 
+def _levels(windows) -> list:
+    """The windows of each config of a plan's ``windows``, a view each."""
+    per = windows.size // len(windows.configs)
+    return [windows.take(k * per, (k + 1) * per) for k in range(len(windows.configs))]
+
+
+def _join(windows):
+    """The plans ``windows`` as one plan, one after the other."""
+    offsets = np.cumsum([0] + [len(w.configs) for w in windows])
+    return local_fit._Windows(
+        *(np.concatenate([getattr(w, name) for w in windows]) for name in ("x", "y", "n_local")),
+        np.concatenate([w.config + offset for w, offset in zip(windows, offsets)]),
+        np.concatenate([w.scale for w in windows]),
+        [cfg for w in windows for cfg in w.configs],
+    )
+
+
 def fit_results(windows) -> list:
-    """The ``FitResult`` of every window of ``windows``, solved together,
-    window after window."""
-    return [fits.result(i) for fits in local_fit._fit_problems(windows) for i in range(fits.n_local.size)]
+    """The ``FitResult`` of every window of the plans ``windows``, window
+    after window; each run of plans of one degree is solved as one plan."""
+    results = []
+    for _, run in itertools.groupby(windows, key=lambda w: w.configs[0].degree):
+        fits = local_fit._fit_problems(_join(list(run)))
+        results += [fits.result(i) for i in range(fits.n_local.size)]
+    return results
 
 
 def test_dataset_validation():
@@ -611,10 +633,11 @@ def test_stacked_fits_are_bit_identical_to_single_fits(monkeypatch):
             )
 
 
-def test_windows_of_alternating_settings_stack_per_settings_key(monkeypatch):
-    # each settings key gathers its own stack, whatever order the windows
-    # come in, and the results come back in input order
-    f, gauss = sinusoid(2.0), NoiseModel(family="gaussian", base_scale=0.5)
+def test_a_plan_of_three_settings_keys_stacks_per_key(monkeypatch):
+    # a 6-replication block of three configs of one window, each its own
+    # settings key: the plan's windows come config after config, each
+    # config's run is one stack, and each fit is the fit of its sample alone
+    f, gauss, n = sinusoid(2.0), NoiseModel(family="gaussian", base_scale=0.5), 512
     tiny = OptimizerSettings(max_iterations=200)
     settings = [
         make_cfg(x0=(0.25,), h=0.15, degree=1, bound=8.0),
@@ -622,30 +645,23 @@ def test_windows_of_alternating_settings_stack_per_settings_key(monkeypatch):
         # the kernel alone sets a key apart: a stack builds one kernel's weights
         make_cfg(x0=(0.25,), h=0.15, degree=1, bound=8.0, kernel=KernelSpec(kind="triangular", d=1)),
     ]
-    cases = [(gen_data(f, gauss, 512, 1, (35, rep)), cfg) for rep in range(6) for cfg in settings]
-    alone = [None] * len(cases)
-    for cfg in settings:
-        positions = [i for i, case in enumerate(cases) if case[1] is cfg]
-        fits = fit_results([_problem(*cases[i]) for i in positions])
-        for i, fit in zip(positions, fits):
-            alone[i] = fit
+    samples = [gen_data(f, gauss, n, 1, (35, rep)) for rep in range(6)]
+    x, y = (np.concatenate([getattr(data, name) for data in samples]) for name in ("x", "y"))
+    windows, ok = local_fit._windows(x, y, n, settings, np.full(len(samples), n))
+    assert ok.all()
+    alone = [fit_local(data, cfg) for cfg in settings for data in samples]
     stacks = []
     original = local_fit._fit_stack
 
-    def counting(windows):
-        stacks.append(len(windows))
-        return original(windows)
+    def counting(windows, fits):
+        stacks.append(windows.size)
+        return original(windows, fits)
 
     monkeypatch.setattr(local_fit, "_fit_stack", counting)
-    mixed = fit_results(_problem(*case) for case in cases)
+    mixed = fit_results([windows])
     assert stacks == [6, 6, 6]
-    assert [fit.n_local for fit in mixed] == [fit.n_local for fit in alone]
-    for fit, single in zip(mixed, alone):
-        assert fit.estimate == single.estimate
-        np.testing.assert_array_equal(fit.theta_hat.values, single.theta_hat.values)
-        assert (fit.iterations, fit.converged, fit.stationarity_gap) == (
-            single.iterations, single.converged, single.stationarity_gap
-        )
+    for fit, single in zip(mixed, alone, strict=True):
+        _assert_same_fit(fit, single)
 
 
 def _weighted_median_by_sort(values, weights):
@@ -689,13 +705,13 @@ def test_nested_grid_windows_equal_windows_cut_from_the_full_sample(kernel, d):
     configs = [make_cfg(x0=(0.3,) * d, h=0.4 * 2.0**-k, kernel=spec) for k in range(4)]
     nested, _ = local_fit._windows(data.x, data.y, data.n, configs, grid=True)
     alone = [_problem(data, cfg) for cfg in configs]
-    for window, single in zip(nested, alone):
+    for window, single in zip(_levels(nested), alone, strict=True):
         assert window.n_local.tolist() == single.n_local.tolist() and single.n_local[0] > 0
-        assert window.scale == single.scale
+        assert window.scale.tolist() == single.scale.tolist()
         for name in ("x", "y"):
             a, b = getattr(window, name), getattr(single, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    stack, cut = local_fit._Stack(nested), local_fit._Stack(alone)
+    stack, cut = local_fit._Stack(nested), local_fit._Stack(_join(alone))
     for name in ("design_t", "weights", "y"):
         a, b = getattr(stack, name), getattr(cut, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
@@ -707,7 +723,7 @@ def test_nested_grid_windows_equal_windows_cut_from_the_full_sample(kernel, d):
     weights, y = cut.weights.reshape(-1), cut.y.reshape(-1)
     for window, first, rows in zip(alone, cut.starts * chunk, cut.chunks * chunk):
         n_local = int(window.n_local[0])
-        cfg, live = window.cfg, slice(first, first + n_local)
+        cfg, live = window.configs[0], slice(first, first + n_local)
         z = (window.x - np.asarray(cfg.x0)) / cfg.h
         assert design[live].tobytes() == monomial_matrix(z, index_set).tobytes()
         assert weights[live].tobytes() == spec.value(z).tobytes()
@@ -745,15 +761,17 @@ def test_a_block_cut_leaves_the_other_replications_unshifted(d):
     with pytest.raises(EmptyNeighborhoodError) as exc:
         local_fit._windows(x[2], y[2], n, configs, grid=True)
     assert exc.value.grid_index == 2
-    for k, level in enumerate(windows):
-        assert level.cfg is configs[k] and level.scale == 1.0 / (n * configs[k].h ** d)
+    assert windows.configs is configs
+    for k, level in enumerate(_levels(windows)):
+        assert level.config.tolist() == [k] * 4
+        assert level.scale.tolist() == [1.0 / (n * configs[k].h ** d)] * 4
         ends = level.n_local.cumsum()
         for rep, first, last in zip((0, 1, 3, 4), ends - level.n_local, ends):
             alone, _ = local_fit._windows(x[rep], y[rep], n, configs, grid=True)
-            assert level.x[first:last].tobytes() == alone[k].x.tobytes()
-            assert level.y[first:last].tobytes() == alone[k].y.tobytes()
+            assert level.x[first:last].tobytes() == _levels(alone)[k].x.tobytes()
+            assert level.y[first:last].tobytes() == _levels(alone)[k].y.tobytes()
     # the fits of the block are those of each replication on its own
-    fits = fit_results(windows)
+    fits = fit_results([windows])
     singles = [fit_local(Dataset(x=x[rep], y=y[rep]), cfg) for cfg in configs for rep in (0, 1, 3, 4)]
     for fit, single in zip(fits, singles, strict=True):
         _assert_same_fit(fit, single)
@@ -777,7 +795,7 @@ def test_stacks_of_weighted_kernels_give_each_fit_its_bits_alone(monkeypatch, ke
     starts = local_fit._Stack(windows).t[:, 0]
     medians = [
         _weighted_median_by_sort(part.y[first:last], spec.value((part.x[first:last] - cfg.x0) / cfg.h))
-        for part, cfg in zip(windows, configs)
+        for part, cfg in zip(_levels(windows), configs, strict=True)
         for first, last in zip(part.n_local.cumsum() - part.n_local, part.n_local.cumsum())
     ]
     assert max(map(abs, medians)) < 8.0  # inside the ball: the start is not projected
@@ -785,7 +803,7 @@ def test_stacks_of_weighted_kernels_give_each_fit_its_bits_alone(monkeypatch, ke
     singles = [fit_local(data, cfg) for cfg in configs for data in samples]
     for cap in (local_fit._STACK_CHUNKS, 8):
         monkeypatch.setattr(local_fit, "_STACK_CHUNKS", cap)
-        stacked = fit_results(windows)
+        stacked = fit_results([windows])
         for fit, single in zip(stacked, singles, strict=True):
             _assert_same_fit(fit, single)
 
