@@ -50,13 +50,16 @@ def _load_data(path) -> Dataset:
 
 
 def _output_path(path) -> Path:
-    """``path``, with its directory made; a directory that cannot be made
-    exits with a message naming ``path``."""
+    """``path``, with its directory made; a directory that cannot be made,
+    or a ``path`` that is an existing directory, exits with a message
+    naming ``path``."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise SystemExit(f"{path}: cannot create its directory ({exc.strerror})")
+    if path.is_dir():
+        raise SystemExit(f"{path}: is a directory")
     return path
 
 
@@ -148,6 +151,7 @@ def _cmd_simulate(args) -> int:
     model = _noise_model(cfg["noise"])
     f = _test_function(cfg["function"], model)
     out = _output_path(cfg["output"])
+    side_path = _output_path(out.with_suffix(".json"))
     data = gen_data(f, model, cfg["n"], f.d, cfg["seed"])
     data.to_csv(out)
     sidecar = {
@@ -158,7 +162,6 @@ def _cmd_simulate(args) -> int:
         "seed": cfg["seed"],
         "csv": out.name,
     }
-    side_path = out.with_suffix(".json")
     side_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out} and {side_path}")
     return 0

@@ -390,9 +390,9 @@ def run_experiment(source, output_dir=None) -> dict:
     the experiment name, the paths written and the summary.  Replications
     run on ``risk.workers`` processes, else ROBLP_WORKERS, else one; the
     count is not written into the config, so outputs do not record it.
-    An output directory that cannot be made is a ConfigError naming it,
-    raised before any replication runs; the directory is made only once
-    they have all run.
+    An output directory that cannot be made, or an output file that
+    cannot be written, is a ConfigError naming it, raised before any
+    replication runs; the directory is made only once they have all run.
     """
     cfg = load_config(source)
     out = cfg["output"]
@@ -414,7 +414,7 @@ def run_experiment(source, output_dir=None) -> dict:
             f"$.estimator.kind: {cfg['experiment']} experiment needs a single bandwidth"
         )
     _check_sizes(estimator, cfg["grid"]["n_values"] if rates else [cfg["grid"]["n"]], x0)
-    _check_output_dir(out_dir)
+    _check_output_dir(out_dir, prefix)
     header, rows, summary, extras = runner(cfg, f, noise, estimator, x0, workers)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -434,15 +434,23 @@ def run_experiment(source, output_dir=None) -> dict:
     }
 
 
-def _check_output_dir(out_dir: Path) -> None:
+def _check_output_dir(out_dir: Path, prefix: str) -> None:
     """A ConfigError naming ``out_dir`` unless it can be made and written
     into: the nearest of it and its ancestors that exists must be a
-    writable directory.  Nothing is made here."""
+    writable directory.  Then one naming an output file, ``<prefix>.csv``,
+    ``<prefix>.json`` or ``<prefix>_manifest.json``, that exists and is a
+    directory or not writable.  Nothing is made here."""
     existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
     if not existing.is_dir():
         raise ConfigError(f"output directory {out_dir}: {existing} is not a directory")
     if not os.access(existing, os.W_OK | os.X_OK):
         raise ConfigError(f"output directory {out_dir}: {existing} is not writable")
+    for name in (f"{prefix}.csv", f"{prefix}.json", f"{prefix}_manifest.json"):
+        path = out_dir / name
+        if path.is_dir():
+            raise ConfigError(f"output file {path}: is a directory")
+        if path.exists() and not os.access(path, os.W_OK):
+            raise ConfigError(f"output file {path}: is not writable")
 
 
 def _workers(risk: dict) -> int:

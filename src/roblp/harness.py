@@ -5,7 +5,8 @@ regresses log risk against log n to compare with the theoretical
 convergence exponent -beta/(2 beta + d), checks empirical deviation tails
 against the exponential bound, and compares contrasts under heavy-tailed
 noise.  Replications are keyed by (seed, replication index) so results
-are independent of execution order and reproducible bit-for-bit.
+are independent of execution order and of how a run splits them into
+blocks, and reproducible bit-for-bit.
 
 Each study is one driver call: every fit plan it needs (one per n of a
 risk curve, one holding the three contrasts of a contrast table) is a
@@ -17,12 +18,14 @@ offending job.
 
 A window is only its rows.  A block draws each replication's rows inside
 its plan's first window (a grid's widest level, or the one window every
-contrast of a compare table shares), never a whole ``Dataset``, and cuts
-each fit's window from those rows; so a plan's windows must lie each
-inside the one before it, checked by ``_windows``.  Only the random
-streams are drawn replication by replication: the test function, the
-noise transform, every window cut and the solver's layout each run once
-over the whole block's rows, as array operations.
+contrast of a compare table shares) in distribution, from streams keyed
+by the run seed and the replication number (``gen_window``), never a
+whole ``Dataset``, and cuts each fit's window from those rows; so a
+plan's windows must lie each inside the one before it, checked by
+``_windows``.  Only the random draws are made replication by
+replication: the test function, the noise transform, every window cut
+and the solver's layout each run once over the whole block's rows, as
+array operations.
 
 Risks are always finite without moment assumptions on the noise: both the
 estimator and the target are bounded by the coefficient bound M, so every
@@ -231,8 +234,7 @@ def _block_estimates(args) -> np.ndarray:
     and solves them in stacks.
     """
     configs, f, model, n, seed, reps = args
-    seeds, box = [(seed, rep) for rep in reps], (configs[0].x0, configs[0].h)
-    x, y, counts = gen_window(f, model, n, configs[0].d, seeds, box)
+    x, y, counts = gen_window(f, model, n, configs[0].d, seed, reps, (configs[0].x0, configs[0].h))
     windows, fitted = _windows(x, y, n, configs, counts)
     estimates = np.full((len(reps), len(configs)), math.nan)
     estimates[fitted] = _fit_problems(windows).estimate.reshape(len(configs), -1).T

@@ -310,10 +310,16 @@ def _residuals(design_t: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray
     return y - np.matmul(design_t.swapaxes(1, 2), t[:, :, None])[:, :, 0]
 
 
+def _in_window(x, x0, h: float):
+    """|x - x0| <= h/2, coordinate by coordinate: the test a fit's window
+    makes of a design point, on floats or arrays alike."""
+    return abs(x - x0) <= h / 2.0
+
+
 def _box_rows(x: np.ndarray, x0, h: float) -> np.ndarray:
     """Indices, in order, of the rows of ``x`` in the sup-norm box of side
     ``h`` centered at ``x0``: a fit's window."""
-    inside = np.abs(x - x0) <= h / 2.0
+    inside = _in_window(x, x0, h)
     # one column needs no reduction: its flat indices are the rows
     return np.flatnonzero(inside if x.shape[1] == 1 else inside.all(axis=1))
 
@@ -372,7 +378,7 @@ def _windows(
     before it, by one mask over the whole block; each replication's row
     count is a ``bincount`` of the replication ids.  The mask is
     elementwise, so a window is the same bit for bit as one cut from its
-    replication's full sample."""
+    replication's rows alone."""
     if x.shape[1] != configs[0].d:
         raise ValueError(f"data dimension {x.shape[1]} != config dimension {configs[0].d}")
     for k in range(1, len(configs)):

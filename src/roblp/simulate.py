@@ -1,40 +1,41 @@
 """Synthetic regression data: uniform designs, symmetric heavy-tailed
 noise, and test functions with declared smoothness constants.
 
-Randomness comes from the counter-based Philox generator with explicit
-sub-streams: stream 0 of a seed drives the design, stream 1 the noise, so
-the two are independent by construction and every draw is a pure
-function of (seed, stream).  A sub-stream is Philox at counter 0 under
-the key numpy's ``SeedSequence(seed, spawn_key=(stream,))`` derives, by
-its entropy-pool hash, which ``_philox_keys`` evaluates as array
-operations over a whole block of seeds.  All noise families are sampled
-by inverse transform from the same uniform stream; the quantile
-transforms are folded around 1/2 so that flipping a uniform u -> 1 - u
-negates the draw exactly.
+Randomness comes from the counter-based Philox generator.  A whole
+sample (``gen_data``, behind the CLI, direct fits and the adaptive
+checks) reads two sub-streams of its seed: stream 0 drives the design,
+stream 1 the noise, so the two are independent by construction and every
+draw is a pure function of (seed, stream).  A sub-stream is Philox at
+counter 0 under the key of numpy's ``SeedSequence(seed,
+spawn_key=(stream,))``.  All noise families are sampled by inverse
+transform from a uniform stream; the quantile transforms are folded
+around 1/2 so that flipping a uniform u -> 1 - u negates the draw
+exactly.
 
-One routine, ``gen_window``, draws every sample, for a block of seeds at
-once.  A fit sees only the samples in its window, so the Monte Carlo
-harness takes just a window's rows: the keys of the block's streams are
-derived in one pass; then, one seed at a time, a reused Philox is set to
-each of the seed's keys, and both uniform streams are drawn in full and
-cut to the window's rows; then f, the scale rule and the noise quantile
-run once, on the block's window rows.  Each of them is elementwise, so every row has the
-same bits as in its seed's whole sample, which ``gen_data`` returns as a
-validated ``Dataset`` (for the CLI and direct fits), a block of one.
+A fit sees only the samples in its window, so the Monte Carlo studies
+draw only a window's rows (``gen_window``), in distribution: the rows of
+a uniform sample in a box have a binomial count, and given the count are
+uniform in the box, so each replication draws its count, then its
+points and noise uniforms, from a stream keyed by its run and its
+replication number.  A study's rows thus have the law of the whole
+sample's rows, not their bits, at a cost in the window's size rather
+than n; f, the scale rule and the noise quantile run once, on a block's
+rows.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+import struct
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .lepski import holder_floor
-from .local_fit import Dataset, _box_rows, _check_responses
+from .local_fit import Dataset, _check_responses, _in_window
 
 __all__ = [
     "NoiseFamily",
@@ -60,149 +61,14 @@ NOISE_STREAM = 1
 _U_MARGIN = 2.0**-53
 
 
-# numpy's SeedSequence hash: a pool of four 32-bit words, the multiplier
-# sequences of its entropy hash (A) and its output hash (B), and the mixing
-# multipliers; all arithmetic wraps modulo 2^32.
-_POOL = 4
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _XSHIFT = (np.array(c, dtype=np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
-
-
-def _hash_columns(init: int, mult: int, first: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
-    """The constants of ``calls`` hash steps from step ``first`` on, as
-    columns: a step xors the value with the running constant (``xor``),
-    advances the constant by ``mult`` and multiplies the value by the new
-    one (``times``)."""
-    c = init * pow(mult, first, 1 << 32) & _MASK32
-    xor, times = [], []
-    for _ in range(calls):
-        xor.append(c)
-        c = c * mult & _MASK32
-        times.append(c)
-    return np.array(xor, dtype=np.uint32)[:, None], np.array(times, dtype=np.uint32)[:, None]
-
-
-@lru_cache(maxsize=64)
-def _entropy_steps(first: int) -> tuple[np.ndarray, np.ndarray]:
-    """Constants of the four entropy-hash steps from step ``first`` on."""
-    return _hash_columns(_INIT_A, _MULT_A, first, _POOL)
-
-
-@lru_cache(maxsize=None)
-def _spread_steps(src: int) -> tuple[np.ndarray, np.ndarray]:
-    """Constants of the steps that mix pool word ``src`` into the other
-    three, on their rows; zeros on row ``src``, whose result is dropped."""
-    xor, times = (np.zeros((_POOL, 1), dtype=np.uint32) for _ in range(2))
-    dst = [i for i in range(_POOL) if i != src]
-    xor[dst], times[dst] = (c[:3] for c in _entropy_steps(_POOL + 3 * src))
-    return xor, times
-
-
-@lru_cache(maxsize=None)
-def _output_steps() -> tuple[np.ndarray, np.ndarray]:
-    """Constants of the output hash, one step per pool word."""
-    return _hash_columns(_INIT_B, _MULT_B, 0, _POOL)
-
-
-def _hashmix(values: np.ndarray, steps: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """One hash step of ``values`` per row of the constant columns."""
-    xor, times = steps
-    values = (values ^ xor) * times
-    return values ^ (values >> _XSHIFT)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pool words ``x`` with hashed words ``y`` mixed in."""
-    x = _MIX_L * x - _MIX_R * y
-    return x ^ (x >> _XSHIFT)
-
-
-@lru_cache(maxsize=64)
-def _spawn_words(position: int, streams: tuple) -> np.ndarray:
-    """Each stream id, the one word of its spawn key at entropy word
-    ``position``, hashed against the four pool words: (streams, 4, 1)."""
-    for stream in streams:
-        if not 0 <= stream <= _MASK32:
-            raise ValueError(f"a stream id is one 32-bit word, got {stream}")
-    words = np.array(streams, dtype=np.uint32)[:, None, None]
-    return _hashmix(words, _entropy_steps(_POOL * position))
-
-
-def _entropy_words(seed) -> list[int]:
-    """The 32-bit words numpy's SeedSequence reads from ``seed``, an int or
-    a tuple (or list) of ints, each least significant word first, padded
-    with zeros to the pool size as it is under a spawn key.  A negative
-    value is a ValueError."""
-    words = []
-    for value in seed if isinstance(seed, (tuple, list)) else (seed,):
-        value = int(value)
-        if value < 0:
-            raise ValueError(f"a seed must be non-negative, got {value}")
-        words.append(value & _MASK32)
-        while value > _MASK32:
-            value >>= 32
-            words.append(value & _MASK32)
-    return words + [0] * (_POOL - len(words))
-
-
-def _philox_keys(seeds, streams: tuple) -> list:
-    """The Philox key of each stream id of ``streams`` for each seed of
-    ``seeds`` (an int or a tuple of ints), as lists of two ints: key s of
-    seed i is ``keys[i][s]``, numpy's ``SeedSequence(seed,
-    spawn_key=(s,)).generate_state(2, np.uint64)``.
-
-    The hash runs once per entropy word count, on all the seeds with that
-    many words (a column each): the pool is filled from the first four
-    words, each pool word is mixed into the other three (one step on the
-    pool's rows), the further words are mixed in, and the spawn word last,
-    for every stream at once; the output hash turns each pool into four
-    words, read as two little-endian uint64s."""
-    groups: dict = {}
-    for i, seed in enumerate(seeds):
-        words = _entropy_words(seed)
-        index, rows = groups.setdefault(len(words), ([], []))
-        index.append(i)
-        rows.append(words)
-    keys: list = [None] * len(seeds)
-    for count, (index, rows) in groups.items():
-        entropy = np.array(rows, dtype=np.uint32).T
-        pool = _hashmix(entropy[:_POOL], _entropy_steps(0))
-        for src in range(_POOL):
-            mixed = _mix(pool, _hashmix(pool[src], _spread_steps(src)))
-            mixed[src] = pool[src]
-            pool = mixed
-        for j in range(_POOL, count):
-            pool = _mix(pool, _hashmix(entropy[j], _entropy_steps(_POOL * j)))
-        pool = _mix(pool, _spawn_words(count, streams))  # (streams, 4, seeds)
-        state = _hashmix(pool, _output_steps()).transpose(2, 0, 1)
-        words = np.ascontiguousarray(state, dtype="<u4").view("<u8").tolist()
-        for i, seed_keys in zip(index, words):
-            keys[i] = seed_keys
-    return keys
-
-
-def _set_key(bits: np.random.Philox, key: list) -> None:
-    """Put ``bits`` at counter 0 of ``key`` with an empty buffer: the state
-    of a Philox built with that key."""
-    bits.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
 def substream(seed, stream: int) -> np.random.Generator:
-    """Philox generator for sub-stream ``stream`` of a seed.
+    """Philox generator for sub-stream ``stream`` of a seed: counter 0 under
+    the key of numpy's ``SeedSequence(seed, spawn_key=(stream,))``.
 
-    ``seed`` may be an int or a tuple of ints (e.g. (base_seed, rep)).
+    ``seed`` may be an int or a tuple of ints (e.g. (base_seed, rep)); a
+    negative one is a ValueError.
     """
-    rng = np.random.Generator(np.random.Philox(key=0))
-    _set_key(rng.bit_generator, _philox_keys([seed], (stream,))[0][0])
-    return rng
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 
 # ---------------------------------------------------------------------------
@@ -391,60 +257,136 @@ class NoiseModel:
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
-def _gen_noise(model: NoiseModel, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _gen_noise(model: NoiseModel, u: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
     """Heteroscedastic noise draws sigma_i * xi_i at the sample indices
-    ``rows`` from their uniforms ``u`` of the noise sub-stream."""
+    ``rows`` from their uniforms ``u`` (``rows`` is None under a constant
+    scale rule, whose scale is the base scale at every index)."""
     u = _U_MARGIN + u * (1.0 - 2.0 * _U_MARGIN)
-    return model.scales(rows) * model.unit_family.quantile(u)
+    scale = model.base_scale if rows is None else model.scales(rows)
+    return scale * model.unit_family.quantile(u)
+
+
+# A float of [0, 1] and its bit pattern, which orders such floats as ints.
+_DOUBLE, _INT = struct.Struct("<d"), struct.Struct("<q")
+_ONE = _INT.unpack(_DOUBLE.pack(1.0))[0]
+
+
+def _bits(v: float) -> int:
+    return _INT.unpack(_DOUBLE.pack(v))[0]
+
+
+def _float(i: int) -> float:
+    return _DOUBLE.unpack(_INT.pack(i))[0]
+
+
+def _last_inside(inside, start: int, stop: int) -> int:
+    """The last int from ``start``, where ``inside`` holds, toward ``stop``
+    before ``inside`` turns false, which it does at most once on the way:
+    a bisection."""
+    if inside(stop):
+        return stop
+    while abs(stop - start) > 1:
+        mid = (start + stop) // 2
+        start, stop = (mid, stop) if inside(mid) else (start, mid)
+    return start
+
+
+def _box_edges(x0, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The corners of the window box of side ``h`` centered at ``x0``,
+    clipped to [0,1]^d: per coordinate, the outermost floats of [0, 1] that
+    a window cut keeps (``local_fit._in_window``) after rounding.  As
+    rounding is monotone, the kept floats form an interval around x0
+    clipped to [0, 1], found by bisecting the bit patterns outward from
+    it.  A box that misses [0,1]^d has a corner coordinate above the
+    opposite one."""
+    corners = []
+    for c in map(float, x0):
+        def inside(i: int, c=c) -> bool:
+            return _in_window(_float(i), c, h)
+
+        anchor = _bits(min(max(c, 0.0), 1.0) + 0.0)  # + 0.0 turns -0.0 into 0.0
+        if not inside(anchor):
+            corners.append((1.0, 0.0))
+            continue
+        corners.append((_float(_last_inside(inside, anchor, 0)), _float(_last_inside(inside, anchor, _ONE))))
+    lo, hi = np.array(corners).T
+    return lo, hi
 
 
 def gen_window(
-    f, model: NoiseModel, n: int, d: int, seeds, box=None
+    f, model: NoiseModel, n: int, d: int, seed, reps, box
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each seed of ``seeds``, the sample Y_i = f(X_i) + sigma_i xi_i of
-    size n, with independent design and noise sub-streams, as rows (x, y):
-    those in ``box``, an (x0, h) pair naming a fit's window, the sup-norm
-    box of side h centered at x0; all n rows without one.  Returns the rows
-    of every seed, seed after seed, and each seed's row count.
+    """For each replication number of ``reps`` under the run seed ``seed``,
+    the rows (x, y) of a sample Y_i = f(X_i) + sigma_i xi_i of size n with a
+    uniform design that lie in ``box``, an (x0, h) pair naming a fit's
+    window: the sup-norm box of side h centered at x0.  Returns the rows of
+    every replication, replication after replication, and each one's row
+    count.
 
-    The keys of every seed's sub-streams are derived in one pass
-    (``_philox_keys``), and one Philox, set to each key in turn, draws
-    them.  Both sub-streams of a seed are drawn in full and cut to the box
-    before the next seed's are drawn, so a row's bits depend neither on
-    the box nor on the other seeds: f, the scale rule and the noise
-    quantile are elementwise, and are evaluated once, on the block's rows.
-    The design lies in [0,1)^d by construction; n < 1, a negative seed and
-    a response that is not finite (as in ``Dataset``) are ValueErrors."""
+    The rows are drawn in distribution, not cut from a whole sample: with
+    p the volume of the box clipped to [0,1]^d, a replication's row count K
+    is Binomial(n, p), its K design points are uniform in the clipped box
+    and its K noise uniforms are independent of them, and (only under a
+    scale rule that is not constant) its rows' sample indices are a sorted
+    uniform K-subset of range(n).  This is the joint law of the rows of a
+    whole sample in the box (the binomial point process), at a cost in K
+    rather than n.  The box's corners are the outermost floats a window
+    cut keeps, so every drawn point lies in the fit's window.
+
+    A replication's draws come from Philox under the key [run word,
+    replication number], at counter 0, the run word being one numpy
+    ``SeedSequence(seed)`` word: K, then each point's d design uniforms and
+    its noise uniform, then the sample indices.  One generator is set to
+    each key in turn, so a replication's rows depend neither on the other
+    replications nor on how a run splits them into blocks; f, the scale
+    rule and the noise quantile run once, on the block's rows.  n < 1, a
+    negative seed and a response that is not finite (as in ``Dataset``)
+    are ValueErrors."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    keys = _philox_keys(seeds, (DESIGN_STREAM, NOISE_STREAM))
-    rng = np.random.Generator(np.random.Philox(key=0))  # each stream sets its key
-    xs, us, rows = [], [], []
-    for design_key, noise_key in keys:
-        _set_key(rng.bit_generator, design_key)
-        x = rng.random((n, d))
-        _set_key(rng.bit_generator, noise_key)
-        u = rng.random(n)
-        if box is None:
-            inside = np.arange(n)
-        else:
-            inside = _box_rows(x, *box)
-            x, u = x.take(inside, axis=0), u.take(inside)
-        xs.append(x)
-        us.append(u)
-        rows.append(inside)
-    counts = np.array([inside.size for inside in rows])
-    x, u, rows = (parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in (xs, us, rows))
-    y = np.asarray(f(x), dtype=float) + _gen_noise(model, u, rows)
+    lo, hi = _box_edges(*box)
+    p = float(np.prod(np.maximum(hi - lo, 0.0)))
+    indexed = model._rule.kind != "constant"
+    entropy = np.random.SeedSequence(seed)
+    run = int(entropy.generate_state(1, np.uint64)[0])
+    rng = np.random.Generator(np.random.Philox(entropy))  # each replication sets its key
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": [run, 0]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    counts, draws, rows = [], [], []
+    for rep in reps:
+        state["state"]["key"][1] = rep
+        rng.bit_generator.state = state
+        k = int(rng.binomial(n, p))
+        counts.append(k)
+        draws.append(rng.random((k, d + 1)))
+        if indexed:
+            rows.append(np.sort(rng.choice(n, k, replace=False, shuffle=False)))
+    u = np.concatenate(draws)
+    x = np.minimum(lo + (hi - lo) * u[:, :d], hi)
+    rows = np.concatenate(rows) if indexed else None
+    y = np.asarray(f(x), dtype=float) + _gen_noise(model, u[:, d], rows)
     _check_responses(y)
-    return x, y, counts
+    return x, y, np.array(counts)
 
 
 def gen_data(f, model: NoiseModel, n: int, d: int, seed) -> Dataset:
-    """The whole sample of ``gen_window`` for one seed as a validated
-    ``Dataset``."""
-    x, y, _ = gen_window(f, model, n, d, [seed])
-    return Dataset(x=x, y=y)
+    """The whole sample Y_i = f(X_i) + sigma_i xi_i, i < n, of one seed (an
+    int or a tuple of ints) as a validated ``Dataset``: the design is the
+    first n*d uniforms of ``substream(seed, DESIGN_STREAM)``, row after row,
+    and the noise is drawn from the first n of ``substream(seed,
+    NOISE_STREAM)``, so the two are independent.  n < 1 and a negative
+    seed are ValueErrors."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    x = substream(seed, DESIGN_STREAM).random((n, d))
+    u = substream(seed, NOISE_STREAM).random(n)
+    return Dataset(x=x, y=np.asarray(f(x), dtype=float) + _gen_noise(model, u, np.arange(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roblp import experiments
+from roblp import cli, experiments
 from roblp.cli import _cmd_experiment, build_parser, main
 from roblp.contrast import curvature_constant, huber
 from roblp.experiments import CONFIG_SCHEMA
@@ -167,6 +167,45 @@ def test_an_output_path_that_cannot_be_written_exits_with_one_line_naming_it(
         message = str(exc.value)
         assert str(path) in message and "\n" not in message, argv[0]
     assert taken.read_text() == ""
+
+
+def test_an_output_path_that_is_a_directory_exits_with_one_line_before_the_work(
+    tmp_path, dataset_csv, estimator_json, monkeypatch
+):
+    # simulate's dataset and its sidecar, adapt's trace and an experiment's
+    # results file: each an existing directory, named before anything runs
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    monkeypatch.setattr(experiments, "tail_check", no_work)
+    monkeypatch.setattr(cli, "gen_data", no_work)
+    monkeypatch.setattr(Estimator, "selection_trace", no_work)
+    sim = tmp_path / "sim.json"
+    adapt = ["adapt", "--data", str(dataset_csv), "--x0", "0.25", "--config", str(estimator_json)]
+    tails = ["tails", "--config", tails_config(tmp_path)]
+    for argv, taken in (
+        (["simulate", "--config", str(sim)], tmp_path / "sim" / "dataset.csv"),
+        (["simulate", "--config", str(sim)], tmp_path / "sim" / "dataset.json"),
+        (adapt + ["--json", str(tmp_path / "trace.json")], tmp_path / "trace.json"),
+        (tails, tmp_path / "out" / "t.csv"),
+    ):
+        sim.write_text(
+            json.dumps(
+                {
+                    "function": {"name": "cusp", "beta": 0.5},
+                    "noise": {"family": "laplace", "scale": 1.0},
+                    "n": 100,
+                    "seed": 9,
+                    "output": str(tmp_path / "sim" / "dataset.csv"),
+                }
+            )
+        )
+        taken.mkdir(parents=True)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = str(exc.value)
+        assert str(taken) in message and "is a directory" in message and "\n" not in message, argv[0]
+        taken.rmdir()
 
 
 def test_cli_adapt_json_makes_its_directory(dataset_csv, estimator_json, tmp_path):

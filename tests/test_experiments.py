@@ -549,6 +549,28 @@ def test_an_output_directory_that_cannot_be_made_is_one_config_error_before_any_
         run_experiment(_tails_config(tmp_path / "free"))
 
 
+@pytest.mark.parametrize("suffix", [".csv", ".json", "_manifest.json"])
+def test_an_output_file_that_cannot_be_written_is_one_config_error_before_any_driver(tmp_path, monkeypatch, suffix):
+    # an output file that is an existing directory, or an existing file
+    # the process may not write (patched, as the superuser may write
+    # anywhere), is named before any replication runs
+    def no_replications(*args, **kwargs):
+        raise AssertionError("a driver ran")
+
+    monkeypatch.setattr(experiments, "tail_check", no_replications)
+    cfg = _tails_config(tmp_path / "out")
+    path = tmp_path / "out" / (cfg["output"]["prefix"] + suffix)
+    path.mkdir(parents=True)
+    with pytest.raises(ConfigError, match=rf"^output file {re.escape(str(path))}: is a directory$"):
+        run_experiment(cfg)
+    path.rmdir()
+    path.write_text("kept")
+    monkeypatch.setattr(experiments.os, "access", lambda p, mode: Path(p) != path)
+    with pytest.raises(ConfigError, match=rf"^output file {re.escape(str(path))}: is not writable$"):
+        run_experiment(cfg)
+    assert path.read_text() == "kept"
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
 def test_non_finite_x0_is_a_config_error(tmp_path, value):
     cfg = rates_config(tmp_path)

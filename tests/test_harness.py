@@ -323,6 +323,20 @@ def _replication_cases():
 CASES = dict(argnames="case", argvalues=[0, 1, 2], ids=["minimax-cauchy", "adaptive", "compare"])
 
 
+def replication_data(f, model, n: int, seed: int, rep: int, configs) -> Dataset:
+    """Replication ``rep`` of a run seeded ``seed`` as a sample of size n:
+    its rows in the plan's first window, as ``gen_window`` draws them, in
+    order, padded with rows at the corner of [0,1]^d farthest from x0,
+    outside that window.  A fit on it sees the window a block cuts from
+    the same rows, at the same n."""
+    x0, h = np.asarray(configs[0].x0), configs[0].h
+    x, y, _ = gen_window(f, model, n, len(x0), seed, [rep], (x0, h))
+    far = np.where(x0 < 0.5, 1.0, 0.0)
+    assert np.abs(far - x0).max() > h / 2.0
+    pad = n - len(y)
+    return Dataset(x=np.concatenate([x, np.tile(far, (pad, 1))]), y=np.concatenate([y, np.zeros(pad)]))
+
+
 @pytest.mark.parametrize(**CASES)
 def test_replication_errors_do_not_depend_on_the_block_size(monkeypatch, case):
     import roblp.harness as harness
@@ -331,7 +345,7 @@ def test_replication_errors_do_not_depend_on_the_block_size(monkeypatch, case):
     plan, model = _replication_cases()[case]
     f, x0, n, reps, seed = sinusoid(beta=2.0), [0.25], 600, 23, 14
     configs, thresholds = plan(x0, n)
-    draws = [gen_data(f, model, n, 1, (seed, rep)) for rep in range(reps)]
+    draws = [replication_data(f, model, n, seed, rep, configs) for rep in range(reps)]
     single = [[fit_local(data, cfg).estimate for cfg in configs] for data in draws]
     for size, cap in ((1, 512), (7, 1), (reps, 64), (reps, 512)):
         monkeypatch.setattr(harness, "BLOCK_REPLICATIONS", size)
@@ -349,16 +363,16 @@ def test_replication_errors_mark_empty_windows_nan(monkeypatch, case):
     import roblp.harness as harness
     from roblp.local_fit import _box_rows, _windows
 
-    def holed(f, model, n, d, seeds, box=None):
+    def holed(f, model, n, d, seed, reps, box):
         # odd replications have no design point within 0.04 of x0: the
         # minimax and the compare window and the finest grid level are empty
         xs, ys = [], []
-        for seed in seeds:
-            x, y, _ = gen_window(f, model, n, d, [seed])
-            if seed[1] % 2:
+        for rep in reps:
+            x, y, _ = gen_window(f, model, n, d, seed, [rep], box)
+            if rep % 2:
                 near = np.abs(x[:, 0] - 0.25) <= 0.04
                 x[near, 0] += 0.1
-            rows = slice(None) if box is None else _box_rows(x, *box)
+            rows = _box_rows(x, *box)
             xs.append(x[rows])
             ys.append(y[rows])
         return np.concatenate(xs), np.concatenate(ys), np.array([len(y) for y in ys])
@@ -370,11 +384,31 @@ def test_replication_errors_mark_empty_windows_nan(monkeypatch, case):
     (est,) = harness._replication_estimates([(configs, n)], f, model, reps, seed)
     assert np.isnan(est[1::2]).all()
     for rep in range(0, reps, 2):
-        data = gen_data(f, model, n, 1, (seed, rep))
+        data = replication_data(f, model, n, seed, rep, configs)
         assert list(est[rep]) == [fit_local(data, cfg).estimate for cfg in configs]
-    x, y, _ = holed(f, model, n, 1, [(seed, 1)])
+    x, y, _ = holed(f, model, n, 1, seed, [1], (configs[0].x0, configs[0].h))
     with pytest.raises(EmptyNeighborhoodError):
         _windows(x, y, n, configs)
+
+
+def test_a_replication_that_draws_no_row_is_a_counted_nan_row():
+    # at n=52 a window of side 0.1 is empty with probability 0.9^52, about
+    # 0.42%: the replications whose drawn row count is 0 are the NaN rows,
+    # and the risk point counts them as failures. 4000 replications expect
+    # about 16.7 empty windows; none, or more than the 1% (40) a risk point
+    # allows, each has Poisson probability below 1e-6 under any stream
+    import roblp.harness as harness
+
+    f, model, n, reps, seed = constant_function(0.4), NoiseModel(family="gaussian"), 52, 4000, 5
+    est = Estimator(kind="fixed", contrast=huber(1.0), kernel_kind="uniform", bound=2.0, h=0.1, degree=0)
+    configs, _ = est.plan([0.5], n)
+    _, _, counts = gen_window(f, model, n, 1, seed, range(reps), (configs[0].x0, configs[0].h))
+    (estimates,) = harness._replication_estimates([(configs, n)], f, model, reps, seed)
+    empty = counts == 0
+    assert 0 < empty.sum() <= 0.01 * reps
+    assert np.isnan(estimates[:, 0]).tolist() == empty.tolist()
+    (point,) = risk_curve(est, f, [0.5], model, 2.0, [n], reps, seed).points
+    assert point.failures == empty.sum() and math.isfinite(point.risk)
 
 
 @pytest.mark.parametrize(**CASES)
@@ -431,9 +465,9 @@ def _shipped_plan(name: str, n: int) -> tuple:
 @pytest.mark.parametrize(
     "name, n, reps, expected",
     [
-        ("tails_gaussian", 1024, 64, [(64, 80)]),
-        ("compare_cauchy", 1024, 64, [(64, 80)] * 3),
-        ("rates_adaptive", 4096, 60, [(25, 500), (25, 498), (40, 509), (68, 510), (142, 410)]),
+        ("tails_gaussian", 1024, 64, [(64, 81)]),
+        ("compare_cauchy", 1024, 64, [(64, 81)] * 3),
+        ("rates_adaptive", 4096, 60, [(25, 497), (25, 497), (41, 512), (69, 508), (140, 403)]),
     ],
     ids=["tails", "compare", "adaptive"],
 )
@@ -753,9 +787,9 @@ def test_compare_contrasts_draws_each_replication_once(monkeypatch):
 
     draws = []
 
-    def counting(f, model, n, d, seeds, box=None):
-        draws.extend(seeds)
-        return gen_window(f, model, n, d, seeds, box)
+    def counting(f, model, n, d, seed, reps, box):
+        draws.extend((seed, rep) for rep in reps)
+        return gen_window(f, model, n, d, seed, reps, box)
 
     monkeypatch.setattr(harness, "gen_window", counting)
     f, model = sinusoid(beta=2.0), NoiseModel(family="cauchy", base_scale=1.0)

@@ -7,6 +7,7 @@ import pytest
 
 from roblp.basis import multi_index_set
 from roblp.lepski import holder_floor
+from roblp.local_fit import _box_rows
 from roblp.simulate import (
     DESIGN_STREAM,
     HETEROSCEDASTIC_KINDS,
@@ -19,8 +20,8 @@ from roblp.simulate import (
     constant_function,
     cusp,
     gen_data,
+    _box_edges,
     _gen_noise,
-    _philox_keys,
     gen_window,
     make_test_function,
     product_sinusoid,
@@ -112,10 +113,9 @@ def noise_stream(model: NoiseModel, n: int, seed) -> np.ndarray:
 
 
 def design(n: int, d: int, seed) -> np.ndarray:
-    """The design of a seed's whole sample of size n, as ``gen_window``
+    """The design of a seed's whole sample of size n, as ``gen_data``
     draws it."""
-    x, _, _ = gen_window(constant_function(0.0, d=d), NoiseModel(family="gaussian"), n, d, [seed])
-    return x
+    return gen_data(constant_function(0.0, d=d), NoiseModel(family="gaussian"), n, d, seed).x
 
 
 def test_design_determinism_and_range():
@@ -150,47 +150,23 @@ def test_a_sample_needs_a_row():
     model = NoiseModel(family="gaussian")
     for n in (0, -3):
         with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
-            gen_window(constant_function(0.0), model, n, 1, [1])
+            gen_window(constant_function(0.0), model, n, 1, 1, [0], ((0.5,), 0.2))
+        with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
+            gen_data(constant_function(0.0), model, n, 1, 1)
 
 
-def seed_sequence_key(seed, stream: int) -> list:
-    """The oracle: numpy's own key for sub-stream ``stream`` of ``seed``."""
-    entropy = seed if isinstance(seed, tuple) else (seed,)
-    return np.random.SeedSequence(entropy, spawn_key=(stream,)).generate_state(2, np.uint64).tolist()
-
-
-# int and tuple seeds across the 32-bit word boundaries, beyond 2^64, and
-# with more than the pool's four words of entropy
-KEY_SEEDS = [
-    0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 7, 3**90,
-    (0,), (5, 0), (5, 1), (0, 0, 0, 0), (2**32 - 1, 2**32), (1, 2, 3, 4, 5),
-    (7, 2**70, 9), tuple(range(11)), (2**200, 3),
-]
-
-
-@pytest.mark.parametrize("streams", [(0, 1), (1, 0), (7,), (2**32 - 1, 0, 5)])
-def test_block_keys_are_numpys_seed_sequence_keys(streams):
-    # one block mixes every word count, so the hash runs once per count
-    keys = _philox_keys(KEY_SEEDS, streams)
-    assert len(keys) == len(KEY_SEEDS)
-    for seed, seed_keys in zip(KEY_SEEDS, keys):
-        assert seed_keys == [seed_sequence_key(seed, s) for s in streams]
-    # each seed's keys do not depend on the seeds beside it
-    for seed, seed_keys in zip(KEY_SEEDS, keys):
-        assert _philox_keys([seed], streams) == [seed_keys]
-
-
-def test_keys_reject_negative_seeds_and_stream_ids_past_one_word():
+def test_negative_seeds_are_rejected():
+    model = NoiseModel(family="gaussian")
     for seed in (-1, (3, -2), [0, -(2**40)]):
-        with pytest.raises(ValueError, match="non-negative"):
-            _philox_keys([1, seed], (0, 1))
         with pytest.raises(ValueError, match="non-negative"):
             substream(seed, 0)
         with pytest.raises(ValueError, match="non-negative"):
-            gen_window(constant_function(0.0), NoiseModel(family="gaussian"), 8, 1, [1, seed])
-    for stream in (-1, 2**32):
-        with pytest.raises(ValueError, match="one 32-bit word"):
-            substream(1, stream)
+            gen_data(constant_function(0.0), model, 8, 1, seed)
+        with pytest.raises(ValueError, match="non-negative"):
+            gen_window(constant_function(0.0), model, 8, 1, seed, [0], ((0.5,), 0.2))
+    # so is a negative stream id
+    with pytest.raises(ValueError, match="non-negative"):
+        substream(1, -1)
 
 
 @pytest.mark.parametrize("stream", [DESIGN_STREAM, NOISE_STREAM, 7])
@@ -206,17 +182,15 @@ def test_substream_is_the_seed_sequence_stream(seed, stream):
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("size", [1, 2, 64])
 def test_block_rows_are_the_substream_draws_bit_for_bit(size, d):
-    # whole samples (no box), so every row is compared; the block mixes
+    # a whole sample's rows are its seed's two sub-streams; the seeds mix
     # pairs, ints of two words and seeds of five words
     seeds = [((11, rep), 2**33 + rep, (rep, 2**40, 1, 2, 3))[rep % 3] for rep in range(size)]
     model = NoiseModel(family="laplace", base_scale=0.5)
     n = 37
-    x, y, counts = gen_window(constant_function(0.0, d=d), model, n, d, seeds)
-    assert counts.tolist() == [n] * size
-    for rep, seed in enumerate(seeds):
-        rows = slice(rep * n, (rep + 1) * n)
-        assert x[rows].tobytes() == substream(seed, DESIGN_STREAM).random((n, d)).tobytes()
-        assert y[rows].tobytes() == noise_stream(model, n, seed).tobytes()
+    for seed in seeds:
+        data = gen_data(constant_function(0.0, d=d), model, n, d, seed)
+        assert data.x.tobytes() == substream(seed, DESIGN_STREAM).random((n, d)).tobytes()
+        assert data.y.tobytes() == noise_stream(model, n, seed).tobytes()
 
 
 @pytest.mark.parametrize("family", sorted(NOISE_FAMILIES))
@@ -343,8 +317,8 @@ def test_gen_data_zero_function_gives_noise_stream():
     np.testing.assert_array_equal(data.x, substream(9, DESIGN_STREAM).random((80, 1)))
 
 
-# (x0, h) boxes: interior, clipped at 0, clipped at 1, holding every row
-# (the design lies in [0,1)), and holding none
+# (x0, h) boxes: interior, clipped at 0, clipped at 1, holding all of
+# [0,1]^d, and holding none
 WINDOW_BOXES = {
     "interior": (0.4, 0.3),
     "clipped-0": (0.02, 0.2),
@@ -354,35 +328,135 @@ WINDOW_BOXES = {
 }
 
 
+def window_model(rule: str, family: str = "gaussian") -> NoiseModel:
+    rule = HeteroscedasticRule(kind=rule, factor=2.5, amplitude=0.7, period=5)
+    return NoiseModel(family=family, base_scale=0.8, heteroscedastic=rule)
+
+
+def window_rows(monkeypatch, f, model, n, d, seed, reps, box):
+    """``gen_window``'s rows and counts, and the sample indices it passed to
+    the noise transform (None under a constant scale rule)."""
+    import roblp.simulate as simulate
+
+    seen = []
+
+    def recording(model, u, rows):
+        seen.append(rows)
+        return _gen_noise(model, u, rows)
+
+    monkeypatch.setattr(simulate, "_gen_noise", recording)
+    x, y, counts = gen_window(f, model, n, d, seed, reps, box)
+    (rows,) = seen
+    return x, y, counts, rows
+
+
 @pytest.mark.parametrize("box", WINDOW_BOXES, ids=str)
 @pytest.mark.parametrize("rule", HETEROSCEDASTIC_KINDS)
 @pytest.mark.parametrize("family", sorted(NOISE_FAMILIES))
 @pytest.mark.parametrize("d", [1, 2])
-def test_window_draw_is_the_full_samples_rows_bit_for_bit(d, family, rule, box):
-    # f, the scale rule and the quantile evaluated on the window's rows give
-    # the bits they give on the whole sample
+def test_every_drawn_row_lies_in_its_window(monkeypatch, d, family, rule, box):
+    # every row passes the window cut's own test, so none is dropped, the
+    # sample indices of a non-constant rule are a sorted subset of
+    # range(n), one per row, and each response is f at its point plus the
+    # family's noise at its index's scale (a Kolmogorov-Smirnov test of
+    # the standardized residuals against the family's cdf)
+    from scipy.stats import kstest
+
     f = sinusoid(beta=2.0, amplitude=3.0) if d == 1 else product_sinusoid(beta=2.0, amplitude=3.0)
-    rule = HeteroscedasticRule(kind=rule, factor=2.5, amplitude=0.7, period=5)
-    model = NoiseModel(family=family, base_scale=0.8, heteroscedastic=rule)
     x0, h = WINDOW_BOXES[box]
-    n, seed = 3000, (61, d)
-    data = gen_data(f, model, n, d, seed)
-    inside = (np.abs(data.x - (x0,) * d) <= h / 2.0).all(axis=1)
-    x, y, counts = gen_window(f, model, n, d, [seed], ((x0,) * d, h))
-    assert x.shape == (np.count_nonzero(inside), d) and y.shape == x.shape[:1]
-    assert counts.tolist() == [x.shape[0]]
-    assert x.tobytes() == data.x[inside].tobytes()
-    assert y.tobytes() == data.y[inside].tobytes()
-    assert (x.shape[0] == n) == (box == "all") and (x.shape[0] == 0) == (box == "empty")
+    n, reps, model = 300, range(40), window_model(rule, family)
+    x, y, counts, rows = window_rows(monkeypatch, f, model, n, d, 61, reps, ((x0,) * d, h))
+    assert x.shape == (counts.sum(), d) and y.shape == x.shape[:1] and counts.shape == (len(reps),)
+    assert _box_rows(x, (x0,) * d, h).tolist() == list(range(len(y)))
+    assert np.all((x >= 0.0) & (x <= 1.0))
+    if box == "all":
+        assert counts.tolist() == [n] * len(reps)
+    if box == "empty":
+        assert counts.tolist() == [0] * len(reps)
+    else:
+        assert counts.min() > 0
+    assert (rows is None) == (rule == "constant")
+    if rows is not None:
+        ends = counts.cumsum()
+        for first, last in zip(ends - counts, ends):
+            own = rows[first:last]
+            assert np.all(np.diff(own) > 0) and (own.size == 0 or 0 <= own[0] <= own[-1] < n)
+    if len(y):
+        scale = model.base_scale if rows is None else model.scales(rows)
+        z = (y - f(x)) / scale
+        assert kstest(z, np.vectorize(model.unit_family.cdf)).pvalue > 1e-3
+
+
+def test_box_edges_are_the_outermost_floats_a_window_cut_keeps():
+    # x0 -/+ h/2 rounds to a float that the cut's test may keep or drop;
+    # the corners are the last kept floats, unless [0, 1] ends first
+    rng = np.random.default_rng(5)
+    boxes = [(float(c), float(h)) for c, h in rng.random((300, 2))]
+    boxes += [(0.3, 0.59998), (0.25, 0.5), (0.5, 1e-20), (1.2, 0.5), (-0.5, 1.0), (2.0, 0.5)]
+    for c, h in boxes:
+        (lo,), (hi,) = _box_edges((c,), h)
+
+        def kept(v):
+            return _box_rows(np.array([[v]]), (c,), h).size == 1
+
+        if lo > hi:  # the box misses [0, 1]
+            assert not kept(min(max(c, 0.0), 1.0))
+            continue
+        assert 0.0 <= lo <= hi <= 1.0 and kept(lo) and kept(hi)
+        assert lo == 0.0 or not kept(math.nextafter(lo, -math.inf))
+        assert hi == 1.0 or not kept(math.nextafter(hi, math.inf))
+
+
+@pytest.mark.parametrize("d, x0, h", [(1, 0.4, 0.3), (1, 0.02, 0.2), (2, 0.97, 0.25)])
+def test_window_counts_are_binomial(d, x0, h):
+    # over 4000 replications, the mean and variance of the row count are
+    # those of Binomial(n, p), p the clipped box's volume, within 4.5
+    # standard errors (the variance's from the binomial's fourth moment)
+    n, reps = 60, 4000
+    p = np.prod([min(x0 + h / 2, 1.0) - max(x0 - h / 2, 0.0)] * d)
+    _, _, counts = gen_window(constant_function(0.0, d=d), NoiseModel(family="gaussian"), n, d, 7, range(reps), ((x0,) * d, h))
+    mean, var = n * p, n * p * (1 - p)
+    fourth = mean * (1 - p) * (1 + 3 * (n - 2) * p * (1 - p))  # central fourth moment
+    assert abs(counts.mean() - mean) <= 4.5 * math.sqrt(var / reps)
+    assert abs(counts.var(ddof=1) - var) <= 4.5 * math.sqrt((fourth - var**2) / reps)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_window_points_are_uniform_and_the_noise_independent_of_them(d):
+    # each coordinate of the rows, rescaled to the clipped box, passes a
+    # Kolmogorov-Smirnov test of uniformity, and the noise (f = 0) is
+    # uncorrelated with every coordinate, within 4 standard errors
+    from scipy.stats import kstest
+
+    x0, h = (0.05, 0.6)[:d], 0.3
+    model = NoiseModel(family="laplace")
+    x, y, _ = gen_window(constant_function(0.0, d=d), model, 500, d, 8, range(100), (x0, h))
+    lo, hi = np.maximum(np.array(x0) - h / 2, 0.0), np.array(x0) + h / 2
+    for j in range(d):
+        assert kstest((x[:, j] - lo[j]) / (hi[j] - lo[j]), "uniform").pvalue > 1e-3
+        assert abs(np.corrcoef(x[:, j], y)[0, 1]) <= 4 / math.sqrt(len(y))
+
+
+@pytest.mark.parametrize("rule", ["alternating", "sinusoidal"])
+def test_window_sample_indices_are_uniform(monkeypatch, rule):
+    # the indices of a non-constant rule are uniform on range(n): their mean
+    # is (n - 1)/2 and half are even, within 4 standard errors
+    n, reps = 64, 400
+    _, _, _, rows = window_rows(
+        monkeypatch, constant_function(0.0), window_model(rule), n, 1, 9, range(reps), ((0.5,), 0.2)
+    )
+    sd = math.sqrt((n * n - 1) / 12 / rows.size)
+    assert abs(rows.mean() - (n - 1) / 2) <= 4 * sd
+    assert abs(np.mean(rows % 2 == 0) - 0.5) <= 4 * 0.5 / math.sqrt(rows.size)
 
 
 def test_window_draw_rejects_responses_that_are_not_finite():
     model = NoiseModel(family="gaussian", base_scale=1.0)
     with pytest.raises(ValueError, match="responses must be finite"):
-        gen_window(lambda x: np.where(x[:, 0] < 0.5, np.inf, 0.0), model, 64, 1, [3], ((0.25,), 0.2))
-    # in a block, one seed's response is enough
+        gen_window(lambda x: np.where(x[:, 0] < 0.25, np.inf, 0.0), model, 64, 1, 3, [0], ((0.25,), 0.2))
+    # in a block, one replication's response is enough
     with pytest.raises(ValueError, match="responses must be finite"):
-        gen_window(lambda x: np.where(x[:, 0] < 0.01, np.inf, 0.0), model, 64, 1, [3, 4, 5])
+        gen_window(lambda x: np.where(x[:, 0] < 0.16, np.inf, 0.0), model, 64, 1, 3, range(3), ((0.25,), 0.2))
 
 
 @pytest.mark.parametrize("rule", HETEROSCEDASTIC_KINDS)
@@ -390,26 +464,23 @@ def test_window_draw_rejects_responses_that_are_not_finite():
 @pytest.mark.parametrize("d", [1, 2])
 def test_a_block_draw_gives_each_seed_the_rows_of_its_own_draw(d, family, rule):
     # f, the scale rule and the quantile run once on the block's rows; each
-    # seed's rows keep the bits of a draw of that seed alone, also after a
-    # seed whose box holds no row
+    # replication's rows keep the bits of a draw of that replication alone,
+    # also after one whose box holds no row
     f = sinusoid(beta=2.0, amplitude=3.0) if d == 1 else product_sinusoid(beta=2.0, amplitude=3.0)
-    rule = HeteroscedasticRule(kind=rule, factor=2.5, amplitude=0.7, period=5)
-    model = NoiseModel(family=family, base_scale=0.8, heteroscedastic=rule)
-    n, seeds = 40, [(60, d, rep) for rep in range(6)]
+    model = window_model(rule, family)
+    n, seed, reps = 40, 60 + d, range(3, 11)
     box = ((0.3,) * d, 0.05 if d == 1 else 0.2)
-    for window in (box, None):
-        x, y, counts = gen_window(f, model, n, d, seeds, window)
-        if window is None:
-            assert counts.tolist() == [n] * len(seeds)
-        else:
-            assert 0 in counts[1:-1].tolist() and 0 not in counts[-2:].tolist()
-        assert x.shape == (counts.sum(), d) and y.shape == x.shape[:1]
-        ends = counts.cumsum()
-        for seed, first, last in zip(seeds, ends - counts, ends):
-            one_x, one_y, one = gen_window(f, model, n, d, [seed], window)
-            assert one.tolist() == [last - first]
-            assert x[first:last].tobytes() == one_x.tobytes()
-            assert y[first:last].tobytes() == one_y.tobytes()
+    x, y, counts = gen_window(f, model, n, d, seed, reps, box)
+    assert 0 in counts[1:-2].tolist() and 0 not in counts[-2:].tolist()
+    assert x.shape == (counts.sum(), d) and y.shape == x.shape[:1]
+    ends = counts.cumsum()
+    for rep, first, last in zip(reps, ends - counts, ends):
+        one_x, one_y, one = gen_window(f, model, n, d, seed, [rep], box)
+        assert one.tolist() == [last - first]
+        assert x[first:last].tobytes() == one_x.tobytes()
+        assert y[first:last].tobytes() == one_y.tobytes()
+    # another run seed draws other rows
+    assert gen_window(f, model, n, d, seed + 100, reps, box)[2].tolist() != counts.tolist()
 
 
 def test_gen_data_regression_slope():
