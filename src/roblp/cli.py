@@ -30,10 +30,10 @@ from .experiments import (
     _estimator,
     _noise_model,
     _read_json,
+    _run_config,
     _test_function,
     _validate,
     load_config,
-    run_experiment,
 )
 from .harness import TooManyFailuresError
 from .local_fit import Dataset, EmptyNeighborhoodError, fit_local
@@ -66,14 +66,21 @@ def _output_path(path) -> Path:
 # The flag or subcommand that supplies each estimator key a settings file omits.
 _SUPPLIED = {"kind": "the subcommand, fit or adapt", "x0": "--x0", "h": "fit's --h (adapt selects h)"}
 
+# A ``fit``/``adapt`` document: the settings with the flags added, as an
+# experiment config's estimator section, and the optional noise section.
+_SETTINGS_SCHEMA = {
+    "properties": {name: CONFIG_SCHEMA["properties"][name] for name in ("estimator", "noise")}
+}
+
 
 def _load_estimator(args, data: Dataset, kind: str, **flags):
     """The Estimator of a ``fit``/``adapt`` settings JSON.  Its optional
-    ``noise`` section is split off; the rest, with ``kind``, ``x0`` and the
-    other flags added, is validated as ``$.estimator`` and checked against
-    the size of ``data`` as an experiment's against its smallest n.  A
-    settings key the command line supplies is a ConfigError.  ``--x0``
-    must match the dimension of ``data``."""
+    ``noise`` section (null is absent) is split off; the rest, with
+    ``kind``, ``x0`` and the other flags added, is ``$.estimator``.  The
+    two are validated as one document, then the estimator is checked
+    against the size of ``data`` as an experiment's against its smallest
+    n.  A settings key the command line supplies is a ConfigError.
+    ``--x0`` must match the dimension of ``data``."""
     if len(args.x0) != data.d:
         raise SystemExit(
             f"--x0: {len(args.x0)} coordinates, but {args.data} has dimension {data.d}"
@@ -83,8 +90,12 @@ def _load_estimator(args, data: Dataset, kind: str, **flags):
         if key in settings:
             raise ConfigError(f"$.estimator.{key}: set by {source}, not by the settings file")
     noise = settings.pop("noise", None)
+    document = {"estimator": {**settings, "kind": kind, "x0": args.x0, **flags}}
+    if noise is not None:
+        document["noise"] = noise
+    _validate(document, _SETTINGS_SCHEMA)
     model = None if noise is None else _noise_model(noise)
-    estimator = _estimator({**settings, "kind": kind, "x0": args.x0, **flags}, model)
+    estimator = _estimator(document["estimator"], model)
     _check_sizes(estimator, [data.n], args.x0, f"--data: {args.data} is too small for the bandwidth grid")
     return estimator
 
@@ -129,15 +140,15 @@ def _cmd_adapt(args) -> int:
     return 0
 
 
-# The top level of a ``simulate`` config; its function and noise sections
-# are checked as in experiment configs, and n and seed as there.
+# A ``simulate`` config; its function, noise and seed are checked as in
+# experiment configs, and n as an experiment's grid.n.
 _SIMULATE_SCHEMA = {
     "type": "object",
     "required": ["function", "noise", "n", "seed", "output"],
     "additionalProperties": False,
     "properties": {
-        "function": {"type": "object"},
-        "noise": {"type": "object"},
+        "function": CONFIG_SCHEMA["properties"]["function"],
+        "noise": CONFIG_SCHEMA["properties"]["noise"],
         "n": CONFIG_SCHEMA["properties"]["grid"]["properties"]["n"],
         "seed": CONFIG_SCHEMA["properties"]["seed"],
         "output": {"type": "string"},
@@ -148,6 +159,8 @@ _SIMULATE_SCHEMA = {
 def _cmd_simulate(args) -> int:
     cfg = _read_json(args.config)
     _validate(cfg, _SIMULATE_SCHEMA)
+    if Path(cfg["output"]).suffix == ".json":
+        raise ConfigError(f"$.output: {cfg['output']!r} ends in .json, the suffix of its sidecar")
     model = _noise_model(cfg["noise"])
     f = _test_function(cfg["function"], model)
     out = _output_path(cfg["output"])
@@ -173,7 +186,7 @@ def _cmd_experiment(args) -> int:
         raise SystemExit(
             f"config is for experiment {cfg['experiment']!r}, not {args.experiment!r}"
         )
-    result = run_experiment(cfg, output_dir=args.output_dir)
+    result = _run_config(cfg, output_dir=args.output_dir)
     print(json.dumps(result["summary"], indent=2, sort_keys=True))
     print(f"wrote {result['csv']}")
     return 0

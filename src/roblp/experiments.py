@@ -186,7 +186,8 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "directory": {"type": "string"},
-                "prefix": {"type": "string"},
+                # a file name: the outputs go in the directory
+                "prefix": {"type": "string", "pattern": r"^[^/\\]*$"},
             },
         },
     },
@@ -226,15 +227,13 @@ def _int_length(match: re.Match) -> str:
     return f"{sign} integer of {len(digits)} digits"
 
 
-def _validate(instance: dict, schema: dict = CONFIG_SCHEMA, root: str = "$") -> None:
-    """Raise a ConfigError listing every schema violation, each under its
-    field path; ``root`` is the path of ``instance`` in the full config."""
+def _validate(document: dict, schema: dict = CONFIG_SCHEMA) -> None:
+    """Raise a ConfigError listing every schema violation of a whole config
+    document, one line each under its field path; entry points call it once."""
     validator = _Validator(schema)
-    errors = sorted(validator.iter_errors(instance), key=lambda e: e.json_path)
+    errors = sorted(validator.iter_errors(document), key=lambda e: e.json_path)
     if errors:
-        lines = [
-            f"{root}{e.json_path[1:]}: {_LONG_INT.sub(_int_length, e.message)}" for e in errors
-        ]
+        lines = [f"{e.json_path}: {_LONG_INT.sub(_int_length, e.message)}" for e in errors]
         raise ConfigError("invalid experiment config:\n  " + "\n  ".join(lines))
 
 
@@ -255,8 +254,8 @@ def _read_json(path) -> dict:
 
 
 def load_config(source) -> dict:
-    """Load and validate a config dict, a config file, or a manifest file
-    (its embedded config is extracted)."""
+    """Load a config dict, a config file, or a manifest file (its embedded
+    config is extracted), and validate the whole config once."""
     if isinstance(source, (str, Path)):
         cfg = _read_json(source)
     else:
@@ -292,19 +291,17 @@ def _derive(where: str, build, *args):
 
 
 def _noise_model(noise: dict) -> NoiseModel:
-    """Validate a ``noise`` section and build its NoiseModel.  Values the
-    model rejects (an alternating factor below 1, a sigma_min above the
-    smallest scale) are ConfigErrors under ``$.noise`` too."""
-    _validate(noise, CONFIG_SCHEMA["properties"]["noise"], "$.noise")
+    """The NoiseModel of a ``noise`` section, which is not validated here.
+    Values the model rejects (an alternating factor below 1, a sigma_min
+    above the smallest scale) are ConfigErrors under ``$.noise``."""
     return _derive("$.noise", NoiseModel.from_config, noise)
 
 
 def _test_function(function: dict, noise: NoiseModel) -> TestFunction:
-    """Validate a ``function`` section and build its TestFunction; an
-    unknown name, a missing parameter, a value out of range or a bound on
-    |f| that ``noise`` could push out of float range is a ConfigError under
-    ``$.function``."""
-    _validate(function, CONFIG_SCHEMA["properties"]["function"], "$.function")
+    """The TestFunction of a ``function`` section, which is not validated
+    here; an unknown name, a missing parameter, a value out of range or a
+    bound on |f| that ``noise`` could push out of float range is a
+    ConfigError under ``$.function``."""
     f = _derive("$.function", make_test_function, function)
     if not math.isfinite(f.bound + noise._largest_draw):
         raise ConfigError(
@@ -335,13 +332,12 @@ def _resolve_curvature(est_cfg: dict, noise: NoiseModel | None) -> float:
 
 
 def _estimator(est: dict, noise: NoiseModel | None) -> Estimator:
-    """Validate an ``estimator`` section and build its Estimator.
+    """The Estimator of an ``estimator`` section, not validated here.
 
     The one parser of estimator settings, shared by the experiments and
     the CLI.  ``noise`` is the declared noise model (or None), from which
     an adaptive estimator derives a null curvature.
     """
-    _validate(est, CONFIG_SCHEMA["properties"]["estimator"], "$.estimator")
     optimizer = OptimizerSettings(
         **{k: est[k] for k in ("gradient_tolerance", "max_iterations") if k in est}
     )
@@ -394,7 +390,11 @@ def run_experiment(source, output_dir=None) -> dict:
     cannot be written, is a ConfigError naming it, raised before any
     replication runs; the directory is made only once they have all run.
     """
-    cfg = load_config(source)
+    return _run_config(load_config(source), output_dir)
+
+
+def _run_config(cfg: dict, output_dir=None) -> dict:
+    """``run_experiment`` on a config ``load_config`` has returned."""
     out = cfg["output"]
     out_dir = Path(output_dir) if output_dir is not None else Path(out["directory"])
     prefix = out["prefix"]

@@ -415,6 +415,71 @@ def test_cli_settings_errors_exit_with_field_paths(dataset_csv, tmp_path, comman
         main(argv)
 
 
+def test_cli_settings_errors_in_both_sections_are_one_message(dataset_csv, tmp_path):
+    # the settings and their noise section are validated as one document
+    settings = write_settings(tmp_path, max_iteration=10, noise={"family": "gaussian", "sclae": 0.5})
+    with pytest.raises(SystemExit) as exc:
+        main(FIT + ["--data", str(dataset_csv), "--x0", "0.25", "--config", settings])
+    lines = str(exc.value).splitlines()
+    assert len(lines) == 3 and lines[0] == "invalid experiment config:"
+    assert lines[1].startswith("  $.estimator: ") and "'max_iteration' was unexpected" in lines[1]
+    assert lines[2].startswith("  $.noise: ") and "'sclae' was unexpected" in lines[2]
+
+
+@pytest.mark.parametrize("command", [FIT, ADAPT], ids=["fit", "adapt"])
+def test_cli_settings_null_noise_is_no_noise(dataset_csv, estimator_json, tmp_path, capsys, command):
+    with_null = tmp_path / "null_noise.json"
+    with_null.write_text(json.dumps({**json.loads(estimator_json.read_text()), "noise": None}))
+    outputs = []
+    for settings in (estimator_json, with_null):
+        assert main(command + ["--data", str(dataset_csv), "--x0", "0.25", "--config", str(settings)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_each_entry_point_validates_its_config_once(dataset_csv, tmp_path, monkeypatch):
+    calls = []
+    validate = experiments._validate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    # the CLI calls _validate through its own import of the name
+    monkeypatch.setattr(experiments, "_validate", counted)
+    monkeypatch.setattr(cli, "_validate", counted)
+    tails = tails_config(tmp_path)
+    sim = tmp_path / "sim.json"
+    sim.write_text(
+        json.dumps(
+            {
+                "function": {"name": "cusp", "beta": 0.5},
+                "noise": {"family": "laplace", "scale": 1.0},
+                "n": 100,
+                "seed": 9,
+                "output": str(tmp_path / "sim" / "dataset.csv"),
+            }
+        )
+    )
+    # settings with a noise section, which the estimator settings and the
+    # flags are validated with
+    settings = write_settings(tmp_path, noise={"family": "gaussian", "scale": 0.3})
+    data = ["--data", str(dataset_csv), "--x0", "0.25", "--config", settings]
+    entry_points = {
+        "run_experiment": lambda: experiments.run_experiment(json.loads(Path(tails).read_text())),
+        "tails": lambda: main(["tails", "--config", tails, "--output-dir", str(tmp_path / "cli")]),
+        "simulate": lambda: main(["simulate", "--config", str(sim)]),
+        "fit": lambda: main(FIT + data),
+        "adapt": lambda: main(ADAPT + data),
+    }
+    counts = {}
+    for name, run in entry_points.items():
+        calls.clear()
+        run()
+        counts[name] = len(calls)
+    assert counts == dict.fromkeys(entry_points, 1)
+
+
 def tails_config(tmp_path, function=None, noise=None, **estimator):
     cfg = {
         "experiment": "tails",
@@ -575,6 +640,30 @@ def test_cli_simulate_checks_its_top_level(tmp_path, changes, dropped, message):
     with pytest.raises(SystemExit, match=message):
         main(["simulate", "--config", str(path)])
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_cli_simulate_refuses_an_output_its_sidecar_would_overwrite(tmp_path, monkeypatch):
+    # the sidecar is the output with suffix .json: a .json output would be
+    # written, then overwritten by it
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    monkeypatch.setattr(cli, "gen_data", no_work)
+    out = tmp_path / "sim" / "dataset.json"
+    cfg = {
+        "function": {"name": "sinusoid", "beta": 2.0},
+        "noise": {"family": "gaussian", "scale": 0.5},
+        "n": 100,
+        "seed": 9,
+        "output": str(out),
+    }
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(path)])
+    message = str(exc.value)
+    assert message.startswith("$.output: ") and str(out) in message and "\n" not in message
+    assert not (tmp_path / "sim").exists()
 
 
 def test_cli_simulate_takes_the_dimension_from_the_function(tmp_path):

@@ -352,12 +352,20 @@ def test_estimator_without_curvature_or_noise_is_a_config_error():
     assert _estimator({**est, "curvature": 0.3}, None).curvature == 0.3
 
 
-def test_estimator_settings_errors_carry_field_paths():
-    est = adaptive_config("unused")["estimator"]
+def test_estimator_settings_errors_carry_field_paths(tmp_path, monkeypatch):
+    # the builders do not validate: the schema error is load_config's, the
+    # contrast's derivation error run_experiment's, both before any driver
+    def no_replications(*args, **kwargs):
+        raise AssertionError("a driver ran")
+
+    monkeypatch.setattr(experiments, "risk_curve", no_replications)
+    cfg = adaptive_config(tmp_path / "out")
+    est = cfg["estimator"]
     with pytest.raises(ConfigError, match=r"\$\.estimator\.contrast"):
-        _estimator({**est, "contrast": {"kind": "huber"}, "curvature": 0.3}, None)
+        run_experiment({**cfg, "estimator": {**est, "contrast": {"kind": "huber"}, "curvature": 0.3}})
     with pytest.raises(ConfigError, match=r"\$\.estimator: .*'max_iteration' was unexpected"):
-        _estimator({**est, "max_iteration": 10}, None)
+        load_config({**cfg, "estimator": {**est, "max_iteration": 10}})
+    assert not (tmp_path / "out").exists()
 
 
 def test_estimator_reads_optimizer_settings():
@@ -569,6 +577,21 @@ def test_an_output_file_that_cannot_be_written_is_one_config_error_before_any_dr
     with pytest.raises(ConfigError, match=rf"^output file {re.escape(str(path))}: is not writable$"):
         run_experiment(cfg)
     assert path.read_text() == "kept"
+
+
+@pytest.mark.parametrize("prefix", ["sub/t", "sub\\t"])
+def test_a_prefix_with_a_path_separator_is_one_config_error_before_any_driver(tmp_path, monkeypatch, prefix):
+    # a prefix names files in the output directory, not a subdirectory
+    def no_replications(*args, **kwargs):
+        raise AssertionError("a driver ran")
+
+    monkeypatch.setattr(experiments, "tail_check", no_replications)
+    cfg = _tails_config(tmp_path / "out")
+    cfg["output"]["prefix"] = prefix
+    message = rf"^invalid experiment config:\n  \$\.output\.prefix: {re.escape(repr(prefix))} does not match "
+    with pytest.raises(ConfigError, match=message):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
