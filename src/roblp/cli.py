@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -50,9 +51,11 @@ def _load_data(path) -> Dataset:
 
 
 def _output_path(path) -> Path:
-    """``path``, with its directory made; a directory that cannot be made,
-    or a ``path`` that is an existing directory, exits with a message
-    naming ``path``."""
+    """``path``, with its directory made; a ``path`` that ends in a path
+    separator (which ``Path`` drops), names an existing directory or needs
+    one that cannot be made exits with a message naming ``path``."""
+    if str(path).endswith(("/", os.sep)):
+        raise SystemExit(f"{path}: ends in a path separator, not a file name")
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -115,10 +115,8 @@ class Estimator:
     curvature: float | None = None
     risk_power: float = 2.0
     optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
-    # Selection threshold constant by dimension, and the plan by point and
-    # sample size, filled on first use: they depend only on the fields
-    # above and those keys, so every replication shares them.
-    _selection: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # The plan by point and sample size, filled on first use: it depends
+    # only on the fields above and that key, so every replication shares it.
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -159,11 +157,9 @@ class Estimator:
         if self.kind == "adaptive":
             grid = bandwidth_grid(n, d, int(self.degree))
             template = self._local_config(x0, grid.h_max)
-            threshold = self._selection.get(d)
-            if threshold is None:
-                threshold = self._selection[d] = selection_config(
-                    self.contrast, template.kernel, template.degree, self.curvature, self.risk_power
-                )
+            threshold = selection_config(
+                self.contrast, template.kernel, template.degree, self.curvature, self.risk_power
+            )
             plan = _selection_plan(grid, template, threshold)
         else:
             fixed = self.kind == "fixed"
@@ -231,11 +227,13 @@ def _block_estimates(args) -> np.ndarray:
     first window, one ``_windows`` call cuts every config's window of every
     replication from them (and rejects a plan whose windows do not each lie
     inside the one before), and one solver call takes the block's windows
-    and solves them in stacks.
+    and solves them in stacks.  A replication whose ``_windows`` depth is
+    short of the plan's configs has an empty window: its row is NaN.
     """
     configs, f, model, n, seed, reps = args
     x, y, counts = gen_window(f, model, n, configs[0].d, seed, reps, (configs[0].x0, configs[0].h))
-    windows, fitted = _windows(x, y, n, configs, counts)
+    windows, depth = _windows(x, y, n, configs, counts)
+    fitted = depth == len(configs)  # the replications with no empty window
     estimates = np.full((len(reps), len(configs)), math.nan)
     estimates[fitted] = _fit_problems(windows).estimate.reshape(len(configs), -1).T
     return estimates

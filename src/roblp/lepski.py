@@ -25,6 +25,7 @@ from .contrast import ContrastSpec
 from .kernels import KernelSpec, lambda_min, moment_matrix
 from .local_fit import (
     Dataset,
+    EmptyNeighborhoodError,
     LocalFitConfig,
     _fit_problems,
     _windows,
@@ -256,10 +257,13 @@ def select_bandwidth(
     is fitted independently on the same data (no warm starts, so results
     do not depend on evaluation order), and the levels are solved as one
     stack.  ``thresholds`` holds each level's threshold C * S_n(l), C from
-    ``selection_config``.  An empty window raises
-    ``EmptyNeighborhoodError`` carrying the offending grid index.
+    ``selection_config``.  Where the data's ``_windows`` depth falls short
+    of the grid, this raises ``EmptyNeighborhoodError`` for the first
+    empty level, carrying its grid index.
     """
-    windows, _ = _windows(data.x, data.y, data.n, levels, grid=True)
+    windows, (depth,) = _windows(data.x, data.y, data.n, levels, [data.n])
+    if depth < len(levels):
+        raise EmptyNeighborhoodError(levels[depth].x0, levels[depth].h, grid_index=int(depth))
     estimates = _fit_problems(windows).estimate.tolist()
     chosen, checks = select_index(estimates, thresholds)
     return SelectionTrace(

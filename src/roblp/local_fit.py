@@ -31,10 +31,10 @@ settings (degree, kernel, radius, contrast, optimizer) of up to
 _STACK_CHUNKS chunks, and stores every result in the plan's one
 ``_Fits``; a bandwidth selection solves its grid levels as one stack, and
 ``fit_local`` is a stack of one.  A window is only its rows, and
-``_windows`` alone cuts them, from given rows ``x``, ``y`` of samples of
-size n (all of a ``Dataset``'s, or those the harness drew inside the
-plan's first window for a whole block of replications); n sets its
-1/(n h^d) scale.  A plan's windows lie each inside the one before it,
+``_windows`` alone cuts them, from given rows ``x``, ``y`` of a block of
+samples of size n (a ``Dataset``'s, a block of one, or those the harness
+drew inside the plan's first window for a block of replications); n sets
+its 1/(n h^d) scale.  A plan's windows lie each inside the one before it,
 checked by ``_windows``: each is cut from the samples of the one before,
 by one mask over the block's rows, so only the first scans the given
 rows.  A plan's windows come as one ``_Windows``, config after config:
@@ -261,8 +261,8 @@ class _Fits:
 
 class EmptyNeighborhoodError(RuntimeError):
     """No sample falls in the fitting window; the estimator is undefined.
-    ``grid_index`` is the bandwidth-grid level when the fit ran inside a
-    bandwidth selection, else None."""
+    Raised by ``fit_local``, ``grid_index`` None, and by
+    ``select_bandwidth``, ``grid_index`` its first empty grid level."""
 
     def __init__(self, x0, h, grid_index: int | None = None):
         where = "" if grid_index is None else f" (grid index k={grid_index})"
@@ -353,30 +353,29 @@ def _windows(
     y: np.ndarray,
     n: int,
     configs: Sequence[LocalFitConfig],
-    counts: np.ndarray | None = None,
-    grid: bool = False,
+    counts: Sequence[int],
 ) -> tuple[_Windows, np.ndarray]:
     """The windows of a plan's fit ``configs`` among the rows ``x``, ``y``
-    of samples of size ``n`` (all of a sample's rows, or a set holding its
-    first window), as one ``_Windows``: config after config, each config's
-    windows in replication order; and the mask of the replications they
-    hold.  Every config has one window per kept replication.
-
-    With ``counts``, the rows are those of a block of replications,
-    ``counts[r]`` rows of replication r after those of the one before; a
-    replication with an empty window is dropped from every config's
-    windows and marked False.  Without, the rows are one sample's, and an
-    empty window raises EmptyNeighborhoodError, carrying its position as
-    the grid index when the configs are the levels of a bandwidth ``grid``.
+    of a block of replications, ``counts[r]`` rows of replication r after
+    those of the one before, each a sample of size ``n`` (all its rows, or
+    a set holding its first window; a sample is a block of one, ``counts``
+    ``[n]``), as one ``_Windows``: config after config, each config's
+    windows in replication order; and each replication's depth, the number
+    of configs whose window holds a row of it.  A replication of depth
+    short of ``len(configs)`` is dropped from every config's windows.  An
+    empty window is no error here: ``fit_local`` and ``select_bandwidth``
+    raise EmptyNeighborhoodError from the depth.
 
     The configs are a chain of nested windows: each has the x0 of the one
     before it and a bandwidth no larger, so, a window being a sup-norm
-    box, it lies inside the one before.  Any other plan is a ValueError,
+    box, it lies inside the one before: a replication's empty windows are
+    those of configs depth..K-1.  Any other plan is a ValueError,
     raised before a window is cut.  Every plan builder also gives its
     configs one degree, as the plan's one ``_Fits`` holds one index set.
     Window 0 is cut from the given rows and each later one from the window
-    before it, by one mask over the whole block; each replication's row
-    count is a ``bincount`` of the replication ids.  The mask is
+    before it, by one mask over the whole block.  The kept rows stay in
+    replication order, so each replication's rows in a window end where a
+    ``searchsorted`` of its end in the rows before puts them.  The mask is
     elementwise, so a window is the same bit for bit as one cut from its
     replication's rows alone."""
     if x.shape[1] != configs[0].d:
@@ -388,43 +387,34 @@ def _windows(
                 f"fit config {k} (x0={cfg.x0}, h={cfg.h}) lies outside the window of"
                 f" fit config {k - 1} (x0={prev.x0}, h={prev.h})"
             )
-    # each row's replication, where there are several
-    rep = None if counts is None else np.repeat(np.arange(len(counts)), counts)
-    cuts = []
-    for k, cfg in enumerate(configs):
+    ends = np.cumsum(counts)  # the end of each replication's rows
+    cuts, bounds = [], []
+    for cfg in configs:
         inside = _box_rows(x, cfg.x0, cfg.h)
-        if rep is None and not inside.size:
-            raise EmptyNeighborhoodError(cfg.x0, cfg.h, grid_index=k if grid else None)
-        x, y = x.take(inside, axis=0), y.take(inside)
-        if rep is None:
-            n_local = np.array([inside.size])
-        else:
-            rep = rep.take(inside)
-            n_local = np.bincount(rep, minlength=len(counts))
-        cuts.append((x, y, rep, n_local))
-    ok = cuts[-1][3] > 0  # the windows nest, so the last is the first to empty
-    dropped = not ok.all()
-    parts = []  # each config's rows and window sizes, of the kept replications
-    for x, y, rep, n_local in cuts:
-        if dropped:
-            keep = ok.take(rep)
-            x, y, n_local = x[keep], y[keep], n_local[ok]
-        parts.append((x, y, n_local))
-    x, y, n_local = (np.concatenate(column) for column in zip(*parts))
-    kept = parts[0][2].size  # windows per config
-    scale = np.array([1.0 / (n * cfg.h**cfg.d) for cfg in configs])
+        x, y, ends = x.take(inside, axis=0), y.take(inside), inside.searchsorted(ends)
+        cuts.append((x, y))
+        bounds.append(ends)
+    # the window sizes, a row per config and a column per replication
+    n_local = np.array(bounds)
+    n_local[:, 1:] -= n_local[:, :-1]
+    depth = (n_local > 0).sum(axis=0)
+    ok = depth == len(configs)
+    if not ok.all():  # keep the rows and window sizes of the kept replications
+        cuts = [(x[keep], y[keep]) for (x, y), keep in zip(cuts, map(ok.repeat, n_local))]
+        n_local = n_local[:, ok]
+    x, y = (np.concatenate(column) for column in zip(*cuts))
+    kept = n_local.shape[1]  # windows per config
+    # a sample of no rows (n = 0) has no window, and no scale to form
+    scale = [1.0 / (n * cfg.h**cfg.d) for cfg in configs] if kept else []
     config = np.arange(len(configs)).repeat(kept)
-    return _Windows(x, y, n_local, config, scale.repeat(kept), configs), ok
+    return _Windows(x, y, n_local.ravel(), config, np.repeat(scale, kept), configs), depth
 
 
 def _stack_at(t, data: Dataset, cfg: LocalFitConfig) -> _Stack | None:
     """The window of ``data`` for ``cfg`` as a stack of one at coefficients
-    ``t``, or None when the window is empty."""
-    try:
-        windows, _ = _windows(data.x, data.y, data.n, [cfg])
-    except EmptyNeighborhoodError:
-        return None
-    return _Stack(windows, np.asarray(t, dtype=float)[None])
+    ``t``, or None when the window is empty (depth 0), raising nothing."""
+    windows, (depth,) = _windows(data.x, data.y, data.n, [cfg], [data.n])
+    return _Stack(windows, np.asarray(t, dtype=float)[None]) if depth else None
 
 
 def criterion(t, data: Dataset, cfg: LocalFitConfig) -> float:
@@ -901,9 +891,12 @@ def fit_local(data: Dataset, cfg: LocalFitConfig) -> FitResult:
     gradient steps cover absolute loss, tiny thresholds and windows with
     fewer active samples than coefficients.  Convexity of the criterion
     plus compactness of the ball make any stationary point a global
-    minimizer.
+    minimizer.  An empty dataset is a ValueError, an empty window (depth 0
+    in ``_windows``) an EmptyNeighborhoodError, raised here.
     """
     if data.n == 0:
         raise ValueError("dataset is empty")
-    windows, _ = _windows(data.x, data.y, data.n, [cfg])
+    windows, (depth,) = _windows(data.x, data.y, data.n, [cfg], [data.n])
+    if not depth:
+        raise EmptyNeighborhoodError(cfg.x0, cfg.h)
     return _fit_problems(windows).result(0)

@@ -24,6 +24,7 @@ from roblp.local_fit import (
     BACKTRACKING,
     INITIAL_STEP,
     Dataset,
+    EmptyNeighborhoodError,
     FitResult,
     LocalFitConfig,
     _Stack,
@@ -44,7 +45,9 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
     """
     if data.n == 0:
         raise ValueError("dataset is empty")
-    problem, _ = _windows(data.x, data.y, data.n, [cfg])  # raises EmptyNeighborhoodError
+    problem, (depth,) = _windows(data.x, data.y, data.n, [cfg], [data.n])
+    if not depth:
+        raise EmptyNeighborhoodError(cfg.x0, cfg.h)
 
     opt = cfg.optimizer
     radius = cfg.bound

@@ -208,6 +208,41 @@ def test_an_output_path_that_is_a_directory_exits_with_one_line_before_the_work(
         taken.rmdir()
 
 
+@pytest.mark.parametrize("command", ["simulate", "adapt"])
+def test_an_output_path_ending_in_a_separator_exits_with_one_line_before_the_work(
+    tmp_path, dataset_csv, estimator_json, monkeypatch, command
+):
+    # "out/" names a directory: it must not become a file called "out"
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    monkeypatch.setattr(cli, "gen_data", no_work)
+    monkeypatch.setattr(Estimator, "selection_trace", no_work)
+    out = str(tmp_path / "out") + "/"
+    if command == "simulate":
+        sim = tmp_path / "sim.json"
+        sim.write_text(
+            json.dumps(
+                {
+                    "function": {"name": "cusp", "beta": 0.5},
+                    "noise": {"family": "laplace", "scale": 1.0},
+                    "n": 100,
+                    "seed": 9,
+                    "output": out,
+                }
+            )
+        )
+        argv = ["simulate", "--config", str(sim)]
+    else:
+        argv = ["adapt", "--data", str(dataset_csv), "--x0", "0.25", "--config", str(estimator_json)]
+        argv += ["--json", out]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = str(exc.value)
+    assert out in message and "separator" in message and "\n" not in message
+    assert not (tmp_path / "out").exists() and not (tmp_path / "out.json").exists()
+
+
 def test_cli_adapt_json_makes_its_directory(dataset_csv, estimator_json, tmp_path):
     trace_path = tmp_path / "new" / "dir" / "trace.json"
     argv = ["adapt", "--data", str(dataset_csv), "--x0", "0.25", "--config", str(estimator_json)]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from roblp.basis import monomial_matrix, multi_index_set
 from roblp.contrast import absolute, huber
 from roblp.kernels import KernelSpec, uniform_kernel
-from roblp.lepski import bandwidth_grid, minimax_bandwidth
+from roblp.lepski import bandwidth_grid, minimax_bandwidth, select_bandwidth
 from roblp.simulate import NoiseModel, gen_data, product_sinusoid, sinusoid
 import roblp.local_fit as local_fit
 from roblp.local_fit import (
@@ -44,8 +44,10 @@ def make_cfg(**kw):
 
 
 def _problem(data, cfg):
-    """The window of ``cfg`` cut from all of ``data``'s rows."""
-    window, _ = local_fit._windows(data.x, data.y, data.n, [cfg])
+    """The window of ``cfg`` cut from all of ``data``'s rows, a block of
+    one; the window is not empty."""
+    window, depth = local_fit._windows(data.x, data.y, data.n, [cfg], [data.n])
+    assert depth.tolist() == [1]
     return window
 
 
@@ -108,6 +110,19 @@ def test_criterion_empty_window_is_zero():
     data = Dataset(x=np.array([[0.9]]), y=np.array([3.0]))
     cfg = make_cfg()
     assert criterion(np.array([0.0, 0.0]), data, cfg) == 0.0
+
+
+def test_criterion_of_a_dataset_of_no_rows_is_zero():
+    # n = 0: no window, so no 1/(n h^d) scale is formed; a selection on
+    # it finds level 0 empty
+    data = Dataset(x=np.zeros((0, 1)), y=np.zeros(0))
+    cfg = make_cfg()
+    t = np.array([1.0, 2.0])
+    assert criterion(t, data, cfg) == 0.0
+    assert criterion_gradient(t, data, cfg).tolist() == [0.0, 0.0]
+    with pytest.raises(EmptyNeighborhoodError) as exc:
+        select_bandwidth(data, [cfg], [1.0])
+    assert exc.value.grid_index == 0
 
 
 def test_criterion_exact_fit_is_zero():
@@ -647,8 +662,8 @@ def test_a_plan_of_three_settings_keys_stacks_per_key(monkeypatch):
     ]
     samples = [gen_data(f, gauss, n, 1, (35, rep)) for rep in range(6)]
     x, y = (np.concatenate([getattr(data, name) for data in samples]) for name in ("x", "y"))
-    windows, ok = local_fit._windows(x, y, n, settings, np.full(len(samples), n))
-    assert ok.all()
+    windows, depth = local_fit._windows(x, y, n, settings, np.full(len(samples), n))
+    assert depth.tolist() == [3] * 6
     alone = [fit_local(data, cfg) for cfg in settings for data in samples]
     stacks = []
     original = local_fit._fit_stack
@@ -703,7 +718,8 @@ def test_nested_grid_windows_equal_windows_cut_from_the_full_sample(kernel, d):
     data = gen_data(sinusoid(beta=2.0), NoiseModel(family="gaussian", base_scale=0.5), 8192, d, seed=(31, d))
     spec = KernelSpec(kind=kernel, d=d)
     configs = [make_cfg(x0=(0.3,) * d, h=0.4 * 2.0**-k, kernel=spec) for k in range(4)]
-    nested, _ = local_fit._windows(data.x, data.y, data.n, configs, grid=True)
+    nested, depth = local_fit._windows(data.x, data.y, data.n, configs, [data.n])
+    assert depth.tolist() == [4]
     alone = [_problem(data, cfg) for cfg in configs]
     for window, single in zip(_levels(nested), alone, strict=True):
         assert window.n_local.tolist() == single.n_local.tolist() and single.n_local[0] > 0
@@ -754,12 +770,12 @@ def test_a_block_cut_leaves_the_other_replications_unshifted(d):
     near = (np.abs(x[2] - 0.3) <= configs[2].h / 2.0).all(axis=1)
     x[2][near, 0] = 0.3 + 0.07  # inside level 1 (half-width 0.1), outside level 2
     y = [data.y for data in samples]
-    windows, ok = local_fit._windows(
-        np.concatenate(x), np.concatenate(y), n, configs, np.array([len(v) for v in y]), grid=True
+    windows, depth = local_fit._windows(
+        np.concatenate(x), np.concatenate(y), n, configs, np.array([len(v) for v in y])
     )
-    assert ok.tolist() == [True, True, False, True, True]
+    assert depth.tolist() == [4, 4, 2, 4, 4]
     with pytest.raises(EmptyNeighborhoodError) as exc:
-        local_fit._windows(x[2], y[2], n, configs, grid=True)
+        select_bandwidth(Dataset(x=x[2], y=y[2]), configs, [1.0] * len(configs))
     assert exc.value.grid_index == 2
     assert windows.configs is configs
     for k, level in enumerate(_levels(windows)):
@@ -767,7 +783,7 @@ def test_a_block_cut_leaves_the_other_replications_unshifted(d):
         assert level.scale.tolist() == [1.0 / (n * configs[k].h ** d)] * 4
         ends = level.n_local.cumsum()
         for rep, first, last in zip((0, 1, 3, 4), ends - level.n_local, ends):
-            alone, _ = local_fit._windows(x[rep], y[rep], n, configs, grid=True)
+            alone, _ = local_fit._windows(x[rep], y[rep], n, configs, [n])
             assert level.x[first:last].tobytes() == _levels(alone)[k].x.tobytes()
             assert level.y[first:last].tobytes() == _levels(alone)[k].y.tobytes()
     # the fits of the block are those of each replication on its own
@@ -788,8 +804,8 @@ def test_stacks_of_weighted_kernels_give_each_fit_its_bits_alone(monkeypatch, ke
     model, n = NoiseModel(family="cauchy", base_scale=1.0), 1024
     samples = [gen_data(f, model, n, d, (37, d, rep)) for rep in range(6)]
     x, y = (np.concatenate([getattr(data, name) for data in samples]) for name in ("x", "y"))
-    windows, ok = local_fit._windows(x, y, n, configs, np.full(len(samples), n), grid=True)
-    assert ok.all()
+    windows, depth = local_fit._windows(x, y, n, configs, np.full(len(samples), n))
+    assert depth.tolist() == [3] * 6
     # each fit starts at the weighted median of its window's responses,
     # under the kernel weights of its own rescaled points
     starts = local_fit._Stack(windows).t[:, 0]
@@ -810,12 +826,19 @@ def test_stacks_of_weighted_kernels_give_each_fit_its_bits_alone(monkeypatch, ke
 
 @pytest.mark.parametrize("grid, index", [(True, 1), (False, None)])
 def test_an_empty_inner_grid_level_raises_with_its_index(grid, index):
-    # the samples lie 0.2 or more from x0: in the level of side 1, not of side 0.25
+    # the samples lie 0.2 or more from x0: in the level of side 1, not of
+    # side 0.25, so the depth is 1; a selection over the levels names that
+    # grid index, a fit at that level none
     x = np.array([[0.3], [0.7], [0.05], [0.95]])
     data = Dataset(x=x, y=np.arange(4.0))
     configs = [make_cfg(x0=(0.5,), h=h) for h in (1.0, 0.25, 0.125)]
+    _, depth = local_fit._windows(data.x, data.y, data.n, configs, [data.n])
+    assert depth.tolist() == [1]
     with pytest.raises(EmptyNeighborhoodError, match="side 0.25") as exc:
-        local_fit._windows(data.x, data.y, data.n, configs, grid=grid)
+        if grid:
+            select_bandwidth(data, configs, [1.0] * len(configs))
+        else:
+            fit_local(data, configs[1])
     assert exc.value.grid_index == index
 
 
@@ -837,6 +860,6 @@ def test_a_plan_that_is_not_a_chain_of_windows_raises_before_any_cut(x0, hs, k):
         f"fit config {k} (x0={cfg.x0}, h={cfg.h}) lies outside the window of"
         f" fit config {k - 1} (x0={prev.x0}, h={prev.h})"
     )
-    for grid in (True, False):
+    for counts in ([data.n], [1, 1]):  # a block of one, and of two
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
-            local_fit._windows(data.x, data.y, data.n, configs, grid=grid)
+            local_fit._windows(data.x, data.y, data.n, configs, counts)
