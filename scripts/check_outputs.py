@@ -17,13 +17,16 @@ Prints one line per output file, ``identical``, ``changed`` or ``missing``
 (written on one side only), and exits 1 unless every line is identical.
 A command that fails prints a ``failed`` line naming it (its standard
 error goes to standard error) and makes the script exit 1 too: a study
-that fails on both sides writes no file on either.
+that fails on both sides writes no file on either.  Each command's wall
+time goes to standard error, a line naming it and its tree, so the two
+sides' study times can be read against each other from one session.
 """
 
 import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,17 +36,21 @@ DATASET = "results/datasets/cusp_laplace.csv"
 
 
 def _roblp(tree: Path, out: Path, args, workers=1, stdout=None) -> bool:
-    """Run ``roblp args`` from ``tree``'s source in directory ``out``;
-    False, after a ``failed`` line, when it fails."""
+    """Run ``roblp args`` from ``tree``'s source in directory ``out``,
+    its wall time printed to standard error; False, after a ``failed``
+    line, when it fails."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "ROBLP_WORKERS": str(workers)}
+    command = f"{tree}: roblp {' '.join(map(str, args))} (ROBLP_WORKERS={workers})"
+    start = time.perf_counter()
     with open(out / stdout, "w") if stdout else open(os.devnull, "w") as sink:
         done = subprocess.run(
             [sys.executable, "-m", "roblp.cli", *map(str, args)],
             cwd=out, env=env, stdout=sink, stderr=subprocess.PIPE, text=True,
         )
+    print(f"{time.perf_counter() - start:8.2f} s  {command}", file=sys.stderr, flush=True)
     if done.returncode:
         sys.stderr.write(done.stderr)
-        print(f"{'failed':9} {tree}: roblp {' '.join(map(str, args))} (ROBLP_WORKERS={workers})")
+        print(f"{'failed':9} {command}")
     return not done.returncode
 
 

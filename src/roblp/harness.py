@@ -57,6 +57,7 @@ from .local_fit import (
     Dataset,
     LocalFitConfig,
     OptimizerSettings,
+    _STACK_CHUNKS,
     _fit_problems,
     _windows,
     fit_local,
@@ -211,10 +212,13 @@ class Estimator:
         return desc
 
 
-# Most replications one pool task runs.  A block's fits are solved in
-# stacks, so larger blocks spread the solver's per-iteration cost over more
-# fits.
-BLOCK_REPLICATIONS = 64
+# Most replications one pool task runs: as many as a solver stack holds
+# chunks.  A nonempty window fills at least one 64-row chunk, so a full
+# block gives each fit setting of its plan at least one full stack (a tails
+# block at n=1024 fills about 630 chunks, two stacks), and a block's fixed
+# costs (draw set-up, window cut, stack builds, pool round trip) are paid
+# once per 512 replications.
+BLOCK_REPLICATIONS = _STACK_CHUNKS
 
 
 def _block_estimates(args) -> np.ndarray:
@@ -242,11 +246,14 @@ def _block_estimates(args) -> np.ndarray:
 def _replication_estimates(jobs, f, model, replications, seed, workers: int = 1) -> list[np.ndarray]:
     """Estimates of replications 0..replications-1 of each (configs, n) job
     of one run, a (replications x configs) array per job.  Each job's
-    replications run in contiguous blocks (at least one per worker), and
-    the blocks of every job form one task list, mapped through at most one
-    pool.  The pool has no more processes than this process may run on
-    CPUs (its affinity mask, where the platform has one) or the run has
-    blocks.  A replication count below 1 is a ValueError."""
+    replications run in contiguous blocks of one size (the last may be
+    shorter): BLOCK_REPLICATIONS, or fewer so that each worker gets a
+    block (1,000 replications make blocks [0,512) and [512,1000) on one
+    worker, two of 500 on two).  The blocks of every job, job after job,
+    form one task list, mapped through at most one pool.  The pool has no
+    more processes than this process may run on CPUs (its affinity mask,
+    where the platform has one) or the run has blocks.  A replication
+    count below 1 is a ValueError."""
     if replications < 1:
         raise ValueError(f"need at least 1 replication, got {replications}")
     if hasattr(os, "sched_getaffinity"):

@@ -257,10 +257,13 @@ def select_bandwidth(
     is fitted independently on the same data (no warm starts, so results
     do not depend on evaluation order), and the levels are solved as one
     stack.  ``thresholds`` holds each level's threshold C * S_n(l), C from
-    ``selection_config``.  Where the data's ``_windows`` depth falls short
-    of the grid, this raises ``EmptyNeighborhoodError`` for the first
-    empty level, carrying its grid index.
+    ``selection_config``.  An empty dataset is a ValueError, as in
+    ``fit_local``.  Where the data's ``_windows`` depth falls short of the
+    grid, this raises ``EmptyNeighborhoodError`` for the first empty level,
+    carrying its grid index.
     """
+    if data.n == 0:
+        raise ValueError("dataset is empty")
     windows, (depth,) = _windows(data.x, data.y, data.n, levels, [data.n])
     if depth < len(levels):
         raise EmptyNeighborhoodError(levels[depth].x0, levels[depth].h, grid_index=int(depth))

@@ -295,8 +295,9 @@ _CHUNK = 64
 # solver's working arrays, about 5 MB at degree 3.  Larger stacks spread
 # each iteration's fixed cost over more fits: an adaptive replication at
 # n=4096 and degree 3 fills 39 chunks, so 512 solve 13 at once.  A block of
-# 64 such replications took 476 us per replication at 512, against 670 at
-# 64 and 508 at 256 or 1024 (2-CPU AMD EPYC host, medians of 12).
+# 512 such replications took 580-614 us per replication at 512, against
+# 924-943 at 64, 595-621 at 256 and 556-604 at 1024 (2-CPU Intel Xeon host,
+# medians of 12, three runs).  The harness sizes its blocks by this cap.
 _STACK_CHUNKS = 512
 
 

@@ -1,8 +1,9 @@
 """scripts/check_outputs.py: its byte-identity comparison, on two
 temporary output trees (no git, no subprocess), and its report of a
-failing command."""
+failing command and of its wall time."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,6 +65,9 @@ def test_a_failing_command_prints_a_failed_line_naming_it(tmp_path, capsys):
     args = ["rates", "--config", tmp_path / "missing.json", "--output-dir", "out"]
     assert script._roblp(ROOT, tmp_path, args, workers=2) is False
     out, err = capsys.readouterr()
-    assert out.splitlines() == [f"failed    {ROOT}: roblp {' '.join(map(str, args))} (ROBLP_WORKERS=2)"]
+    command = f"{ROOT}: roblp {' '.join(map(str, args))} (ROBLP_WORKERS=2)"
+    assert out.splitlines() == [f"failed    {command}"]
     assert "missing.json" in err
+    # its wall time goes to standard error, never to the compared lines
+    assert re.fullmatch(r" *\d+\.\d\d s  " + re.escape(command), err.splitlines()[0])
     assert not (tmp_path / "out").exists()

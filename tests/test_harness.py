@@ -8,6 +8,7 @@ import pytest
 
 from roblp.contrast import huber, square
 from roblp.harness import (
+    BLOCK_REPLICATIONS,
     ComparisonRow,
     Estimator,
     RiskPoint,
@@ -466,16 +467,19 @@ def _shipped_plan(name: str, n: int) -> tuple:
     "name, n, reps, expected",
     [
         ("tails_gaussian", 1024, 64, [(64, 81)]),
+        ("tails_gaussian", 1024, BLOCK_REPLICATIONS, [(414, 512), (98, 119)]),
         ("compare_cauchy", 1024, 64, [(64, 81)] * 3),
         ("rates_adaptive", 4096, 60, [(25, 497), (25, 497), (41, 512), (69, 508), (140, 403)]),
     ],
-    ids=["tails", "compare", "adaptive"],
+    ids=["tails", "tails_block", "compare", "adaptive"],
 )
 def test_a_block_packs_its_plan_into_maximal_runs_of_one_settings_key(monkeypatch, name, n, reps, expected, cap):
     # every _fit_stack call of one block, as (windows, chunks): the stacks
     # cover the plan's windows once, in order, a run of one settings key
     # each, and a stack ends only at a key change or where the next window
     # would pass the cap; at the shipped cap, the stacks are those listed
+    # (a tails block of the shipped size fills one full stack and part of
+    # a second)
     import roblp.harness as harness
     import roblp.local_fit as local_fit
 
@@ -611,6 +615,43 @@ def test_a_run_opens_one_pool_for_all_its_jobs(monkeypatch, pools):
     pools.clear()
     harness._replication_estimates([(est.plan([0.25], 256)[0], 256)], f, model, 1, 23, workers=2)
     assert pools == []
+
+
+def test_a_run_cuts_each_job_into_contiguous_blocks(monkeypatch, pools):
+    # the (n, reps) of every block handed to _block_estimates, in task
+    # order: blocks of BLOCK_REPLICATIONS on one worker, or fewer so that
+    # each worker gets one, job after job; the estimates join up in order
+    import roblp.harness as harness
+
+    assert BLOCK_REPLICATIONS == 512
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
+    est = Estimator(kind="fixed", contrast=huber(1.0), kernel_kind="uniform", bound=8.0, h=0.25, degree=0)
+    f, model = sinusoid(beta=2.0), NoiseModel(family="gaussian", base_scale=0.5)
+    blocks, block_estimates = [], harness._block_estimates
+
+    def recording(task):
+        configs, _, _, n, _, reps = task
+        blocks.append((n, reps))
+        return block_estimates(task)
+
+    monkeypatch.setattr(harness, "_block_estimates", recording)
+    jobs = [(est.plan([0.25], n)[0], n) for n in (64, 96)]
+    runs = {}
+    for workers, expected in (
+        (1, [(64, range(0, 512)), (64, range(512, 1000))]),
+        (2, [(64, range(0, 500)), (64, range(500, 1000))]),
+    ):
+        blocks.clear()
+        pools.clear()
+        (runs[workers],) = harness._replication_estimates(jobs[:1], f, model, 1000, 31, workers)
+        assert blocks == expected
+        assert pools == ([2] if workers == 2 else [])
+    np.testing.assert_array_equal(runs[1], runs[2])
+    blocks.clear()
+    first, second = harness._replication_estimates(jobs, f, model, 1000, 31)
+    assert blocks == [(n, reps) for n in (64, 96) for reps in (range(0, 512), range(512, 1000))]
+    np.testing.assert_array_equal(first, runs[1])
+    assert first.shape == second.shape == (1000, 1)
 
 
 def test_selection_constants_built_once_per_plan(monkeypatch):

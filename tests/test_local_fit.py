@@ -113,16 +113,17 @@ def test_criterion_empty_window_is_zero():
 
 
 def test_criterion_of_a_dataset_of_no_rows_is_zero():
-    # n = 0: no window, so no 1/(n h^d) scale is formed; a selection on
-    # it finds level 0 empty
+    # n = 0: no window, so no 1/(n h^d) scale is formed; a fit or a
+    # selection on it names the empty dataset, not an empty window
     data = Dataset(x=np.zeros((0, 1)), y=np.zeros(0))
     cfg = make_cfg()
     t = np.array([1.0, 2.0])
     assert criterion(t, data, cfg) == 0.0
     assert criterion_gradient(t, data, cfg).tolist() == [0.0, 0.0]
-    with pytest.raises(EmptyNeighborhoodError) as exc:
+    with pytest.raises(ValueError, match="^dataset is empty$"):
+        fit_local(data, cfg)
+    with pytest.raises(ValueError, match="^dataset is empty$"):
         select_bandwidth(data, [cfg], [1.0])
-    assert exc.value.grid_index == 0
 
 
 def test_criterion_exact_fit_is_zero():
