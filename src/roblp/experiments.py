@@ -25,7 +25,6 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
-import scipy
 
 from . import __version__
 from .contrast import CONTRAST_KINDS, ContrastSpec, curvature_constant
@@ -366,7 +365,6 @@ def _manifest(cfg: dict, out_dir: Path, prefix: str, extras: dict) -> Path:
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "roblp": __version__,
         },
         **extras,

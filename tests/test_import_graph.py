@@ -12,20 +12,25 @@ import roblp
 SRC = Path(roblp.__file__).resolve().parents[1]
 
 
-def _loaded_after(code: str, *modules: str) -> dict:
-    """Run ``code`` in a fresh interpreter that imports roblp from SRC;
-    returns, for each module, whether it is loaded afterwards."""
+def _run_fresh(code: str) -> list:
+    """Run ``code`` in a fresh interpreter whose roblp comes from SRC;
+    returns its stdout lines."""
     path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    probe = "\n".join([
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+
+
+def _loaded_after(code: str, *modules: str) -> dict:
+    """Run ``code`` in a fresh interpreter after ``import roblp``; returns,
+    for each module, whether it is loaded afterwards."""
+    out = _run_fresh("\n".join([
         "import sys, roblp",
         code,
         "print(roblp.__file__)",
         f"print(*[m in sys.modules for m in {list(modules)!r}])",
-    ])
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout.splitlines()
+    ]))
     assert Path(out[-2]).resolve().parent == SRC / "roblp"
     return dict(zip(modules, (flag == "True" for flag in out[-1].split())))
 
@@ -34,32 +39,19 @@ def _loaded_by_import_roblp(module: str) -> bool:
     return _loaded_after("", module)[module]
 
 
-def test_import_roblp_leaves_scipy_integrate_unloaded():
-    # scipy.integrate drags in scipy.optimize, scipy.sparse.linalg and
-    # scipy.linalg, which nothing in the package needs.
-    assert not _loaded_by_import_roblp("scipy.integrate")
-
-
 def test_import_roblp_leaves_jsonschema_unloaded():
     # only config-driven runs (roblp.experiments) validate JSON
     assert not _loaded_by_import_roblp("jsonschema")
 
 
-# scipy.special serves only the Gaussian quantile; multiprocessing only a
-# run with more than one worker.
-LAZY = ("scipy.special", "multiprocessing")
-
-
-def test_import_roblp_cli_leaves_scipy_special_and_multiprocessing_unloaded():
-    assert _loaded_after("import roblp.cli", *LAZY) == dict.fromkeys(LAZY, False)
-
-
-def test_serial_cauchy_rates_run_leaves_scipy_special_and_multiprocessing_unloaded(tmp_path):
+def _rates_config(tmp_path, family: str) -> str:
+    """A serial smoke-size rates config with ``family`` noise; returns its
+    path."""
     cfg = {
         "experiment": "rates",
         "seed": 3,
         "function": {"name": "sinusoid", "beta": 2.0},
-        "noise": {"family": "cauchy", "scale": 1.0},
+        "noise": {"family": family, "scale": 1.0},
         "estimator": {
             "kind": "minimax",
             "contrast": {"kind": "huber", "gamma": 1.0},
@@ -70,29 +62,80 @@ def test_serial_cauchy_rates_run_leaves_scipy_special_and_multiprocessing_unload
         },
         "grid": {"n_values": [128, 256, 384, 512]},
         "risk": {"replications": 30, "workers": 1},
-        "output": {"directory": str(tmp_path), "prefix": "rates_cauchy"},
+        "output": {"directory": str(tmp_path), "prefix": f"rates_{family}"},
     }
-    path = tmp_path / "cfg.json"
+    path = tmp_path / f"{family}.json"
     path.write_text(json.dumps(cfg))
-    code = f"from roblp.experiments import run_experiment\nrun_experiment({str(path)!r})"
-    assert _loaded_after(code, *LAZY) == dict.fromkeys(LAZY, False)
+    return str(path)
+
+
+def _run_experiment(path: str) -> str:
+    return f"from roblp.experiments import run_experiment\nrun_experiment({path!r})"
+
+
+def test_no_scipy_module_loads_on_import_or_on_a_gaussian_run(tmp_path):
+    # every scipy submodule loads the scipy package first
+    codes = [
+        "",
+        "import roblp.cli",
+        "from roblp.simulate import NoiseModel\nNoiseModel(family='gaussian')",
+        _run_experiment(_rates_config(tmp_path, "gaussian")),
+    ]
+    for code in codes:
+        assert _loaded_after(code, "scipy") == {"scipy": False}, code
+    assert (tmp_path / "rates_gaussian.csv").is_file()
+
+
+def test_import_roblp_loads_numpy_random():
+    # numpy loads numpy.random on first use; a pool forked from a parent that
+    # has not drawn would import it in every worker of every run
+    assert _loaded_by_import_roblp("numpy.random")
+
+
+# multiprocessing serves only a run with more than one worker; no run
+# loads scipy.
+LAZY = ("multiprocessing",)
+
+
+def test_import_roblp_cli_leaves_scipy_special_and_multiprocessing_unloaded():
+    modules = ("scipy.special", *LAZY)
+    assert _loaded_after("import roblp.cli", *modules) == dict.fromkeys(modules, False)
+
+
+def test_serial_cauchy_rates_run_leaves_scipy_special_and_multiprocessing_unloaded(tmp_path):
+    modules = ("scipy.special", *LAZY)
+    code = _run_experiment(_rates_config(tmp_path, "cauchy"))
+    assert _loaded_after(code, *modules) == dict.fromkeys(modules, False)
     assert (tmp_path / "rates_cauchy.csv").is_file()
 
 
-def test_gaussian_noise_model_loads_scipy_special_when_built():
-    # built in the parent, so forked pool workers inherit the import
-    build = "from roblp.simulate import NoiseModel\nNoiseModel(family={!r})"
-    assert _loaded_after(build.format("gaussian"), "scipy.special")["scipy.special"]
-    assert not _loaded_after(build.format("cauchy"), "scipy.special")["scipy.special"]
-
-
-def test_gaussian_quantile_works_without_a_noise_model():
-    code = (
-        "from roblp.simulate import NOISE_FAMILIES\n"
-        "q = NOISE_FAMILIES['gaussian'].quantile([0.025, 0.5, 0.975])\n"
-        "assert abs(q[2] - 1.959963984540054) < 1e-12 and q[0] == -q[2] and q[1] == 0"
-    )
-    assert _loaded_after(code, "scipy.special")["scipy.special"]
+def test_studies_and_the_cli_run_with_scipy_unimportable(tmp_path):
+    configs = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+    tails = json.loads((configs / "tails_gaussian.json").read_text())
+    tails["risk"]["replications"] = 300
+    tails["output"]["directory"] = str(tmp_path / "tails")
+    simulate = json.loads((configs / "simulate_cusp.json").read_text())
+    simulate["output"] = str(tmp_path / "data.csv")
+    for name, cfg in (("tails", tails), ("simulate", simulate)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    data = ["--data", simulate["output"], "--x0", "0.25", "--config", str(configs / "estimator_huber.json")]
+    trace = tmp_path / "trace.json"
+    commands = [
+        ["tails", "--config", str(tmp_path / "tails.json")],
+        ["simulate", "--config", str(tmp_path / "simulate.json")],
+        ["fit", "--h", "0.2", *data],
+        ["adapt", "--json", str(trace), *data],
+    ]
+    out = _run_fresh("\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None  # import scipy now raises ImportError",
+        "from roblp.cli import main",
+        *(f"assert main({argv!r}) == 0" for argv in commands),
+        "print(sys.modules['scipy'])",
+    ]))
+    assert out[-1] == "None"
+    assert (tmp_path / "tails" / "tails_gaussian.csv").is_file()
+    assert "chosen_k" in json.loads(trace.read_text())
 
 
 def test_package_root_exports_only_the_quick_start_names():

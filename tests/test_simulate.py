@@ -1,5 +1,7 @@
 import inspect
 import math
+import statistics
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,7 @@ from roblp.simulate import (
     cusp,
     gen_data,
     _box_edges,
+    _gauss_upper_quantile,
     _gen_noise,
     gen_window,
     make_test_function,
@@ -231,6 +234,91 @@ def test_noise_quantile_cdf_consistency():
         for u in (0.5, 0.62, 0.9, 0.99):
             z = float(fam.quantile(np.array([u]))[0])
             assert fam.cdf(z) == pytest.approx(u, abs=1e-12)
+
+
+# The Gaussian quantile (AS241) against the stdlib's, which runs the same
+# algorithm, and against scipy's ndtri.
+STDLIB_QUANTILE = statistics.NormalDist().inv_cdf
+CENTRAL_EDGE = 0.925  # q = u - 1/2 = 0.425
+TAIL_EDGE = 1.0 - math.exp(-25.0)  # r = sqrt(-log(1 - u)) = 5
+
+
+def _ulps(a, b) -> np.ndarray:
+    """Ulps between non-negative floats, the upper quantile's values."""
+    return np.abs(np.asarray(a).view(np.int64) - np.asarray(b).view(np.int64))
+
+
+def _neighbours(u: float, k: int = 8) -> list:
+    """u and its k nearest floats on each side."""
+    below, above = [u], [u]
+    for _ in range(k):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], 2.0))
+    return below[:0:-1] + above
+
+
+def _upper_probes() -> np.ndarray:
+    """Uniforms of [1/2, 1): spread over the range, spread over the tails by
+    log(1 - u) down to 1 - u = 2^-53, and on both sides of each region
+    edge."""
+    rng = np.random.default_rng(31)
+    u = np.concatenate([
+        rng.uniform(0.5, 1.0, 20_000),
+        1.0 - np.exp(-rng.uniform(-math.log(0.075), 36.0, 20_000)),
+        _neighbours(CENTRAL_EDGE),
+        _neighbours(TAIL_EDGE),
+        [0.5, 1.0 - 2.0**-53],
+    ])
+    assert np.all((u >= 0.5) & (u < 1.0))
+    return u
+
+
+def test_gaussian_quantile_central_region_is_the_stdlibs_bit_for_bit():
+    u = _upper_probes()
+    u = u[u - 0.5 <= 0.425]
+    assert np.isin(_neighbours(CENTRAL_EDGE), u).any()  # its other side is a tail's
+    expected = np.array([STDLIB_QUANTILE(v) for v in u])
+    assert _gauss_upper_quantile(u).tobytes() == expected.tobytes()
+
+
+def test_gaussian_quantile_tails_are_the_stdlibs_where_the_logs_agree():
+    u = _upper_probes()
+    u = u[u - 0.5 > 0.425]
+    assert np.isin(_neighbours(CENTRAL_EDGE), u).any()
+    r = np.sqrt(-np.log(1.0 - u))
+    assert (r <= 5.0).sum() > 1_000 and (r > 5.0).sum() > 1_000
+    edge = np.sqrt(-np.log(1.0 - np.array(_neighbours(TAIL_EDGE))))
+    assert (edge <= 5.0).any() and (edge > 5.0).any()
+    expected = np.array([STDLIB_QUANTILE(v) for v in u])
+    ulps = _ulps(_gauss_upper_quantile(u), expected)
+    # np.log and math.log differ by an ulp at a few arguments; the rest of
+    # the arithmetic is the stdlib's, so only there may the values differ,
+    # and an ulp of the log moves the quantile by up to 4
+    log_ulps = _ulps(-np.log(1.0 - u), [-math.log(1.0 - v) for v in u])
+    assert log_ulps.max() <= 1
+    assert np.all(ulps[log_ulps == 0] == 0)
+    assert ulps.max() <= 4
+    assert np.mean(ulps == 0) > 0.999
+
+
+def test_gaussian_quantile_is_within_8_ulps_of_ndtri():
+    from scipy.special import ndtri
+
+    u = _upper_probes()
+    assert _ulps(_gauss_upper_quantile(u), ndtri(u)).max() <= 8
+
+
+def test_gaussian_quantile_edge_values():
+    gaussian = NOISE_FAMILIES["gaussian"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _gauss_upper_quantile(np.array([0.5, 1.0])).tolist() == [0.0, math.inf]
+        assert np.isfinite(_gauss_upper_quantile(1.0 - 2.0**-53))
+        assert gaussian.quantile([0.0, 0.5, 1.0]).tolist() == [-math.inf, 0.0, math.inf]
+    # NoiseModel passes a 0-d array
+    value = _gauss_upper_quantile(np.float64(0.975))
+    assert value.shape == () and float(value) == STDLIB_QUANTILE(0.975)
+    assert gaussian.quantile(0.975).shape == ()
 
 
 def test_heteroscedastic_rules():
