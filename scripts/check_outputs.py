@@ -18,8 +18,9 @@ Prints one line per output file, ``identical``, ``changed`` or ``missing``
 A command that fails prints a ``failed`` line naming it (its standard
 error goes to standard error) and makes the script exit 1 too: a study
 that fails on both sides writes no file on either.  Each command's wall
-time goes to standard error, a line naming it and its tree, so the two
-sides' study times can be read against each other from one session.
+time goes to standard error, a line naming it and its tree, and after a
+tree's last command a line of its total, so the two sides' study times
+can be read against each other from one session.
 """
 
 import os
@@ -58,6 +59,7 @@ def run_outputs(tree: Path, out: Path) -> bool:
     """Write every output of ``tree``'s code under ``out``; True when no
     command failed."""
     print(f"running {tree} ...", file=sys.stderr, flush=True)
+    start = time.perf_counter()
     configs = tree / "scripts" / "configs"
     out.mkdir(parents=True)
     ok = True
@@ -69,6 +71,7 @@ def run_outputs(tree: Path, out: Path) -> bool:
     settings = ["--data", DATASET, "--x0", "0.25", "--config", configs / "estimator_huber.json"]
     ok &= _roblp(tree, out, ["fit", "--h", "0.2", *settings], stdout="fit.txt")
     ok &= _roblp(tree, out, ["adapt", *settings, "--json", "adapt_trace.json"], stdout="adapt.txt")
+    print(f"{time.perf_counter() - start:8.2f} s  {tree}: total", file=sys.stderr, flush=True)
     return ok
 
 

@@ -129,14 +129,29 @@ def monomial_matrix(points: np.ndarray, s: MultiIndexSet) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != s.d:
         raise ValueError(f"expected (m, {s.d}) points, got shape {points.shape}")
-    powers = np.empty((s.b + 1,) + points.shape)
-    powers[0] = 1.0
-    for e in range(1, s.b + 1):
-        np.multiply(powers[e - 1], points, out=powers[e])
-    out = powers[s.exponents[:, 0], :, 0]
-    for j in range(1, s.d):
-        out *= powers[s.exponents[:, j], :, j]
+    out = np.empty((s.size, points.shape[0]))
+    _write_monomials(points.T, s, out)
     return out.T
+
+
+def _write_monomials(coords: np.ndarray, s: MultiIndexSet, out: np.ndarray) -> None:
+    """Write z^p, for the k-th index p of s, into ``out[k]``, at the points
+    whose coordinates z_j are ``coords[j]`` (any shape after the first
+    axis, the same as ``out[k]``'s, which may be a strided view).  Each
+    power z_j^e is a product of e factors z_j, left to right, and each
+    monomial the product of its powers in coordinate order; a power z_j^0
+    is left out, as a product with 1.0 is exact."""
+    powers = [None, coords]
+    for _ in range(2, s.b + 1):
+        powers.append(powers[-1] * coords)
+    for row, p in zip(out, s.indices):
+        factors = [powers[e][j] for j, e in enumerate(p) if e]
+        if not factors:
+            row[...] = 1.0
+            continue
+        np.copyto(row, factors[0])
+        for factor in factors[1:]:
+            row *= factor
 
 
 def taylor_coefficients(f, x0, h: float, b: int) -> CoefficientVector:

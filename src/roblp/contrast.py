@@ -55,8 +55,17 @@ class ContrastSpec:
     def value(self, z):
         z = np.asarray(z, dtype=float)
         if self.kind == "huber":
-            a, g = np.abs(z), self.gamma
-            return np.where(a <= g, 0.5 * z * z, g * (a - 0.5 * g))
+            # g (|z| - g/2), then z^2 / 2 where |z| <= g, each formed in
+            # place: the plain expressions' products, in their order
+            g = self.gamma
+            out = np.abs(z, out=np.empty_like(z))
+            inner = out <= g
+            out -= 0.5 * g
+            out *= g
+            quadratic = 0.5 * z
+            quadratic *= z
+            np.copyto(out, quadratic, where=inner)
+            return out
         if self.kind == "square":
             return 0.5 * z * z
         return np.abs(z)
@@ -83,24 +92,38 @@ class ContrastSpec:
         of rho it is computed from the piece's closed form, which keeps
         its relative accuracy when dz is tiny; the plain difference of two
         values loses every digit there."""
-        z = np.asarray(z, dtype=float)
-        dz = np.asarray(dz, dtype=float)
-        quadratic = dz * (z + 0.5 * dz)
+        z, dz = np.asarray(z, dtype=float), np.asarray(dz, dtype=float)
+        if z.shape != dz.shape:
+            z, dz = np.broadcast_arrays(z, dz)
+        # The arrays below are formed in place, each product and sum the
+        # plain expression's, in its order: dz (z + dz/2), then one buffer
+        # holding in turn |z|, z + dz, |z + dz| and the outer piece's slope
+        # times dz.  These two are the only float arrays of z's size made.
+        quadratic = 0.5 * dz
+        quadratic += z
+        quadratic *= dz
         if self.kind == "square":
             return quadratic
-        z1 = z + dz
         knot = self.gamma if self.kind == "huber" else 0.0
-        a, a1 = np.abs(z), np.abs(z1)
-        sign = np.sign(z)
-        inc = np.asarray(self.derivative_bound * sign * dz)
-        same_piece = (a > knot) & (a1 > knot) & (sign == np.sign(z1))
+        buffer = np.abs(z, out=np.empty_like(z))
+        inner, same_piece = buffer <= knot, buffer > knot
+        np.add(z, dz, out=buffer)
+        # beyond the knot at both ends, so nonzero: one outer piece when
+        # z and z + dz share a sign
+        same_piece &= (z > 0) == (buffer > 0)
+        np.abs(buffer, out=buffer)
+        inner &= buffer <= knot
+        same_piece &= buffer > knot
+        inc = np.sign(z, out=buffer)
+        inc *= self.derivative_bound
+        inc *= dz
         if self.kind == "huber":
-            inner = (a <= knot) & (a1 <= knot)
             np.copyto(inc, quadratic, where=inner)
             same_piece |= inner
         crossing = ~same_piece
         if crossing.any():
-            inc[crossing] = self.value(z1[crossing]) - self.value(z[crossing])
+            start = z[crossing]
+            inc[crossing] = self.value(start + dz[crossing]) - self.value(start)
         return inc
 
     @property

@@ -10,22 +10,23 @@ blocks, and reproducible bit-for-bit.
 
 Each study is one driver call: every fit plan it needs (one per n of a
 risk curve, one holding the three contrasts of a contrast table) is a
-job, and the blocks of all its jobs share one task list, so a run opens
-at most one process pool.  A block returns every fit's estimate, and the
-parent applies a grid's selection rule.  The 1% abort rule is checked
-once every job has run, and its error names the sample size of the first
-offending job.
+job.  A task is one block of replication numbers across every job of the
+run, so a run opens at most one process pool, and the jobs' windows of
+one fit setting share solver stacks.  A block returns every fit's
+estimate, and the parent applies a grid's selection rule.  The 1% abort
+rule is checked once every job has run, and its error names the sample
+size of the first offending job.
 
-A window is only its rows.  A block draws each replication's rows inside
-its plan's first window (a grid's widest level, or the one window every
-contrast of a compare table shares) in distribution, from streams keyed
-by the run seed and the replication number (``gen_window``), never a
-whole ``Dataset``, and cuts each fit's window from those rows; so a
-plan's windows must lie each inside the one before it, checked by
-``_windows``.  Only the random draws are made replication by
-replication: the test function, the noise transform, every window cut
-and the solver's layout each run once over the whole block's rows, as
-array operations.
+A window is only its rows.  For each job, a block draws each
+replication's rows inside the first window of the job's plan (a grid's
+widest level, or the one window every contrast of a compare table
+shares) in distribution, from streams keyed by the run seed and the
+replication number (``gen_window``), never a whole ``Dataset``, and cuts
+each fit's window from those rows; so a plan's windows must lie each
+inside the one before it, checked by ``_windows``.  Only the random
+draws are made replication by replication: the test function, the noise
+transform and every window cut each run once per job over the block's
+rows, and the solver's layout once per stack, as array operations.
 
 Risks are always finite without moment assumptions on the noise: both the
 estimator and the target are bounded by the coefficient bound M, so every
@@ -59,6 +60,7 @@ from .local_fit import (
     OptimizerSettings,
     _STACK_CHUNKS,
     _fit_problems,
+    _join_windows,
     _windows,
     fit_local,
 )
@@ -214,46 +216,67 @@ class Estimator:
 
 # Most replications one pool task runs: as many as a solver stack holds
 # chunks.  A nonempty window fills at least one 64-row chunk, so a full
-# block gives each fit setting of its plan at least one full stack (a tails
+# block gives each fit setting of its run at least one full stack (a tails
 # block at n=1024 fills about 630 chunks, two stacks), and a block's fixed
 # costs (draw set-up, window cut, stack builds, pool round trip) are paid
-# once per 512 replications.
+# once per 512 replications.  A block spans every job of its run, so the
+# jobs' windows of one fit setting share stacks: a criterion-2 Cauchy rates
+# run of 30 replications at six sample sizes fills two stacks, not six.
 BLOCK_REPLICATIONS = _STACK_CHUNKS
 
 
-def _block_estimates(args) -> np.ndarray:
-    """The estimate of each fit config of one plan (see ``Estimator.plan``),
-    a column each, for a contiguous block of seeded replications, a row
-    each; a NaN row marks a replication with an empty window (counted and
-    excluded by the caller).
+def _block_estimates(args) -> list[np.ndarray]:
+    """The estimates of a contiguous block of seeded replications in every
+    (configs, n) job of a run, a (replications x configs) array per job:
+    a row per replication and a column per fit config of the job's plan
+    (see ``Estimator.plan``).  A NaN row marks a replication with an
+    empty window in that job (counted and excluded by the caller).
 
-    One ``gen_window`` call draws each replication's rows in the plan's
-    first window, one ``_windows`` call cuts every config's window of every
-    replication from them (and rejects a plan whose windows do not each lie
-    inside the one before), and one solver call takes the block's windows
-    and solves them in stacks.  A replication whose ``_windows`` depth is
-    short of the plan's configs has an empty window: its row is NaN.
+    Per job, ``_job_windows`` draws and cuts the plan's windows (and
+    ``_windows`` rejects a plan whose windows do not each lie inside the
+    one before).  The windows of every job, joined job after job, go to
+    one solver call, which solves them in stacks across jobs.  A
+    replication whose ``_windows`` depth is short of its plan's configs
+    has an empty window: its row is NaN, and it has no window in that
+    job.
     """
-    configs, f, model, n, seed, reps = args
-    x, y, counts = gen_window(f, model, n, configs[0].d, seed, reps, (configs[0].x0, configs[0].h))
-    windows, depth = _windows(x, y, n, configs, counts)
-    fitted = depth == len(configs)  # the replications with no empty window
-    estimates = np.full((len(reps), len(configs)), math.nan)
-    estimates[fitted] = _fit_problems(windows).estimate.reshape(len(configs), -1).T
-    return estimates
+    jobs, f, model, seed, reps = args
+    cuts = [_job_windows(configs, n, f, model, seed, reps) for configs, n in jobs]
+    fitted = [depth == len(configs) for (configs, _), (_, depth) in zip(jobs, cuts)]
+    windows = _join_windows([plan for plan, _ in cuts])
+    del cuts  # each job's rows, of which the joined windows hold a copy
+    estimates = _fit_problems(windows).estimate
+    blocks, start = [], 0
+    for (configs, _), ok in zip(jobs, fitted):
+        block = np.full((len(reps), len(configs)), math.nan)
+        stop = start + len(configs) * int(ok.sum())
+        block[ok] = estimates[start:stop].reshape(len(configs), -1).T
+        blocks.append(block)
+        start = stop
+    return blocks
+
+
+def _job_windows(configs, n: int, f, model, seed, reps):
+    """The windows of one job's plan in a block of replications, and each
+    replication's depth (see ``_windows``): its rows drawn in the plan's
+    first window by one ``gen_window`` call, each config's window cut from
+    them by one ``_windows`` call."""
+    first = configs[0]
+    x, y, counts = gen_window(f, model, n, first.d, seed, reps, (first.x0, first.h))
+    return _windows(x, y, n, configs, counts)
 
 
 def _replication_estimates(jobs, f, model, replications, seed, workers: int = 1) -> list[np.ndarray]:
     """Estimates of replications 0..replications-1 of each (configs, n) job
-    of one run, a (replications x configs) array per job.  Each job's
-    replications run in contiguous blocks of one size (the last may be
+    of one run, a (replications x configs) array per job.  The run's
+    replications go in contiguous blocks of one size (the last may be
     shorter): BLOCK_REPLICATIONS, or fewer so that each worker gets a
     block (1,000 replications make blocks [0,512) and [512,1000) on one
-    worker, two of 500 on two).  The blocks of every job, job after job,
-    form one task list, mapped through at most one pool.  The pool has no
-    more processes than this process may run on CPUs (its affinity mask,
-    where the platform has one) or the run has blocks.  A replication
-    count below 1 is a ValueError."""
+    worker, two of 500 on two).  A task is one block across every job, so
+    the jobs share solver stacks; the tasks are mapped through at most one
+    pool.  The pool has no more processes than this process may run on
+    CPUs (its affinity mask, where the platform has one) or the run has
+    blocks.  A replication count below 1 is a ValueError."""
     if replications < 1:
         raise ValueError(f"need at least 1 replication, got {replications}")
     if hasattr(os, "sched_getaffinity"):
@@ -262,11 +285,9 @@ def _replication_estimates(jobs, f, model, replications, seed, workers: int = 1)
         cpus = os.cpu_count() or 1
     workers = min(workers, cpus)
     size = max(1, min(BLOCK_REPLICATIONS, -(-replications // workers)))
-    starts = range(0, replications, size)
     tasks = [
-        (configs, f, model, n, seed, range(start, min(start + size, replications)))
-        for configs, n in jobs
-        for start in starts
+        (jobs, f, model, seed, range(start, min(start + size, replications)))
+        for start in range(0, replications, size)
     ]
     workers = min(workers, len(tasks))
     if workers > 1:
@@ -276,7 +297,7 @@ def _replication_estimates(jobs, f, model, replications, seed, workers: int = 1)
             blocks = list(ex.map(_block_estimates, tasks))
     else:
         blocks = [_block_estimates(task) for task in tasks]
-    return [np.concatenate(blocks[j : j + len(starts)]) for j in range(0, len(tasks), len(starts))]
+    return [np.concatenate(job) for job in zip(*blocks)]
 
 
 class TooManyFailuresError(RuntimeError):

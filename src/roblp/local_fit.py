@@ -24,12 +24,14 @@ is the classic sort-based simplex projection (Duchi et al. 2008).
 
 The solver works on a stack of windows.  A plan is the fit configs of
 one estimate: a grid's levels, a compare table's contrasts, or one fit.
-The Monte Carlo harness draws a block of replications and hands all the
-windows of its plan to one solver call, ``_fit_problems``, which cuts
-them in one pass into stacks, runs of consecutive windows of equal fit
-settings (degree, kernel, radius, contrast, optimizer) of up to
-_STACK_CHUNKS chunks, and stores every result in the plan's one
-``_Fits``; a bandwidth selection solves its grid levels as one stack, and
+The Monte Carlo harness draws a block of replications for every plan of
+its run (one per sample size of a risk curve), joins their windows plan
+after plan (``_join_windows``) and hands them to one solver call,
+``_fit_problems``, which cuts them in one pass into stacks, runs of
+consecutive windows of equal fit settings (x0, degree, kernel, radius,
+contrast, optimizer) of up to _STACK_CHUNKS chunks, and stores every
+result in one ``_Fits``; so a stack may hold the windows of several
+plans.  A bandwidth selection solves its grid levels as one stack, and
 ``fit_local`` is a stack of one.  A window is only its rows, and
 ``_windows`` alone cuts them, from given rows ``x``, ``y`` of a block of
 samples of size n (a ``Dataset``'s, a block of one, or those the harness
@@ -41,17 +43,19 @@ rows.  A plan's windows come as one ``_Windows``, config after config:
 their rows end to end, and each one's row count, config and scale.  A
 stack takes a run of them as a view, writes every window's rescaled
 points into whole chunks of _CHUNK rows, padded with zero rows, by one
-mask scatter, and builds the design monomials and kernel weights of all
-its windows in one call each.  Every fit starts from the kernel-weighted
-median of its window's responses, found by a partition where the weights
-are all one (the uniform kernel) and by a sort otherwise.  Each
-iteration takes the residuals, gradients, Hessians, condition tests,
-Newton solves, line searches and stationarity gaps of all live fits at
-once; a fit that needs the homotopy or a gradient step takes it inside
-the same loop.  Every sum over a window's samples adds its own chunks in
+mask scatter, writes the design monomials of all its windows straight
+into that chunk layout, and makes their kernel weights in one call (the
+uniform kernel's are the live rows themselves).  Every fit starts from
+the kernel-weighted median of its window's responses, found by a
+partition where the weights are all one (the uniform kernel) and by a
+sort otherwise.  Each iteration takes the residuals, gradients,
+Hessians, condition tests, Newton solves, line searches and stationarity
+gaps of all live fits at once; a fit that needs the homotopy or a
+gradient step takes it inside the same loop.  Every sum over a window's samples adds its own chunks in
 order, so a fit's arithmetic, and its result, is the same bit for bit
 whatever else shares its stack: harness results do not depend on the
-block size or on the worker count (ROBLP_WORKERS).
+block size, on the worker count (ROBLP_WORKERS) or on the other plans of
+a run.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import CoefficientVector, MultiIndexSet, monomial_matrix, multi_index_set
+from .basis import CoefficientVector, MultiIndexSet, _write_monomials, multi_index_set
 from .contrast import ContrastSpec
 from .kernels import KernelSpec
 
@@ -224,10 +228,11 @@ class FitResult:
 
 
 class _Fits:
-    """The results of the fits of one plan (one index set), a column each,
-    fit after fit: the projected coefficients ``theta`` (a row each), the
-    sample count ``n_local``, the ``iterations``, the stationarity ``gap``
-    and the ``converged`` flag.  Built empty for windows of ``n_local``
+    """The results of the fits of one ``_fit_problems`` call (one plan, or
+    several joined, of one index set), a column each, fit after fit: the
+    projected coefficients ``theta`` (a row each), the sample count
+    ``n_local``, the ``iterations``, the stationarity ``gap`` and the
+    ``converged`` flag.  Built empty for windows of ``n_local``
     samples each; ``_Stack.store`` writes into it as its fits stop, and
     ``result`` builds one fit's ``FitResult``."""
 
@@ -327,13 +332,14 @@ def _box_rows(x: np.ndarray, x0, h: float) -> np.ndarray:
 
 class _Windows:
     """The windows of a plan's fit configs in a block of replications, as
-    ``_windows`` cuts them: the design points ``x`` and responses ``y`` of
-    their samples, window after window, and for each window its sample
-    count ``n_local``, the index ``config`` of its config in the plan's
-    ``configs`` and its 1/(n h^d) normalization ``scale`` by the full
-    sample size n.  ``first`` is the plan position of window 0: 0 for a
-    plan, the start of a ``take``.  A ``_Stack`` lays windows out for the
-    solver and builds their rescaled design and kernel weights."""
+    ``_windows`` cuts them, or of several plans, as ``_join_windows`` joins
+    them: the design points ``x`` and responses ``y`` of their samples,
+    window after window, and for each window its sample count ``n_local``,
+    the index ``config`` of its config in ``configs`` and its 1/(n h^d)
+    normalization ``scale`` by its plan's full sample size n.  ``first``
+    is the position of window 0: 0 for a plan, the start of a ``take``.
+    A ``_Stack`` lays windows out for the solver and builds their
+    rescaled design and kernel weights."""
 
     def __init__(self, x, y, n_local, config, scale, configs: Sequence[LocalFitConfig], first: int = 0):
         self.x, self.y, self.n_local, self.config, self.scale = x, y, n_local, config, scale
@@ -347,6 +353,30 @@ class _Windows:
             self.x[first:last], self.y[first:last], self.n_local[start:stop],
             self.config[start:stop], self.scale[start:stop], self.configs, self.first + start,
         )
+
+
+def _join_windows(plans: Sequence[_Windows]) -> _Windows:
+    """The windows of several plans as one ``_Windows``, plan after plan:
+    their configs end to end, each window's config index offset by the
+    configs of the plans before it, its rows, row count and scale its own.
+    Plans of different index sets are a ValueError, as the joined windows'
+    results share one ``_Fits``; one plan is its own join, not a copy."""
+    if len(plans) == 1:
+        return plans[0]
+    configs = [cfg for windows in plans for cfg in windows.configs]
+    for cfg in configs:
+        if cfg.index_set != configs[0].index_set:
+            raise ValueError(
+                f"cannot join a plan of degree {cfg.degree} in dimension {cfg.d} to one of"
+                f" degree {configs[0].degree} in dimension {configs[0].d}"
+            )
+    offsets = np.cumsum([0] + [len(windows.configs) for windows in plans[:-1]])
+    return _Windows(
+        *(np.concatenate([getattr(windows, name) for windows in plans]) for name in ("x", "y", "n_local")),
+        np.concatenate([windows.config + offset for windows, offset in zip(plans, offsets)]),
+        np.concatenate([windows.scale for windows in plans]),
+        configs,
+    )
 
 
 def _windows(
@@ -603,8 +633,10 @@ class _Stack:
     stack-wide array per field (``design_t``, each chunk's transposed
     design, ``weights``, ``y`` and ``resid``); ``owner`` maps a chunk to its
     fit and ``starts`` a fit to its first chunk.  Its windows share one
-    kernel and one index set, so one ``monomial_matrix`` and one
-    ``KernelSpec.value`` call build every row's design and weight; both are
+    x0, one kernel and one index set, so one pass of products writes every
+    row's design monomials into the chunk layout, and one
+    ``KernelSpec.value`` call makes every row's weight (none for the
+    uniform kernel, whose weights are the live rows); both are
     elementwise, so a row's bits do not depend on the rest of the stack.
     Every per-chunk product is one BLAS call on that chunk alone, and
     ``per_fit`` adds a fit's chunks in order, so a fit's arithmetic does not
@@ -624,15 +656,15 @@ class _Stack:
         return -(-n_local // _CHUNK)
 
     def __init__(self, windows: _Windows, t: np.ndarray | None = None):
-        """Lay out ``windows`` (none empty, of one settings key, a run of a
-        plan's) and start each fit at its row of ``t``, by default at the
+        """Lay out ``windows`` (none empty, of one settings key, a run of
+        those ``_fit_problems`` takes) and start each fit at its row of ``t``, by default at the
         kernel-weighted median of its responses in the constant coordinate
         (zeros elsewhere, projected).  Every window's points, rescaled by
         its own config's h, and its responses reach the chunk layout by one
         mask scatter over the stack's rows, not window by window; a fit's
-        ``index`` is its window's position in the plan."""
-        configs = windows.configs
-        cfg = configs[windows.config[0]]
+        ``index`` is its window's position in the windows ``_fit_problems``
+        takes."""
+        cfg = windows.configs[windows.config[0]]
         self.contrast, self.radius, self.optimizer = cfg.contrast, cfg.bound, cfg.optimizer
         self.index_set = cfg.index_set
         n_b = self.index_set.size
@@ -641,32 +673,13 @@ class _Stack:
         self.index = np.arange(windows.first, windows.first + size)
         self.chunks = self.chunk_count(self.n_local)
         self._layout()
-        # a window's samples fill the first rows of its chunks, in order
-        position = np.arange(self.owner.size) - self.starts[self.owner]  # of a chunk in its window
-        live = (np.arange(_CHUNK) < (self.n_local[self.owner] - _CHUNK * position)[:, None]).ravel()
-        # the rescaled points, one coordinate per row of z (each scattered
-        # by a one-dimensional mask), and the responses
-        h = np.array([c.h for c in configs]).take(windows.config).repeat(self.n_local)
-        x = (windows.x - cfg.x0) / h[:, None]
-        z = np.zeros((cfg.d, live.size))
-        for coordinate, column in zip(x.T, z):
-            column[live] = coordinate
-        z = z.T
-        y = np.zeros(live.size)
-        y[live] = windows.y
-        # each monomial's values over the rows, one contiguous row each; a
-        # padding row (z = 0) holds only the constant monomial, 1, so
-        # zeroing that one clears it
-        design = monomial_matrix(z, self.index_set).T
-        design[0] = live
-        weights = np.where(live, cfg.kernel.value(z), 0.0)
-        self.design_t = np.ascontiguousarray(design.reshape(n_b, -1, _CHUNK).transpose(1, 0, 2))
-        self.weights, self.y = weights.reshape(-1, _CHUNK), y.reshape(-1, _CHUNK)
+        self._fill(windows, cfg)
         if t is None:
             # a window whose weights are all one (the uniform kernel's)
             # takes the unit-weight median
             unit = self.per_fit((self.weights == 1.0).sum(axis=1)) == self.n_local
             firsts = (self.starts * _CHUNK).tolist()
+            weights, y = self.weights.ravel(), self.y.ravel()
             t = np.zeros((size, n_b))
             t[:, 0] = [
                 _weighted_median(y[first : first + m], None if one else weights[first : first + m])
@@ -680,6 +693,40 @@ class _Stack:
         self.update()
         self.fval = self.value()
         self.prev_t, self.prev_grad = self.t, self.grad
+
+    def _fill(self, windows: _Windows, cfg: LocalFitConfig) -> None:
+        """Write the rows of ``windows`` into the chunk layout: each design
+        monomial and kernel weight of every window's rescaled points, and
+        its responses.  Its temporaries, each the size of the stack's rows,
+        are freed before the first iteration."""
+        n_b = self.index_set.size
+        # a window's samples fill the first rows of its chunks, in order
+        position = np.arange(self.owner.size) - self.starts[self.owner]  # of a chunk in its window
+        live = (np.arange(_CHUNK) < (self.n_local[self.owner] - _CHUNK * position)[:, None]).ravel()
+        # the rescaled points, one coordinate per row of z (each scattered
+        # by a one-dimensional mask), and the responses
+        h = np.array([c.h for c in windows.configs]).take(windows.config).repeat(self.n_local)
+        x = windows.x - cfg.x0
+        x /= h[:, None]
+        z = np.zeros((cfg.d, live.size))
+        for coordinate, column in zip(x.T, z):
+            column[live] = coordinate
+        y = np.zeros(live.size)
+        y[live] = windows.y
+        # each monomial's values written straight into the chunk layout; a
+        # padding row (z = 0) holds only the constant monomial, 1, so
+        # writing ``live`` in its place clears it
+        self.design_t = np.empty((self.owner.size, n_b, _CHUNK))
+        monomials = self.design_t.transpose(1, 0, 2)
+        _write_monomials(z.reshape(cfg.d, -1, _CHUNK), self.index_set, monomials)
+        monomials[0] = live.reshape(-1, _CHUNK)
+        if cfg.kernel.kind == "uniform":
+            # a window row has |x - x0| <= h/2, so |z| <= 1/2 after rounding
+            # too, where the uniform kernel is 1: its weights are ``live``
+            weights = live.astype(float)
+        else:
+            weights = np.where(live, cfg.kernel.value(z.T), 0.0)
+        self.weights, self.y = weights.reshape(-1, _CHUNK), y.reshape(-1, _CHUNK)
 
     def _layout(self) -> None:
         self.owner = np.repeat(np.arange(self.chunks.size), self.chunks)
@@ -787,6 +834,7 @@ def _newton_steps(stack: _Stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not newton.any():
         return cand, cand_val, took
     partial = np.matmul(s.design_t * active[:, None, :], s.design_t.swapaxes(1, 2))
+    del active  # stack-sized, and not read again
     hess = s.scale[:, None, None] * s.per_fit(partial)
     eig = np.linalg.eigvalsh(hess)
     newton &= eig[:, 0] > _CONDITION_RATIO * eig[:, -1]
@@ -808,15 +856,18 @@ def _newton_steps(stack: _Stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     flat = np.abs(decrease) <= resolution
     pending = newton & ((decrease < 0) | flat)  # False after a failed model solve (NaN)
     direction[~pending] = 0.0
-    # The design times the direction; a step scales it by a power of two,
-    # which is exact.
-    shift = np.matmul(s.design_t.swapaxes(1, 2), direction[s.owner][:, :, None])[:, :, 0]
+    # The residuals' change at a unit step: minus the design times the
+    # direction.  A step scales it by a power of two, which is exact; the
+    # unit step takes it as it is.
+    drop = np.matmul(s.design_t.swapaxes(1, 2), direction[s.owner][:, :, None])[:, :, 0]
+    np.negative(drop, out=drop)
     step = 1.0
     while step >= 1e-18 and pending.any():
         fits = pending.nonzero()[0]
         subset = fits.size < s.size
         chunks = pending[s.owner] if subset else slice(None)
-        inc = s.contrast.increment(s.resid[chunks], -(step * shift[chunks]))
+        dz = drop[chunks] if step == 1.0 else step * drop[chunks]
+        inc = s.contrast.increment(s.resid[chunks], dz)
         change = s.scale[fits] * s.per_fit(
             _rowdot(s.weights[chunks], inc), fits if subset else None
         )
@@ -857,17 +908,20 @@ def _fit_stack(windows: _Windows, fits: _Fits) -> None:
 
 
 def _fit_problems(windows: _Windows) -> _Fits:
-    """Fit every window of a plan's ``windows``; their results, in order.
+    """Fit every window of ``windows``, one plan's or several joined by
+    ``_join_windows``; their results, in order.
 
     One pass over the windows cuts them into stacks: a stack is a run of
-    consecutive windows of equal fit settings (all but x0 and h), cut
-    where the next window would take it past _STACK_CHUNKS chunks (a
-    window larger than that is a stack on its own).  Each stack stores its
-    results straight into the plan's one ``_Fits``.  The windows come from
-    ``_windows``, so none is empty.
+    consecutive windows of one settings key (x0, degree, kernel, radius,
+    contrast and optimizer: every fit setting but h), cut where the next
+    window would take it past _STACK_CHUNKS chunks (a window larger than
+    that is a stack on its own).  So a stack has one x0, by which
+    ``_Stack`` rescales all its points.  Each stack stores its results
+    straight into the one ``_Fits``.  The windows come from ``_windows``,
+    so none is empty.
     """
     configs = windows.configs
-    keys = [(cfg.degree, cfg.kernel, cfg.bound, cfg.contrast, cfg.optimizer) for cfg in configs]
+    keys = [(cfg.x0, cfg.degree, cfg.kernel, cfg.bound, cfg.contrast, cfg.optimizer) for cfg in configs]
     fits = _Fits(configs[0].index_set, windows.n_local)
     sizes = _Stack.chunk_count(windows.n_local).tolist()
     # the first window of each stack, and the chunks and key of the last

@@ -460,7 +460,8 @@ def gen_data(f, model: NoiseModel, n: int, d: int, seed) -> Dataset:
         raise ValueError(f"need n >= 1, got {n}")
     x = substream(seed, DESIGN_STREAM).random((n, d))
     u = substream(seed, NOISE_STREAM).random(n)
-    return Dataset(x=x, y=np.asarray(f(x), dtype=float) + _gen_noise(model, u, np.arange(n)))
+    rows = np.arange(n) if model._rule.kind != "constant" else None
+    return Dataset(x=x, y=np.asarray(f(x), dtype=float) + _gen_noise(model, u, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roblp import basis
 from roblp.basis import (
     CoefficientVector,
     MultiIndexSet,
@@ -29,6 +30,21 @@ def monomial_vector(z, s: MultiIndexSet) -> np.ndarray:
     if not np.all(np.isfinite(z)):
         raise ValueError("point must be finite")
     return np.prod(z[None, :] ** s.exponents, axis=1)
+
+
+def monomials_by_power_table(points: np.ndarray, s: MultiIndexSet) -> np.ndarray:
+    """All monomials z^p, p in s, at each row of ``points`` (m, d) from a
+    table of every power z_j^e, e <= b, each the one below times z_j
+    (z_j^0 = 1), taking each monomial's factors in coordinate order: the
+    reference for ``monomial_matrix``'s bits."""
+    powers = np.empty((s.b + 1,) + points.shape)
+    powers[0] = 1.0
+    for e in range(1, s.b + 1):
+        np.multiply(powers[e - 1], points, out=powers[e])
+    out = powers[s.exponents[:, 0], :, 0]
+    for j in range(1, s.d):
+        out *= powers[s.exponents[:, j], :, j]
+    return out.T
 
 
 def brute_force_indices(b, d):
@@ -172,3 +188,23 @@ def test_monomial_matrix_matches_monomial_vector(d, b):
     for z, row in zip(points, mat):
         np.testing.assert_allclose(row, monomial_vector(z, s), rtol=8 * np.finfo(float).eps, atol=0)
     np.testing.assert_array_equal(mat[0], np.eye(s.size)[0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("b", [0, 1, 2, 3, 4])
+def test_monomial_matrix_equals_the_power_table_bit_for_bit(d, b):
+    # leaving out the factors z_j^0 = 1 changes no bit, at signed zeros and
+    # at powers that underflow or overflow too; and a strided view of the
+    # output, as a solver stack's chunk layout is, gets the same values
+    s = multi_index_set(b, d)
+    rng = np.random.default_rng(20 * d + b)
+    points = rng.uniform(-1.5, 1.5, size=(64, d))
+    points[:8] = [[0.0], [-0.0], [1.0], [-1.0], [1e-200], [-1e-200], [1e100], [-5e-324]]
+    points[8, 0], points[9, -1] = -0.0, 0.0
+    with np.errstate(over="ignore", under="ignore"):
+        reference = monomials_by_power_table(points, s)
+        mat = monomial_matrix(points, s)
+        chunked = np.empty((4, s.size, 16))
+        basis._write_monomials(points.T.reshape(d, 4, 16), s, chunked.transpose(1, 0, 2))
+    assert mat.tobytes() == reference.tobytes()
+    assert chunked.transpose(0, 2, 1).reshape(64, s.size).tobytes() == reference.tobytes()

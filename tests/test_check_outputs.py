@@ -1,6 +1,6 @@
 """scripts/check_outputs.py: its byte-identity comparison, on two
 temporary output trees (no git, no subprocess), and its report of a
-failing command and of its wall time."""
+failing command, of its wall time and of a tree's total."""
 
 import importlib.util
 import re
@@ -71,3 +71,24 @@ def test_a_failing_command_prints_a_failed_line_naming_it(tmp_path, capsys):
     # its wall time goes to standard error, never to the compared lines
     assert re.fullmatch(r" *\d+\.\d\d s  " + re.escape(command), err.splitlines()[0])
     assert not (tmp_path / "out").exists()
+
+
+def test_a_tree_run_ends_with_one_total_line_on_stderr(tmp_path, capsys, monkeypatch):
+    # a recording fake stands in for every command and prints nothing: the
+    # run prints its start line, then one line of the tree's total wall
+    # time, both on standard error, and returns whether every command ran
+    script = _script()
+    commands = []
+
+    def fake(tree, out, args, workers=1, stdout=None):
+        commands.append(args[0])
+        return args[0] != "fit"
+
+    monkeypatch.setattr(script, "_roblp", fake)
+    assert script.run_outputs(ROOT, tmp_path / "out") is False
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert commands == ["rates", "rates", "tails", "tails", "compare", "compare", "rates", "rates", "simulate", "fit", "adapt"]
+    lines = err.splitlines()
+    assert lines[0] == f"running {ROOT} ..."
+    assert len(lines) == 2 and re.fullmatch(r" *\d+\.\d\d s  " + re.escape(f"{ROOT}: total"), lines[1])

@@ -13,6 +13,7 @@ from roblp.harness import (
     Estimator,
     RiskPoint,
     RiskReport,
+    TooManyFailuresError,
     compare_contrasts,
     _deviation_bound,
     deviation_bound_threshold,
@@ -462,24 +463,44 @@ def _shipped_plan(name: str, n: int) -> tuple:
     return configs, _test_function(cfg["function"], model), model
 
 
+def _rates_cauchy_plan(n: int) -> tuple:
+    """The fit config of one estimate at n samples in the criterion-2
+    Cauchy rates study, as the rates_cauchy benchmark runs it (minimax
+    bandwidth, Huber(1) loss, uniform kernel, on the sinusoid at x0 =
+    0.25), its test function and its noise model."""
+    f = sinusoid(beta=2.0)
+    est = Estimator(
+        kind="minimax", contrast=huber(1.0), kernel_kind="uniform", bound=8.0, beta=2.0, lipschitz=f.lipschitz
+    )
+    return est.plan([0.25], n)[0], f, NoiseModel(family="cauchy", base_scale=1.0)
+
+
+RATES_N = [512, 1024, 2048, 4096, 8192, 16384]
+
+
 @pytest.mark.parametrize("cap", [512, 8])
 @pytest.mark.parametrize(
-    "name, n, reps, expected",
+    "name, n_values, reps, expected",
     [
-        ("tails_gaussian", 1024, 64, [(64, 81)]),
-        ("tails_gaussian", 1024, BLOCK_REPLICATIONS, [(414, 512), (98, 119)]),
-        ("compare_cauchy", 1024, 64, [(64, 81)] * 3),
-        ("rates_adaptive", 4096, 60, [(25, 497), (25, 497), (41, 512), (69, 508), (140, 403)]),
+        ("tails_gaussian", [1024], 64, [(64, 81)]),
+        ("tails_gaussian", [1024], BLOCK_REPLICATIONS, [(414, 512), (98, 119)]),
+        ("compare_cauchy", [1024], 64, [(64, 81)] * 3),
+        ("rates_adaptive", [4096], 60, [(25, 497), (25, 497), (41, 512), (69, 508), (140, 403)]),
+        ("rates_cauchy", RATES_N, 30, [(164, 509), (16, 143)]),
     ],
-    ids=["tails", "tails_block", "compare", "adaptive"],
+    ids=["tails", "tails_block", "compare", "adaptive", "rates"],
 )
-def test_a_block_packs_its_plan_into_maximal_runs_of_one_settings_key(monkeypatch, name, n, reps, expected, cap):
-    # every _fit_stack call of one block, as (windows, chunks): the stacks
-    # cover the plan's windows once, in order, a run of one settings key
-    # each, and a stack ends only at a key change or where the next window
-    # would pass the cap; at the shipped cap, the stacks are those listed
-    # (a tails block of the shipped size fills one full stack and part of
-    # a second)
+def test_a_block_packs_its_plan_into_maximal_runs_of_one_settings_key(
+    monkeypatch, name, n_values, reps, expected, cap
+):
+    # a run of one block makes one solver call, on the windows of every
+    # job of the run, job after job; its _fit_stack calls, as (windows,
+    # chunks), cover those windows once, in order, a run of one settings
+    # key each, and a stack ends only at a key change or where the next
+    # window would pass the cap.  At the shipped cap, the stacks are those
+    # listed: a tails block of the shipped size fills one full stack and
+    # part of a second, and the six jobs of a rates_cauchy run of 30
+    # replications share two stacks, not one each
     import roblp.harness as harness
     import roblp.local_fit as local_fit
 
@@ -497,12 +518,16 @@ def test_a_block_packs_its_plan_into_maximal_runs_of_one_settings_key(monkeypatc
 
     monkeypatch.setattr(harness, "_fit_problems", recording_plan)
     monkeypatch.setattr(local_fit, "_fit_stack", recording_stack)
-    configs, f, model = _shipped_plan(name, n)
-    harness._block_estimates((configs, f, model, n, 100, range(reps)))
+    jobs = []
+    for n in n_values:
+        configs, f, model = _rates_cauchy_plan(n) if name == "rates_cauchy" else _shipped_plan(name, n)
+        jobs.append((configs, n))
+    harness._replication_estimates(jobs, f, model, reps, 100)
     (plan,) = plans
-    assert plan.size == reps * len(configs)  # no window is empty
+    assert list(plan.configs) == [cfg for configs, _ in jobs for cfg in configs]
+    assert plan.size == reps * len(plan.configs)  # no window is empty
     chunks = local_fit._Stack.chunk_count(plan.n_local).tolist()
-    keys = [(c.degree, c.kernel, c.bound, c.contrast, c.optimizer) for c in configs]
+    keys = [(c.x0, c.degree, c.kernel, c.bound, c.contrast, c.optimizer) for c in plan.configs]
     key = [keys[k] for k in plan.config.tolist()]
     first, sizes = 0, []
     for stack in stacks:
@@ -618,9 +643,10 @@ def test_a_run_opens_one_pool_for_all_its_jobs(monkeypatch, pools):
 
 
 def test_a_run_cuts_each_job_into_contiguous_blocks(monkeypatch, pools):
-    # the (n, reps) of every block handed to _block_estimates, in task
+    # the (sample sizes, reps) of every task handed to _block_estimates, in
     # order: blocks of BLOCK_REPLICATIONS on one worker, or fewer so that
-    # each worker gets one, job after job; the estimates join up in order
+    # each worker gets one; a task is one block across every job of the
+    # run, and each job's estimates join up in order
     import roblp.harness as harness
 
     assert BLOCK_REPLICATIONS == 512
@@ -630,28 +656,94 @@ def test_a_run_cuts_each_job_into_contiguous_blocks(monkeypatch, pools):
     blocks, block_estimates = [], harness._block_estimates
 
     def recording(task):
-        configs, _, _, n, _, reps = task
-        blocks.append((n, reps))
+        jobs, _, _, _, reps = task
+        blocks.append(([n for _, n in jobs], reps))
         return block_estimates(task)
 
     monkeypatch.setattr(harness, "_block_estimates", recording)
     jobs = [(est.plan([0.25], n)[0], n) for n in (64, 96)]
     runs = {}
-    for workers, expected in (
-        (1, [(64, range(0, 512)), (64, range(512, 1000))]),
-        (2, [(64, range(0, 500)), (64, range(500, 1000))]),
-    ):
+    for workers, expected in ((1, [range(0, 512), range(512, 1000)]), (2, [range(0, 500), range(500, 1000)])):
         blocks.clear()
         pools.clear()
-        (runs[workers],) = harness._replication_estimates(jobs[:1], f, model, 1000, 31, workers)
-        assert blocks == expected
+        runs[workers] = harness._replication_estimates(jobs, f, model, 1000, 31, workers)
+        assert blocks == [([64, 96], reps) for reps in expected]
         assert pools == ([2] if workers == 2 else [])
-    np.testing.assert_array_equal(runs[1], runs[2])
+    for serial, parallel in zip(runs[1], runs[2], strict=True):
+        assert serial.shape == (1000, 1)
+        np.testing.assert_array_equal(serial, parallel)
     blocks.clear()
-    first, second = harness._replication_estimates(jobs, f, model, 1000, 31)
-    assert blocks == [(n, reps) for n in (64, 96) for reps in (range(0, 512), range(512, 1000))]
-    np.testing.assert_array_equal(first, runs[1])
-    assert first.shape == second.shape == (1000, 1)
+    (alone,) = harness._replication_estimates(jobs[:1], f, model, 1000, 31)
+    assert blocks == [([64], reps) for reps in (range(0, 512), range(512, 1000))]
+    np.testing.assert_array_equal(alone, runs[1][0])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("cap", [512, 8])
+def test_a_job_does_not_depend_on_its_run_mates(monkeypatch, workers, cap):
+    # each job's estimates are the bits of the job run alone, whichever
+    # jobs share its blocks and stacks: two minimax jobs at different n,
+    # whose windows share stacks, and a compare table between them, at one
+    # and two workers and at a cap that cuts stacks inside and across jobs
+    import roblp.harness as harness
+    import roblp.local_fit as local_fit
+
+    monkeypatch.setattr(local_fit, "_STACK_CHUNKS", cap)
+    (minimax, model), _, (compare, _) = _replication_cases()
+    jobs = [(minimax([0.25], 600)[0], 600), (compare([0.25], 700)[0], 700), (minimax([0.25], 900)[0], 900)]
+    args = (sinusoid(beta=2.0), model, 40, 18)
+    together = harness._replication_estimates(jobs, *args, workers=workers)
+    assert len(together) == len(jobs)
+    for job, estimates in zip(jobs, together):
+        (alone,) = harness._replication_estimates([job], *args, workers=workers)
+        assert estimates.shape == alone.shape and estimates.tobytes() == alone.tobytes()
+
+
+def _drawing_nothing_at(sizes):
+    """A stand-in for ``gen_window`` that draws no row at the sample sizes
+    ``sizes`` (every window of those jobs is empty) and the real rows at
+    any other."""
+
+    def drawing(f, model, n, d, seed, reps, box):
+        if n in sizes:
+            return np.zeros((0, d)), np.zeros(0), np.zeros(len(reps), dtype=int)
+        return gen_window(f, model, n, d, seed, reps, box)
+
+    return drawing
+
+
+def test_a_job_of_empty_windows_beside_a_full_one_is_nan_alone(monkeypatch):
+    # every replication of the job at n=600 draws no row: its rows are all
+    # NaN, the job at n=700 beside it in every block keeps the estimates it
+    # has alone, and the 1% abort rule names n=600
+    import roblp.harness as harness
+
+    (minimax, model) = _replication_cases()[0]
+    f, reps, seed = sinusoid(beta=2.0), 30, 19
+    jobs = [(minimax([0.25], n)[0], n) for n in (600, 700)]
+    (full,) = harness._replication_estimates(jobs[1:], f, model, reps, seed)
+    monkeypatch.setattr(harness, "gen_window", _drawing_nothing_at({600}))
+    empty, beside = harness._replication_estimates(jobs, f, model, reps, seed)
+    assert np.isnan(empty).all() and empty.shape == (reps, 1)
+    assert not np.isnan(beside).any() and beside.tobytes() == full.tobytes()
+    est = Estimator(
+        kind="minimax", contrast=huber(1.0), kernel_kind="uniform", bound=8.0, beta=2.0, lipschitz=f.lipschitz
+    )
+    with pytest.raises(TooManyFailuresError, match=r"^30/30 replications had empty windows at n=600,"):
+        risk_curve(est, f, [0.25], model, 2.0, [700, 600], reps, seed)
+
+
+def test_a_block_whose_every_job_is_empty_is_all_nan(monkeypatch):
+    # no job of the block has a window: the solver gets none, and every
+    # row of every job, of one config or three, is NaN
+    import roblp.harness as harness
+
+    (minimax, model), _, (compare, _) = _replication_cases()
+    jobs = [(minimax([0.25], 600)[0], 600), (compare([0.25], 700)[0], 700)]
+    monkeypatch.setattr(harness, "gen_window", _drawing_nothing_at({600, 700}))
+    estimates = harness._replication_estimates(jobs, sinusoid(beta=2.0), model, 12, 20)
+    assert [e.shape for e in estimates] == [(12, 1), (12, 3)]
+    assert all(np.isnan(e).all() for e in estimates)
 
 
 def test_selection_constants_built_once_per_plan(monkeypatch):

@@ -57,23 +57,12 @@ def _levels(windows) -> list:
     return [windows.take(k * per, (k + 1) * per) for k in range(len(windows.configs))]
 
 
-def _join(windows):
-    """The plans ``windows`` as one plan, one after the other."""
-    offsets = np.cumsum([0] + [len(w.configs) for w in windows])
-    return local_fit._Windows(
-        *(np.concatenate([getattr(w, name) for w in windows]) for name in ("x", "y", "n_local")),
-        np.concatenate([w.config + offset for w, offset in zip(windows, offsets)]),
-        np.concatenate([w.scale for w in windows]),
-        [cfg for w in windows for cfg in w.configs],
-    )
-
-
 def fit_results(windows) -> list:
     """The ``FitResult`` of every window of the plans ``windows``, window
     after window; each run of plans of one degree is solved as one plan."""
     results = []
     for _, run in itertools.groupby(windows, key=lambda w: w.configs[0].degree):
-        fits = local_fit._fit_problems(_join(list(run)))
+        fits = local_fit._fit_problems(local_fit._join_windows(list(run)))
         results += [fits.result(i) for i in range(fits.n_local.size)]
     return results
 
@@ -680,6 +669,38 @@ def test_a_plan_of_three_settings_keys_stacks_per_key(monkeypatch):
         _assert_same_fit(fit, single)
 
 
+def test_joined_plans_of_two_points_stack_apart(monkeypatch):
+    # two plans of one window per replication, alike but for x0: joined,
+    # their configs come end to end and their windows split into a stack
+    # per x0, each rescaled by its own x0, and each fit is its sample's
+    # alone; a plan of another index set cannot join them
+    f, gauss, n = sinusoid(2.0), NoiseModel(family="gaussian", base_scale=0.5), 512
+    samples = [gen_data(f, gauss, n, 1, (37, rep)) for rep in range(4)]
+    x, y = (np.concatenate([getattr(data, name) for data in samples]) for name in ("x", "y"))
+    counts = np.full(len(samples), n)
+    configs = [make_cfg(x0=(x0,), h=0.2, degree=1, bound=8.0) for x0 in (0.3, 0.6)]
+    plans = [local_fit._windows(x, y, n, [cfg], counts)[0] for cfg in configs]
+    joined = local_fit._join_windows(plans)
+    assert joined.configs == configs and joined.config.tolist() == [0] * 4 + [1] * 4
+    assert joined.scale.tolist() == [1.0 / (n * 0.2)] * 8
+    stacks = []
+    original = local_fit._fit_stack
+
+    def recording(windows, fits):
+        stacks.append(sorted({windows.configs[k].x0 for k in windows.config.tolist()}))
+        return original(windows, fits)
+
+    monkeypatch.setattr(local_fit, "_fit_stack", recording)
+    fits = local_fit._fit_problems(joined)
+    assert stacks == [[(0.3,)], [(0.6,)]]
+    alone = [fit_local(data, cfg) for cfg in configs for data in samples]
+    for i, single in enumerate(alone):
+        _assert_same_fit(fits.result(i), single)
+    quadratic = local_fit._windows(x, y, n, [make_cfg(x0=(0.3,), h=0.2, degree=2)], counts)[0]
+    with pytest.raises(ValueError, match=r"^cannot join a plan of degree 2 in dimension 1 to one of degree 1 in dimension 1$"):
+        local_fit._join_windows([plans[0], quadratic])
+
+
 def _weighted_median_by_sort(values, weights):
     """The weighted median by a stable sort: the first sorted value at
     which the cumulative weight reaches half the total."""
@@ -728,7 +749,7 @@ def test_nested_grid_windows_equal_windows_cut_from_the_full_sample(kernel, d):
         for name in ("x", "y"):
             a, b = getattr(window, name), getattr(single, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    stack, cut = local_fit._Stack(nested), local_fit._Stack(_join(alone))
+    stack, cut = local_fit._Stack(nested), local_fit._Stack(local_fit._join_windows(alone))
     for name in ("design_t", "weights", "y"):
         a, b = getattr(stack, name), getattr(cut, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
