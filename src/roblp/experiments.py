@@ -9,6 +9,11 @@ summary and a manifest recording the exact config, its hash, the derived
 numeric constants and library versions.  Outputs are pure functions of
 the config (seed included), so a rerun — including a rerun started from
 the manifest — reproduces the CSV byte for byte.
+
+Each config document is validated once against its JSON Schema by
+``_validate``, which implements the Draft 2020-12 keywords the schemas
+use, in jsonschema's words (jsonschema, its test oracle, is not a
+dependency).
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ import re
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -197,7 +201,7 @@ class ConfigError(ValueError):
     """Invalid experiment config; message lists offending field paths."""
 
 
-def _finite(_, v) -> bool:
+def _finite(v) -> bool:
     """A number that a float holds finitely: not NaN (which passes every
     bound), an infinity or an int beyond float range."""
     try:
@@ -206,14 +210,91 @@ def _finite(_, v) -> bool:
         return False
 
 
-# Draft 2020-12, except that a "number" is finite and an "integer" a finite
-# int (the draft's own rule passes integral floats such as 512.0).
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many(
-        {"number": _finite, "integer": lambda c, v: isinstance(v, int) and _finite(c, v)}
-    ),
-)
+# JSON Schema's types, except that a "number" is finite and an "integer" a
+# finite int (the draft's own rule passes integral floats such as 512.0).
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+    "number": _finite,
+    "integer": lambda v: isinstance(v, int) and _finite(v),
+}
+
+
+def _same(a, b) -> bool:
+    """JSON equality of scalars, under which true and 1 differ."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _violations(value, schema, path=()):
+    """Yield (path, keyword, message) for each violation of ``schema`` by
+    ``value`` at ``path``, in jsonschema's order and wording: Draft 2020-12
+    cut to the keywords the config schemas use.  Any other keyword, met
+    on the way, is a ValueError, so that no keyword goes unchecked."""
+    if isinstance(schema, bool):
+        if not schema:
+            yield path, None, f"False schema does not allow {value!r}"
+        return
+    is_object, is_array, is_number = isinstance(value, dict), isinstance(value, list), _finite(value)
+    for key, arg in schema.items():
+        message = None
+        if key == "type":
+            types = [arg] if isinstance(arg, str) else arg
+            if not any(_TYPES[t](value) for t in types):
+                message = f"{value!r} is not of type {', '.join(map(repr, types))}"
+        elif key == "enum":
+            if not any(_same(a, value) for a in arg):
+                message = f"{value!r} is not one of {arg!r}"
+        elif key == "const":
+            if not _same(arg, value):
+                message = f"{arg!r} was expected"
+        elif key == "minimum":
+            if is_number and value < arg:
+                message = f"{value!r} is less than the minimum of {arg!r}"
+        elif key == "exclusiveMinimum":
+            if is_number and value <= arg:
+                message = f"{value!r} is less than or equal to the minimum of {arg!r}"
+        elif key == "maximum":
+            if is_number and value > arg:
+                message = f"{value!r} is greater than the maximum of {arg!r}"
+        elif key == "pattern":
+            if isinstance(value, str) and not re.search(arg, value):
+                message = f"{value!r} does not match {arg!r}"
+        elif key == "minItems":
+            if is_array and len(value) < arg:
+                message = f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif key == "required":
+            for name in arg if is_object else ():
+                if name not in value:
+                    yield path, key, f"{name!r} is a required property"
+        elif key == "additionalProperties" and isinstance(arg, bool):
+            known = schema.get("properties", {})
+            extras = sorted({k for k in value if k not in known}, key=str) if is_object and not arg else []
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                message = f"Additional properties are not allowed ({', '.join(map(repr, extras))} {verb} unexpected)"
+        elif key == "properties":
+            for name, sub in arg.items() if is_object else ():
+                if name in value:
+                    yield from _violations(value[name], sub, (*path, name))
+        elif key == "items":
+            for i, item in enumerate(value if is_array else ()):
+                yield from _violations(item, arg, (*path, i))
+        elif key == "allOf":
+            for sub in arg:
+                yield from _violations(value, sub, path)
+        elif key == "if":
+            if next(_violations(value, arg, path), None) is None:
+                yield from _violations(value, schema.get("then", True), path)
+        elif key != "then":
+            raise ValueError(f"unsupported schema keyword {key!r}: {arg!r}")
+        if message is not None:
+            yield path, key, message
+
+
+def _json_path(path) -> str:
+    return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
 
 
 # An int of more digits than this is said by its length in a message.
@@ -229,10 +310,9 @@ def _int_length(match: re.Match) -> str:
 def _validate(document: dict, schema: dict = CONFIG_SCHEMA) -> None:
     """Raise a ConfigError listing every schema violation of a whole config
     document, one line each under its field path; entry points call it once."""
-    validator = _Validator(schema)
-    errors = sorted(validator.iter_errors(document), key=lambda e: e.json_path)
+    errors = sorted(_violations(document, schema), key=lambda e: _json_path(e[0]))
     if errors:
-        lines = [f"{e.json_path}: {_LONG_INT.sub(_int_length, e.message)}" for e in errors]
+        lines = [f"{_json_path(p)}: {_LONG_INT.sub(_int_length, m)}" for p, _, m in errors]
         raise ConfigError("invalid experiment config:\n  " + "\n  ".join(lines))
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,6 +225,12 @@ class Estimator:
 # run of 30 replications at six sample sizes fills two stacks, not six.
 BLOCK_REPLICATIONS = _STACK_CHUNKS
 
+# The pool's start method: fork on Linux, whose default it was until
+# Python 3.14 made it forkserver, so that a worker inherits the loaded
+# modules rather than importing roblp afresh; elsewhere the platform's
+# default (macOS offers fork, but its system libraries are not fork-safe).
+_START_METHOD = "fork" if sys.platform.startswith("linux") else None
+
 
 def _block_estimates(args) -> list[np.ndarray]:
     """The estimates of a contiguous block of seeded replications in every
@@ -276,7 +283,8 @@ def _replication_estimates(jobs, f, model, replications, seed, workers: int = 1)
     the jobs share solver stacks; the tasks are mapped through at most one
     pool.  The pool has no more processes than this process may run on
     CPUs (its affinity mask, where the platform has one) or the run has
-    blocks.  A replication count below 1 is a ValueError."""
+    blocks, and starts them by _START_METHOD.  A replication count below 1
+    is a ValueError."""
     if replications < 1:
         raise ValueError(f"need at least 1 replication, got {replications}")
     if hasattr(os, "sched_getaffinity"):
@@ -291,9 +299,11 @@ def _replication_estimates(jobs, f, model, replications, seed, workers: int = 1)
     ]
     workers = min(workers, len(tasks))
     if workers > 1:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        context = multiprocessing.get_context(_START_METHOD)
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as ex:
             blocks = list(ex.map(_block_estimates, tasks))
     else:
         blocks = [_block_estimates(task) for task in tasks]

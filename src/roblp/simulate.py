@@ -353,16 +353,25 @@ def _float(i: int) -> float:
     return _DOUBLE.unpack(_INT.pack(i))[0]
 
 
-def _last_inside(inside, start: int, stop: int) -> int:
+def _last_inside(inside, start: int, stop: int, guess: float, spread: float) -> int:
     """The last int from ``start``, where ``inside`` holds, toward ``stop``
     before ``inside`` turns false, which it does at most once on the way:
-    a bisection."""
-    if inside(stop):
-        return stop
-    while abs(stop - start) > 1:
-        mid = (start + stop) // 2
-        start, stop = (mid, stop) if inside(mid) else (start, mid)
-    return start
+    a bisection, first of the bit patterns of [0, 1] within ``spread`` of
+    ``guess``, and from ``start`` when the edge is not among them."""
+    lo, hi = sorted((_float(start), _float(stop)))
+    near, far = (_bits(min(max(v, lo), hi) + 0.0) for v in (guess - spread, guess + spread))
+    if stop < start:
+        near, far = far, near
+    if inside(far):
+        near, far = far, stop
+        if inside(far):
+            return far
+    elif not inside(near):
+        near = start
+    while abs(far - near) > 1:
+        mid = (near + far) // 2
+        near, far = (mid, far) if inside(mid) else (near, mid)
+    return near
 
 
 def _box_edges(x0, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -371,8 +380,9 @@ def _box_edges(x0, h: float) -> tuple[np.ndarray, np.ndarray]:
     a window cut keeps (``local_fit._in_window``) after rounding.  As
     rounding is monotone, the kept floats form an interval around x0
     clipped to [0, 1], found by bisecting the bit patterns outward from
-    it.  A box that misses [0,1]^d has a corner coordinate above the
-    opposite one."""
+    it.  Rounding moves an edge only a few ulps of x0 -/+ h/2 or of h
+    from x0 -/+ h/2, so the bisection starts there.  A box that misses
+    [0,1]^d has a corner coordinate above the opposite one."""
     corners = []
     for c in map(float, x0):
         def inside(i: int, c=c) -> bool:
@@ -382,7 +392,10 @@ def _box_edges(x0, h: float) -> tuple[np.ndarray, np.ndarray]:
         if not inside(anchor):
             corners.append((1.0, 0.0))
             continue
-        corners.append((_float(_last_inside(inside, anchor, 0)), _float(_last_inside(inside, anchor, _ONE))))
+        corners.append([
+            _float(_last_inside(inside, anchor, stop, guess, 4.0 * (math.ulp(guess) + math.ulp(h))))
+            for stop, guess in ((0, c - h / 2.0), (_ONE, c + h / 2.0))
+        ])
     lo, hi = np.array(corners).T
     return lo, hi
 

@@ -444,6 +444,33 @@ def test_arithmetic_and_schema_errors_read_as_plain_text(tmp_path, path, value, 
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "path, value, line",
+    [
+        (("estimator", "x0"), [0.25, 1.5], "$.estimator.x0[1]: 1.5 is greater than the maximum of 1"),
+        (("grid", "n_values"), [], "$.grid.n_values: [] should be non-empty"),
+        (("noise", "sigma_min"), "x", "$.noise.sigma_min: 'x' is not of type 'number', 'null'"),
+        (
+            ("risk",),
+            {"replications": 40, "b": 1, "a": 2},
+            "$.risk: Additional properties are not allowed ('a', 'b' were unexpected)",
+        ),
+    ],
+    ids=["maximum-at-an-item", "min-items", "type-list", "several-unknown-keys"],
+)
+def test_schema_messages_are_pinned(tmp_path, path, value, line):
+    # the validator is the repo's own: these are its words, not a library's
+    cfg = rates_config(tmp_path)
+    *parents, last = path
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    with pytest.raises(ConfigError) as exc:
+        load_config(cfg)
+    assert str(exc.value) == "invalid experiment config:\n  " + line
+
+
 def test_compare_single_replication_reports_zero_stderr(tmp_path):
     cfg = compare_config(tmp_path)
     cfg["risk"]["replications"] = 1

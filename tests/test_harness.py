@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -576,7 +577,7 @@ def pools(monkeypatch):
     class Recording:
         """Stands in for the pool: records its size and maps in process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -933,3 +934,28 @@ def test_compare_contrasts_draws_each_replication_once(monkeypatch):
         variant = dataclasses.replace(est, contrast=contrast)
         (point,) = risk_curve(variant, f, [0.25], model, 2.0, [256], 30, seed=24).points
         assert (row.risk, row.stderr, row.failures) == (point.risk, point.stderr, point.failures)
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_a_pooled_tails_run_writes_the_serial_bytes_under_each_start_method(tmp_path, monkeypatch, method):
+    import roblp.harness as harness
+    from roblp.experiments import run_experiment
+
+    configs = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+    cfg = json.loads((configs / "tails_gaussian.json").read_text())
+    cfg["risk"]["replications"] = 300
+    # the pool opens even on a one-CPU host
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "_START_METHOD", method)
+    opened = []
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context", lambda m=None: opened.append(m) or get_context(m))
+    outputs = {}
+    for workers in (1, 2):
+        cfg["risk"]["workers"] = workers
+        cfg["output"]["directory"] = str(tmp_path / f"w{workers}")
+        outputs[workers] = run_experiment(cfg)
+    assert opened == [method]
+    for key in ("csv", "json"):
+        assert outputs[2][key].read_bytes() == outputs[1][key].read_bytes(), key

@@ -39,11 +39,6 @@ def _loaded_by_import_roblp(module: str) -> bool:
     return _loaded_after("", module)[module]
 
 
-def test_import_roblp_leaves_jsonschema_unloaded():
-    # only config-driven runs (roblp.experiments) validate JSON
-    assert not _loaded_by_import_roblp("jsonschema")
-
-
 def _rates_config(tmp_path, family: str) -> str:
     """A serial smoke-size rates config with ``family`` noise; returns its
     path."""
@@ -71,6 +66,41 @@ def _rates_config(tmp_path, family: str) -> str:
 
 def _run_experiment(path: str) -> str:
     return f"from roblp.experiments import run_experiment\nrun_experiment({path!r})"
+
+
+def test_no_run_and_no_config_error_loads_jsonschema(tmp_path):
+    # configs are validated in roblp.experiments; jsonschema is a test
+    # dependency, the oracle of that validator
+    bad = json.loads(Path(_rates_config(tmp_path, "cauchy")).read_text())
+    bad["grid"]["n_values"] = []
+    configs = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+    simulate = json.loads((configs / "simulate_cusp.json").read_text())
+    simulate["output"] = str(tmp_path / "data.csv")
+    (tmp_path / "simulate.json").write_text(json.dumps(simulate))
+    data = ["--data", simulate["output"], "--x0", "0.25", "--config", str(configs / "estimator_huber.json")]
+    commands = [
+        ["simulate", "--config", str(tmp_path / "simulate.json")],
+        ["fit", "--h", "0.2", *data],
+        ["adapt", *data],
+    ]
+    codes = [
+        "",
+        "import roblp.cli",
+        _run_experiment(_rates_config(tmp_path, "cauchy")),
+        "\n".join([
+            "from roblp.experiments import ConfigError, run_experiment",
+            "try:",
+            f"    run_experiment({bad!r})",
+            "except ConfigError as exc:",
+            "    assert '$.grid.n_values: [] should be non-empty' in str(exc), exc",
+            "else:",
+            "    raise AssertionError('no ConfigError')",
+        ]),
+        "\n".join(["from roblp.cli import main", *(f"assert main({argv!r}) == 0" for argv in commands)]),
+    ]
+    for code in codes:
+        assert _loaded_after(code, "jsonschema") == {"jsonschema": False}, code
+    assert (tmp_path / "rates_cauchy.csv").is_file() and (tmp_path / "data.csv").is_file()
 
 
 def test_no_scipy_module_loads_on_import_or_on_a_gaussian_run(tmp_path):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from roblp.basis import multi_index_set
-from roblp.lepski import holder_floor
-from roblp.local_fit import _box_rows
+from roblp.lepski import holder_floor, minimax_bandwidth
+from roblp.local_fit import _box_rows, _in_window
 from roblp.simulate import (
     DESIGN_STREAM,
     HETEROSCEDASTIC_KINDS,
@@ -22,8 +22,12 @@ from roblp.simulate import (
     constant_function,
     cusp,
     gen_data,
+    _ONE,
+    _bits,
     _box_edges,
+    _float,
     _gauss_upper_quantile,
+    _last_inside,
     _gen_noise,
     gen_window,
     make_test_function,
@@ -493,6 +497,57 @@ def test_box_edges_are_the_outermost_floats_a_window_cut_keeps():
         assert 0.0 <= lo <= hi <= 1.0 and kept(lo) and kept(hi)
         assert lo == 0.0 or not kept(math.nextafter(lo, -math.inf))
         assert hi == 1.0 or not kept(math.nextafter(hi, math.inf))
+
+
+def _box_edges_by_full_bisection(x0, h):
+    """The corners of the window box by bisecting the bit patterns from
+    the clipped x0 all the way to 0 and to 1: the oracle of _box_edges."""
+
+    def last_inside(inside, start, stop):
+        if inside(stop):
+            return stop
+        while abs(stop - start) > 1:
+            mid = (start + stop) // 2
+            start, stop = (mid, stop) if inside(mid) else (start, mid)
+        return start
+
+    corners = []
+    for c in map(float, x0):
+        def inside(i, c=c):
+            return _in_window(_float(i), c, h)
+
+        anchor = _bits(min(max(c, 0.0), 1.0) + 0.0)
+        if not inside(anchor):
+            corners.append((1.0, 0.0))
+            continue
+        corners.append((_float(last_inside(inside, anchor, 0)), _float(last_inside(inside, anchor, _ONE))))
+    return tuple(np.array(corners).T)
+
+
+def test_the_edge_search_leaves_a_bracket_that_misses_the_edge():
+    # a guess whose bracket lies wholly inside or wholly outside the kept
+    # floats still finds the edge, searching outward or from the start
+    for edge in (0, _bits(0.3), _ONE):
+        for start, stop, inside in ((0, _ONE, lambda i: i <= edge), (_ONE, 0, lambda i: i >= edge)):
+            for guess in (0.1, 0.3, 0.7):
+                assert _last_inside(inside, start, stop, guess, 1e-3) == edge, (edge, start, guess)
+
+
+def test_box_edges_equal_a_full_bisection():
+    rng = np.random.default_rng(11)
+    boxes = [((float(c),), float(h)) for c, h in rng.random((2000, 2))]
+    # x0 anywhere near [0, 1], h from subnormal to beyond the unit interval
+    boxes += [((float(c),), float(10.0**e)) for c, e in zip(rng.uniform(-1.0, 2.0, 2000), rng.uniform(-320, 1, 2000))]
+    specials = [0.0, -0.0, 1.0, 0.5, 0.25, -0.5, 1.5, 2.0, 5e-324, math.nextafter(1.0, 0.0), math.nextafter(0.0, 1.0)]
+    widths = [5e-324, 1e-310, 1e-300, 1e-20, 1e-16, 0.5, 0.59998, 1.0, 2.0, 3.0, 1e300]
+    boxes += [((c,), h) for c in specials for h in widths]
+    # the d = 2 windows of a study at its minimax bandwidths
+    boxes += [((0.25, 0.75), minimax_bandwidth(2.0, 39.478417604357434, n, 2)) for n in (128, 1024, 4096, 16384)]
+    for x0, h in boxes:
+        lo, hi = _box_edges(x0, h)
+        expected_lo, expected_hi = _box_edges_by_full_bisection(x0, h)
+        # bit for bit: -0.0 and 0.0 differ
+        assert lo.tobytes() == expected_lo.tobytes() and hi.tobytes() == expected_hi.tobytes(), (x0, h)
 
 
 @pytest.mark.parametrize("d, x0, h", [(1, 0.4, 0.3), (1, 0.02, 0.2), (2, 0.97, 0.25)])
