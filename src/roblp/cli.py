@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from .experiments import (
     CONFIG_SCHEMA,
     ConfigError,
+    _check_output_file,
     _check_sizes,
     _estimator,
     _noise_model,
@@ -48,22 +48,6 @@ def _load_data(path) -> Dataset:
         return Dataset.from_csv(path)
     except (OSError, ValueError) as exc:
         raise SystemExit(str(exc))
-
-
-def _output_path(path) -> Path:
-    """``path``, with its directory made; a ``path`` that ends in a path
-    separator (which ``Path`` drops), names an existing directory or needs
-    one that cannot be made exits with a message naming ``path``."""
-    if str(path).endswith(("/", os.sep)):
-        raise SystemExit(f"{path}: ends in a path separator, not a file name")
-    path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise SystemExit(f"{path}: cannot create its directory ({exc.strerror})")
-    if path.is_dir():
-        raise SystemExit(f"{path}: is a directory")
-    return path
 
 
 # The flag or subcommand that supplies each estimator key a settings file omits.
@@ -126,7 +110,8 @@ def _cmd_fit(args) -> int:
 def _cmd_adapt(args) -> int:
     data = _load_data(args.data)
     estimator = _load_estimator(args, data, "adaptive")
-    out = _output_path(args.json) if args.json else None
+    if args.json:
+        _check_output_file(args.json)
     trace = estimator.selection_trace(data, args.x0)
 
     print(f"chosen k: {trace.chosen_k}")
@@ -138,7 +123,9 @@ def _cmd_adapt(args) -> int:
             f"{chk.k:>3} {chk.l:>3} {chk.difference:>14.6g} {chk.threshold:>14.6g}"
             f" {'yes' if chk.passed else 'no'}"
         )
-    if out is not None:
+    if args.json:
+        out = Path(args.json)
+        out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(json.dumps(trace.to_dict(), indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -166,9 +153,12 @@ def _cmd_simulate(args) -> int:
         raise ConfigError(f"$.output: {cfg['output']!r} ends in .json, the suffix of its sidecar")
     model = _noise_model(cfg["noise"])
     f = _test_function(cfg["function"], model)
-    out = _output_path(cfg["output"])
-    side_path = _output_path(out.with_suffix(".json"))
+    _check_output_file(cfg["output"])
+    out = Path(cfg["output"])
+    side_path = out.with_suffix(".json")
+    _check_output_file(side_path)
     data = gen_data(f, model, cfg["n"], f.d, cfg["seed"])
+    out.parent.mkdir(parents=True, exist_ok=True)
     data.to_csv(out)
     sidecar = {
         "function": f.to_config(),

@@ -492,7 +492,8 @@ def _run_config(cfg: dict, output_dir=None) -> dict:
             f"$.estimator.kind: {cfg['experiment']} experiment needs a single bandwidth"
         )
     _check_sizes(estimator, cfg["grid"]["n_values"] if rates else [cfg["grid"]["n"]], x0)
-    _check_output_dir(out_dir, prefix)
+    for name in (f"{prefix}.csv", f"{prefix}.json", f"{prefix}_manifest.json"):
+        _check_output_file(out_dir / name, f"output directory {out_dir}")
     header, rows, summary, extras = runner(cfg, f, noise, estimator, x0, workers)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -512,23 +513,27 @@ def _run_config(cfg: dict, output_dir=None) -> dict:
     }
 
 
-def _check_output_dir(out_dir: Path, prefix: str) -> None:
-    """A ConfigError naming ``out_dir`` unless it can be made and written
-    into: the nearest of it and its ancestors that exists must be a
-    writable directory.  Then one naming an output file, ``<prefix>.csv``,
-    ``<prefix>.json`` or ``<prefix>_manifest.json``, that exists and is a
-    directory or not writable.  Nothing is made here."""
-    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+def _check_output_file(path, where: str | None = None) -> None:
+    """A ConfigError unless ``path`` can be written once its directory is
+    made: it must not be a directory, the nearest of its ancestors that
+    exists must be a writable directory, and it must be writable where it
+    exists.  The error names ``where`` (by default the file) for an
+    ancestor at fault and the file otherwise.  A ``path`` that ends in a
+    path separator (which ``Path`` drops) names no file, and is one too.
+    Nothing is made here."""
+    if str(path).endswith(("/", os.sep)):
+        raise ConfigError(f"{path}: ends in a path separator, not a file name")
+    path = Path(path)
+    if path.is_dir():  # "." too, which has no parent
+        raise ConfigError(f"output file {path}: is a directory")
+    where = where or f"output file {path}"
+    existing = next(parent for parent in path.parents if parent.exists())
     if not existing.is_dir():
-        raise ConfigError(f"output directory {out_dir}: {existing} is not a directory")
+        raise ConfigError(f"{where}: {existing} is not a directory")
     if not os.access(existing, os.W_OK | os.X_OK):
-        raise ConfigError(f"output directory {out_dir}: {existing} is not writable")
-    for name in (f"{prefix}.csv", f"{prefix}.json", f"{prefix}_manifest.json"):
-        path = out_dir / name
-        if path.is_dir():
-            raise ConfigError(f"output file {path}: is a directory")
-        if path.exists() and not os.access(path, os.W_OK):
-            raise ConfigError(f"output file {path}: is not writable")
+        raise ConfigError(f"{where}: {existing} is not writable")
+    if path.exists() and not os.access(path, os.W_OK):
+        raise ConfigError(f"output file {path}: is not writable")
 
 
 def _workers(risk: dict) -> int:

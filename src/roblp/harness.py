@@ -61,7 +61,6 @@ from .local_fit import (
     OptimizerSettings,
     _STACK_CHUNKS,
     _fit_problems,
-    _join_windows,
     _windows,
     fit_local,
 )
@@ -239,38 +238,33 @@ def _block_estimates(args) -> list[np.ndarray]:
     (see ``Estimator.plan``).  A NaN row marks a replication with an
     empty window in that job (counted and excluded by the caller).
 
-    Per job, ``_job_windows`` draws and cuts the plan's windows (and
-    ``_windows`` rejects a plan whose windows do not each lie inside the
-    one before).  The windows of every job, joined job after job, go to
-    one solver call, which solves them in stacks across jobs.  A
-    replication whose ``_windows`` depth is short of its plan's configs
-    has an empty window: its row is NaN, and it has no window in that
-    job.
+    Each job's rows are drawn in its plan's first window by one
+    ``gen_window`` call, as ``_windows`` reads the jobs, so that only one
+    job's drawn rows are held before they are cut.  One ``_windows`` call
+    cuts every job's windows, job after job (and rejects a plan whose
+    windows do not each lie inside the one before), and one solver call
+    solves them in stacks across jobs.  A replication whose depth is short
+    of its plan's configs has an empty window: its row is NaN, and it has
+    no window in that job.
     """
     jobs, f, model, seed, reps = args
-    cuts = [_job_windows(configs, n, f, model, seed, reps) for configs, n in jobs]
-    fitted = [depth == len(configs) for (configs, _), (_, depth) in zip(jobs, cuts)]
-    windows = _join_windows([plan for plan, _ in cuts])
-    del cuts  # each job's rows, of which the joined windows hold a copy
+
+    def drawn(configs, n):
+        first = configs[0]
+        x, y, counts = gen_window(f, model, n, first.d, seed, reps, (first.x0, first.h))
+        return x, y, n, configs, counts
+
+    windows, depths = _windows(drawn(configs, n) for configs, n in jobs)
     estimates = _fit_problems(windows).estimate
     blocks, start = [], 0
-    for (configs, _), ok in zip(jobs, fitted):
+    for (configs, _), depth in zip(jobs, depths):
+        ok = depth == len(configs)
         block = np.full((len(reps), len(configs)), math.nan)
         stop = start + len(configs) * int(ok.sum())
         block[ok] = estimates[start:stop].reshape(len(configs), -1).T
         blocks.append(block)
         start = stop
     return blocks
-
-
-def _job_windows(configs, n: int, f, model, seed, reps):
-    """The windows of one job's plan in a block of replications, and each
-    replication's depth (see ``_windows``): its rows drawn in the plan's
-    first window by one ``gen_window`` call, each config's window cut from
-    them by one ``_windows`` call."""
-    first = configs[0]
-    x, y, counts = gen_window(f, model, n, first.d, seed, reps, (first.x0, first.h))
-    return _windows(x, y, n, configs, counts)
 
 
 def _replication_estimates(jobs, f, model, replications, seed, workers: int = 1) -> list[np.ndarray]:

@@ -264,7 +264,7 @@ def select_bandwidth(
     """
     if data.n == 0:
         raise ValueError("dataset is empty")
-    windows, (depth,) = _windows(data.x, data.y, data.n, levels, [data.n])
+    windows, [(depth,)] = _windows([(data.x, data.y, data.n, levels, [data.n])])
     if depth < len(levels):
         raise EmptyNeighborhoodError(levels[depth].x0, levels[depth].h, grid_index=int(depth))
     estimates = _fit_problems(windows).estimate.tolist()

@@ -25,43 +25,44 @@ is the classic sort-based simplex projection (Duchi et al. 2008).
 The solver works on a stack of windows.  A plan is the fit configs of
 one estimate: a grid's levels, a compare table's contrasts, or one fit.
 The Monte Carlo harness draws a block of replications for every plan of
-its run (one per sample size of a risk curve), joins their windows plan
-after plan (``_join_windows``) and hands them to one solver call,
-``_fit_problems``, which cuts them in one pass into stacks, runs of
-consecutive windows of equal fit settings (x0, degree, kernel, radius,
-contrast, optimizer) of up to _STACK_CHUNKS chunks, and stores every
-result in one ``_Fits``; so a stack may hold the windows of several
-plans.  A bandwidth selection solves its grid levels as one stack, and
-``fit_local`` is a stack of one.  A window is only its rows, and
-``_windows`` alone cuts them, from given rows ``x``, ``y`` of a block of
-samples of size n (a ``Dataset``'s, a block of one, or those the harness
-drew inside the plan's first window for a block of replications); n sets
-its 1/(n h^d) scale.  A plan's windows lie each inside the one before it,
-checked by ``_windows``: each is cut from the samples of the one before,
-by one mask over the block's rows, so only the first scans the given
-rows.  A plan's windows come as one ``_Windows``, config after config:
-their rows end to end, and each one's row count, config and scale.  A
-stack takes a run of them as a view, writes every window's rescaled
-points into whole chunks of _CHUNK rows, padded with zero rows, by one
-mask scatter, writes the design monomials of all its windows straight
-into that chunk layout, and makes their kernel weights in one call (the
-uniform kernel's are the live rows themselves).  Every fit starts from
-the kernel-weighted median of its window's responses, found by a
-partition where the weights are all one (the uniform kernel) and by a
-sort otherwise.  Each iteration takes the residuals, gradients,
-Hessians, condition tests, Newton solves, line searches and stationarity
-gaps of all live fits at once; a fit that needs the homotopy or a
-gradient step takes it inside the same loop.  Every sum over a window's samples adds its own chunks in
-order, so a fit's arithmetic, and its result, is the same bit for bit
-whatever else shares its stack: harness results do not depend on the
-block size, on the worker count (ROBLP_WORKERS) or on the other plans of
-a run.
+its run (one per sample size of a risk curve), cuts the windows of every
+plan in one ``_windows`` call, plan after plan, and hands them to one
+solver call, ``_fit_problems``, which cuts them in one pass into stacks,
+runs of consecutive windows of equal fit settings (x0, degree, kernel,
+radius, contrast, optimizer) of up to _STACK_CHUNKS chunks, and stores
+every result in one ``_Fits``; so a stack may hold the windows of
+several plans.  A bandwidth selection solves its grid levels as one
+stack, and ``fit_local`` is a stack of one.  A window is only its rows,
+and ``_windows`` alone cuts them, from given rows ``x``, ``y`` of a
+block of samples of size n (a ``Dataset``'s, a block of one, or those
+the harness drew inside the plan's first window for a block of
+replications); n sets its 1/(n h^d) scale.  A plan's windows lie each
+inside the one before it, checked by ``_windows``: each is cut from the
+samples of the one before, by one mask over the block's rows, so only
+the first scans the given rows.  The windows of a block's plans come as
+one ``_Windows``, plan after plan and config after config: their rows
+end to end, and each one's row count, config and scale.  A stack takes a
+run of them as a view, writes every window's rescaled points into whole
+chunks of _CHUNK rows, padded with zero rows, by one mask scatter,
+writes the design monomials of all its windows straight into that chunk
+layout, and makes their kernel weights in one call (the uniform kernel's
+are the live rows themselves).  Every fit starts from the
+kernel-weighted median of its window's responses, found by a partition
+under the uniform kernel, whose weights are all one, and by a sort
+otherwise.  Each iteration takes the residuals, gradients, Hessians,
+condition tests, Newton solves, line searches and stationarity gaps of
+all live fits at once; a fit that needs the homotopy or a gradient step
+takes it inside the same loop.  Every sum over a window's samples adds
+its own chunks in order, so a fit's arithmetic, and its result, is the
+same bit for bit whatever else shares its stack: harness results do not
+depend on the block size, on the worker count (ROBLP_WORKERS) or on the
+other plans of a run.
 """
 
 from __future__ import annotations
 
 import csv
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,12 +229,12 @@ class FitResult:
 
 
 class _Fits:
-    """The results of the fits of one ``_fit_problems`` call (one plan, or
-    several joined, of one index set), a column each, fit after fit: the
-    projected coefficients ``theta`` (a row each), the sample count
-    ``n_local``, the ``iterations``, the stationarity ``gap`` and the
-    ``converged`` flag.  Built empty for windows of ``n_local``
-    samples each; ``_Stack.store`` writes into it as its fits stop, and
+    """The results of the fits of one ``_fit_problems`` call (the windows
+    of one ``_windows`` call, of one index set), a column each, fit after
+    fit: the projected coefficients ``theta`` (a row each), the sample
+    count ``n_local``, the ``iterations``, the stationarity ``gap`` and the
+    ``converged`` flag.  Built empty for windows of ``n_local`` samples
+    each; ``_Stack.store`` writes into it as its fits stop, and
     ``result`` builds one fit's ``FitResult``."""
 
     def __init__(self, index_set: MultiIndexSet, n_local: np.ndarray):
@@ -331,13 +332,13 @@ def _box_rows(x: np.ndarray, x0, h: float) -> np.ndarray:
 
 
 class _Windows:
-    """The windows of a plan's fit configs in a block of replications, as
-    ``_windows`` cuts them, or of several plans, as ``_join_windows`` joins
-    them: the design points ``x`` and responses ``y`` of their samples,
-    window after window, and for each window its sample count ``n_local``,
-    the index ``config`` of its config in ``configs`` and its 1/(n h^d)
-    normalization ``scale`` by its plan's full sample size n.  ``first``
-    is the position of window 0: 0 for a plan, the start of a ``take``.
+    """The windows of the fit configs of a block's plans, as ``_windows``
+    cuts them: the design points ``x`` and responses ``y`` of their
+    samples, window after window, and for each window its sample count
+    ``n_local``, the index ``config`` of its config in ``configs`` and its
+    1/(n h^d) normalization ``scale`` by its plan's full sample size n.
+    ``first`` is the position of window 0: 0 for a cut, the start of a
+    ``take``.
     A ``_Stack`` lays windows out for the solver and builds their
     rescaled design and kernel weights."""
 
@@ -355,96 +356,86 @@ class _Windows:
         )
 
 
-def _join_windows(plans: Sequence[_Windows]) -> _Windows:
-    """The windows of several plans as one ``_Windows``, plan after plan:
-    their configs end to end, each window's config index offset by the
-    configs of the plans before it, its rows, row count and scale its own.
-    Plans of different index sets are a ValueError, as the joined windows'
-    results share one ``_Fits``; one plan is its own join, not a copy."""
-    if len(plans) == 1:
-        return plans[0]
-    configs = [cfg for windows in plans for cfg in windows.configs]
-    for cfg in configs:
-        if cfg.index_set != configs[0].index_set:
-            raise ValueError(
-                f"cannot join a plan of degree {cfg.degree} in dimension {cfg.d} to one of"
-                f" degree {configs[0].degree} in dimension {configs[0].d}"
-            )
-    offsets = np.cumsum([0] + [len(windows.configs) for windows in plans[:-1]])
-    return _Windows(
-        *(np.concatenate([getattr(windows, name) for windows in plans]) for name in ("x", "y", "n_local")),
-        np.concatenate([windows.config + offset for windows, offset in zip(plans, offsets)]),
-        np.concatenate([windows.scale for windows in plans]),
-        configs,
-    )
+def _windows(jobs: Iterable[tuple]) -> tuple[_Windows, list[np.ndarray]]:
+    """The windows of a block's jobs as one ``_Windows``, job after job,
+    and each job's replication depths.  A job is ``(x, y, n, configs,
+    counts)``: a plan's fit ``configs`` and the rows ``x``, ``y`` of a
+    block of replications, ``counts[r]`` rows of replication r after those
+    of the one before, each a sample of size ``n`` (all its rows, or a set
+    holding its first window; a sample is a block of one, ``counts``
+    ``[n]``).  ``jobs`` is read once, so each job's given rows may be
+    dropped once cut.  A job's windows come config after config, each
+    config's windows in replication order, and its config indices are
+    offset by the configs of the jobs before it.  A replication's depth is
+    the number of its job's configs whose window holds a row of it; one of
+    depth short of the job's configs is dropped from every config's
+    windows.  An empty window is no error here: ``fit_local`` and
+    ``select_bandwidth`` raise EmptyNeighborhoodError from the depth.
 
-
-def _windows(
-    x: np.ndarray,
-    y: np.ndarray,
-    n: int,
-    configs: Sequence[LocalFitConfig],
-    counts: Sequence[int],
-) -> tuple[_Windows, np.ndarray]:
-    """The windows of a plan's fit ``configs`` among the rows ``x``, ``y``
-    of a block of replications, ``counts[r]`` rows of replication r after
-    those of the one before, each a sample of size ``n`` (all its rows, or
-    a set holding its first window; a sample is a block of one, ``counts``
-    ``[n]``), as one ``_Windows``: config after config, each config's
-    windows in replication order; and each replication's depth, the number
-    of configs whose window holds a row of it.  A replication of depth
-    short of ``len(configs)`` is dropped from every config's windows.  An
-    empty window is no error here: ``fit_local`` and ``select_bandwidth``
-    raise EmptyNeighborhoodError from the depth.
-
-    The configs are a chain of nested windows: each has the x0 of the one
-    before it and a bandwidth no larger, so, a window being a sup-norm
+    A job's configs are a chain of nested windows: each has the x0 of the
+    one before it and a bandwidth no larger, so, a window being a sup-norm
     box, it lies inside the one before: a replication's empty windows are
-    those of configs depth..K-1.  Any other plan is a ValueError,
-    raised before a window is cut.  Every plan builder also gives its
-    configs one degree, as the plan's one ``_Fits`` holds one index set.
+    those of configs depth..K-1.  Any other plan is a ValueError, raised
+    before its job is cut, as is a config of another index set than the
+    first job's, since every window's result goes to one ``_Fits``.
     Window 0 is cut from the given rows and each later one from the window
     before it, by one mask over the whole block.  The kept rows stay in
     replication order, so each replication's rows in a window end where a
     ``searchsorted`` of its end in the rows before puts them.  The mask is
     elementwise, so a window is the same bit for bit as one cut from its
-    replication's rows alone."""
-    if x.shape[1] != configs[0].d:
-        raise ValueError(f"data dimension {x.shape[1]} != config dimension {configs[0].d}")
-    for k in range(1, len(configs)):
-        prev, cfg = configs[k - 1], configs[k]
-        if cfg.x0 != prev.x0 or cfg.h > prev.h:
-            raise ValueError(
-                f"fit config {k} (x0={cfg.x0}, h={cfg.h}) lies outside the window of"
-                f" fit config {k - 1} (x0={prev.x0}, h={prev.h})"
-            )
-    ends = np.cumsum(counts)  # the end of each replication's rows
-    cuts, bounds = [], []
-    for cfg in configs:
-        inside = _box_rows(x, cfg.x0, cfg.h)
-        x, y, ends = x.take(inside, axis=0), y.take(inside), inside.searchsorted(ends)
-        cuts.append((x, y))
-        bounds.append(ends)
-    # the window sizes, a row per config and a column per replication
-    n_local = np.array(bounds)
-    n_local[:, 1:] -= n_local[:, :-1]
-    depth = (n_local > 0).sum(axis=0)
-    ok = depth == len(configs)
-    if not ok.all():  # keep the rows and window sizes of the kept replications
-        cuts = [(x[keep], y[keep]) for (x, y), keep in zip(cuts, map(ok.repeat, n_local))]
-        n_local = n_local[:, ok]
+    replication's rows alone.  The windows of every job are joined by one
+    concatenation."""
+    configs, cuts, n_local, config, scale, depths = [], [], [], [], [], []
+    for x, y, n, plan, counts in jobs:
+        if x.shape[1] != plan[0].d:
+            raise ValueError(f"data dimension {x.shape[1]} != config dimension {plan[0].d}")
+        for k in range(1, len(plan)):
+            prev, cfg = plan[k - 1], plan[k]
+            if cfg.x0 != prev.x0 or cfg.h > prev.h:
+                raise ValueError(
+                    f"fit config {k} (x0={cfg.x0}, h={cfg.h}) lies outside the window of"
+                    f" fit config {k - 1} (x0={prev.x0}, h={prev.h})"
+                )
+        head = (configs or plan)[0]
+        for cfg in plan:
+            if cfg.index_set != head.index_set:
+                raise ValueError(
+                    f"cannot join a plan of degree {cfg.degree} in dimension {cfg.d} to one of"
+                    f" degree {head.degree} in dimension {head.d}"
+                )
+        ends = np.cumsum(counts)  # the end of each replication's rows
+        job, bounds = [], []
+        for cfg in plan:
+            inside = _box_rows(x, cfg.x0, cfg.h)
+            x, y, ends = x.take(inside, axis=0), y.take(inside), inside.searchsorted(ends)
+            job.append((x, y))
+            bounds.append(ends)
+        # the window sizes, a row per config and a column per replication
+        sizes = np.array(bounds)
+        sizes[:, 1:] -= sizes[:, :-1]
+        depth = (sizes > 0).sum(axis=0)
+        ok = depth == len(plan)
+        if not ok.all():  # keep the rows and window sizes of the kept replications
+            job = [(x[keep], y[keep]) for (x, y), keep in zip(job, map(ok.repeat, sizes))]
+            sizes = sizes[:, ok]
+        kept = sizes.shape[1]  # windows per config
+        cuts += job
+        n_local.append(sizes.ravel())
+        config.append(np.arange(len(configs), len(configs) + len(plan)).repeat(kept))
+        # a sample of no rows (n = 0) has no window, and no scale to form
+        scale.append(np.repeat([1.0 / (n * cfg.h**cfg.d) for cfg in plan] if kept else [], kept))
+        configs += plan
+        depths.append(depth)
+        del x, y, inside  # the last cut's index and unfiltered rows: freed before the next draw
     x, y = (np.concatenate(column) for column in zip(*cuts))
-    kept = n_local.shape[1]  # windows per config
-    # a sample of no rows (n = 0) has no window, and no scale to form
-    scale = [1.0 / (n * cfg.h**cfg.d) for cfg in configs] if kept else []
-    config = np.arange(len(configs)).repeat(kept)
-    return _Windows(x, y, n_local.ravel(), config, np.repeat(scale, kept), configs), depth
+    windows = _Windows(x, y, *map(np.concatenate, (n_local, config, scale)), configs)
+    return windows, depths
 
 
 def _stack_at(t, data: Dataset, cfg: LocalFitConfig) -> _Stack | None:
     """The window of ``data`` for ``cfg`` as a stack of one at coefficients
     ``t``, or None when the window is empty (depth 0), raising nothing."""
-    windows, (depth,) = _windows(data.x, data.y, data.n, [cfg], [data.n])
+    windows, [(depth,)] = _windows([(data.x, data.y, data.n, [cfg], [data.n])])
     return _Stack(windows, np.asarray(t, dtype=float)[None]) if depth else None
 
 
@@ -675,15 +666,15 @@ class _Stack:
         self._layout()
         self._fill(windows, cfg)
         if t is None:
-            # a window whose weights are all one (the uniform kernel's)
-            # takes the unit-weight median
-            unit = self.per_fit((self.weights == 1.0).sum(axis=1)) == self.n_local
+            # the uniform kernel's weights are all one (see _fill): its
+            # windows take the unit-weight median
+            unit = cfg.kernel.kind == "uniform"
             firsts = (self.starts * _CHUNK).tolist()
             weights, y = self.weights.ravel(), self.y.ravel()
             t = np.zeros((size, n_b))
             t[:, 0] = [
-                _weighted_median(y[first : first + m], None if one else weights[first : first + m])
-                for first, m, one in zip(firsts, self.n_local.tolist(), unit.tolist())
+                _weighted_median(y[first : first + m], None if unit else weights[first : first + m])
+                for first, m in zip(firsts, self.n_local.tolist())
             ]
             t = _project_rows(t, self.radius)
         self.t = t
@@ -908,8 +899,8 @@ def _fit_stack(windows: _Windows, fits: _Fits) -> None:
 
 
 def _fit_problems(windows: _Windows) -> _Fits:
-    """Fit every window of ``windows``, one plan's or several joined by
-    ``_join_windows``; their results, in order.
+    """Fit every window of ``windows``, of one plan or several, as one
+    ``_windows`` call cuts them; their results, in order.
 
     One pass over the windows cuts them into stacks: a stack is a run of
     consecutive windows of one settings key (x0, degree, kernel, radius,
@@ -951,7 +942,7 @@ def fit_local(data: Dataset, cfg: LocalFitConfig) -> FitResult:
     """
     if data.n == 0:
         raise ValueError("dataset is empty")
-    windows, (depth,) = _windows(data.x, data.y, data.n, [cfg], [data.n])
+    windows, [(depth,)] = _windows([(data.x, data.y, data.n, [cfg], [data.n])])
     if not depth:
         raise EmptyNeighborhoodError(cfg.x0, cfg.h)
     return _fit_problems(windows).result(0)

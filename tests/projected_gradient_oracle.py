@@ -45,7 +45,7 @@ def fit_local_projected_gradient(data: Dataset, cfg: LocalFitConfig) -> FitResul
     """
     if data.n == 0:
         raise ValueError("dataset is empty")
-    problem, (depth,) = _windows(data.x, data.y, data.n, [cfg], [data.n])
+    problem, [(depth,)] = _windows([(data.x, data.y, data.n, [cfg], [data.n])])
     if not depth:
         raise EmptyNeighborhoodError(cfg.x0, cfg.h)
 

@@ -250,6 +250,36 @@ def test_cli_adapt_json_makes_its_directory(dataset_csv, estimator_json, tmp_pat
     assert "chosen_k" in json.loads(trace_path.read_text())
 
 
+def test_a_failed_adapt_or_simulate_leaves_no_directory(tmp_path, estimator_json, monkeypatch):
+    # an output's directory is made when the output is written, not before
+    # the work: an empty window stops adapt, and a failed draw simulate
+    data = tmp_path / "five.csv"
+    data.write_text("x_1,y\n" + "".join(f"0.{i},1.0\n" for i in range(1, 6)))
+    argv = ["adapt", "--data", str(data), "--x0", "0.95", "--config", str(estimator_json)]
+    with pytest.raises(SystemExit, match=r"^no samples in the window "):
+        main(argv + ["--json", str(tmp_path / "adapt" / "dir" / "trace.json")])
+
+    def failed_draw(*args, **kwargs):
+        raise MemoryError("the draw failed")
+
+    monkeypatch.setattr(cli, "gen_data", failed_draw)
+    sim = tmp_path / "sim.json"
+    sim.write_text(
+        json.dumps(
+            {
+                "function": {"name": "cusp", "beta": 0.5},
+                "noise": {"family": "laplace", "scale": 1.0},
+                "n": 100,
+                "seed": 9,
+                "output": str(tmp_path / "sim" / "dir" / "dataset.csv"),
+            }
+        )
+    )
+    with pytest.raises(MemoryError, match="the draw failed"):
+        main(["simulate", "--config", str(sim)])
+    assert not (tmp_path / "adapt").exists() and not (tmp_path / "sim").exists()
+
+
 def test_cli_rates(tmp_path, capsys):
     cfg = {
         "experiment": "rates",

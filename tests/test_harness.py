@@ -390,7 +390,7 @@ def test_replication_errors_mark_empty_windows_nan(monkeypatch, case):
         data = replication_data(f, model, n, seed, rep, configs)
         assert list(est[rep]) == [fit_local(data, cfg).estimate for cfg in configs]
     x, y, _ = holed(f, model, n, 1, seed, [1], (configs[0].x0, configs[0].h))
-    _, (depth,) = _windows(x, y, n, configs, [len(y)])
+    _, [(depth,)] = _windows([(x, y, n, configs, [len(y)])])
     assert depth < len(configs)  # an empty window: replication 1 is a NaN row
 
 
@@ -501,13 +501,32 @@ def test_a_block_packs_its_plan_into_maximal_runs_of_one_settings_key(
     # window would pass the cap.  At the shipped cap, the stacks are those
     # listed: a tails block of the shipped size fills one full stack and
     # part of a second, and the six jobs of a rates_cauchy run of 30
-    # replications share two stacks, not one each
+    # replications share two stacks, not one each.  One _windows call cuts
+    # every job's windows, and reads each job as it is drawn, so a job's
+    # drawn rows are cut before the next job is drawn
     import roblp.harness as harness
     import roblp.local_fit as local_fit
 
     monkeypatch.setattr(local_fit, "_STACK_CHUNKS", cap)
-    plans, stacks = [], []
+    plans, stacks, events = [], [], []
     fit_problems, fit_stack = local_fit._fit_problems, local_fit._fit_stack
+
+    def recording_draw(*args):
+        events.append("draw")
+        return gen_window(*args)
+
+    def recording_cut(jobs):
+        events.append("cut")
+
+        def reading():
+            for job in jobs:
+                events.append("read")
+                yield job
+
+        return local_fit._windows(reading())
+
+    monkeypatch.setattr(harness, "gen_window", recording_draw)
+    monkeypatch.setattr(harness, "_windows", recording_cut)
 
     def recording_plan(windows):
         plans.append(windows)
@@ -524,6 +543,7 @@ def test_a_block_packs_its_plan_into_maximal_runs_of_one_settings_key(
         configs, f, model = _rates_cauchy_plan(n) if name == "rates_cauchy" else _shipped_plan(name, n)
         jobs.append((configs, n))
     harness._replication_estimates(jobs, f, model, reps, 100)
+    assert events == ["cut"] + ["draw", "read"] * len(jobs)
     (plan,) = plans
     assert list(plan.configs) == [cfg for configs, _ in jobs for cfg in configs]
     assert plan.size == reps * len(plan.configs)  # no window is empty

@@ -43,12 +43,23 @@ def make_cfg(**kw):
     return LocalFitConfig(**defaults)
 
 
+def _job(data, cfg):
+    """All of ``data``'s rows as a job of one config, a block of one."""
+    return data.x, data.y, data.n, [cfg], [data.n]
+
+
+def _cut(jobs):
+    """The windows of the block ``jobs``, cut by one ``_windows`` call; no
+    window is empty."""
+    jobs = list(jobs)
+    windows, depths = local_fit._windows(jobs)
+    assert all((depth == len(job[3])).all() for job, depth in zip(jobs, depths, strict=True))
+    return windows
+
+
 def _problem(data, cfg):
-    """The window of ``cfg`` cut from all of ``data``'s rows, a block of
-    one; the window is not empty."""
-    window, depth = local_fit._windows(data.x, data.y, data.n, [cfg], [data.n])
-    assert depth.tolist() == [1]
-    return window
+    """The window of ``cfg`` cut from all of ``data``'s rows."""
+    return _cut([_job(data, cfg)])
 
 
 def _levels(windows) -> list:
@@ -57,14 +68,18 @@ def _levels(windows) -> list:
     return [windows.take(k * per, (k + 1) * per) for k in range(len(windows.configs))]
 
 
-def fit_results(windows) -> list:
-    """The ``FitResult`` of every window of the plans ``windows``, window
-    after window; each run of plans of one degree is solved as one plan."""
-    results = []
-    for _, run in itertools.groupby(windows, key=lambda w: w.configs[0].degree):
-        fits = local_fit._fit_problems(local_fit._join_windows(list(run)))
-        results += [fits.result(i) for i in range(fits.n_local.size)]
-    return results
+def _results(windows) -> list:
+    """The ``FitResult`` of every window of ``windows``, in order."""
+    fits = local_fit._fit_problems(windows)
+    return [fits.result(i) for i in range(windows.size)]
+
+
+def fit_results(jobs) -> list:
+    """The ``FitResult`` of every window of the block ``jobs``, window
+    after window; each run of jobs of one degree is cut by one
+    ``_windows`` call and solved as one."""
+    runs = itertools.groupby(jobs, key=lambda job: job[3][0].degree)
+    return [fit for _, run in runs for fit in _results(_cut(run))]
 
 
 def test_dataset_validation():
@@ -622,12 +637,12 @@ def test_stacked_fits_are_bit_identical_to_single_fits(monkeypatch):
     cases = _stacking_cases()
     singles = [fit_local(data, cfg) for data, cfg in cases]
     assert all(calls.values())  # both fallbacks ran
-    windows = [_problem(data, cfg) for data, cfg in cases]
-    for size in (1, 7, len(windows)):
+    jobs = [_job(data, cfg) for data, cfg in cases]
+    for size in (1, 7, len(jobs)):
         stacked = [
             fit
-            for start in range(0, len(windows), size)
-            for fit in fit_results(windows[start : start + size])
+            for start in range(0, len(jobs), size)
+            for fit in fit_results(jobs[start : start + size])
         ]
         assert len(stacked) == len(singles)
         for fit, single in zip(stacked, singles):
@@ -652,7 +667,7 @@ def test_a_plan_of_three_settings_keys_stacks_per_key(monkeypatch):
     ]
     samples = [gen_data(f, gauss, n, 1, (35, rep)) for rep in range(6)]
     x, y = (np.concatenate([getattr(data, name) for data in samples]) for name in ("x", "y"))
-    windows, depth = local_fit._windows(x, y, n, settings, np.full(len(samples), n))
+    windows, [depth] = local_fit._windows([(x, y, n, settings, np.full(len(samples), n))])
     assert depth.tolist() == [3] * 6
     alone = [fit_local(data, cfg) for cfg in settings for data in samples]
     stacks = []
@@ -663,26 +678,50 @@ def test_a_plan_of_three_settings_keys_stacks_per_key(monkeypatch):
         return original(windows, fits)
 
     monkeypatch.setattr(local_fit, "_fit_stack", counting)
-    mixed = fit_results([windows])
+    mixed = _results(windows)
     assert stacks == [6, 6, 6]
     for fit, single in zip(mixed, alone, strict=True):
         _assert_same_fit(fit, single)
 
 
 def test_joined_plans_of_two_points_stack_apart(monkeypatch):
-    # two plans of one window per replication, alike but for x0: joined,
-    # their configs come end to end and their windows split into a stack
-    # per x0, each rescaled by its own x0, and each fit is its sample's
-    # alone; a plan of another index set cannot join them
+    # one _windows call over the jobs of a rates-like block: plans of one
+    # window at two points, then a plan of two levels at twice the sample
+    # size, one of whose replications has no sample in its inner level.
+    # The windows come job after job, each job's configs offset by the
+    # configs before it, and are the bits of each job cut alone, end to
+    # end, with the same depths; they split into a stack per run of one x0,
+    # each rescaled by its own x0, and each fit is its sample's alone; a
+    # plan of another index set cannot join them
     f, gauss, n = sinusoid(2.0), NoiseModel(family="gaussian", base_scale=0.5), 512
-    samples = [gen_data(f, gauss, n, 1, (37, rep)) for rep in range(4)]
-    x, y = (np.concatenate([getattr(data, name) for data in samples]) for name in ("x", "y"))
+
+    def block(size, key):
+        samples = [gen_data(f, gauss, size, 1, (37, key, rep)) for rep in range(4)]
+        return samples, *(np.concatenate([getattr(data, name) for data in samples]) for name in ("x", "y"))
+
+    samples, x, y = block(n, 0)
     counts = np.full(len(samples), n)
     configs = [make_cfg(x0=(x0,), h=0.2, degree=1, bound=8.0) for x0 in (0.3, 0.6)]
-    plans = [local_fit._windows(x, y, n, [cfg], counts)[0] for cfg in configs]
-    joined = local_fit._join_windows(plans)
-    assert joined.configs == configs and joined.config.tolist() == [0] * 4 + [1] * 4
-    assert joined.scale.tolist() == [1.0 / (n * 0.2)] * 8
+    levels = [make_cfg(x0=(0.3,), h=h, degree=1, bound=8.0) for h in (0.2, 0.05)]
+    wide, wx, wy = block(2 * n, 1)
+    near = np.abs(wide[1].x[:, 0] - 0.3) <= 0.025
+    wx[2 * n : 4 * n][near, 0] += 0.07  # inside level 0 (half-width 0.1), outside level 1
+    wide[1] = Dataset(x=wx[2 * n : 4 * n], y=wide[1].y)
+    jobs = [(x, y, n, [cfg], counts) for cfg in configs] + [(wx, wy, 2 * n, levels, np.full(4, 2 * n))]
+    joined, depths = local_fit._windows(iter(jobs))
+    parts = [local_fit._windows([job]) for job in jobs]
+    assert [depth.tolist() for depth in depths] == [[1] * 4, [1] * 4, [2, 1, 2, 2]]
+    assert [depth.tolist() for depth in depths] == [alone.tolist() for _, [alone] in parts]
+    assert joined.configs == configs + levels
+    assert joined.config.tolist() == [0] * 4 + [1] * 4 + [2] * 3 + [3] * 3
+    offsets = np.cumsum([0] + [len(job[3]) for job in jobs[:-1]])
+    for name in ("x", "y", "n_local", "config", "scale"):
+        want = np.concatenate([getattr(part, name) for part, _ in parts])
+        if name == "config":
+            want += np.repeat(offsets, [part.size for part, _ in parts])
+        got = getattr(joined, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+    assert joined.scale.tolist() == [1.0 / (n * 0.2)] * 8 + [1.0 / (2 * n * 0.2)] * 3 + [1.0 / (2 * n * 0.05)] * 3
     stacks = []
     original = local_fit._fit_stack
 
@@ -692,13 +731,15 @@ def test_joined_plans_of_two_points_stack_apart(monkeypatch):
 
     monkeypatch.setattr(local_fit, "_fit_stack", recording)
     fits = local_fit._fit_problems(joined)
-    assert stacks == [[(0.3,)], [(0.6,)]]
+    assert stacks == [[(0.3,)], [(0.6,)], [(0.3,)]]
+    kept = [wide[rep] for rep in (0, 2, 3)]
     alone = [fit_local(data, cfg) for cfg in configs for data in samples]
+    alone += [fit_local(data, cfg) for cfg in levels for data in kept]
     for i, single in enumerate(alone):
         _assert_same_fit(fits.result(i), single)
-    quadratic = local_fit._windows(x, y, n, [make_cfg(x0=(0.3,), h=0.2, degree=2)], counts)[0]
+    quadratic = (x, y, n, [make_cfg(x0=(0.3,), h=0.2, degree=2)], counts)
     with pytest.raises(ValueError, match=r"^cannot join a plan of degree 2 in dimension 1 to one of degree 1 in dimension 1$"):
-        local_fit._join_windows([plans[0], quadratic])
+        local_fit._windows([jobs[0], quadratic])
 
 
 def _weighted_median_by_sort(values, weights):
@@ -740,7 +781,7 @@ def test_nested_grid_windows_equal_windows_cut_from_the_full_sample(kernel, d):
     data = gen_data(sinusoid(beta=2.0), NoiseModel(family="gaussian", base_scale=0.5), 8192, d, seed=(31, d))
     spec = KernelSpec(kind=kernel, d=d)
     configs = [make_cfg(x0=(0.3,) * d, h=0.4 * 2.0**-k, kernel=spec) for k in range(4)]
-    nested, depth = local_fit._windows(data.x, data.y, data.n, configs, [data.n])
+    nested, [depth] = local_fit._windows([(data.x, data.y, data.n, configs, [data.n])])
     assert depth.tolist() == [4]
     alone = [_problem(data, cfg) for cfg in configs]
     for window, single in zip(_levels(nested), alone, strict=True):
@@ -749,7 +790,7 @@ def test_nested_grid_windows_equal_windows_cut_from_the_full_sample(kernel, d):
         for name in ("x", "y"):
             a, b = getattr(window, name), getattr(single, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    stack, cut = local_fit._Stack(nested), local_fit._Stack(local_fit._join_windows(alone))
+    stack, cut = local_fit._Stack(nested), local_fit._Stack(_cut(_job(data, cfg) for cfg in configs))
     for name in ("design_t", "weights", "y"):
         a, b = getattr(stack, name), getattr(cut, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
@@ -792,24 +833,24 @@ def test_a_block_cut_leaves_the_other_replications_unshifted(d):
     near = (np.abs(x[2] - 0.3) <= configs[2].h / 2.0).all(axis=1)
     x[2][near, 0] = 0.3 + 0.07  # inside level 1 (half-width 0.1), outside level 2
     y = [data.y for data in samples]
-    windows, depth = local_fit._windows(
-        np.concatenate(x), np.concatenate(y), n, configs, np.array([len(v) for v in y])
+    windows, [depth] = local_fit._windows(
+        [(np.concatenate(x), np.concatenate(y), n, configs, np.array([len(v) for v in y]))]
     )
     assert depth.tolist() == [4, 4, 2, 4, 4]
     with pytest.raises(EmptyNeighborhoodError) as exc:
         select_bandwidth(Dataset(x=x[2], y=y[2]), configs, [1.0] * len(configs))
     assert exc.value.grid_index == 2
-    assert windows.configs is configs
+    assert windows.configs == configs
     for k, level in enumerate(_levels(windows)):
         assert level.config.tolist() == [k] * 4
         assert level.scale.tolist() == [1.0 / (n * configs[k].h ** d)] * 4
         ends = level.n_local.cumsum()
         for rep, first, last in zip((0, 1, 3, 4), ends - level.n_local, ends):
-            alone, _ = local_fit._windows(x[rep], y[rep], n, configs, [n])
+            alone = _cut([(x[rep], y[rep], n, configs, [n])])
             assert level.x[first:last].tobytes() == _levels(alone)[k].x.tobytes()
             assert level.y[first:last].tobytes() == _levels(alone)[k].y.tobytes()
     # the fits of the block are those of each replication on its own
-    fits = fit_results([windows])
+    fits = _results(windows)
     singles = [fit_local(Dataset(x=x[rep], y=y[rep]), cfg) for cfg in configs for rep in (0, 1, 3, 4)]
     for fit, single in zip(fits, singles, strict=True):
         _assert_same_fit(fit, single)
@@ -826,7 +867,7 @@ def test_stacks_of_weighted_kernels_give_each_fit_its_bits_alone(monkeypatch, ke
     model, n = NoiseModel(family="cauchy", base_scale=1.0), 1024
     samples = [gen_data(f, model, n, d, (37, d, rep)) for rep in range(6)]
     x, y = (np.concatenate([getattr(data, name) for data in samples]) for name in ("x", "y"))
-    windows, depth = local_fit._windows(x, y, n, configs, np.full(len(samples), n))
+    windows, [depth] = local_fit._windows([(x, y, n, configs, np.full(len(samples), n))])
     assert depth.tolist() == [3] * 6
     # each fit starts at the weighted median of its window's responses,
     # under the kernel weights of its own rescaled points
@@ -841,7 +882,7 @@ def test_stacks_of_weighted_kernels_give_each_fit_its_bits_alone(monkeypatch, ke
     singles = [fit_local(data, cfg) for cfg in configs for data in samples]
     for cap in (local_fit._STACK_CHUNKS, 8):
         monkeypatch.setattr(local_fit, "_STACK_CHUNKS", cap)
-        stacked = fit_results([windows])
+        stacked = _results(windows)
         for fit, single in zip(stacked, singles, strict=True):
             _assert_same_fit(fit, single)
 
@@ -854,7 +895,7 @@ def test_an_empty_inner_grid_level_raises_with_its_index(grid, index):
     x = np.array([[0.3], [0.7], [0.05], [0.95]])
     data = Dataset(x=x, y=np.arange(4.0))
     configs = [make_cfg(x0=(0.5,), h=h) for h in (1.0, 0.25, 0.125)]
-    _, depth = local_fit._windows(data.x, data.y, data.n, configs, [data.n])
+    _, [depth] = local_fit._windows([(data.x, data.y, data.n, configs, [data.n])])
     assert depth.tolist() == [1]
     with pytest.raises(EmptyNeighborhoodError, match="side 0.25") as exc:
         if grid:
@@ -884,4 +925,4 @@ def test_a_plan_that_is_not_a_chain_of_windows_raises_before_any_cut(x0, hs, k):
     )
     for counts in ([data.n], [1, 1]):  # a block of one, and of two
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
-            local_fit._windows(data.x, data.y, data.n, configs, counts)
+            local_fit._windows([(data.x, data.y, data.n, configs, counts)])
