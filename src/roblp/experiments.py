@@ -520,19 +520,23 @@ def _check_output_file(path, where: str | None = None) -> None:
     exists.  The error names ``where`` (by default the file) for an
     ancestor at fault and the file otherwise.  A ``path`` that ends in a
     path separator (which ``Path`` drops) names no file, and is one too.
-    Nothing is made here."""
+    The parts past ``path``'s nearest existing ancestor are made as
+    directories, so a ".." among them cancels the part before it: they are
+    checked as lexically normalized.  Nothing is made here."""
     if str(path).endswith(("/", os.sep)):
         raise ConfigError(f"{path}: ends in a path separator, not a file name")
     path = Path(path)
-    if path.is_dir():  # "." too, which has no parent
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    target = existing / os.path.normpath(path.relative_to(existing))
+    if target.is_dir():  # "." too, which has no parent
         raise ConfigError(f"output file {path}: is a directory")
     where = where or f"output file {path}"
-    existing = next(parent for parent in path.parents if parent.exists())
+    existing = next(parent for parent in target.parents if parent.exists())
     if not existing.is_dir():
         raise ConfigError(f"{where}: {existing} is not a directory")
     if not os.access(existing, os.W_OK | os.X_OK):
         raise ConfigError(f"{where}: {existing} is not writable")
-    if path.exists() and not os.access(path, os.W_OK):
+    if target.exists() and not os.access(target, os.W_OK):
         raise ConfigError(f"output file {path}: is not writable")
 
 

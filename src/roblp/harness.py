@@ -11,11 +11,11 @@ blocks, and reproducible bit-for-bit.
 Each study is one driver call: every fit plan it needs (one per n of a
 risk curve, one holding the three contrasts of a contrast table) is a
 job.  A task is one block of replication numbers across every job of the
-run, so a run opens at most one process pool, and the jobs' windows of
-one fit setting share solver stacks.  A block returns every fit's
-estimate, and the parent applies a grid's selection rule.  The 1% abort
-rule is checked once every job has run, and its error names the sample
-size of the first offending job.
+run, so a run makes one call to the process's live pool, and the jobs'
+windows of one fit setting share solver stacks.  A block returns every
+fit's estimate, and the parent applies a grid's selection rule.  The 1%
+abort rule is checked once every job has run, and its error names the
+sample size of the first offending job.
 
 A window is only its rows.  For each job, a block draws each
 replication's rows inside the first window of the job's plan (a grid's
@@ -230,6 +230,56 @@ BLOCK_REPLICATIONS = _STACK_CHUNKS
 # default (macOS offers fork, but its system libraries are not fork-safe).
 _START_METHOD = "fork" if sys.platform.startswith("linux") else None
 
+# The live process pool, as (key, pool) with key (workers, start method),
+# or None: the first pooled run opens it and later runs with its key reuse
+# it, so a process pays the workers' start once, not once per run.  Its
+# workers see module state only as it was when it opened.
+_pool = None
+
+
+def _forget_pool() -> None:
+    """Drop, unclosed, the pool a forked child inherits: its threads and
+    workers belong to the parent, so a pooled run in the child would wait
+    on them forever."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _close_pool() -> None:
+    """Shut the live pool down, if one is open, cancelling the futures it
+    has not started and joining its threads and processes, and forget it."""
+    global _pool
+    if _pool is not None:
+        (_, pool), _pool = _pool, None
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _pool_map(workers: int, tasks) -> list:
+    """``_block_estimates`` of each task through the live pool, opened for
+    (workers, _START_METHOD) first if the live one has another key: the
+    old pool is shut down before the new one forks, so no fork meets a
+    pool's running threads.  If the map raises, the pool is shut down with
+    its futures cancelled and forgotten, so no later run meets a broken
+    pool, and the error is raised."""
+    global _pool
+    key = (workers, _START_METHOD)
+    if _pool is None or _pool[0] != key:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        _close_pool()
+        context = multiprocessing.get_context(_START_METHOD)
+        _pool = key, ProcessPoolExecutor(max_workers=workers, mp_context=context)
+    try:
+        return list(_pool[1].map(_block_estimates, tasks))
+    except BaseException:
+        _close_pool()
+        raise
+
 
 def _block_estimates(args) -> list[np.ndarray]:
     """The estimates of a contiguous block of seeded replications in every
@@ -274,11 +324,13 @@ def _replication_estimates(jobs, f, model, replications, seed, workers: int = 1)
     shorter): BLOCK_REPLICATIONS, or fewer so that each worker gets a
     block (1,000 replications make blocks [0,512) and [512,1000) on one
     worker, two of 500 on two).  A task is one block across every job, so
-    the jobs share solver stacks; the tasks are mapped through at most one
-    pool.  The pool has no more processes than this process may run on
-    CPUs (its affinity mask, where the platform has one) or the run has
-    blocks, and starts them by _START_METHOD.  A replication count below 1
-    is a ValueError."""
+    the jobs share solver stacks.  A run of more than one block on more
+    than one worker maps its tasks in one call through the process's live
+    pool (see ``_pool_map``), opened for its worker count and kept for the
+    next run: no more processes than this process may run on CPUs (its
+    affinity mask, where the platform has one) or the run has blocks,
+    started by _START_METHOD.  A replication count below 1 is a
+    ValueError."""
     if replications < 1:
         raise ValueError(f"need at least 1 replication, got {replications}")
     if hasattr(os, "sched_getaffinity"):
@@ -293,12 +345,7 @@ def _replication_estimates(jobs, f, model, replications, seed, workers: int = 1)
     ]
     workers = min(workers, len(tasks))
     if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        context = multiprocessing.get_context(_START_METHOD)
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as ex:
-            blocks = list(ex.map(_block_estimates, tasks))
+        blocks = _pool_map(workers, tasks)
     else:
         blocks = [_block_estimates(task) for task in tasks]
     return [np.concatenate(job) for job in zip(*blocks)]

@@ -208,6 +208,30 @@ def test_an_output_path_that_is_a_directory_exits_with_one_line_before_the_work(
         taken.rmdir()
 
 
+def test_a_dot_dot_behind_a_directory_not_made_yet_is_checked_where_it_leads(tmp_path, monkeypatch):
+    # "fresh/../taken.csv" writes taken.csv once fresh is made, so its
+    # sidecar taken.json, an existing directory, is named before the draw,
+    # and neither the dataset nor fresh is made
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken.json").mkdir()
+    sim = tmp_path / "sim.json"
+    sim.write_text(
+        json.dumps(
+            {
+                "function": {"name": "cusp", "beta": 0.5},
+                "noise": {"family": "laplace", "scale": 1.0},
+                "n": 100,
+                "seed": 9,
+                "output": "fresh/../taken.csv",
+            }
+        )
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(sim)])
+    assert str(exc.value) == "output file fresh/../taken.json: is a directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.json", "taken.json"]
+
+
 @pytest.mark.parametrize("command", ["simulate", "adapt"])
 def test_an_output_path_ending_in_a_separator_exits_with_one_line_before_the_work(
     tmp_path, dataset_csv, estimator_json, monkeypatch, command

@@ -2,6 +2,12 @@ import dataclasses
 import json
 import math
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -588,29 +594,29 @@ def test_a_replication_count_below_one_is_named(replications):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The sizes of the pools opened while the test runs: an in-process
+    """The pools opened while the test runs: ``opened`` holds their sizes,
+    ``maps`` and ``shutdowns`` count the calls made to them.  An in-process
     stand-in replaces the process pool, so none starts a process."""
     import concurrent.futures
 
-    sizes = []
+    pools = types.SimpleNamespace(opened=[], maps=0, shutdowns=0)
 
     class Recording:
-        """Stands in for the pool: records its size and maps in process."""
+        """Stands in for the pool: records its size and calls, and maps in
+        process."""
 
         def __init__(self, max_workers, mp_context=None):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+            pools.opened.append(max_workers)
 
         def map(self, fn, tasks):
+            pools.maps += 1
             return map(fn, tasks)
 
+        def shutdown(self, wait=True, cancel_futures=False):
+            pools.shutdowns += 1
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-    return sizes
+    return pools
 
 
 def test_pool_size_is_bounded_by_the_cpus_and_the_blocks(monkeypatch, pools):
@@ -620,22 +626,28 @@ def test_pool_size_is_bounded_by_the_cpus_and_the_blocks(monkeypatch, pools):
     jobs = [(est.plan([0.25], 128)[0], 128)]
     args = (jobs, sinusoid(beta=2.0), NoiseModel(family="gaussian", base_scale=0.5))
     (serial,) = harness._replication_estimates(*args, 30, 12, workers=1)
-    # the CPUs of the process's affinity mask count, not the machine's
+    # the CPUs of the process's affinity mask count, not the machine's.
+    # Each pooled case below asks for another size than the case before,
+    # so it replaces the live pool: one pool opened and one map per pooled
+    # run, none for a one-process run
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
     for cpus, reps, expected in ((4, 30, [4]), (1000, 3, [3]), (1, 30, [])):
-        pools.clear()
+        pools.opened.clear()
+        maps = pools.maps
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         (est_reps,) = harness._replication_estimates(*args, reps, 12, workers=100000)
-        assert pools == expected
+        assert pools.opened == expected and pools.maps - maps == len(expected)
         np.testing.assert_array_equal(est_reps, serial[:reps])
     # without an affinity mask, the machine's count; none known, one process
     monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
     for cpus, reps, expected in ((4, 30, [4]), (1000, 3, [3]), (None, 30, []), (1, 30, [])):
-        pools.clear()
+        pools.opened.clear()
+        maps = pools.maps
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         (est_reps,) = harness._replication_estimates(*args, reps, 12, workers=100000)
-        assert pools == expected
+        assert pools.opened == expected and pools.maps - maps == len(expected)
         np.testing.assert_array_equal(est_reps, serial[:reps])
+    assert pools.shutdowns == 3  # each pool but the live one
 
 
 def test_a_run_opens_one_pool_for_all_its_jobs(monkeypatch, pools):
@@ -651,16 +663,18 @@ def test_a_run_opens_one_pool_for_all_its_jobs(monkeypatch, pools):
         "rates": lambda workers: risk_curve(est, f, [0.25], model, 2.0, [256, 512, 1024], 30, 21, workers),
         "compare": lambda workers: compare_contrasts(fixed_huber(), f, [0.25], model, 128, 30, 22, workers=workers),
     }
+    # each pooled run maps its every job in one call, through the one pool
+    # the first opened; a serial run calls none
     for name, run in runs.items():
-        pools.clear()
+        maps = pools.maps
         serial = run(1)
-        assert pools == [], name
+        assert pools.maps == maps, name
         assert run(2) == serial, name
-        assert pools == [2], name
-    # a run of one block opens none
-    pools.clear()
+        assert pools.maps == maps + 1, name
+    assert pools.opened == [2] and pools.shutdowns == 0
+    # a run of one block calls none
     harness._replication_estimates([(est.plan([0.25], 256)[0], 256)], f, model, 1, 23, workers=2)
-    assert pools == []
+    assert pools.opened == [2] and pools.maps == 2
 
 
 def test_a_run_cuts_each_job_into_contiguous_blocks(monkeypatch, pools):
@@ -686,10 +700,11 @@ def test_a_run_cuts_each_job_into_contiguous_blocks(monkeypatch, pools):
     runs = {}
     for workers, expected in ((1, [range(0, 512), range(512, 1000)]), (2, [range(0, 500), range(500, 1000)])):
         blocks.clear()
-        pools.clear()
+        maps = pools.maps
         runs[workers] = harness._replication_estimates(jobs, f, model, 1000, 31, workers)
         assert blocks == [([64, 96], reps) for reps in expected]
-        assert pools == ([2] if workers == 2 else [])
+        assert pools.maps - maps == (1 if workers == 2 else 0)
+    assert pools.opened == [2]
     for serial, parallel in zip(runs[1], runs[2], strict=True):
         assert serial.shape == (1000, 1)
         np.testing.assert_array_equal(serial, parallel)
@@ -979,3 +994,163 @@ def test_a_pooled_tails_run_writes_the_serial_bytes_under_each_start_method(tmp_
     assert opened == [method]
     for key in ("csv", "json"):
         assert outputs[2][key].read_bytes() == outputs[1][key].read_bytes(), key
+
+
+def _running(pid: int) -> bool:
+    """Whether a process of this pid exists, a zombie included."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _worker_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _pooled_tails(tmp_path, monkeypatch):
+    """A run of the tails study at 300 replications on ``workers``, into
+    ``tmp_path / name``, returning its CSV bytes; the host counts as three
+    CPUs, so that two or three workers open a pool even on a one-CPU host."""
+    import roblp.harness as harness
+    from roblp.experiments import run_experiment
+
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    cfg = json.loads((CONFIGS / "tails_gaussian.json").read_text())
+    cfg["risk"]["replications"] = 300
+
+    def run(workers, name):
+        cfg["risk"]["workers"] = workers
+        cfg["output"]["directory"] = str(tmp_path / name)
+        return run_experiment(cfg)["csv"].read_bytes()
+
+    return run
+
+
+def test_pooled_runs_share_one_pool(tmp_path, monkeypatch):
+    # the second pooled run maps through the pool and the workers the
+    # first opened, and both write the serial bytes
+    import roblp.harness as harness
+
+    run = _pooled_tails(tmp_path, monkeypatch)
+    serial = run(1, "serial")
+    assert harness._pool is None
+    assert run(2, "first") == serial
+    key, pool = harness._pool
+    workers = _worker_pids()
+    assert key == (2, harness._START_METHOD) and len(workers) == 2
+    assert run(2, "second") == serial
+    assert harness._pool == (key, pool) and _worker_pids() == workers
+
+
+@pytest.mark.parametrize("change", ["workers", "start method"])
+def test_a_new_pool_opens_only_after_the_old_ones_processes_are_gone(tmp_path, monkeypatch, change):
+    # a run with another worker count or start method shuts the live pool
+    # down, its processes joined, before it opens its own
+    import roblp.harness as harness
+
+    run = _pooled_tails(tmp_path, monkeypatch)
+    serial = run(1, "serial")
+    assert run(2, "old") == serial
+    old = _worker_pids()
+    alive_at_open = []
+    get_context = multiprocessing.get_context
+
+    def opening(method=None):
+        alive_at_open.append([pid for pid in old if _running(pid)])
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", opening)
+    workers = 2
+    if change == "workers":
+        workers = 3
+    else:
+        methods = [m for m in multiprocessing.get_all_start_methods() if m != harness._START_METHOD]
+        monkeypatch.setattr(harness, "_START_METHOD", methods[0])
+    assert run(workers, "new") == serial
+    assert alive_at_open == [[]]
+    assert harness._pool[0] == (workers, harness._START_METHOD)
+    assert not _worker_pids() & old
+
+
+def test_a_run_after_a_worker_died_raises_and_the_next_reopens_the_pool(tmp_path, monkeypatch):
+    # a worker killed between runs breaks the live pool: the next run
+    # raises, and forgets the pool, so the run after it opens a new one
+    from concurrent.futures.process import BrokenProcessPool
+
+    import roblp.harness as harness
+
+    run = _pooled_tails(tmp_path, monkeypatch)
+    serial = run(1, "serial")
+    assert run(2, "before") == serial
+    old = _worker_pids()
+    os.kill(min(old), signal.SIGKILL)
+    # the pool notices, ends its other worker and reaps both
+    deadline = time.monotonic() + 30
+    while any(_running(pid) for pid in old) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not any(_running(pid) for pid in old)
+    with pytest.raises(BrokenProcessPool):
+        run(2, "broken")
+    assert harness._pool is None
+    assert run(2, "after") == serial
+    assert len(_worker_pids() - old) == 2
+
+
+def _run_child(code: str) -> str:
+    """The standard output of ``code`` run in a child interpreter whose
+    roblp comes from this checkout's ``src``."""
+    path = [str(Path(__file__).resolve().parents[1] / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    ).stdout
+
+
+def test_an_interpreter_that_ran_pooled_runs_leaves_no_worker_behind(tmp_path):
+    # the pool outlives each run, and the interpreter's exit joins its
+    # workers: none of their pids is alive once it has exited
+    cfg = json.loads((CONFIGS / "tails_gaussian.json").read_text())
+    cfg["risk"].update(replications=300, workers=2)
+    code = "\n".join([
+        "import json, multiprocessing, sys",
+        "import roblp.harness as harness",
+        "from roblp.experiments import run_experiment",
+        "harness.os.sched_getaffinity = lambda pid: {0, 1}",
+        f"cfg = json.loads({json.dumps(cfg)!r})",
+        "for name in ('first', 'second'):",
+        f"    cfg['output']['directory'] = {str(tmp_path)!r} + '/' + name",
+        "    run_experiment(cfg)",
+        "print(*sorted(p.pid for p in multiprocessing.active_children()))",
+    ])
+    pids = [int(pid) for pid in _run_child(code).split()]
+    first, second = (tmp_path / name / "tails_gaussian.csv" for name in ("first", "second"))
+    assert len(pids) == 2 and first.read_bytes() == second.read_bytes()
+    assert not [pid for pid in pids if _running(pid)]
+
+
+def test_a_forked_child_runs_its_pooled_runs_on_a_pool_of_its_own():
+    # a process forked after a pooled run inherits the pool's handle but
+    # not its threads: the child drops it and opens its own, where a run
+    # on the parent's would wait forever (the alarm ends such a child)
+    code = "\n".join([
+        "import os, signal",
+        "import roblp.harness as harness",
+        "from roblp.contrast import huber",
+        "from roblp.simulate import NoiseModel, sinusoid",
+        "harness.os.sched_getaffinity = lambda pid: {0, 1}",
+        "f, model = sinusoid(beta=2.0), NoiseModel(family='gaussian', base_scale=0.5)",
+        "est = harness.Estimator(kind='fixed', contrast=huber(1.0), kernel_kind='uniform', bound=8.0, h=0.2, degree=1)",
+        "jobs = [(est.plan([0.25], 256)[0], 256)]",
+        "(parent,) = harness._replication_estimates(jobs, f, model, 100, 3, workers=2)",
+        "pid = os.fork()",
+        "if pid == 0:",
+        "    signal.alarm(60)",
+        "    (child,) = harness._replication_estimates(jobs, f, model, 100, 3, workers=2)",
+        "    harness._close_pool()",
+        "    os._exit(0 if child.tobytes() == parent.tobytes() else 3)",
+        "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))",
+    ])
+    assert _run_child(code).split() == ["0"]
