@@ -65,6 +65,7 @@ from .local_fit import (
     fit_local,
 )
 from .simulate import (
+    NOISE_FAMILIES,
     NoiseModel,
     TestFunction,
     gen_data,  # noqa: F401  perfbench/tracing.py patches this lookup site
@@ -85,6 +86,7 @@ __all__ = [
     "tail_check",
     "compare_contrasts",
     "TooManyFailuresError",
+    "close_pool",
 ]
 
 
@@ -230,10 +232,13 @@ BLOCK_REPLICATIONS = _STACK_CHUNKS
 # default (macOS offers fork, but its system libraries are not fork-safe).
 _START_METHOD = "fork" if sys.platform.startswith("linux") else None
 
-# The live process pool, as (key, pool) with key (workers, start method),
-# or None: the first pooled run opens it and later runs with its key reuse
-# it, so a process pays the workers' start once, not once per run.  Its
-# workers see module state only as it was when it opened.
+# The live process pool, as (key, pool), or None: the first pooled run
+# opens it and later runs with its key reuse it, so a process pays the
+# workers' start once, not once per run.  The key is the worker count, the
+# start method and the entries of NOISE_FAMILIES, which a worker looks up
+# by a model's family name: a family registered or replaced after the pool
+# opened gets a pool forked after the change.  Any other module state its
+# workers see is as it was when it opened.
 _pool = None
 
 
@@ -249,9 +254,13 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _close_pool() -> None:
-    """Shut the live pool down, if one is open, cancelling the futures it
-    has not started and joining its threads and processes, and forget it."""
+def close_pool() -> None:
+    """Shut this process's live replication pool down, if one is open,
+    cancelling the futures it has not started and joining its threads and
+    processes, and forget it; the next pooled run opens a new one.  Call it
+    to free the workers' memory in a long-lived process, or after changing
+    module state its workers read (a test's monkeypatch), which workers
+    forked before the change do not see."""
     global _pool
     if _pool is not None:
         (_, pool), _pool = _pool, None
@@ -259,25 +268,25 @@ def _close_pool() -> None:
 
 
 def _pool_map(workers: int, tasks) -> list:
-    """``_block_estimates`` of each task through the live pool, opened for
-    (workers, _START_METHOD) first if the live one has another key: the
-    old pool is shut down before the new one forks, so no fork meets a
-    pool's running threads.  If the map raises, the pool is shut down with
-    its futures cancelled and forgotten, so no later run meets a broken
-    pool, and the error is raised."""
+    """``_block_estimates`` of each task through the live pool, opened
+    first if the live one has another key (see ``_pool``): the old pool is
+    shut down before the new one forks, so no fork meets a pool's running
+    threads.  If the map raises, the pool is shut down with its futures
+    cancelled and forgotten, so no later run meets a broken pool, and the
+    error is raised."""
     global _pool
-    key = (workers, _START_METHOD)
+    key = (workers, _START_METHOD, tuple(NOISE_FAMILIES.items()))
     if _pool is None or _pool[0] != key:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        _close_pool()
+        close_pool()
         context = multiprocessing.get_context(_START_METHOD)
         _pool = key, ProcessPoolExecutor(max_workers=workers, mp_context=context)
     try:
         return list(_pool[1].map(_block_estimates, tasks))
     except BaseException:
-        _close_pool()
+        close_pool()
         raise
 
 

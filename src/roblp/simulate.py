@@ -183,6 +183,9 @@ def _cauchy_cdf(z):
     return 0.5 + math.atan(z) / math.pi
 
 
+# A NoiseModel names its family here; a pooled run's workers look it up by
+# that name, and the harness keys its live pool on these entries, so a
+# family registered or replaced between runs reaches the next run's workers.
 NOISE_FAMILIES = {
     "gaussian": NoiseFamily(
         name="gaussian",

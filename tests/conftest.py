@@ -9,4 +9,4 @@ def _close_the_pool():
     # pool opened, so a pool left open by one test would not see the next
     # test's monkeypatches: each test's pooled runs start a pool of their own
     yield
-    harness._close_pool()
+    harness.close_pool()

@@ -1040,7 +1040,7 @@ def test_pooled_runs_share_one_pool(tmp_path, monkeypatch):
     assert run(2, "first") == serial
     key, pool = harness._pool
     workers = _worker_pids()
-    assert key == (2, harness._START_METHOD) and len(workers) == 2
+    assert key[:2] == (2, harness._START_METHOD) and len(workers) == 2
     assert run(2, "second") == serial
     assert harness._pool == (key, pool) and _worker_pids() == workers
 
@@ -1071,7 +1071,7 @@ def test_a_new_pool_opens_only_after_the_old_ones_processes_are_gone(tmp_path, m
         monkeypatch.setattr(harness, "_START_METHOD", methods[0])
     assert run(workers, "new") == serial
     assert alive_at_open == [[]]
-    assert harness._pool[0] == (workers, harness._START_METHOD)
+    assert harness._pool[0][:2] == (workers, harness._START_METHOD)
     assert not _worker_pids() & old
 
 
@@ -1097,6 +1097,48 @@ def test_a_run_after_a_worker_died_raises_and_the_next_reopens_the_pool(tmp_path
     assert harness._pool is None
     assert run(2, "after") == serial
     assert len(_worker_pids() - old) == 2
+
+
+def test_close_pool_ends_the_workers_and_the_next_run_opens_a_new_pool(tmp_path, monkeypatch):
+    import roblp.harness as harness
+
+    run = _pooled_tails(tmp_path, monkeypatch)
+    serial = run(1, "serial")
+    assert run(2, "before") == serial
+    old = _worker_pids()
+    harness.close_pool()
+    assert harness._pool is None and not _worker_pids()
+    assert not any(_running(pid) for pid in old)
+    harness.close_pool()  # none open: nothing to do
+    assert run(2, "after") == serial
+    assert len(_worker_pids() - old) == 2
+
+
+@pytest.mark.parametrize("change", ["registered", "replaced"])
+def test_a_noise_family_changed_after_a_pooled_run_reaches_the_next_ones_workers(monkeypatch, change):
+    # a worker looks a model's family up by name in NOISE_FAMILIES as it
+    # was when its pool forked: a family registered or replaced after a
+    # pooled run must still give the next pooled run the serial estimates
+    import roblp.harness as harness
+    from roblp.simulate import NOISE_FAMILIES, NoiseFamily
+
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    f = sinusoid(beta=2.0)
+    est = Estimator(kind="fixed", contrast=huber(1.0), kernel_kind="uniform", bound=8.0, h=0.2, degree=1)
+    jobs = [(est.plan([0.25], 256)[0], 256)]
+    model = NoiseModel(family="gaussian", base_scale=0.5)
+    (before,) = harness._replication_estimates(jobs, f, model, 100, 3, workers=2)
+    old = _worker_pids()
+    gaussian = NOISE_FAMILIES["gaussian"]
+    doubled = lambda u: 2.0 * gaussian._upper_quantile(u)  # noqa: E731
+    name = "gaussian" if change == "replaced" else "doubled_gaussian"
+    monkeypatch.setitem(NOISE_FAMILIES, name, NoiseFamily(name=name, cdf=gaussian.cdf, _upper_quantile=doubled))
+    model = NoiseModel(family=name, base_scale=0.5)
+    (serial,) = harness._replication_estimates(jobs, f, model, 100, 3, workers=1)
+    (pooled,) = harness._replication_estimates(jobs, f, model, 100, 3, workers=2)
+    assert pooled.tobytes() == serial.tobytes() != before.tobytes()
+    assert not _worker_pids() & old
 
 
 def _run_child(code: str) -> str:
@@ -1149,7 +1191,7 @@ def test_a_forked_child_runs_its_pooled_runs_on_a_pool_of_its_own():
         "if pid == 0:",
         "    signal.alarm(60)",
         "    (child,) = harness._replication_estimates(jobs, f, model, 100, 3, workers=2)",
-        "    harness._close_pool()",
+        "    harness.close_pool()",
         "    os._exit(0 if child.tobytes() == parent.tobytes() else 3)",
         "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))",
     ])

@@ -43,6 +43,7 @@ KEPT = {
     "harness.RiskReport": "risk_curve returns it",
     "harness.TailPoint": "the entries of TailReport.points",
     "harness.TailReport": "tail_check returns it",
+    "harness.close_pool": "frees the live pool's workers in a long-lived process",
     "kernels.NotPositiveDefiniteError": "lambda_min raises it",
     "lepski.BandwidthGrid": "bandwidth_grid returns it",
     "lepski.CheckRecord": "the entries of SelectionTrace.pairwise_checks",
