@@ -241,6 +241,34 @@ _START_METHOD = "fork" if sys.platform.startswith("linux") else None
 # workers see is as it was when it opened.
 _pool = None
 
+# The (parameter, value) pairs a worker passes to glibc's mallopt:
+# M_MMAP_THRESHOLD (-3 in malloc.h) 32 MiB and M_TRIM_THRESHOLD (-1) 64 MiB.
+# A block's temporaries (4-5 MB for a tails block) then stay on the heap
+# between blocks, where glibc's dynamic thresholds (about 1 MB after the
+# first large free) would hand them back to the kernel and re-fault their
+# pages in the next block.
+_WORKER_MALLOPT = ((-3, 32 << 20), (-1, 64 << 20))
+
+
+def _keep_heap() -> None:
+    """The pool's worker initializer: where the C library is glibc, keep
+    freed memory on the heap rather than returning it to the kernel (see
+    _WORKER_MALLOPT), so that a worker's later blocks reuse its pages.  A
+    tuning only, never a result: where glibc or its ``mallopt`` cannot be
+    found it does nothing, and it never raises, since an initializer that
+    raises breaks the pool."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):  # no confstr, name, libc or mallopt
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _WORKER_MALLOPT:
+        mallopt(param, value)
+
 
 def _forget_pool() -> None:
     """Drop, unclosed, the pool a forked child inherits: its threads and
@@ -271,9 +299,9 @@ def _pool_map(workers: int, tasks) -> list:
     """``_block_estimates`` of each task through the live pool, opened
     first if the live one has another key (see ``_pool``): the old pool is
     shut down before the new one forks, so no fork meets a pool's running
-    threads.  If the map raises, the pool is shut down with its futures
-    cancelled and forgotten, so no later run meets a broken pool, and the
-    error is raised."""
+    threads.  Each worker runs ``_keep_heap`` as it starts.  If the map
+    raises, the pool is shut down with its futures cancelled and forgotten,
+    so no later run meets a broken pool, and the error is raised."""
     global _pool
     key = (workers, _START_METHOD, tuple(NOISE_FAMILIES.items()))
     if _pool is None or _pool[0] != key:
@@ -282,7 +310,7 @@ def _pool_map(workers: int, tasks) -> list:
 
         close_pool()
         context = multiprocessing.get_context(_START_METHOD)
-        _pool = key, ProcessPoolExecutor(max_workers=workers, mp_context=context)
+        _pool = key, ProcessPoolExecutor(max_workers=workers, mp_context=context, initializer=_keep_heap)
     try:
         return list(_pool[1].map(_block_estimates, tasks))
     except BaseException:

@@ -47,16 +47,18 @@ chunks of _CHUNK rows, padded with zero rows, by one mask scatter,
 writes the design monomials of all its windows straight into that chunk
 layout, and makes their kernel weights in one call (the uniform kernel's
 are the live rows themselves).  Every fit starts from the
-kernel-weighted median of its window's responses, found by a partition
-under the uniform kernel, whose weights are all one, and by a sort
-otherwise.  Each iteration takes the residuals, gradients, Hessians,
-condition tests, Newton solves, line searches and stationarity gaps of
-all live fits at once; a fit that needs the homotopy or a gradient step
-takes it inside the same loop.  Every sum over a window's samples adds
-its own chunks in order, so a fit's arithmetic, and its result, is the
-same bit for bit whatever else shares its stack: harness results do not
-depend on the block size, on the worker count (ROBLP_WORKERS) or on the
-other plans of a run.
+kernel-weighted median of its window's responses.  Under the uniform
+kernel, whose weights are all one, the fits of one chunk count find theirs
+by one row-wise sort of their chunks, padding rows sorting last; a chunk
+count only one fit holds and a zero median take a partition, and other
+kernels a sort per fit.  Each iteration takes the residuals, gradients,
+Hessians, condition tests, Newton solves, line searches and stationarity
+gaps of all live fits at once; a fit that needs the homotopy or a
+gradient step takes it inside the same loop.  Every sum over a window's
+samples adds its own chunks in order, so a fit's arithmetic, and its
+result, is the same bit for bit whatever else shares its stack: harness
+results do not depend on the block size, on the worker count
+(ROBLP_WORKERS) or on the other plans of a run.
 """
 
 from __future__ import annotations
@@ -648,13 +650,14 @@ class _Stack:
 
     def __init__(self, windows: _Windows, t: np.ndarray | None = None):
         """Lay out ``windows`` (none empty, of one settings key, a run of
-        those ``_fit_problems`` takes) and start each fit at its row of ``t``, by default at the
-        kernel-weighted median of its responses in the constant coordinate
-        (zeros elsewhere, projected).  Every window's points, rescaled by
-        its own config's h, and its responses reach the chunk layout by one
-        mask scatter over the stack's rows, not window by window; a fit's
-        ``index`` is its window's position in the windows ``_fit_problems``
-        takes."""
+        those ``_fit_problems`` takes) and start each fit at its row of
+        ``t``, by default at the kernel-weighted median of its responses in
+        the constant coordinate (zeros elsewhere, projected), found under
+        the uniform kernel by one row-wise sort per chunk count (see
+        ``_medians``).  Every window's points, rescaled by its own config's
+        h, and its responses reach the chunk layout by one mask scatter over
+        the stack's rows, not window by window; a fit's ``index`` is its
+        window's position in the windows ``_fit_problems`` takes."""
         cfg = windows.configs[windows.config[0]]
         self.contrast, self.radius, self.optimizer = cfg.contrast, cfg.bound, cfg.optimizer
         self.index_set = cfg.index_set
@@ -666,16 +669,8 @@ class _Stack:
         self._layout()
         self._fill(windows, cfg)
         if t is None:
-            # the uniform kernel's weights are all one (see _fill): its
-            # windows take the unit-weight median
-            unit = cfg.kernel.kind == "uniform"
-            firsts = (self.starts * _CHUNK).tolist()
-            weights, y = self.weights.ravel(), self.y.ravel()
             t = np.zeros((size, n_b))
-            t[:, 0] = [
-                _weighted_median(y[first : first + m], None if unit else weights[first : first + m])
-                for first, m in zip(firsts, self.n_local.tolist())
-            ]
+            t[:, 0] = self._medians(cfg.kernel.kind == "uniform")
             t = _project_rows(t, self.radius)
         self.t = t
         self.stopped = np.zeros(size, dtype=bool)
@@ -718,6 +713,36 @@ class _Stack:
         else:
             weights = np.where(live, cfg.kernel.value(z.T), 0.0)
         self.weights, self.y = weights.reshape(-1, _CHUNK), y.reshape(-1, _CHUNK)
+
+    def _medians(self, unit: bool) -> np.ndarray:
+        """The kernel-weighted median of each window's responses
+        (``_weighted_median``), with unit weights if ``unit``.
+
+        With unit weights (the uniform kernel's, see _fill), the fits of
+        one chunk count find theirs by one row-wise sort: a row per fit
+        holds its chunks, its padding rows set to +inf so that they sort
+        last, and the median is the row's value at rank (n_local - 1) // 2,
+        the rank ``_weighted_median`` takes.  Equal responses have equal
+        bits but for -0.0 and 0.0, so that is the value its partition
+        finds, unless it is a zero.  A zero median, a chunk count only one
+        fit holds (a bandwidth selection's windows) and every fit with
+        kernel weights take ``_weighted_median``."""
+        medians = np.zeros(self.size)
+        if unit:
+            ranks = (self.n_local - 1) // 2
+            # not np.unique, whose first call imports numpy.ma (1.6 MB)
+            for count in (np.bincount(self.chunks) > 1).nonzero()[0].tolist():
+                fits = (self.chunks == count).nonzero()[0]
+                rows = self.y[self.starts[fits, None] + np.arange(count)].reshape(fits.size, -1)
+                rows[np.arange(count * _CHUNK) >= self.n_local[fits, None]] = np.inf
+                rows.sort(axis=1)
+                medians[fits] = rows[np.arange(fits.size), ranks[fits]]
+        # the fits no sort reached are still at zero
+        weights, y = self.weights.ravel(), self.y.ravel()
+        for i in (medians == 0.0).nonzero()[0].tolist():
+            first, m = int(self.starts[i]) * _CHUNK, int(self.n_local[i])
+            medians[i] = _weighted_median(y[first : first + m], None if unit else weights[first : first + m])
+        return medians
 
     def _layout(self) -> None:
         self.owner = np.repeat(np.arange(self.chunks.size), self.chunks)

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -594,19 +595,21 @@ def test_a_replication_count_below_one_is_named(replications):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The pools opened while the test runs: ``opened`` holds their sizes,
-    ``maps`` and ``shutdowns`` count the calls made to them.  An in-process
-    stand-in replaces the process pool, so none starts a process."""
+    """The pools opened while the test runs: ``opened`` holds their sizes
+    and ``initializers`` their worker initializers, ``maps`` and
+    ``shutdowns`` count the calls made to them.  An in-process stand-in
+    replaces the process pool, so none starts a process."""
     import concurrent.futures
 
-    pools = types.SimpleNamespace(opened=[], maps=0, shutdowns=0)
+    pools = types.SimpleNamespace(opened=[], initializers=[], maps=0, shutdowns=0)
 
     class Recording:
-        """Stands in for the pool: records its size and calls, and maps in
-        process."""
+        """Stands in for the pool: records its size, initializer and calls,
+        and maps in process."""
 
-        def __init__(self, max_workers, mp_context=None):
+        def __init__(self, max_workers, mp_context=None, initializer=None):
             pools.opened.append(max_workers)
+            pools.initializers.append(initializer)
 
         def map(self, fn, tasks):
             pools.maps += 1
@@ -1112,6 +1115,120 @@ def test_close_pool_ends_the_workers_and_the_next_run_opens_a_new_pool(tmp_path,
     harness.close_pool()  # none open: nothing to do
     assert run(2, "after") == serial
     assert len(_worker_pids() - old) == 2
+
+
+def test_only_a_pooled_run_hands_its_workers_the_heap_initializer(monkeypatch, pools):
+    # _keep_heap runs in the pool's workers as they start, never in the
+    # calling process: a serial run, or a one-block run on two workers,
+    # opens no pool and calls it never
+    import roblp.harness as harness
+
+    calls = []
+    monkeypatch.setattr(harness, "_keep_heap", lambda: calls.append(os.getpid()))
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    est = Estimator(kind="fixed", contrast=huber(1.0), kernel_kind="uniform", bound=8.0, h=0.2, degree=1)
+    args = ([(est.plan([0.25], 256)[0], 256)], sinusoid(beta=2.0), NoiseModel(family="gaussian", base_scale=0.5))
+    harness._replication_estimates(*args, 30, 5, workers=1)
+    harness._replication_estimates(*args, 1, 5, workers=2)
+    assert pools.opened == [] and calls == []
+    harness._replication_estimates(*args, 30, 5, workers=2)
+    assert pools.opened == [2] and pools.initializers == [harness._keep_heap] and calls == []
+
+
+class _FakeLibc:
+    """A C library whose ``mallopt`` records its calls and succeeds."""
+
+    def __init__(self):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return 1
+
+        self.mallopt = mallopt
+
+
+@pytest.mark.parametrize(
+    "libc, confstr",
+    [
+        ("found", "glibc 2.36"),
+        ("no mallopt", "glibc 2.36"),
+        ("not loadable", "glibc 2.36"),
+        ("found", None),  # a C library that names no version
+        ("found", "musl"),
+        ("found", ValueError),  # confstr does not know the name
+        ("found", AttributeError),  # the platform has no confstr
+    ],
+)
+def test_keep_heap_sets_glibc_thresholds_and_is_a_silent_no_op_elsewhere(monkeypatch, libc, confstr):
+    # under glibc it raises mallopt's mmap and trim thresholds; where glibc
+    # or its mallopt cannot be found it returns, raising nothing, since an
+    # initializer that raises breaks the pool.  Run here with the C library
+    # stood in for, so this process's allocator is left as it is
+    import ctypes
+
+    import roblp.harness as harness
+
+    fake = _FakeLibc()
+
+    def load(name):
+        assert name is None
+        if libc == "not loadable":
+            raise OSError("cannot load the C library")
+        return fake if libc == "found" else types.SimpleNamespace()
+
+    monkeypatch.setattr(ctypes, "CDLL", load)
+    if confstr is AttributeError:
+        monkeypatch.delattr(harness.os, "confstr", raising=False)
+    elif confstr is ValueError:
+
+        def unknown(name):
+            raise ValueError(f"unrecognized configuration name {name}")
+
+        monkeypatch.setattr(harness.os, "confstr", unknown)
+    else:
+        monkeypatch.setattr(harness.os, "confstr", lambda name: confstr)
+    assert harness._keep_heap() is None
+    if libc == "found" and confstr == "glibc 2.36":
+        assert fake.calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+        assert fake.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+    else:
+        assert fake.calls == []
+
+
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError):
+        return False
+
+
+def _block_minor_faults(task) -> int:
+    """The minor page faults of ``_block_estimates`` of ``task``, counted
+    in the process that runs it."""
+    import roblp.harness as harness
+
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    harness._block_estimates(task)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+@pytest.mark.skipif(not _glibc(), reason="the worker initializer tunes glibc's malloc only")
+def test_a_live_workers_repeated_block_reuses_its_heap():
+    # a tails block of 500 replications at n=1024 frees 4-5 MB of
+    # temporaries; glibc's default thresholds return them to the kernel,
+    # and the next block re-faults about 550 pages.  A worker of the pool
+    # keeps them: its second identical block faults fewer than 100
+    import roblp.harness as harness
+    from roblp.lepski import minimax_bandwidth
+
+    f = sinusoid(beta=2.0)
+    h = minimax_bandwidth(2.0, f.lipschitz, 1024, 1)
+    est = Estimator(kind="fixed", contrast=huber(1.0), kernel_kind="uniform", bound=8.0, h=h, degree=1)
+    task = ([(est.plan([0.25], 1024)[0], 1024)], f, NoiseModel(family="gaussian", base_scale=0.5), 7, range(500))
+    harness._pool_map(1, [task])  # opens a pool of one worker and runs the first block
+    second = harness._pool[1].submit(_block_minor_faults, task).result(timeout=120)
+    assert second < 100
 
 
 @pytest.mark.parametrize("change", ["registered", "replaced"])

@@ -775,6 +775,48 @@ def test_unit_weight_median_matches_the_stable_sort_bit_for_bit(values):
     assert np.float64(got).tobytes() == np.float64(want).tobytes()  # -0.0 != 0.0 here
 
 
+_RESPONSES = {
+    "normal": lambda rng, m: rng.standard_normal(m),
+    "ties": lambda rng, m: rng.choice([-1.0, -0.0, 0.0, 1.0, 2.5], m),
+    "zeros": lambda rng, m: rng.choice([-0.0, 0.0], m),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([1, 63, 64, 65]), st.integers(1, 9 * local_fit._CHUNK)),
+            st.sampled_from(sorted(_RESPONSES)),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+# every chunk count 1..9, each held by two fits, then by one
+@example([(64 * c - 1 - 7 * k, "ties") for c in range(1, 10) for k in range(2)], 0)
+@example([(64 * c - 30, "normal") for c in range(1, 10)], 1)
+@example([(1, "zeros"), (63, "zeros"), (64, "zeros"), (65, "zeros"), (65, "ties"), (1, "normal")], 2)
+def test_uniform_stack_starts_at_each_windows_unit_median_bit_for_bit(windows, seed):
+    # a uniform-kernel stack's starting constant coefficient is the
+    # unit-weight median of its window's responses, bits and zero sign too,
+    # whichever chunk counts its stack-mates have
+    rng = np.random.default_rng(seed)
+    responses = [_RESPONSES[kind](rng, m) for m, kind in windows]
+    cfg = make_cfg(x0=(0.5,), bound=1e9)
+    y = np.concatenate(responses)
+    stack = local_fit._Stack(
+        local_fit._Windows(
+            np.full((y.size, 1), 0.5), y, np.array([m for m, _ in windows]),
+            np.zeros(len(windows), dtype=int), np.ones(len(windows)), [cfg],
+        )
+    )
+    want = np.array([local_fit._weighted_median(values) for values in responses])
+    assert stack.t[:, 0].tobytes() == want.tobytes()
+    assert not stack.t[:, 1:].any()
+
+
 @pytest.mark.parametrize("kernel", ["uniform", "triangular", "epanechnikov"])
 @pytest.mark.parametrize("d", [1, 2])
 def test_nested_grid_windows_equal_windows_cut_from_the_full_sample(kernel, d):
