@@ -59,7 +59,6 @@ from .local_fit import (
     Dataset,
     LocalFitConfig,
     OptimizerSettings,
-    _STACK_CHUNKS,
     _fit_problems,
     _windows,
     fit_local,
@@ -216,15 +215,15 @@ class Estimator:
         return desc
 
 
-# Most replications one pool task runs: as many as a solver stack holds
-# chunks.  A nonempty window fills at least one 64-row chunk, so a full
-# block gives each fit setting of its run at least one full stack (a tails
-# block at n=1024 fills about 630 chunks, two stacks), and a block's fixed
-# costs (draw set-up, window cut, stack builds, pool round trip) are paid
-# once per 512 replications.  A block spans every job of its run, so the
-# jobs' windows of one fit setting share stacks: a criterion-2 Cauchy rates
-# run of 30 replications at six sample sizes fills two stacks, not six.
-BLOCK_REPLICATIONS = _STACK_CHUNKS
+# Most replications one pool task runs.  A block's fixed costs (draw
+# set-up, window cut, stack builds, pool round trip) are paid once per
+# block, and a degree-1 block of this size is one solver stack: a tails
+# block at n=1024 fills about 630 chunks, under the 671 a degree-1 stack
+# holds (see local_fit._stack_chunks).  A block spans every job of its run,
+# so the jobs' windows of one fit setting share stacks: a criterion-2
+# Cauchy rates run of 30 replications at six sample sizes fills one stack,
+# not six.
+BLOCK_REPLICATIONS = 512
 
 # The pool's start method: fork on Linux, whose default it was until
 # Python 3.14 made it forkserver, so that a worker inherits the loaded

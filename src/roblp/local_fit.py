@@ -29,7 +29,8 @@ its run (one per sample size of a risk curve), cuts the windows of every
 plan in one ``_windows`` call, plan after plan, and hands them to one
 solver call, ``_fit_problems``, which cuts them in one pass into stacks,
 runs of consecutive windows of equal fit settings (x0, degree, kernel,
-radius, contrast, optimizer) of up to _STACK_CHUNKS chunks, and stores
+radius, contrast, optimizer) of up to as many chunks as a working-set
+budget holds at their number of coefficients (``_stack_chunks``), and stores
 every result in one ``_Fits``; so a stack may hold the windows of
 several plans.  A bandwidth selection solves its grid levels as one
 stack, and ``fit_local`` is a stack of one.  A window is only its rows,
@@ -299,14 +300,38 @@ _STAGNANT_STEPS = 64
 # in order: it depends on the window alone, whatever else is stacked with
 # it (see _Stack).
 _CHUNK = 64
-# Most chunks in one stack (unless one window has more): it bounds the
-# solver's working arrays, about 5 MB at degree 3.  Larger stacks spread
-# each iteration's fixed cost over more fits: an adaptive replication at
-# n=4096 and degree 3 fills 39 chunks, so 512 solve 13 at once.  A block of
-# 512 such replications took 580-614 us per replication at 512, against
-# 924-943 at 64, 595-621 at 256 and 556-604 at 1024 (2-CPU Intel Xeon host,
-# medians of 12, three runs).  The harness sizes its blocks by this cap.
-_STACK_CHUNKS = 512
+# A stack's working set per chunk, in chunk-sized float arrays (512 bytes),
+# is a * N_b + b for N_b coefficients.  Counted: the stack holds its design
+# (N_b arrays), weights, responses and residuals (3); the Hessian build adds
+# the active-set weights and their product with the design (N_b + 1), the
+# line search the residuals' drop and the increment's two buffers and masks
+# (about 4); the first is the larger at N_b >= 3, the second below.
+# Traced by tracemalloc over full stacks of Huber fits, the larger peak is
+# at most 8.01, 9.23, 10.52 and 12.61 arrays at N_b = 1..4 (every window
+# one chunk; 7.97, 9.16, 10.51 and 12.55 for tails windows of 1-2 chunks),
+# and 1.5 N_b + 6.65 bounds all four.  Past N_b = 4 the Hessian
+# build's 2 N_b outgrows it: a full stack's peak exceeds the budget by about
+# 8% at N_b = 6 and 21% at N_b = 10.
+_CHUNK_ARRAYS = (1.5, 6.65)
+# Most chunk-sized arrays a stack's working set may hold: that of 512 chunks
+# at N_b = 4 (degree 3 in one dimension), whose traced peak is 3.29-3.31 MB.
+# Larger stacks spread each iteration's fixed cost over more fits: an
+# adaptive replication at n=4096 and degree 3 fills 39 chunks, so 512 solve
+# 13 at once.  A block of 512 such replications took 580-614 us per
+# replication at 512 chunks, against 924-943 at 64, 595-621 at 256 and
+# 556-604 at 1024 (2-CPU Intel Xeon host, medians of 12, three runs).  At
+# degree 1 the budget holds 671 chunks, so a criterion-8 tails block of 500
+# replications (579-638 chunks) or a criterion-2 rates block (633-662) is
+# one stack, where 512 chunks split it into a full stack and a leftover
+# that paid a whole stack's fixed costs.
+_STACK_ARRAYS = 512 * (4 * _CHUNK_ARRAYS[0] + _CHUNK_ARRAYS[1])
+
+
+def _stack_chunks(n_b: int) -> int:
+    """Most chunks in one stack of fits of ``n_b`` coefficients (unless one
+    window has more): as many as the working-set budget holds."""
+    a, b = _CHUNK_ARRAYS
+    return int(_STACK_ARRAYS // (a * n_b + b))
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -930,20 +955,21 @@ def _fit_problems(windows: _Windows) -> _Fits:
     One pass over the windows cuts them into stacks: a stack is a run of
     consecutive windows of one settings key (x0, degree, kernel, radius,
     contrast and optimizer: every fit setting but h), cut where the next
-    window would take it past _STACK_CHUNKS chunks (a window larger than
-    that is a stack on its own).  So a stack has one x0, by which
-    ``_Stack`` rescales all its points.  Each stack stores its results
-    straight into the one ``_Fits``.  The windows come from ``_windows``,
-    so none is empty.
+    window would take it past ``_stack_chunks(N_b)`` chunks, N_b the index
+    set's size (a window larger than that is a stack on its own).  So a
+    stack has one x0, by which ``_Stack`` rescales all its points.  Each
+    stack stores its results straight into the one ``_Fits``.  The windows
+    come from ``_windows``, so none is empty.
     """
     configs = windows.configs
     keys = [(cfg.x0, cfg.degree, cfg.kernel, cfg.bound, cfg.contrast, cfg.optimizer) for cfg in configs]
     fits = _Fits(configs[0].index_set, windows.n_local)
     sizes = _Stack.chunk_count(windows.n_local).tolist()
+    cap = _stack_chunks(fits.index_set.size)
     # the first window of each stack, and the chunks and key of the last
     starts, chunks, current = [], 0, None
     for i, (config, size) in enumerate(zip(windows.config.tolist(), sizes)):
-        if keys[config] != current or chunks + size > _STACK_CHUNKS:
+        if keys[config] != current or chunks + size > cap:
             starts.append(i)
             chunks, current = 0, keys[config]
         chunks += size

@@ -87,11 +87,14 @@ class NoiseFamily:
     _upper_quantile: Callable[[np.ndarray], np.ndarray]  # for u in [1/2, 1)
 
     def quantile(self, u):
-        """Inverse cdf, folded so quantile(1 - u) == -quantile(u) exactly."""
+        """Inverse cdf, folded so quantile(1 - u) == -quantile(u) exactly.
+        The fold is arithmetic, with no data-dependent select: 1 - u is
+        exact for u >= 1/2, so max(u, 1 - u) is u there and 1 - u below,
+        and the sign of u - 1/2 (+0.0 at u = 1/2) flips the lower half;
+        a product by 1.0 keeps each bit, Laplace's -0.0 at 1/2 too."""
         u = np.asarray(u, dtype=float)
-        upper = np.where(u >= 0.5, u, 1.0 - u)
-        vals = self._upper_quantile(upper)
-        return np.where(u >= 0.5, vals, -vals)
+        vals = self._upper_quantile(np.maximum(u, 1.0 - u))
+        return vals * np.copysign(1.0, u - 0.5)
 
 
 def _gauss_cdf(z):

@@ -299,6 +299,16 @@ def test_risk_curve_parallel_matches_sequential():
     assert par == seq
 
 
+def _cap_stacks(monkeypatch, cap):
+    """Set the solver stacks' working-set budget to that of ``cap`` chunks
+    at N_b = 4 (degree 3 in one dimension), which caps a stack at ``cap``
+    chunks at degree 3 and more at degree 1; 512 is the shipped budget."""
+    import roblp.local_fit as local_fit
+
+    a, b = local_fit._CHUNK_ARRAYS
+    monkeypatch.setattr(local_fit, "_STACK_ARRAYS", cap * (4 * a + b))
+
+
 def _replication_cases():
     """(plan, noise) on the sinusoid, the plan a function of x0 and n that
     returns the fit configs and thresholds of ``Estimator.plan``: of the
@@ -350,7 +360,6 @@ def replication_data(f, model, n: int, seed: int, rep: int, configs) -> Dataset:
 @pytest.mark.parametrize(**CASES)
 def test_replication_errors_do_not_depend_on_the_block_size(monkeypatch, case):
     import roblp.harness as harness
-    import roblp.local_fit as local_fit
 
     plan, model = _replication_cases()[case]
     f, x0, n, reps, seed = sinusoid(beta=2.0), [0.25], 600, 23, 14
@@ -359,7 +368,7 @@ def test_replication_errors_do_not_depend_on_the_block_size(monkeypatch, case):
     single = [[fit_local(data, cfg).estimate for cfg in configs] for data in draws]
     for size, cap in ((1, 512), (7, 1), (reps, 64), (reps, 512)):
         monkeypatch.setattr(harness, "BLOCK_REPLICATIONS", size)
-        monkeypatch.setattr(local_fit, "_STACK_CHUNKS", cap)
+        _cap_stacks(monkeypatch, cap)
         (est,) = harness._replication_estimates([(configs, n)], f, model, reps, seed)
         np.testing.assert_array_equal(est, single)
     if thresholds is not None:  # the rule in the parent picks the selection's estimate
@@ -491,10 +500,10 @@ RATES_N = [512, 1024, 2048, 4096, 8192, 16384]
     "name, n_values, reps, expected",
     [
         ("tails_gaussian", [1024], 64, [(64, 81)]),
-        ("tails_gaussian", [1024], BLOCK_REPLICATIONS, [(414, 512), (98, 119)]),
+        ("tails_gaussian", [1024], BLOCK_REPLICATIONS, [(512, 631)]),
         ("compare_cauchy", [1024], 64, [(64, 81)] * 3),
         ("rates_adaptive", [4096], 60, [(25, 497), (25, 497), (41, 512), (69, 508), (140, 403)]),
-        ("rates_cauchy", RATES_N, 30, [(164, 509), (16, 143)]),
+        ("rates_cauchy", RATES_N, 30, [(180, 652)]),
     ],
     ids=["tails", "tails_block", "compare", "adaptive", "rates"],
 )
@@ -505,16 +514,18 @@ def test_a_block_packs_its_plan_into_maximal_runs_of_one_settings_key(
     # job of the run, job after job; its _fit_stack calls, as (windows,
     # chunks), cover those windows once, in order, a run of one settings
     # key each, and a stack ends only at a key change or where the next
-    # window would pass the cap.  At the shipped cap, the stacks are those
-    # listed: a tails block of the shipped size fills one full stack and
-    # part of a second, and the six jobs of a rates_cauchy run of 30
-    # replications share two stacks, not one each.  One _windows call cuts
+    # window would pass the cap.  At the shipped budget (512 degree-3
+    # chunks), the stacks are those listed: a degree-1 block is one stack
+    # (a tails block of the shipped size, and the six jobs of a
+    # rates_cauchy run of 30 replications, not one stack each), and a
+    # degree-3 rates_adaptive block, of up to 512 chunks a stack, spans
+    # five.  One _windows call cuts
     # every job's windows, and reads each job as it is drawn, so a job's
     # drawn rows are cut before the next job is drawn
     import roblp.harness as harness
     import roblp.local_fit as local_fit
 
-    monkeypatch.setattr(local_fit, "_STACK_CHUNKS", cap)
+    _cap_stacks(monkeypatch, cap)
     plans, stacks, events = [], [], []
     fit_problems, fit_stack = local_fit._fit_problems, local_fit._fit_stack
 
@@ -555,6 +566,7 @@ def test_a_block_packs_its_plan_into_maximal_runs_of_one_settings_key(
     assert list(plan.configs) == [cfg for configs, _ in jobs for cfg in configs]
     assert plan.size == reps * len(plan.configs)  # no window is empty
     chunks = local_fit._Stack.chunk_count(plan.n_local).tolist()
+    limit = local_fit._stack_chunks(plan.configs[0].index_set.size)
     keys = [(c.x0, c.degree, c.kernel, c.bound, c.contrast, c.optimizer) for c in plan.configs]
     key = [keys[k] for k in plan.config.tolist()]
     first, sizes = 0, []
@@ -566,9 +578,9 @@ def test_a_block_packs_its_plan_into_maximal_runs_of_one_settings_key(
         assert stack.config.tolist() == plan.config[first:last].tolist()
         assert stack.x.tobytes() == plan.x[rows].tobytes() and stack.y.tobytes() == plan.y[rows].tobytes()
         assert len(set(key[first:last])) == 1
-        assert sum(chunks[first:last]) <= cap or stack.size == 1
+        assert sum(chunks[first:last]) <= limit or stack.size == 1
         if last < plan.size:
-            assert key[last] != key[first] or sum(chunks[first : last + 1]) > cap
+            assert key[last] != key[first] or sum(chunks[first : last + 1]) > limit
         sizes.append((stack.size, sum(chunks[first:last])))
         first = last
     assert first == plan.size
@@ -725,9 +737,8 @@ def test_a_job_does_not_depend_on_its_run_mates(monkeypatch, workers, cap):
     # whose windows share stacks, and a compare table between them, at one
     # and two workers and at a cap that cuts stacks inside and across jobs
     import roblp.harness as harness
-    import roblp.local_fit as local_fit
 
-    monkeypatch.setattr(local_fit, "_STACK_CHUNKS", cap)
+    _cap_stacks(monkeypatch, cap)
     (minimax, model), _, (compare, _) = _replication_cases()
     jobs = [(minimax([0.25], 600)[0], 600), (compare([0.25], 700)[0], 700), (minimax([0.25], 900)[0], 900)]
     args = (sinusoid(beta=2.0), model, 40, 18)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from roblp.basis import monomial_matrix, multi_index_set
 from roblp.contrast import absolute, huber
 from roblp.kernels import KernelSpec, uniform_kernel
 from roblp.lepski import bandwidth_grid, minimax_bandwidth, select_bandwidth
-from roblp.simulate import NoiseModel, gen_data, product_sinusoid, sinusoid
+from roblp.simulate import NoiseModel, gen_data, gen_window, product_sinusoid, sinusoid
 import roblp.local_fit as local_fit
 from roblp.local_fit import (
     Dataset,
@@ -922,11 +923,50 @@ def test_stacks_of_weighted_kernels_give_each_fit_its_bits_alone(monkeypatch, ke
     assert max(map(abs, medians)) < 8.0  # inside the ball: the start is not projected
     assert starts.tolist() == medians
     singles = [fit_local(data, cfg) for cfg in configs for data in samples]
-    for cap in (local_fit._STACK_CHUNKS, 8):
-        monkeypatch.setattr(local_fit, "_STACK_CHUNKS", cap)
+    a, b = local_fit._CHUNK_ARRAYS
+    for cap in (512, 8):  # the budget of as many chunks at degree 3: 512 is the shipped one
+        monkeypatch.setattr(local_fit, "_STACK_ARRAYS", cap * (4 * a + b))
         stacked = _results(windows)
         for fit, single in zip(stacked, singles, strict=True):
             _assert_same_fit(fit, single)
+
+
+def _traced_peak_of_a_stack(degree: int, chunks: int) -> tuple[int, int]:
+    """The traced memory peak of solving one stack of criterion-8 tails
+    windows (Huber(1) fits at n=1024 and h=0.0575, of 1 or 2 chunks each)
+    at ``degree`` in one dimension, the longest run of them within
+    ``chunks`` chunks, and the chunks it fills."""
+    cfg = make_cfg(x0=(0.25,), h=0.0575, degree=degree, bound=8.0)
+    model, n = NoiseModel(family="gaussian", base_scale=0.5), 1024
+    x, y, counts = gen_window(sinusoid(beta=2.0), model, n, 1, 7, range(1200), (cfg.x0, cfg.h))
+    windows, _ = local_fit._windows([(x, y, n, [cfg], counts)])
+    ends = local_fit._Stack.chunk_count(windows.n_local).cumsum()
+    stop = int(ends.searchsorted(chunks, side="right"))
+    stack = windows.take(0, stop)
+    fits = local_fit._Fits(cfg.index_set, stack.n_local)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        local_fit._fit_stack(stack, fits)
+        return tracemalloc.get_traced_memory()[1] - base, int(ends[stop - 1])
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_full_stack_of_any_degree_stays_within_a_512_chunk_degree_3_stacks_memory():
+    # the working-set budget holds 512 chunks at N_b = 4 (degree 3), as the
+    # fixed cap did, and more at fewer coefficients: at least 670 at N_b = 2,
+    # so that a degree-1 block of the shipped studies (up to 662 chunks) is
+    # one stack.  A full stack at each of N_b = 1..4 peaks within 5% of the
+    # 512-chunk degree-3 stack's traced memory
+    caps = [local_fit._stack_chunks(n_b) for n_b in (1, 2, 3, 4)]
+    assert caps[3] == 512 and caps[1] >= 670
+    assert caps == sorted(caps, reverse=True)
+    reference, _ = _traced_peak_of_a_stack(3, 512)
+    for degree, cap in enumerate(caps):
+        peak, chunks = _traced_peak_of_a_stack(degree, cap)
+        assert cap - 2 <= chunks <= cap, degree  # full: the next window would not fit
+        assert peak <= 1.05 * reference, (degree, peak, reference)
 
 
 @pytest.mark.parametrize("grid, index", [(True, 1), (False, None)])

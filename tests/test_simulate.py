@@ -325,6 +325,22 @@ def test_gaussian_quantile_edge_values():
     assert gaussian.quantile(0.975).shape == ()
 
 
+@pytest.mark.parametrize("family", sorted(NOISE_FAMILIES))
+def test_the_quantiles_arithmetic_fold_keeps_the_bits_of_the_select(family):
+    # quantile folds u to max(u, 1 - u) and flips the lower half by the sign
+    # of u - 1/2, where it used to select by u >= 1/2: the same bits, -0.0
+    # (Laplace at 1/2) and both ends included, and a scalar stays 0-d
+    fam = NOISE_FAMILIES[family]
+    edges = [0.0, 2.0**-53, 0.25, 0.5 - 2.0**-54, 0.5, 0.5 + 2.0**-53, 0.75, 1.0 - 2.0**-53, 1.0]
+    u = np.concatenate([edges, np.random.default_rng(3).random(100_000)])
+    with np.errstate(divide="ignore"):  # log(0) at u = 0 and 1 (Laplace)
+        vals = fam._upper_quantile(np.where(u >= 0.5, u, 1.0 - u))
+        selected = np.where(u >= 0.5, vals, -vals)
+        assert fam.quantile(u).tobytes() == selected.tobytes()
+    assert fam.quantile(0.975).shape == ()
+    assert float(fam.quantile(0.975)) == fam.quantile(np.array([0.975]))[0]
+
+
 def test_heteroscedastic_rules():
     rule = HeteroscedasticRule(kind="alternating", factor=3.0)
     model = NoiseModel(family="gaussian", base_scale=0.5, heteroscedastic=rule)
