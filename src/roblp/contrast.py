@@ -91,10 +91,8 @@ class ContrastSpec:
         """rho(z + dz) - rho(z).  Where z and z + dz lie on the same piece
         of rho it is computed from the piece's closed form, which keeps
         its relative accuracy when dz is tiny; the plain difference of two
-        values loses every digit there."""
+        values loses every digit there.  z and dz have one shape."""
         z, dz = np.asarray(z, dtype=float), np.asarray(dz, dtype=float)
-        if z.shape != dz.shape:
-            z, dz = np.broadcast_arrays(z, dz)
         # The arrays below are formed in place, each product and sum the
         # plain expression's, in its order: dz (z + dz/2), then one buffer
         # holding in turn |z|, z + dz, |z + dz| and the outer piece's slope

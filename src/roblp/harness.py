@@ -64,7 +64,6 @@ from .local_fit import (
     fit_local,
 )
 from .simulate import (
-    NOISE_FAMILIES,
     NoiseModel,
     TestFunction,
     gen_data,  # noqa: F401  perfbench/tracing.py patches this lookup site
@@ -231,13 +230,10 @@ BLOCK_REPLICATIONS = 512
 # default (macOS offers fork, but its system libraries are not fork-safe).
 _START_METHOD = "fork" if sys.platform.startswith("linux") else None
 
-# The live process pool, as (key, pool), or None: the first pooled run
-# opens it and later runs with its key reuse it, so a process pays the
-# workers' start once, not once per run.  The key is the worker count, the
-# start method and the entries of NOISE_FAMILIES, which a worker looks up
-# by a model's family name: a family registered or replaced after the pool
-# opened gets a pool forked after the change.  Any other module state its
-# workers see is as it was when it opened.
+# The live process pool, as (worker count, pool), or None: the first pooled
+# run opens it and later runs with its worker count reuse it, so a process
+# pays the workers' start once, not once per run.  Its workers see module
+# state as it was when it opened.
 _pool = None
 
 # The (parameter, value) pairs a worker passes to glibc's mallopt:
@@ -296,20 +292,19 @@ def close_pool() -> None:
 
 def _pool_map(workers: int, tasks) -> list:
     """``_block_estimates`` of each task through the live pool, opened
-    first if the live one has another key (see ``_pool``): the old pool is
+    first if the live one has another worker count: the old pool is
     shut down before the new one forks, so no fork meets a pool's running
     threads.  Each worker runs ``_keep_heap`` as it starts.  If the map
     raises, the pool is shut down with its futures cancelled and forgotten,
     so no later run meets a broken pool, and the error is raised."""
     global _pool
-    key = (workers, _START_METHOD, tuple(NOISE_FAMILIES.items()))
-    if _pool is None or _pool[0] != key:
+    if _pool is None or _pool[0] != workers:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         close_pool()
         context = multiprocessing.get_context(_START_METHOD)
-        _pool = key, ProcessPoolExecutor(max_workers=workers, mp_context=context, initializer=_keep_heap)
+        _pool = workers, ProcessPoolExecutor(max_workers=workers, mp_context=context, initializer=_keep_heap)
     try:
         return list(_pool[1].map(_block_estimates, tasks))
     except BaseException:

@@ -30,6 +30,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from functools import partial
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -186,10 +187,10 @@ def _cauchy_cdf(z):
     return 0.5 + math.atan(z) / math.pi
 
 
-# A NoiseModel names its family here; a pooled run's workers look it up by
-# that name, and the harness keys its live pool on these entries, so a
-# family registered or replaced between runs reaches the next run's workers.
-NOISE_FAMILIES = {
+# A NoiseModel names its family here.  The estimator never sees g, so the
+# families are a fixed test vocabulary: the mapping is read-only, and the
+# models, the config schema and a forked pool worker all see this one set.
+NOISE_FAMILIES = MappingProxyType({
     "gaussian": NoiseFamily(
         name="gaussian",
         cdf=_gauss_cdf,
@@ -205,7 +206,7 @@ NOISE_FAMILIES = {
         cdf=_cauchy_cdf,
         _upper_quantile=lambda u: np.tan(math.pi * (u - 0.5)),
     ),
-}
+})
 
 
 # ---------------------------------------------------------------------------

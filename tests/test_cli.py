@@ -852,6 +852,28 @@ def test_cli_data_errors_exit_naming_the_file(tmp_path, estimator_json, command)
             main(argv)
 
 
+def test_cli_fit_reads_a_dataset_csvs_header_and_nonblank_rows(tmp_path, dataset_csv, estimator_json, capsys):
+    # an empty or header-only file exits naming it; blank lines between
+    # rows are skipped, so the fit is the one on the file without them
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("x_1,y\n")
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("\n".join(dataset_csv.read_text().splitlines(keepends=True)))
+    for data, message in (
+        (empty, r"empty\.csv: empty file, header row required$"),
+        (header_only, r"header_only\.csv: no data rows$"),
+    ):
+        with pytest.raises(SystemExit, match=message):
+            main(FIT + ["--data", str(data), "--x0", "0.25", "--config", str(estimator_json)])
+    outputs = []
+    for data in (dataset_csv, spaced):
+        assert main(FIT + ["--data", str(data), "--x0", "0.25", "--config", str(estimator_json)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "\n\n" in spaced.read_text() and outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize(
     "command",
     [

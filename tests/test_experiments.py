@@ -184,6 +184,14 @@ def test_compare_experiment_csv_identical_across_workers(compare_runs):
     assert single == pooled
 
 
+def test_a_compare_run_needs_the_huber_contrast(tmp_path):
+    cfg = compare_config(tmp_path / "out")
+    cfg["estimator"]["contrast"] = {"kind": "square"}
+    with pytest.raises(ConfigError, match=r"^\$\.estimator\.contrast\.kind: compare experiment needs huber$"):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_errors_carry_field_paths(tmp_path):
     cfg = rates_config(tmp_path)
     cfg["estimator"]["bound"] = -1

@@ -1052,17 +1052,16 @@ def test_pooled_runs_share_one_pool(tmp_path, monkeypatch):
     serial = run(1, "serial")
     assert harness._pool is None
     assert run(2, "first") == serial
-    key, pool = harness._pool
+    count, pool = harness._pool
     workers = _worker_pids()
-    assert key[:2] == (2, harness._START_METHOD) and len(workers) == 2
+    assert count == 2 and len(workers) == 2
     assert run(2, "second") == serial
-    assert harness._pool == (key, pool) and _worker_pids() == workers
+    assert harness._pool == (2, pool) and _worker_pids() == workers
 
 
-@pytest.mark.parametrize("change", ["workers", "start method"])
-def test_a_new_pool_opens_only_after_the_old_ones_processes_are_gone(tmp_path, monkeypatch, change):
-    # a run with another worker count or start method shuts the live pool
-    # down, its processes joined, before it opens its own
+def test_a_new_pool_opens_only_after_the_old_ones_processes_are_gone(tmp_path, monkeypatch):
+    # a run with another worker count shuts the live pool down, its
+    # processes joined, before it opens its own
     import roblp.harness as harness
 
     run = _pooled_tails(tmp_path, monkeypatch)
@@ -1077,15 +1076,9 @@ def test_a_new_pool_opens_only_after_the_old_ones_processes_are_gone(tmp_path, m
         return get_context(method)
 
     monkeypatch.setattr(multiprocessing, "get_context", opening)
-    workers = 2
-    if change == "workers":
-        workers = 3
-    else:
-        methods = [m for m in multiprocessing.get_all_start_methods() if m != harness._START_METHOD]
-        monkeypatch.setattr(harness, "_START_METHOD", methods[0])
-    assert run(workers, "new") == serial
+    assert run(3, "new") == serial
     assert alive_at_open == [[]]
-    assert harness._pool[0][:2] == (workers, harness._START_METHOD)
+    assert harness._pool[0] == 3
     assert not _worker_pids() & old
 
 
@@ -1240,33 +1233,6 @@ def test_a_live_workers_repeated_block_reuses_its_heap():
     harness._pool_map(1, [task])  # opens a pool of one worker and runs the first block
     second = harness._pool[1].submit(_block_minor_faults, task).result(timeout=120)
     assert second < 100
-
-
-@pytest.mark.parametrize("change", ["registered", "replaced"])
-def test_a_noise_family_changed_after_a_pooled_run_reaches_the_next_ones_workers(monkeypatch, change):
-    # a worker looks a model's family up by name in NOISE_FAMILIES as it
-    # was when its pool forked: a family registered or replaced after a
-    # pooled run must still give the next pooled run the serial estimates
-    import roblp.harness as harness
-    from roblp.simulate import NOISE_FAMILIES, NoiseFamily
-
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    f = sinusoid(beta=2.0)
-    est = Estimator(kind="fixed", contrast=huber(1.0), kernel_kind="uniform", bound=8.0, h=0.2, degree=1)
-    jobs = [(est.plan([0.25], 256)[0], 256)]
-    model = NoiseModel(family="gaussian", base_scale=0.5)
-    (before,) = harness._replication_estimates(jobs, f, model, 100, 3, workers=2)
-    old = _worker_pids()
-    gaussian = NOISE_FAMILIES["gaussian"]
-    doubled = lambda u: 2.0 * gaussian._upper_quantile(u)  # noqa: E731
-    name = "gaussian" if change == "replaced" else "doubled_gaussian"
-    monkeypatch.setitem(NOISE_FAMILIES, name, NoiseFamily(name=name, cdf=gaussian.cdf, _upper_quantile=doubled))
-    model = NoiseModel(family=name, base_scale=0.5)
-    (serial,) = harness._replication_estimates(jobs, f, model, 100, 3, workers=1)
-    (pooled,) = harness._replication_estimates(jobs, f, model, 100, 3, workers=2)
-    assert pooled.tobytes() == serial.tobytes() != before.tobytes()
-    assert not _worker_pids() & old
 
 
 def _run_child(code: str) -> str:

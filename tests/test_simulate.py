@@ -233,6 +233,16 @@ def test_noise_family_certificates(family):
     assert certify_noise_family(NOISE_FAMILIES[family])
 
 
+def test_the_noise_families_cannot_be_changed():
+    # the models, the config schema and a forked pool worker all read this
+    # one registry, so no family can be registered, replaced or removed
+    with pytest.raises(TypeError):
+        NOISE_FAMILIES["doubled_gaussian"] = NOISE_FAMILIES["gaussian"]
+    with pytest.raises(TypeError):
+        del NOISE_FAMILIES["gaussian"]
+    assert sorted(NOISE_FAMILIES) == ["cauchy", "gaussian", "laplace"]
+
+
 def test_noise_quantile_cdf_consistency():
     for fam in NOISE_FAMILIES.values():
         for u in (0.5, 0.62, 0.9, 0.99):
